@@ -2,8 +2,8 @@ GO ?= go
 BIN := bin
 
 .PHONY: all build vet test race bench bench-match bench-mine bench-short \
-	bench-mine-short bench-guard docs-check fuzz-smoke loadtest overload \
-	crashtest serve clean
+	bench-mine-short bench-guard bench-e2e-check docs-check fuzz-smoke \
+	loadtest overload crashtest serve clean
 
 all: vet build test
 
@@ -23,6 +23,7 @@ race:
 	$(GO) test -race ./internal/serve/ ./internal/partition/ ./internal/match/ \
 	    ./internal/graph/ ./internal/mine/ ./internal/netfault/
 	$(GO) test -race -timeout 120s ./internal/mine/wire/ ./internal/mine/remote/
+	$(GO) test -race -run 'TestEvalRuleCorpus' .
 
 # Short coverage-guided runs of the fuzz targets: delta ingest (wire decode
 # in serve, op application in graph) and the durability decoders (snapshot
@@ -74,6 +75,14 @@ bench-mine-short:
 	    -benchmem -benchtime=3x ./internal/mine/remote/ >> bench.out
 	$(GO) run ./cmd/benchjson -set mine < bench.out
 	@rm -f bench.out
+
+# benchmark/ is a module of its own, outside `go build ./... && go test
+# ./...`, and compiles against exported internal/serve, internal/eip,
+# internal/mine, internal/match, internal/sketch and internal/partition
+# surface: vet it and run its tests (unit tests plus a 400-user smoke of all
+# four workloads) so a signature change here cannot break it unseen.
+bench-e2e-check:
+	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
 
 # Fail if any committed bench artifact records a speedup or allocation
 # ratio below 1.0 — the regression gate CI runs on every push. The

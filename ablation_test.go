@@ -3,7 +3,8 @@ package gpar_test
 // Ablation benchmarks for the design choices DESIGN.md calls out: each
 // DMine optimization (incremental diversification, Lemma 3 reduction,
 // Lemma 4 bisimulation prefilter, guided matching) toggled individually,
-// and the guided-search sketch depth for EIP.
+// the guided-search sketch depth for EIP, and guided against unguided
+// matching in the identify kernel.
 
 import (
 	"fmt"
@@ -12,7 +13,10 @@ import (
 	"gpar/internal/bench"
 	"gpar/internal/eip"
 	"gpar/internal/gen"
+	"gpar/internal/graph"
+	"gpar/internal/match"
 	"gpar/internal/mine"
+	"gpar/internal/sketch"
 )
 
 func BenchmarkAblation_DMineOptimizations(b *testing.B) {
@@ -80,5 +84,51 @@ func BenchmarkAblation_EmbedCap(b *testing.B) {
 				b.ReportMetric(float64(res.Kept), "rulesKept")
 			}
 		})
+	}
+}
+
+// BenchmarkAblation_IdentifyGuidance is the evidence behind gpard serving
+// unguided: one op is one rule evaluated over every candidate of the graph
+// with the kernel gpard runs (eip.EvalCenters over two bound matchers), the
+// matchers guided by a warm 2-hop sketch index or plain. candidates/op is
+// the number of anchored checks (the same either way: guidance reorders the
+// search below an anchor, it does not pick the anchors), so ns/op divided by
+// it is the cost of one check. DESIGN.md §"One identify kernel" has the
+// table.
+func BenchmarkAblation_IdentifyGuidance(b *testing.B) {
+	for _, c := range identifyCorpus(b, benchScale().PokecUsers) {
+		centers := eip.ClassifyCenters(c.g, c.g.NodesWithLabel(c.pred.XLabel), c.pred)
+		sketches := sketch.NewIndex(c.g, 2)
+		for _, r := range c.rules {
+			for _, opts := range []match.Options{{Guided: true, Sketches: sketches}, {}} {
+				name := "unguided"
+				if opts.Guided {
+					name = "guided"
+				}
+				b.Run(c.name+"/"+r.shape+"/"+name, func(b *testing.B) {
+					checks := 0
+					counted := func(m *match.Matcher) func(graph.NodeID) bool {
+						return func(v graph.NodeID) bool {
+							checks++
+							return m.HasMatchAt(v)
+						}
+					}
+					eval := func() {
+						qm := match.NewMatcher(r.rule.Q, c.g, opts)
+						prm := match.NewMatcher(r.rule.PR(), c.g, opts)
+						eip.EvalCenters(counted(prm), counted(qm), centers)
+						qm.Release()
+						prm.Release()
+					}
+					eval() // fills the lazy sketch index
+					checks = 0
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						eval()
+					}
+					b.ReportMetric(float64(checks)/float64(b.N), "candidates/op")
+				})
+			}
+		}
 	}
 }

@@ -38,11 +38,6 @@ var baselines = map[string]map[string]measurement{
 		"BenchmarkAnchoredMatch/guided":   {NsPerOp: 44948, BytesPerOp: 6707, AllocsPerOp: 209},
 		"BenchmarkMatchSet":               {NsPerOp: 20951397, BytesPerOp: 4145511, AllocsPerOp: 192160},
 		"BenchmarkIdentify":               {NsPerOp: 19078529, BytesPerOp: 6297920, AllocsPerOp: 103736},
-		// The overlay identify benchmark is gated against the frozen path's
-		// baseline (same workload shape, measured at d6c8e5f): serving
-		// through a delta overlay must stay within the budget the frozen
-		// path set, or the "no overlay" fast path has leaked cost.
-		"BenchmarkIdentifyWithOverlay": {NsPerOp: 19078529, BytesPerOp: 6297920, AllocsPerOp: 103736},
 	},
 	"mine": {
 		"BenchmarkDMine":              {NsPerOp: 112067462, BytesPerOp: 31951282, AllocsPerOp: 790954},

@@ -71,7 +71,7 @@ func main() {
 		lambda    = flag.Float64("lambda", 0.5, "diversification balance λ for -mine")
 		maxEd     = flag.Int("max-edges", 3, "antecedent edge budget for -mine")
 		capRd     = flag.Int("cap", 100, "mining candidates per round (0 = unlimited)")
-		workers   = flag.Int("n", 4, "graph fragments (partition width)")
+		workers   = flag.Int("n", 4, "identify fan-out: candidate chunks per rule evaluation; also the fragment count of the -mine start-up job")
 		pool      = flag.Int("pool", 0, "matching concurrency bound (0 = GOMAXPROCS minus the mine share)")
 		mineCPU   = flag.Float64("mine-share", 0, "fraction of GOMAXPROCS mine jobs may occupy together (0 = default 0.5)")
 		cache     = flag.Int("cache", 256, "match-set cache capacity")

@@ -22,8 +22,7 @@
 // gpard daemon (cmd/gpard) turn the reproduction into a mine-once/match-many
 // serving system: a resident graph + rule-set snapshot with atomic hot-swap,
 // a per-rule match-set cache, a mine-context cache (partitioned, frozen
-// fragment preambles reused across mine jobs — borrowed straight from the
-// serving snapshot when the layouts coincide — and shared across the
+// fragment preambles reused across mine jobs and shared across the
 // predicates of one DMineMulti call), a pool of recycled mining worker
 // sets, single-flight request batching, and a configurable CPU split so
 // mine jobs and identify traffic share GOMAXPROCS instead of

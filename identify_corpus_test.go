@@ -1,0 +1,153 @@
+package gpar_test
+
+// The identify corpus: three graphs of different shape, three rule shapes
+// on each. BenchmarkAblation_IdentifyGuidance (ablation_test.go) measures
+// guided against unguided matching over it, and TestEvalRuleCorpus checks
+// gpard's one snapshot constructor and EvalRule on it in every graph state
+// a generation can be in.
+
+import (
+	"slices"
+	"testing"
+
+	"gpar/internal/core"
+	"gpar/internal/gen"
+	"gpar/internal/graph"
+	"gpar/internal/match"
+	"gpar/internal/mine"
+	"gpar/internal/pattern"
+	"gpar/internal/serve"
+)
+
+// corpusRule is one rule of the corpus, named after its shape.
+type corpusRule struct {
+	shape string
+	rule  *core.Rule
+}
+
+// corpusCase is one graph of the corpus with its predicate and rules.
+// itemEdge and item name the edge and node label the shared-item rule is
+// built over.
+type corpusCase struct {
+	name           string
+	g              *graph.Graph
+	pred           core.Predicate
+	itemEdge, item string
+	rules          []corpusRule
+}
+
+// identifyCorpus builds the corpus at the given user count: the Pokec-like
+// graph, the Google+-like graph (five node types, alumni homophily — a
+// different shape and label skew), and a hub graph — the Pokec fixture plus
+// three items every user is wired to, so one hop from any candidate reaches
+// a node whose in-range is every user. Each comes with a mined single-edge
+// rule, the two-edge "shares an item with another user" shape over item,
+// and a |Vp| 4 / |Ep| 5 pattern from gen.Rules.
+func identifyCorpus(tb testing.TB, users int) []corpusCase {
+	tb.Helper()
+	pokec := gen.Pokec(graph.NewSymbols(), gen.DefaultPokec(users, 1))
+	gplus := gen.Gplus(graph.NewSymbols(), gen.DefaultGplus(users, 1))
+	hub := gen.Pokec(graph.NewSymbols(), gen.DefaultPokec(users, 1))
+	everyone := hub.NodesWithLabel(hub.Symbols().Intern("user"))
+	for i := 0; i < 3; i++ {
+		item := hub.AddNode("hobby:everyone")
+		for _, u := range everyone {
+			hub.AddEdge(u, item, "hobby")
+		}
+	}
+	cases := []corpusCase{
+		{name: "pokec", g: pokec, pred: gen.PokecPredicates(pokec.Symbols())[0], itemEdge: "hobby", item: "hobby:party"},
+		{name: "gplus", g: gplus, pred: gen.GplusPredicates(gplus.Symbols())[0], itemEdge: "school", item: "school:CMU"},
+		{name: "hub", g: hub, pred: gen.PokecPredicates(hub.Symbols())[0], itemEdge: "hobby", item: "hobby:everyone"},
+	}
+	for i := range cases {
+		c := &cases[i]
+		c.g.Freeze()
+		mined := mine.DMine(c.g, c.pred, mine.Options{
+			K: 1, Sigma: 2, D: 1, Lambda: 0.5, N: 2, MaxEdges: 1,
+		}.WithOptimizations())
+		if len(mined.TopK) == 0 {
+			tb.Fatalf("%s: no single-edge rule mined", c.name)
+		}
+		q := pattern.New(c.g.Symbols())
+		q.X = q.AddNode("user")
+		item, other := q.AddNode(c.item), q.AddNode("user")
+		q.AddEdge(q.X, item, c.itemEdge)
+		q.AddEdge(other, item, c.itemEdge)
+		large := gen.Rules(c.g, c.pred, gen.RuleGenParams{Count: 1, VP: 4, EP: 5, Seed: 1})
+		if len(large) == 0 {
+			tb.Fatalf("%s: gen.Rules produced no |Vp| 4 / |Ep| 5 rule", c.name)
+		}
+		c.rules = []corpusRule{
+			{"mined-1edge", mined.TopK[0].Rule},
+			{"shared-item", &core.Rule{Q: q, Pred: c.pred}},
+			{"vp4-ep5", large[0]},
+		}
+	}
+	return cases
+}
+
+// TestEvalRuleCorpus checks Snapshot.EvalRule against the sequential
+// reference (core.Eval with the plain matcher over the whole graph) for
+// every corpus rule, on the three states a served graph goes through —
+// frozen, overlaid by a delta batch, and compacted — all built by the one
+// snapshot constructor. CI runs it under -race as well.
+func TestEvalRuleCorpus(t *testing.T) {
+	cfg := serve.Config{Workers: 3}
+	pool := serve.NewPool(2)
+	for _, c := range identifyCorpus(t, 150) {
+		t.Run(c.name, func(t *testing.T) {
+			rules := make([]*core.Rule, len(c.rules))
+			for i, r := range c.rules {
+				rules[i] = r.rule
+			}
+			frozen, err := serve.BuildSnapshot(c.g, c.pred, rules, cfg)
+			if err != nil {
+				t.Fatalf("BuildSnapshot: %v", err)
+			}
+			// A batch that reaches the candidates: a new user who follows
+			// and is followed, gains the consequent, and an old follow gone.
+			users := c.g.NodesWithLabel(c.pred.XLabel)
+			var gone graph.Edge
+			for _, e := range c.g.Out(users[0]) {
+				if c.g.Label(e.To) == c.pred.XLabel {
+					gone = e
+				}
+			}
+			fresh := graph.NodeID(c.g.NumNodes())
+			follow := c.g.Symbols().Intern("follow")
+			overlaid, err := c.g.ApplyDelta([]graph.DeltaOp{
+				{Kind: graph.DeltaAddNode, Label: c.pred.XLabel},
+				{Kind: graph.DeltaAddEdge, From: fresh, To: users[1], Label: follow},
+				{Kind: graph.DeltaAddEdge, From: users[2], To: fresh, Label: follow},
+				{Kind: graph.DeltaAddEdge, From: fresh, To: c.g.NodesWithLabel(c.pred.YLabel)[0], Label: c.pred.EdgeLabel},
+				{Kind: graph.DeltaDelEdge, From: users[0], To: gone.To, Label: gone.Label},
+			})
+			if err != nil {
+				t.Fatalf("ApplyDelta: %v", err)
+			}
+			states := []struct {
+				name string
+				snap *serve.Snapshot
+			}{
+				{"frozen", frozen},
+				{"overlaid", serve.DeriveDeltaSnapshot(frozen, overlaid, cfg)},
+				{"compacted", serve.DeriveDeltaSnapshot(frozen, overlaid.CompactCopy(), cfg)},
+			}
+			for _, st := range states {
+				for i, sr := range st.snap.Rules {
+					want := core.Eval(st.snap.G, sr.Rule, match.Options{}, true)
+					slices.Sort(want.QSet)
+					got := st.snap.EvalRule(sr, pool)
+					if !slices.Equal(got.Matches, want.QSet) || got.Stats != want.Stats {
+						t.Errorf("%s/%s: EvalRule = %d matches, stats %+v; core.Eval = %d matches, stats %+v",
+							st.name, c.rules[i].shape, len(got.Matches), got.Stats, len(want.QSet), want.Stats)
+					}
+					if len(want.QSet) == 0 {
+						t.Errorf("%s/%s: rule matches nowhere; the case checks nothing", st.name, c.rules[i].shape)
+					}
+				}
+			}
+		})
+	}
+}

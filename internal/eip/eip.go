@@ -89,8 +89,8 @@ func validate(rules []*core.Rule) error {
 
 // MaxRadius returns the partitioning radius for a rule set: the largest
 // r(Q,x) or r(PR,x) over Σ (minimum 1), so every per-candidate check is
-// local to its fragment. Shared with the serving snapshot build
-// (internal/serve).
+// local to its fragment. The serving layer (internal/serve) uses it as the
+// farthest a rule can see from a candidate.
 func MaxRadius(rules []*core.Rule) int {
 	d := 1
 	for _, r := range rules {
@@ -104,16 +104,22 @@ func MaxRadius(rules []*core.Rule) int {
 	return d
 }
 
-// ClassifyCenters splits candidate centers into the three LCWA classes of
-// Section 3 with respect to pred: pq (an outgoing pred edge to a
-// YLabel-labeled node exists), pqbar (pred edges exist, none to YLabel —
-// the q̄ set), and other (no pred edge at all, the unknown cases). It is
-// shared by the batch algorithms here and the serving snapshot build
-// (internal/serve).
-func ClassifyCenters(g *graph.Graph, centers []graph.NodeID, pred core.Predicate) (pq, pqbar, other []graph.NodeID) {
-	for _, c := range centers {
+// Centers is a set of candidate centers split into the three LCWA classes
+// of Section 3 with respect to a predicate: Pq (an outgoing pred edge to a
+// YLabel-labeled node exists), Pqbar (pred edges exist, none to YLabel — the
+// q̄ set), and Other (no pred edge at all, the unknown cases).
+type Centers struct {
+	Pq, Pqbar, Other []graph.NodeID
+}
+
+// ClassifyCenters splits centers into their LCWA classes with respect to
+// pred, keeping input order within each class. It is shared by the batch
+// algorithms here and the serving snapshot constructor (internal/serve).
+func ClassifyCenters(g *graph.Graph, centers []graph.NodeID, pred core.Predicate) Centers {
+	var c Centers
+	for _, v := range centers {
 		hasQ, hasMatch := false, false
-		for _, e := range g.Out(c) {
+		for _, e := range g.Out(v) {
 			if e.Label != pred.EdgeLabel {
 				continue
 			}
@@ -125,14 +131,53 @@ func ClassifyCenters(g *graph.Graph, centers []graph.NodeID, pred core.Predicate
 		}
 		switch {
 		case hasMatch:
-			pq = append(pq, c)
+			c.Pq = append(c.Pq, v)
 		case hasQ:
-			pqbar = append(pqbar, c)
+			c.Pqbar = append(c.Pqbar, v)
 		default:
-			other = append(other, c)
+			c.Other = append(c.Other, v)
 		}
 	}
-	return pq, pqbar, other
+	return c
+}
+
+// Partial is one rule's evaluation over one set of classified centers.
+type Partial struct {
+	Q   []graph.NodeID // centers where Q matches, class by class (Pq, q̄, other)
+	R   int            // Pq centers where PR matches: the supp(R) share
+	Qqb int            // q̄ centers where Q matches: the supp(Qq̄) share
+}
+
+// EvalCenters is the per-candidate loop of algorithms Matchc and Match for
+// one rule: matchPR and matchQ report whether PR and Q match anchored at a
+// center (two matchers bound to the graph the centers live in; the caller
+// decides how they search). Pq members try PR first, and a PR match is a Q
+// match (Example 10's containment reuse), so the Q check is skipped; q̄
+// members' Q matches count for supp(Qq̄); every Q match is a potential
+// customer. It is the one copy of this loop: the batch algorithms here and
+// gpard's Snapshot.EvalRule (internal/serve) both call it.
+func EvalCenters(matchPR, matchQ func(graph.NodeID) bool, c Centers) Partial {
+	var p Partial
+	for _, v := range c.Pq {
+		if matchPR(v) {
+			p.R++
+			p.Q = append(p.Q, v)
+		} else if matchQ(v) {
+			p.Q = append(p.Q, v)
+		}
+	}
+	for _, v := range c.Pqbar {
+		if matchQ(v) {
+			p.Qqb++
+			p.Q = append(p.Q, v)
+		}
+	}
+	for _, v := range c.Other {
+		if matchQ(v) {
+			p.Q = append(p.Q, v)
+		}
+	}
+	return p
 }
 
 // mode selects the per-candidate strategy.
@@ -156,15 +201,9 @@ func Match(g *graph.Graph, rules []*core.Rule, opts Options) (*Result, error) {
 
 // fragState is one worker's slice of the computation.
 type fragState struct {
-	frag  *partition.Fragment
-	pq    []graph.NodeID // owned centers in Pq (local IDs)
-	pqbar []graph.NodeID
-	other []graph.NodeID // owned centers in neither (unknown cases)
-	// per rule: local Q matches, PR matches, Qq̄ counts (global IDs).
-	qSets  [][]graph.NodeID
-	rSets  [][]graph.NodeID
-	qqbCnt []int
-	ops    int64
+	centers Centers   // owned centers (local IDs), classified
+	parts   []Partial // per rule; Q holds global IDs
+	ops     int64
 }
 
 func run(g *graph.Graph, rules []*core.Rule, opts Options, md mode) (*Result, error) {
@@ -207,14 +246,9 @@ func run(g *graph.Graph, rules []*core.Rule, opts Options, md mode) (*Result, er
 // processFragment runs the per-candidate checks for all rules on one
 // fragment (step 2 of Matchc).
 func processFragment(f *partition.Fragment, rules []*core.Rule, needQ, needPR [][]Triple, pred core.Predicate, opts Options, md mode) *fragState {
-	st := &fragState{
-		frag:   f,
-		qSets:  make([][]graph.NodeID, len(rules)),
-		rSets:  make([][]graph.NodeID, len(rules)),
-		qqbCnt: make([]int, len(rules)),
-	}
+	st := &fragState{parts: make([]Partial, len(rules))}
 	// LCWA classification of owned centers (once, shared by all rules).
-	st.pq, st.pqbar, st.other = ClassifyCenters(f.G, f.Centers, pred)
+	st.centers = ClassifyCenters(f.G, f.Centers, pred)
 
 	mopts := match.Options{}
 	var triples *TripleIndex
@@ -229,72 +263,44 @@ func processFragment(f *partition.Fragment, rules []*core.Rule, needQ, needPR []
 			// The fragment lacks a triple Q itself requires: no center can
 			// match Q — and PR ⊇ Q, so none can match PR either. Skip the
 			// rule without building matchers, charging the same per-
-			// candidate check ops the loops below would have (Pq members
-			// run both the PR and the Q check).
-			st.ops += int64(2*len(st.pq) + len(st.pqbar) + len(st.other))
+			// candidate check ops EvalCenters would have (Pq members run
+			// both the PR and the Q check).
+			c := st.centers
+			st.ops += int64(2*len(c.Pq) + len(c.Pqbar) + len(c.Other))
 			continue
 		}
-		// The PR gate additionally requires the consequent triple; when it
-		// fails, PR checks short-circuit but Q checks still run.
-		skipPR := md == modeMatch && !triples.Covers(needPR[ri])
-		pr := r.PR()
 		// One pooled matcher per pattern, reused across every candidate of
-		// the fragment: the per-candidate hot loop allocates nothing.
+		// the fragment: the per-candidate hot loop allocates nothing. The PR
+		// gate additionally requires the consequent triple; when it fails
+		// prm stays nil and PR checks short-circuit, but Q checks still run.
 		qm := match.NewMatcher(r.Q, f.G, mopts)
 		var prm *match.Matcher
-		if !skipPR {
-			prm = match.NewMatcher(pr, f.G, mopts)
+		if md != modeMatch || triples.Covers(needPR[ri]) {
+			prm = match.NewMatcher(r.PR(), f.G, mopts)
 		}
-		checkQ := func(c graph.NodeID) bool {
+		// Every check is one op. Match stops at the first embedding; Matchc
+		// enumerates them all, and every visited embedding is an op too.
+		check := func(m *match.Matcher, c graph.NodeID) bool {
 			st.ops++
-			if md == modeMatch {
-				return qm.HasMatchAt(c)
+			if m == nil {
+				return false
 			}
-			// Matchc: full enumeration, no early termination; every visited
-			// embedding counts as work.
-			n := qm.EnumerateAnchored(c, nil)
+			if md == modeMatch {
+				return m.HasMatchAt(c)
+			}
+			n := m.EnumerateAnchored(c, nil)
 			st.ops += int64(n)
 			return n > 0
 		}
-		checkPR := func(c graph.NodeID) bool {
-			st.ops++
-			if md == modeMatch {
-				if skipPR {
-					return false
-				}
-				return prm.HasMatchAt(c)
-			}
-			n := prm.EnumerateAnchored(c, nil)
-			st.ops += int64(n)
-			return n > 0
+		part := EvalCenters(
+			func(c graph.NodeID) bool { return check(prm, c) },
+			func(c graph.NodeID) bool { return check(qm, c) },
+			st.centers,
+		)
+		for i, c := range part.Q {
+			part.Q[i] = f.Global(c)
 		}
-
-		// Pq members: PR first; a PR match is a Q match (Example 10's
-		// containment reuse) so Match skips the second check.
-		for _, c := range st.pq {
-			inR := checkPR(c)
-			if inR {
-				st.rSets[ri] = append(st.rSets[ri], f.Global(c))
-				st.qSets[ri] = append(st.qSets[ri], f.Global(c))
-				continue
-			}
-			if checkQ(c) {
-				st.qSets[ri] = append(st.qSets[ri], f.Global(c))
-			}
-		}
-		// q̄ members: Q matches here count for supp(Qq̄) and as customers.
-		for _, c := range st.pqbar {
-			if checkQ(c) {
-				st.qqbCnt[ri]++
-				st.qSets[ri] = append(st.qSets[ri], f.Global(c))
-			}
-		}
-		// Unknown cases: still potential customers when Q matches.
-		for _, c := range st.other {
-			if checkQ(c) {
-				st.qSets[ri] = append(st.qSets[ri], f.Global(c))
-			}
-		}
+		st.parts[ri] = part
 		qm.Release()
 		if prm != nil {
 			prm.Release()
@@ -309,8 +315,8 @@ func assemble(rules []*core.Rule, states []*fragState, opts Options) *Result {
 	res := &Result{}
 	suppQ1, suppQbar := 0, 0
 	for _, st := range states {
-		suppQ1 += len(st.pq)
-		suppQbar += len(st.pqbar)
+		suppQ1 += len(st.centers.Pq)
+		suppQbar += len(st.centers.Pqbar)
 		res.WorkerOps = append(res.WorkerOps, st.ops)
 		if st.ops > res.MaxWorkerOp {
 			res.MaxWorkerOp = st.ops
@@ -320,9 +326,9 @@ func assemble(rules []*core.Rule, states []*fragState, opts Options) *Result {
 	for ri, r := range rules {
 		out := RuleOutcome{Rule: r}
 		for _, st := range states {
-			out.QSet = append(out.QSet, st.qSets[ri]...)
-			out.Stats.SuppR += len(st.rSets[ri])
-			out.Stats.SuppQqb += st.qqbCnt[ri]
+			out.QSet = append(out.QSet, st.parts[ri].Q...)
+			out.Stats.SuppR += st.parts[ri].R
+			out.Stats.SuppQqb += st.parts[ri].Qqb
 		}
 		sort.Slice(out.QSet, func(i, j int) bool { return out.QSet[i] < out.QSet[j] })
 		out.Stats.SuppQ = len(out.QSet)

@@ -32,10 +32,6 @@ type Context struct {
 	d, n   int
 	cands  []graph.NodeID
 	frags  []*partition.Fragment
-	// borrowed marks a context built over caller-owned fragments
-	// (ContextFromFragments) rather than a fresh partition — the serving
-	// layer surfaces it as the "fragment reuse" bit of a mine job.
-	borrowed bool
 
 	// wireOnce guards the lazily-built wire encodings below: distributed
 	// jobs (and their retries) over one context encode and hash each
@@ -77,33 +73,6 @@ func NewContext(g *graph.Graph, xLabel graph.Label, opts Options) *Context {
 	}
 	return &Context{g: g, xLabel: xLabel, d: opts.D, n: opts.N, cands: cands, frags: frags}
 }
-
-// ContextFromFragments builds a Context over fragments the caller already
-// owns — the zero-partition, zero-Freeze path of "mine once, match many":
-// when a serving snapshot's partition layout coincides with a mine job's
-// (xLabel, d, n), the snapshot's frozen fragments serve both and the whole
-// mining preamble disappears.
-//
-// The caller guarantees the sharing invariant: frags must be exactly what
-// partition.Partition(g, g.NodesWithLabel(xLabel), n, d) would return for
-// the frozen g — same fragment count, same owned-center assignment, same
-// canonical node order — and every fragment graph must already be frozen.
-// partition.Partition is deterministic, so any fragments produced from the
-// same (g, xLabel, n, d) satisfy this by construction; the differential
-// tests in internal/serve pin byte-identical mining results against a
-// freshly partitioned context.
-func ContextFromFragments(g *graph.Graph, xLabel graph.Label, d, n int, frags []*partition.Fragment) *Context {
-	if len(frags) != n {
-		panic(fmt.Sprintf("mine: ContextFromFragments got %d fragments for n=%d", len(frags), n))
-	}
-	g.Freeze()
-	cands := g.NodesWithLabel(xLabel)
-	return &Context{g: g, xLabel: xLabel, d: d, n: n, cands: cands, frags: frags, borrowed: true}
-}
-
-// Borrowed reports whether the context shares caller-owned fragments
-// (ContextFromFragments) instead of a private partition.
-func (c *Context) Borrowed() bool { return c.borrowed }
 
 // Graph returns the (frozen) data graph the context was built over.
 func (c *Context) Graph() *graph.Graph { return c.g }

@@ -154,36 +154,6 @@ func Whole(g *graph.Graph, cands []graph.NodeID) *Fragment {
 	return f
 }
 
-// Split wraps g itself as n fragments that each own a contiguous chunk of
-// the candidates, with shared identity local/global mappings. Unlike
-// Partition it induces no subgraphs — every fragment reads the one shared
-// graph — so it is O(|V| + |cands|) regardless of neighborhood overlap.
-// The serving layer uses it for delta-overlay snapshots, where fragment
-// subgraphs would have to be rebuilt on every mutation batch; correctness
-// only needs owned-center disjointness, which chunking gives directly.
-// It panics if n < 1.
-func Split(g *graph.Graph, cands []graph.NodeID, n int) []*Fragment {
-	if n < 1 {
-		panic(fmt.Sprintf("partition: n = %d", n))
-	}
-	identity := make([]graph.NodeID, g.NumNodes())
-	for v := range identity {
-		identity[v] = graph.NodeID(v)
-	}
-	frags := make([]*Fragment, n)
-	for i := range frags {
-		lo, hi := i*len(cands)/n, (i+1)*len(cands)/n
-		frags[i] = &Fragment{
-			G:            g,
-			Centers:      append([]graph.NodeID(nil), cands[lo:hi]...),
-			ToGlobal:     identity,
-			toLocalDense: identity,
-			numGlobal:    g.NumNodes(),
-		}
-	}
-	return frags
-}
-
 // Balance reports the max/min/mean fragment sizes and the skew
 // (max-min)/mean, the metric the paper's experimental setup reports for its
 // partitioner.

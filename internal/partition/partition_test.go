@@ -173,49 +173,3 @@ func TestQuickPartitionInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSplit(t *testing.T) {
-	syms := graph.NewSymbols()
-	f := gen.G1(syms)
-	cands := f.G.NodesWithLabel(syms.Lookup(gen.LCust))
-	for _, n := range []int{1, 2, 3, 8} {
-		frags := Split(f.G, cands, n)
-		if len(frags) != n {
-			t.Fatalf("n=%d: got %d fragments", n, len(frags))
-		}
-		var owned []graph.NodeID
-		for _, fr := range frags {
-			if fr.G != f.G {
-				t.Fatalf("n=%d: Split fragment must wrap the original graph", n)
-			}
-			for _, c := range fr.Centers {
-				// Identity mapping both ways.
-				if fr.Global(c) != c {
-					t.Fatalf("n=%d: Global(%d) = %d", n, c, fr.Global(c))
-				}
-				if lv, ok := fr.Local(c); !ok || lv != c {
-					t.Fatalf("n=%d: Local(%d) = %d, %v", n, c, lv, ok)
-				}
-				owned = append(owned, c)
-			}
-		}
-		// Every candidate owned exactly once, in order (contiguous chunks).
-		if len(owned) != len(cands) {
-			t.Fatalf("n=%d: owned %d of %d candidates", n, len(owned), len(cands))
-		}
-		for i := range owned {
-			if owned[i] != cands[i] {
-				t.Fatalf("n=%d: owned[%d] = %d, want %d", n, i, owned[i], cands[i])
-			}
-		}
-	}
-}
-
-func TestSplitPanicsOnBadN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Split(0) should panic")
-		}
-	}()
-	Split(graph.New(nil), nil, 0)
-}

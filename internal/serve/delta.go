@@ -25,10 +25,8 @@ import (
 	"net/http"
 
 	"gpar/internal/core"
-	"gpar/internal/eip"
 	"gpar/internal/graph"
 	"gpar/internal/mine"
-	"gpar/internal/partition"
 )
 
 // errBadDelta marks delta requests rejected before they reach the graph:
@@ -128,45 +126,6 @@ func mapDeltaOps(syms *graph.Symbols, req DeltaRequest) ([]graph.DeltaOp, error)
 		}
 	}
 	return ops, nil
-}
-
-// DeriveDeltaSnapshot prepares serving state for an overlay graph without
-// the full BuildSnapshot preamble: no partitioning (fragments are identity
-// chunks over the shared graph via partition.Split), no sketch indexes
-// (matching degrades to unguided — match.Options tolerates nil sketches),
-// and no triple prefilters. Rules, renderings and the partition radius are
-// inherited from the previous snapshot, whose rule set is unchanged.
-// Results are byte-identical to a from-scratch BuildSnapshot over an
-// equivalent graph: EvalRule unions and sorts per-fragment matches, and
-// classification, degrees and anchored matching read the same logical
-// graph either way — pinned by the delta differential oracle.
-func DeriveDeltaSnapshot(prev *Snapshot, g *graph.Graph, cfg Config) *Snapshot {
-	cfg = cfg.defaults()
-	snap := &Snapshot{
-		G:           g,
-		Pred:        prev.Pred,
-		PredDisplay: prev.PredDisplay,
-		Rules:       prev.Rules,
-		byKey:       prev.byKey,
-		D:           prev.D,
-		fromDelta:   true,
-	}
-	cands := g.NodesWithLabel(prev.Pred.XLabel)
-	for _, f := range partition.Split(g, cands, cfg.Workers) {
-		fe := &fragEval{frag: f} // nil sketches: unguided matching
-		fe.pq, fe.pqbar, fe.other = eip.ClassifyCenters(g, f.Centers, prev.Pred)
-		snap.SuppQ1 += len(fe.pq)
-		snap.SuppQbar += len(fe.pqbar)
-		fe.ruleCands = make([]ruleCandSet, len(prev.Rules))
-		for i, sr := range prev.Rules {
-			rc := &fe.ruleCands[i]
-			rc.pq = prefilter(g, fe.pq, sr.degX)
-			rc.pqbar = prefilter(g, fe.pqbar, sr.degX)
-			rc.other = prefilter(g, fe.other, sr.degX)
-		}
-		snap.frags = append(snap.frags, fe)
-	}
-	return snap
 }
 
 // deltaImpact returns the smallest distance from any touched node to an
@@ -336,14 +295,7 @@ func (s *Server) Compact() (uint64, bool, error) {
 		s.nCompactAborts.Add(1)
 		return s.gen.Load(), false, nil
 	}
-	rules := make([]*core.Rule, len(snap.Rules))
-	for i, sr := range snap.Rules {
-		rules[i] = sr.Rule
-	}
-	next, err := BuildSnapshot(g, snap.Pred, rules, s.cfg)
-	if err != nil {
-		return s.gen.Load(), false, err
-	}
+	next := DeriveDeltaSnapshot(snap, g, s.cfg)
 	next.Gen = s.gen.Add(1)
 	// A compaction is a swap like any other: checkpoint before publish.
 	if err := s.persistCheckpoint(next); err != nil {

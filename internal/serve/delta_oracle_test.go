@@ -1,10 +1,11 @@
 // The serve-level mutation differential oracle: a server fed randomized
 // delta batches through ApplyDelta must answer identify requests — and
 // mine Σ — byte-identically to a server loaded from scratch with a graph
-// rebuilt to the same logical content. This pins the whole incremental
-// path at once: the graph overlay, DeriveDeltaSnapshot's unguided
-// fragments (vs BuildSnapshot's guided ones), selective cache carry, and
-// compaction's hot swap.
+// rebuilt to the same logical content. The snapshot code is the same on
+// both sides; what differs is the graph under it (overlay on the shared CSR,
+// or its compaction, vs a from-scratch freeze) and the live side's history.
+// This pins the whole incremental path at once: the graph overlay, selective
+// cache carry, and compaction's hot swap.
 package serve
 
 import (

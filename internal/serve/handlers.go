@@ -97,12 +97,14 @@ type StatsResponse struct {
 		Nodes int `json:"nodes"`
 		Edges int `json:"edges"`
 	} `json:"graph"`
-	Pred      string `json:"pred"`
-	Rules     int    `json:"rules"`
-	Fragments int    `json:"fragments"`
-	PoolSize  int    `json:"poolSize"`
+	Pred  string `json:"pred"`
+	Rules int    `json:"rules"`
+	// Fragments is the number of candidate chunks one rule evaluation fans
+	// out over (Config.Workers).
+	Fragments int `json:"fragments"`
+	PoolSize  int `json:"poolSize"`
 	// CPUBudget is the configured GOMAXPROCS split: identify traffic runs
-	// on at most PoolSize fragment evaluators while all mine jobs together
+	// on at most PoolSize chunk evaluators while all mine jobs together
 	// run at most MineProcs worker goroutines.
 	CPUBudget struct {
 		Procs     int     `json:"procs"`
@@ -117,9 +119,6 @@ type StatsResponse struct {
 	// MinePool counts mine.Shared accumulator reuse: a reuse is a job that
 	// mined on a recycled worker set (round arenas already grown).
 	MinePool MinePoolStats `json:"minePool"`
-	// MineFragReuses counts mine jobs whose context shared the serving
-	// snapshot's partition fragments outright (zero partition+freeze).
-	MineFragReuses int64 `json:"mineFragReuses"`
 	// Fleet reports the distributed-mining configuration and traffic:
 	// Workers is len(Config.MineWorkers), RemoteJobs counts jobs that
 	// completed on the fleet, RetriedJobs counts fleet jobs that succeeded
@@ -579,7 +578,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Graph.Edges = snap.G.NumEdges()
 		resp.Pred = snap.PredDisplay
 		resp.Rules = len(snap.Rules)
-		resp.Fragments = len(snap.frags)
+		resp.Fragments = len(snap.chunks)
 		resp.Delta.Overlaid = snap.G.Overlaid()
 		resp.Delta.OverlayOps = snap.G.OverlayOps()
 	}
@@ -600,7 +599,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Cache = s.cache.Stats()
 	resp.MineCache = s.mineCtx.Stats()
 	resp.MinePool = s.minePool.stats()
-	resp.MineFragReuses = s.nFragReuse.Load()
 	resp.Fleet.Workers = len(s.cfg.MineWorkers)
 	resp.Fleet.RemoteJobs = s.nRemoteMine.Load()
 	resp.Fleet.RetriedJobs = s.nMineRetry.Load()

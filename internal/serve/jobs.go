@@ -95,12 +95,6 @@ type Job struct {
 	// (the partitioned, frozen fragments), skipping the partition+freeze
 	// preamble. Results are byte-identical either way.
 	ContextCached bool `json:"contextCached,omitempty"`
-	// FragmentsReused reports whether the job's context shares the serving
-	// snapshot's partition fragments outright (the job's (xLabel, d, n)
-	// matched the snapshot layout): zero partition and zero Freeze work,
-	// even on the first job of a generation. Results are byte-identical
-	// either way.
-	FragmentsReused bool `json:"fragmentsReused,omitempty"`
 	// Distributed reports whether the job mined on the configured worker
 	// fleet (Config.MineWorkers) rather than in-process. Results are
 	// byte-identical either way.
@@ -323,7 +317,6 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	var mineErr error
 	var ctx *mine.Context
 	ctxHit := false
-	fragsReused := false
 	distributed := false
 	fleetFallback := ""
 	attempts := 0
@@ -339,15 +332,6 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	key := MineCtxKey{Gen: snap.Gen, XLabel: pred.XLabel, D: opts.D, N: opts.N}
 	if !warmStarted {
 		ctx, ctxHit = s.mineCtx.GetOrBuild(key, func() *mine.Context {
-			// When the job's (xLabel, d, n) matches the serving snapshot's own
-			// partition layout, the snapshot's frozen fragments serve the mine
-			// job as-is: no partition, no Freeze, not even on a cold cache.
-			// Delta-derived snapshots are excluded: their "fragments" are
-			// identity chunks over the shared overlay graph, not the real
-			// partition layout ContextFromFragments requires.
-			if !snap.fromDelta && pred.XLabel == snap.Pred.XLabel && opts.D == snap.D && opts.N == len(snap.frags) {
-				return mine.ContextFromFragments(snap.G, pred.XLabel, opts.D, opts.N, snap.fragmentList())
-			}
 			return mine.NewContext(snap.G, pred.XLabel, opts)
 		})
 		if s.gen.Load() != key.Gen {
@@ -356,10 +340,6 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 			// entry would only pin the retired snapshot's fragments. This run
 			// still mines on ctx — the snapshot it was admitted against.
 			s.mineCtx.Discard(key)
-		}
-		fragsReused = ctx.Borrowed()
-		if fragsReused {
-			s.nFragReuse.Add(1)
 		}
 	}
 	if n := len(s.cfg.MineWorkers); n > 0 && !warmStarted {
@@ -437,7 +417,6 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 			j.Status = status
 			j.Error = msg
 			j.ContextCached = ctxHit
-			j.FragmentsReused = fragsReused
 			j.Distributed = distributed
 			j.FleetFallback = fleetFallback
 			j.Attempts = attempts
@@ -481,7 +460,6 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 		j.Installed = installed
 		j.Generation = gen
 		j.ContextCached = ctxHit
-		j.FragmentsReused = fragsReused
 		j.WarmStarted = warmStarted
 		j.Distributed = distributed
 		j.FleetFallback = fleetFallback

@@ -29,8 +29,8 @@ type mineCtxEntry struct {
 
 // MineContextCache is the bounded LRU of mine.Contexts, the serving-side
 // realization of "mine once, match many" for the mining preamble itself:
-// repeated POST /v1/mine jobs over the same snapshot skip
-// partition.Partition and fragment Freeze() entirely. Contexts hold full
+// repeated POST /v1/mine jobs over the same snapshot skip the partition
+// and fragment Freeze() entirely. Contexts hold full
 // fragment copies of the candidates' d-neighborhoods, so the default
 // capacity is small. A snapshot swap purges the cache (and the generation
 // in the key makes any racing stale entry unreachable anyway).

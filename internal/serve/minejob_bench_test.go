@@ -7,7 +7,6 @@ import (
 	"gpar/internal/gen"
 	"gpar/internal/graph"
 	"gpar/internal/mine"
-	"gpar/internal/pattern"
 )
 
 // mineJobBenchInput builds the seeded workload shared by the warm/cold
@@ -76,61 +75,5 @@ func BenchmarkMineJobWarm(b *testing.B) {
 	b.StopTimer()
 	if st := cache.Stats(); st.Hits == 0 {
 		b.Fatalf("warm benchmark recorded no cache hits: %+v", st)
-	}
-}
-
-// BenchmarkMineJobSnapshotReuse is the full serve-side steady state of a
-// repeated mine job whose (xLabel, d, n) matches the serving snapshot: the
-// context was built from the snapshot's own frozen fragments (zero
-// partition + zero Freeze, even for the generation's first job), the
-// context cache is warm, and the worker set comes from the accumulator
-// pool with its round arenas already grown. The gap to BenchmarkMineJobWarm
-// is the remaining per-job scratch the pool removes.
-func BenchmarkMineJobSnapshotReuse(b *testing.B) {
-	g, pred, opts := mineJobBenchInput(b)
-	// A radius-2 rule pins the snapshot partition radius to the mine job's
-	// d, so the layouts coincide and the fragments are shared.
-	syms := g.Symbols()
-	q := pattern.New(syms)
-	x := q.AddNode("user")
-	friend := q.AddNode("user")
-	m := q.AddNode("music:Disco")
-	q.AddEdge(x, friend, "follow")
-	q.AddEdge(friend, m, "like_music")
-	q.X = x
-	rule := &core.Rule{Q: q, Pred: pred}
-	snap, err := BuildSnapshot(g, pred, []*core.Rule{rule}, Config{Workers: opts.N})
-	if err != nil {
-		b.Fatalf("BuildSnapshot: %v", err)
-	}
-	if snap.D != opts.D || len(snap.frags) != opts.N {
-		b.Fatalf("snapshot layout (d=%d, n=%d) does not match job (d=%d, n=%d)",
-			snap.D, len(snap.frags), opts.D, opts.N)
-	}
-	key := MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: opts.D, N: opts.N}
-	cache := NewMineContextCache(4)
-	pool := newMinePool(2)
-	cache.GetOrBuild(key, func() *mine.Context {
-		return mine.ContextFromFragments(snap.G, pred.XLabel, opts.D, opts.N, snap.fragmentList())
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx, hit := cache.GetOrBuild(key, func() *mine.Context {
-			b.Fatal("steady-state job rebuilt the context")
-			return nil
-		})
-		if !hit || !ctx.Borrowed() {
-			b.Fatal("job did not reuse the snapshot fragments")
-		}
-		sh, epoch := pool.acquire(ctx)
-		if res, err := sh.DMine(pred, opts); err != nil || len(res.TopK) == 0 {
-			b.Fatalf("no rules mined (err=%v)", err)
-		}
-		pool.park(sh, epoch, true)
-	}
-	b.StopTimer()
-	if st := pool.stats(); b.N > 1 && st.Reuses == 0 {
-		b.Fatalf("no accumulator reuse recorded: %+v", st)
 	}
 }

@@ -6,30 +6,29 @@
 //
 // The subsystem is built from these pieces:
 //
-//   - Snapshot: an immutable unit of serving state — the frozen graph, the
-//     rule set with precomputed keys and renderings, the partition fragments
-//     (d-neighborhood preserving, Section 4.2/5.1) with per-fragment sketch
-//     indexes and LCWA center classification. Snapshots are swapped
-//     atomically (LoadSnapshot / SwapRules), so in-flight queries keep the
-//     state they started with.
+//   - Snapshot: an immutable unit of serving state — the graph (frozen, or
+//     frozen with a delta overlay), the rule set with precomputed keys and
+//     renderings, and the predicate's candidates classified under the LCWA
+//     in Config.Workers chunks. One constructor builds every generation and
+//     one EvalRule answers from it: plain matchers over the one shared
+//     graph. Snapshots are swapped atomically (LoadSnapshot / SwapRules /
+//     ApplyDelta / Compact), so in-flight queries keep the state they
+//     started with.
 //   - Cache: a bounded LRU of per-rule match-set evaluations keyed by rule
 //     Key() + graph generation; a swap bumps the generation and purges.
 //   - MineContextCache: a bounded LRU of mine.Context values — the
 //     partitioned, frozen fragment preamble of a DMine run — keyed by
 //     (generation, xLabel, d, n) with single-flight builds, so repeated
-//     mine jobs over one snapshot skip partition.Partition and fragment
-//     Freeze() entirely. When a job's (xLabel, d, n) matches the serving
-//     snapshot's own layout, the context borrows the snapshot's frozen
-//     fragments outright — zero partition work even on a cold cache.
-//     Swaps purge it; the generation in the key makes stale entries
-//     unreachable regardless.
+//     mine jobs over one snapshot skip the partition and fragment
+//     Freeze() entirely. Swaps purge it; the generation in the key makes
+//     stale entries unreachable regardless.
 //   - minePool: parked mine.Shared accumulators (worker sets with their
 //     round arenas), recycled across the jobs of one context so a steady
 //     stream of mine jobs reuses grown scratch instead of rebuilding it.
 //   - Batcher: single-flight coalescing of concurrent identify calls for
 //     the same rule into one match execution.
 //   - Pool: a bounded worker pool shared by all requests; per-rule
-//     evaluation fans out over the snapshot's fragments through it, so
+//     evaluation fans out over the snapshot's chunks through it, so
 //     total matching concurrency is bounded no matter how many clients
 //     connect.
 //   - mine.Gate: the mining half of the CPU budget — all mine jobs
@@ -62,8 +61,8 @@ import (
 
 // Config tunes a Server. The zero value is usable; defaults fill in.
 type Config struct {
-	// Workers is the number of graph fragments built per snapshot (the n of
-	// partition.Partition). Default 4.
+	// Workers is the number of candidate chunks per snapshot: the width of
+	// one rule evaluation's fan-out over the Pool. Default 4.
 	Workers int
 	// MineShare splits the machine between mining and serving: all mine
 	// jobs collectively run at most ceil(MineShare × GOMAXPROCS) worker
@@ -72,13 +71,11 @@ type Config struct {
 	// 0.5. The split bounds CPU occupancy only — mining results are
 	// independent of it.
 	MineShare float64
-	// PoolSize bounds concurrent fragment-evaluation tasks across all
+	// PoolSize bounds concurrent chunk-evaluation tasks across all
 	// requests. Default: GOMAXPROCS minus the mine share (minimum 1), so
 	// identify traffic and mine jobs split the machine instead of
 	// oversubscribing it.
 	PoolSize int
-	// SketchK is the k-hop sketch depth for guided matching. Default 2.
-	SketchK int
 	// CacheCap bounds the number of cached per-rule evaluations. Default 256.
 	CacheCap int
 	// MineCacheCap bounds the number of cached mine contexts (partitioned,
@@ -163,9 +160,6 @@ func (c Config) defaults() Config {
 		if c.PoolSize < 1 {
 			c.PoolSize = 1
 		}
-	}
-	if c.SketchK <= 0 {
-		c.SketchK = 2
 	}
 	if c.CacheCap <= 0 {
 		c.CacheCap = 256
@@ -265,7 +259,6 @@ type Server struct {
 	nRules      atomic.Int64
 	nMine       atomic.Int64
 	nSwap       atomic.Int64
-	nFragReuse  atomic.Int64 // mine jobs that ran on snapshot fragments
 	nRemoteMine atomic.Int64 // mine jobs submitted to the worker fleet
 	nFleetFall  atomic.Int64 // fleet jobs that fell back to in-process
 	nMineRetry  atomic.Int64 // fleet jobs that needed more than one attempt
@@ -329,8 +322,8 @@ func (s *Server) Generation() uint64 { return s.gen.Load() }
 
 // LoadSnapshot builds and atomically installs serving state for graph g,
 // predicate pred and rule set rules (which may be empty). It freezes g,
-// partitions it, classifies centers under the LCWA, purges the cache, and
-// bumps the generation. In-flight requests finish on the old snapshot.
+// classifies centers under the LCWA, purges the cache, and bumps the
+// generation. In-flight requests finish on the old snapshot.
 func (s *Server) LoadSnapshot(g *graph.Graph, pred core.Predicate, rules []*core.Rule) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -381,8 +374,7 @@ func (s *Server) loadLocked(g *graph.Graph, pred core.Predicate, rules []*core.R
 
 // SwapRules hot-swaps the rule set, keeping the current graph, and returns
 // the installed generation. When rules is non-empty its predicate replaces
-// the snapshot's; an empty set keeps the old predicate. Fragments are
-// rebuilt (the partition radius depends on the rule set) and the match-set
+// the snapshot's; an empty set keeps the old predicate. The match-set
 // cache is invalidated.
 func (s *Server) SwapRules(rules []*core.Rule) (uint64, error) {
 	s.swapMu.Lock()

@@ -2,15 +2,13 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gpar/internal/core"
 	"gpar/internal/eip"
 	"gpar/internal/graph"
 	"gpar/internal/match"
-	"gpar/internal/partition"
 	"gpar/internal/pattern"
-	"gpar/internal/sketch"
 )
 
 // ServedRule is one rule of the resident set Σ with everything the request
@@ -20,22 +18,16 @@ type ServedRule struct {
 	Key     string // core.Rule.Key(), the cache identity
 	Rule    *core.Rule
 	Display string // Rule.String(), rendered at build time
-	Radius  int    // r(PR, x), the partition radius contribution
+	Radius  int    // r(PR, x): how far a delta must stay away to leave the rule's answer alone
 	Size    int    // |Q|
 
-	// pr is Rule.PR() materialized once at build time. Rule.PR() clones per
-	// call; a stable pattern identity lets the per-fragment sketch indexes
-	// cache the pattern sketches across requests.
+	// pr is Rule.PR() materialized once at build time (Rule.PR() clones per
+	// call).
 	pr *pattern.Pattern
-	// degX is the degree of the designated x in the expanded antecedent Q —
-	// the cheap per-candidate feasibility bound used to prefilter candidate
-	// lists at build time. (A PR match is also a Q match, so Q's bound is a
-	// necessary condition for both checks.)
-	degX int
 }
 
 // Snapshot is one immutable unit of serving state. All fields are read-only
-// after BuildSnapshot returns; swapping installs a whole new Snapshot.
+// after the constructor returns; swapping installs a whole new Snapshot.
 type Snapshot struct {
 	Gen  uint64
 	G    *graph.Graph
@@ -45,67 +37,17 @@ type Snapshot struct {
 	Rules       []*ServedRule
 	byKey       map[string]*ServedRule
 
-	frags []*fragEval
-	// fromDelta marks a snapshot derived by DeriveDeltaSnapshot: fragments
-	// are identity chunks over a shared overlay graph, not real partition
-	// layouts, so mine jobs must not borrow them via fragmentList.
-	fromDelta bool
-	// D is the partition radius used for the fragments.
+	// chunks are the XLabel candidates in Config.Workers contiguous runs,
+	// each classified once under the LCWA: the unit of EvalRule's fan-out.
+	// Every chunk reads the one shared graph.
+	chunks []eip.Centers
+	// D is the largest rule radius: the farthest any rule looks from a
+	// candidate, and so the bound of the delta impact probe.
 	D int
 	// SuppQ1 and SuppQbar are supp(q,G) and supp(q̄,G): the LCWA
 	// classification of candidates, shared by every rule of the predicate.
 	SuppQ1   int
 	SuppQbar int
-}
-
-// fragEval is one partition fragment prepared for repeated rule evaluation:
-// frozen graph, sketch index for guided search, the owned centers
-// classified once under the LCWA (as in eip.processFragment), and per-rule
-// prefiltered candidate lists so steady-state requests touch only centers
-// that can possibly match.
-type fragEval struct {
-	frag     *partition.Fragment
-	sketches *sketch.Index
-	pq       []graph.NodeID // owned centers with the consequent edge to a YLabel node
-	pqbar    []graph.NodeID // owned centers with the consequent edge elsewhere
-	other    []graph.NodeID // unknown cases
-
-	// ruleCands[i] are rule i's candidate lists, prefiltered at build time
-	// by the fragment triple summary and the x-degree bound.
-	ruleCands []ruleCandSet
-}
-
-// ruleCandSet is one rule's prefiltered candidate lists on one fragment.
-type ruleCandSet struct {
-	// skip: the fragment lacks a triple Q requires, so neither Q nor PR
-	// (⊇ Q) can match any center. skipPR: only the PR gate failed (the
-	// consequent triple is absent, e.g. a fragment of all-q̄ centers); Q
-	// checks still run.
-	skip, skipPR     bool
-	pq, pqbar, other []graph.NodeID
-}
-
-// prefilter returns the members of centers that satisfy the cheap
-// per-candidate necessary conditions for matching sr's antecedent. When
-// nothing is filtered the input slice is shared, not copied.
-func prefilter(g *graph.Graph, centers []graph.NodeID, degX int) []graph.NodeID {
-	keepAll := true
-	for _, c := range centers {
-		if g.Degree(c) < degX {
-			keepAll = false
-			break
-		}
-	}
-	if keepAll {
-		return centers
-	}
-	out := make([]graph.NodeID, 0, len(centers))
-	for _, c := range centers {
-		if g.Degree(c) >= degX {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // RuleEval is one rule's graph-wide evaluation: the match-set cache value.
@@ -121,7 +63,6 @@ type RuleEval struct {
 // predicate per Σ). The graph is frozen and its label index forced so all
 // later access is read-only.
 func BuildSnapshot(g *graph.Graph, pred core.Predicate, rules []*core.Rule, cfg Config) (*Snapshot, error) {
-	cfg = cfg.defaults()
 	if pred.XLabel == graph.NoLabel || pred.EdgeLabel == graph.NoLabel || pred.YLabel == graph.NoLabel {
 		return nil, fmt.Errorf("serve: predicate has unset labels")
 	}
@@ -138,23 +79,12 @@ func BuildSnapshot(g *graph.Graph, pred core.Predicate, rules []*core.Rule, cfg 
 	g.Freeze()
 
 	snap := &Snapshot{
-		G:           g,
 		Pred:        pred,
 		PredDisplay: pred.String(g.Symbols()),
 		byKey:       make(map[string]*ServedRule, len(rules)),
 		D:           eip.MaxRadius(rules),
 	}
 	for i, r := range rules {
-		qx := r.Q.Expand()
-		degX := 0
-		for _, e := range qx.Edges() {
-			if e.From == qx.X {
-				degX++
-			}
-			if e.To == qx.X {
-				degX++
-			}
-		}
 		sr := &ServedRule{
 			Index:   i,
 			Key:     r.Key(),
@@ -163,57 +93,44 @@ func BuildSnapshot(g *graph.Graph, pred core.Predicate, rules []*core.Rule, cfg 
 			Radius:  r.Radius(),
 			Size:    r.Size(),
 			pr:      r.PR(),
-			degX:    degX,
 		}
 		snap.Rules = append(snap.Rules, sr)
 		snap.byKey[sr.Key] = sr
 	}
+	return newSnapshot(snap, g, cfg), nil
+}
 
-	// Per-rule triple requirements depend only on the rule; compute once,
-	// not per fragment. Q's triples gate all matching on a fragment; PR's
-	// (which add the consequent edge) gate only the PR check.
-	needQ := make([][]eip.Triple, len(rules))
-	needPR := make([][]eip.Triple, len(rules))
-	for i, r := range rules {
-		needQ[i] = eip.PatternTriples(r.Q)
-		needPR[i] = eip.RuleTriples(r)
+// DeriveDeltaSnapshot prepares serving state for g, a graph derived from
+// prev.G (a delta overlay, or its compaction) under prev's predicate and
+// rule set, which are inherited as they are.
+func DeriveDeltaSnapshot(prev *Snapshot, g *graph.Graph, cfg Config) *Snapshot {
+	return newSnapshot(prev, g, cfg)
+}
+
+// newSnapshot is the one snapshot constructor: from carries the predicate
+// and the prepared rule set (a previous snapshot, or BuildSnapshot's
+// half-filled one), g is the graph to serve — frozen, with or without a
+// delta overlay. The only per-graph work is the LCWA classification of the
+// candidates, in cfg.Workers chunks.
+func newSnapshot(from *Snapshot, g *graph.Graph, cfg Config) *Snapshot {
+	snap := &Snapshot{
+		G:           g,
+		Pred:        from.Pred,
+		PredDisplay: from.PredDisplay,
+		Rules:       from.Rules,
+		byKey:       from.byKey,
+		D:           from.D,
 	}
-
-	cands := g.NodesWithLabel(pred.XLabel)
-	frags := partition.Partition(g, cands, cfg.Workers, snap.D)
-	for _, f := range frags {
-		f.G.Freeze() // fragments are shared by concurrent requests
-		fe := &fragEval{
-			frag:     f,
-			sketches: sketch.NewIndex(f.G, cfg.SketchK),
-		}
-		// LCWA classification of owned centers (Section 3), once per swap.
-		fe.pq, fe.pqbar, fe.other = eip.ClassifyCenters(f.G, f.Centers, pred)
-		snap.SuppQ1 += len(fe.pq)
-		snap.SuppQbar += len(fe.pqbar)
-
-		// Per-rule candidate lists, prefiltered once per swap: the fragment
-		// triple summary rejects whole rules (multi-query common-subpattern
-		// sharing, Section 5.2) and the x-degree bound rejects individual
-		// centers, so steady-state identify requests run the matcher only
-		// on plausible candidates.
-		triples := eip.NewTripleIndex(f.G)
-		fe.ruleCands = make([]ruleCandSet, len(rules))
-		for i := range rules {
-			rc := &fe.ruleCands[i]
-			if !triples.Covers(needQ[i]) {
-				rc.skip = true
-				continue
-			}
-			rc.skipPR = !triples.Covers(needPR[i])
-			degX := snap.Rules[i].degX
-			rc.pq = prefilter(f.G, fe.pq, degX)
-			rc.pqbar = prefilter(f.G, fe.pqbar, degX)
-			rc.other = prefilter(f.G, fe.other, degX)
-		}
-		snap.frags = append(snap.frags, fe)
+	cands := g.NodesWithLabel(snap.Pred.XLabel)
+	n := cfg.defaults().Workers
+	snap.chunks = make([]eip.Centers, 0, n)
+	for i := 0; i < n; i++ {
+		c := eip.ClassifyCenters(g, cands[i*len(cands)/n:(i+1)*len(cands)/n], snap.Pred)
+		snap.SuppQ1 += len(c.Pq)
+		snap.SuppQbar += len(c.Pqbar)
+		snap.chunks = append(snap.chunks, c)
 	}
-	return snap, nil
+	return snap
 }
 
 // RuleByKey resolves a rule key to its served rule.
@@ -222,97 +139,35 @@ func (s *Snapshot) RuleByKey(key string) (*ServedRule, bool) {
 	return sr, ok
 }
 
-// fragmentList returns the snapshot's partition fragments in build order —
-// exactly what partition.Partition(G, G.NodesWithLabel(Pred.XLabel),
-// len(frags), D) produced, every fragment frozen. A mine job whose
-// (xLabel, d, n) coincides with that layout hands this list to
-// mine.ContextFromFragments and skips the whole partition + freeze
-// preamble; the sharing is sound because both layers call the same
-// deterministic partitioner with the same inputs.
-func (s *Snapshot) fragmentList() []*partition.Fragment {
-	out := make([]*partition.Fragment, len(s.frags))
-	for i, fe := range s.frags {
-		out[i] = fe.frag
-	}
-	return out
-}
-
-// fragPart is one fragment's partial result for one rule.
-type fragPart struct {
-	q   []graph.NodeID // Q-matching owned centers, global IDs
-	r   []graph.NodeID // PR-matching owned centers, global IDs
-	qqb int            // Q matches among the q̄ class
-}
-
-// EvalRule computes the rule's match set and statistics over the
-// snapshot's fragments, fanning the per-fragment work out through pool.
-// This is algorithm Match (Section 5.2) restricted to one rule: guided
-// search over the fragment sketch index, early-terminating HasMatchAt, and
+// EvalRule computes the rule's match set and statistics, fanning the
+// per-chunk work out through pool. Each task binds two plain matchers
+// (pooled, reused across every candidate of the chunk) to the shared graph
+// and runs eip.EvalCenters: early-terminating HasMatchAt per candidate and
 // the PR ⇒ Q containment reuse of Example 10.
 func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
-	parts := make([]fragPart, len(s.frags))
-	tasks := make([]func(), len(s.frags))
-	for i, fe := range s.frags {
-		tasks[i] = func() { parts[i] = fe.evalRule(sr) }
+	parts := make([]eip.Partial, len(s.chunks))
+	tasks := make([]func(), len(s.chunks))
+	for i, c := range s.chunks {
+		tasks[i] = func() {
+			qm := match.NewMatcher(sr.Rule.Q, s.G, match.Options{})
+			defer qm.Release()
+			prm := match.NewMatcher(sr.pr, s.G, match.Options{})
+			defer prm.Release()
+			parts[i] = eip.EvalCenters(prm.HasMatchAt, qm.HasMatchAt, c)
+		}
 	}
 	pool.Do(tasks...)
 
 	ev := &RuleEval{Key: sr.Key}
 	for _, p := range parts {
-		ev.Matches = append(ev.Matches, p.q...)
-		ev.Stats.SuppR += len(p.r)
-		ev.Stats.SuppQqb += p.qqb
+		ev.Matches = append(ev.Matches, p.Q...)
+		ev.Stats.SuppR += p.R
+		ev.Stats.SuppQqb += p.Qqb
 	}
-	sort.Slice(ev.Matches, func(i, j int) bool { return ev.Matches[i] < ev.Matches[j] })
+	slices.Sort(ev.Matches)
 	ev.Stats.SuppQ = len(ev.Matches)
 	ev.Stats.SuppQ1 = s.SuppQ1
 	ev.Stats.SuppQbar = s.SuppQbar
 	ev.Conf = ev.Stats.Conf()
 	return ev
-}
-
-// evalRule runs the per-candidate checks for one rule on one fragment,
-// over the candidate lists prefiltered at snapshot build. Matchers come
-// from the shared pool and are reused across every candidate, so the
-// steady-state request path allocates only its result slices.
-func (fe *fragEval) evalRule(sr *ServedRule) fragPart {
-	var p fragPart
-	rc := &fe.ruleCands[sr.Index]
-	if rc.skip {
-		return p
-	}
-	opts := match.Options{Guided: true, Sketches: fe.sketches}
-	g := fe.frag.G
-	qm := match.NewMatcher(sr.Rule.Q, g, opts)
-	defer qm.Release()
-	var prm *match.Matcher
-	if !rc.skipPR {
-		prm = match.NewMatcher(sr.pr, g, opts)
-		defer prm.Release()
-	}
-	// Pq members: PR first; a PR match is a Q match (containment reuse).
-	for _, c := range rc.pq {
-		if prm != nil && prm.HasMatchAt(c) {
-			p.r = append(p.r, fe.frag.Global(c))
-			p.q = append(p.q, fe.frag.Global(c))
-			continue
-		}
-		if qm.HasMatchAt(c) {
-			p.q = append(p.q, fe.frag.Global(c))
-		}
-	}
-	// q̄ members: Q matches count for supp(Qq̄) and as potential customers.
-	for _, c := range rc.pqbar {
-		if qm.HasMatchAt(c) {
-			p.qqb++
-			p.q = append(p.q, fe.frag.Global(c))
-		}
-	}
-	// Unknown cases: potential customers when Q matches.
-	for _, c := range rc.other {
-		if qm.HasMatchAt(c) {
-			p.q = append(p.q, fe.frag.Global(c))
-		}
-	}
-	return p
 }
