@@ -1,11 +1,10 @@
 // Command benchjson turns `go test -bench -benchmem` output into the
 // BENCH_*.json artifacts tracked by `make bench`: per-benchmark ns/op,
-// B/op and allocs/op, joined against a recorded baseline so the speedup
-// and allocation-reduction ratios of a hot-path rewrite are visible in one
-// file. -set picks the baseline: "match" (pre-CSR matcher, d6c8e5f) or
-// "mine" (pre-interning DMine loop, 0549b0b).
+// B/op and allocs/op, stamped with the machine and commit that produced
+// them. Two artifacts are comparable only when their fingerprints agree on
+// everything but the commit.
 //
-// Usage: go test -bench ... -benchmem ./... | benchjson [-set match|mine] [-o BENCH_match.json]
+// Usage: go test -bench ... -benchmem ./... | benchjson [-o BENCH_match.json]
 package main
 
 import (
@@ -14,52 +13,58 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
-
-	"gpar/internal/benchfmt"
 )
 
-// baselines hold the numbers measured at the named commits on the same
-// workloads, recorded before each rewrite landed. They were taken on the
-// machine that produced the committed artifacts; the ratios are only
-// meaningful when the current run uses comparable hardware.
-//
-// "match": commit d6c8e5f — pointer-chasing [][]Edge adjacency, map
-// used-set, per-candidate matcher allocation, before the CSR rewrite.
-//
-// "mine": commit 0549b0b — string rule/extension identity, per-embedding
-// map scratch, single-threaded assembly and sorted-slice diversification
-// diffs, before the allocation-lean DMine rewrite.
-var baselines = map[string]map[string]measurement{
-	"match": {
-		"BenchmarkAnchoredMatch/unguided": {NsPerOp: 7171, BytesPerOp: 1379, AllocsPerOp: 64},
-		"BenchmarkAnchoredMatch/guided":   {NsPerOp: 44948, BytesPerOp: 6707, AllocsPerOp: 209},
-		"BenchmarkMatchSet":               {NsPerOp: 20951397, BytesPerOp: 4145511, AllocsPerOp: 192160},
-		"BenchmarkIdentify":               {NsPerOp: 19078529, BytesPerOp: 6297920, AllocsPerOp: 103736},
-	},
-	"mine": {
-		"BenchmarkDMine":              {NsPerOp: 112067462, BytesPerOp: 31951282, AllocsPerOp: 790954},
-		"BenchmarkDMineNo":            {NsPerOp: 119691820, BytesPerOp: 29647447, AllocsPerOp: 710175},
-		"BenchmarkDiscoverExtensions": {NsPerOp: 1285430, BytesPerOp: 304374, AllocsPerOp: 11801},
-		"BenchmarkDiversifyUpdate":    {NsPerOp: 77365179, BytesPerOp: 260412, AllocsPerOp: 91},
-	},
+// fingerprint identifies the machine and build an artifact came from.
+type fingerprint struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go"`
+	Commit     string `json:"commit"`
+	Dirty      bool   `json:"dirty"` // uncommitted changes on top of Commit
 }
 
-// baselineCommits names the commit each baseline set was measured at.
-var baselineCommits = map[string]string{
-	"match": "d6c8e5f",
-	"mine":  "0549b0b",
+func machineFingerprint() fingerprint {
+	fp := fingerprint{
+		CPU: "unknown", GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion: runtime.Version(), Commit: "unknown",
+	}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				fp.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	// Outside a git checkout the commit stays unknown.
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		fp.Commit = strings.TrimSpace(string(out))
+		st, err := exec.Command("git", "status", "--porcelain").Output()
+		fp.Dirty = err != nil || len(st) > 0
+	}
+	return fp
 }
 
-// measurement, entry and report live in internal/benchfmt, shared with
-// cmd/benchguard.
-type (
-	measurement = benchfmt.Measurement
-	entry       = benchfmt.Entry
-	report      = benchfmt.Report
-)
+// entry is one benchmark's -benchmem triple.
+type entry struct {
+	Name        string  `json:"name"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+}
+
+// report is one BENCH_*.json file.
+type report struct {
+	GeneratedBy string      `json:"generated_by"`
+	Fingerprint fingerprint `json:"fingerprint"`
+	Benchmarks  []entry     `json:"benchmarks"`
+}
 
 // The optional MB/s column appears when a benchmark calls b.SetBytes
 // (the durability benchmarks do); it must be skipped, not mistaken for
@@ -68,13 +73,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) n
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	set := flag.String("set", "match", "baseline set: match or mine")
 	flag.Parse()
-	baseline, ok := baselines[*set]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchjson: unknown baseline set %q\n", *set)
-		os.Exit(2)
-	}
 
 	var entries []entry
 	sc := bufio.NewScanner(os.Stdin)
@@ -85,30 +84,14 @@ func main() {
 		if m == nil {
 			continue
 		}
-		var cur measurement
-		cur.NsPerOp, _ = strconv.ParseFloat(m[2], 64)
+		e := entry{Name: m[1]}
+		e.NsPerOp, _ = strconv.ParseFloat(m[2], 64)
 		if m[3] != "" {
 			b, _ := strconv.ParseFloat(m[3], 64)
-			cur.BytesPerOp = int64(b)
+			e.BytesPerOp = int64(b)
 		}
 		if m[4] != "" {
-			cur.AllocsPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		e := entry{Name: m[1], Current: cur}
-		if base, ok := baseline[m[1]]; ok {
-			b := base
-			e.Base = &b
-			if cur.NsPerOp > 0 {
-				e.Speedup = round2(base.NsPerOp / cur.NsPerOp)
-			}
-			allocs := cur.AllocsPerOp
-			if allocs == 0 {
-				e.ZeroAllocs = true
-				allocs = 1 // lower-bound ratio; the true reduction is infinite
-			}
-			if base.AllocsPerOp > 0 {
-				e.AllocReduction = round2(float64(base.AllocsPerOp) / float64(allocs))
-			}
+			e.AllocsPerOp, _ = strconv.ParseInt(m[4], 10, 64)
 		}
 		entries = append(entries, e)
 	}
@@ -122,9 +105,9 @@ func main() {
 	}
 
 	rep := report{
-		GeneratedBy:    "make bench",
-		BaselineCommit: baselineCommits[*set],
-		Benchmarks:     entries,
+		GeneratedBy: "make bench",
+		Fingerprint: machineFingerprint(),
+		Benchmarks:  entries,
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -140,8 +123,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-}
-
-func round2(f float64) float64 {
-	return float64(int64(f*100+0.5)) / 100
 }

@@ -75,7 +75,6 @@ func main() {
 		pool      = flag.Int("pool", 0, "matching concurrency bound (0 = GOMAXPROCS minus the mine share)")
 		mineCPU   = flag.Float64("mine-share", 0, "fraction of GOMAXPROCS mine jobs may occupy together (0 = default 0.5)")
 		cache     = flag.Int("cache", 256, "match-set cache capacity")
-		window    = flag.Duration("batch-window", 0, "identify coalescing window (e.g. 2ms)")
 		eta       = flag.Float64("eta", 1.0, "default confidence bound η")
 		fleet     = flag.String("mine-workers", "", "comma-separated gparworker addresses; mine jobs run on this fleet")
 		stepTO    = flag.Duration("mine-step-timeout", 0, "per-superstep worker deadline for -mine-workers (0 = 2m)")
@@ -101,7 +100,6 @@ func main() {
 		MineShare:        *mineCPU,
 		PoolSize:         *pool,
 		CacheCap:         *cache,
-		BatchWindow:      *window,
 		DefaultEta:       *eta,
 		MineStepTimeout:  *stepTO,
 		RequestTimeout:   *reqTO,

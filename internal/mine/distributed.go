@@ -324,37 +324,16 @@ type WorkerRuntime struct {
 	out   wire.Messages // recycled reply
 }
 
-// NewWorkerRuntime builds the job state from a setup frame and returns the
-// ack the coordinator is waiting for (the round-0 classification counts).
-func NewWorkerRuntime(s *wire.JobSetup) (*WorkerRuntime, *wire.SetupAck, error) {
-	syms := graph.NewSymbols()
-	for _, name := range s.Symbols {
-		syms.Intern(name)
-	}
-	frag, rest, err := partition.DecodeFragment(s.Fragment, syms)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("mine: %d trailing bytes after fragment", len(rest))
-	}
-	return newWorkerRuntime(s, frag, syms)
-}
-
-// NewWorkerRuntimeFragment builds the job state over an already-decoded
-// fragment — the worker-side fragment cache path, which skips the
-// decode+freeze entirely. The fragment must be the decode of the bytes the
-// setup's content hash names; it is read read-only, so one cached fragment
-// may back concurrent runtimes.
+// NewWorkerRuntimeFragment builds the job state from a setup frame over the
+// decoded fragment its content hash names, and returns the ack the
+// coordinator is waiting for (the round-0 classification counts). The
+// fragment is read read-only, so one cached fragment may back concurrent
+// runtimes.
 func NewWorkerRuntimeFragment(s *wire.JobSetup, frag *partition.Fragment) (*WorkerRuntime, *wire.SetupAck, error) {
 	syms := graph.NewSymbols()
 	for _, name := range s.Symbols {
 		syms.Intern(name)
 	}
-	return newWorkerRuntime(s, frag, syms)
-}
-
-func newWorkerRuntime(s *wire.JobSetup, frag *partition.Fragment, syms *graph.Symbols) (*WorkerRuntime, *wire.SetupAck, error) {
 	if len(s.CenterEcc) != len(frag.Centers) {
 		return nil, nil, fmt.Errorf("mine: %d eccentricities for %d centers", len(s.CenterEcc), len(frag.Centers))
 	}

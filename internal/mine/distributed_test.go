@@ -9,6 +9,7 @@ import (
 	"gpar/internal/gen"
 	"gpar/internal/graph"
 	"gpar/internal/mine/wire"
+	"gpar/internal/partition"
 )
 
 // loopbackConn drives a WorkerRuntime through the full wire codec path —
@@ -24,7 +25,17 @@ func (c *loopbackConn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, ack, err := NewWorkerRuntime(dec)
+	// No fragment cache and no FragNeed exchange here (the remote package
+	// has both): the runtime gets the decode of the body the engine passed.
+	syms := graph.NewSymbols()
+	for _, name := range dec.Symbols {
+		syms.Intern(name)
+	}
+	frag, _, err := partition.DecodeFragment(dec.Fragment, syms)
+	if err != nil {
+		return nil, err
+	}
+	rt, ack, err := NewWorkerRuntimeFragment(dec, frag)
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // benchFleet runs one distributed mining job per iteration over a 4-worker
-// loopback-TCP fleet dialed with dopts.
-func benchFleet(b *testing.B, dopts DialOptions) {
+// loopback-TCP fleet of services built with sopts.
+func benchFleet(b *testing.B, sopts ServerOptions) {
 	syms := graph.NewSymbols()
 	g := gen.Pokec(syms, gen.DefaultPokec(500, 7))
 	pred := gen.PokecPredicates(syms)[0]
@@ -26,10 +26,10 @@ func benchFleet(b *testing.B, dopts DialOptions) {
 			b.Fatal(err)
 		}
 		defer l.Close()
-		go Serve(l, ServerOptions{})
+		go Serve(l, sopts)
 		addrs[i] = l.Addr().String()
 	}
-	conns, err := DialFleet(addrs, dopts)
+	conns, err := DialFleet(addrs, DialOptions{StepTimeout: time.Minute})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,20 +52,19 @@ func benchFleet(b *testing.B, dopts DialOptions) {
 // BenchmarkDMineDistributed times one full distributed mining job over a
 // 4-worker loopback-TCP fleet: per-worker job setup (fragment encode, ship,
 // decode), the BSP supersteps with their frame round trips, and the
-// coordinator's assemble/diversify reduce. Pinned to protocol v1 so every
-// job ships its fragment inline — the workload the recorded baseline
-// measured. The in-process equivalent of this workload is BenchmarkDMine
-// (internal/mine); the gap between the two is the wire overhead. Recorded
-// in BENCH_mine.json by `make bench`.
+// coordinator's assemble/diversify reduce. The workers' fragment caches are
+// disabled, so every job ships every fragment. The in-process equivalent
+// of this workload is BenchmarkDMine (internal/mine); the gap between the
+// two is the wire overhead. Recorded in BENCH_mine.json by `make bench`.
 func BenchmarkDMineDistributed(b *testing.B) {
-	benchFleet(b, DialOptions{StepTimeout: time.Minute, MaxVersion: 1})
+	benchFleet(b, ServerOptions{FragCacheCap: -1})
 }
 
-// BenchmarkDMineDistributedCachedFragment is the same job over protocol v2
-// with the workers' content-addressed fragment caches warm: after the first
-// iteration every setup is a hash-only frame answered from cache, so the
-// gap to BenchmarkDMineDistributed is the per-job fragment encode+ship+
-// decode the cache saves. Recorded in BENCH_mine.json by `make bench`.
+// BenchmarkDMineDistributedCachedFragment is the same job with the workers'
+// content-addressed fragment caches warm: after the first iteration every
+// setup is a hash-only frame answered from cache, so the gap to
+// BenchmarkDMineDistributed is the per-job fragment ship+decode the cache
+// saves. Recorded in BENCH_mine.json by `make bench`.
 func BenchmarkDMineDistributedCachedFragment(b *testing.B) {
-	benchFleet(b, DialOptions{StepTimeout: time.Minute})
+	benchFleet(b, ServerOptions{})
 }

@@ -9,13 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"gpar/internal/core"
 	"gpar/internal/mine"
 	"gpar/internal/netfault"
 )
 
-// Worker-written frame indexes on a cold v2 connection under MineFleet
-// (which health-probes before the job), for targeting netfault scripts.
-// The 5-byte handshake reply travels before frame parsing (SkipBytes).
+// Worker-written frame indexes on a connection to a worker with a cold
+// fragment cache under MineFleet (which health-probes before the job), for
+// targeting netfault scripts. The 5-byte handshake reply travels before
+// frame parsing (SkipBytes).
 const (
 	frPingEcho = 1 // Ping echo from the health probe
 	frFragNeed = 2 // cold fragment cache asks for the body
@@ -45,6 +47,20 @@ func chaosFleet(t *testing.T, n int, opts ServerOptions, scriptFor func(worker, 
 	return addrs, svs
 }
 
+// chaosJob is the job the chaos tests mine: a Pokec-like graph partitioned
+// for n workers, its first predicate and the options.
+func chaosJob(users int, seed int64, n int) (*mine.Context, core.Predicate, mine.Options) {
+	g, pred := pokecFixture(users, seed)
+	o := mine.Options{
+		K: 4, Sigma: 2, D: 2, Lambda: 0.5, N: n,
+		MaxEdges: 2, EmbedCap: 1 << 20,
+	}.WithOptimizations().Defaults()
+	return mine.NewContext(g, pred.XLabel, o), pred, o
+}
+
+// noFaults scripts every connection as a plain pass-through.
+func noFaults(worker, conn int) *netfault.Script { return nil }
+
 // noSleep is the chaos-test retry policy: real attempt budget, no waiting.
 func noSleep(attempts int) RetryPolicy {
 	return RetryPolicy{Attempts: attempts, Sleep: func(time.Duration) {}}
@@ -56,12 +72,7 @@ func noSleep(attempts int) RetryPolicy {
 // first attempt with a typed error, the retry re-dials and succeeds, and
 // the retried job's result is byte-identical to a clean in-process run.
 func TestChaosFaultClassesRetriedJobMatchesClean(t *testing.T) {
-	g, pred := pokecFixture(200, 11)
-	o := mine.Options{
-		K: 4, Sigma: 2, D: 2, Lambda: 0.5, N: 2,
-		MaxEdges: 2, EmbedCap: 1 << 20,
-	}.WithOptimizations().Defaults()
-	ctx := mine.NewContext(g, pred.XLabel, o)
+	ctx, pred, o := chaosJob(200, 11, 2)
 	want := fingerprint(mustMine(mine.DMineCtx(ctx, pred, o)))
 
 	cases := []struct {
@@ -71,13 +82,12 @@ func TestChaosFaultClassesRetriedJobMatchesClean(t *testing.T) {
 		dialFails bool // the fault lands in the dial/probe phase
 	}{
 		{
-			// A refusal closes the connection before any byte — which reads
-			// exactly like a legacy v1 peer slamming an unknown hello, so the
-			// dialer burns its downgrade redial (conn 1) before the attempt
-			// fails. Refusing both exercises the full dial-phase failure.
+			// A refusal closes the connection before any byte: the dialer's
+			// handshake read fails, the attempt is a dial failure, and the
+			// retry's fresh connection (conn 1) goes through.
 			name: "refused-dial",
 			script: func(conn int) *netfault.Script {
-				if conn < 2 {
+				if conn == 0 {
 					return &netfault.Script{RefuseDial: true}
 				}
 				return nil
@@ -199,12 +209,7 @@ func TestChaosRetriedByteIdentityAcrossWorkerCounts(t *testing.T) {
 // typed mid-job error after exactly the policy's attempt budget, bounded in
 // time by the step deadline — no hang.
 func TestChaosExhaustedRetriesTypedError(t *testing.T) {
-	g, pred := pokecFixture(150, 3)
-	o := mine.Options{
-		K: 4, Sigma: 2, D: 2, Lambda: 0.5, N: 2,
-		MaxEdges: 2, EmbedCap: 1 << 20,
-	}.WithOptimizations().Defaults()
-	ctx := mine.NewContext(g, pred.XLabel, o)
+	ctx, pred, o := chaosJob(150, 3, 2)
 
 	addrs, _ := chaosFleet(t, 2, ServerOptions{}, func(worker, conn int) *netfault.Script {
 		return &netfault.Script{SkipBytes: 5, StallAtFrame: frFragNeed}
@@ -232,12 +237,7 @@ func TestChaosExhaustedRetriesTypedError(t *testing.T) {
 // connection exhausts the dial phase with ErrFleetUnavailable and counts
 // every attempt as a dial failure.
 func TestChaosAllDialsRefusedFleetUnavailable(t *testing.T) {
-	g, pred := pokecFixture(150, 3)
-	o := mine.Options{
-		K: 4, Sigma: 2, D: 2, Lambda: 0.5, N: 2,
-		MaxEdges: 2, EmbedCap: 1 << 20,
-	}.WithOptimizations().Defaults()
-	ctx := mine.NewContext(g, pred.XLabel, o)
+	ctx, pred, o := chaosJob(150, 3, 2)
 
 	addrs, _ := chaosFleet(t, 2, ServerOptions{}, func(worker, conn int) *netfault.Script {
 		return &netfault.Script{RefuseDial: true}
@@ -259,12 +259,7 @@ func TestChaosAllDialsRefusedFleetUnavailable(t *testing.T) {
 // retry loop before the second attempt, returning the first attempt's error
 // without sleeping out the backoff.
 func TestChaosStopAbandonsRetries(t *testing.T) {
-	g, pred := pokecFixture(150, 3)
-	o := mine.Options{
-		K: 4, Sigma: 2, D: 2, Lambda: 0.5, N: 1,
-		MaxEdges: 2, EmbedCap: 1 << 20,
-	}.WithOptimizations().Defaults()
-	ctx := mine.NewContext(g, pred.XLabel, o)
+	ctx, pred, o := chaosJob(150, 3, 1)
 
 	addrs, _ := chaosFleet(t, 1, ServerOptions{}, func(worker, conn int) *netfault.Script {
 		return &netfault.Script{RefuseDial: true}
@@ -284,100 +279,77 @@ func TestChaosStopAbandonsRetries(t *testing.T) {
 // TestChaosCancelAgainstStalledWorker is the cancellation liveness pin: a
 // coordinator-side cancel fired while a worker is stalled mid-superstep
 // (its round reply never arrives, and the step deadline is a full minute
-// away) must unwedge the blocked exchange immediately, return a typed
-// *mine.CanceledError without retrying, and leak no goroutines. Both the
-// v3 path (idle peers get a Cancel frame) and a v2-capped fleet (deadline
-// slam only) must behave identically from the coordinator's side. CI runs
-// this under -race.
+// away) must unwedge the blocked exchange immediately — the stalled
+// connection's deadline is slammed, the idle one gets a Cancel frame —
+// return a typed *mine.CanceledError without retrying, and leak no
+// goroutines. CI runs this under -race.
 func TestChaosCancelAgainstStalledWorker(t *testing.T) {
-	g, pred := pokecFixture(150, 3)
-	o := mine.Options{
-		K: 4, Sigma: 2, D: 2, Lambda: 0.5, N: 2,
-		MaxEdges: 2, EmbedCap: 1 << 20,
-	}.WithOptimizations().Defaults()
-	mctx := mine.NewContext(g, pred.XLabel, o)
+	mctx, pred, o := chaosJob(150, 3, 2)
 
-	for _, tc := range []struct {
-		name       string
-		maxVersion int // server-side protocol cap; 0 = current
-	}{
-		{"v3-cancel-frame", 0},
-		{"v2-deadline-only", 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			addrs, _ := chaosFleet(t, 2, ServerOptions{MaxVersion: tc.maxVersion},
-				func(worker, conn int) *netfault.Script {
-					if worker == 0 {
-						return &netfault.Script{SkipBytes: 5, StallAtFrame: frRound1}
-					}
-					return nil
-				})
-			before := runtime.NumGoroutine()
-			runCtx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			co := o
-			co.Ctx = runCtx
-			timer := time.AfterFunc(150*time.Millisecond, cancel)
-			defer timer.Stop()
+	addrs, _ := chaosFleet(t, 2, ServerOptions{}, func(worker, conn int) *netfault.Script {
+		if worker == 0 {
+			return &netfault.Script{SkipBytes: 5, StallAtFrame: frRound1}
+		}
+		return nil
+	})
+	before := runtime.NumGoroutine()
+	runCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	o.Ctx = runCtx
+	timer := time.AfterFunc(150*time.Millisecond, cancel)
+	defer timer.Stop()
 
-			type outcome struct {
-				res *mine.Result
-				rep JobReport
-				err error
-			}
-			done := make(chan outcome, 1)
-			start := time.Now()
-			go func() {
-				res, rep, err := MineFleet(mctx, pred, co, addrs,
-					DialOptions{StepTimeout: time.Minute}, noSleep(3), nil)
-				done <- outcome{res, rep, err}
-			}()
-			var out outcome
-			select {
-			case out = <-done:
-			case <-time.After(20 * time.Second):
-				t.Fatal("cancel against a stalled worker hung past the watchdog")
-			}
-			if out.res != nil {
-				t.Fatal("canceled job returned a result")
-			}
-			var ce *mine.CanceledError
-			if !errors.As(out.err, &ce) {
-				t.Fatalf("error %T (%v), want *mine.CanceledError", out.err, out.err)
-			}
-			if !errors.Is(out.err, context.Canceled) {
-				t.Fatalf("error %v does not unwrap to context.Canceled", out.err)
-			}
-			if out.rep.Attempts != 1 {
-				t.Fatalf("attempts = %d, want 1 (a canceled job must not retry)", out.rep.Attempts)
-			}
-			if elapsed := time.Since(start); elapsed > 10*time.Second {
-				t.Fatalf("cancel took %v; the one-minute step deadline must not be what fired", elapsed)
-			}
-			// Leak check: everything MineFleet spawned (dials, watcher, the
-			// stalled exchange) must wind down once the fleet is closed. The
-			// worker services' accept loops predate `before`, so the count
-			// settles back to it; allow brief scheduler noise.
-			settleBy := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before+2 {
-				if time.Now().After(settleBy) {
-					t.Fatalf("goroutine leak after cancel: %d before, %d after", before, runtime.NumGoroutine())
-				}
-				time.Sleep(50 * time.Millisecond)
-			}
-		})
+	type outcome struct {
+		res *mine.Result
+		rep JobReport
+		err error
+	}
+	done := make(chan outcome, 1)
+	start := time.Now()
+	go func() {
+		res, rep, err := MineFleet(mctx, pred, o, addrs,
+			DialOptions{StepTimeout: time.Minute}, noSleep(3), nil)
+		done <- outcome{res, rep, err}
+	}()
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("cancel against a stalled worker hung past the watchdog")
+	}
+	if out.res != nil {
+		t.Fatal("canceled job returned a result")
+	}
+	var ce *mine.CanceledError
+	if !errors.As(out.err, &ce) {
+		t.Fatalf("error %T (%v), want *mine.CanceledError", out.err, out.err)
+	}
+	if !errors.Is(out.err, context.Canceled) {
+		t.Fatalf("error %v does not unwrap to context.Canceled", out.err)
+	}
+	if out.rep.Attempts != 1 {
+		t.Fatalf("attempts = %d, want 1 (a canceled job must not retry)", out.rep.Attempts)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("cancel took %v; the one-minute step deadline must not be what fired", elapsed)
+	}
+	// Leak check: everything MineFleet spawned (dials, watcher, the
+	// stalled exchange) must wind down once the fleet is closed. The
+	// worker services' accept loops predate `before`, so the count
+	// settles back to it; allow brief scheduler noise.
+	settleBy := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(settleBy) {
+			t.Fatalf("goroutine leak after cancel: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 
 // TestChaosPreCanceledJobNeverDials: a run context that is already dead
 // ends MineFleet before any attempt touches the network.
 func TestChaosPreCanceledJobNeverDials(t *testing.T) {
-	g, pred := pokecFixture(150, 3)
-	o := mine.Options{
-		K: 4, Sigma: 2, D: 2, Lambda: 0.5, N: 1,
-		MaxEdges: 2, EmbedCap: 1 << 20,
-	}.WithOptimizations().Defaults()
-	mctx := mine.NewContext(g, pred.XLabel, o)
+	mctx, pred, o := chaosJob(150, 3, 1)
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	o.Ctx = dead
@@ -400,17 +372,10 @@ func TestChaosPreCanceledJobNeverDials(t *testing.T) {
 // cache hits, visible on both the coordinator's JobReport and the worker
 // services' own stats.
 func TestChaosFragmentShipsOncePerWorker(t *testing.T) {
-	g, pred := pokecFixture(200, 11)
-	o := mine.Options{
-		K: 4, Sigma: 2, D: 2, Lambda: 0.5, N: 2,
-		MaxEdges: 2, EmbedCap: 1 << 20,
-	}.WithOptimizations().Defaults()
-	ctx := mine.NewContext(g, pred.XLabel, o)
+	ctx, pred, o := chaosJob(200, 11, 2)
 	want := fingerprint(mustMine(mine.DMineCtx(ctx, pred, o)))
 
-	addrs, svs := chaosFleet(t, 2, ServerOptions{}, func(worker, conn int) *netfault.Script {
-		return nil
-	})
+	addrs, svs := chaosFleet(t, 2, ServerOptions{}, noFaults)
 	policy := noSleep(2)
 	dopts := DialOptions{StepTimeout: 30 * time.Second}
 
@@ -453,12 +418,7 @@ func TestChaosFragmentShipsOncePerWorker(t *testing.T) {
 // the fragment landed retries against a warm cache — the fragment travels
 // once even though the job ran twice.
 func TestChaosRetryWarmCacheSkipsShip(t *testing.T) {
-	g, pred := pokecFixture(200, 11)
-	o := mine.Options{
-		K: 4, Sigma: 2, D: 2, Lambda: 0.5, N: 2,
-		MaxEdges: 2, EmbedCap: 1 << 20,
-	}.WithOptimizations().Defaults()
-	ctx := mine.NewContext(g, pred.XLabel, o)
+	ctx, pred, o := chaosJob(200, 11, 2)
 
 	addrs, svs := chaosFleet(t, 2, ServerOptions{}, func(worker, conn int) *netfault.Script {
 		if worker == 0 && conn == 0 {

@@ -2,7 +2,10 @@
 // that hosts mine.WorkerRuntime jobs behind the wire protocol, and the
 // coordinator's client side — Conn, a mine.WorkerConn over one TCP
 // connection, DialFleet to bring up a full worker fleet, and Mine as the
-// one-call entry point.
+// one-call entry point. Both ends speak the wire package's one protocol
+// version: Dial opens one TCP connection and a peer of any other version is
+// a typed handshake error on both sides. A job's fragment travels by content
+// hash first and in full only when the worker's cache lacks it.
 //
 // Failure semantics are strict and typed: dial-phase failures wrap
 // ErrFleetUnavailable (the caller can fall back to in-process mining,
@@ -48,10 +51,6 @@ type DialOptions struct {
 	StepTimeout time.Duration
 	// MaxFrame bounds accepted frame sizes (default wire.DefaultMaxFrame).
 	MaxFrame int
-	// MaxVersion caps the proposed protocol version (0 or out of range
-	// means wire.Version). Capping at 1 disables the fragment-cache
-	// exchange: every setup ships its fragment body inline.
-	MaxVersion int
 }
 
 func (o DialOptions) defaults() DialOptions {
@@ -64,9 +63,6 @@ func (o DialOptions) defaults() DialOptions {
 	if o.MaxFrame <= 0 {
 		o.MaxFrame = wire.DefaultMaxFrame
 	}
-	if o.MaxVersion < wire.MinVersion || o.MaxVersion > wire.Version {
-		o.MaxVersion = wire.Version
-	}
 	return o
 }
 
@@ -77,12 +73,11 @@ func (o DialOptions) defaults() DialOptions {
 // subsequent job. Cancel is the one concurrent entry point — it may be
 // called from any goroutine while an exchange is in flight.
 type Conn struct {
-	c       net.Conn
-	opts    DialOptions
-	version int    // negotiated protocol version
-	buf     []byte // frame read buffer, reused
-	enc     []byte // payload encode buffer, reused
-	err     error  // sticky failure; written only by the driving goroutine
+	c    net.Conn
+	opts DialOptions
+	buf  []byte // frame read buffer, reused
+	enc  []byte // payload encode buffer, reused
+	err  error  // sticky failure; written only by the driving goroutine
 
 	fragHits  int // setups the worker acked straight from its cache
 	fragShips int // setups that needed the fragment body shipped
@@ -102,48 +97,30 @@ type Conn struct {
 // *mine.CanceledError, so callers rarely see this directly.
 var errCanceled = errors.New("remote: job canceled")
 
-// Dial connects to one worker and negotiates the protocol version. A
-// legacy v1 worker that slams the connection on an unknown hello (instead
-// of answering it) is redialed proposing version 1, so a mixed-version
-// fleet still comes up.
+// Dial connects to one worker and exchanges the handshake, over exactly one
+// TCP connection. TCP connect failures come back as net errors, handshake
+// breakdowns — a peer of another protocol version included — as
+// *wire.FrameError.
 func Dial(addr string, opts DialOptions) (*Conn, error) {
 	opts = opts.defaults()
-	c, err := dialVersion(addr, opts, byte(opts.MaxVersion))
-	if err != nil && opts.MaxVersion > wire.MinVersion {
-		var fe *wire.FrameError
-		if errors.As(err, &fe) {
-			c, err = dialVersion(addr, opts, wire.MinVersion)
-		}
-	}
-	return c, err
-}
-
-// dialVersion connects and proposes one version. TCP connect failures come
-// back as net errors; handshake breakdowns as *wire.FrameError (the
-// downgrade-redial trigger).
-func dialVersion(addr string, opts DialOptions, propose byte) (*Conn, error) {
 	nc, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	var version byte
 	err = nc.SetDeadline(time.Now().Add(opts.DialTimeout))
 	if err == nil {
-		version, err = wire.ProposeHandshake(nc, propose)
+		err = wire.Handshake(nc, true)
 	}
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("%s: %w", addr, err)
 	}
-	return &Conn{c: nc, opts: opts, version: int(version)}, nil
+	return &Conn{c: nc, opts: opts}, nil
 }
-
-// Version reports the negotiated protocol version.
-func (c *Conn) Version() int { return c.version }
 
 // FragStats reports how many job setups on this connection were served
 // from the worker's fragment cache (hits) versus needed the fragment body
-// shipped (ships). v1 connections ship inline and count neither.
+// shipped (ships).
 func (c *Conn) FragStats() (hits, ships int) { return c.fragHits, c.fragShips }
 
 // fail records a sticky failure and returns it.
@@ -229,27 +206,13 @@ func (c *Conn) roundTrip(reqType byte, payload []byte, wantType byte) ([]byte, e
 	return reply, nil
 }
 
-// Setup implements mine.WorkerConn. On v2 connections the fragment body is
-// withheld: the setup carries only its content hash, and the body is
-// shipped in a FragHave frame only when the worker answers FragNeed (a
-// cache miss). v1 connections ship the body inline as always.
+// Setup implements mine.WorkerConn. The fragment body is withheld: the
+// setup frame carries only its content hash, and the body is shipped in a
+// FragHave frame only when the worker answers FragNeed (a cache miss).
 func (c *Conn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
-	if c.version < 2 {
-		c.enc = s.Append(c.enc[:0])
-		reply, err := c.roundTrip(wire.TypeJobSetup, c.enc, wire.TypeSetupAck)
-		if err != nil {
-			return nil, err
-		}
-		return c.decodeAck(reply)
-	}
-	hash := s.FragHash
-	if len(hash) == 0 {
-		hash = wire.HashFragment(s.Fragment)
-	}
 	hashOnly := *s
 	hashOnly.Fragment = nil
-	hashOnly.FragHash = hash
-	c.enc = hashOnly.AppendV(c.enc[:0], c.version)
+	c.enc = hashOnly.Append(c.enc[:0])
 	if err := c.send(wire.TypeJobSetup, c.enc); err != nil {
 		return nil, err
 	}
@@ -262,11 +225,11 @@ func (c *Conn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
 		if derr != nil {
 			return nil, c.fail(derr)
 		}
-		if !bytes.Equal(need.Hash, hash) {
-			return nil, c.fail(fmt.Errorf("remote: worker requested fragment %x, offered %x", need.Hash, hash))
+		if !bytes.Equal(need.Hash, s.FragHash) {
+			return nil, c.fail(fmt.Errorf("remote: worker requested fragment %x, offered %x", need.Hash, s.FragHash))
 		}
 		c.fragShips++
-		have := wire.FragHave{Hash: hash, Fragment: s.Fragment}
+		have := wire.FragHave{Hash: s.FragHash, Fragment: s.Fragment}
 		c.enc = have.Append(c.enc[:0])
 		if err := c.send(wire.TypeFragHave, c.enc); err != nil {
 			return nil, err
@@ -280,10 +243,6 @@ func (c *Conn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
 	if typ != wire.TypeSetupAck {
 		return nil, c.fail(fmt.Errorf("remote: setup reply frame type %d, want %d", typ, wire.TypeSetupAck))
 	}
-	return c.decodeAck(reply)
-}
-
-func (c *Conn) decodeAck(reply []byte) (*wire.SetupAck, error) {
 	ack, err := wire.DecodeSetupAck(reply)
 	if err != nil {
 		return nil, c.fail(err)
@@ -291,14 +250,8 @@ func (c *Conn) decodeAck(reply []byte) (*wire.SetupAck, error) {
 	return ack, nil
 }
 
-// Ping round-trips a health probe. On v2 connections this is the dedicated
-// Ping frame; v1 predates it, so an idle Finish exchange (a no-op between
-// jobs) stands in. Only legal between jobs on either version.
+// Ping round-trips a health probe. Only legal between jobs.
 func (c *Conn) Ping() error {
-	if c.version < 2 {
-		_, err := c.roundTrip(wire.TypeFinish, nil, wire.TypeFinish)
-		return err
-	}
 	_, err := c.roundTrip(wire.TypePing, nil, wire.TypePing)
 	return err
 }
@@ -329,11 +282,11 @@ func (c *Conn) Finish() error {
 // flight on this connection, from any goroutine. If an exchange holds the
 // socket, the deadline is slammed to now so the blocked read or write
 // returns immediately (the worker notices the dead connection via its own
-// read deadline); if the socket is idle and the peer speaks v3, a Cancel
-// frame is sent first so the worker drops its job state promptly. Either
-// way the connection is finished: send and recv refuse to re-arm the
-// deadline once canceled, so the failure is sticky and the coordinator —
-// which asked for the abort — reports it as a *mine.CanceledError.
+// read deadline); if the socket is idle, a Cancel frame is sent first so
+// the worker drops its job state promptly. Either way the connection is
+// finished: send and recv refuse to re-arm the deadline once canceled, so
+// the failure is sticky and the coordinator — which asked for the abort —
+// reports it as a *mine.CanceledError.
 func (c *Conn) Cancel() {
 	c.cancelMu.Lock()
 	defer c.cancelMu.Unlock()
@@ -341,7 +294,7 @@ func (c *Conn) Cancel() {
 		return
 	}
 	c.canceled = true
-	if !c.inflight && c.version >= 3 {
+	if !c.inflight {
 		// Best-effort: a short write deadline keeps a wedged socket from
 		// blocking the canceler, and a failure just means the worker waits
 		// out its read deadline instead.

@@ -14,6 +14,7 @@ import (
 	"gpar/internal/graph"
 	"gpar/internal/mine"
 	"gpar/internal/mine/wire"
+	"gpar/internal/netfault"
 )
 
 // startWorkers brings up n worker services on loopback TCP and returns
@@ -168,7 +169,7 @@ func stalledWorker(t *testing.T) string {
 			return
 		}
 		defer conn.Close()
-		if _, err := wire.AnswerHandshake(conn, wire.Version); err != nil {
+		if wire.Handshake(conn, false) != nil {
 			return
 		}
 		var buf []byte
@@ -226,52 +227,6 @@ func TestStalledWorkerTimesOut(t *testing.T) {
 	}
 }
 
-// droppingWorker serves the handshake and the setup exchange, then cuts the
-// connection on the first Round frame — a mid-superstep crash.
-func droppingWorker(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		// Answer as a v1 peer so the setup arrives with its fragment inline.
-		if _, err := wire.AnswerHandshake(conn, 1); err != nil {
-			return
-		}
-		var buf []byte
-		for {
-			typ, payload, nb, err := wire.ReadFrame(conn, buf, 0)
-			if err != nil {
-				return
-			}
-			buf = nb
-			if typ != wire.TypeJobSetup {
-				return // first Round frame: drop the connection mid-superstep
-			}
-			setup, err := wire.DecodeJobSetup(payload)
-			if err != nil {
-				return
-			}
-			rt, ack, err := mine.NewWorkerRuntime(setup)
-			if err != nil {
-				return
-			}
-			defer rt.Close()
-			if wire.WriteFrame(conn, wire.TypeSetupAck, ack.Append(nil)) != nil {
-				return
-			}
-		}
-	}()
-	return l.Addr().String()
-}
-
 // TestMidSuperstepDisconnect: a worker dying between setup and its first
 // superstep reply fails the job cleanly and promptly with a typed error.
 func TestMidSuperstepDisconnect(t *testing.T) {
@@ -282,7 +237,15 @@ func TestMidSuperstepDisconnect(t *testing.T) {
 	}.WithOptimizations().Defaults()
 	ctx := mine.NewContext(g, pred.XLabel, o)
 
-	addrs := []string{startWorkers(t, 1, ServerOptions{})[0], droppingWorker(t)}
+	// Worker 1 serves the handshake and the setup exchange (its frames 1 and
+	// 2: FragNeed, SetupAck), then drops the connection in place of its
+	// first superstep reply.
+	addrs, _ := chaosFleet(t, 2, ServerOptions{}, func(worker, conn int) *netfault.Script {
+		if worker == 1 {
+			return &netfault.Script{SkipBytes: 5, CloseAtFrame: 3}
+		}
+		return nil
+	})
 	conns, err := DialFleet(addrs, DialOptions{StepTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)

@@ -26,9 +26,6 @@ type ServerOptions struct {
 	// client that connects and never speaks cannot pin a goroutine
 	// (slowloris). Default 10s; negative disables.
 	HandshakeTimeout time.Duration
-	// MaxVersion caps the negotiated protocol version (0 or out of range
-	// means wire.Version). Capping at 1 yields a pure v1 worker.
-	MaxVersion int
 	// FragCacheCap bounds the content-addressed fragment cache in entries
 	// (decoded, frozen fragments keyed by the SHA-256 of their binary
 	// encoding, LRU-evicted). 0 means the default (8); negative disables
@@ -45,9 +42,6 @@ func (o ServerOptions) defaults() ServerOptions {
 	}
 	if o.HandshakeTimeout == 0 {
 		o.HandshakeTimeout = 10 * time.Second
-	}
-	if o.MaxVersion < wire.MinVersion || o.MaxVersion > wire.Version {
-		o.MaxVersion = wire.Version
 	}
 	if o.FragCacheCap == 0 {
 		o.FragCacheCap = 8
@@ -149,9 +143,9 @@ func (sv *Service) serveConn(conn net.Conn) {
 		}
 		return conn.SetDeadline(t) == nil
 	}
-	// The coordinator (dialer) proposes first; reply with min(proposal,
-	// ours). The handshake always runs under a deadline — even with no idle
-	// timeout, a silent client cannot pin this goroutine.
+	// The coordinator (dialer) speaks first. The handshake always runs under
+	// a deadline — even with no idle timeout, a silent client cannot pin this
+	// goroutine.
 	hsDeadline := opts.HandshakeTimeout
 	if hsDeadline < 0 {
 		hsDeadline = 0
@@ -166,12 +160,10 @@ func (sv *Service) serveConn(conn net.Conn) {
 	if conn.SetDeadline(hsAt) != nil {
 		return
 	}
-	negotiated, err := wire.AnswerHandshake(conn, byte(opts.MaxVersion))
-	if err != nil {
+	if err := wire.Handshake(conn, false); err != nil {
 		opts.logf("remote: %v: %v", peer, err)
 		return
 	}
-	version := int(negotiated)
 
 	fail := func(err error) {
 		opts.logf("remote: %v: %v", peer, err)
@@ -191,7 +183,7 @@ func (sv *Service) serveConn(conn net.Conn) {
 		buf = newBuf
 		switch typ {
 		case wire.TypePing:
-			if version < 2 || rt != nil {
+			if rt != nil {
 				fail(protocolErr("unexpected ping"))
 				return
 			}
@@ -204,12 +196,12 @@ func (sv *Service) serveConn(conn net.Conn) {
 				fail(protocolErr("job setup while a job is active"))
 				return
 			}
-			setup, err := wire.DecodeJobSetupV(payload, version)
+			setup, err := wire.DecodeJobSetup(payload)
 			if err != nil {
 				fail(err)
 				return
 			}
-			frag, err := sv.resolveFragment(conn, version, setup, deadline, &buf, &enc)
+			frag, err := sv.resolveFragment(conn, setup, deadline, &buf, &enc)
 			if err != nil {
 				fail(err)
 				return
@@ -256,15 +248,11 @@ func (sv *Service) serveConn(conn net.Conn) {
 				return
 			}
 		case wire.TypeCancel:
-			// v3+: the coordinator abandoned the job. Drop the runtime (its
-			// arenas return to the pool) and answer nothing — the coordinator
-			// has already stopped listening for this job; the connection stays
-			// up for the next JobSetup. Legal between jobs too (a cancel can
-			// race a job's natural end).
-			if version < 3 {
-				fail(protocolErr("cancel frame on a pre-v3 connection"))
-				return
-			}
+			// The coordinator abandoned the job. Drop the runtime (its arenas
+			// return to the pool) and answer nothing — the coordinator has
+			// already stopped listening for this job; the connection stays up
+			// for the next JobSetup. Legal between jobs too (a cancel can race
+			// a job's natural end).
 			if rt != nil {
 				rt.Close()
 				rt = nil
@@ -279,32 +267,18 @@ func (sv *Service) serveConn(conn net.Conn) {
 }
 
 // resolveFragment turns a job setup into a decoded, frozen fragment: from
-// the inline body when the setup carries one, from the content-addressed
-// cache when it carries only a hash, or — on a cache miss — by asking the
-// coordinator for the body with a FragNeed/FragHave exchange. Every path
-// that decodes a body also caches it, so a v1 coordinator's repeat jobs
-// still skip the decode+freeze.
-func (sv *Service) resolveFragment(conn net.Conn, version int, setup *wire.JobSetup, deadline func() bool, buf, enc *[]byte) (*partition.Fragment, error) {
-	hash := setup.FragHash
+// the content-addressed cache on a hit, or — on a miss — by asking the
+// coordinator for the body with a FragNeed/FragHave exchange, verifying it
+// against the hash and caching its decode. A setup frame that carries a
+// body itself is a protocol error (DecodeJobSetup has already refused one
+// without a hash).
+func (sv *Service) resolveFragment(conn net.Conn, setup *wire.JobSetup, deadline func() bool, buf, enc *[]byte) (*partition.Fragment, error) {
 	if len(setup.Fragment) > 0 {
-		if len(hash) == 0 {
-			hash = wire.HashFragment(setup.Fragment)
-		} else if !bytes.Equal(hash, wire.HashFragment(setup.Fragment)) {
-			return nil, protocolErr("setup fragment does not match its content hash")
-		}
-		if frag, ok := sv.frags.get(hash); ok {
-			return frag, nil
-		}
-		return sv.decodeAndCache(setup, hash, setup.Fragment)
+		return nil, protocolErr("job setup carries an inline fragment body")
 	}
-	if len(hash) == 0 {
-		return nil, protocolErr("setup carries neither fragment nor content hash")
-	}
+	hash := setup.FragHash
 	if frag, ok := sv.frags.get(hash); ok {
 		return frag, nil
-	}
-	if version < 2 {
-		return nil, protocolErr("hash-only setup on a v1 connection")
 	}
 	need := wire.FragNeed{Hash: hash}
 	*enc = need.Append((*enc)[:0])
@@ -332,19 +306,14 @@ func (sv *Service) resolveFragment(conn net.Conn, version int, setup *wire.JobSe
 	if !bytes.Equal(wire.HashFragment(have.Fragment), hash) {
 		return nil, protocolErr("fragment body does not match its content hash")
 	}
-	return sv.decodeAndCache(setup, hash, have.Fragment)
-}
-
-// decodeAndCache decodes one fragment body and inserts it into the cache.
-// The decode interns the job's symbol table, but the fragment itself is
-// symbol-independent (labels are raw IDs), so reuse across jobs with grown
-// symbol tables is sound.
-func (sv *Service) decodeAndCache(setup *wire.JobSetup, hash, body []byte) (*partition.Fragment, error) {
+	// The decode interns the job's symbol table, but the fragment itself is
+	// symbol-independent (labels are raw IDs), so reuse across jobs with
+	// grown symbol tables is sound.
 	syms := graph.NewSymbols()
 	for _, name := range setup.Symbols {
 		syms.Intern(name)
 	}
-	frag, rest, err := partition.DecodeFragment(body, syms)
+	frag, rest, err := partition.DecodeFragment(have.Fragment, syms)
 	if err != nil {
 		return nil, err
 	}

@@ -24,10 +24,10 @@ func HashFragment(frag []byte) []byte {
 // JobSetup is the coordinator → worker job preamble: the run parameters a
 // localMine superstep needs, the label symbol table (names in label-ID
 // order, so decoded fragments and patterns speak the coordinator's label
-// IDs), the worker's fragment in its canonical binary form, and the
-// extendability table — each owned center's whole-graph eccentricity capped
-// at EccCap, which lets a fragment-only worker answer the Lemma 3
-// whole-graph probe exactly.
+// IDs), the content hash of the worker's fragment, and the extendability
+// table — each owned center's whole-graph eccentricity capped at EccCap,
+// which lets a fragment-only worker answer the Lemma 3 whole-graph probe
+// exactly.
 type JobSetup struct {
 	JobID         uint64
 	Worker        int // this worker's index (message attribution)
@@ -40,15 +40,17 @@ type JobSetup struct {
 	Symbols   []string
 	EccCap    int
 	CenterEcc []int32 // parallel to the fragment's Centers
-	Fragment  []byte  // partition.Fragment.AppendBinary encoding
-	// FragHash (v2+) is HashFragment of the fragment encoding. When the
-	// setup carries a hash and no fragment body, the worker resolves the
-	// body from its content-addressed cache, answering TypeFragNeed on a
-	// miss; the coordinator then ships the body once in TypeFragHave.
+	// Fragment is the partition.Fragment.AppendBinary encoding and FragHash
+	// its HashFragment. The coordinator's engine fills both; the connection
+	// sends the setup with the hash alone, the worker resolves the body from
+	// its content-addressed cache and answers TypeFragNeed on a miss, and
+	// only then does the body travel, once, in TypeFragHave. A worker
+	// refuses a setup frame that carries a body.
+	Fragment []byte
 	FragHash []byte
 }
 
-// Append encodes the setup into dst in the version-1 layout (no FragHash).
+// Append encodes the setup into dst.
 func (s *JobSetup) Append(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, s.JobID)
 	dst = binary.AppendUvarint(dst, uint64(s.Worker))
@@ -67,33 +69,14 @@ func (s *JobSetup) Append(dst []byte) []byte {
 	for _, e := range s.CenterEcc {
 		dst = binary.AppendUvarint(dst, uint64(e))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(s.Fragment)))
-	dst = append(dst, s.Fragment...)
-	return dst
+	dst = appendBytesField(dst, s.Fragment)
+	return appendBytesField(dst, s.FragHash)
 }
 
-// AppendV encodes the setup into dst in the layout of the given negotiated
-// protocol version: version 2 appends FragHash after the v1 fields.
-func (s *JobSetup) AppendV(dst []byte, version int) []byte {
-	dst = s.Append(dst)
-	if version >= 2 {
-		dst = appendBytesField(dst, s.FragHash)
-	}
-	return dst
-}
-
-// DecodeJobSetup decodes a TypeJobSetup payload in the version-1 layout.
+// DecodeJobSetup decodes a TypeJobSetup payload. A setup without a
+// HashSize-byte fragment hash is malformed.
 func DecodeJobSetup(p []byte) (*JobSetup, error) {
 	r := reader{buf: p}
-	s := decodeJobSetupV1(&r)
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// decodeJobSetupV1 reads the fields common to every setup layout.
-func decodeJobSetupV1(r *reader) *JobSetup {
 	s := &JobSetup{
 		JobID:         r.uvarint("jobID"),
 		Worker:        r.intf("worker index"),
@@ -113,26 +96,8 @@ func decodeJobSetupV1(r *reader) *JobSetup {
 	for i := 0; i < necc && r.err == nil; i++ {
 		s.CenterEcc = append(s.CenterEcc, int32(r.intf("eccentricity")))
 	}
-	if frag := r.bytes("fragment"); r.err == nil {
-		s.Fragment = append([]byte(nil), frag...)
-	}
-	return s
-}
-
-// DecodeJobSetupV decodes a TypeJobSetup payload in the layout of the given
-// negotiated protocol version.
-func DecodeJobSetupV(p []byte, version int) (*JobSetup, error) {
-	if version < 2 {
-		return DecodeJobSetup(p)
-	}
-	r := reader{buf: p}
-	s := decodeJobSetupV1(&r)
-	if hash := r.bytes("fragment hash"); r.err == nil && len(hash) > 0 {
-		if len(hash) != HashSize {
-			return nil, errorf("fragment hash is %d bytes, want %d", len(hash), HashSize)
-		}
-		s.FragHash = append([]byte(nil), hash...)
-	}
+	s.Fragment = r.bytesCopy("fragment")
+	s.FragHash = r.hash()
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -313,9 +278,9 @@ func DecodeError(p []byte) (*ErrorFrame, error) {
 	return e, nil
 }
 
-// FragNeed is the worker → coordinator cache-miss reply to a hash-only
-// JobSetup: the worker does not hold the fragment with this content hash
-// and needs the body before it can ack the setup. v2+.
+// FragNeed is the worker → coordinator cache-miss reply to a JobSetup: the
+// worker does not hold the fragment with this content hash and needs the
+// body before it can ack the setup.
 type FragNeed struct {
 	Hash []byte
 }
@@ -328,15 +293,9 @@ func (f *FragNeed) Append(dst []byte) []byte {
 // DecodeFragNeed decodes a TypeFragNeed payload.
 func DecodeFragNeed(p []byte) (*FragNeed, error) {
 	r := reader{buf: p}
-	f := &FragNeed{}
-	if hash := r.bytes("fragment hash"); r.err == nil {
-		f.Hash = append([]byte(nil), hash...)
-	}
+	f := &FragNeed{Hash: r.hash()}
 	if err := r.done(); err != nil {
 		return nil, err
-	}
-	if len(f.Hash) != HashSize {
-		return nil, errorf("fragment hash is %d bytes, want %d", len(f.Hash), HashSize)
 	}
 	return f, nil
 }
@@ -344,7 +303,7 @@ func DecodeFragNeed(p []byte) (*FragNeed, error) {
 // FragHave is the coordinator → worker answer to FragNeed: the fragment
 // body for the named content hash. The worker verifies the hash over the
 // received bytes before caching — a corrupt body is a typed error, never a
-// poisoned cache entry. v2+.
+// poisoned cache entry.
 type FragHave struct {
 	Hash     []byte
 	Fragment []byte
@@ -359,18 +318,10 @@ func (f *FragHave) Append(dst []byte) []byte {
 // DecodeFragHave decodes a TypeFragHave payload.
 func DecodeFragHave(p []byte) (*FragHave, error) {
 	r := reader{buf: p}
-	f := &FragHave{}
-	if hash := r.bytes("fragment hash"); r.err == nil {
-		f.Hash = append([]byte(nil), hash...)
-	}
-	if frag := r.bytes("fragment"); r.err == nil {
-		f.Fragment = append([]byte(nil), frag...)
-	}
+	f := &FragHave{Hash: r.hash()}
+	f.Fragment = r.bytesCopy("fragment")
 	if err := r.done(); err != nil {
 		return nil, err
-	}
-	if len(f.Hash) != HashSize {
-		return nil, errorf("fragment hash is %d bytes, want %d", len(f.Hash), HashSize)
 	}
 	return f, nil
 }

@@ -1,9 +1,10 @@
-// Package wire is the binary protocol of distributed DMine: versioned,
-// length-prefixed frames carrying the BSP superstep traffic between the
-// mining coordinator and its remote workers — job setup (symbols, options,
-// the worker's fragment and extendability table), per-round frontier
-// hand-offs, the workers' <R, conf, flag> message streams, and job
-// teardown.
+// Package wire is the binary protocol of distributed DMine: length-prefixed
+// frames, in the one protocol version both ends must speak, carrying the BSP
+// superstep traffic between the mining coordinator and its remote workers —
+// job setup (symbols, options, the content hash of the worker's fragment and
+// its extendability table), the fragment body when the worker's cache lacks
+// it, per-round frontier hand-offs, the workers' <R, conf, flag> message
+// streams, and job teardown.
 //
 // Everything on the wire is structural: a candidate GPAR travels as its
 // (parent ruleID, extension) pair plus four flat center lanes of global
@@ -20,29 +21,16 @@ import (
 	"io"
 )
 
-// Protocol identity. The handshake is exchanged once per connection; every
-// frame after it is versioned implicitly by the negotiated version.
-//
-// Version negotiation: the dialer speaks first, proposing the highest
-// version it supports; the answerer replies with min(proposed, own), and
-// the dialer accepts any reply not above its proposal. Version 1 peers
-// predate negotiation — they slam the connection on an unknown hello
-// instead of answering — so a v2 dialer that loses its handshake mid-read
-// redials proposing version 1 (see the remote package).
+// Protocol identity. Coordinator and worker are built from the same commit,
+// so there is one version and no negotiation: each side sends Magic plus its
+// Version byte once per connection and accepts only the same byte back. Any
+// change to the bytes of any frame bumps Version (the golden-bytes tests
+// fail otherwise).
 const (
-	// Magic opens the handshake: "GPWK" followed by a version byte.
+	// Magic opens the handshake: "GPWK" followed by the version byte.
 	Magic = "GPWK"
-	// Version is the highest protocol version this package speaks.
-	// Version 2 adds health probes (TypePing) and the content-addressed
-	// fragment exchange (JobSetup.FragHash, TypeFragNeed, TypeFragHave).
-	// Version 3 adds cooperative job cancellation (TypeCancel). (The issue
-	// that introduced cancellation called for it to ride on "v2"; version 2
-	// was already taken by the fragment exchange, so it ships as version 3 —
-	// same negotiation mechanics, older peers simply never see the frame and
-	// rely on step deadlines instead.)
+	// Version is the protocol version this package speaks.
 	Version = 3
-	// MinVersion is the oldest version this package interoperates with.
-	MinVersion = 1
 )
 
 // Frame types.
@@ -64,21 +52,21 @@ const (
 	TypeFinish byte = 5
 	// TypeError: either direction. A typed failure; the job is dead.
 	TypeError byte = 6
-	// TypePing: coordinator → worker health probe, echoed verbatim. v2+,
-	// and only legal between jobs.
+	// TypePing: coordinator → worker health probe, echoed verbatim. Only
+	// legal between jobs.
 	TypePing byte = 7
 	// TypeFragNeed: worker → coordinator reply to a hash-only JobSetup
-	// whose fragment is not in the worker's cache; carries the hash. v2+.
+	// whose fragment is not in the worker's cache; carries the hash.
 	TypeFragNeed byte = 8
 	// TypeFragHave: coordinator → worker reply to TypeFragNeed: the
-	// fragment body for the named content hash. v2+.
+	// fragment body for the named content hash.
 	TypeFragHave byte = 9
 	// TypeCancel: coordinator → worker. The in-flight job is abandoned; the
 	// worker drops its runtime and awaits the next TypeJobSetup on the same
 	// connection. No reply — the coordinator has already stopped listening
 	// for this job, and the empty-payload frame exists only so the worker
 	// can release resources promptly instead of holding them until its read
-	// deadline. v3+.
+	// deadline.
 	TypeCancel byte = 10
 )
 
@@ -98,71 +86,34 @@ func errorf(format string, args ...any) error {
 	return &FrameError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// WriteHello sends one handshake hello: the protocol magic and a version
-// byte.
-func WriteHello(w io.Writer, version byte) error {
-	var hs [len(Magic) + 1]byte
-	copy(hs[:], Magic)
-	hs[len(Magic)] = version
-	_, err := w.Write(hs[:])
-	return err
-}
-
-// ReadHello consumes one hello, validating the magic, and returns the
-// peer's version byte. Version validation is the caller's (the two
-// negotiation sides accept different ranges).
-func ReadHello(r io.Reader) (byte, error) {
-	var hs [len(Magic) + 1]byte
-	if _, err := io.ReadFull(r, hs[:]); err != nil {
-		return 0, errorf("handshake: %v", err)
+// Handshake runs one side of the connection handshake. The dialer sends
+// its hello first; the answerer replies with its own once it has read a
+// well-formed one — also to a peer of another version, so both ends fail
+// with an error naming both versions.
+func Handshake(rw io.ReadWriter, dialer bool) error {
+	var hello, hs [len(Magic) + 1]byte
+	copy(hello[:], Magic)
+	hello[len(Magic)] = Version
+	if dialer {
+		if _, err := rw.Write(hello[:]); err != nil {
+			return errorf("handshake: %v", err)
+		}
+	}
+	if _, err := io.ReadFull(rw, hs[:]); err != nil {
+		return errorf("handshake: %v", err)
 	}
 	if string(hs[:len(Magic)]) != Magic {
-		return 0, errorf("handshake: bad magic %q", hs[:len(Magic)])
+		return errorf("handshake: bad magic %q", hs[:len(Magic)])
 	}
-	return hs[len(Magic)], nil
-}
-
-// ProposeHandshake runs the dialer side of version negotiation: propose a
-// version, accept any reply in [MinVersion, propose]. The agreed version is
-// returned. A v1 answerer that predates negotiation replies with exactly
-// version 1, which this accepts; a peer that closes instead of replying
-// surfaces as a FrameError wrapping the read failure.
-func ProposeHandshake(rw io.ReadWriter, propose byte) (byte, error) {
-	if propose < MinVersion || propose > Version {
-		return 0, errorf("handshake: cannot propose version %d (speak %d..%d)", propose, MinVersion, Version)
+	if !dialer {
+		if _, err := rw.Write(hello[:]); err != nil {
+			return errorf("handshake: %v", err)
+		}
 	}
-	if err := WriteHello(rw, propose); err != nil {
-		return 0, errorf("handshake: %v", err)
+	if v := hs[len(Magic)]; v != Version {
+		return errorf("handshake: peer speaks version %d, this side speaks version %d", v, Version)
 	}
-	v, err := ReadHello(rw)
-	if err != nil {
-		return 0, err
-	}
-	if v < MinVersion || v > propose {
-		return 0, errorf("handshake: peer answered version %d to proposal %d", v, propose)
-	}
-	return v, nil
-}
-
-// AnswerHandshake runs the answerer side of version negotiation: read the
-// dialer's proposal and reply with min(proposed, max). The agreed version
-// is returned. max is clamped into [MinVersion, Version].
-func AnswerHandshake(rw io.ReadWriter, max byte) (byte, error) {
-	if max < MinVersion || max > Version {
-		max = Version
-	}
-	v, err := ReadHello(rw)
-	if err != nil {
-		return 0, err
-	}
-	if v < MinVersion {
-		return 0, errorf("handshake: peer speaks version %d, want at least %d", v, MinVersion)
-	}
-	agreed := min(v, max)
-	if err := WriteHello(rw, agreed); err != nil {
-		return 0, errorf("handshake: %v", err)
-	}
-	return agreed, nil
+	return nil
 }
 
 // WriteFrame writes one [u32 length][u8 type][payload] frame. The length
@@ -296,6 +247,21 @@ func (r *reader) bytes(what string) []byte {
 }
 
 func (r *reader) string(what string) string { return string(r.bytes(what)) }
+
+// bytesCopy is bytes detached from the frame buffer, which the next read
+// overwrites; an empty field decodes as nil.
+func (r *reader) bytesCopy(what string) []byte {
+	return append([]byte(nil), r.bytes(what)...)
+}
+
+// hash decodes a fragment content hash, which is exactly HashSize bytes.
+func (r *reader) hash() []byte {
+	h := r.bytesCopy("fragment hash")
+	if r.err == nil && len(h) != HashSize {
+		r.fail("fragment hash is %d bytes, want %d", len(h), HashSize)
+	}
+	return h
+}
 
 // done asserts the payload was fully consumed.
 func (r *reader) done() error {

@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -15,85 +18,73 @@ import (
 )
 
 // rw glues independent reader and writer halves into an io.ReadWriter so
-// one negotiation side can run against canned peer bytes.
+// one handshake side can run against canned peer bytes.
 type rw struct {
 	io.Reader
 	io.Writer
 }
 
-// negotiate runs both negotiation sides over an in-memory pipe.
-func negotiate(t *testing.T, propose, max byte) (cliV, srvV byte) {
-	t.Helper()
+// TestHandshake runs both sides over an in-memory pipe and pins the hello
+// each writes: a change to these bytes is a new protocol version.
+func TestHandshake(t *testing.T) {
 	cli, srv := net.Pipe()
 	defer cli.Close()
 	defer srv.Close()
-	var srvErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srvV, srvErr = AnswerHandshake(srv, max)
-	}()
-	cliV, cliErr := ProposeHandshake(cli, propose)
-	<-done
-	if cliErr != nil || srvErr != nil {
-		t.Fatalf("propose %d vs max %d: client err %v, server err %v", propose, max, cliErr, srvErr)
+	srvErr := make(chan error, 1)
+	go func() { srvErr <- Handshake(srv, false) }()
+	if err := Handshake(cli, true); err != nil {
+		t.Fatalf("dialer: %v", err)
 	}
-	return cliV, srvV
-}
+	if err := <-srvErr; err != nil {
+		t.Fatalf("answerer: %v", err)
+	}
 
-func TestHandshakeNegotiation(t *testing.T) {
-	cases := []struct {
-		propose, max, want byte
-	}{
-		{2, 2, 2}, // both current
-		{2, 1, 1}, // old worker clamps down
-		{1, 2, 1}, // old coordinator stays at 1
-		{1, 1, 1},
-	}
-	for _, tc := range cases {
-		cliV, srvV := negotiate(t, tc.propose, tc.max)
-		if cliV != tc.want || srvV != tc.want {
-			t.Errorf("propose %d vs max %d: agreed (%d, %d), want %d", tc.propose, tc.max, cliV, srvV, tc.want)
+	const golden = "GPWK\x03"
+	for _, dialer := range []bool{true, false} {
+		var sent bytes.Buffer
+		if err := Handshake(&rw{strings.NewReader(golden), &sent}, dialer); err != nil {
+			t.Fatalf("dialer=%v against the golden hello: %v", dialer, err)
+		}
+		if sent.String() != golden {
+			t.Errorf("dialer=%v wrote hello %q, want %q", dialer, sent.String(), golden)
 		}
 	}
 }
 
 func TestHandshakeErrors(t *testing.T) {
-	frameErr := func(name string, err error) {
-		t.Helper()
-		if err == nil {
-			t.Errorf("%s: handshake accepted, want error", name)
-		} else if _, ok := err.(*FrameError); !ok {
-			t.Errorf("%s: error type %T, want *FrameError", name, err)
+	for _, tc := range []struct {
+		name, data string
+		// answers: the answerer replies before failing, so the dialer can
+		// name both versions too.
+		answers bool
+	}{
+		{"peer closed", "", false},
+		{"short", "GP", false},
+		{"bad magic", "NOPE\x03", false},
+		{"version 0", "GPWK\x00", true},
+		{"older version", "GPWK\x02", true},
+		{"newer version", "GPWK\x04", true},
+	} {
+		for _, dialer := range []bool{true, false} {
+			var sent bytes.Buffer
+			err := Handshake(&rw{strings.NewReader(tc.data), &sent}, dialer)
+			var fe *FrameError
+			if !errors.As(err, &fe) {
+				t.Errorf("%s, dialer=%v: error %T (%v), want *FrameError", tc.name, dialer, err, err)
+				continue
+			}
+			if tc.answers {
+				peer := fmt.Sprintf("version %d", tc.data[len(Magic)])
+				own := fmt.Sprintf("version %d", Version)
+				if !strings.Contains(fe.Msg, peer) || !strings.Contains(fe.Msg, own) {
+					t.Errorf("%s, dialer=%v: %q does not name both versions", tc.name, dialer, fe.Msg)
+				}
+			}
+			if wrote := sent.Len() > 0; wrote != (dialer || tc.answers) {
+				t.Errorf("%s, dialer=%v: wrote a hello = %v", tc.name, dialer, wrote)
+			}
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		data string
-	}{
-		{"empty", ""},
-		{"short", "GP"},
-		{"bad magic", "NOPE\x01"},
-	} {
-		_, err := ReadHello(strings.NewReader(tc.data))
-		frameErr(tc.name, err)
-	}
-	// An answerer must reject version 0.
-	_, err := AnswerHandshake(&rw{strings.NewReader("GPWK\x00"), io.Discard}, Version)
-	frameErr("answer version 0", err)
-	// A proposer must reject a reply above its proposal, and a reply of 0.
-	_, err = ProposeHandshake(&rw{strings.NewReader("GPWK\x63"), io.Discard}, Version)
-	frameErr("reply above proposal", err)
-	_, err = ProposeHandshake(&rw{strings.NewReader("GPWK\x00"), io.Discard}, Version)
-	frameErr("reply version 0", err)
-	// Proposals outside the speakable range are caller bugs, caught early.
-	_, err = ProposeHandshake(&rw{strings.NewReader("GPWK\x02"), io.Discard}, Version+1)
-	frameErr("proposal out of range", err)
-	// A peer that slams the connection instead of answering (the legacy v1
-	// behavior on an unknown hello) surfaces as a FrameError — the signal
-	// the remote dialer downgrades on.
-	_, err = ProposeHandshake(&rw{strings.NewReader(""), io.Discard}, Version)
-	frameErr("peer closed during handshake", err)
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -203,8 +194,9 @@ func roundTrip[T any](t *testing.T, enc func([]byte) []byte, dec func([]byte) (*
 	}
 }
 
-func TestJobSetupRoundTrip(t *testing.T) {
-	s := &JobSetup{
+// fullSetup populates every JobSetup field.
+func fullSetup() *JobSetup {
+	return &JobSetup{
 		JobID:         1<<60 + 17,
 		Worker:        3,
 		D:             2,
@@ -217,57 +209,51 @@ func TestJobSetupRoundTrip(t *testing.T) {
 		EccCap:        3,
 		CenterEcc:     []int32{0, 1, 3, 2},
 		Fragment:      []byte("GPFRfragmentbytes"),
+		FragHash:      HashFragment([]byte("GPFRfragmentbytes")),
 	}
-	roundTrip(t, s.Append, DecodeJobSetup, s)
-
-	// Minimal setup: no symbols, no centers, empty fragment.
-	min := &JobSetup{}
-	roundTrip(t, min.Append, DecodeJobSetup, min)
 }
 
-func TestJobSetupV2RoundTrip(t *testing.T) {
-	decV2 := func(p []byte) (*JobSetup, error) { return DecodeJobSetupV(p, 2) }
-	// The hash-only shape the v2 coordinator actually sends.
-	s := &JobSetup{
-		JobID:     7,
-		Worker:    1,
-		D:         2,
-		EmbedCap:  8,
-		XLabel:    1,
-		EdgeLabel: 2,
-		YLabel:    3,
-		Symbols:   []string{"a", "b"},
-		EccCap:    3,
-		CenterEcc: []int32{1, 2},
-		FragHash:  HashFragment([]byte("GPFRfragmentbytes")),
+func TestJobSetupRoundTrip(t *testing.T) {
+	s := fullSetup()
+	roundTrip(t, s.Append, DecodeJobSetup, s)
+
+	// The shape the coordinator's connection sends: hash, no body.
+	hashOnly := fullSetup()
+	hashOnly.Fragment = nil
+	roundTrip(t, hashOnly.Append, DecodeJobSetup, hashOnly)
+
+	// Minimal setup: no symbols, no centers, only the mandatory hash.
+	min := &JobSetup{FragHash: HashFragment(nil)}
+	roundTrip(t, min.Append, DecodeJobSetup, min)
+
+	// A missing or wrong-sized hash is a typed error, not a short hash.
+	for _, hash := range [][]byte{nil, []byte("short"), bytes.Repeat([]byte{1}, HashSize+1)} {
+		bad := fullSetup()
+		bad.FragHash = hash
+		if _, err := DecodeJobSetup(bad.Append(nil)); err == nil {
+			t.Fatalf("%d-byte fragment hash accepted", len(hash))
+		} else if _, ok := err.(*FrameError); !ok {
+			t.Fatalf("%d-byte hash error type %T, want *FrameError", len(hash), err)
+		}
 	}
-	roundTrip(t, func(dst []byte) []byte { return s.AppendV(dst, 2) }, decV2, s)
+}
 
-	// Inline fragment plus hash (legal; the worker verifies agreement).
-	both := &JobSetup{Fragment: []byte("GPFRx"), FragHash: HashFragment([]byte("GPFRx"))}
-	roundTrip(t, func(dst []byte) []byte { return both.AppendV(dst, 2) }, decV2, both)
-
-	// v2 decode of a hashless setup (the v1 shape re-encoded under v2).
-	min := &JobSetup{}
-	roundTrip(t, func(dst []byte) []byte { return min.AppendV(dst, 2) }, decV2, min)
-
-	// A hash of the wrong size is a typed error, not a short hash.
-	bad := &JobSetup{FragHash: []byte("short")}
-	if _, err := DecodeJobSetupV(bad.AppendV(nil, 2), 2); err == nil {
-		t.Fatal("undersized fragment hash accepted")
-	} else if _, ok := err.(*FrameError); !ok {
-		t.Fatalf("undersized hash error type %T, want *FrameError", err)
-	}
-
-	// Version 1 decoding ignores the hash field by construction: the v1
-	// layout simply never carries one.
-	v1 := s
-	got, err := DecodeJobSetupV(v1.Append(nil), 1)
-	if err != nil {
+// TestJobSetupGoldenFrame pins the bytes of one fully-populated JobSetup
+// frame, so a layout change that forgets to bump Version fails here.
+func TestJobSetupGoldenFrame(t *testing.T) {
+	var frame bytes.Buffer
+	if err := WriteFrame(&frame, TypeJobSetup, fullSetup().Append(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if got.FragHash != nil {
-		t.Fatalf("v1 decode produced a fragment hash: %x", got.FragHash)
+	const golden = "0000005e01" + // length, TypeJobSetup
+		"91808080808080801003024001" + // jobID, worker, d, embedCap, disableArenas
+		"080000" + // xLabel, edgeLabel, yLabel (zigzag)
+		"0406706572736f6e00056c696b65730470616765" + // symbols
+		"030400010302" + // eccCap, centerEcc
+		"1147504652667261676d656e746279746573" + // fragment
+		"20ff1baf4772dd8e6c1ecce6e5f281c2ebd26af7a932116a84515820c941ae324c" // fragHash
+	if got := hex.EncodeToString(frame.Bytes()); got != golden {
+		t.Fatalf("JobSetup frame bytes changed (bump Version with the layout):\n got %s\nwant %s", got, golden)
 	}
 }
 
@@ -364,7 +350,6 @@ func TestDecodeFuzzish(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	decoders := []func([]byte) error{
 		func(b []byte) error { _, err := DecodeJobSetup(b); return err },
-		func(b []byte) error { _, err := DecodeJobSetupV(b, 2); return err },
 		func(b []byte) error { _, err := DecodeSetupAck(b); return err },
 		func(b []byte) error { _, err := DecodeRound(b); return err },
 		func(b []byte) error { _, err := DecodeMessages(b); return err },

@@ -1,20 +1,17 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Batcher coalesces concurrent executions that share a key into one: the
 // first caller (the leader) runs fn, every caller that arrives while it is
 // in flight blocks and receives the leader's result. This turns a stampede
-// of identical identify queries into a single match execution. An optional
-// window makes the leader wait before executing so near-simultaneous
-// duplicates can still join the batch.
+// of identical identify queries into a single match execution.
 type Batcher[V any] struct {
 	mu       sync.Mutex
-	window   time.Duration
 	inflight map[string]*batchCall[V]
 
 	executions atomic.Int64
@@ -33,40 +30,43 @@ type BatchStats struct {
 	Coalesced  int64 `json:"coalesced"`
 }
 
-// NewBatcher returns a Batcher with the given coalescing window (0 = pure
-// single-flight).
-func NewBatcher[V any](window time.Duration) *Batcher[V] {
-	return &Batcher[V]{
-		window:   window,
-		inflight: make(map[string]*batchCall[V]),
-	}
+// NewBatcher returns an empty Batcher.
+func NewBatcher[V any]() *Batcher[V] {
+	return &Batcher[V]{inflight: make(map[string]*batchCall[V])}
 }
 
 // Do executes fn under key, coalescing with any in-flight call for the same
 // key. shared reports whether this call joined another's execution rather
-// than running fn itself.
+// than running fn itself. If fn panics, the callers that joined it get an
+// error, the key is released for the next caller, and the panic continues
+// on the goroutine that ran fn.
 func (b *Batcher[V]) Do(key string, fn func() (V, error)) (v V, shared bool, err error) {
 	b.mu.Lock()
 	if c, ok := b.inflight[key]; ok {
 		b.mu.Unlock()
+		b.coalesced.Add(1) // on joining, so the count includes callers still waiting
 		<-c.done
-		b.coalesced.Add(1)
 		return c.val, true, c.err
 	}
 	c := &batchCall[V]{done: make(chan struct{})}
 	b.inflight[key] = c
 	b.mu.Unlock()
 
-	if b.window > 0 {
-		time.Sleep(b.window)
-	}
+	defer func() {
+		rec := recover()
+		if rec != nil {
+			c.err = fmt.Errorf("serve: coalesced evaluation panicked: %v", rec)
+		}
+		b.mu.Lock()
+		delete(b.inflight, key)
+		b.mu.Unlock()
+		close(c.done)
+		if rec != nil {
+			panic(rec)
+		}
+	}()
 	c.val, c.err = fn()
 	b.executions.Add(1)
-
-	b.mu.Lock()
-	delete(b.inflight, key)
-	b.mu.Unlock()
-	close(c.done)
 	return c.val, false, c.err
 }
 

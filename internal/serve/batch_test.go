@@ -8,8 +8,19 @@ import (
 	"time"
 )
 
+// waitCoalesced blocks until n callers have joined in-flight executions.
+func waitCoalesced[V any](t *testing.T, b *Batcher[V], n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); b.Stats().Coalesced < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d callers joined, want %d", b.Stats().Coalesced, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestBatcherCoalescesConcurrentCalls(t *testing.T) {
-	b := NewBatcher[int](0)
+	b := NewBatcher[int]()
 	var calls atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -40,8 +51,7 @@ func TestBatcherCoalescesConcurrentCalls(t *testing.T) {
 			})
 		}(i)
 	}
-	// Give followers time to enqueue, then let the leader finish.
-	time.Sleep(20 * time.Millisecond)
+	waitCoalesced(t, b, n-1) // every follower is parked behind the leader
 	close(release)
 	wg.Wait()
 
@@ -66,7 +76,7 @@ func TestBatcherCoalescesConcurrentCalls(t *testing.T) {
 }
 
 func TestBatcherDistinctKeysRunIndependently(t *testing.T) {
-	b := NewBatcher[string](0)
+	b := NewBatcher[string]()
 	a, sharedA, _ := b.Do("a", func() (string, error) { return "va", nil })
 	c, sharedC, _ := b.Do("c", func() (string, error) { return "vc", nil })
 	if a != "va" || c != "vc" || sharedA || sharedC {
@@ -78,7 +88,7 @@ func TestBatcherDistinctKeysRunIndependently(t *testing.T) {
 }
 
 func TestBatcherPropagatesErrors(t *testing.T) {
-	b := NewBatcher[int](0)
+	b := NewBatcher[int]()
 	boom := errors.New("boom")
 	_, _, err := b.Do("k", func() (int, error) { return 0, boom })
 	if err != boom {
@@ -91,26 +101,49 @@ func TestBatcherPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestBatcherWindowCollectsLateArrivals(t *testing.T) {
-	b := NewBatcher[int](30 * time.Millisecond)
-	var calls atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			time.Sleep(time.Duration(i) * time.Millisecond) // staggered arrivals
-			v, _, _ := b.Do("k", func() (int, error) {
-				calls.Add(1)
-				return 1, nil
-			})
-			if v != 1 {
-				t.Errorf("caller %d got %d", i, v)
-			}
-		}(i)
+// TestBatcherLeaderPanicReleasesKey: a leader whose fn panics must not
+// strand the key. The panic continues on the leader's goroutine, a caller
+// that had joined gets an error instead of blocking forever, and the next
+// Do on the key runs its fn.
+func TestBatcherLeaderPanicReleasesKey(t *testing.T) {
+	b := NewBatcher[int]()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		b.Do("k", func() (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := b.Do("k", func() (int, error) {
+			t.Error("waiter executed fn while the leader was in flight")
+			return 0, nil
+		})
+		waiter <- err
+	}()
+	waitCoalesced(t, b, 1) // the waiter is parked behind the leader
+	close(release)
+
+	if rec := <-leaderPanic; rec != "boom" {
+		t.Fatalf("leader recovered %v, want its own panic value", rec)
 	}
-	wg.Wait()
-	if got := calls.Load(); got != 1 {
-		t.Errorf("fn ran %d times, want 1 (window should absorb staggered arrivals)", got)
+	select {
+	case err := <-waiter:
+		if err == nil {
+			t.Fatal("waiter got no error from the leader's panic")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked after the leader panicked")
+	}
+	v, shared, err := b.Do("k", func() (int, error) { return 7, nil })
+	if v != 7 || shared || err != nil {
+		t.Fatalf("Do after the panic got (%d,%v,%v), want fn to run", v, shared, err)
 	}
 }

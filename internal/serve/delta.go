@@ -230,7 +230,6 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 	// Mine contexts and parked accumulators are keyed to the old
 	// generation's fragments; reclaim them eagerly, as a swap would.
 	s.mineCtx.Purge()
-	s.minePool.purge()
 	s.nSwap.Add(1)
 	s.nDeltaBatches.Add(1)
 	s.nDeltaOps.Add(int64(len(ops)))
@@ -311,7 +310,6 @@ func (s *Server) Compact() (uint64, bool, error) {
 	s.warmCarry(snap.Gen, next.Gen, -1) // logical graph unchanged: carry all
 	s.snap.Store(next)
 	s.mineCtx.Purge()
-	s.minePool.purge()
 	s.nSwap.Add(1)
 	s.nCompactions.Add(1)
 	return next.Gen, true, nil

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gpar/internal/mine/remote"
+	"gpar/internal/mine/wire"
 )
 
 // startFleet brings up n worker services on loopback listeners and returns
@@ -143,8 +144,8 @@ func TestMineJobFleetWorkerCountMismatch(t *testing.T) {
 	}
 }
 
-// startStalledWorker brings up a fake worker that handshakes as a v1 peer
-// and then swallows every frame without answering — the canonical mid-job
+// startStalledWorker brings up a fake worker that handshakes and then
+// swallows every frame without answering — the canonical mid-job
 // stall. Returns its address.
 func startStalledWorker(t *testing.T) string {
 	t.Helper()
@@ -161,10 +162,10 @@ func startStalledWorker(t *testing.T) string {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
+				if wire.Handshake(c, false) != nil {
+					return
+				}
 				buf := make([]byte, 64)
-				c.Read(buf)             // their handshake
-				c.Write([]byte("GPWK")) // magic...
-				c.Write([]byte{1})      // ...and version
 				for {
 					if _, err := c.Read(buf); err != nil {
 						return // swallow frames, never reply

@@ -598,7 +598,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.CPUBudget.PoolSize = s.pool.Size()
 	resp.Cache = s.cache.Stats()
 	resp.MineCache = s.mineCtx.Stats()
-	resp.MinePool = s.minePool.stats()
+	resp.MinePool = s.mineCtx.PoolStats()
 	resp.Fleet.Workers = len(s.cfg.MineWorkers)
 	resp.Fleet.RemoteJobs = s.nRemoteMine.Load()
 	resp.Fleet.RetriedJobs = s.nMineRetry.Load()

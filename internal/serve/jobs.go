@@ -315,7 +315,7 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	}
 	var res *mine.Result
 	var mineErr error
-	var ctx *mine.Context
+	var ctxEntry *mineCtxEntry
 	ctxHit := false
 	distributed := false
 	fleetFallback := ""
@@ -331,14 +331,15 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	}
 	key := MineCtxKey{Gen: snap.Gen, XLabel: pred.XLabel, D: opts.D, N: opts.N}
 	if !warmStarted {
-		ctx, ctxHit = s.mineCtx.GetOrBuild(key, func() *mine.Context {
+		ctxEntry, ctxHit = s.mineCtx.GetOrBuild(key, func() *mine.Context {
 			return mine.NewContext(snap.G, pred.XLabel, opts)
 		})
 		if s.gen.Load() != key.Gen {
 			// A swap raced the build. Its Purge may have run before this key
 			// was inserted, and no future job keys this generation, so the
 			// entry would only pin the retired snapshot's fragments. This run
-			// still mines on ctx — the snapshot it was admitted against.
+			// still mines on the entry's context — the snapshot it was admitted
+			// against.
 			s.mineCtx.Discard(key)
 		}
 	}
@@ -356,7 +357,7 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 			// retry loop early on shutdown instead of sleeping out backoffs.
 			var rep remote.JobReport
 			res, rep, mineErr = remote.MineFleet(
-				ctx, pred, opts, s.cfg.MineWorkers,
+				ctxEntry.ctx, pred, opts, s.cfg.MineWorkers,
 				remote.DialOptions{StepTimeout: s.cfg.MineStepTimeout},
 				s.retryPolicy(),
 				func() bool { return s.closed.Load() || jobCtx.Err() != nil },
@@ -392,15 +393,13 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	if res == nil && mineErr == nil {
 		// Mine in-process on a pooled accumulator: a recycled worker set
 		// brings its grown round arenas and memoized probes from previous
-		// jobs over this context. Parked again afterwards for the next job —
-		// unless a swap purged the pool mid-run or the LRU evicted this
-		// context, in which case parking would pin a context no future job
-		// can be handed. A canceled run parks too: the accumulator resets
+		// jobs over this context, and is parked on the same entry afterwards
+		// for the next job. A canceled run parks too: the accumulator resets
 		// every per-run structure on its next acquire, byte-identically to a
 		// fresh one (pinned by the mine package's parity tests).
-		sh, poolEpoch := s.minePool.acquire(ctx)
+		sh := s.mineCtx.acquire(ctxEntry)
 		res, mineErr = sh.DMine(pred, opts)
-		s.minePool.park(sh, poolEpoch, s.mineCtx.Contains(key))
+		s.mineCtx.park(ctxEntry, sh)
 	}
 	if mineErr != nil {
 		status, msg := JobFailed, mineErr.Error()

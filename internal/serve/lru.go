@@ -67,13 +67,6 @@ func (l *lru[K, V]) put(key K, val V) {
 	}
 }
 
-// contains reports whether key is resident, without touching recency or
-// the hit/miss counters (a liveness probe, not an access).
-func (l *lru[K, V]) contains(key K) bool {
-	_, ok := l.byKey[key]
-	return ok
-}
-
 // remove drops key's entry if present, counting an eviction, and reports
 // whether an entry was dropped.
 func (l *lru[K, V]) remove(key K) bool {

@@ -18,25 +18,44 @@ type MineCtxKey struct {
 	D, N   int
 }
 
-// mineCtxEntry is one cached (or in-flight) context build. The sync.Once
-// makes GetOrBuild single-flight per key: a job arriving while another job
-// is still partitioning the same key blocks on the Once and shares the
-// result instead of duplicating the work.
+// mineCtxEntry is one cached (or in-flight) context build, plus the idle
+// accumulators of jobs that mined on it. The sync.Once makes GetOrBuild
+// single-flight per key: a job arriving while another job is still
+// partitioning the same key blocks on the Once and shares the result
+// instead of duplicating the work.
+//
+// parked holds mine.Shared accumulators — worker sets with their round
+// arenas, memoized extendability probes and interning tables — between
+// jobs. A Shared is exclusive to one running job and embeds its context's
+// fragment bindings, so it lives and dies with the entry: eviction, Shrink,
+// Purge and Discard drop the context and its accumulators together, and a
+// job that outlives its entry parks onto garbage.
 type mineCtxEntry struct {
-	once sync.Once
-	ctx  *mine.Context
+	once   sync.Once
+	ctx    *mine.Context
+	parked []*mine.Shared // guarded by the cache's mu
 }
+
+// maxParked bounds the idle accumulators per context; beyond it, finished
+// jobs simply drop theirs. Worker scratch scales with the fragment set, so a
+// small bound keeps the steady state without letting a burst of concurrent
+// jobs pin memory.
+const maxParked = 2
 
 // MineContextCache is the bounded LRU of mine.Contexts, the serving-side
 // realization of "mine once, match many" for the mining preamble itself:
 // repeated POST /v1/mine jobs over the same snapshot skip the partition
-// and fragment Freeze() entirely. Contexts hold full
-// fragment copies of the candidates' d-neighborhoods, so the default
-// capacity is small. A snapshot swap purges the cache (and the generation
-// in the key makes any racing stale entry unreachable anyway).
+// and fragment Freeze() entirely, and mine on accumulators already grown by
+// the jobs before them. Contexts hold full fragment copies of the
+// candidates' d-neighborhoods, so the default capacity is small. A snapshot
+// swap purges the cache (and the generation in the key makes any racing
+// stale entry unreachable anyway).
 type MineContextCache struct {
 	mu  sync.Mutex
 	lru *lru[MineCtxKey, *mineCtxEntry]
+
+	gets   int64 // accumulators handed out
+	reuses int64 // of those, parked ones
 }
 
 // NewMineContextCache returns a cache bounded to capacity contexts
@@ -45,37 +64,51 @@ func NewMineContextCache(capacity int) *MineContextCache {
 	return &MineContextCache{lru: newLRU[MineCtxKey, *mineCtxEntry](capacity)}
 }
 
-// GetOrBuild returns the context for key, building it with build on a
-// miss. hit reports whether an existing entry was reused — including the
+// GetOrBuild returns the entry for key, building its context with build on
+// a miss. hit reports whether an existing entry was reused — including the
 // case where this call joined an in-flight build started by a concurrent
 // job, which also skips the partition work. Eviction drops the cache's
-// reference only; jobs already holding an evicted context finish on it
+// reference only; jobs already holding an evicted entry finish on it
 // (contexts are immutable).
-func (c *MineContextCache) GetOrBuild(key MineCtxKey, build func() *mine.Context) (ctx *mine.Context, hit bool) {
+func (c *MineContextCache) GetOrBuild(key MineCtxKey, build func() *mine.Context) (e *mineCtxEntry, hit bool) {
 	c.mu.Lock()
-	if e, ok := c.lru.get(key); ok {
-		c.mu.Unlock()
-		// If the original builder is still running, this blocks until the
-		// context is ready; build only runs here in the pathological case
-		// where the inserting goroutine has not reached its own Do yet.
-		e.once.Do(func() { e.ctx = build() })
-		return e.ctx, true
+	e, hit = c.lru.get(key)
+	if !hit {
+		e = &mineCtxEntry{}
+		c.lru.put(key, e)
 	}
-	e := &mineCtxEntry{}
-	c.lru.put(key, e)
 	c.mu.Unlock()
+	// On a hit whose builder is still running this blocks until the context
+	// is ready; build only runs here for a hit in the pathological case
+	// where the inserting goroutine has not reached its own Do yet.
 	e.once.Do(func() { e.ctx = build() })
-	return e.ctx, false
+	return e, hit
 }
 
-// Contains reports whether key's context is still resident, without
-// touching recency or the hit/miss counters. The accumulator pool uses it
-// as a liveness probe: worker sets are only parked for contexts the cache
-// can still hand out.
-func (c *MineContextCache) Contains(key MineCtxKey) bool {
+// acquire returns an accumulator over e's context for one job: a parked one
+// when available, which skips rebuilding worker scratch and mines on arenas
+// previous jobs grew.
+func (c *MineContextCache) acquire(e *mineCtxEntry) *mine.Shared {
+	c.mu.Lock()
+	c.gets++
+	if n := len(e.parked); n > 0 {
+		sh := e.parked[n-1]
+		e.parked = e.parked[:n-1]
+		c.reuses++
+		c.mu.Unlock()
+		return sh
+	}
+	c.mu.Unlock()
+	return mine.NewShared(e.ctx)
+}
+
+// park hands a job's accumulator back to the entry it was acquired from.
+func (c *MineContextCache) park(e *mineCtxEntry, sh *mine.Shared) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.contains(key)
+	if len(e.parked) < maxParked {
+		e.parked = append(e.parked, sh)
+	}
 }
 
 // Discard drops key's entry if present (counted as an eviction). Mine jobs
@@ -98,9 +131,9 @@ func (c *MineContextCache) Purge() int {
 
 // Shrink evicts the least-recently-used half of the cache and returns how
 // many contexts were dropped. Called under the hard memory watermark;
-// contexts are the server's largest cached objects, so halving here is the
-// biggest single lever the degradation ladder has. Jobs already holding an
-// evicted context finish on it (contexts are immutable).
+// contexts and their parked accumulators are the server's largest cached
+// objects, so halving here is the biggest single lever the degradation
+// ladder has. Jobs already holding an evicted entry finish on it.
 func (c *MineContextCache) Shrink() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -112,4 +145,25 @@ func (c *MineContextCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.stats()
+}
+
+// MinePoolStats is the /stats view of the parked accumulators: how many
+// worker sets (with their arenas) resident contexts hold, how many
+// acquisitions jobs made, and how many of those reused a parked set instead
+// of building fresh scratch.
+type MinePoolStats struct {
+	Parked int   `json:"parked"`
+	Gets   int64 `json:"gets"`
+	Reuses int64 `json:"reuses"`
+}
+
+// PoolStats returns the accumulator counters for /stats.
+func (c *MineContextCache) PoolStats() MinePoolStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := MinePoolStats{Gets: c.gets, Reuses: c.reuses}
+	for el := c.lru.ll.Front(); el != nil; el = el.Next() {
+		st.Parked += len(el.Value.(*lruEntry[MineCtxKey, *mineCtxEntry]).val.parked)
+	}
+	return st
 }

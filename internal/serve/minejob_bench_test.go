@@ -36,13 +36,13 @@ func BenchmarkMineJobCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cache := NewMineContextCache(4)
-		ctx, hit := cache.GetOrBuild(key, func() *mine.Context {
+		e, hit := cache.GetOrBuild(key, func() *mine.Context {
 			return mine.NewContext(g, pred.XLabel, opts)
 		})
 		if hit {
 			b.Fatal("cold job hit the cache")
 		}
-		if res, err := mine.DMineCtx(ctx, pred, opts); err != nil || len(res.TopK) == 0 {
+		if res, err := mine.DMineCtx(e.ctx, pred, opts); err != nil || len(res.TopK) == 0 {
 			b.Fatalf("no rules mined (err=%v)", err)
 		}
 	}
@@ -61,14 +61,14 @@ func BenchmarkMineJobWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx, hit := cache.GetOrBuild(key, func() *mine.Context {
+		e, hit := cache.GetOrBuild(key, func() *mine.Context {
 			b.Fatal("warm job rebuilt the context")
 			return nil
 		})
 		if !hit {
 			b.Fatal("warm job missed the cache")
 		}
-		if res, err := mine.DMineCtx(ctx, pred, opts); err != nil || len(res.TopK) == 0 {
+		if res, err := mine.DMineCtx(e.ctx, pred, opts); err != nil || len(res.TopK) == 0 {
 			b.Fatalf("no rules mined (err=%v)", err)
 		}
 	}

@@ -32,11 +32,12 @@ func resultFingerprint(t *testing.T, res *mine.Result, err error) string {
 	return b.String()
 }
 
-// TestMinePoolRoundReuse is the round-reuse stress of the accumulator pool:
-// two sequential mine jobs over one recycled worker set — the second run
-// inherits the first's grown arenas, memoized probes and intern tables —
-// must both match a fresh run. CI runs this package under -race, which
-// additionally asserts the park/acquire handoff is clean.
+// TestMinePoolRoundReuse is the round-reuse stress of the accumulators
+// parked on a cached context: two sequential mine jobs over one recycled
+// worker set — the second run inherits the first's grown arenas, memoized
+// probes and intern tables — must both match a fresh run. CI runs this
+// package under -race, which additionally asserts the park/acquire handoff
+// is clean.
 func TestMinePoolRoundReuse(t *testing.T) {
 	syms := graph.NewSymbols()
 	g := gen.Pokec(syms, gen.DefaultPokec(300, 7))
@@ -48,14 +49,20 @@ func TestMinePoolRoundReuse(t *testing.T) {
 	res, err := mine.DMineCtx(ctx, pred, opts)
 	want := resultFingerprint(t, res, err)
 
-	pool := newMinePool(2)
-	sh, ep1 := pool.acquire(ctx)
+	cache := NewMineContextCache(4)
+	key := MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: opts.D, N: opts.N}
+	entry := func(key MineCtxKey) *mineCtxEntry {
+		e, _ := cache.GetOrBuild(key, func() *mine.Context { return ctx })
+		return e
+	}
+	e := entry(key)
+	sh := cache.acquire(e)
 	res, err = sh.DMine(pred, opts)
 	if got := resultFingerprint(t, res, err); got != want {
 		t.Fatalf("first pooled job differs from fresh run:\n%s\nvs\n%s", got, want)
 	}
-	pool.park(sh, ep1, true)
-	sh2, ep2 := pool.acquire(ctx)
+	cache.park(e, sh)
+	sh2 := cache.acquire(entry(key))
 	if sh2 != sh {
 		t.Fatal("second job did not reuse the parked worker set")
 	}
@@ -63,25 +70,33 @@ func TestMinePoolRoundReuse(t *testing.T) {
 	if got := resultFingerprint(t, res, err); got != want {
 		t.Fatalf("recycled-worker-set job differs from fresh run:\n%s\nvs\n%s", got, want)
 	}
-	pool.park(sh2, ep2, true)
-	if st := pool.stats(); st.Gets != 2 || st.Reuses != 1 || st.Parked != 1 {
+	cache.park(e, sh2)
+	if st := cache.PoolStats(); st.Gets != 2 || st.Reuses != 1 || st.Parked != 1 {
 		t.Fatalf("pool stats: %+v", st)
 	}
-	// A purge (snapshot swap) must drop the parked set — and a job that was
-	// in flight across the purge must not re-insert its set (stale epoch),
-	// nor may a job whose context the LRU evicted (live=false).
-	sh3, ep3 := pool.acquire(ctx)
-	pool.purge()
-	if st := pool.stats(); st.Parked != 0 {
-		t.Fatalf("parked sets survive purge: %+v", st)
-	}
-	pool.park(sh3, ep3, true)
-	if st := pool.stats(); st.Parked != 0 {
-		t.Fatalf("stale-epoch park was accepted: %+v", st)
-	}
-	sh4, ep4 := pool.acquire(ctx)
-	pool.park(sh4, ep4, false)
-	if st := pool.stats(); st.Parked != 0 {
-		t.Fatalf("park of an evicted context was accepted: %+v", st)
+
+	// Whatever drops the context drops its parked sets with it — a purge
+	// (snapshot swap), a Shrink under the hard memory watermark, a Discard —
+	// and a job that was in flight across the drop parks onto the dead
+	// entry, not back into the cache.
+	for name, drop := range map[string]func(){
+		"Purge":   func() { cache.Purge() },
+		"Shrink":  func() { cache.Shrink() },
+		"Discard": func() { cache.Discard(key) },
+	} {
+		e := entry(key)
+		inFlight := cache.acquire(e)
+		cache.park(e, cache.acquire(e))
+		if st := cache.PoolStats(); st.Parked == 0 {
+			t.Fatalf("%s: nothing parked before the drop", name)
+		}
+		drop()
+		if st := cache.PoolStats(); st.Parked != 0 {
+			t.Fatalf("parked sets survive %s: %+v", name, st)
+		}
+		cache.park(e, inFlight)
+		if st := cache.PoolStats(); st.Parked != 0 {
+			t.Fatalf("park after %s re-inserted a set: %+v", name, st)
+		}
 	}
 }

@@ -20,11 +20,12 @@
 //     partitioned, frozen fragment preamble of a DMine run — keyed by
 //     (generation, xLabel, d, n) with single-flight builds, so repeated
 //     mine jobs over one snapshot skip the partition and fragment
-//     Freeze() entirely. Swaps purge it; the generation in the key makes
-//     stale entries unreachable regardless.
-//   - minePool: parked mine.Shared accumulators (worker sets with their
-//     round arenas), recycled across the jobs of one context so a steady
-//     stream of mine jobs reuses grown scratch instead of rebuilding it.
+//     Freeze() entirely. Each entry also parks the mine.Shared
+//     accumulators (worker sets with their round arenas) of finished jobs,
+//     so a steady stream of mine jobs reuses grown scratch instead of
+//     rebuilding it, and an evicted context takes its accumulators with
+//     it. Swaps purge it; the generation in the key makes stale entries
+//     unreachable regardless.
 //   - Batcher: single-flight coalescing of concurrent identify calls for
 //     the same rule into one match execution.
 //   - Pool: a bounded worker pool shared by all requests; per-rule
@@ -82,10 +83,6 @@ type Config struct {
 	// frozen fragment sets reused across mine jobs). Contexts are heavy —
 	// each holds the candidates' d-neighborhoods — so the default is 4.
 	MineCacheCap int
-	// BatchWindow is how long the first (leader) identify call for a rule
-	// waits before executing, letting concurrent duplicates coalesce onto
-	// it. Default 0: pure single-flight, no added latency.
-	BatchWindow time.Duration
 	// DefaultEta is the confidence bound η applied when a request omits it.
 	// Default 1.0.
 	DefaultEta float64
@@ -220,7 +217,6 @@ type Server struct {
 	cache    *Cache
 	mineCtx  *MineContextCache
 	mineGate *mine.Gate // shared CPU budget: all mine jobs together
-	minePool *minePool  // parked mine.Shared worker sets (round arenas)
 	batch    *Batcher[*RuleEval]
 	jobs     *Jobs
 	breaker  *breaker // fleet circuit breaker; nil when disabled or no fleet
@@ -294,8 +290,7 @@ func New(cfg Config) *Server {
 		cache:    NewCache(cfg.CacheCap),
 		mineCtx:  NewMineContextCache(cfg.MineCacheCap),
 		mineGate: mine.NewGate(cfg.mineProcs()),
-		minePool: newMinePool(2),
-		batch:    NewBatcher[*RuleEval](cfg.BatchWindow),
+		batch:    NewBatcher[*RuleEval](),
 		jobs:     NewJobs(),
 		start:    time.Now(),
 	}
@@ -363,11 +358,9 @@ func (s *Server) loadLocked(g *graph.Graph, pred core.Predicate, rules []*core.R
 	}
 	s.cache.Purge()
 	// Mine contexts are keyed by generation, so old entries could never be
-	// served again; purging reclaims their fragment memory eagerly — and
-	// the accumulator pool with them, since parked worker sets bind to
-	// those contexts' fragments.
+	// served again; purging reclaims their fragment memory, and the
+	// accumulators parked on them, eagerly.
 	s.mineCtx.Purge()
-	s.minePool.purge()
 	s.nSwap.Add(1)
 	return snap.Gen, nil
 }

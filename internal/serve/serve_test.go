@@ -230,11 +230,15 @@ func TestCacheHitAndSwapInvalidation(t *testing.T) {
 }
 
 func TestIdentifyCoalescesConcurrentDuplicates(t *testing.T) {
-	// PoolSize is pinned: on a small machine the default pool (and with it
-	// the admission cap) can be 1, which serializes the clients before the
-	// batcher ever sees a concurrent duplicate.
-	_, ts, _ := newTestServer(t, Config{Workers: 2, PoolSize: 8, BatchWindow: 40 * time.Millisecond})
+	// Admission is off (MaxQueue < 0) so every client reaches the batcher
+	// while the leader is held up.
+	s, ts, _ := newTestServer(t, Config{Workers: 2, PoolSize: 2, MaxQueue: -1})
 
+	// Hold every pool slot: the first request to miss the cache becomes the
+	// leader and blocks inside its evaluation until the slots come back.
+	for i := 0; i < s.pool.Size(); i++ {
+		s.pool.sem <- struct{}{}
+	}
 	const clients = 32
 	var wg sync.WaitGroup
 	responses := make([]IdentifyResponse, clients)
@@ -245,6 +249,10 @@ func TestIdentifyCoalescesConcurrentDuplicates(t *testing.T) {
 			defer wg.Done()
 			codes[i] = doJSON(t, "POST", ts.URL+"/v1/identify", []byte(`{"indices":[0]}`), &responses[i])
 		}(i)
+	}
+	waitCoalesced(t, s.batch, clients-1) // everyone else is parked behind the leader
+	for i := 0; i < s.pool.Size(); i++ {
+		<-s.pool.sem
 	}
 	wg.Wait()
 
@@ -258,20 +266,8 @@ func TestIdentifyCoalescesConcurrentDuplicates(t *testing.T) {
 	}
 	var st StatsResponse
 	doJSON(t, "GET", ts.URL+"/stats", nil, &st)
-	// One rule requested 32 times concurrently within the batch window:
-	// every request is accounted for, almost all coalesce onto the leader
-	// (a straggler that misses the window cache-hits instead; a leader
-	// whose inner re-check hits counts in both executions and hits, so
-	// the sum can exceed the client count but never undershoot it).
-	if st.Batch.Executions+st.Batch.Coalesced+st.Cache.Hits < clients {
-		t.Errorf("executions %d + coalesced %d + hits %d < %d clients",
-			st.Batch.Executions, st.Batch.Coalesced, st.Cache.Hits, clients)
-	}
-	if st.Batch.Coalesced == 0 {
-		t.Errorf("no coalescing under %d concurrent identical requests: %+v", clients, st.Batch)
-	}
-	if st.Batch.Executions >= clients/2 {
-		t.Errorf("executions %d, want far fewer than %d clients", st.Batch.Executions, clients)
+	if st.Batch.Executions != 1 || st.Batch.Coalesced != clients-1 {
+		t.Errorf("batch stats %+v, want 1 execution and %d coalesced", st.Batch, clients-1)
 	}
 }
 
