@@ -1,17 +1,21 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build vet test race bench bench-match bench-mine bench-short \
-	bench-mine-short bench-e2e-check docs-check fuzz-smoke \
+.PHONY: all build vet fmt-check test race bench bench-match bench-mine \
+	bench-short bench-mine-short bench-e2e-check docs-check fuzz-smoke \
 	loadtest overload crashtest serve clean
 
-all: vet build test
+all: vet fmt-check build test
 
 build:
 	$(GO) build -o $(BIN)/ ./cmd/...
 
 vet:
 	$(GO) vet ./...
+
+# Fail if gofmt would change any file (both modules; it prints the names).
+fmt-check:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 test:
 	$(GO) build ./... && $(GO) test -shuffle=on ./...

@@ -13,18 +13,20 @@
 // programs under examples/. The substrate is a flat CSR graph core
 // (internal/graph: Freeze compiles per-direction edge arenas with label
 // range and candidate indexes) driving an allocation-free pooled matcher
-// (internal/match) and an interned mining loop (internal/mine) whose BSP
-// rounds run on recycled per-worker arenas — effectively allocation-free
-// in steady state — with results byte-identical across worker counts,
-// even when the embedding cap truncates dense neighborhoods.
+// (internal/match) and an interned mining loop (internal/mine) whose
+// workers share that one graph, each owning a chunk of the candidate
+// centers, and whose BSP rounds run on recycled per-worker arenas —
+// effectively allocation-free in steady state — with results
+// byte-identical across worker counts, even when the embedding cap
+// truncates dense neighborhoods. The paper's d-neighbourhood fragments
+// (internal/partition) are what a worker in another process is shipped.
 //
 // Beyond the paper's batch algorithms, the internal/serve subsystem and the
 // gpard daemon (cmd/gpard) turn the reproduction into a mine-once/match-many
 // serving system: a resident graph + rule-set snapshot with atomic hot-swap,
-// a per-rule match-set cache, a mine-context cache (partitioned, frozen
-// fragment preambles reused across mine jobs and shared across the
-// predicates of one DMineMulti call), a pool of recycled mining worker
-// sets, single-flight request batching, and a configurable CPU split so
+// a per-rule match-set cache, a mine-context cache (recycled mining worker
+// sets and, for fleet jobs, encoded wire fragments, reused across mine
+// jobs), single-flight request batching, and a configurable CPU split so
 // mine jobs and identify traffic share GOMAXPROCS instead of
 // oversubscribing it, all behind a JSON HTTP API — endpoint reference
 // in API.md. The root package exists to carry module-level documentation

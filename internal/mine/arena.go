@@ -143,8 +143,8 @@ func (ar *roundArenas) setMode(noRecycle bool) {
 }
 
 // Gate bounds how many mining worker goroutines execute simultaneously
-// across any number of runs sharing it. Fragment count N fixes the mining
-// *results* (and is part of the context identity); the gate fixes only how
+// across any number of runs sharing it. Worker count N fixes the mining
+// *layout* (and is part of the context identity); the gate fixes only how
 // much CPU those N workers may occupy at once, so a server can cap all
 // mine jobs collectively to a share of GOMAXPROCS while identify traffic
 // keeps the rest. A nil *Gate means unbounded (one goroutine per worker).

@@ -49,7 +49,7 @@ type asmScratch struct {
 }
 
 // assemble is the coordinator's barrier-synchronization phase (lines 4-7 of
-// Fig. 4): merge the fragment messages, group automorphic GPARs (with the
+// Fig. 4): merge the workers' messages, group automorphic GPARs (with the
 // Lemma 4 bisimulation prefilter when enabled), compute graph-wide supports
 // and confidence, filter by σ and triviality, and register survivors in Σ.
 //
@@ -179,7 +179,7 @@ func (m *miner) mergeShards(frontier []*Mined, msgs []message) []*group {
 		m.parents[p.id] = p
 	}
 
-	nsh := m.eng.numWorkers()
+	nsh := m.ctx.n
 	if nsh > len(msgs) {
 		nsh = len(msgs)
 	}

@@ -2,7 +2,6 @@ package mine
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"gpar/internal/core"
@@ -11,87 +10,83 @@ import (
 	"gpar/internal/partition"
 )
 
-// This file implements the reusable mining preamble. Every DMine run over
-// the same graph with the same x-label and fragmentation parameters repeats
-// the same expensive prefix — collect the candidate centers, partition the
-// graph into d-neighborhood-preserving fragments, Freeze() each fragment
-// into CSR form — before any predicate-specific work happens. Context
-// captures that prefix once; DMineCtx runs on top of it, and Shared extends
-// the reuse across the predicates of one DMineMulti job (the factorised-
-// engine move of sharing common substructure across queries).
+// This file is what one DMine run shares with the next over the same graph:
+// Context, the immutable layout every run with the same (x-label, d, n)
+// mines on, and Shared, the mutable worker scratch one job carries from
+// predicate to predicate.
 
-// Context is the immutable, predicate-independent preamble of a DMine run:
-// the candidate centers of one x-label and the partitioned, frozen
-// fragments covering their d-neighborhoods. A Context is read-only after
-// NewContext returns and is safe to share between any number of concurrent
-// DMineCtx runs — the serving subsystem caches Contexts per snapshot
-// generation and hands one to every mine job with matching (xLabel, d, n).
+// Context is the predicate-independent layout of a DMine run: the graph,
+// the candidate centers of one x-label, and the worker count that cuts them
+// into chunks. In-process workers all mine the one graph, each owning a
+// contiguous chunk of the ID-sorted candidate list, so building a Context
+// costs O(1). The d-neighbourhood fragments of Section 4.2 exist only for
+// remote workers, which have no graph: they are partitioned, encoded and
+// hashed on a fleet job's first use.
+//
+// A Context is safe to share between any number of concurrent runs — the
+// serving subsystem caches Contexts per snapshot generation and hands one to
+// every mine job with matching (xLabel, d, n).
 type Context struct {
 	g      *graph.Graph
 	xLabel graph.Label
-	d, n   int
-	cands  []graph.NodeID
-	frags  []*partition.Fragment
+	d, n   int // wire-fragment radius, worker count
+	// cands is g's own label index entry: ID-sorted, and never written.
+	cands []graph.NodeID
 
-	// wireOnce guards the lazily-built wire encodings below: distributed
-	// jobs (and their retries) over one context encode and hash each
-	// fragment exactly once.
-	wireOnce   sync.Once
-	wireFrags  [][]byte
-	wireHashes [][]byte
+	wireOnce  sync.Once
+	wireFrags []wireFragment
 }
 
-// WireFragment returns fragment i's canonical binary encoding and its
-// content hash (wire.HashFragment over those bytes). Both are computed once
-// per context and cached, so repeat and retried distributed jobs skip the
-// re-encode, and the hash keys the workers' fragment caches stably.
-func (c *Context) WireFragment(i int) (data, hash []byte) {
+// wireFragment is one d-neighbourhood fragment as a remote worker receives
+// it. The fragment graph itself is dropped once encoded.
+type wireFragment struct {
+	data, hash []byte
+	centers    []graph.NodeID // owned centers as global IDs, in the fragment's Centers order
+}
+
+// WireFragment returns fragment i's canonical binary encoding, its content
+// hash (wire.HashFragment over those bytes) and its owned centers. The
+// partition runs once per context, on the first call, so repeat and retried
+// distributed jobs skip it and the re-encode, and the hash keys the workers'
+// fragment caches stably.
+func (c *Context) WireFragment(i int) (data, hash []byte, centers []graph.NodeID) {
 	c.wireOnce.Do(func() {
-		c.wireFrags = make([][]byte, len(c.frags))
-		c.wireHashes = make([][]byte, len(c.frags))
-		for j, f := range c.frags {
-			b := f.AppendBinary(nil)
-			c.wireFrags[j] = b
-			c.wireHashes[j] = wire.HashFragment(b)
+		frags := partition.Partition(c.g, c.cands, c.n, c.d)
+		c.wireFrags = make([]wireFragment, len(frags))
+		for j, f := range frags {
+			wf := &c.wireFrags[j]
+			wf.data = f.AppendBinary(nil)
+			wf.hash = wire.HashFragment(wf.data)
+			wf.centers = make([]graph.NodeID, len(f.Centers))
+			for k, lc := range f.Centers {
+				wf.centers[k] = f.Global(lc)
+			}
 		}
 	})
-	return c.wireFrags[i], c.wireHashes[i]
+	wf := &c.wireFrags[i]
+	return wf.data, wf.hash, wf.centers
 }
 
-// NewContext builds the mining preamble for x-label candidates on g with
-// opts' fragmentation parameters (only N and D are read; both are defaulted
-// first, so pass the same Options the subsequent DMineCtx calls will use).
-// The graph is frozen — all later access is read-only — and so is every
-// fragment.
+// NewContext fixes the mining layout for x-label candidates on g with opts'
+// N and D (both are defaulted first, so pass the same Options the
+// subsequent DMineCtx calls will use). The graph is frozen — all later
+// access is read-only — unless it already is, as a delta overlay is.
 func NewContext(g *graph.Graph, xLabel graph.Label, opts Options) *Context {
 	opts = opts.Defaults()
 	g.Freeze()
-	cands := g.NodesWithLabel(xLabel)
-	frags := partition.Partition(g, cands, opts.N, opts.D)
-	for _, f := range frags {
-		f.G.Freeze()
-	}
-	return &Context{g: g, xLabel: xLabel, d: opts.D, n: opts.N, cands: cands, frags: frags}
+	return &Context{g: g, xLabel: xLabel, d: opts.D, n: opts.N, cands: g.NodesWithLabel(xLabel)}
 }
 
-// Graph returns the (frozen) data graph the context was built over.
-func (c *Context) Graph() *graph.Graph { return c.g }
+// fragment returns in-process worker i's view of the data: the whole graph,
+// owning the i-th of n equal-count chunks of the candidate list.
+func (c *Context) fragment(i int) *partition.Fragment {
+	lo, hi := i*len(c.cands)/c.n, (i+1)*len(c.cands)/c.n
+	return partition.Whole(c.g, c.cands[lo:hi])
+}
 
-// XLabel returns the candidate x-label the context was built for.
-func (c *Context) XLabel() graph.Label { return c.xLabel }
-
-// D returns the partition radius the fragments preserve.
-func (c *Context) D() int { return c.d }
-
-// N returns the fragment (worker) count.
-func (c *Context) N() int { return c.n }
-
-// NumCandidates reports how many candidate centers the context covers.
-func (c *Context) NumCandidates() int { return len(c.cands) }
-
-// check verifies that the context's preamble matches the run parameters;
-// a mismatched context would silently mine with the wrong radius or
-// fragment layout, so this is a hard programming error.
+// check verifies that the context matches the run parameters; a mismatched
+// context would silently mine with the wrong worker count or ship fragments
+// of the wrong radius, so this is a hard programming error.
 func (c *Context) check(pred core.Predicate, opts Options) error {
 	if pred.XLabel != c.xLabel {
 		return fmt.Errorf("mine: context built for x-label %d, predicate has %d", c.xLabel, pred.XLabel)
@@ -104,10 +99,9 @@ func (c *Context) check(pred core.Predicate, opts Options) error {
 }
 
 // DMineCtx is DMine running on a prebuilt Context: identical results (the
-// differential tests pin byte-identity), but the partition + freeze
-// preamble is skipped. It errors if the context was built for a different
-// x-label or different (d, n) than pred/opts ask for, or — as a typed
-// *CanceledError — when a set Options.Ctx cancels the run.
+// differential tests pin byte-identity). It errors if the context was built
+// for a different x-label or different (d, n) than pred/opts ask for, or —
+// as a typed *CanceledError — when a set Options.Ctx cancels the run.
 func DMineCtx(ctx *Context, pred core.Predicate, opts Options) (*Result, error) {
 	opts = opts.Defaults()
 	if err := ctx.check(pred, opts); err != nil {
@@ -118,14 +112,14 @@ func DMineCtx(ctx *Context, pred core.Predicate, opts Options) (*Result, error) 
 }
 
 // Shared is the cross-predicate accumulator of DMineMulti: everything that
-// is a pure function of the graph and the fragment layout — the worker
+// is a pure function of the graph and the worker layout — the worker
 // goroutine states with their memoized extendability probes (distCache),
 // owned-center sets, epoch-stamped discovery scratch, extension intern
-// tables and round arenas, the pre-sorted seed frontiers, and the
-// bisimulation-bucket interner — survives from one predicate's run to the
-// next instead of being rebuilt per predicate. The serving layer also pools
-// Shared values across mine jobs, so a steady stream of jobs over one
-// snapshot reuses the same grown arenas round after round.
+// tables and round arenas, and the bisimulation-bucket interner — survives
+// from one predicate's run to the next instead of being rebuilt per
+// predicate. The serving layer also pools Shared values across mine jobs,
+// so a steady stream of jobs over one snapshot reuses the same grown arenas
+// round after round.
 //
 // Sharing is determinism-safe: every retained structure is either a memo
 // of a pure function (distCache) or an interning table whose concrete IDs
@@ -140,7 +134,6 @@ func DMineCtx(ctx *Context, pred core.Predicate, opts Options) (*Result, error) 
 type Shared struct {
 	ctx     *Context
 	workers []*worker
-	seeds   [][]graph.NodeID // per-worker owned centers, sorted once: every run's seed frontier
 	buckets bucketInterner
 }
 
@@ -148,9 +141,6 @@ type Shared struct {
 func NewShared(ctx *Context) *Shared {
 	return &Shared{ctx: ctx}
 }
-
-// Context returns the context the accumulator mines over.
-func (sh *Shared) Context() *Context { return sh.ctx }
 
 // DMine mines pred reusing the accumulator's context and every run-to-run
 // survivable structure. Results are byte-identical to DMine(g, pred, opts).
@@ -166,22 +156,17 @@ func (sh *Shared) DMine(pred core.Predicate, opts Options) (*Result, error) {
 	return m.runE()
 }
 
-// attachWorkers returns the per-fragment workers, creating them on first
+// attachWorkers returns the accumulator's workers, creating them on first
 // use and resetting per-run state on every call.
 func (sh *Shared) attachWorkers() []*worker {
 	if sh.workers == nil {
-		sh.workers = make([]*worker, len(sh.ctx.frags))
-		sh.seeds = make([][]graph.NodeID, len(sh.ctx.frags))
-		for i, f := range sh.ctx.frags {
+		sh.workers = make([]*worker, sh.ctx.n)
+		for i := range sh.workers {
 			sh.workers[i] = &worker{
 				id:         i,
-				frag:       f,
-				g:          sh.ctx.g,
+				frag:       sh.ctx.fragment(i),
 				centersFor: make(map[ruleID][]graph.NodeID),
 			}
-			seed := append([]graph.NodeID(nil), f.Centers...)
-			slices.Sort(seed)
-			sh.seeds[i] = seed
 		}
 	}
 	for _, w := range sh.workers {
@@ -190,16 +175,10 @@ func (sh *Shared) attachWorkers() []*worker {
 	return sh.workers
 }
 
-// seed returns worker i's seed frontier: all owned centers, pre-sorted.
-// localMine sorts frontiers in place before use, so handing the shared
-// slice out (instead of a fresh copy per predicate) is safe — it is only
-// ever re-sorted, never appended to or shrunk.
-func (sh *Shared) seed(i int) []graph.NodeID { return sh.seeds[i] }
-
 // resetRun clears a worker's per-predicate state. Graph-dependent
 // memoization — distCache, centerSet, the discovery scratch and the
-// extension intern table — survives: it depends only on the fragment
-// layout, which the shared Context fixes.
+// extension intern table — survives: it depends only on the graph and the
+// worker's chunk, which the shared Context fixes.
 func (w *worker) resetRun() {
 	w.npq, w.npqbar = 0, 0
 	w.ops = 0

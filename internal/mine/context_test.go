@@ -1,12 +1,15 @@
 package mine
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
 	"gpar/internal/core"
 	"gpar/internal/gen"
 	"gpar/internal/graph"
+	"gpar/internal/mine/wire"
 )
 
 // contextFixture is the shared differential workload: a seeded Pokec-like
@@ -147,25 +150,59 @@ func TestDMineCtxRejectsMismatchedContext(t *testing.T) {
 	}
 }
 
-// TestContextAccessors covers the read-only surface the serving layer and
-// its stats rely on.
-func TestContextAccessors(t *testing.T) {
+// TestNewContextIsConstantWork: a context is the graph's own candidate index
+// plus three numbers. Nothing proportional to the graph — no partition, no
+// fragment copy, no translation table — may be reachable from building one,
+// which is all a non-fleet job does before it mines.
+func TestNewContextIsConstantWork(t *testing.T) {
+	syms := graph.NewSymbols()
+	g := gen.Gplus(syms, gen.DefaultGplus(5000, 1))
+	pred := gen.GplusPredicates(syms)[0]
+	opts := Options{K: 8, Sigma: 4, D: 2, N: 8}
+	g.Freeze()
+	if allocs := testing.AllocsPerRun(10, func() { NewContext(g, pred.XLabel, opts) }); allocs > 1 {
+		t.Fatalf("NewContext allocates %v times on a 5000-user graph, want the Context alone", allocs)
+	}
+}
+
+// TestWireFragmentBuiltOncePerContext: the fleet path partitions, encodes
+// and hashes on first use and every later caller, concurrent ones included,
+// gets the same bytes. Together the fragments own every candidate once.
+func TestWireFragmentBuiltOncePerContext(t *testing.T) {
 	g, preds, opts := contextFixture(t)
-	pred := preds[0]
-	ctx := NewContext(g, pred.XLabel, opts)
-	if ctx.Graph() != g {
-		t.Error("Graph() is not the input graph")
+	ctx := NewContext(g, preds[0].XLabel, opts)
+
+	const callers = 8
+	datas := make([][][]byte, callers)
+	var wg sync.WaitGroup
+	for c := range datas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < opts.N; i++ {
+				data, _, _ := ctx.WireFragment(i)
+				datas[c] = append(datas[c], data)
+			}
+		}()
 	}
-	if ctx.XLabel() != pred.XLabel {
-		t.Errorf("XLabel() = %d, want %d", ctx.XLabel(), pred.XLabel)
+	wg.Wait()
+
+	var owned []graph.NodeID
+	for i := 0; i < opts.N; i++ {
+		data, hash, centers := ctx.WireFragment(i)
+		if !bytes.Equal(hash, wire.HashFragment(data)) {
+			t.Errorf("fragment %d: hash does not cover its encoding", i)
+		}
+		for c := range datas {
+			if &datas[c][i][0] != &data[0] {
+				t.Fatalf("fragment %d: caller %d got its own encoding", i, c)
+			}
+		}
+		owned = append(owned, centers...)
 	}
-	if ctx.D() != opts.D || ctx.N() != opts.N {
-		t.Errorf("(D, N) = (%d, %d), want (%d, %d)", ctx.D(), ctx.N(), opts.D, opts.N)
-	}
-	if want := len(g.NodesWithLabel(pred.XLabel)); ctx.NumCandidates() != want {
-		t.Errorf("NumCandidates() = %d, want %d", ctx.NumCandidates(), want)
-	}
-	if sh := NewShared(ctx); sh.Context() != ctx {
-		t.Error("Shared.Context() does not round-trip")
+	slices.Sort(owned)
+	if !slices.Equal(owned, g.NodesWithLabel(preds[0].XLabel)) {
+		t.Errorf("wire fragments own %d centers, not the %d candidates once each",
+			len(owned), len(g.NodesWithLabel(preds[0].XLabel)))
 	}
 }

@@ -77,20 +77,21 @@ func (e *WorkerError) Unwrap() error { return e.Err }
 // are process-local and never influence results.
 var jobIDs atomic.Uint64
 
-// DMineDistributed mines pred over ctx's fragments placed on remote
-// workers, one per connection (len(conns) must equal opts.N and the
-// context's fragment count). The coordinator keeps the whole graph — it
-// partitions, ships fragments, and runs the deterministic assemble and
-// diversification — while generate supersteps run on the workers. The
-// result is byte-identical to DMineCtx(ctx, pred, opts); the error is a
-// *WorkerError as soon as any worker fails a superstep.
+// DMineDistributed mines pred over ctx's d-neighbourhood fragments placed
+// on remote workers, one per connection (len(conns) must equal opts.N, the
+// context's worker count). The coordinator keeps the whole graph — it
+// partitions on the context's first fleet job, ships fragments, and runs
+// the deterministic assemble and diversification — while generate
+// supersteps run on the workers. The result is byte-identical to
+// DMineCtx(ctx, pred, opts); the error is a *WorkerError as soon as any
+// worker fails a superstep.
 func DMineDistributed(ctx *Context, pred core.Predicate, opts Options, conns []WorkerConn) (*Result, error) {
 	opts = opts.Defaults()
 	if err := ctx.check(pred, opts); err != nil {
 		return nil, err
 	}
 	if len(conns) != ctx.n {
-		return nil, fmt.Errorf("mine: %d worker connections for %d fragments", len(conns), ctx.n)
+		return nil, fmt.Errorf("mine: %d worker connections for %d workers", len(conns), ctx.n)
 	}
 	m := newMiner(ctx, pred, opts, nil)
 	m.eng = &remoteEngine{conns: conns, jobID: jobIDs.Add(1)}
@@ -177,20 +178,19 @@ func (e *remoteEngine) attach(m *miner) ([]int, []int, error) {
 		e.shards[i].arena.noRecycle = m.opts.DisableArenas
 	}
 	e.workOps = make([]int64, len(e.conns))
-	syms := m.g.Symbols().Names()
+	syms := m.ctx.g.Symbols().Names()
 	eccCap := m.opts.MaxEdges + 1
 	npq := make([]int, len(e.conns))
 	npqbar := make([]int, len(e.conns))
 	err := e.fanOutCtx(m.opts.Ctx, func(i int, c WorkerConn) error {
-		frag := m.ctx.frags[i]
+		fragBytes, fragHash, centers := m.ctx.WireFragment(i)
 		// Per-center whole-graph eccentricities, capped at the deepest
 		// probe the run can issue — the worker's substitute for the whole
 		// graph in the Lemma 3 extendability check.
-		ecc := make([]int32, len(frag.Centers))
-		for j, lc := range frag.Centers {
-			ecc[j] = int32(m.g.EccentricityCapped(frag.Global(lc), eccCap))
+		ecc := make([]int32, len(centers))
+		for j, gv := range centers {
+			ecc[j] = int32(m.ctx.g.EccentricityCapped(gv, eccCap))
 		}
-		fragBytes, fragHash := m.ctx.WireFragment(i)
 		setup := &wire.JobSetup{
 			JobID:         e.jobID,
 			Worker:        i,
@@ -221,10 +221,6 @@ func (e *remoteEngine) attach(m *miner) ([]int, []int, error) {
 	}
 	return npq, npqbar, nil
 }
-
-// seedFrontier is a no-op: the seed travels as frontier entry 0 of the
-// first Round frame, and workers know entry 0 means "all owned centers".
-func (e *remoteEngine) seedFrontier(m *miner) error { return nil }
 
 func (e *remoteEngine) generate(m *miner, frontier []*Mined) ([]message, error) {
 	e.round++
@@ -280,7 +276,6 @@ func (e *remoteEngine) generate(m *miner, frontier []*Mined) ([]message, error) 
 // would ship), halving the superstep round trips.
 func (e *remoteEngine) distribute(m *miner, frontier []*Mined) error { return nil }
 
-func (e *remoteEngine) numWorkers() int         { return len(e.conns) }
 func (e *remoteEngine) shard(i int) *asmScratch { return &e.shards[i] }
 
 func (e *remoteEngine) ops() []int64 {
@@ -345,7 +340,7 @@ func NewWorkerRuntimeFragment(s *wire.JobSetup, frag *partition.Fragment) (*Work
 		ecc[lc] = s.CenterEcc[j]
 	}
 	pred := core.Predicate{XLabel: s.XLabel, EdgeLabel: s.EdgeLabel, YLabel: s.YLabel}
-	w := acquireWorker(s.Worker, frag, nil)
+	w := acquireWorker(s.Worker, frag)
 	w.ecc = ecc
 	w.setRecycleMode(s.DisableArenas)
 	w.classify(pred)
@@ -382,10 +377,11 @@ func (rt *WorkerRuntime) Round(rd *wire.Round) (*wire.Messages, error) {
 		fe := &rd.Frontier[i]
 		var q *pattern.Pattern
 		if fe.ID == uint32(seedID) {
-			// The seed's frontier is every owned center; its centers lane
-			// never crosses the wire.
+			// The seed travels as entry 0 of the first Round frame. Its
+			// frontier is every owned center; its centers lane never
+			// crosses the wire.
 			q = rt.seed
-			w.centersFor[seedID] = append(w.centersFor[seedID][:0], w.frag.Centers...)
+			w.seedFrontier()
 		} else {
 			parent := rt.rules[fe.Parent]
 			if fe.Parent == uint32(seedID) {

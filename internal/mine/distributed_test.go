@@ -3,7 +3,6 @@ package mine
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"testing"
 
 	"gpar/internal/gen"
@@ -65,6 +64,13 @@ func (c *loopbackConn) Finish() error {
 	return nil
 }
 
+func sumOps(res *Result) (total int64) {
+	for _, op := range res.WorkerOps {
+		total += op
+	}
+	return total
+}
+
 func loopbackConns(n int) []WorkerConn {
 	conns := make([]WorkerConn, n)
 	for i := range conns {
@@ -75,8 +81,10 @@ func loopbackConns(n int) []WorkerConn {
 
 // TestDMineDistributedMatchesLocal is the distributed engine's differential
 // contract: for every worker count, mining over wire-decoded remote
-// runtimes is byte-identical — result fingerprint and per-worker op counts
-// — to the in-process engine on the same context.
+// runtimes is byte-identical to the in-process engine on the same context.
+// The two lay the centers out differently (d-neighbourhood fragments
+// against chunks of the candidate list), so the per-worker op counts differ
+// while their total, a sum of per-center work, does not.
 func TestDMineDistributedMatchesLocal(t *testing.T) {
 	syms := graph.NewSymbols()
 	g := gen.Pokec(syms, gen.DefaultPokec(300, 5))
@@ -101,8 +109,8 @@ func TestDMineDistributedMatchesLocal(t *testing.T) {
 			if fw, fg := fingerprint(want), fingerprint(got); fw != fg {
 				t.Fatalf("distributed result differs from local:\n--- local ---\n%s--- distributed ---\n%s", fw, fg)
 			}
-			if !slices.Equal(want.WorkerOps, got.WorkerOps) {
-				t.Fatalf("WorkerOps = %v, want %v", got.WorkerOps, want.WorkerOps)
+			if len(got.WorkerOps) != n || sumOps(got) != sumOps(want) {
+				t.Fatalf("WorkerOps = %v, want %d counts with the total of %v", got.WorkerOps, n, want.WorkerOps)
 			}
 		})
 	}

@@ -23,7 +23,7 @@ func dmineBenchInput() (*graph.Graph, core.Predicate, Options) {
 }
 
 // BenchmarkDMine times the full optimized BSP mining loop end to end:
-// partitioning, levelwise generation, assembly, diversification.
+// levelwise generation, assembly, diversification.
 func BenchmarkDMine(b *testing.B) {
 	g, pred, opts := dmineBenchInput()
 	g.Freeze()

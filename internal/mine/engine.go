@@ -12,7 +12,7 @@ import (
 // engine abstracts where the N mining workers execute. The coordinator loop
 // (miner.runE) is engine-agnostic: it drives BSP supersteps and runs the
 // deterministic assemble/diversify reduce, while the engine owns worker
-// placement — goroutines over in-process fragments (localEngine) or remote
+// placement — goroutines over the shared graph (localEngine) or remote
 // worker services reached over connections (remoteEngine). Both produce the
 // same message stream in the same order, so results are byte-identical by
 // construction; the differential tests pin it.
@@ -21,20 +21,17 @@ import (
 // mid-superstep); the local engine never fails.
 type engine interface {
 	// attach binds the run's workers, classifies every owned center against
-	// the predicate (round 0 — Pq, q̄ and their supports never change), and
-	// returns the per-worker (|Pq(x,Fi)|, |q̄ ∩ Fi|) counts.
+	// the predicate (round 0 — Pq, q̄ and their supports never change),
+	// installs the round-1 frontier (all owned centers match the seed rule's
+	// empty antecedent), and returns the per-worker (|Pq|, |q̄|) counts over
+	// its owned centers.
 	attach(m *miner) (npq, npqbar []int, err error)
-	// seedFrontier installs the round-1 frontier on every worker: all owned
-	// centers match the seed rule's empty antecedent.
-	seedFrontier(m *miner) error
 	// generate runs the localMine superstep over the frontier on every
 	// worker and returns the messages concatenated in worker order.
 	generate(m *miner, frontier []*Mined) ([]message, error)
 	// distribute hands each frontier rule's Q-match centers back to the
 	// workers that own them, for the next round's localMine.
 	distribute(m *miner, frontier []*Mined) error
-	// numWorkers is the fragment/worker count N.
-	numWorkers() int
 	// shard exposes assembly shard i's recycled scratch; the coordinator's
 	// merge phase runs on these regardless of where the workers execute.
 	shard(i int) *asmScratch
@@ -57,7 +54,7 @@ type localParams struct {
 
 // localParams bundles the run parameters a localMine superstep needs.
 func (m *miner) localParams() localParams {
-	return localParams{pred: m.pred, d: m.opts.D, embedCap: m.opts.EmbedCap, syms: m.g.Symbols()}
+	return localParams{pred: m.pred, d: m.opts.D, embedCap: m.opts.EmbedCap, syms: m.ctx.g.Symbols()}
 }
 
 // localRule is a frontier rule as localMine sees it: its run-wide id and its
@@ -68,8 +65,9 @@ type localRule struct {
 	q  *pattern.Pattern
 }
 
-// localEngine runs the workers as goroutines over in-process fragments —
-// the single-process mode of DMine/DMineCtx/Shared.DMine.
+// localEngine runs the workers as goroutines over the context's graph, each
+// on its chunk of the candidate centers — the single-process mode of
+// DMine/DMineCtx/Shared.DMine.
 type localEngine struct {
 	// shared is the cross-predicate accumulator, nil for standalone runs
 	// (which draw workers from the global pool instead).
@@ -81,16 +79,14 @@ type localEngine struct {
 }
 
 func (e *localEngine) attach(m *miner) ([]int, []int, error) {
-	// The partition + freeze preamble lives on the context; a cached or
-	// shared context skips it entirely. Standalone runs draw workers from
-	// the global pool (close returns them), so even a cold DMine reuses
-	// previously grown arenas and scratch.
+	// Standalone runs draw workers from the global pool (close returns
+	// them), so even a cold DMine reuses previously grown arenas and scratch.
 	if e.shared != nil {
 		e.workers = e.shared.attachWorkers()
 	} else {
-		e.workers = make([]*worker, len(m.ctx.frags))
-		for i, f := range m.ctx.frags {
-			e.workers[i] = acquireWorker(i, f, m.g)
+		e.workers = make([]*worker, m.ctx.n)
+		for i := range e.workers {
+			e.workers[i] = acquireWorker(i, m.ctx.fragment(i))
 		}
 	}
 	// Arena mode is per run (shared workers may alternate between modes).
@@ -98,7 +94,11 @@ func (e *localEngine) attach(m *miner) ([]int, []int, error) {
 		w.setRecycleMode(m.opts.DisableArenas)
 	}
 	pred := m.pred
-	if err := e.parallel(m, func(w *worker) { w.classify(pred) }); err != nil {
+	err := e.parallel(m, func(w *worker) {
+		w.classify(pred)
+		w.seedFrontier()
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	npq := make([]int, len(e.workers))
@@ -107,20 +107,6 @@ func (e *localEngine) attach(m *miner) ([]int, []int, error) {
 		npq[i], npqbar[i] = w.npq, w.npqbar
 	}
 	return npq, npqbar, nil
-}
-
-func (e *localEngine) seedFrontier(m *miner) error {
-	for i, w := range e.workers {
-		// All owned centers match the empty antecedent. With a shared
-		// accumulator the pre-sorted seed frontier is reused across
-		// predicates; localMine only ever re-sorts it in place.
-		if e.shared != nil {
-			w.centersFor[seedID] = e.shared.seed(i)
-		} else {
-			w.centersFor[seedID] = append([]graph.NodeID(nil), w.frag.Centers...)
-		}
-	}
-	return nil
 }
 
 func (e *localEngine) generate(m *miner, frontier []*Mined) ([]message, error) {
@@ -150,7 +136,6 @@ func (e *localEngine) distribute(m *miner, frontier []*Mined) error {
 	})
 }
 
-func (e *localEngine) numWorkers() int         { return len(e.workers) }
 func (e *localEngine) shard(i int) *asmScratch { return &e.workers[i].asm }
 
 func (e *localEngine) ops() []int64 {
@@ -214,8 +199,8 @@ func (e *localEngine) parallel(m *miner, fn func(w *worker)) error {
 
 // classify computes Pq, q̄ and their supports over the worker's owned
 // centers (round 0 — they never change for the run). The q-edge scan walks
-// the frozen fragment's CSR label range for the predicate's edge label
-// instead of the full out-adjacency.
+// the frozen graph's CSR label range for the predicate's edge label instead
+// of the full out-adjacency.
 func (w *worker) classify(pred core.Predicate) {
 	n := w.frag.G.NumNodes()
 	if len(w.pq) == n { // shared worker: reuse the classification buffers
@@ -242,6 +227,13 @@ func (w *worker) classify(pred core.Predicate) {
 			w.npqbar++
 		}
 	}
+}
+
+// seedFrontier installs the round-1 frontier: every owned center matches
+// the seed rule's empty antecedent. The copy is the worker's to sort; the
+// fragment's center list may be a view into the shared graph's label index.
+func (w *worker) seedFrontier() {
+	w.centersFor[seedID] = append([]graph.NodeID(nil), w.frag.Centers...)
 }
 
 // beginFrontier starts a new frontier hand-off: previous entries are

@@ -159,8 +159,9 @@ func radiusFrom(dist []int) int {
 // 4.2). Injectivity and the radius bound are respected; the supporting
 // centers of each extension are collected exactly (up to EmbedCap embeddings
 // per center). Embeddings are enumerated canonically (match.Options.
-// Canonical over the fragment's globally sorted node order), so EmbedCap
-// truncation sees the same embeddings on every fragment layout.
+// Canonical; local IDs ascend with global IDs on the shared graph and on a
+// wire fragment alike), so EmbedCap truncation sees the same embeddings
+// whichever worker owns the center.
 //
 // The returned accumulators are sorted by Extension.Compare and owned by
 // the worker: they are recycled on the next call.

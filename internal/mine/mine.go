@@ -2,14 +2,16 @@
 // Section 4 of "Association Rules with Graph Patterns" (PVLDB 2015), via
 // algorithm DMine: a bulk-synchronous coordinator/worker computation that
 // grows GPAR antecedents levelwise from the consequent predicate q(x,y),
-// assembles fragment-local support and confidence messages, incrementally
+// assembles worker-local support and confidence messages, incrementally
 // maintains a diversified top-k set (procedure incDiv), and prunes the
 // search with the Lemma 3 reduction rules and the Lemma 4 bisimulation
 // prefilter.
 //
-// Workers are goroutines over graph fragments (partition.Partition); each
-// round they exchange <R, conf, flag> messages with the coordinator exactly
-// as in Fig. 4 of the paper.
+// Workers are goroutines over the one shared graph, each owning a contiguous
+// chunk of the candidate centers; each round they exchange <R, conf, flag>
+// messages with the coordinator exactly as in Fig. 4 of the paper. The
+// d-neighbourhood fragments of Section 4.2 are what a worker in another
+// process mines instead (distributed.go): it has no graph.
 //
 // One interpretation choice: the paper grows patterns "by including at
 // least one new edge that is at hop r from vx" over d rounds, yet its own
@@ -40,7 +42,7 @@ type Options struct {
 	Sigma  int     // support threshold σ on supp(R,G)
 	D      int     // radius bound d on r(PR, x)
 	Lambda float64 // diversification balance λ ∈ [0,1]
-	N      int     // number of workers (fragments); coordinator is extra
+	N      int     // number of workers; coordinator is extra
 
 	// Ctx, when non-nil, makes the run cancellable: the coordinator polls it
 	// at every BSP superstep boundary (and the engines check it per worker
@@ -56,10 +58,10 @@ type Options struct {
 	EmbedCap int // cap on embeddings enumerated per center when discovering
 	// extensions (0 = 64); a safety valve on dense neighborhoods. A
 	// center's embeddings are enumerated in a canonical global-ID order
-	// (match.Options.Canonical over partition's globally sorted fragment
-	// node order), so even when the cap bites, which embeddings are seen —
-	// and therefore the mining result — is identical for every fragment
-	// layout and worker count.
+	// (match.Options.Canonical; a wire fragment's node order is globally
+	// sorted), so even when the cap bites, which embeddings are seen — and
+	// therefore the mining result — is identical for every worker count,
+	// in-process or remote.
 
 	// Gate, when non-nil, bounds how many of the N worker goroutines (and
 	// assembly shards) execute simultaneously. Runs sharing one Gate — e.g.
@@ -170,12 +172,11 @@ type Result struct {
 }
 
 // DMine mines diversified top-k GPARs for pred on g. It implements Fig. 4
-// of the paper with all optimizations per opts. The partition + freeze
-// preamble is built from scratch; callers that mine repeatedly over the
-// same graph should build a Context once and use DMineCtx (or, across the
-// predicates of one job, Shared.DMine) — results are byte-identical.
-// Options.Ctx must be nil here: this entry point has no error return, so
-// cancellable runs go through DMineCtx/Shared.DMine/DMineDistributed.
+// of the paper with all optimizations per opts. DMineCtx on a prebuilt
+// Context and, across the predicates of one job, Shared.DMine return
+// byte-identical results. Options.Ctx must be nil here: this entry point
+// has no error return, so cancellable runs go through
+// DMineCtx/Shared.DMine/DMineDistributed.
 func DMine(g *graph.Graph, pred core.Predicate, opts Options) *Result {
 	opts = opts.Defaults()
 	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts, nil)
@@ -190,19 +191,21 @@ func DMineNo(g *graph.Graph, pred core.Predicate, opts Options) *Result {
 	opts.Incremental = false
 	opts.Reduction = false
 	opts.BisimFilter = false
-	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts, nil)
-	return m.run()
+	return DMine(g, pred, opts)
 }
 
 // ---------------------------------------------------------------------------
 // Worker state
 
-// worker holds one fragment plus its per-round caches and scratch. All
-// scratch is owned by the worker goroutine; nothing here is shared.
+// worker holds its view of the data plus its per-round caches and scratch.
+// All scratch is owned by the worker goroutine; nothing here is shared.
 type worker struct {
-	id   int
+	id int
+	// frag is the graph the worker mines and the centers it owns. In process
+	// it is the identity fragment (partition.Whole) over the shared graph
+	// and a chunk of the candidate list; on a remote worker it is a decoded
+	// d-neighbourhood fragment with its own local IDs.
 	frag *partition.Fragment
-	g    *graph.Graph // the whole graph, read-only (extendability probes); nil on remote workers
 
 	pq     []bool // pq[local] : center is in Pq(x,Fi)
 	pqbar  []bool // pqbar[local] : center is in the q̄ set
@@ -229,18 +232,18 @@ type worker struct {
 	distXBuf  []int
 	noRecycle bool
 
-	// distCache memoizes hasNodeAtDistance per (global center, dist): the
+	// distCache memoizes extendable per (global center, dist): the
 	// same extendability probe recurs across rules and rounds. Owned
 	// centers are disjoint across workers, so caches never duplicate work.
 	distCache map[distKey]bool
 
 	// ecc, when non-nil, replaces the whole-graph extendability probe: a
-	// remote worker has no whole graph, so the coordinator ships each owned
-	// center's whole-graph eccentricity capped at MaxEdges+1 (indexed by
-	// local node ID; non-centers are never probed). BFS levels are
-	// contiguous, so HasNodeAtDistance(v, d) ⟺ d ≤ ecc(v), and every probe
-	// distance is ≤ MaxEdges+1 — the table answers exactly what the global
-	// graph would.
+	// remote worker's fragment is not the whole graph, so the coordinator
+	// ships each owned center's whole-graph eccentricity capped at
+	// MaxEdges+1 (indexed by local node ID; non-centers are never probed).
+	// BFS levels are contiguous, so HasNodeAtDistance(v, d) ⟺ d ≤ ecc(v),
+	// and every probe distance is ≤ MaxEdges+1 — the table answers exactly
+	// what the global graph would.
 	ecc []int32
 
 	// Extension-discovery scratch (discoverExtensions): an epoch-stamped
@@ -292,26 +295,18 @@ type distKey struct {
 	d int
 }
 
-// hasNodeAtDistance is a memoized graph.HasNodeAtDistance on the whole
-// graph, keyed by global node ID. Probing the whole graph rather than the
-// fragment matters for determinism: a fragment holds the d-neighborhoods
-// of its own centers, so a radius-d probe at distance d+1 would see more
-// or fewer nodes depending on which other centers share the fragment —
-// i.e. on the worker count. The global answer is the same for every
-// partitioning (and is the tighter reading of the Lemma 3 upper bound).
 // extendable is the Usupp probe of Lemma 3: does the whole graph still have
-// a node at distance d from center c (local) / gv (global)? Local workers
-// answer from the memoized whole-graph probe; remote workers answer from the
-// shipped capped-eccentricity table — the two are equal for every probe
-// distance the miner issues (≤ MaxEdges+1, the table's cap).
+// a node at distance d from center c (local) / gv (global)? The answer must
+// come from the whole graph: a d-neighbourhood fragment probed at distance
+// d+1 would see more or fewer nodes depending on which other centers share
+// it, i.e. on the worker count. In-process workers mine the whole graph and
+// memoize its probe; remote workers answer from the shipped
+// capped-eccentricity table — the two are equal for every probe distance
+// the miner issues (≤ MaxEdges+1, the table's cap).
 func (w *worker) extendable(c, gv graph.NodeID, d int) bool {
 	if w.ecc != nil {
 		return d <= int(w.ecc[c])
 	}
-	return w.hasNodeAtDistance(gv, d)
-}
-
-func (w *worker) hasNodeAtDistance(gv graph.NodeID, d int) bool {
 	if w.distCache == nil {
 		w.distCache = make(map[distKey]bool)
 	}
@@ -319,7 +314,7 @@ func (w *worker) hasNodeAtDistance(gv graph.NodeID, d int) bool {
 	if r, ok := w.distCache[k]; ok {
 		return r
 	}
-	r := w.g.HasNodeAtDistance(gv, d)
+	r := w.frag.G.HasNodeAtDistance(gv, d)
 	w.distCache[k] = r
 	return r
 }
@@ -361,10 +356,9 @@ type message struct {
 // miner is the coordinator.
 type miner struct {
 	ctx  *Context
-	g    *graph.Graph
 	pred core.Predicate
 	opts Options
-	// eng places the workers: goroutines over in-process fragments
+	// eng places the workers: goroutines over the shared graph
 	// (localEngine) or remote worker services (remoteEngine). The
 	// coordinator's reduce below is identical either way.
 	eng engine
@@ -408,7 +402,6 @@ type miner struct {
 func newMiner(ctx *Context, pred core.Predicate, opts Options, sh *Shared) *miner {
 	m := &miner{
 		ctx:   ctx,
-		g:     ctx.g,
 		pred:  pred,
 		opts:  opts,
 		eng:   &localEngine{shared: sh},
@@ -516,14 +509,11 @@ func (m *miner) prepare() ([]*Mined, error) {
 	// Seed: the bare rule with an empty antecedent (just x, and y when the
 	// predicate's y participates in Q growth). It is never reported (it is
 	// trivial) but its extensions are round 1's candidates.
-	seedQ := pattern.New(m.g.Symbols())
+	seedQ := pattern.New(m.ctx.g.Symbols())
 	seedQ.X = seedQ.AddNodeL(m.pred.XLabel)
 	seed := &Mined{
 		Rule: &core.Rule{Q: seedQ, Pred: m.pred},
 		id:   seedID,
-	}
-	if err := m.eng.seedFrontier(m); err != nil {
-		return nil, err
 	}
 	return []*Mined{seed}, nil
 }
@@ -544,10 +534,11 @@ func (w *worker) setRecycleMode(disable bool) {
 // graph is reset in acquireWorker.
 var workerPool = sync.Pool{New: func() any { return new(worker) }}
 
-// acquireWorker binds pooled worker scratch to one fragment of this run.
-func acquireWorker(id int, frag *partition.Fragment, g *graph.Graph) *worker {
+// acquireWorker binds pooled worker scratch to one worker's view of this
+// run's data.
+func acquireWorker(id int, frag *partition.Fragment) *worker {
 	w := workerPool.Get().(*worker)
-	w.id, w.frag, w.g = id, frag, g
+	w.id, w.frag = id, frag
 	if w.centersFor == nil {
 		w.centersFor = make(map[ruleID][]graph.NodeID)
 	} else {
@@ -555,7 +546,7 @@ func acquireWorker(id int, frag *partition.Fragment, g *graph.Graph) *worker {
 	}
 	w.npq, w.npqbar = 0, 0
 	w.ops = 0
-	w.centerSet = nil // fragment-specific; rebuilt lazily by ownsCenter
+	w.centerSet = nil // layout-specific; rebuilt lazily by ownsCenter
 	w.ecc = nil       // a pooled worker may have last served a remote runtime
 	if w.distCache != nil {
 		clear(w.distCache) // memoizes a property of the previous graph
@@ -569,7 +560,7 @@ func acquireWorker(id int, frag *partition.Fragment, g *graph.Graph) *worker {
 // release parks the worker in the pool, dropping its references into the
 // graph so the pool never pins a retired snapshot.
 func (w *worker) release() {
-	w.frag, w.g = nil, nil
+	w.frag = nil
 	workerPool.Put(w)
 }
 

@@ -22,10 +22,9 @@ type MultiResult struct {
 // predicates are collapsed; results preserve the input order of their first
 // occurrence.
 //
-// Predicates over the same x-label share one mining Context (the candidate
-// centers, partition and fragment freeze are built once, not per predicate)
-// and one Shared accumulator, so worker scratch, extendability memos and
-// interning tables survive across the runs. Results are byte-identical to
+// Predicates over the same x-label share one mining Context and one Shared
+// accumulator, so worker scratch, extendability memos and interning tables
+// survive across the runs. Results are byte-identical to
 // mining each predicate independently with DMine.
 //
 // A set Options.Ctx cancels the whole job with a *CanceledError: completed

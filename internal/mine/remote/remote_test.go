@@ -51,14 +51,19 @@ func mustMulti(res []mine.MultiResult, err error) []mine.MultiResult {
 	return res
 }
 
-// fingerprint serializes every exported field of a Result — including the
-// per-worker op counts, which must survive the wire — so local and
-// distributed runs compare byte-identically.
+// fingerprint serializes every exported field of a Result so local and
+// distributed runs compare byte-identically. The op counts, which must
+// survive the wire, enter as their total: how it splits over the workers is
+// the layout's (wire fragments against in-process chunks), not the run's.
 func fingerprint(res *mine.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rounds=%d generated=%d kept=%d pruned=%d iso=%d bisim=%d F=%.17g\n",
 		res.Rounds, res.Generated, res.Kept, res.Pruned, res.IsoChecks, res.BisimSkips, res.F)
-	fmt.Fprintf(&b, "ops=%v max=%d\n", res.WorkerOps, res.MaxWorkerOp)
+	var ops int64
+	for _, op := range res.WorkerOps {
+		ops += op
+	}
+	fmt.Fprintf(&b, "workers=%d ops=%d\n", len(res.WorkerOps), ops)
 	dump := func(name string, ms []mine.Mined) {
 		fmt.Fprintf(&b, "%s %d\n", name, len(ms))
 		for _, mm := range ms {

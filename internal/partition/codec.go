@@ -69,8 +69,8 @@ func (f *Fragment) AppendBinary(dst []byte) []byte {
 	for _, c := range f.Centers {
 		dst = binary.AppendUvarint(dst, uint64(c))
 	}
-	for _, gv := range f.ToGlobal {
-		dst = binary.AppendUvarint(dst, uint64(gv))
+	for v := 0; v < n; v++ {
+		dst = binary.AppendUvarint(dst, uint64(f.Global(graph.NodeID(v))))
 	}
 	return dst
 }

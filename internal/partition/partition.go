@@ -10,6 +10,11 @@
 // Every candidate is owned by exactly one fragment; fragment graphs may
 // replicate non-owned neighborhood nodes, which is safe because all support
 // counting in the paper's algorithms runs over owned centers only.
+//
+// A fragment is what a process without the graph needs: distributed DMine
+// ships one to each remote worker, and eip.Match reproduces the paper's
+// figures on them. In-process DMine does not partition; its workers share
+// the one graph through Whole.
 package partition
 
 import (
@@ -26,15 +31,18 @@ type Fragment struct {
 	G *graph.Graph
 	// Centers lists the owned candidate nodes as local IDs in G.
 	Centers []graph.NodeID
-	// ToGlobal maps local node IDs back to the original graph.
+	// ToGlobal maps local node IDs back to the original graph. It is nil on
+	// the identity fragment Whole returns, whose local IDs are the global
+	// ones.
 	ToGlobal []graph.NodeID
 
 	// The inverse of ToGlobal. The miner translates every frontier center
 	// every round, so fragments covering a meaningful share of the graph
 	// (the common DMine shape: d-neighborhood closures overlap heavily)
 	// use a dense array over the original ID space (-1 = absent); tiny
-	// fragments of huge graphs fall back to a map so that n workers never
-	// pin O(n·|V|) memory for the lifetime of a serving snapshot.
+	// fragments of huge graphs fall back to a map, so the inverse a worker
+	// builds is bounded by the fragment it was sent, not by the node count
+	// the encoding claims.
 	toLocalDense []graph.NodeID
 	toLocalMap   map[graph.NodeID]graph.NodeID
 	// numGlobal is the original graph's node count — the domain of Local()
@@ -44,11 +52,19 @@ type Fragment struct {
 }
 
 // Global translates a local node ID to the original graph's ID.
-func (f *Fragment) Global(v graph.NodeID) graph.NodeID { return f.ToGlobal[v] }
+func (f *Fragment) Global(v graph.NodeID) graph.NodeID {
+	if f.ToGlobal == nil {
+		return v
+	}
+	return f.ToGlobal[v]
+}
 
 // Local translates an original-graph ID to this fragment's local ID. The
 // second result is false when the node is not present in the fragment.
 func (f *Fragment) Local(v graph.NodeID) (graph.NodeID, bool) {
+	if f.ToGlobal == nil {
+		return v, int(v) < f.G.NumNodes()
+	}
 	if f.toLocalDense != nil {
 		if int(v) >= len(f.toLocalDense) || f.toLocalDense[v] < 0 {
 			return 0, false
@@ -94,9 +110,13 @@ func Partition(g *graph.Graph, cands []graph.NodeID, n, d int) []*Fragment {
 	if n < 1 {
 		panic(fmt.Sprintf("partition: n = %d", n))
 	}
-	// Bucket candidates by load.
+	// Bucket candidates by load: the accumulated, not deduplicated, hood
+	// size. The deduplicated node count saturates at |V| after a few dense
+	// hoods and then ties forever, which would send every later candidate to
+	// fragment 0.
 	type bucket struct {
 		cands []graph.NodeID
+		load  int
 		seen  []bool
 		order []graph.NodeID // fragment nodes in first-seen order
 	}
@@ -110,12 +130,13 @@ func Partition(g *graph.Graph, cands []graph.NodeID, n, d int) []*Fragment {
 		// Least-loaded fragment; ties broken by index for determinism.
 		best := 0
 		for i := 1; i < n; i++ {
-			if len(buckets[i].order) < len(buckets[best].order) {
+			if buckets[i].load < buckets[best].load {
 				best = i
 			}
 		}
 		b := buckets[best]
 		b.cands = append(b.cands, vx)
+		b.load += len(hood)
 		for _, u := range hood {
 			if !b.seen[u] {
 				b.seen[u] = true
@@ -138,20 +159,13 @@ func Partition(g *graph.Graph, cands []graph.NodeID, n, d int) []*Fragment {
 	return frags
 }
 
-// Whole wraps g itself as a single fragment owning all the given candidates
-// (the n = 1 degenerate case, used by sequential baselines).
+// Whole wraps g itself as the identity fragment owning the given candidates:
+// no copy of the graph, local IDs are global IDs, and no translation table in
+// either direction, so it costs O(1) whatever the graph's size. Centers
+// aliases cands, which the fragment's users only read. In-process DMine
+// gives each worker one of these over its chunk of the candidate list.
 func Whole(g *graph.Graph, cands []graph.NodeID) *Fragment {
-	toGlobal := make([]graph.NodeID, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		toGlobal[v] = graph.NodeID(v)
-	}
-	f := &Fragment{
-		G:        g,
-		Centers:  append([]graph.NodeID(nil), cands...),
-		ToGlobal: toGlobal,
-	}
-	f.setToLocal(g.NumNodes(), toGlobal, nil)
-	return f
+	return &Fragment{G: g, Centers: cands, numGlobal: g.NumNodes()}
 }
 
 // Balance reports the max/min/mean fragment sizes and the skew

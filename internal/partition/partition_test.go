@@ -173,3 +173,30 @@ func TestQuickPartitionInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPartitionSpreadsCentersOnDenseGraphs pins the balance the package doc
+// promises on the graphs distributed DMine ships: a few dense 2-hop
+// neighbourhoods cover the whole graph, so a load measured in distinct nodes
+// ties at |V| and would give fragment 0 every later center.
+func TestPartitionSpreadsCentersOnDenseGraphs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		gen  func(*graph.Symbols) *graph.Graph
+	}{
+		{"gplus-3000", func(s *graph.Symbols) *graph.Graph { return gen.Gplus(s, gen.DefaultGplus(3000, 1)) }},
+		{"pokec-3000", func(s *graph.Symbols) *graph.Graph { return gen.Pokec(s, gen.DefaultPokec(3000, 1)) }},
+	} {
+		syms := graph.NewSymbols()
+		g := tc.gen(syms)
+		cands := g.NodesWithLabel(syms.Lookup("user"))
+		for _, n := range []int{2, 4, 8} {
+			largest := 0
+			for _, f := range Partition(g, cands, n, 2) {
+				largest = max(largest, len(f.Centers))
+			}
+			if mean := len(cands) / n; largest > 2*mean {
+				t.Errorf("%s n=%d: largest fragment owns %d of %d centers, mean %d", tc.name, n, largest, len(cands), mean)
+			}
+		}
+	}
+}

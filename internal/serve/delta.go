@@ -228,7 +228,7 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 	warmCarried := s.warmCarry(snap.Gen, next.Gen, impact)
 	s.snap.Store(next)
 	// Mine contexts and parked accumulators are keyed to the old
-	// generation's fragments; reclaim them eagerly, as a swap would.
+	// generation's graph; reclaim them eagerly, as a swap would.
 	s.mineCtx.Purge()
 	s.nSwap.Add(1)
 	s.nDeltaBatches.Add(1)

@@ -113,8 +113,8 @@ type StatsResponse struct {
 		PoolSize  int     `json:"poolSize"`
 	} `json:"cpuBudget"`
 	Cache CacheStats `json:"cache"`
-	// MineCache counts mine-context reuse: hits are mine jobs that skipped
-	// the partition+freeze preamble entirely.
+	// MineCache counts mine-context reuse: hits are mine jobs that found
+	// their (generation, xLabel, d, n) context already resident.
 	MineCache CacheStats `json:"mineCache"`
 	// MinePool counts mine.Shared accumulator reuse: a reuse is a job that
 	// mined on a recycled worker set (round arenas already grown).
@@ -353,6 +353,15 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		go func(i int, sr *ServedRule) {
 			defer wg.Done()
 			o := &outcomes[i]
+			// This goroutine is outside recoverPanics: a panicking
+			// evaluation becomes the rule's error, or it would end the
+			// process.
+			defer func() {
+				if rec := recover(); rec != nil {
+					s.nPanics.Add(1)
+					o.err = fmt.Errorf("evaluation panicked: %v", rec)
+				}
+			}()
 			o.ev, o.cached, o.coalesced, o.err = s.identifyOne(snap, sr)
 		}(i, sr)
 	}

@@ -25,7 +25,7 @@ import (
 // Mining results are byte-identical across worker counts — including when
 // mine.Options.EmbedCap truncates dense neighborhoods, since embeddings
 // are enumerated in a canonical global-ID order — so Workers only affects
-// the fragment layout's granularity, never the answer.
+// how the candidate centers are split, never the answer.
 type MineParams struct {
 	XLabel    string  `json:"xLabel"`
 	EdgeLabel string  `json:"edgeLabel"`
@@ -92,8 +92,8 @@ type Job struct {
 	// Generation is the snapshot generation after install (0 otherwise).
 	Generation uint64 `json:"generation,omitempty"`
 	// ContextCached reports whether the job reused a cached mine context
-	// (the partitioned, frozen fragments), skipping the partition+freeze
-	// preamble. Results are byte-identical either way.
+	// (and with it, on a fleet, the already encoded wire fragments). Results
+	// are byte-identical either way.
 	ContextCached bool `json:"contextCached,omitempty"`
 	// Distributed reports whether the job mined on the configured worker
 	// fleet (Config.MineWorkers) rather than in-process. Results are
@@ -309,7 +309,7 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	opts.Ctx = jobCtx
 	if n := len(s.cfg.MineWorkers); n > 0 && p.Workers == 0 {
 		// A fleet job runs one worker service per fragment, so the fleet size
-		// sets the partition granularity unless the request pinned a count.
+		// sets the worker count unless the request pinned one.
 		// Results are byte-identical across worker counts either way.
 		opts.N = n
 	}
@@ -337,7 +337,7 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 		if s.gen.Load() != key.Gen {
 			// A swap raced the build. Its Purge may have run before this key
 			// was inserted, and no future job keys this generation, so the
-			// entry would only pin the retired snapshot's fragments. This run
+			// entry would only pin the retired snapshot's graph. This run
 			// still mines on the entry's context — the snapshot it was admitted
 			// against.
 			s.mineCtx.Discard(key)

@@ -7,11 +7,11 @@ import (
 	"gpar/internal/mine"
 )
 
-// MineCtxKey identifies one reusable mining preamble: the snapshot
+// MineCtxKey identifies one reusable mining layout: the snapshot
 // generation (a proxy for graph identity — every swap bumps it, so stale
-// contexts can never be served), the candidate x-label, and the
-// fragmentation parameters (d, n) that fix the partition layout. Two mine
-// jobs with equal keys share the exact same partitioned, frozen fragments.
+// contexts can never be served), the candidate x-label, the worker count n
+// and the wire-fragment radius d. Two mine jobs with equal keys mine the
+// same chunks of the same graph and, on a fleet, ship the same fragments.
 type MineCtxKey struct {
 	Gen    uint64
 	XLabel graph.Label
@@ -21,15 +21,14 @@ type MineCtxKey struct {
 // mineCtxEntry is one cached (or in-flight) context build, plus the idle
 // accumulators of jobs that mined on it. The sync.Once makes GetOrBuild
 // single-flight per key: a job arriving while another job is still
-// partitioning the same key blocks on the Once and shares the result
-// instead of duplicating the work.
+// building the same key blocks on the Once and shares the result.
 //
 // parked holds mine.Shared accumulators — worker sets with their round
 // arenas, memoized extendability probes and interning tables — between
-// jobs. A Shared is exclusive to one running job and embeds its context's
-// fragment bindings, so it lives and dies with the entry: eviction, Shrink,
-// Purge and Discard drop the context and its accumulators together, and a
-// job that outlives its entry parks onto garbage.
+// jobs. A Shared is exclusive to one running job and its workers are bound
+// to its context's graph, so it lives and dies with the entry: eviction,
+// Shrink, Purge and Discard drop the context and its accumulators together,
+// and a job that outlives its entry parks onto garbage.
 type mineCtxEntry struct {
 	once   sync.Once
 	ctx    *mine.Context
@@ -37,19 +36,20 @@ type mineCtxEntry struct {
 }
 
 // maxParked bounds the idle accumulators per context; beyond it, finished
-// jobs simply drop theirs. Worker scratch scales with the fragment set, so a
-// small bound keeps the steady state without letting a burst of concurrent
-// jobs pin memory.
+// jobs simply drop theirs. Worker scratch scales with n × |V|, so a small
+// bound keeps the steady state without letting a burst of concurrent jobs
+// pin memory.
 const maxParked = 2
 
-// MineContextCache is the bounded LRU of mine.Contexts, the serving-side
-// realization of "mine once, match many" for the mining preamble itself:
-// repeated POST /v1/mine jobs over the same snapshot skip the partition
-// and fragment Freeze() entirely, and mine on accumulators already grown by
-// the jobs before them. Contexts hold full fragment copies of the
-// candidates' d-neighborhoods, so the default capacity is small. A snapshot
-// swap purges the cache (and the generation in the key makes any racing
-// stale entry unreachable anyway).
+// MineContextCache is the bounded LRU of mine.Contexts: repeated POST
+// /v1/mine jobs over the same snapshot mine on accumulators already grown by
+// the jobs before them, and repeated fleet jobs ship wire fragments the
+// context partitioned, encoded and hashed once. An in-process job's context
+// is the snapshot's own candidate index and costs nothing to build or keep;
+// what an entry holds is its parked accumulators and, after a fleet job, the
+// encoded fragments (about n serialized copies of the graph). A snapshot swap
+// purges the cache (and the generation in the key makes any racing stale
+// entry unreachable anyway).
 type MineContextCache struct {
 	mu  sync.Mutex
 	lru *lru[MineCtxKey, *mineCtxEntry]
@@ -67,7 +67,7 @@ func NewMineContextCache(capacity int) *MineContextCache {
 // GetOrBuild returns the entry for key, building its context with build on
 // a miss. hit reports whether an existing entry was reused — including the
 // case where this call joined an in-flight build started by a concurrent
-// job, which also skips the partition work. Eviction drops the cache's
+// job. Eviction drops the cache's
 // reference only; jobs already holding an evicted entry finish on it
 // (contexts are immutable).
 func (c *MineContextCache) GetOrBuild(key MineCtxKey, build func() *mine.Context) (e *mineCtxEntry, hit bool) {
@@ -114,7 +114,7 @@ func (c *MineContextCache) park(e *mineCtxEntry, sh *mine.Shared) {
 // Discard drops key's entry if present (counted as an eviction). Mine jobs
 // call it when a snapshot swap raced their build: the swap's Purge may
 // have run before the entry was inserted, and a dead-generation context
-// would otherwise pin the retired snapshot's fragments until LRU pressure.
+// would otherwise pin the retired snapshot's graph until LRU pressure.
 func (c *MineContextCache) Discard(key MineCtxKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -130,10 +130,9 @@ func (c *MineContextCache) Purge() int {
 }
 
 // Shrink evicts the least-recently-used half of the cache and returns how
-// many contexts were dropped. Called under the hard memory watermark;
-// contexts and their parked accumulators are the server's largest cached
-// objects, so halving here is the biggest single lever the degradation
-// ladder has. Jobs already holding an evicted entry finish on it.
+// many contexts were dropped. Called under the hard memory watermark: an
+// evicted context takes its parked accumulators and any encoded wire
+// fragments with it. Jobs already holding an evicted entry finish on it.
 func (c *MineContextCache) Shrink() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

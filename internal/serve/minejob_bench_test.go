@@ -11,9 +11,8 @@ import (
 
 // mineJobBenchInput builds the seeded workload shared by the warm/cold
 // mine-job benchmarks: the same Pokec-like graph as BenchmarkDMine, mined
-// with a single-round budget so the partition + freeze preamble — the part
-// the context cache removes — is a visible share of each job. Recorded in
-// BENCH_mine.json by `make bench`.
+// with a single-round budget so whatever a job pays before its first round
+// is a visible share of it. Recorded in BENCH_mine.json by `make bench`.
 func mineJobBenchInput(b *testing.B) (*graph.Graph, core.Predicate, mine.Options) {
 	b.Helper()
 	syms := graph.NewSymbols()
@@ -27,8 +26,8 @@ func mineJobBenchInput(b *testing.B) (*graph.Graph, core.Predicate, mine.Options
 }
 
 // BenchmarkMineJobCold is a mine job against an empty context cache: every
-// iteration pays the full preamble (candidate collection, partition,
-// fragment freeze) before mining.
+// iteration builds its context and mines on workers drawn from the global
+// pool.
 func BenchmarkMineJobCold(b *testing.B) {
 	g, pred, opts := mineJobBenchInput(b)
 	key := MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: opts.D, N: opts.N}
@@ -49,8 +48,9 @@ func BenchmarkMineJobCold(b *testing.B) {
 }
 
 // BenchmarkMineJobWarm is the repeated-job steady state: the context is
-// already resident, so every iteration skips partition + freeze entirely.
-// The gap to BenchmarkMineJobCold is the preamble cost the cache removes.
+// already resident. An in-process context is the graph's own candidate
+// index, so the gap to BenchmarkMineJobCold is what the context LRU itself
+// is worth to a non-fleet job.
 func BenchmarkMineJobWarm(b *testing.B) {
 	g, pred, opts := mineJobBenchInput(b)
 	key := MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: opts.D, N: opts.N}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -295,6 +296,55 @@ func TestCacheShrinkKeepsHotHalf(t *testing.T) {
 		if _, ok := c.Get(fmt.Sprintf("k%d", i)); !ok {
 			t.Errorf("hot entry k%d was evicted", i)
 		}
+	}
+}
+
+// TestPanickingEvaluationAnswers500: identify evaluates every rule on its own
+// goroutine, and the pool runs all chunks but one on its goroutines; a panic
+// on any of them must come back as that request's 500, leave every pool slot
+// free, and leave the daemon serving. The broken rule (no PR pattern) panics
+// in both of its chunks, so both the pool's goroutine and its inline slot
+// are covered.
+func TestPanickingEvaluationAnswers500(t *testing.T) {
+	s, ts, rules := newTestServer(t, Config{Workers: 2, PoolSize: 1})
+	s.snap.Load().byKey["boom"] = &ServedRule{Key: "boom", Rule: rules[0]}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/identify", "application/json", strings.NewReader(`{}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("healthy identify beside a panicking one: %d, want 200", resp.StatusCode)
+			}
+		}()
+	}
+	resp := rawDo(t, "POST", ts.URL+"/v1/identify", []byte(`{"rules":["boom"]}`))
+	if resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("X-Request-ID") == "" {
+		t.Fatalf("panicking evaluation: %d (request ID %q), want 500 with a request ID",
+			resp.StatusCode, resp.Header.Get("X-Request-ID"))
+	}
+	wg.Wait()
+
+	if s.pool.InUse() != 0 {
+		t.Fatalf("%d pool slots still held after the panic", s.pool.InUse())
+	}
+	if resp := rawDo(t, "GET", ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the panic: %d, want 200", resp.StatusCode)
+	}
+	if resp := rawDo(t, "POST", ts.URL+"/v1/identify", []byte(`{}`)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("identify after the panic: %d, want 200", resp.StatusCode)
+	}
+	var st StatsResponse
+	doJSON(t, "GET", ts.URL+"/stats", nil, &st)
+	if st.Lifecycle.Panics != 1 {
+		t.Errorf("panics = %d, want 1", st.Lifecycle.Panics)
 	}
 }
 

@@ -218,7 +218,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 func TestRecoverFallsBackAcrossSnapshots(t *testing.T) {
 	m := diskfault.NewMemFS()
 	s := newPersistedServer(t, m, "data", PersistOptions{})
-	applyN(t, s, 2)                // gens 2,3 in wal-1
+	applyN(t, s, 2)                             // gens 2,3 in wal-1
 	if _, err := s.SwapRules(nil); err != nil { // checkpoint at gen 4
 		t.Fatal(err)
 	}

@@ -1,10 +1,13 @@
 package serve
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Pool bounds the total matching concurrency of the server. Every request
-// fans its per-fragment evaluation tasks through the one shared Pool, so N
-// concurrent clients cannot start more than PoolSize fragment matchers.
+// fans its per-chunk evaluation tasks through the one shared Pool, so N
+// concurrent clients cannot start more than PoolSize chunk matchers.
 type Pool struct {
 	sem chan struct{}
 }
@@ -27,27 +30,39 @@ func (p *Pool) InUse() int { return len(p.sem) }
 
 // Do runs all tasks, at most Size at a time pool-wide, and waits for them.
 // The calling goroutine also executes tasks (it runs the last one inline
-// once a slot is free), so Do never deadlocks on an exhausted pool.
+// once a slot is free), so Do never deadlocks on an exhausted pool. A task
+// that panics gives its slot back, the other tasks still finish, and the
+// first panic continues on the caller — never on a pool goroutine, where
+// nothing could recover it.
 func (p *Pool) Do(tasks ...func()) {
 	if len(tasks) == 0 {
 		return
+	}
+	var panicked atomic.Pointer[any]
+	run := func(task func()) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				panicked.CompareAndSwap(nil, &rec)
+			}
+			<-p.sem
+		}()
+		task()
 	}
 	var wg sync.WaitGroup
 	for _, task := range tasks[:len(tasks)-1] {
 		p.sem <- struct{}{}
 		wg.Add(1)
-		go func(task func()) {
-			defer func() {
-				<-p.sem
-				wg.Done()
-			}()
-			task()
-		}(task)
+		go func() {
+			defer wg.Done()
+			run(task)
+		}()
 	}
 	// Run the final task on the caller: it charges a slot like the others
 	// but keeps the caller productive instead of idle-waiting.
 	p.sem <- struct{}{}
-	tasks[len(tasks)-1]()
-	<-p.sem
+	run(tasks[len(tasks)-1])
 	wg.Wait()
+	if rec := panicked.Load(); rec != nil {
+		panic(*rec)
+	}
 }

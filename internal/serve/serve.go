@@ -16,15 +16,14 @@
 //     started with.
 //   - Cache: a bounded LRU of per-rule match-set evaluations keyed by rule
 //     Key() + graph generation; a swap bumps the generation and purges.
-//   - MineContextCache: a bounded LRU of mine.Context values — the
-//     partitioned, frozen fragment preamble of a DMine run — keyed by
-//     (generation, xLabel, d, n) with single-flight builds, so repeated
-//     mine jobs over one snapshot skip the partition and fragment
-//     Freeze() entirely. Each entry also parks the mine.Shared
-//     accumulators (worker sets with their round arenas) of finished jobs,
-//     so a steady stream of mine jobs reuses grown scratch instead of
-//     rebuilding it, and an evicted context takes its accumulators with
-//     it. Swaps purge it; the generation in the key makes stale entries
+//   - MineContextCache: a bounded LRU of mine.Context values keyed by
+//     (generation, xLabel, d, n) with single-flight builds. In-process
+//     mining runs on the snapshot's own graph, so a context is cheap; an
+//     entry earns its place by parking the mine.Shared accumulators (worker
+//     sets with their round arenas) of finished jobs, so a steady stream
+//     of mine jobs reuses grown scratch instead of rebuilding it, and by
+//     keeping a fleet job's encoded wire fragments for the next one. An
+//     evicted context takes both with it. Swaps purge it; the generation in the key makes stale entries
 //     unreachable regardless.
 //   - Batcher: single-flight coalescing of concurrent identify calls for
 //     the same rule into one match execution.
@@ -79,9 +78,9 @@ type Config struct {
 	PoolSize int
 	// CacheCap bounds the number of cached per-rule evaluations. Default 256.
 	CacheCap int
-	// MineCacheCap bounds the number of cached mine contexts (partitioned,
-	// frozen fragment sets reused across mine jobs). Contexts are heavy —
-	// each holds the candidates' d-neighborhoods — so the default is 4.
+	// MineCacheCap bounds the number of cached mine contexts (parked worker
+	// scratch and, for fleet jobs, encoded wire fragments, reused across
+	// mine jobs). Default 4.
 	MineCacheCap int
 	// DefaultEta is the confidence bound η applied when a request omits it.
 	// Default 1.0.
@@ -358,8 +357,8 @@ func (s *Server) loadLocked(g *graph.Graph, pred core.Predicate, rules []*core.R
 	}
 	s.cache.Purge()
 	// Mine contexts are keyed by generation, so old entries could never be
-	// served again; purging reclaims their fragment memory, and the
-	// accumulators parked on them, eagerly.
+	// served again; purging reclaims the accumulators parked on them, and
+	// any encoded wire fragments, eagerly.
 	s.mineCtx.Purge()
 	s.nSwap.Add(1)
 	return snap.Gen, nil
