@@ -125,19 +125,6 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 	w.msgs = out
 }
 
-// admissible applies the structural constraints a candidate must meet
-// before being sent to the coordinator: the radius bound r(PR,x) ≤ d and
-// "q(x,y) does not appear in Q". localMine inlines the same checks on its
-// recycled distance buffer; this standalone form serves callers without
-// scratch.
-func admissible(pred core.Predicate, q, pr *pattern.Pattern, d int) bool {
-	if q.Y != pattern.NoNode && q.HasEdge(q.X, q.Y, pred.EdgeLabel) {
-		return false
-	}
-	rad := pr.RadiusAt(pr.X)
-	return rad >= 0 && rad <= d
-}
-
 // radiusFrom reduces a DistancesInto result to the pattern radius, with the
 // RadiusAt convention: -1 when some node is unreachable.
 func radiusFrom(dist []int) int {
@@ -169,30 +156,19 @@ func (w *worker) discoverExtensions(lp localParams, q *pattern.Pattern, centers 
 	w.distXBuf = q.DistancesInto(w.distXBuf, q.X)
 	distX := w.distXBuf
 	w.resetAccs()
-	if n := w.frag.G.NumNodes(); len(w.invEpoch) < n {
+	g := w.frag.G
+	if n := g.NumNodes(); len(w.invEpoch) < n {
 		w.inv = make([]int32, n)
 		w.invEpoch = make([]uint32, n)
 		w.epoch = 0
 	}
-	curVx := graph.NodeID(-1)
-	add := func(ext pattern.Extension) {
-		code := w.extCode(ext)
-		acc := w.accs[code]
-		if acc == nil {
-			acc = w.newAcc(code, ext)
-		}
-		if acc.lastVx != curVx {
-			acc.lastVx = curVx
-			acc.centers = append(acc.centers, curVx)
-		}
-	}
-	embedOpts := opts
-	embedOpts.MaxMatches = lp.embedCap
-	embedOpts.Canonical = true
+	opts.MaxMatches = lp.embedCap
+	opts.Canonical = true
+	// One pooled matcher per parent, reused across all centers.
+	qm := match.NewMatcher(q, g, opts)
 	for _, vx := range centers {
 		w.ops++
-		curVx = vx
-		w.enumerateAnchored(q, vx, embedOpts, func(asgn []graph.NodeID) {
+		w.ops += int64(qm.EnumerateAnchored(vx, func(asgn []graph.NodeID) bool {
 			// Stamp the inverse embedding into the epoch scratch: one
 			// epoch bump invalidates the previous embedding's entries.
 			w.epoch++
@@ -200,55 +176,80 @@ func (w *worker) discoverExtensions(lp localParams, q *pattern.Pattern, centers 
 				clear(w.invEpoch)
 				w.epoch = 1
 			}
-			epoch := w.epoch
 			for u, dv := range asgn {
 				w.inv[dv] = int32(u)
-				w.invEpoch[dv] = epoch
+				w.invEpoch[dv] = w.epoch
 			}
 			for u, dv := range asgn {
 				// The new node would sit at distance distX[u]+1 from x;
 				// enforce the antecedent radius bound r(Q, x) <= d.
 				canGrow := distX[u] >= 0 && distX[u]+1 <= lp.d
-				for _, e := range w.frag.G.Out(dv) {
-					if w.invEpoch[e.To] == epoch {
-						u2 := int(w.inv[e.To])
-						if !q.HasEdge(u, u2, e.Label) {
-							add(pattern.Extension{Src: u, Outgoing: true, EdgeLabel: e.Label, Close: u2})
-						}
-						continue
-					}
-					if !canGrow {
-						continue
-					}
-					l := w.frag.G.Label(e.To)
-					add(pattern.Extension{Src: u, Outgoing: true, EdgeLabel: e.Label, NewLabel: l, Close: pattern.NoNode})
-					if q.Y == pattern.NoNode && l == lp.pred.YLabel {
-						add(pattern.Extension{Src: u, Outgoing: true, EdgeLabel: e.Label, NewLabel: l, Close: pattern.NoNode, AsY: true})
-					}
-				}
-				for _, e := range w.frag.G.In(dv) {
-					if w.invEpoch[e.To] == epoch {
-						u2 := int(w.inv[e.To])
-						if !q.HasEdge(u2, u, e.Label) {
-							add(pattern.Extension{Src: u, Outgoing: false, EdgeLabel: e.Label, Close: u2})
-						}
-						continue
-					}
-					if !canGrow {
-						continue
-					}
-					l := w.frag.G.Label(e.To)
-					add(pattern.Extension{Src: u, Outgoing: false, EdgeLabel: e.Label, NewLabel: l, Close: pattern.NoNode})
-					if q.Y == pattern.NoNode && l == lp.pred.YLabel {
-						add(pattern.Extension{Src: u, Outgoing: false, EdgeLabel: e.Label, NewLabel: l, Close: pattern.NoNode, AsY: true})
-					}
-				}
+				w.scanAdjacency(lp, q, vx, u, g.Out(dv), true, canGrow)
+				w.scanAdjacency(lp, q, vx, u, g.In(dv), false, canGrow)
 			}
-		})
+			return true
+		}))
 	}
+	qm.Release()
 	// Deterministic order of candidate emission.
 	slices.SortFunc(w.accList, func(a, b *extAcc) int { return a.ext.Compare(b.ext) })
 	return w.accList
+}
+
+// scanAdjacency records, for center vx, the extensions realized by adj: the
+// outgoing or incoming adjacency of the data node that the current embedding
+// (stamped into w.inv at w.epoch) assigns to pattern node u. An edge to
+// another embedded node is a closing extension unless Q already has it. The
+// other neighbors offer a new node, and they are taken as neighbor-class
+// runs: consecutive neighbors with the same edge label and the same node
+// label realize the same extension, and addExt ignores a repeat for the
+// center it saw last, so only the first edge of a run touches the
+// accumulators. Adjacency is (Label, To)-sorted, so on a hub most of the
+// scan is one run; the order decides only how much collapses, never what is
+// found.
+func (w *worker) scanAdjacency(lp localParams, q *pattern.Pattern, vx graph.NodeID, u int, adj []graph.Edge, outgoing, canGrow bool) {
+	g, epoch := w.frag.G, w.epoch
+	runEdge, runNode := graph.NoLabel, graph.NoLabel
+	for _, e := range adj {
+		if w.invEpoch[e.To] == epoch {
+			u2 := int(w.inv[e.To])
+			from, to := u, u2
+			if !outgoing {
+				from, to = u2, u
+			}
+			if !q.HasEdge(from, to, e.Label) {
+				w.addExt(vx, pattern.Extension{Src: u, Outgoing: outgoing, EdgeLabel: e.Label, Close: u2})
+			}
+			continue
+		}
+		if !canGrow {
+			continue
+		}
+		l := g.Label(e.To)
+		if e.Label == runEdge && l == runNode {
+			continue
+		}
+		runEdge, runNode = e.Label, l
+		ext := pattern.Extension{Src: u, Outgoing: outgoing, EdgeLabel: e.Label, NewLabel: l, Close: pattern.NoNode}
+		w.addExt(vx, ext)
+		if q.Y == pattern.NoNode && l == lp.pred.YLabel {
+			ext.AsY = true
+			w.addExt(vx, ext)
+		}
+	}
+}
+
+// addExt counts center vx as supporting ext, once.
+func (w *worker) addExt(vx graph.NodeID, ext pattern.Extension) {
+	code := w.extCode(ext)
+	acc := w.accs[code]
+	if acc == nil {
+		acc = w.newAcc(code, ext)
+	}
+	if acc.lastVx != vx {
+		acc.lastVx = vx
+		acc.centers = append(acc.centers, vx)
+	}
 }
 
 // resetAccs recycles the previous call's accumulators into the pool.
@@ -278,17 +279,4 @@ func (w *worker) newAcc(code uint64, ext pattern.Extension) *extAcc {
 	w.accs[code] = acc
 	w.accList = append(w.accList, acc)
 	return acc
-}
-
-// enumerateAnchored enumerates embeddings of q anchored at vx (h(x) = vx),
-// invoking fn for each. The empty seed pattern (single node x, no edges)
-// yields exactly one embedding.
-func (w *worker) enumerateAnchored(q *pattern.Pattern, vx graph.NodeID, opts match.Options, fn func(asgn []graph.NodeID)) {
-	count := 0
-	match.EnumerateAnchored(q, w.frag.G, vx, opts, func(asgn []graph.NodeID) bool {
-		fn(asgn)
-		count++
-		w.ops++
-		return opts.MaxMatches == 0 || count < opts.MaxMatches
-	})
 }

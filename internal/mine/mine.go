@@ -27,6 +27,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"time"
 
 	"gpar/internal/core"
 	"gpar/internal/diversify"
@@ -169,6 +170,25 @@ type Result struct {
 	BisimSkips  int     // pairs rejected by the bisimulation prefilter
 	WorkerOps   []int64 // per-worker match-operation counts (work proxy)
 	MaxWorkerOp int64   // max over WorkerOps, the O(t/n) proxy
+	// Supersteps is the coordinator's own account of where the run went, one
+	// entry per round. Wall-clock timings: they belong to no identity
+	// comparison (results are compared field by field, never as a whole).
+	Supersteps []SuperstepStat
+}
+
+// SuperstepStat is one BSP round as the coordinator saw it, for the local
+// and the remote engine alike: the frontier it extended, the messages the
+// generate superstep returned (for a fleet, that span includes the wire),
+// the rules assembly registered in Σ, and the time each of the three phases
+// of runE took.
+type SuperstepStat struct {
+	Round       int     `json:"round"`
+	Frontier    int     `json:"frontier"`
+	Messages    int     `json:"messages"`
+	Kept        int     `json:"kept"`
+	GenerateMs  float64 `json:"generateMs"`
+	AssembleMs  float64 `json:"assembleMs"`
+	DiversifyMs float64 `json:"diversifyMs"`
 }
 
 // DMine mines diversified top-k GPARs for pred on g. It implements Fig. 4
@@ -460,20 +480,33 @@ func (m *miner) runE() (*Result, error) {
 		// Trivial case 1: q(x,y) specifies no user in G.
 		return m.res, nil
 	}
+	// lap returns the milliseconds since the previous lap: three clock reads
+	// per round split it into SuperstepStat's phases.
+	mark := time.Now()
+	lap := func() float64 {
+		prev := mark
+		mark = time.Now()
+		return float64(mark.Sub(prev)) / float64(time.Millisecond)
+	}
 	for r := 1; r <= m.opts.MaxEdges && len(frontier) > 0; r++ {
 		if err := m.canceled(r); err != nil {
 			return nil, err
 		}
 		m.res.Rounds = r
+		st := SuperstepStat{Round: r, Frontier: len(frontier)}
 		msgs, err := m.eng.generate(m, frontier)
 		if err != nil {
 			return nil, m.wrapCanceled(err, r)
 		}
+		st.Messages, st.GenerateMs = len(msgs), lap()
 		deltaE := m.assemble(frontier, msgs)
+		st.Kept, st.AssembleMs = len(deltaE), lap()
 		frontier, err = m.diversifyAndFilter(deltaE, r)
 		if err != nil {
 			return nil, m.wrapCanceled(err, r)
 		}
+		st.DiversifyMs = lap()
+		m.res.Supersteps = append(m.res.Supersteps, st)
 	}
 
 	m.finish()

@@ -299,21 +299,27 @@ func TestMinedAccessors(t *testing.T) {
 }
 
 // TestAdmissibleRejectsConsequentInQ: growth must never produce an
-// antecedent containing q(x,y) itself.
+// antecedent containing q(x,y) itself, nor a rule whose PR exceeds the radius
+// bound at x — checked on everything DMine retains, at a budget (MaxEdges 3)
+// that lets growth reach past d if the bound were not enforced.
 func TestAdmissibleRejectsConsequentInQ(t *testing.T) {
 	syms := graph.NewSymbols()
-	pred := core.Predicate{
-		XLabel:    syms.Intern("cust"),
-		EdgeLabel: syms.Intern("visit"),
-		YLabel:    syms.Intern("rest"),
+	f := gen.G1(syms)
+	pred := gen.VisitPredicate(syms)
+	opts := baseOpts()
+	opts.Sigma, opts.D, opts.MaxEdges = 1, 1, 3
+	res := DMine(f.G, pred, opts)
+	if len(res.All) == 0 {
+		t.Fatal("nothing mined")
 	}
-	q := pattern.New(syms)
-	x := q.AddNode("cust")
-	y := q.AddNode("rest")
-	q.AddEdge(x, y, "visit")
-	q.X, q.Y = x, y
-	r := &core.Rule{Q: q, Pred: pred}
-	if admissible(pred, q, r.PR(), baseOpts().D) {
-		t.Error("rule with q(x,y) in Q admitted")
+	for _, m := range res.All {
+		q := m.Rule.Q
+		if q.Y != pattern.NoNode && q.HasEdge(q.X, q.Y, pred.EdgeLabel) {
+			t.Errorf("%s: q(x,y) in Q:\n%s", m.Key(), q)
+		}
+		pr := m.Rule.PR()
+		if rad := pr.RadiusAt(pr.X); rad < 0 || rad > opts.D {
+			t.Errorf("%s: r(PR,x) = %d, want 0..%d", m.Key(), rad, opts.D)
+		}
 	}
 }

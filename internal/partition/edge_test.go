@@ -9,8 +9,7 @@ import (
 
 // The serving subsystem (internal/serve) builds fragments once per
 // snapshot and reuses them across requests, which leans on the degenerate
-// corners of this package: n = 1 partitions, empty candidate lists, and
-// Balance over skeletal fragments.
+// corners of this package: n = 1 partitions and empty candidate lists.
 
 // TestWholeVsPartitionN1 checks that a one-fragment partition is
 // observationally equivalent to Whole for anchored matching: same owned
@@ -81,10 +80,6 @@ func TestPartitionEmptyCandidates(t *testing.T) {
 			t.Errorf("fragment %d resolves a node it does not contain", i)
 		}
 	}
-	maxS, minS, skew := Balance(frags)
-	if maxS != 0 || minS != 0 || skew != 0 {
-		t.Errorf("Balance on empty fragments = (%d,%d,%v), want zeros", maxS, minS, skew)
-	}
 }
 
 // TestWholeEmptyCandidates: Whole with no candidates owns nothing but
@@ -101,29 +96,13 @@ func TestWholeEmptyCandidates(t *testing.T) {
 	}
 }
 
-// TestBalanceDegenerate covers the no-fragments and single-fragment paths.
-func TestBalanceDegenerate(t *testing.T) {
-	if maxS, minS, skew := Balance(nil); maxS != 0 || minS != 0 || skew != 0 {
-		t.Errorf("Balance(nil) = (%d,%d,%v)", maxS, minS, skew)
-	}
-	syms := graph.NewSymbols()
-	g := gen.Synthetic(syms, 40, 80, 4)
-	cands := g.NodesWithLabel(g.NodeLabels()[0])
-	frags := Partition(g, cands, 1, 1)
-	maxS, minS, skew := Balance(frags)
-	if maxS != minS || skew != 0 {
-		t.Errorf("single fragment Balance = (%d,%d,%v), want max=min, skew 0", maxS, minS, skew)
-	}
-}
-
-// TestBalanceSkewOnDegenerateFragments: one loaded fragment among empty
-// ones produces the maximal (max-min)/mean skew, not a division blowup.
-func TestBalanceSkewOnDegenerateFragments(t *testing.T) {
+// TestPartitionFewerCandidatesThanFragments: with n far above the candidate
+// count, all but one fragment stay empty.
+func TestPartitionFewerCandidatesThanFragments(t *testing.T) {
 	syms := graph.NewSymbols()
 	g := gen.Synthetic(syms, 60, 120, 5)
 	label := g.NodeLabels()[0]
 	one := g.NodesWithLabel(label)[:1]
-	// n far exceeds the candidate count: all but one fragment stay empty.
 	frags := Partition(g, one, 4, 2)
 	nonEmpty := 0
 	for _, f := range frags {
@@ -133,14 +112,5 @@ func TestBalanceSkewOnDegenerateFragments(t *testing.T) {
 	}
 	if nonEmpty != 1 {
 		t.Fatalf("%d non-empty fragments, want 1", nonEmpty)
-	}
-	maxS, minS, skew := Balance(frags)
-	if minS != 0 || maxS == 0 {
-		t.Fatalf("Balance = (%d,%d,%v)", maxS, minS, skew)
-	}
-	mean := float64(maxS) / 4
-	want := float64(maxS) / mean // (max-0)/mean = 4
-	if skew != want {
-		t.Errorf("skew %v, want %v", skew, want)
 	}
 }

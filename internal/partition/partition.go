@@ -167,29 +167,3 @@ func Partition(g *graph.Graph, cands []graph.NodeID, n, d int) []*Fragment {
 func Whole(g *graph.Graph, cands []graph.NodeID) *Fragment {
 	return &Fragment{G: g, Centers: cands, numGlobal: g.NumNodes()}
 }
-
-// Balance reports the max/min/mean fragment sizes and the skew
-// (max-min)/mean, the metric the paper's experimental setup reports for its
-// partitioner.
-func Balance(frags []*Fragment) (maxSize, minSize int, skew float64) {
-	if len(frags) == 0 {
-		return 0, 0, 0
-	}
-	maxSize, minSize = frags[0].Size(), frags[0].Size()
-	total := 0
-	for _, f := range frags {
-		s := f.Size()
-		total += s
-		if s > maxSize {
-			maxSize = s
-		}
-		if s < minSize {
-			minSize = s
-		}
-	}
-	mean := float64(total) / float64(len(frags))
-	if mean == 0 {
-		return maxSize, minSize, 0
-	}
-	return maxSize, minSize, float64(maxSize-minSize) / mean
-}

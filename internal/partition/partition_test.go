@@ -100,23 +100,6 @@ func TestPartitionPreservesAnchoredMatching(t *testing.T) {
 	}
 }
 
-func TestBalance(t *testing.T) {
-	syms := graph.NewSymbols()
-	f := gen.G1(syms)
-	cands := f.G.NodesWithLabel(syms.Lookup(gen.LCust))
-	frags := Partition(f.G, cands, 2, 1)
-	maxS, minS, skew := Balance(frags)
-	if maxS < minS {
-		t.Errorf("max %d < min %d", maxS, minS)
-	}
-	if skew < 0 {
-		t.Errorf("skew = %v", skew)
-	}
-	if m, n, s := Balance(nil); m != 0 || n != 0 || s != 0 {
-		t.Error("Balance(nil) should be zeros")
-	}
-}
-
 func TestPartitionPanicsOnBadN(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -276,6 +276,21 @@ func TestDeltaWarmMineCarry(t *testing.T) {
 	if j1.Status != JobDone || j1.WarmStarted || j1.ServedGeneration != 1 {
 		t.Fatalf("first job: %+v", j1)
 	}
+	// A job that ran lists one superstep per round on GET /v1/jobs/{id}.
+	if len(j1.Supersteps) != j1.Rounds || j1.Rounds == 0 {
+		t.Fatalf("first job: %d supersteps for %d rounds", len(j1.Supersteps), j1.Rounds)
+	}
+	kept := 0
+	for i, st := range j1.Supersteps {
+		if st.Round != i+1 || st.Frontier == 0 || st.Messages == 0 ||
+			st.GenerateMs <= 0 || st.AssembleMs <= 0 || st.DiversifyMs <= 0 {
+			t.Errorf("superstep %d: %+v", i, st)
+		}
+		kept += st.Kept
+	}
+	if kept < j1.Kept {
+		t.Errorf("supersteps kept %d rules, the job reports %d", kept, j1.Kept)
+	}
 
 	// Island-only batch: beyond the warm reach max(D, MaxEdges)+1 = 3, the
 	// result is carried to generation 2.
@@ -290,6 +305,9 @@ func TestDeltaWarmMineCarry(t *testing.T) {
 	j2 := start()
 	if j2.Status != JobDone || !j2.WarmStarted || j2.ServedGeneration != 2 {
 		t.Fatalf("carried job: %+v", j2)
+	}
+	if len(j2.Supersteps) != 0 {
+		t.Errorf("warm-started job ran nothing but lists supersteps: %+v", j2.Supersteps)
 	}
 	if !reflect.DeepEqual(j2.RuleKeys, j1.RuleKeys) || j2.F != j1.F ||
 		j2.Rounds != j1.Rounds || j2.Generated != j1.Generated || j2.Kept != j1.Kept {

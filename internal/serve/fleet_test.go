@@ -65,6 +65,17 @@ func TestMineJobFleet(t *testing.T) {
 	if len(remoteJob.RuleKeys) == 0 || !reflect.DeepEqual(remoteJob.RuleKeys, localJob.RuleKeys) {
 		t.Fatalf("distributed rules diverge:\nfleet %v\nlocal %v", remoteJob.RuleKeys, localJob.RuleKeys)
 	}
+	// The coordinator stamps supersteps the same way for both engines: the
+	// counts agree, the timings are each run's own.
+	if len(remoteJob.Supersteps) != remoteJob.Rounds || len(localJob.Supersteps) != len(remoteJob.Supersteps) {
+		t.Fatalf("supersteps: fleet %d, local %d, rounds %d", len(remoteJob.Supersteps), len(localJob.Supersteps), remoteJob.Rounds)
+	}
+	for i, r := range remoteJob.Supersteps {
+		l := localJob.Supersteps[i]
+		if r.Round != l.Round || r.Frontier != l.Frontier || r.Messages != l.Messages || r.Kept != l.Kept || r.GenerateMs <= 0 {
+			t.Errorf("superstep %d diverges:\nfleet %+v\nlocal %+v", i, r, l)
+		}
+	}
 	if got := fleet.nRemoteMine.Load(); got != 1 {
 		t.Fatalf("remote mine counter = %d, want 1", got)
 	}

@@ -118,6 +118,11 @@ type Job struct {
 	// reach no intervening delta touched: no mining ran at all. The result
 	// is byte-identical to a fresh run by the carry invariant (delta.go).
 	WarmStarted bool `json:"warmStarted,omitempty"`
+	// Supersteps is the run's per-round account — frontier, messages, rules
+	// kept, and the milliseconds its generate, assemble and diversify phases
+	// took — as the coordinator stamped it, in process or over a fleet.
+	// Absent on a warm-started job, which ran nothing.
+	Supersteps []mine.SuperstepStat `json:"supersteps,omitempty"`
 
 	// cancel stops the job's run context. It is installed at creation (so a
 	// DELETE can never race an unregistered job) and cleared when the job
@@ -460,6 +465,9 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 		j.Generation = gen
 		j.ContextCached = ctxHit
 		j.WarmStarted = warmStarted
+		if !warmStarted {
+			j.Supersteps = res.Supersteps
+		}
 		j.Distributed = distributed
 		j.FleetFallback = fleetFallback
 		j.Attempts = attempts

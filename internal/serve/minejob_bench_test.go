@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"testing"
 
 	"gpar/internal/core"
@@ -75,5 +76,57 @@ func BenchmarkMineJobWarm(b *testing.B) {
 	b.StopTimer()
 	if st := cache.Stats(); st.Hits == 0 {
 		b.Fatalf("warm benchmark recorded no cache hits: %+v", st)
+	}
+}
+
+// BenchmarkMineJobSteady is one in-process job as a warmed-up gpard runs it
+// on the end-to-end benchmark's mine-jobs workload: the Google+-style graph
+// of 5 000 users read back from its text form (file interning order, as
+// benchmark/inputs.go does), that workload's parameters — the predicates in
+// turn, σ stepping up from 4 once per pass over them, in a cycle of four so
+// an iteration's work does not drift with b.N — two workers behind a gate of
+// one, and the accumulator parked on the context entry between jobs. This is
+// the hub-shaped regime: embeddings run through high-degree school, major
+// and employer nodes, where the Pokec-like graph of the other mining
+// benchmarks has few. Recorded in BENCH_mine.json by `make bench`.
+func BenchmarkMineJobSteady(b *testing.B) {
+	var buf bytes.Buffer
+	if _, err := gen.Gplus(graph.NewSymbols(), gen.DefaultGplus(5000, 1)).WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	syms := graph.NewSymbols()
+	g, err := graph.Read(&buf, syms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.Freeze()
+	preds := gen.GplusPredicates(syms)
+	opts := mine.Options{
+		K: 8, D: 2, Lambda: 0.5, N: 2, MaxEdges: 2, MaxCandidatesPerRound: 40,
+		Gate: mine.NewGate(1),
+	}.WithOptimizations().Defaults()
+	cache := NewMineContextCache(4)
+	job := func(i int) {
+		pred := preds[i%len(preds)]
+		o := opts
+		o.Sigma = 4 + (i/len(preds))%4
+		e, _ := cache.GetOrBuild(MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: o.D, N: o.N}, func() *mine.Context {
+			return mine.NewContext(g, pred.XLabel, o)
+		})
+		sh := cache.acquire(e)
+		res, err := sh.DMine(pred, o)
+		cache.park(e, sh)
+		if err != nil || len(res.TopK) == 0 {
+			b.Fatalf("job %d: no rules mined (err=%v)", i, err)
+		}
+	}
+	// One pass warms the accumulator: arenas grown, extendability memoized.
+	for i := range preds {
+		job(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job(len(preds) + i)
 	}
 }
