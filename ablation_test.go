@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"gpar/internal/bench"
+	"gpar/internal/core"
 	"gpar/internal/eip"
 	"gpar/internal/gen"
 	"gpar/internal/graph"
@@ -19,14 +20,35 @@ import (
 	"gpar/internal/sketch"
 )
 
+// BenchmarkAblation_DMineOptimizations times the three Section 6
+// optimizations, together and alone, on each graph of the identify corpus
+// at the figure-sweep options and on the end-to-end benchmark's mine-jobs
+// shape (the Google+-like graph of 5 000 users, that workload's options).
+// DESIGN.md, "What the Section 6 optimizations buy", has the table.
 func BenchmarkAblation_DMineOptimizations(b *testing.B) {
 	sc := benchScale()
-	g, syms := bench.PokecGraph(sc.PokecUsers, sc.Seed)
-	pred := gen.PokecPredicates(syms)[0]
-	base := mine.Options{
-		K: 10, Sigma: sc.SigmaPokec[2], D: 2, Lambda: 0.5, N: 8,
-		MaxEdges: 3, MaxCandidatesPerRound: 60,
+	type ablationCase struct {
+		name string
+		g    *graph.Graph
+		pred core.Predicate
+		base mine.Options
 	}
+	var cases []ablationCase
+	for _, c := range identifyCorpus(b, sc.PokecUsers) {
+		sigma := sc.SigmaPokec[2]
+		if c.name == "gplus" {
+			sigma = sc.SigmaGplus[2]
+		}
+		cases = append(cases, ablationCase{c.name, c.g, c.pred, mine.Options{
+			K: 10, Sigma: sigma, D: 2, Lambda: 0.5, N: 8,
+			MaxEdges: 3, MaxCandidatesPerRound: 60,
+		}})
+	}
+	jobs := gen.Gplus(graph.NewSymbols(), gen.DefaultGplus(5000, 1))
+	cases = append(cases, ablationCase{"gplus-5000-jobs", jobs, gen.GplusPredicates(jobs.Symbols())[0], mine.Options{
+		K: 8, Sigma: 4, D: 2, Lambda: 0.5, N: 2,
+		MaxEdges: 2, MaxCandidatesPerRound: 40,
+	}})
 	variants := []struct {
 		name string
 		mod  func(o mine.Options) mine.Options
@@ -37,15 +59,19 @@ func BenchmarkAblation_DMineOptimizations(b *testing.B) {
 		{"reduction+incremental", func(o mine.Options) mine.Options { o.Incremental = true; o.Reduction = true; return o }},
 		{"bisim-only", func(o mine.Options) mine.Options { o.BisimFilter = true; return o }},
 	}
-	for _, v := range variants {
-		opts := v.mod(base)
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := mine.DMine(g, pred, opts)
-				b.ReportMetric(float64(res.IsoChecks), "isoChecks")
-				b.ReportMetric(float64(res.Pruned), "pruned")
-			}
-		})
+	for _, c := range cases {
+		for _, v := range variants {
+			opts := v.mod(c.base)
+			b.Run(c.name+"/"+v.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					res := mine.DMine(c.g, c.pred, opts)
+					b.ReportMetric(float64(res.IsoChecks), "isoChecks")
+					b.ReportMetric(float64(res.Pruned), "pruned")
+					b.ReportMetric(float64(res.Kept), "kept")
+					b.ReportMetric(float64(res.Capped), "capped")
+				}
+			})
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 	"gpar/internal/pattern"
 )
 
-// refineDepth is the fixed number of refinement rounds; see Summarize.
+// refineDepth is the fixed number of refinement rounds; see AppendSummary.
 const refineDepth = 24
 
 // Summary is a canonical bisimulation fingerprint of one pattern: the sorted
@@ -44,7 +44,7 @@ func (s Summary) Equal(t Summary) bool {
 	return true
 }
 
-// sumScratch is pooled Summarize state. DMine summarizes every candidate
+// sumScratch is pooled AppendSummary state. DMine summarizes every candidate
 // group of every round (in parallel shards), so the refinement must not
 // allocate per call: only the returned Summary escapes.
 type sumScratch struct {
@@ -64,18 +64,13 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Summarize computes the bisimulation summary of p. Multiplicities are
-// expanded first; bisimulation ignores copy counts beyond one by definition
-// (bisimilar copies collapse into one color), so the expansion does not
-// change the answer but keeps the semantics aligned with matching.
-func Summarize(p *pattern.Pattern) Summary {
-	return AppendSummary(nil, p)
-}
-
 // AppendSummary computes p's summary and appends it to dst, returning the
 // extended slice. Callers that summarize one pattern per candidate group
 // (DMine's assembly shards) carve each summary as a view of one recycled
-// buffer instead of allocating a fresh slice per group.
+// buffer instead of allocating a fresh slice per group. Multiplicities are
+// expanded first; bisimulation ignores copy counts beyond one by definition
+// (bisimilar copies collapse into one color), so the expansion does not
+// change the answer but keeps the semantics aligned with matching.
 func AppendSummary(dst Summary, p *pattern.Pattern) Summary {
 	pe := p.Expand()
 	n := pe.NumNodes()
@@ -166,13 +161,13 @@ func markDesignated(p *pattern.Pattern, u int) uint64 {
 // AppendSummary); an earlier string-keyed summary cache cost more in key
 // rendering than recomputation and was removed.
 func Bisimilar(p, q *pattern.Pattern) bool {
-	return Summarize(p).Equal(Summarize(q))
+	return AppendSummary(nil, p).Equal(AppendSummary(nil, q))
 }
 
 // hash1 is FNV-1a over the 16 little-endian bytes of (a, b), computed
 // inline: byte-for-byte identical to hash/fnv on the same buffer, but with
 // no hasher or buffer allocation — it runs n·refineDepth·deg times per
-// Summarize, squarely on the mining hot path.
+// AppendSummary, squarely on the mining hot path.
 func hash1(a, b uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037

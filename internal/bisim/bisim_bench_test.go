@@ -36,7 +36,7 @@ func BenchmarkSummarize(b *testing.B) {
 	ps := randomPatterns(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Summarize(ps[i%len(ps)])
+		AppendSummary(nil, ps[i%len(ps)])
 	}
 }
 
@@ -45,7 +45,7 @@ func BenchmarkPairwiseBisimVsIso(b *testing.B) {
 	b.Run("bisim-prefilter", func(b *testing.B) {
 		sums := make([]Summary, len(ps))
 		for i, p := range ps {
-			sums[i] = Summarize(p)
+			sums[i] = AppendSummary(nil, p)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

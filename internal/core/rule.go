@@ -181,9 +181,3 @@ func (s Stats) StdConf() float64 {
 	}
 	return float64(s.SuppR) / float64(s.SuppQ)
 }
-
-// MaxConf is the upper end of the nontrivial confidence range
-// [0, supp(R,G)·supp(q̄,G)] noted in Section 4.1.
-func (s Stats) MaxConf() float64 {
-	return float64(s.SuppR) * float64(s.SuppQbar)
-}

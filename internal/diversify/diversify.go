@@ -8,7 +8,6 @@ package diversify
 
 import (
 	"math"
-	"sort"
 
 	"gpar/internal/graph"
 )
@@ -26,12 +25,6 @@ type Entry struct {
 	Conf float64
 	Set  []graph.NodeID // must be sorted ascending
 	B    Bits           // optional bitset form of Set
-}
-
-// SortSet sorts a match set in place so it can be used in an Entry.
-func SortSet(s []graph.NodeID) []graph.NodeID {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s
 }
 
 // Diff returns the Jaccard distance 1 - |a∩b| / |a∪b| between two sorted

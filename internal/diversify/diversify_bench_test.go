@@ -2,6 +2,7 @@ package diversify
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gpar/internal/graph"
@@ -33,7 +34,8 @@ func benchRounds() [][]Entry {
 				}
 			}
 			id++
-			e := Entry{ID: uint32(id), Conf: rng.Float64(), Set: SortSet(set)}
+			slices.Sort(set)
+			e := Entry{ID: uint32(id), Conf: rng.Float64(), Set: set}
 			e.B = MakeBits(e.Set)
 			batch[i] = e
 		}

@@ -20,13 +20,6 @@ type Queue struct {
 	// The table is recycled (cleared, capacity kept) across rounds.
 	memo map[uint64]float64
 
-	// NoRecycle disables the per-round recycling of the Update working list,
-	// the dedupe set and the memo table: every round then allocates fresh,
-	// as before the pooling. Results are identical either way (pinned by
-	// TestQueueRecycleParity); mining wires Options.DisableArenas here so
-	// one switch covers every recycled structure of a run.
-	NoRecycle bool
-
 	entries []Entry         // recycled Update working list (deltaE ++ sigma)
 	seen    map[uint32]bool // recycled dedupe set
 }
@@ -93,19 +86,12 @@ func (q *Queue) fprime(a, b *Entry) float64 {
 // pairs while below capacity, then replace minimum pairs whenever a new pair
 // (R, R') with R ∈ ∆E scores higher.
 func (q *Queue) Update(deltaE, sigma []Entry) {
-	var all []Entry
-	if q.NoRecycle {
-		all = append(append([]Entry(nil), deltaE...), sigma...)
-	} else {
-		all = append(append(q.entries[:0], deltaE...), sigma...)
-		q.entries = all
-	}
-	pool := q.dedupe(all)
-	if q.NoRecycle || q.memo == nil {
+	q.entries = append(append(q.entries[:0], deltaE...), sigma...)
+	pool := q.dedupe(q.entries)
+	if q.memo == nil {
 		q.memo = make(map[uint64]float64)
-	} else {
-		clear(q.memo)
 	}
+	clear(q.memo)
 
 	// Phase 1: fill while below capacity.
 	for len(q.pairs) < q.capPairs() {
@@ -214,28 +200,18 @@ func (q *Queue) Entries() []Entry {
 	return out
 }
 
-// dedupe keeps the first occurrence of each ID, preserving order. In
-// recycling mode it compacts es in place (the queue owns es) and reuses the
-// seen set; pairs only ever store Entry copies, so nothing outlives the
-// round.
+// dedupe keeps the first occurrence of each ID, preserving order. It
+// compacts es in place (the queue owns es) and reuses the seen set; pairs
+// only ever store Entry copies, so nothing outlives the round.
 func (q *Queue) dedupe(es []Entry) []Entry {
-	var seen map[uint32]bool
-	var out []Entry
-	if q.NoRecycle {
-		seen = make(map[uint32]bool, len(es))
-		out = es[:0:0]
-	} else {
-		if q.seen == nil {
-			q.seen = make(map[uint32]bool, len(es))
-		} else {
-			clear(q.seen)
-		}
-		seen = q.seen
-		out = es[:0]
+	if q.seen == nil {
+		q.seen = make(map[uint32]bool, len(es))
 	}
+	clear(q.seen)
+	out := es[:0]
 	for _, e := range es {
-		if !seen[e.ID] {
-			seen[e.ID] = true
+		if !q.seen[e.ID] {
+			q.seen[e.ID] = true
 			out = append(out, e)
 		}
 	}

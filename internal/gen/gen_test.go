@@ -65,10 +65,10 @@ func TestPokecShape(t *testing.T) {
 	follow := syms.Lookup("follow")
 	follows := 0
 	for _, u := range users {
-		if !g.HasOutLabel(u, liveIn) {
+		if len(g.OutRangeL(u, liveIn)) == 0 {
 			t.Fatalf("user %d has no residence", u)
 		}
-		if !g.HasOutLabel(u, hobby) {
+		if len(g.OutRangeL(u, hobby)) == 0 {
 			t.Fatalf("user %d has no hobby", u)
 		}
 		for _, e := range g.Out(u) {
@@ -97,7 +97,7 @@ func TestGplusShape(t *testing.T) {
 	}
 	school := syms.Lookup("school")
 	for _, u := range users {
-		if !g.HasOutLabel(u, school) {
+		if len(g.OutRangeL(u, school)) == 0 {
 			t.Fatalf("user %d has no school", u)
 		}
 	}

@@ -181,9 +181,6 @@ func compareGraphs(t *testing.T, tag string, got, want *graph.Graph) {
 				t.Fatalf("%s: InRangeL(%d,%d) %v != %v", tag, v, l,
 					got.InRangeL(v, l), want.InRangeL(v, l))
 			}
-			if got.HasOutLabel(v, l) != want.HasOutLabel(v, l) {
-				t.Fatalf("%s: HasOutLabel(%d,%d)", tag, v, l)
-			}
 		}
 	}
 	checkBoundedBFS(t, tag, got)

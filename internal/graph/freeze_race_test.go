@@ -32,7 +32,6 @@ func TestConcurrentFreezeOnFrozenGraph(t *testing.T) {
 				g.InRangeL(u, l)
 				g.NodesWithLabel(g.Label(v))
 				g.NodeLabels()
-				g.HasOutLabel(v, l)
 				g.Neighborhood(v, 2)
 			}
 		}(w)

@@ -88,11 +88,11 @@ func TestFreezeDoesNotChangeDegreesOrLabels(t *testing.T) {
 	}
 	before := make([]snap, g.NumNodes())
 	for v := 0; v < g.NumNodes(); v++ {
-		before[v] = snap{g.OutDegree(NodeID(v)), g.InDegree(NodeID(v)), g.Label(NodeID(v))}
+		before[v] = snap{len(g.Out(NodeID(v))), len(g.In(NodeID(v))), g.Label(NodeID(v))}
 	}
 	g.Freeze()
 	for v := 0; v < g.NumNodes(); v++ {
-		after := snap{g.OutDegree(NodeID(v)), g.InDegree(NodeID(v)), g.Label(NodeID(v))}
+		after := snap{len(g.Out(NodeID(v))), len(g.In(NodeID(v))), g.Label(NodeID(v))}
 		if after != before[v] {
 			t.Fatalf("node %d changed by Freeze: %+v vs %+v", v, before[v], after)
 		}

@@ -23,8 +23,8 @@ type Edge struct {
 //
 // Concurrency contract: a Graph is not safe for concurrent mutation, and an
 // unfrozen graph is not safe for concurrent reads that touch the lazy label
-// index (NodesWithLabel, CountLabel, NodeLabels). Freeze the graph before
-// sharing it: after Freeze returns, every read path — including further
+// index (NodesWithLabel, NodeLabels). Freeze the graph before sharing it:
+// after Freeze returns, every read path — including further
 // Freeze calls, which are then cheap atomic no-ops — is safe from any
 // number of goroutines until the next mutation. Mutating a shared graph
 // (which thaws it) requires external synchronization, exactly like any
@@ -236,17 +236,6 @@ func (g *Graph) InRangeL(v NodeID, l Label) []Edge {
 	return out
 }
 
-// EdgeLabels returns the labels of all edges from -> to, in insertion order.
-func (g *Graph) EdgeLabels(from, to NodeID) []Label {
-	var out []Label
-	for _, e := range g.out[from] {
-		if e.To == to {
-			out = append(out, e.Label)
-		}
-	}
-	return out
-}
-
 // Label returns the node label of v.
 func (g *Graph) Label(v NodeID) Label { return g.labels[v] }
 
@@ -259,51 +248,8 @@ func (g *Graph) Out(v NodeID) []Edge { return g.out[v] }
 // In returns the incoming adjacency of v ({To: source}). Read-only.
 func (g *Graph) In(v NodeID) []Edge { return g.in[v] }
 
-// OutDegree reports the number of outgoing edges of v.
-func (g *Graph) OutDegree(v NodeID) int { return len(g.out[v]) }
-
-// InDegree reports the number of incoming edges of v.
-func (g *Graph) InDegree(v NodeID) int { return len(g.in[v]) }
-
 // Degree reports the total (in+out) degree of v.
 func (g *Graph) Degree(v NodeID) int { return len(g.out[v]) + len(g.in[v]) }
-
-// HasOutLabel reports whether v has at least one outgoing edge labeled l.
-// This is the "has at least one edge of type q" test of the local closed
-// world assumption (Section 3).
-func (g *Graph) HasOutLabel(v NodeID, l Label) bool {
-	if g.frozen.Load() {
-		return len(g.OutRangeL(v, l)) > 0
-	}
-	for _, e := range g.out[v] {
-		if e.Label == l {
-			return true
-		}
-	}
-	return false
-}
-
-// OutTo returns the targets of v's outgoing edges labeled l.
-func (g *Graph) OutTo(v NodeID, l Label) []NodeID {
-	var out []NodeID
-	if g.frozen.Load() {
-		r := g.OutRangeL(v, l)
-		if len(r) == 0 {
-			return nil
-		}
-		out = make([]NodeID, len(r))
-		for i, e := range r {
-			out[i] = e.To
-		}
-		return out
-	}
-	for _, e := range g.out[v] {
-		if e.Label == l {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}
 
 // rebuild refreshes the label index.
 func (g *Graph) rebuild() {
@@ -335,11 +281,6 @@ func (g *Graph) NodesWithLabel(l Label) []NodeID {
 	}
 	g.rebuild()
 	return g.byLabel[l]
-}
-
-// CountLabel reports the number of nodes labeled l.
-func (g *Graph) CountLabel(l Label) int {
-	return len(g.NodesWithLabel(l))
 }
 
 // NodeLabels returns the distinct node labels present, sorted. Read-only
@@ -533,42 +474,6 @@ func (g *Graph) InducedSubgraph(nodes []NodeID) (sub *Graph, toLocal map[NodeID]
 	sub.numE = numE
 	sub.dirty = true
 	return sub, toLocal, toGlobal
-}
-
-// DNeighborhoodGraph returns Gd(v): the subgraph induced by Nd(v), plus the
-// local ID of v in it (Section 4.2).
-func (g *Graph) DNeighborhoodGraph(v NodeID, d int) (sub *Graph, center NodeID, toGlobal []NodeID) {
-	nodes := g.Neighborhood(v, d)
-	sub, toLocal, toGlobal := g.InducedSubgraph(nodes)
-	return sub, toLocal[v], toGlobal
-}
-
-// Descendants returns all nodes reachable from v by directed paths, not
-// including v unless it lies on a cycle through itself (Section 2.1,
-// notation (5)).
-func (g *Graph) Descendants(v NodeID) []NodeID {
-	visited := make(map[NodeID]bool)
-	stack := make([]NodeID, 0, len(g.out[v]))
-	for _, e := range g.out[v] {
-		stack = append(stack, e.To)
-	}
-	var out []NodeID
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[u] {
-			continue
-		}
-		visited[u] = true
-		out = append(out, u)
-		for _, e := range g.out[u] {
-			if !visited[e.To] {
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Clone returns a deep copy sharing the symbol table.

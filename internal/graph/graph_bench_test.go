@@ -26,14 +26,6 @@ func BenchmarkNeighborhood(b *testing.B) {
 	}
 }
 
-func BenchmarkDNeighborhoodGraph(b *testing.B) {
-	g := benchGraph(5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.DNeighborhoodGraph(NodeID(i%g.NumNodes()), 2)
-	}
-}
-
 func BenchmarkHasEdge(b *testing.B) {
 	g := benchGraph(5000)
 	e := g.Symbols().Lookup("e")

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -30,18 +29,6 @@ func TestSymbolsIntern(t *testing.T) {
 	}
 	if s.Len() != 2 {
 		t.Errorf("Len = %d want 2", s.Len())
-	}
-}
-
-func TestSymbolsSortedNames(t *testing.T) {
-	s := NewSymbols()
-	for _, n := range []string{"zebra", "apple", "mid"} {
-		s.Intern(n)
-	}
-	got := s.SortedNames()
-	want := []string{"apple", "mid", "zebra"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SortedNames = %v want %v", got, want)
 	}
 }
 
@@ -74,10 +61,6 @@ func TestAddNodeEdge(t *testing.T) {
 	if g.HasEdge(b, a, visit) {
 		t.Error("HasEdge(b,a,visit) = true; edges are directed")
 	}
-	labels := g.EdgeLabels(a, b)
-	if len(labels) != 2 {
-		t.Errorf("EdgeLabels = %v want 2 labels", labels)
-	}
 }
 
 func TestLabelIndex(t *testing.T) {
@@ -90,9 +73,6 @@ func TestLabelIndex(t *testing.T) {
 	want := []NodeID{c1, c2}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("NodesWithLabel(cust) = %v want %v", got, want)
-	}
-	if g.CountLabel(cust) != 2 {
-		t.Errorf("CountLabel = %d want 2", g.CountLabel(cust))
 	}
 	// Index must refresh after mutation.
 	c3 := g.AddNode("cust")
@@ -187,68 +167,6 @@ func TestInducedSubgraph(t *testing.T) {
 	sub2, _, _ := g.InducedSubgraph([]NodeID{a, a, b})
 	if sub2.NumNodes() != 2 {
 		t.Errorf("dup nodes: NumNodes = %d want 2", sub2.NumNodes())
-	}
-}
-
-func TestDNeighborhoodGraph(t *testing.T) {
-	g, ids := path(5)
-	sub, center, toGlobal := g.DNeighborhoodGraph(ids[2], 1)
-	if sub.NumNodes() != 3 {
-		t.Fatalf("Gd nodes = %d want 3", sub.NumNodes())
-	}
-	if toGlobal[center] != ids[2] {
-		t.Error("center does not map back to original node")
-	}
-	if sub.NumEdges() != 2 {
-		t.Errorf("Gd edges = %d want 2", sub.NumEdges())
-	}
-}
-
-func TestDescendants(t *testing.T) {
-	g := New(nil)
-	a := g.AddNode("a")
-	b := g.AddNode("b")
-	c := g.AddNode("c")
-	d := g.AddNode("d")
-	g.AddEdge(a, b, "e")
-	g.AddEdge(b, c, "e")
-	g.AddEdge(d, a, "e")
-	got := g.Descendants(a)
-	want := []NodeID{b, c}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Descendants(a) = %v want %v", got, want)
-	}
-	if len(g.Descendants(c)) != 0 {
-		t.Errorf("Descendants(sink) = %v want empty", g.Descendants(c))
-	}
-	// Cycle: a node on a cycle is its own descendant.
-	g.AddEdge(c, a, "e")
-	got = g.Descendants(a)
-	if len(got) != 3 {
-		t.Errorf("Descendants(a) with cycle = %v want {a,b,c}", got)
-	}
-}
-
-func TestHasOutLabelAndOutTo(t *testing.T) {
-	g := New(nil)
-	a := g.AddNode("cust")
-	r1 := g.AddNode("rest")
-	r2 := g.AddNode("rest")
-	g.AddEdge(a, r1, "visit")
-	g.AddEdge(a, r2, "visit")
-	g.AddEdge(a, r1, "like")
-	visit := g.Symbols().Lookup("visit")
-	like := g.Symbols().Lookup("like")
-	if !g.HasOutLabel(a, visit) || !g.HasOutLabel(a, like) {
-		t.Error("HasOutLabel missed existing labels")
-	}
-	if g.HasOutLabel(r1, visit) {
-		t.Error("HasOutLabel found label on wrong node")
-	}
-	got := g.OutTo(a, visit)
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if !reflect.DeepEqual(got, []NodeID{r1, r2}) {
-		t.Errorf("OutTo = %v want [%d %d]", got, r1, r2)
 	}
 }
 

@@ -11,7 +11,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Label is an interned node or edge label. The zero value NoLabel is never a
@@ -69,13 +68,6 @@ func (s *Symbols) Len() int { return len(s.names) - 1 }
 func (s *Symbols) Names() []string {
 	out := make([]string, 0, s.Len())
 	out = append(out, s.names[1:]...)
-	return out
-}
-
-// SortedNames returns all interned names sorted lexicographically.
-func (s *Symbols) SortedNames() []string {
-	out := s.Names()
-	sort.Strings(out)
 	return out
 }
 

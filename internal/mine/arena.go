@@ -29,20 +29,26 @@ import "gpar/internal/graph"
 // nodeArena is a recycled flat backing store for node-ID sets. Views are
 // carved with mark/take; reset reclaims the whole store in O(1) while the
 // retained capacity keeps future rounds allocation-free.
-//
-// When noRecycle is set the arena degrades to plain allocation: take copies
-// the region out and rewinds the store, so every returned set is an
-// independent heap slice exactly as the pre-arena implementation produced.
-// This is the arenas-off mode behind Options.DisableArenas; the
-// differential tests pin byte-identical mining results in both modes, so
-// any aliasing or lifetime bug in the arena discipline shows up as a diff.
 type nodeArena struct {
-	buf       []graph.NodeID
-	noRecycle bool
+	buf []graph.NodeID
 }
 
+// poisonArenas is the test-only lifetime oracle: while set, reset overwrites
+// the region it reclaims with NodeID(-1), so a view read past its phase
+// boundary indexes out of range or corrupts a pinned digest instead of
+// silently reading the previous round's (often identical) IDs. Only the
+// package's TestMain sets it, before any test runs.
+var poisonArenas bool
+
 // reset reclaims the whole store, keeping capacity.
-func (a *nodeArena) reset() { a.buf = a.buf[:0] }
+func (a *nodeArena) reset() {
+	if poisonArenas {
+		for i := range a.buf {
+			a.buf[i] = -1
+		}
+	}
+	a.buf = a.buf[:0]
+}
 
 // mark returns the current fill point; the caller passes it to take after
 // pushing one set's elements.
@@ -62,15 +68,6 @@ func (a *nodeArena) pushAll(vs []graph.NodeID) { a.buf = append(a.buf, vs...) }
 // capacity is wasted until the next reset.
 func (a *nodeArena) take(mark int) []graph.NodeID {
 	view := a.buf[mark:len(a.buf):len(a.buf)]
-	if a.noRecycle {
-		if len(view) == 0 {
-			a.buf = a.buf[:mark]
-			return nil
-		}
-		out := append([]graph.NodeID(nil), view...)
-		a.buf = a.buf[:mark]
-		return out
-	}
 	if len(view) == 0 {
 		return nil
 	}
@@ -131,15 +128,6 @@ func (ar *roundArenas) resetMessages() {
 	ar.r.reset()
 	ar.qqb.reset()
 	ar.usupp.reset()
-}
-
-// setMode flips every lane between recycling and plain-allocation mode.
-func (ar *roundArenas) setMode(noRecycle bool) {
-	ar.q.noRecycle = noRecycle
-	ar.r.noRecycle = noRecycle
-	ar.qqb.noRecycle = noRecycle
-	ar.usupp.noRecycle = noRecycle
-	ar.frontier.noRecycle = noRecycle
 }
 
 // Gate bounds how many mining worker goroutines execute simultaneously

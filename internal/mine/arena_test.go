@@ -1,13 +1,16 @@
 package mine
 
 import (
+	"flag"
+	"fmt"
+	"slices"
 	"testing"
 
 	"gpar/internal/gen"
 	"gpar/internal/graph"
 )
 
-// arenaFixture is the differential workload for the arena on/off tests: a
+// arenaFixture is the workload of the arena golden tests: a
 // seeded Pokec-like graph with enough structure that every arena lane (all
 // four message lanes, assembly unions, frontier lists) carries real data
 // over multiple rounds.
@@ -28,46 +31,85 @@ func arenaFixture(t testing.TB) (*graph.Graph, []Options) {
 	return g, opts
 }
 
-// TestDMineArenasOnOffIdentity is the differential half of the arena
-// rewrite's contract: with Options.DisableArenas every center set is a
-// fresh heap slice (the pre-arena behavior), so any aliasing or premature
-// reset in the recycled lanes shows up as a result diff. Byte-identity must
-// hold for every worker count.
+// TestMain turns the arena poison on for every test of the package, so each
+// suite that mines — the golden matrix, the determinism, cancel, shared and
+// loopback-fleet differentials, under `make race` too — doubles as a lifetime
+// check: a view read after its lane's reset holds NodeID(-1). Benchmark runs
+// (-bench) leave it off, so BENCH_mine.json times the production path.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	poisonArenas = flag.Lookup("test.bench").Value.String() == ""
+	m.Run()
+}
+
+// arenasOffGoldens are digests of runs made in the arenas-off mode, recorded
+// at 04ded92 — the last commit that had that option, under which every
+// center set was a fresh heap slice no reset could touch. They are what
+// the arenas-on/arenas-off differentials compared against, frozen: an
+// aliasing or premature-reset bug in the recycled lanes that survives the
+// poison still has to reproduce these bytes.
+var arenasOffGoldens = map[string]string{
+	// arenaFixture, Pokec predicates 0-4 (N ∈ {1,2,3,8} agree on predicate 0).
+	"arena/pred0": "59aadf888db3fd156ed8003b",
+	"arena/pred1": "0388572696698a6addcda269",
+	"arena/pred2": "29b51cf11d629e79224de3e0",
+	"arena/pred3": "6749ee3d980e1b9173fbbcd4",
+	"arena/pred4": "1b17c4db1a6a8f489c69eb98",
+	// contextFixture predicate 0: fresh runs and reruns after a cancel at
+	// every poll budget, N ∈ {1,2,3,8}.
+	"cancel": "38f5d9ca32e1bbb48ea15f99",
+	// Pokec 200/9, N = 3: DMineCtx and DMineDistributed over loopbackConns.
+	"loopback": "718bb0ae0495ba7529de3b7e",
+}
+
+// TestDMineArenasOnOffIdentity pins the recycled lanes against the
+// arenas-off goldens for every worker count.
 func TestDMineArenasOnOffIdentity(t *testing.T) {
 	g, optsList := arenaFixture(t)
 	pred := gen.PokecPredicates(g.Symbols())[0]
-	for _, on := range optsList {
-		off := on
-		off.DisableArenas = true
-		want := fingerprint(DMine(g, pred, off))
-		got := fingerprint(DMine(g, pred, on))
-		if got != want {
-			t.Fatalf("N=%d: arena result differs from arenas-off:\n--- arenas off ---\n%s--- arenas on ---\n%s",
-				on.N, want, got)
+	for _, o := range optsList {
+		if got, want := digest(DMine(g, pred, o)), arenasOffGoldens["arena/pred0"]; got != want {
+			t.Errorf("N=%d: digest %s, arenas-off golden %s", o.N, got, want)
 		}
 	}
 }
 
-// TestDMineMultiArenasOnOffIdentity extends the differential to DMineMulti:
-// the shared accumulator reuses one worker set (arenas and all) across
+// TestDMineMultiArenasOnOffIdentity extends the pin to DMineMulti: the
+// shared accumulator reuses one worker set (arenas and all) across
 // predicates, which is exactly the lifetime the recycling discipline must
 // survive.
 func TestDMineMultiArenasOnOffIdentity(t *testing.T) {
 	g, optsList := arenaFixture(t)
 	preds := gen.PokecPredicates(g.Symbols())
-	on := optsList[1] // N=2: sharded assembly and real message traffic
-	off := on
-	off.DisableArenas = true
-	wants := must(DMineMulti(g, preds, off))
-	gots := must(DMineMulti(g, preds, on))
-	if len(wants) != len(gots) {
-		t.Fatalf("result count differs: %d vs %d", len(wants), len(gots))
+	// N=2: sharded assembly and real message traffic.
+	res := must(DMineMulti(g, preds, optsList[1]))
+	if len(res) != 5 {
+		t.Fatalf("%d results, want one per arena/pred golden", len(res))
 	}
-	for i := range wants {
-		if w, g := fingerprint(wants[i].Result), fingerprint(gots[i].Result); w != g {
-			t.Fatalf("predicate %d: arena result differs from arenas-off:\n--- off ---\n%s--- on ---\n%s",
-				i, w, g)
+	for i, r := range res {
+		if got, want := digest(r.Result), arenasOffGoldens[fmt.Sprintf("arena/pred%d", i)]; got != want {
+			t.Errorf("predicate %d: digest %s, arenas-off golden %s", i, got, want)
 		}
+	}
+}
+
+// TestArenaPoisonOverwritesReclaimedRegion pins the oracle itself: under the
+// poison a view carved before a reset reads NodeID(-1) after it.
+func TestArenaPoisonOverwritesReclaimedRegion(t *testing.T) {
+	if !poisonArenas {
+		t.Skip("poison is off under -bench")
+	}
+	var a nodeArena
+	mark := a.mark()
+	a.pushAll([]graph.NodeID{3, 1, 2})
+	view := a.take(mark)
+	a.reset()
+	if !slices.Equal(view, []graph.NodeID{-1, -1, -1}) {
+		t.Fatalf("view after reset = %v, want poisoned", view)
+	}
+	a.push(7)
+	if got := a.take(a.mark() - 1); !slices.Equal(got, []graph.NodeID{7}) {
+		t.Fatalf("arena unusable after a poisoned reset: %v", got)
 	}
 }
 

@@ -244,25 +244,20 @@ func (s *asmScratch) merge(m *miner, msgs []message, idx []int32) {
 		gr.flag = gr.flag || msg.flag
 	}
 
-	noRecycle := m.opts.DisableArenas
 	for gi, gr := range s.order {
-		gr.rule = s.materialize(m, gr.key, gi, noRecycle)
+		gr.rule = s.materialize(m, gr.key, gi)
 		gr.q = s.lane(msgs, gr.msgIdx, msgQ)
 		gr.r = s.lane(msgs, gr.msgIdx, msgR)
 		gr.qqb = s.lane(msgs, gr.msgIdx, msgQqb)
 		gr.usupp = s.lane(msgs, gr.msgIdx, msgUsupp)
 		if m.opts.BisimFilter {
-			if noRecycle {
-				gr.sum = bisim.Summarize(gr.rule.PR())
-			} else {
-				if s.prScratch == nil {
-					s.prScratch = pattern.New(gr.rule.Q.Symbols())
-				}
-				pr := gr.rule.PRInto(s.prScratch)
-				mark := len(s.sums)
-				s.sums = bisim.AppendSummary(s.sums, pr)
-				gr.sum = bisim.Summary(s.sums[mark:len(s.sums):len(s.sums)])
+			if s.prScratch == nil {
+				s.prScratch = pattern.New(gr.rule.Q.Symbols())
 			}
+			pr := gr.rule.PRInto(s.prScratch)
+			mark := len(s.sums)
+			s.sums = bisim.AppendSummary(s.sums, pr)
+			gr.sum = bisim.Summary(s.sums[mark:len(s.sums):len(s.sums)])
 		}
 	}
 }
@@ -301,20 +296,13 @@ func (s *asmScratch) newGroup(k groupKey) *group {
 
 // materialize produces the group's candidate rule, parent.Q ⊕ ext. Workers
 // only emit messages for extensions they successfully applied, and Apply is
-// deterministic, so the application cannot fail here. With arenas on, the
-// pattern storage is pooled per shard ordinal and recycled every round;
-// survivors are cloned out of it in assemble's step 3.
-func (s *asmScratch) materialize(m *miner, k groupKey, gi int, noRecycle bool) *core.Rule {
+// deterministic, so the application cannot fail here. The pattern storage
+// is pooled per shard ordinal and recycled every round; survivors are cloned
+// out of it in assemble's step 3.
+func (s *asmScratch) materialize(m *miner, k groupKey, gi int) *core.Rule {
 	parent := m.parents[k.parent]
 	if parent == nil {
 		panic("mine: assembled message references a rule outside the frontier")
-	}
-	if noRecycle {
-		q := parent.Rule.Q.Apply(k.ext)
-		if q == nil {
-			panic("mine: extension inapplicable at assembly")
-		}
-		return &core.Rule{Q: q, Pred: parent.Rule.Pred}
 	}
 	for len(s.rules) <= gi {
 		s.rules = append(s.rules, &core.Rule{Q: pattern.New(parent.Rule.Q.Symbols())})
@@ -473,12 +461,9 @@ func reductionWeights(p diversify.Params) (confW, divW float64) {
 }
 
 // entriesOf lists ∆E as diversifier entries, in the miner's recycled buffer
-// (valid until the next call; fresh under DisableArenas).
+// (valid until the next call).
 func (m *miner) entriesOf(deltaE []*Mined) []diversify.Entry {
 	out := m.deltaEntries[:0]
-	if m.opts.DisableArenas || out == nil {
-		out = make([]diversify.Entry, 0, len(deltaE))
-	}
 	for _, mm := range deltaE {
 		out = append(out, diversify.Entry{ID: uint32(mm.id), Conf: mm.Conf, Set: mm.Set, B: mm.bits})
 	}

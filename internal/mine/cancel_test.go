@@ -92,20 +92,24 @@ func TestDMineCtxDeadlineExceeded(t *testing.T) {
 // TestCancelThenRerunParityLocal is the cancellation parity pin for the
 // in-process engine: cancel a run at an arbitrary superstep (driven by a
 // counted poll budget), then rerun clean on the same shared accumulator —
-// the rerun must be byte-identical to a fresh DMine, for every worker
-// count and both arena modes. This is what makes cancel safe for the
-// serving layer's pooled accumulators: nothing a canceled run touched
-// survives in a result-bearing structure.
+// the rerun must be byte-identical, for every worker count, to two
+// oracles: a fresh DMine, and (arenasOff=true) the digest the arenas-off
+// mode produced for this matrix at 04ded92, where no canceled run could
+// leave anything behind in a recycled lane. This is what makes cancel safe
+// for the serving layer's pooled accumulators: nothing a canceled run
+// touched survives in a result-bearing structure.
 func TestCancelThenRerunParityLocal(t *testing.T) {
 	g, preds, base := contextFixture(t)
 	pred := preds[0]
-	for _, disable := range []bool{false, true} {
+	for _, arenasOff := range []bool{false, true} {
 		for _, n := range []int{1, 2, 3, 8} {
 			o := base
 			o.N = n
-			o.DisableArenas = disable
-			t.Run(fmt.Sprintf("arenasOff=%v/n=%d", disable, n), func(t *testing.T) {
-				want := fingerprint(DMine(g, pred, o))
+			t.Run(fmt.Sprintf("arenasOff=%v/n=%d", arenasOff, n), func(t *testing.T) {
+				want := arenasOffGoldens["cancel"]
+				if !arenasOff {
+					want = digest(DMine(g, pred, o))
+				}
 				sh := NewShared(NewContext(g, pred.XLabel, o))
 				completed := false
 				for _, allow := range []int{0, 1, 3, 7, 15, 40, 200} {
@@ -115,8 +119,8 @@ func TestCancelThenRerunParityLocal(t *testing.T) {
 					if err == nil {
 						// Budget outlasted the run: it finished normally and
 						// must match, cancellable context or not.
-						if got := fingerprint(res); got != want {
-							t.Fatalf("allow=%d: uncanceled run differs from fresh DMine", allow)
+						if got := digest(res); got != want {
+							t.Fatalf("allow=%d: uncanceled run mines %s, want %s", allow, got, want)
 						}
 						completed = true
 						continue
@@ -128,9 +132,9 @@ func TestCancelThenRerunParityLocal(t *testing.T) {
 					if res != nil {
 						t.Fatalf("allow=%d: canceled run returned a result", allow)
 					}
-					if got := fingerprint(must(sh.DMine(pred, o))); got != want {
-						t.Fatalf("allow=%d: rerun after cancel at superstep %d differs from clean run:\n--- clean ---\n%s--- rerun ---\n%s",
-							allow, ce.Superstep, want, got)
+					if got := digest(must(sh.DMine(pred, o))); got != want {
+						t.Fatalf("allow=%d: rerun after cancel at superstep %d mines %s, want %s",
+							allow, ce.Superstep, got, want)
 					}
 				}
 				if !completed {

@@ -157,30 +157,18 @@ func (sh *Shared) DMine(pred core.Predicate, opts Options) (*Result, error) {
 }
 
 // attachWorkers returns the accumulator's workers, creating them on first
-// use and resetting per-run state on every call.
+// use and rebinding each to its own fragment on every call: the per-run
+// state is cleared, the graph-dependent memoization survives (the shared
+// Context fixes the graph and the chunks it depends on).
 func (sh *Shared) attachWorkers() []*worker {
 	if sh.workers == nil {
 		sh.workers = make([]*worker, sh.ctx.n)
 		for i := range sh.workers {
-			sh.workers[i] = &worker{
-				id:         i,
-				frag:       sh.ctx.fragment(i),
-				centersFor: make(map[ruleID][]graph.NodeID),
-			}
+			sh.workers[i] = &worker{frag: sh.ctx.fragment(i)}
 		}
 	}
-	for _, w := range sh.workers {
-		w.resetRun()
+	for i, w := range sh.workers {
+		w.bind(i, w.frag)
 	}
 	return sh.workers
-}
-
-// resetRun clears a worker's per-predicate state. Graph-dependent
-// memoization — distCache, centerSet, the discovery scratch and the
-// extension intern table — survives: it depends only on the graph and the
-// worker's chunk, which the shared Context fixes.
-func (w *worker) resetRun() {
-	w.npq, w.npqbar = 0, 0
-	w.ops = 0
-	clear(w.centersFor)
 }

@@ -15,8 +15,9 @@ import (
 // perEdgeReference is extension discovery with nothing collapsed: every
 // incident edge of every embedded node of every (canonical, capped)
 // embedding is turned into its extension and recorded for the center, in
-// maps. It also reports whether the embedding cap was ever reached.
-func perEdgeReference(g *graph.Graph, lp localParams, q *pattern.Pattern, centers []graph.NodeID) (ref map[pattern.Extension]map[graph.NodeID]bool, capped bool) {
+// maps. It also reports how many centers' enumerations reached the embedding
+// cap.
+func perEdgeReference(g *graph.Graph, lp localParams, q *pattern.Pattern, centers []graph.NodeID) (ref map[pattern.Extension]map[graph.NodeID]bool, capped int64) {
 	ref = make(map[pattern.Extension]map[graph.NodeID]bool)
 	distX := q.DistancesInto(nil, q.X)
 	opts := match.Options{MaxMatches: lp.embedCap, Canonical: true}
@@ -62,7 +63,9 @@ func perEdgeReference(g *graph.Graph, lp localParams, q *pattern.Pattern, center
 			}
 			return true
 		})
-		capped = capped || n == lp.embedCap
+		if n == lp.embedCap {
+			capped++
+		}
 	}
 	return ref, capped
 }
@@ -176,12 +179,13 @@ func checkDiscovery(t *testing.T, c discoveryCase) {
 	seed := pattern.New(g.Symbols())
 	seed.X = seed.AddNodeL(c.pred.XLabel)
 	level := []parent{{seed, g.NodesWithLabel(c.pred.XLabel)}}
-	var capped, sawClose, sawSelfLoop, sawAsY bool
+	var capped int64
+	var sawClose, sawSelfLoop, sawAsY bool
 	for depth := 0; depth < 3; depth++ {
 		var next []parent
 		for _, p := range level {
 			ref, hitCap := perEdgeReference(g, lp, p.q, p.centers)
-			capped = capped || hitCap
+			capped += hitCap
 			want := make(map[pattern.Extension][]graph.NodeID, len(ref))
 			var exts []pattern.Extension
 			for ext, cs := range ref {
@@ -196,9 +200,12 @@ func checkDiscovery(t *testing.T, c discoveryCase) {
 			}
 			for _, n := range []int{1, 3} {
 				got := make(map[pattern.Extension][]graph.NodeID)
+				var gotCapped int64
 				for i, w := range workers[:n] {
 					chunk := p.centers[i*len(p.centers)/n : (i+1)*len(p.centers)/n]
+					gotCapped -= w.capped
 					accs := w.discoverExtensions(lp, p.q, chunk, match.Options{})
+					gotCapped += w.capped
 					for j, acc := range accs {
 						if j > 0 && accs[j-1].ext.Compare(acc.ext) >= 0 {
 							t.Fatalf("depth %d N=%d: accumulators out of Extension.Compare order", depth, n)
@@ -209,6 +216,9 @@ func checkDiscovery(t *testing.T, c discoveryCase) {
 				}
 				if len(got) != len(want) {
 					t.Fatalf("depth %d N=%d on\n%s: %d extensions, reference has %d", depth, n, p.q, len(got), len(want))
+				}
+				if gotCapped != hitCap {
+					t.Fatalf("depth %d N=%d on\n%s: %d enumerations counted as capped, reference %d", depth, n, p.q, gotCapped, hitCap)
 				}
 				for ext, cs := range want {
 					if !slices.Equal(got[ext], cs) {
@@ -226,7 +236,7 @@ func checkDiscovery(t *testing.T, c discoveryCase) {
 		}
 		level = next
 	}
-	if c.wantCapped && !capped {
+	if c.wantCapped && capped == 0 {
 		t.Error("EmbedCap never bit")
 	}
 	if c.wantClose && !sawClose {

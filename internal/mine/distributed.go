@@ -3,6 +3,7 @@ package mine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -100,15 +101,16 @@ func DMineDistributed(ctx *Context, pred core.Predicate, opts Options, conns []W
 
 // remoteEngine drives the BSP supersteps over worker connections. Assembly
 // shards — coordinator work — live here, one per worker, so mergeShards
-// parallelism is unchanged; the per-worker ops slice mirrors the latest
-// cumulative counts piggybacked on each Messages frame.
+// parallelism is unchanged; the per-worker ops and capped slices mirror the
+// latest cumulative counts piggybacked on each Messages frame.
 type remoteEngine struct {
 	conns []WorkerConn
 	jobID uint64
 
-	shards  []asmScratch
-	workOps []int64
-	round   int
+	shards     []asmScratch
+	workOps    []int64
+	workCapped []int64
+	round      int
 
 	frontBuf []wire.FrontierEntry // recycled Round frame scratch
 	msgBuf   []message            // recycled concatenation buffer
@@ -174,10 +176,8 @@ func (e *remoteEngine) fanOutCtx(ctx context.Context, fn func(i int, c WorkerCon
 
 func (e *remoteEngine) attach(m *miner) ([]int, []int, error) {
 	e.shards = make([]asmScratch, len(e.conns))
-	for i := range e.shards {
-		e.shards[i].arena.noRecycle = m.opts.DisableArenas
-	}
 	e.workOps = make([]int64, len(e.conns))
+	e.workCapped = make([]int64, len(e.conns))
 	syms := m.ctx.g.Symbols().Names()
 	eccCap := m.opts.MaxEdges + 1
 	npq := make([]int, len(e.conns))
@@ -192,19 +192,18 @@ func (e *remoteEngine) attach(m *miner) ([]int, []int, error) {
 			ecc[j] = int32(m.ctx.g.EccentricityCapped(gv, eccCap))
 		}
 		setup := &wire.JobSetup{
-			JobID:         e.jobID,
-			Worker:        i,
-			D:             m.opts.D,
-			EmbedCap:      m.opts.EmbedCap,
-			DisableArenas: m.opts.DisableArenas,
-			XLabel:        m.pred.XLabel,
-			EdgeLabel:     m.pred.EdgeLabel,
-			YLabel:        m.pred.YLabel,
-			Symbols:       syms,
-			EccCap:        eccCap,
-			CenterEcc:     ecc,
-			Fragment:      fragBytes,
-			FragHash:      fragHash,
+			JobID:     e.jobID,
+			Worker:    i,
+			D:         m.opts.D,
+			EmbedCap:  m.opts.EmbedCap,
+			XLabel:    m.pred.XLabel,
+			EdgeLabel: m.pred.EdgeLabel,
+			YLabel:    m.pred.YLabel,
+			Symbols:   syms,
+			EccCap:    eccCap,
+			CenterEcc: ecc,
+			Fragment:  fragBytes,
+			FragHash:  fragHash,
 		}
 		ack, err := c.Setup(setup)
 		if err != nil {
@@ -252,7 +251,7 @@ func (e *remoteEngine) generate(m *miner, frontier []*Mined) ([]message, error) 
 	}
 	msgs := e.msgBuf[:0]
 	for i, ms := range replies {
-		e.workOps[i] = ms.Ops
+		e.workOps[i], e.workCapped[i] = ms.Ops, ms.Capped
 		for j := range ms.Msgs {
 			wm := &ms.Msgs[j]
 			msgs = append(msgs, message{
@@ -278,10 +277,11 @@ func (e *remoteEngine) distribute(m *miner, frontier []*Mined) error { return ni
 
 func (e *remoteEngine) shard(i int) *asmScratch { return &e.shards[i] }
 
-func (e *remoteEngine) ops() []int64 {
-	out := make([]int64, len(e.workOps))
-	copy(out, e.workOps)
-	return out
+func (e *remoteEngine) work() (ops []int64, capped int64) {
+	for _, c := range e.workCapped {
+		capped += c
+	}
+	return slices.Clone(e.workOps), capped
 }
 
 // close ends the job on every worker, best-effort: on the error path some
@@ -342,7 +342,6 @@ func NewWorkerRuntimeFragment(s *wire.JobSetup, frag *partition.Fragment) (*Work
 	pred := core.Predicate{XLabel: s.XLabel, EdgeLabel: s.EdgeLabel, YLabel: s.YLabel}
 	w := acquireWorker(s.Worker, frag)
 	w.ecc = ecc
-	w.setRecycleMode(s.DisableArenas)
 	w.classify(pred)
 
 	seedQ := pattern.New(syms)
@@ -404,7 +403,7 @@ func (rt *WorkerRuntime) Round(rd *wire.Round) (*wire.Messages, error) {
 
 	out := &rt.out
 	out.Round = rd.Round
-	out.Ops = w.ops
+	out.Ops, out.Capped = w.ops, w.capped
 	out.Msgs = out.Msgs[:0]
 	for i := range w.msgs {
 		msg := &w.msgs[i]
@@ -425,7 +424,6 @@ func (rt *WorkerRuntime) Round(rd *wire.Round) (*wire.Messages, error) {
 // afterwards.
 func (rt *WorkerRuntime) Close() {
 	if rt.w != nil {
-		rt.w.ecc = nil
 		rt.w.release()
 		rt.w = nil
 	}

@@ -116,25 +116,24 @@ func TestDMineDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDMineDistributedArenasOff pins the DisableArenas switch across the
-// wire: the flag ships in JobSetup and the remote rounds must still be
-// byte-identical to the local arenas-off run.
+// TestDMineDistributedArenasOff pins the arenas-off golden across the wire:
+// the remote runtimes' recycled lanes and the coordinator's shard arenas
+// must reproduce what the allocating mode mined on both sides of it.
 func TestDMineDistributedArenasOff(t *testing.T) {
 	syms := graph.NewSymbols()
 	g := gen.Pokec(syms, gen.DefaultPokec(200, 9))
 	pred := gen.PokecPredicates(syms)[0]
 	o := Options{
 		K: 6, Sigma: 2, D: 2, Lambda: 0.5, N: 3,
-		MaxEdges: 2, EmbedCap: 1 << 20, DisableArenas: true,
+		MaxEdges: 2, EmbedCap: 1 << 20,
 	}.WithOptimizations().Defaults()
 	ctx := NewContext(g, pred.XLabel, o)
-	want := fingerprint(must(DMineCtx(ctx, pred, o)))
-	got, err := DMineDistributed(ctx, pred, o, loopbackConns(3))
-	if err != nil {
-		t.Fatal(err)
+	want := arenasOffGoldens["loopback"]
+	if got := digest(must(DMineCtx(ctx, pred, o))); got != want {
+		t.Errorf("local digest %s, arenas-off golden %s", got, want)
 	}
-	if fg := fingerprint(got); fg != want {
-		t.Fatalf("arenas-off distributed result differs from local:\n%s\nvs\n%s", want, fg)
+	if got := digest(must(DMineDistributed(ctx, pred, o, loopbackConns(3)))); got != want {
+		t.Errorf("loopback fleet digest %s, arenas-off golden %s", got, want)
 	}
 }
 
@@ -150,13 +149,16 @@ func TestDMineDistributedEmbedCap(t *testing.T) {
 		MaxEdges: 2, EmbedCap: 1,
 	}.WithOptimizations().Defaults()
 	ctx := NewContext(g, pred.XLabel, o)
-	want := fingerprint(must(DMineCtx(ctx, pred, o)))
+	want := must(DMineCtx(ctx, pred, o))
 	got, err := DMineDistributed(ctx, pred, o, loopbackConns(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fg := fingerprint(got); fg != want {
+	if fingerprint(got) != fingerprint(want) {
 		t.Fatal("EmbedCap=1 distributed result differs from local")
+	}
+	if got.Capped == 0 || got.Capped != want.Capped {
+		t.Fatalf("Capped = %d over the wire, %d in process; want equal and non-zero", got.Capped, want.Capped)
 	}
 }
 

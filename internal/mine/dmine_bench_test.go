@@ -73,8 +73,8 @@ func BenchmarkLocalMineRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if msgs := m.generate(frontier); len(msgs) == 0 {
-			b.Fatal("no messages generated")
+		if msgs, err := m.eng.generate(m, frontier); err != nil || len(msgs) == 0 {
+			b.Fatalf("no messages generated (err=%v)", err)
 		}
 	}
 }

@@ -35,8 +35,9 @@ type engine interface {
 	// shard exposes assembly shard i's recycled scratch; the coordinator's
 	// merge phase runs on these regardless of where the workers execute.
 	shard(i int) *asmScratch
-	// ops returns the cumulative per-worker match-operation counts.
-	ops() []int64
+	// work returns the cumulative per-worker match-operation counts and
+	// the run's total of enumerations that reached EmbedCap.
+	work() (ops []int64, capped int64)
 	// close releases worker resources. It is idempotent; runE defers it so
 	// workers are returned on every exit path, including errors.
 	close(m *miner)
@@ -89,10 +90,6 @@ func (e *localEngine) attach(m *miner) ([]int, []int, error) {
 			e.workers[i] = acquireWorker(i, m.ctx.fragment(i))
 		}
 	}
-	// Arena mode is per run (shared workers may alternate between modes).
-	for _, w := range e.workers {
-		w.setRecycleMode(m.opts.DisableArenas)
-	}
 	pred := m.pred
 	err := e.parallel(m, func(w *worker) {
 		w.classify(pred)
@@ -138,12 +135,13 @@ func (e *localEngine) distribute(m *miner, frontier []*Mined) error {
 
 func (e *localEngine) shard(i int) *asmScratch { return &e.workers[i].asm }
 
-func (e *localEngine) ops() []int64 {
-	out := make([]int64, 0, len(e.workers))
+func (e *localEngine) work() (ops []int64, capped int64) {
+	ops = make([]int64, 0, len(e.workers))
 	for _, w := range e.workers {
-		out = append(out, w.ops)
+		ops = append(ops, w.ops)
+		capped += w.capped
 	}
-	return out
+	return ops, capped
 }
 
 func (e *localEngine) close(m *miner) {

@@ -19,16 +19,6 @@ import (
 // the sharded assembly re-establishes a global deterministic group order in
 // its reduce.
 
-// generate runs one generate superstep on the engine; a method so the round
-// benchmark can measure the steady-state superstep in isolation.
-func (m *miner) generate(frontier []*Mined) []message {
-	msgs, err := m.eng.generate(m, frontier)
-	if err != nil {
-		panic(err) // local engine only; it cannot fail
-	}
-	return msgs
-}
-
 // extAcc accumulates one candidate extension's local evidence at a worker.
 // Accumulators are pooled on the worker and recycled every parent.
 type extAcc struct {
@@ -63,24 +53,14 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 		slices.Sort(centers)
 		accs := w.discoverExtensions(lp, parent.q, centers, opts)
 		for _, acc := range accs {
-			// Materialize the candidate into recycled scratch (fresh heap
-			// copies under DisableArenas); the scratch is dead once the
-			// matcher below releases.
-			var q, pr *pattern.Pattern
-			if w.noRecycle {
-				q = parent.q.Apply(acc.ext)
-			} else {
-				q = parent.q.ApplyInto(w.qScratch, acc.ext)
-			}
+			// Materialize the candidate into recycled scratch; the scratch
+			// is dead once the matcher below releases.
+			q := parent.q.ApplyInto(w.qScratch, acc.ext)
 			if q == nil {
 				continue
 			}
 			child := core.Rule{Q: q, Pred: lp.pred}
-			if w.noRecycle {
-				pr = child.PR()
-			} else {
-				pr = child.PRInto(w.prScratch)
-			}
+			pr := child.PRInto(w.prScratch)
 			// Admissibility: q(x,y) ∉ Q and the radius bound r(PR, x) ≤ d.
 			if q.Y != pattern.NoNode && q.HasEdge(q.X, q.Y, lp.pred.EdgeLabel) {
 				continue
@@ -145,7 +125,8 @@ func radiusFrom(dist []int) int {
 // edges around its embeddings ("expand Q by including a new edge", Section
 // 4.2). Injectivity and the radius bound are respected; the supporting
 // centers of each extension are collected exactly (up to EmbedCap embeddings
-// per center). Embeddings are enumerated canonically (match.Options.
+// per center; w.capped counts the centers that reached it). Embeddings are
+// enumerated canonically (match.Options.
 // Canonical; local IDs ascend with global IDs on the shared graph and on a
 // wire fragment alike), so EmbedCap truncation sees the same embeddings
 // whichever worker owns the center.
@@ -168,7 +149,7 @@ func (w *worker) discoverExtensions(lp localParams, q *pattern.Pattern, centers 
 	qm := match.NewMatcher(q, g, opts)
 	for _, vx := range centers {
 		w.ops++
-		w.ops += int64(qm.EnumerateAnchored(vx, func(asgn []graph.NodeID) bool {
+		seen := qm.EnumerateAnchored(vx, func(asgn []graph.NodeID) bool {
 			// Stamp the inverse embedding into the epoch scratch: one
 			// epoch bump invalidates the previous embedding's entries.
 			w.epoch++
@@ -188,7 +169,11 @@ func (w *worker) discoverExtensions(lp localParams, q *pattern.Pattern, centers 
 				w.scanAdjacency(lp, q, vx, u, g.In(dv), false, canGrow)
 			}
 			return true
-		}))
+		})
+		w.ops += int64(seen)
+		if seen == lp.embedCap {
+			w.capped++
+		}
 	}
 	qm.Release()
 	// Deterministic order of candidate emission.

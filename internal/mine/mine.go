@@ -71,19 +71,14 @@ type Options struct {
 	// GOMAXPROCS. Results are independent of the gate.
 	Gate *Gate
 
-	// DisableArenas turns off the per-worker round arenas and scratch
-	// recycling: every message center set, assembly union buffer and
-	// frontier list is then a fresh heap allocation, as before the arena
-	// rewrite. Results are byte-identical either way (pinned by the
-	// differential tests); the switch exists for those tests and for
-	// debugging suspected arena-lifetime bugs.
-	DisableArenas bool
-
 	// Optimization toggles — the three DMine optimizations of Section 6
 	// ("incremental, reductions and bisimilarity checking"). DMine sets all
 	// true; DMineNo all false.
 	Incremental bool // incDiv incremental queue vs from-scratch greedy
-	Reduction   bool // Lemma 3 upper-bound filtering of Σ and ∆E
+	// Reduction is the Lemma 3 upper-bound filtering of Σ and ∆E. Its bound
+	// is the incDiv queue's minimum F', so it is a no-op unless Incremental
+	// is set too.
+	Reduction   bool
 	BisimFilter bool // Lemma 4 prefilter before isomorphism grouping
 
 	// MaxCandidatesPerRound caps |∆E| per round, keeping dense graphs
@@ -170,6 +165,11 @@ type Result struct {
 	BisimSkips  int     // pairs rejected by the bisimulation prefilter
 	WorkerOps   []int64 // per-worker match-operation counts (work proxy)
 	MaxWorkerOp int64   // max over WorkerOps, the O(t/n) proxy
+	// Capped counts the (parent rule, center) embedding enumerations that
+	// reached EmbedCap: an upper bound on how often extension discovery was
+	// truncated, i.e. on where mined supports and ∆E may be lower bounds. A
+	// sum of per-center work, so it is the same for every worker layout.
+	Capped int64
 	// Supersteps is the coordinator's own account of where the run went, one
 	// entry per round. Wall-clock timings: they belong to no identity
 	// comparison (results are compared field by field, never as a whole).
@@ -236,13 +236,13 @@ type worker struct {
 	centersFor map[ruleID][]graph.NodeID
 
 	ops       int64  // match operations (work accounting)
+	capped    int64  // (parent, center) enumerations that reached EmbedCap
 	centerSet []bool // centerSet[local] : node is an owned candidate center
 
 	// Round arenas and recycled scratch (see arena.go). msgs is the
 	// worker's reusable message slice; qScratch/prScratch are the candidate
 	// patterns localMine materializes per discovered extension; distBuf is
-	// the radius-probe distance buffer. noRecycle mirrors
-	// Options.DisableArenas for the current run.
+	// the radius-probe distance buffer.
 	ar        roundArenas
 	asm       asmScratch
 	msgs      []message
@@ -250,7 +250,6 @@ type worker struct {
 	prScratch *pattern.Pattern
 	distBuf   []int
 	distXBuf  []int
-	noRecycle bool
 
 	// distCache memoizes extendable per (global center, dist): the
 	// same extendability probe recurs across rules and rounds. Owned
@@ -410,8 +409,7 @@ type miner struct {
 
 	// Recycled diversifier-entry buffers: allEntries (Σ) and entriesOf (∆E)
 	// rebuild these each round instead of allocating. The queue copies what
-	// it keeps (pairs hold Entry values), so reuse is aliasing-safe. Fresh
-	// allocations under Options.DisableArenas.
+	// it keeps (pairs hold Entry values), so reuse is aliasing-safe.
 	sigmaEntries []diversify.Entry
 	deltaEntries []diversify.Entry
 }
@@ -519,7 +517,6 @@ func (m *miner) runE() (*Result, error) {
 // graph. Factored out of run so the round benchmark can measure a single
 // steady-state generate superstep.
 func (m *miner) prepare() ([]*Mined, error) {
-	m.mergeArena.noRecycle = m.opts.DisableArenas
 	npq, npqbar, err := m.eng.attach(m)
 	if err != nil {
 		return nil, err
@@ -537,7 +534,6 @@ func (m *miner) prepare() ([]*Mined, error) {
 		N:      float64(m.suppQ1) * float64(m.suppQbr),
 	}
 	m.queue = diversify.NewQueue(m.params)
-	m.queue.NoRecycle = m.opts.DisableArenas
 
 	// Seed: the bare rule with an empty antecedent (just x, and y when the
 	// predicate's y participates in Q growth). It is never reported (it is
@@ -551,49 +547,49 @@ func (m *miner) prepare() ([]*Mined, error) {
 	return []*Mined{seed}, nil
 }
 
-// setRecycleMode flips the worker between arena recycling and the plain
-// allocation mode of Options.DisableArenas.
-func (w *worker) setRecycleMode(disable bool) {
-	w.noRecycle = disable
-	w.ar.setMode(disable)
-	w.asm.arena.noRecycle = disable
-}
-
 // workerPool recycles standalone workers across runs. What survives in the
 // pool is exclusively graph-agnostic capacity — round arenas, message
 // slices, extension accumulators, assembly scratch, scratch patterns, the
 // epoch-stamped discovery arrays (safe across graphs because the epoch
 // only moves forward). Everything whose *content* depends on the bound
-// graph is reset in acquireWorker.
+// graph is reset in bind.
 var workerPool = sync.Pool{New: func() any { return new(worker) }}
 
 // acquireWorker binds pooled worker scratch to one worker's view of this
 // run's data.
 func acquireWorker(id int, frag *partition.Fragment) *worker {
 	w := workerPool.Get().(*worker)
-	w.id, w.frag = id, frag
-	if w.centersFor == nil {
-		w.centersFor = make(map[ruleID][]graph.NodeID)
-	} else {
-		clear(w.centersFor)
-	}
-	w.npq, w.npqbar = 0, 0
-	w.ops = 0
-	w.centerSet = nil // layout-specific; rebuilt lazily by ownsCenter
-	w.ecc = nil       // a pooled worker may have last served a remote runtime
-	if w.distCache != nil {
-		clear(w.distCache) // memoizes a property of the previous graph
-	}
-	if w.extOverflow != nil {
-		clear(w.extOverflow)
-	}
+	w.bind(id, frag)
 	return w
 }
 
+// bind points the worker at its view of a run's data and clears the per-run
+// state; every run, standalone, shared or remote, starts here. What
+// memoizes a property of the graph and the worker's chunk (distCache,
+// centerSet, the extension intern table) is dropped only when frag is not
+// the fragment the worker already holds: a Shared accumulator rebinds each
+// worker to its own fragment, run after run, and keeps them.
+func (w *worker) bind(id int, frag *partition.Fragment) {
+	if w.frag != frag {
+		w.frag = frag
+		w.centerSet = nil // rebuilt lazily by ownsCenter
+		clear(w.distCache)
+		clear(w.extOverflow)
+	}
+	w.id = id
+	w.npq, w.npqbar = 0, 0
+	w.ops, w.capped = 0, 0
+	if w.centersFor == nil {
+		w.centersFor = make(map[ruleID][]graph.NodeID)
+	}
+	clear(w.centersFor)
+}
+
 // release parks the worker in the pool, dropping its references into the
-// graph so the pool never pins a retired snapshot.
+// graph (and a remote runtime's eccentricity table) so the pool never pins
+// a retired snapshot.
 func (w *worker) release() {
-	w.frag = nil
+	w.frag, w.ecc = nil, nil
 	workerPool.Put(w)
 }
 
@@ -619,7 +615,7 @@ func (m *miner) finish() {
 		}
 	}
 	slices.SortFunc(m.res.All, byConfThenID)
-	m.res.WorkerOps = m.eng.ops()
+	m.res.WorkerOps, m.res.Capped = m.eng.work()
 	for _, op := range m.res.WorkerOps {
 		if op > m.res.MaxWorkerOp {
 			m.res.MaxWorkerOp = op
@@ -649,9 +645,6 @@ func (m *miner) sigmaByID(id ruleID) *Mined {
 // returned slice is the miner's recycled buffer — valid until the next call.
 func (m *miner) allEntries() []diversify.Entry {
 	out := m.sigmaEntries[:0]
-	if m.opts.DisableArenas || out == nil {
-		out = make([]diversify.Entry, 0, len(m.sigma))
-	}
 	for id := seedID + 1; id <= m.lastID; id++ {
 		mm := m.sigma[id]
 		if mm == nil {

@@ -49,8 +49,6 @@ type DialOptions struct {
 	// worker must answer within it or the job fails (default 2m). This is
 	// the stalled-worker guillotine the coordinator relies on.
 	StepTimeout time.Duration
-	// MaxFrame bounds accepted frame sizes (default wire.DefaultMaxFrame).
-	MaxFrame int
 }
 
 func (o DialOptions) defaults() DialOptions {
@@ -59,9 +57,6 @@ func (o DialOptions) defaults() DialOptions {
 	}
 	if o.StepTimeout <= 0 {
 		o.StepTimeout = 2 * time.Minute
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = wire.DefaultMaxFrame
 	}
 	return o
 }
@@ -174,7 +169,7 @@ func (c *Conn) recv() (byte, []byte, error) {
 	if err := c.armDeadline(); err != nil {
 		return 0, nil, c.fail(err)
 	}
-	typ, reply, buf, err := wire.ReadFrame(c.c, c.buf, c.opts.MaxFrame)
+	typ, reply, buf, err := wire.ReadFrame(c.c, c.buf, wire.DefaultMaxFrame)
 	c.buf = buf
 	c.endExchange()
 	if err != nil {

@@ -1,6 +1,8 @@
 package remote
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -307,16 +309,26 @@ func TestWorkerIdleTimeout(t *testing.T) {
 	}
 }
 
-// TestArenasOffTCP pins the DisableArenas differential over real TCP for
-// good measure: the flag rides JobSetup and must not change results.
+// TestArenasOffTCP pins, over real TCP, the result the arenas-off mode
+// produced for this job at 04ded92 (the last commit that had it; sha256 of
+// the fingerprint, local and fleet agreed): the workers' recycled lanes must
+// still mine those bytes. The mine package's arena poison is not reachable
+// from here; its loopback twin runs under it.
 func TestArenasOffTCP(t *testing.T) {
 	g, pred := pokecFixture(150, 3)
 	o := mine.Options{
 		K: 4, Sigma: 2, D: 2, Lambda: 0.5, N: 2,
-		MaxEdges: 2, EmbedCap: 1 << 20, DisableArenas: true,
+		MaxEdges: 2, EmbedCap: 1 << 20,
 	}.WithOptimizations().Defaults()
 	ctx := mine.NewContext(g, pred.XLabel, o)
-	want := fingerprint(mustMine(mine.DMineCtx(ctx, pred, o)))
+	const want = "4e4639460915b684fefc3792"
+	digest := func(res *mine.Result) string {
+		h := sha256.Sum256([]byte(fingerprint(res)))
+		return hex.EncodeToString(h[:12])
+	}
+	if got := digest(mustMine(mine.DMineCtx(ctx, pred, o))); got != want {
+		t.Fatalf("local digest %s, arenas-off golden %s", got, want)
+	}
 
 	addrs := startWorkers(t, 2, ServerOptions{})
 	conns, err := DialFleet(addrs, DialOptions{StepTimeout: 30 * time.Second})
@@ -328,8 +340,8 @@ func TestArenasOffTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fingerprint(res); got != want {
-		t.Fatal("arenas-off distributed result differs from local")
+	if got := digest(res); got != want {
+		t.Fatalf("fleet digest %s, arenas-off golden %s", got, want)
 	}
 }
 

@@ -11,24 +11,27 @@ import (
 )
 
 // RetryPolicy bounds how hard the coordinator tries to run a job on the
-// fleet before giving up: total attempts, exponential backoff between them,
-// and bounded jitter so a fleet of coordinators does not retry in lockstep.
-// The zero value means defaults.
+// fleet before giving up: total attempts and exponential backoff between
+// them, with bounded jitter so a fleet of coordinators does not retry in
+// lockstep. The zero value means defaults.
 type RetryPolicy struct {
 	// Attempts is the total number of tries, the first included (default 3).
 	Attempts int
 	// BaseBackoff is the pause after the first failure; it doubles per
-	// failure (default 50ms).
+	// failure up to maxBackoff (default 50ms).
 	BaseBackoff time.Duration
-	// MaxBackoff caps the doubling (default 2s).
-	MaxBackoff time.Duration
-	// Jitter in [0,1) shaves a uniformly random share off each pause
-	// (default 0.5: sleep between half and all of the nominal backoff).
-	Jitter float64
 	// Sleep replaces time.Sleep when non-nil (tests pin backoff schedules
 	// without waiting them out).
 	Sleep func(time.Duration)
 }
+
+const (
+	// maxBackoff caps the doubling of BaseBackoff.
+	maxBackoff = 2 * time.Second
+	// backoffJitter is the share of each pause a uniformly random draw may
+	// shave off: sleep between half and all of the nominal backoff.
+	backoffJitter = 0.5
+)
 
 func (p RetryPolicy) defaults() RetryPolicy {
 	if p.Attempts <= 0 {
@@ -37,12 +40,6 @@ func (p RetryPolicy) defaults() RetryPolicy {
 	if p.BaseBackoff <= 0 {
 		p.BaseBackoff = 50 * time.Millisecond
 	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2 * time.Second
-	}
-	if p.Jitter < 0 || p.Jitter >= 1 {
-		p.Jitter = 0.5
-	}
 	if p.Sleep == nil {
 		p.Sleep = time.Sleep
 	}
@@ -50,21 +47,15 @@ func (p RetryPolicy) defaults() RetryPolicy {
 }
 
 // Backoff returns the pause after the n-th failure (1-based): BaseBackoff
-// doubled per failure, capped at MaxBackoff, minus a random share up to
-// Jitter.
+// doubled per failure, capped at maxBackoff, minus a random share up to
+// backoffJitter.
 func (p RetryPolicy) Backoff(n int) time.Duration {
-	p = p.defaults()
-	d := p.BaseBackoff
-	for i := 1; i < n && d < p.MaxBackoff; i++ {
+	d := p.defaults().BaseBackoff
+	for i := 1; i < n && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if p.Jitter > 0 {
-		d -= time.Duration(p.Jitter * rand.Float64() * float64(d))
-	}
-	return d
+	d = min(d, maxBackoff)
+	return d - time.Duration(backoffJitter*rand.Float64()*float64(d))
 }
 
 // JobReport is the attempt accounting of one MineFleet call, for the

@@ -29,11 +29,10 @@ func HashFragment(frag []byte) []byte {
 // which lets a fragment-only worker answer the Lemma 3 whole-graph probe
 // exactly.
 type JobSetup struct {
-	JobID         uint64
-	Worker        int // this worker's index (message attribution)
-	D             int
-	EmbedCap      int
-	DisableArenas bool
+	JobID    uint64
+	Worker   int // this worker's index (message attribution)
+	D        int
+	EmbedCap int
 
 	XLabel, EdgeLabel, YLabel graph.Label
 
@@ -56,7 +55,6 @@ func (s *JobSetup) Append(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(s.Worker))
 	dst = binary.AppendUvarint(dst, uint64(s.D))
 	dst = binary.AppendUvarint(dst, uint64(s.EmbedCap))
-	dst = appendBool(dst, s.DisableArenas)
 	dst = binary.AppendVarint(dst, int64(s.XLabel))
 	dst = binary.AppendVarint(dst, int64(s.EdgeLabel))
 	dst = binary.AppendVarint(dst, int64(s.YLabel))
@@ -78,14 +76,13 @@ func (s *JobSetup) Append(dst []byte) []byte {
 func DecodeJobSetup(p []byte) (*JobSetup, error) {
 	r := reader{buf: p}
 	s := &JobSetup{
-		JobID:         r.uvarint("jobID"),
-		Worker:        r.intf("worker index"),
-		D:             r.intf("d"),
-		EmbedCap:      r.intf("embedCap"),
-		DisableArenas: r.bool("disableArenas"),
-		XLabel:        graph.Label(r.varint("xLabel")),
-		EdgeLabel:     graph.Label(r.varint("edgeLabel")),
-		YLabel:        graph.Label(r.varint("yLabel")),
+		JobID:     r.uvarint("jobID"),
+		Worker:    r.intf("worker index"),
+		D:         r.intf("d"),
+		EmbedCap:  r.intf("embedCap"),
+		XLabel:    graph.Label(r.varint("xLabel")),
+		EdgeLabel: graph.Label(r.varint("edgeLabel")),
+		YLabel:    graph.Label(r.varint("yLabel")),
 	}
 	nsym := r.intf("symbol count")
 	for i := 0; i < nsym && r.err == nil; i++ {
@@ -205,18 +202,21 @@ type Msg struct {
 
 // Messages is the worker → coordinator superstep reply: the round's
 // candidate messages in the worker's deterministic emission order, plus the
-// worker's cumulative match-operation count (the O(t/n) work proxy,
-// piggybacked so the coordinator always holds the latest).
+// worker's cumulative match-operation count (the O(t/n) work proxy) and its
+// cumulative count of enumerations that reached EmbedCap, piggybacked so the
+// coordinator always holds the latest.
 type Messages struct {
-	Round int
-	Ops   int64
-	Msgs  []Msg
+	Round  int
+	Ops    int64
+	Capped int64
+	Msgs   []Msg
 }
 
 // Append encodes the messages into dst.
 func (ms *Messages) Append(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(ms.Round))
 	dst = binary.AppendVarint(dst, ms.Ops)
+	dst = binary.AppendVarint(dst, ms.Capped)
 	dst = binary.AppendUvarint(dst, uint64(len(ms.Msgs)))
 	for i := range ms.Msgs {
 		m := &ms.Msgs[i]
@@ -235,8 +235,9 @@ func (ms *Messages) Append(dst []byte) []byte {
 func DecodeMessages(p []byte) (*Messages, error) {
 	r := reader{buf: p}
 	ms := &Messages{
-		Round: r.intf("round"),
-		Ops:   r.varint("ops"),
+		Round:  r.intf("round"),
+		Ops:    r.varint("ops"),
+		Capped: r.varint("capped"),
 	}
 	n := r.intf("message count")
 	for i := 0; i < n && r.err == nil; i++ {

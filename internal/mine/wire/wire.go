@@ -30,7 +30,7 @@ const (
 	// Magic opens the handshake: "GPWK" followed by the version byte.
 	Magic = "GPWK"
 	// Version is the protocol version this package speaks.
-	Version = 3
+	Version = 4
 )
 
 // Frame types.

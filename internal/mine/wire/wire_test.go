@@ -39,7 +39,7 @@ func TestHandshake(t *testing.T) {
 		t.Fatalf("answerer: %v", err)
 	}
 
-	const golden = "GPWK\x03"
+	const golden = "GPWK\x04"
 	for _, dialer := range []bool{true, false} {
 		var sent bytes.Buffer
 		if err := Handshake(&rw{strings.NewReader(golden), &sent}, dialer); err != nil {
@@ -60,10 +60,10 @@ func TestHandshakeErrors(t *testing.T) {
 	}{
 		{"peer closed", "", false},
 		{"short", "GP", false},
-		{"bad magic", "NOPE\x03", false},
+		{"bad magic", "NOPE\x04", false},
 		{"version 0", "GPWK\x00", true},
-		{"older version", "GPWK\x02", true},
-		{"newer version", "GPWK\x04", true},
+		{"older version", "GPWK\x03", true},
+		{"newer version", "GPWK\x05", true},
 	} {
 		for _, dialer := range []bool{true, false} {
 			var sent bytes.Buffer
@@ -197,19 +197,18 @@ func roundTrip[T any](t *testing.T, enc func([]byte) []byte, dec func([]byte) (*
 // fullSetup populates every JobSetup field.
 func fullSetup() *JobSetup {
 	return &JobSetup{
-		JobID:         1<<60 + 17,
-		Worker:        3,
-		D:             2,
-		EmbedCap:      64,
-		DisableArenas: true,
-		XLabel:        4,
-		EdgeLabel:     0,
-		YLabel:        graph.NoLabel,
-		Symbols:       []string{"person", "", "likes", "page"},
-		EccCap:        3,
-		CenterEcc:     []int32{0, 1, 3, 2},
-		Fragment:      []byte("GPFRfragmentbytes"),
-		FragHash:      HashFragment([]byte("GPFRfragmentbytes")),
+		JobID:     1<<60 + 17,
+		Worker:    3,
+		D:         2,
+		EmbedCap:  64,
+		XLabel:    4,
+		EdgeLabel: 0,
+		YLabel:    graph.NoLabel,
+		Symbols:   []string{"person", "", "likes", "page"},
+		EccCap:    3,
+		CenterEcc: []int32{0, 1, 3, 2},
+		Fragment:  []byte("GPFRfragmentbytes"),
+		FragHash:  HashFragment([]byte("GPFRfragmentbytes")),
 	}
 }
 
@@ -239,14 +238,16 @@ func TestJobSetupRoundTrip(t *testing.T) {
 }
 
 // TestJobSetupGoldenFrame pins the bytes of one fully-populated JobSetup
-// frame, so a layout change that forgets to bump Version fails here.
+// frame, so a layout change that forgets to bump Version fails here. The
+// bytes are the version-3 golden frame minus its disableArenas byte (and the
+// length that counted it).
 func TestJobSetupGoldenFrame(t *testing.T) {
 	var frame bytes.Buffer
 	if err := WriteFrame(&frame, TypeJobSetup, fullSetup().Append(nil)); err != nil {
 		t.Fatal(err)
 	}
-	const golden = "0000005e01" + // length, TypeJobSetup
-		"91808080808080801003024001" + // jobID, worker, d, embedCap, disableArenas
+	const golden = "0000005d01" + // length, TypeJobSetup
+		"918080808080808010030240" + // jobID, worker, d, embedCap
 		"080000" + // xLabel, edgeLabel, yLabel (zigzag)
 		"0406706572736f6e00056c696b65730470616765" + // symbols
 		"030400010302" + // eccCap, centerEcc
@@ -315,7 +316,7 @@ func TestRoundRoundTrip(t *testing.T) {
 func TestMessagesRoundTrip(t *testing.T) {
 	exts := extensions()
 	ls := lanes()
-	ms := &Messages{Round: 2, Ops: -5}
+	ms := &Messages{Round: 2, Ops: -5, Capped: 3}
 	for i, e := range exts {
 		m := Msg{Parent: uint32(i * 7), Ext: e, Flag: i%2 == 0}
 		pick := func(k int) []graph.NodeID {
@@ -330,7 +331,7 @@ func TestMessagesRoundTrip(t *testing.T) {
 	roundTrip(t, ms.Append, DecodeMessages, ms)
 
 	// The all-lanes-empty message exercises the zero-length lane encoding.
-	empty := &Messages{Round: 1, Ops: 1 << 40, Msgs: []Msg{{Parent: 0}}}
+	empty := &Messages{Round: 1, Ops: 1 << 40, Capped: 1 << 33, Msgs: []Msg{{Parent: 0}}}
 	roundTrip(t, empty.Append, DecodeMessages, empty)
 
 	none := &Messages{Round: 3}

@@ -248,98 +248,6 @@ func (p *Pattern) RadiusAt(x int) int {
 	return r
 }
 
-// SubsumedBy reports Q' ⊑ Q with identity node correspondence: p's nodes
-// are a prefix-or-subset of q's by index, with equal labels, equal (or
-// restricted) multiplicities and p's edges all present in q. This is the
-// literal reading of Section 2.1 where (V'p, E'p) is a subgraph of
-// (Vp, Ep). For structural (up to renaming) subsumption use EmbedsInto.
-func (p *Pattern) SubsumedBy(q *Pattern) bool {
-	if p.NumNodes() > q.NumNodes() || p.NumEdges() > q.NumEdges() {
-		return false
-	}
-	for u := range p.labels {
-		if p.labels[u] != q.labels[u] || p.Mult(u) != q.Mult(u) {
-			return false
-		}
-	}
-	for _, e := range p.edges {
-		if !q.HasEdge(e.From, e.To, e.Label) {
-			return false
-		}
-	}
-	return true
-}
-
-// EmbedsInto reports whether there is an injective mapping of p's nodes
-// into q's nodes preserving labels and all of p's edges. Designated nodes
-// must map to designated nodes when both sides declare them.
-func (p *Pattern) EmbedsInto(q *Pattern) bool {
-	if p.NumNodes() > q.NumNodes() || p.NumEdges() > q.NumEdges() {
-		return false
-	}
-	pe, qe := p.Expand(), q.Expand()
-	m := make([]int, pe.NumNodes())
-	for i := range m {
-		m[i] = NoNode
-	}
-	used := make([]bool, qe.NumNodes())
-	if pe.X != NoNode && qe.X != NoNode {
-		if pe.labels[pe.X] != qe.labels[qe.X] {
-			return false
-		}
-		m[pe.X] = qe.X
-		used[qe.X] = true
-	}
-	if pe.Y != NoNode && qe.Y != NoNode {
-		if pe.labels[pe.Y] != qe.labels[qe.Y] {
-			return false
-		}
-		if m[pe.Y] == NoNode && !used[qe.Y] {
-			m[pe.Y] = qe.Y
-			used[qe.Y] = true
-		}
-	}
-	return embed(pe, qe, m, used, 0)
-}
-
-func embed(p, q *Pattern, m []int, used []bool, next int) bool {
-	for next < len(m) && m[next] != NoNode {
-		next++
-	}
-	if next == len(m) {
-		// All nodes mapped; verify edges.
-		for _, e := range p.edges {
-			if !q.HasEdge(m[e.From], m[e.To], e.Label) {
-				return false
-			}
-		}
-		return true
-	}
-	for cand := 0; cand < q.NumNodes(); cand++ {
-		if used[cand] || q.labels[cand] != p.labels[next] {
-			continue
-		}
-		m[next] = cand
-		used[cand] = true
-		ok := true
-		// Incremental edge check against already-mapped nodes.
-		for _, e := range p.edges {
-			if m[e.From] != NoNode && m[e.To] != NoNode {
-				if !q.HasEdge(m[e.From], m[e.To], e.Label) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok && embed(p, q, m, used, next+1) {
-			return true
-		}
-		m[next] = NoNode
-		used[cand] = false
-	}
-	return false
-}
-
 // IsomorphicTo reports whether p and q are the same pattern up to node
 // renaming, with designated nodes corresponding (x to x, y to y). Two GPARs
 // whose patterns are isomorphic this way are "automorphic" in the

@@ -9,12 +9,12 @@
 //
 // The invalidation invariant: a cached evaluation for rule R may be carried
 // to the new generation iff no touched node lies within distance R.Radius()
-// of any XLabel node in either the old or the new graph — and, because
-// cached Stats embed the snapshot-global supp(q,G)/supp(q̄,G), nothing is
-// carried at all when any touched node lies within distance 1 of an XLabel
-// node (the LCWA classification radius). Warm mine results use the same
-// test with radius max(D, MaxEdges)+1, the farthest any DMine probe
-// reaches from a candidate center.
+// of any XLabel node in either the old or the new graph. Every served rule
+// has radius ≥ 1 (BuildSnapshot refuses anything else), which is also the
+// LCWA classification radius the snapshot-global supp(q,G)/supp(q̄,G) in
+// each cached Stats depend on. Warm mine results use the same test with
+// radius max(D, MaxEdges)+1, the farthest any DMine probe reaches from a
+// candidate center.
 
 package serve
 
@@ -211,11 +211,8 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 	carried, invalidated := 0, 0
 	for _, sr := range snap.Rules {
 		oldKey := fmt.Sprintf("g%d|%s", snap.Gen, sr.Key)
-		// impact ≤ 1 can change the LCWA classification and with it the
-		// snapshot-global supp(q,G)/supp(q̄,G) every cached Stats embeds:
-		// nothing may be carried. Otherwise a rule is unaffected iff the
-		// impact exceeds its radius.
-		if impact != -1 && (impact <= 1 || impact <= sr.Radius) {
+		// A rule is unaffected iff the impact exceeds its radius.
+		if impact != -1 && impact <= sr.Radius {
 			if s.cache.Remove(oldKey) {
 				invalidated++
 			}

@@ -243,18 +243,12 @@ func TestDeltaServeOracle(t *testing.T) {
 				refG := compare(step)
 
 				// Mid-sequence and at the end: DMine Σ over the overlay
-				// graph must equal Σ over the rebuilt graph, with the
-				// round arenas both on and off.
+				// graph must equal Σ over the rebuilt graph.
 				if step == steps/2 || step == steps {
-					for _, arenasOff := range []bool{false, true} {
-						opts := mineOpts
-						opts.DisableArenas = arenasOff
-						liveSigma := sigmaOf(mine.DMine(live.Snapshot().G, pred, opts))
-						refSigma := sigmaOf(mine.DMine(refG, pred, opts))
-						if !reflect.DeepEqual(liveSigma, refSigma) {
-							t.Fatalf("step %d (arenasOff=%v): Σ diverged\nlive: %+v\nref:  %+v",
-								step, arenasOff, liveSigma, refSigma)
-						}
+					liveSigma := sigmaOf(mine.DMine(live.Snapshot().G, pred, mineOpts))
+					refSigma := sigmaOf(mine.DMine(refG, pred, mineOpts))
+					if !reflect.DeepEqual(liveSigma, refSigma) {
+						t.Fatalf("step %d: Σ diverged\nlive: %+v\nref:  %+v", step, liveSigma, refSigma)
 					}
 				}
 

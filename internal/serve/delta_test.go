@@ -101,9 +101,9 @@ func TestDeltaEndpointSemantics(t *testing.T) {
 
 // TestDeltaSelectiveInvalidation pins the carry invariant end to end: a
 // mutation farther than every rule's radius from any candidate keeps all
-// cache entries (hit counters prove it), a mutation within the LCWA
-// classification radius drops everything, and one between the two radii
-// evicts exactly the rules whose neighborhoods can reach it.
+// cache entries (hit counters prove it), a mutation at impact 1 — the LCWA
+// classification radius — drops everything, and one at impact 2 evicts the
+// radius-2 rule and carries the radius-1 one (impact = radius + 1).
 func TestDeltaSelectiveInvalidation(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{Workers: 2})
 	snap := s.Snapshot()
@@ -144,7 +144,8 @@ func TestDeltaSelectiveInvalidation(t *testing.T) {
 	}
 
 	// Bridging the island to the bar puts a touched node at distance 1 from
-	// a cust candidate: the classification radius. Everything is dropped.
+	// a cust candidate: the classification radius, and inside every rule's
+	// radius (none is below 1). Everything is dropped.
 	code, dr = deltaJSON(t, ts.URL, `{"ops":[{"op":"addEdge","from":10,"to":11,"label":"bridge"}]}`)
 	if code != http.StatusAccepted || dr.RulesCarried != 0 || dr.RulesInvalidated != 2 {
 		t.Fatalf("bridge delta: %d %+v", code, dr)

@@ -76,6 +76,10 @@ func TestMineJobFleet(t *testing.T) {
 			t.Errorf("superstep %d diverges:\nfleet %+v\nlocal %+v", i, r, l)
 		}
 	}
+	if remoteJob.Capped != localJob.Capped || fleet.nMineCapped.Load() != local.nMineCapped.Load() {
+		t.Errorf("capped: fleet job %d (/stats %d), local job %d (/stats %d)",
+			remoteJob.Capped, fleet.nMineCapped.Load(), localJob.Capped, local.nMineCapped.Load())
+	}
 	if got := fleet.nRemoteMine.Load(); got != 1 {
 		t.Fatalf("remote mine counter = %d, want 1", got)
 	}

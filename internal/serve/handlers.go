@@ -119,6 +119,9 @@ type StatsResponse struct {
 	// MinePool counts mine.Shared accumulator reuse: a reuse is a job that
 	// mined on a recycled worker set (round arenas already grown).
 	MinePool MinePoolStats `json:"minePool"`
+	// MineCapped sums the jobs' capped counts: embedding enumerations that
+	// reached EmbedCap in every mine run completed since start.
+	MineCapped int64 `json:"mineCapped"`
 	// Fleet reports the distributed-mining configuration and traffic:
 	// Workers is len(Config.MineWorkers), RemoteJobs counts jobs that
 	// completed on the fleet, RetriedJobs counts fleet jobs that succeeded
@@ -608,6 +611,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Cache = s.cache.Stats()
 	resp.MineCache = s.mineCtx.Stats()
 	resp.MinePool = s.mineCtx.PoolStats()
+	resp.MineCapped = s.nMineCapped.Load()
 	resp.Fleet.Workers = len(s.cfg.MineWorkers)
 	resp.Fleet.RemoteJobs = s.nRemoteMine.Load()
 	resp.Fleet.RetriedJobs = s.nMineRetry.Load()

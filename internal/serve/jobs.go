@@ -123,6 +123,11 @@ type Job struct {
 	// took — as the coordinator stamped it, in process or over a fleet.
 	// Absent on a warm-started job, which ran nothing.
 	Supersteps []mine.SuperstepStat `json:"supersteps,omitempty"`
+	// Capped is how many (parent rule, center) embedding enumerations of the
+	// run reached EmbedCap (mine.Result.Capped): where it is non-zero the
+	// mined supports and the candidate set may be lower bounds. Absent on a
+	// warm-started job and when nothing was capped.
+	Capped int64 `json:"capped,omitempty"`
 
 	// cancel stops the job's run context. It is installed at creation (so a
 	// DELETE can never race an unregistered job) and cleared when the job
@@ -434,6 +439,7 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 		// install so the install's generation bump retargets it along with
 		// every other live entry.
 		s.warmPut(pred, opts, snap.Gen, res)
+		s.nMineCapped.Add(res.Capped)
 	}
 	rules := make([]*core.Rule, 0, len(res.TopK))
 	keys := make([]string, 0, len(res.TopK))
@@ -467,6 +473,7 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 		j.WarmStarted = warmStarted
 		if !warmStarted {
 			j.Supersteps = res.Supersteps
+			j.Capped = res.Capped
 		}
 		j.Distributed = distributed
 		j.FleetFallback = fleetFallback

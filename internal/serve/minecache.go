@@ -58,6 +58,10 @@ type MineContextCache struct {
 	reuses int64 // of those, parked ones
 }
 
+// mineCacheCap is how many mine contexts (parked worker scratch and, for
+// fleet jobs, encoded wire fragments) a server keeps across mine jobs.
+const mineCacheCap = 4
+
 // NewMineContextCache returns a cache bounded to capacity contexts
 // (minimum 1).
 func NewMineContextCache(capacity int) *MineContextCache {

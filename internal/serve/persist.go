@@ -61,10 +61,11 @@ type PersistOptions struct {
 	Sync SyncPolicy
 	// SyncInterval is the flush period under SyncInterval. Default 100ms.
 	SyncInterval time.Duration
-	// Retain is how many checkpointed snapshots (with their WALs) to keep.
-	// Default 2; minimum 1.
-	Retain int
 }
+
+// retainSnapshots is how many checkpointed snapshots (with their WALs) a
+// data directory keeps.
+const retainSnapshots = 2
 
 // RecoveryError is the typed error for a data directory that holds
 // snapshots but none of them is readable: the server refuses to start
@@ -117,7 +118,6 @@ type persister struct {
 	dir      string
 	policy   SyncPolicy
 	interval time.Duration
-	retain   int
 
 	// walMu orders WAL file operations (append under swapMu, rotation
 	// under swapMu, timed flushes from the flusher goroutine, close).
@@ -183,9 +183,6 @@ func (s *Server) EnablePersistence(opts PersistOptions) error {
 	if opts.SyncInterval <= 0 {
 		opts.SyncInterval = 100 * time.Millisecond
 	}
-	if opts.Retain < 1 {
-		opts.Retain = 2
-	}
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return fmt.Errorf("serve: create data dir: %w", err)
 	}
@@ -194,7 +191,6 @@ func (s *Server) EnablePersistence(opts PersistOptions) error {
 		dir:      opts.Dir,
 		policy:   opts.Sync,
 		interval: opts.SyncInterval,
-		retain:   opts.Retain,
 		stop:     make(chan struct{}),
 		flusherD: make(chan struct{}),
 	}
@@ -330,8 +326,8 @@ func (p *persister) prune(curGen uint64) {
 	}
 	sort.Slice(snapGens, func(i, j int) bool { return snapGens[i] > snapGens[j] })
 	keep := snapGens
-	if len(keep) > p.retain {
-		keep = keep[:p.retain]
+	if len(keep) > retainSnapshots {
+		keep = keep[:retainSnapshots]
 	}
 	oldest := curGen
 	kept := make(map[uint64]bool, len(keep))

@@ -78,10 +78,6 @@ type Config struct {
 	PoolSize int
 	// CacheCap bounds the number of cached per-rule evaluations. Default 256.
 	CacheCap int
-	// MineCacheCap bounds the number of cached mine contexts (parked worker
-	// scratch and, for fleet jobs, encoded wire fragments, reused across
-	// mine jobs). Default 4.
-	MineCacheCap int
 	// DefaultEta is the confidence bound η applied when a request omits it.
 	// Default 1.0.
 	DefaultEta float64
@@ -159,9 +155,6 @@ func (c Config) defaults() Config {
 	}
 	if c.CacheCap <= 0 {
 		c.CacheCap = 256
-	}
-	if c.MineCacheCap <= 0 {
-		c.MineCacheCap = 4
 	}
 	if c.DefaultEta <= 0 {
 		c.DefaultEta = 1.0
@@ -256,6 +249,7 @@ type Server struct {
 	nSwap       atomic.Int64
 	nRemoteMine atomic.Int64 // mine jobs submitted to the worker fleet
 	nFleetFall  atomic.Int64 // fleet jobs that fell back to in-process
+	nMineCapped atomic.Int64 // Σ mine.Result.Capped over completed mine runs
 	nMineRetry  atomic.Int64 // fleet jobs that needed more than one attempt
 
 	reqSeq       atomic.Uint64 // request IDs for the recovery middleware
@@ -287,7 +281,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		pool:     NewPool(cfg.PoolSize),
 		cache:    NewCache(cfg.CacheCap),
-		mineCtx:  NewMineContextCache(cfg.MineCacheCap),
+		mineCtx:  NewMineContextCache(mineCacheCap),
 		mineGate: mine.NewGate(cfg.mineProcs()),
 		batch:    NewBatcher[*RuleEval](),
 		jobs:     NewJobs(),

@@ -73,6 +73,11 @@ func BuildSnapshot(g *graph.Graph, pred core.Predicate, rules []*core.Rule, cfg 
 		if r.Pred != pred {
 			return nil, fmt.Errorf("serve: rule %d pertains to a different predicate", i)
 		}
+		// The delta carry rule bounds a rule's reach by its radius: PR must
+		// be connected (Section 2.2) with y distinct from x.
+		if rad := r.Radius(); rad < 1 {
+			return nil, fmt.Errorf("serve: rule %d: r(PR, x) = %d, want >= 1 with every node reachable from x", i, rad)
+		}
 	}
 	// Freeze compiles the CSR representation, including the node-label
 	// candidate index, so every later read is lock-free and mutation-free.

@@ -102,3 +102,39 @@ func TestEvalRuleQbarOnlyCenters(t *testing.T) {
 		t.Fatalf("Stats = %+v, want SuppQqb=0 SuppQbar=1", ev.Stats)
 	}
 }
+
+// TestBuildSnapshotRadiusAtLeastOne pins what the delta carry rule leans on:
+// a served rule's r(PR, x) is never below 1, so "impact ≤ radius" already
+// covers every batch inside the LCWA classification radius. PR always holds
+// q(x,y); the two ways under 1 — a node x cannot reach (radius -1) and a
+// consequent that loops back onto x (radius 0) — are refused at the door.
+func TestBuildSnapshotRadiusAtLeastOne(t *testing.T) {
+	g, pred, rules := fixture(t)
+	// The smallest antecedent there is: x alone.
+	bare := pattern.New(g.Symbols())
+	bare.X = bare.AddNodeL(pred.XLabel)
+	snap, err := BuildSnapshot(g, pred, append(rules, &core.Rule{Q: bare, Pred: pred}), Config{Workers: 2})
+	if err != nil {
+		t.Fatalf("BuildSnapshot: %v", err)
+	}
+	for _, sr := range snap.Rules {
+		if sr.Radius < 1 {
+			t.Errorf("rule %s served with radius %d", sr.Key, sr.Radius)
+		}
+	}
+
+	island := pattern.New(g.Symbols())
+	island.X = island.AddNodeL(pred.XLabel)
+	island.AddNode("bar") // no edge: unreachable from x
+	if _, err := BuildSnapshot(g, pred, []*core.Rule{{Q: island, Pred: pred}}, Config{}); err == nil {
+		t.Error("a rule with a node x cannot reach was accepted")
+	}
+
+	selfPred := core.Predicate{XLabel: pred.XLabel, EdgeLabel: g.Symbols().Intern("friend"), YLabel: pred.XLabel}
+	loop := pattern.New(g.Symbols())
+	loop.X = loop.AddNodeL(pred.XLabel)
+	loop.Y = loop.X
+	if _, err := BuildSnapshot(g, selfPred, []*core.Rule{{Q: loop, Pred: selfPred}}, Config{}); err == nil {
+		t.Error("a rule whose consequent loops onto x was accepted")
+	}
+}

@@ -23,24 +23,6 @@ import (
 // distinct nodes within undirected distance i+1, excluding the node itself.
 type Sketch []map[graph.Label]int
 
-// Dominates reports whether every cumulative label frequency in need is
-// available in s at the same depth: the necessary condition "v' does not
-// match u' if for some i, Di - D'i < 0".
-func (s Sketch) Dominates(need Sketch) bool {
-	for i := range need {
-		var have map[graph.Label]int
-		if i < len(s) {
-			have = s[i]
-		}
-		for l, want := range need[i] {
-			if have[l] < want {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Score returns f(u', v') = Σi Σlabels (Di(v') - D'i(u')), the total
 // frequency slack over the labels the pattern requires, and whether the
 // candidate is feasible at all. Larger scores rank earlier in guided search
@@ -143,26 +125,6 @@ func fillCumulative(sk Sketch) {
 			}
 		}
 	}
-}
-
-// OfPattern computes the k-hop sketch of pattern node u (after multiplicity
-// expansion), giving the minimum neighborhood a matching data node must
-// offer.
-func OfPattern(p *pattern.Pattern, u, k int) Sketch {
-	pe := p.Expand()
-	if pe != p {
-		// Node indexes may shift during expansion only for nodes after an
-		// expanded one; recompute u as the same designated node when
-		// possible, otherwise map by identity which holds for nodes before
-		// any multiplicity > 1. Callers pass designated nodes in practice.
-		switch u {
-		case p.X:
-			u = pe.X
-		case p.Y:
-			u = pe.Y
-		}
-	}
-	return ofExpanded(pe, patternAdj(pe), u, k)
 }
 
 // patternAdj builds the undirected adjacency of an expanded pattern.
@@ -272,12 +234,4 @@ func (ix *Index) Sketch(v graph.NodeID) Sketch {
 	ix.cache[v] = s
 	ix.mu.Unlock()
 	return s
-}
-
-// CachedCount reports how many sketches have been materialized (for tests
-// and instrumentation).
-func (ix *Index) CachedCount() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return len(ix.cache)
 }
