@@ -1,8 +1,8 @@
 package gpar_test
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: each
-// DMine optimization (incremental diversification, Lemma 3 reduction,
-// Lemma 4 bisimulation prefilter, guided matching) toggled individually,
+// DMine optimization (incremental diversification, Lemma 4 bisimulation
+// prefilter, guided matching) toggled individually,
 // the guided-search sketch depth for EIP, and guided against unguided
 // matching in the identify kernel.
 
@@ -20,8 +20,8 @@ import (
 	"gpar/internal/sketch"
 )
 
-// BenchmarkAblation_DMineOptimizations times the three Section 6
-// optimizations, together and alone, on each graph of the identify corpus
+// BenchmarkAblation_DMineOptimizations times the two Section 6
+// optimizations that remain, together and alone, on each graph of the identify corpus
 // at the figure-sweep options and on the end-to-end benchmark's mine-jobs
 // shape (the Google+-like graph of 5 000 users, that workload's options).
 // DESIGN.md, "What the Section 6 optimizations buy", has the table.
@@ -56,7 +56,6 @@ func BenchmarkAblation_DMineOptimizations(b *testing.B) {
 		{"all-on", func(o mine.Options) mine.Options { return o.WithOptimizations() }},
 		{"all-off", func(o mine.Options) mine.Options { return o }},
 		{"incremental-only", func(o mine.Options) mine.Options { o.Incremental = true; return o }},
-		{"reduction+incremental", func(o mine.Options) mine.Options { o.Incremental = true; o.Reduction = true; return o }},
 		{"bisim-only", func(o mine.Options) mine.Options { o.BisimFilter = true; return o }},
 	}
 	for _, c := range cases {
@@ -66,7 +65,6 @@ func BenchmarkAblation_DMineOptimizations(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res := mine.DMine(c.g, c.pred, opts)
 					b.ReportMetric(float64(res.IsoChecks), "isoChecks")
-					b.ReportMetric(float64(res.Pruned), "pruned")
 					b.ReportMetric(float64(res.Kept), "kept")
 					b.ReportMetric(float64(res.Capped), "capped")
 				}

@@ -146,15 +146,15 @@ func TestQueueFillAndReplace(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("queue pairs = %d want 1", q.Len())
 	}
-	if math.Abs(q.MinF()-0.92) > 1e-9 {
-		t.Errorf("MinF = %v want 0.92", q.MinF())
+	if math.Abs(minF(q)-0.92) > 1e-9 {
+		t.Errorf("min F' = %v want 0.92", minF(q))
 	}
 	// Round 2: R7, R8 arrive and displace (R5,R6), F' = 1.08.
 	r7 := Entry{ID: 7, Conf: 0.6, Set: ids(1, 2, 3)}
 	r8 := Entry{ID: 8, Conf: 0.2, Set: ids(6)}
 	q.Update([]Entry{r7, r8}, []Entry{r5, r6, r7, r8})
-	if math.Abs(q.MinF()-1.08) > 1e-9 {
-		t.Errorf("after round 2 MinF = %v want 1.08", q.MinF())
+	if math.Abs(minF(q)-1.08) > 1e-9 {
+		t.Errorf("after round 2 min F' = %v want 1.08", minF(q))
 	}
 	got := q.Entries()
 	if len(got) != 2 {
@@ -164,15 +164,8 @@ func TestQueueFillAndReplace(t *testing.T) {
 	if !names[7] || !names[8] {
 		t.Errorf("Lk = %v want {R7,R8}", names)
 	}
-	if !q.Contains(7) || q.Contains(5) {
-		t.Error("Contains bookkeeping wrong after replacement")
-	}
-}
-
-func TestQueueMinFStates(t *testing.T) {
-	q := NewQueue(Params{K: 4, Lambda: 0.5, N: 1})
-	if !math.IsInf(q.MinF(), -1) {
-		t.Error("empty below-capacity queue should report -Inf (anything improves)")
+	if !q.used[7] || q.used[5] {
+		t.Error("used bookkeeping wrong after replacement")
 	}
 }
 

@@ -38,24 +38,6 @@ func NewQueue(p Params) *Queue {
 // capPairs is ⌈k/2⌉.
 func (q *Queue) capPairs() int { return (q.p.K + 1) / 2 }
 
-// MinF returns F'm, the minimum F' over the queue's pairs (+Inf when the
-// queue is empty, -Inf when it is not yet full — any pair improves it).
-func (q *Queue) MinF() float64 {
-	if len(q.pairs) < q.capPairs() {
-		return math.Inf(-1)
-	}
-	minF := math.Inf(1)
-	for _, pr := range q.pairs {
-		if pr.f < minF {
-			minF = pr.f
-		}
-	}
-	return minF
-}
-
-// Contains reports whether the entry with the given ID sits in some pair.
-func (q *Queue) Contains(id uint32) bool { return q.used[id] }
-
 // Len reports the number of pairs currently held.
 func (q *Queue) Len() int { return len(q.pairs) }
 

@@ -373,54 +373,6 @@ func (g *Graph) AppendNeighborhood(dst []NodeID, v NodeID, r int) []NodeID {
 	return order
 }
 
-// HasNodeAtDistance reports whether some node lies at exact undirected
-// distance dist from v. It is the "extendable" test of algorithm DMine:
-// whether a center node still has nodes at the next hop.
-func (g *Graph) HasNodeAtDistance(v NodeID, dist int) bool {
-	return dist >= 0 && dist <= g.EccentricityCapped(v, dist)
-}
-
-// EccentricityCapped returns v's undirected eccentricity — the largest
-// distance from v to any reachable node — capped at max. BFS levels are
-// contiguous, so for any d ≤ max, HasNodeAtDistance(v, d) ⟺ d ≤
-// EccentricityCapped(v, max): the capped eccentricity answers every bounded
-// distance probe. Levels below max are expanded completely, which keeps
-// every distance exact; level max is only asked whether it is empty, so the
-// BFS returns at its first unseen node instead of materializing it — on a
-// hub-shaped graph that level is most of the graph. DMine's distributed
-// coordinator ships these per owned center so remote workers — which hold
-// only their fragment — can evaluate the whole-graph extendability test of
-// Lemma 3 exactly.
-func (g *Graph) EccentricityCapped(v NodeID, max int) int {
-	if max <= 0 {
-		return 0
-	}
-	s := acquireBFS(g.NumNodes())
-	defer bfsPool.Put(s)
-	s.stamp[v] = s.epoch
-	s.frontier = append(s.frontier, v)
-	for depth := 1; ; depth++ {
-		s.next = s.next[:0]
-		for _, u := range s.frontier {
-			for _, adj := range [2][]Edge{g.out[u], g.in[u]} {
-				for _, e := range adj {
-					if s.stamp[e.To] != s.epoch {
-						if depth == max {
-							return max
-						}
-						s.stamp[e.To] = s.epoch
-						s.next = append(s.next, e.To)
-					}
-				}
-			}
-		}
-		if len(s.next) == 0 {
-			return depth - 1
-		}
-		s.frontier, s.next = s.next, s.frontier
-	}
-}
-
 // InducedSubgraph returns the subgraph induced by nodes (Section 2.1): the
 // nodes plus every edge of g whose endpoints are both in nodes. It also
 // returns toLocal mapping original IDs to IDs in the new graph, and toGlobal

@@ -119,28 +119,6 @@ func TestNeighborhood(t *testing.T) {
 	}
 }
 
-func TestHasNodeAtDistance(t *testing.T) {
-	g, ids := path(4) // v0->v1->v2->v3
-	tests := []struct {
-		v    NodeID
-		dist int
-		want bool
-	}{
-		{ids[0], 0, true},
-		{ids[0], 1, true},
-		{ids[0], 3, true},
-		{ids[0], 4, false},
-		{ids[3], 3, true}, // undirected
-		{ids[1], 3, false},
-		{ids[1], 2, true},
-	}
-	for _, tt := range tests {
-		if got := g.HasNodeAtDistance(tt.v, tt.dist); got != tt.want {
-			t.Errorf("HasNodeAtDistance(%d, %d) = %v want %v", tt.v, tt.dist, got, tt.want)
-		}
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	g := New(nil)
 	a := g.AddNode("a")

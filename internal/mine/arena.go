@@ -4,7 +4,7 @@ import "gpar/internal/graph"
 
 // This file holds the per-worker round arenas of the mining loop. A BSP
 // round produces thousands of short-lived []graph.NodeID center sets — the
-// four lanes of every <R, conf, flag> message, the per-group union buffers
+// three lanes of every <R, conf, flag> message, the per-group union buffers
 // of the assembly shards, and the next round's per-rule center frontiers.
 // All of them share one lifecycle: born inside one phase of a round, read
 // until the matching phase of the next round starts, then dead. A nodeArena
@@ -15,13 +15,13 @@ import "gpar/internal/graph"
 //
 // Ownership discipline (see DESIGN.md, "Arena round lifecycle"):
 //
-//   - message lanes (q, r, qqb, usupp) are reset by localMine at the start
+//   - message lanes (q, r, qqb) are reset by localMine at the start
 //     of the generate phase; their views live in messages, which assemble
 //     consumes in the same round;
 //   - the assembly shard arena is reset by asmScratch.merge; its views live
 //     in groups, which assemble consumes before returning — any set that
 //     survives into Σ (Mined.Set, Mined.qCenters) is cloned out;
-//   - the frontier lane is reset by diversifyAndFilter; its views live in
+//   - the frontier lane is reset by diversifyAndDistribute; its views live in
 //     worker.centersFor, which the next round's localMine consumes.
 //
 // No view ever escapes a run: everything reachable from a Result is cloned.
@@ -113,21 +113,20 @@ func (a *nodeArena) unionInto(x, y []graph.NodeID) []graph.NodeID {
 	return a.take(mark)
 }
 
-// roundArenas is one worker's set of recycled lanes. The four message lanes
+// roundArenas is one worker's set of recycled lanes. The three message lanes
 // reset together at the start of generate; the frontier lane resets at the
-// start of diversifyAndFilter (by which point the previous round's frontier
-// views have all been consumed by localMine).
+// start of diversifyAndDistribute (by which point the previous round's
+// frontier views have all been consumed by localMine).
 type roundArenas struct {
-	q, r, qqb, usupp nodeArena // message center-set lanes
-	frontier         nodeArena // next-round per-rule center lists
+	q, r, qqb nodeArena // message center-set lanes
+	frontier  nodeArena // next-round per-rule center lists
 }
 
-// resetMessages reclaims the four message lanes (start of a generate phase).
+// resetMessages reclaims the three message lanes (start of a generate phase).
 func (ar *roundArenas) resetMessages() {
 	ar.q.reset()
 	ar.r.reset()
 	ar.qqb.reset()
-	ar.usupp.reset()
 }
 
 // Gate bounds how many mining worker goroutines execute simultaneously

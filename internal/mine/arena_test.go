@@ -3,7 +3,10 @@ package mine
 import (
 	"flag"
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"gpar/internal/gen"
@@ -12,7 +15,7 @@ import (
 
 // arenaFixture is the workload of the arena golden tests: a
 // seeded Pokec-like graph with enough structure that every arena lane (all
-// four message lanes, assembly unions, frontier lists) carries real data
+// three message lanes, assembly unions, frontier lists) carries real data
 // over multiple rounds.
 func arenaFixture(t testing.TB) (*graph.Graph, []Options) {
 	t.Helper()
@@ -53,7 +56,11 @@ var arenasOffGoldens = map[string]string{
 	"arena/pred0": "59aadf888db3fd156ed8003b",
 	"arena/pred1": "0388572696698a6addcda269",
 	"arena/pred2": "29b51cf11d629e79224de3e0",
-	"arena/pred3": "6749ee3d980e1b9173fbbcd4",
+	// pred3 was 6749ee3d980e1b9173fbbcd4 while Lemma 3 existed: in the last
+	// round its Rule 2 marked 18 rules "not to be extended" that no round was
+	// left to extend, so Σ, top-k and F were the same and only Result.Pruned
+	// (18) differed. This is what 65d882b mined with Options.Reduction off.
+	"arena/pred3": "4598d7deb898b4c277e70588",
 	"arena/pred4": "1b17c4db1a6a8f489c69eb98",
 	// contextFixture predicate 0: fresh runs and reruns after a cancel at
 	// every poll budget, N ∈ {1,2,3,8}.
@@ -74,9 +81,9 @@ func TestDMineArenasOnOffIdentity(t *testing.T) {
 	}
 }
 
-// TestDMineMultiArenasOnOffIdentity extends the pin to DMineMulti: the
-// shared accumulator reuses one worker set (arenas and all) across
-// predicates, which is exactly the lifetime the recycling discipline must
+// TestDMineMultiArenasOnOffIdentity extends the pin to DMineMulti: each
+// predicate's run inherits the pooled workers (arenas and all) the previous
+// one released, which is exactly the lifetime the recycling discipline must
 // survive.
 func TestDMineMultiArenasOnOffIdentity(t *testing.T) {
 	g, optsList := arenaFixture(t)
@@ -90,6 +97,53 @@ func TestDMineMultiArenasOnOffIdentity(t *testing.T) {
 		if got, want := digest(r.Result), arenasOffGoldens[fmt.Sprintf("arena/pred%d", i)]; got != want {
 			t.Errorf("predicate %d: digest %s, arenas-off golden %s", i, got, want)
 		}
+	}
+}
+
+// TestWorkerPoolKeepsOneRunsWorkers pins the pool's policy: a finished run
+// leaves its workers idle; the next like run mines on those very workers
+// (and their grown arenas) instead of building new ones; runs finishing
+// together leave no more than one of them would (or GOMAXPROCS);
+// DropIdleWorkers lets them all go.
+func TestWorkerPoolKeepsOneRunsWorkers(t *testing.T) {
+	g, optsList := arenaFixture(t)
+	pred := gen.PokecPredicates(g.Symbols())[0]
+	idle := func() map[*worker]bool {
+		workerPool.mu.Lock()
+		defer workerPool.mu.Unlock()
+		set := make(map[*worker]bool)
+		for _, w := range workerPool.idle {
+			set[w] = true
+		}
+		return set
+	}
+	keep := max(8, runtime.GOMAXPROCS(0))
+
+	DropIdleWorkers()
+	DMine(g, pred, optsList[3]) // N = 8
+	first := idle()
+	if len(first) != keep {
+		t.Fatalf("%d idle workers after an 8-worker run, want %d", len(first), keep)
+	}
+	DMine(g, pred, optsList[3])
+	if again := idle(); !maps.Equal(again, first) {
+		t.Fatal("the next 8-worker run did not mine on the idle workers it found")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			DMine(g, pred, optsList[3])
+		}()
+	}
+	wg.Wait()
+	if n := len(idle()); n != keep {
+		t.Fatalf("%d idle workers after three concurrent 8-worker runs, want %d", n, keep)
+	}
+	DropIdleWorkers()
+	if n := len(idle()); n != 0 {
+		t.Fatalf("%d idle workers after DropIdleWorkers", n)
 	}
 }
 

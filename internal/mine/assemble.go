@@ -24,20 +24,17 @@ type group struct {
 	q      []graph.NodeID // Q(x,·) over owned frontier centers
 	r      []graph.NodeID // PR(x,·)
 	qqb    []graph.NodeID // Q(x,·) ∩ q̄
-	usupp  []graph.NodeID // extendable PR matches (Usupp)
-	flag   bool
-	sum    bisim.Summary // Lemma 4 summary (nil when the prefilter is off)
-	bucket bucketID      // interned at the reduce; 0 when prefilter is off
+	sum    bisim.Summary  // Lemma 4 summary (nil when the prefilter is off)
+	bucket bucketID       // interned at the reduce; 0 when prefilter is off
 }
 
 // asmScratch is one assembly shard's recycled state: the per-round group
 // map and list, a pool of retired group structs, pooled rule
 // materializations (pattern storage reused round over round), the arena
-// backing every group's four union lanes, the flat buffer bisimulation
+// backing every group's three union lanes, the flat buffer bisimulation
 // summaries are appended to, and the scratch pattern PR summaries are built
 // from. Shard s is owned by worker s, so the memory survives exactly as
-// long as the worker does — including across the runs of a Shared
-// accumulator and across the jobs of a serving worker-set pool.
+// long as the worker does — in the worker pool, across runs.
 type asmScratch struct {
 	gm        map[groupKey]*group
 	order     []*group
@@ -83,8 +80,6 @@ func (m *miner) assemble(frontier []*Mined, msgs []message) []*Mined {
 				other.q = m.mergeArena.unionInto(other.q, gr.q)
 				other.r = m.mergeArena.unionInto(other.r, gr.r)
 				other.qqb = m.mergeArena.unionInto(other.qqb, gr.qqb)
-				other.usupp = m.mergeArena.unionInto(other.usupp, gr.usupp)
-				other.flag = other.flag || gr.flag
 				dup = true
 				break
 			}
@@ -122,21 +117,16 @@ func (m *miner) assemble(frontier []*Mined, msgs []message) []*Mined {
 		id := m.newRuleID()
 		set := slices.Clone(gr.r)
 		mined := &Mined{
-			Rule:   &core.Rule{Q: gr.rule.Q.Clone(), Pred: gr.rule.Pred},
-			Stats:  stats,
-			Conf:   stats.Conf(),
-			Set:    set,
-			id:     id,
-			bits:   diversify.MakeBits(set),
-			parent: gr.key.parent,
-			ext:    gr.key.ext,
+			Rule:     &core.Rule{Q: gr.rule.Q.Clone(), Pred: gr.rule.Pred},
+			Stats:    stats,
+			Conf:     stats.Conf(),
+			Set:      set,
+			id:       id,
+			bits:     diversify.MakeBits(set),
+			parent:   gr.key.parent,
+			ext:      gr.key.ext,
+			qCenters: slices.Clone(gr.q),
 		}
-		// Uconf+(R) = Σ Usupp_i(R,Fi) · supp(q̄,G) / supp(q,G) (Lemma 3).
-		if gr.flag {
-			m.uconf[id] = float64(len(gr.usupp)) * float64(m.suppQbr) / float64(m.suppQ1)
-		}
-		mined.extendable = gr.flag
-		mined.qCenters = slices.Clone(gr.q)
 		deltaE = append(deltaE, mined)
 		m.registerBucket(gr.bucket, id)
 	}
@@ -218,7 +208,7 @@ func (m *miner) mergeShards(frontier []*Mined, msgs []message) []*group {
 }
 
 // merge builds one shard's groups: pass 1 buckets message indices by group
-// key; pass 2 materializes each group's rule, builds its four union lanes
+// key; pass 2 materializes each group's rule, builds its three union lanes
 // contiguously in the shard arena, and appends its bisimulation summary to
 // the shard's summary buffer. Everything is recycled from the previous
 // round — in steady state the only allocations are map growth on
@@ -241,7 +231,6 @@ func (s *asmScratch) merge(m *miner, msgs []message, idx []int32) {
 			gr = s.newGroup(k)
 		}
 		gr.msgIdx = append(gr.msgIdx, i)
-		gr.flag = gr.flag || msg.flag
 	}
 
 	for gi, gr := range s.order {
@@ -249,7 +238,6 @@ func (s *asmScratch) merge(m *miner, msgs []message, idx []int32) {
 		gr.q = s.lane(msgs, gr.msgIdx, msgQ)
 		gr.r = s.lane(msgs, gr.msgIdx, msgR)
 		gr.qqb = s.lane(msgs, gr.msgIdx, msgQqb)
-		gr.usupp = s.lane(msgs, gr.msgIdx, msgUsupp)
 		if m.opts.BisimFilter {
 			if s.prScratch == nil {
 				s.prScratch = pattern.New(gr.rule.Q.Symbols())
@@ -263,10 +251,9 @@ func (s *asmScratch) merge(m *miner, msgs []message, idx []int32) {
 }
 
 // Message lane selectors, named (not closures) so lane calls don't allocate.
-func msgQ(msg *message) []graph.NodeID     { return msg.qCenters }
-func msgR(msg *message) []graph.NodeID     { return msg.rSet }
-func msgQqb(msg *message) []graph.NodeID   { return msg.qqbCenters }
-func msgUsupp(msg *message) []graph.NodeID { return msg.usuppCenters }
+func msgQ(msg *message) []graph.NodeID   { return msg.qCenters }
+func msgR(msg *message) []graph.NodeID   { return msg.rSet }
+func msgQqb(msg *message) []graph.NodeID { return msg.qqbCenters }
 
 // lane builds one group's sorted deduplicated union of one message field,
 // carved contiguously from the shard arena.
@@ -334,7 +321,7 @@ func (m *miner) inSigma(gr *group) bool {
 		for _, id := range m.sigmaBuckets[gr.bucket] {
 			old := m.sigma[id]
 			if old == nil {
-				continue // pruned by the reduction rules
+				continue // dropped by the per-round candidate cap
 			}
 			m.res.IsoChecks++
 			if gr.rule.Q.IsomorphicTo(old.Rule.Q) {
@@ -364,100 +351,19 @@ func (m *miner) registerBucket(bucket bucketID, id ruleID) {
 	m.sigmaBuckets[bucket] = append(m.sigmaBuckets[bucket], id)
 }
 
-// diversifyAndFilter is lines 8-11 of Fig. 4: update the top-k structure,
-// apply the Lemma 3 reduction rules, pick the rules to extend next round,
-// and hand each worker its refreshed center frontier through the engine
-// (carved from the worker's frontier lane, whose previous round's views
-// localMine has already consumed).
-func (m *miner) diversifyAndFilter(deltaE []*Mined, round int) ([]*Mined, error) {
+// diversifyAndDistribute is lines 8-11 of Fig. 4: update the top-k
+// structure, then hand each worker the center frontier of the rules to
+// extend next round — all of ∆E — through the engine (carved from the
+// worker's frontier lane, whose previous round's views localMine has already
+// consumed).
+func (m *miner) diversifyAndDistribute(deltaE []*Mined) error {
 	if m.opts.Incremental {
 		m.queue.Update(m.entriesOf(deltaE), m.allEntries())
 	} else {
 		// DMineNo recomputes the diversification from scratch every round.
 		_ = diversify.Greedy(m.allEntries(), m.params)
 	}
-
-	extendable := make(map[ruleID]bool, len(deltaE))
-	for _, mined := range deltaE {
-		extendable[mined.id] = mined.extendable
-	}
-	if m.opts.Reduction && m.opts.Incremental {
-		m.applyReductionRules(deltaE, extendable)
-	}
-
-	var frontier []*Mined
-	for _, mined := range deltaE {
-		if !extendable[mined.id] {
-			continue
-		}
-		frontier = append(frontier, mined)
-	}
-	if err := m.eng.distribute(m, frontier); err != nil {
-		return nil, err
-	}
-	return frontier, nil
-}
-
-// applyReductionRules repeatedly applies the two rules of Lemma 3 until no
-// more GPARs can be removed from Σ or stopped from extension.
-func (m *miner) applyReductionRules(deltaE []*Mined, extendable map[ruleID]bool) {
-	fm := m.queue.MinF()
-	confW, divW := reductionWeights(m.params)
-	for {
-		changed := false
-		maxU := 0.0
-		for _, mined := range deltaE {
-			if extendable[mined.id] && m.uconf[mined.id] > maxU {
-				maxU = m.uconf[mined.id]
-			}
-		}
-		maxConf := 0.0
-		for id := seedID + 1; id <= m.lastID; id++ {
-			if mm := m.sigma[id]; mm != nil && mm.Conf > maxConf {
-				maxConf = mm.Conf
-			}
-		}
-		// Rule 1: Σ members that can never enter Lk.
-		for id := seedID + 1; id <= m.lastID; id++ {
-			mm := m.sigma[id]
-			if mm == nil || m.queue.Contains(uint32(id)) {
-				continue
-			}
-			if confW*(mm.Conf+maxU)+divW <= fm {
-				m.sigma[id] = nil
-				m.res.Pruned++
-				changed = true
-			}
-		}
-		// Rule 2: ∆E members whose extensions can never enter Lk.
-		for _, mined := range deltaE {
-			if !extendable[mined.id] {
-				continue
-			}
-			if confW*(m.uconf[mined.id]+maxConf)+divW <= fm {
-				extendable[mined.id] = false
-				m.res.Pruned++
-				changed = true
-			}
-		}
-		if !changed {
-			return
-		}
-	}
-}
-
-// reductionWeights returns (1-λ)/(N(k-1)) and 2λ/(k-1) with the same guards
-// as the diversify package.
-func reductionWeights(p diversify.Params) (confW, divW float64) {
-	n := p.N
-	if n <= 0 {
-		n = 1
-	}
-	km1 := float64(p.K - 1)
-	if km1 <= 0 {
-		km1 = 1
-	}
-	return (1 - p.Lambda) / (n * km1), 2 * p.Lambda / km1
+	return m.eng.distribute(m, deltaE)
 }
 
 // entriesOf lists ∆E as diversifier entries, in the miner's recycled buffer

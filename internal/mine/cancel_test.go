@@ -91,12 +91,13 @@ func TestDMineCtxDeadlineExceeded(t *testing.T) {
 
 // TestCancelThenRerunParityLocal is the cancellation parity pin for the
 // in-process engine: cancel a run at an arbitrary superstep (driven by a
-// counted poll budget), then rerun clean on the same shared accumulator —
-// the rerun must be byte-identical, for every worker count, to two
+// counted poll budget), then rerun clean on the same Context — and, this
+// test's runs being sequential, on the pooled workers the canceled run just
+// released. The rerun must be byte-identical, for every worker count, to two
 // oracles: a fresh DMine, and (arenasOff=true) the digest the arenas-off
 // mode produced for this matrix at 04ded92, where no canceled run could
 // leave anything behind in a recycled lane. This is what makes cancel safe
-// for the serving layer's pooled accumulators: nothing a canceled run
+// for the worker pool every serving job draws from: nothing a canceled run
 // touched survives in a result-bearing structure.
 func TestCancelThenRerunParityLocal(t *testing.T) {
 	g, preds, base := contextFixture(t)
@@ -110,12 +111,12 @@ func TestCancelThenRerunParityLocal(t *testing.T) {
 				if !arenasOff {
 					want = digest(DMine(g, pred, o))
 				}
-				sh := NewShared(NewContext(g, pred.XLabel, o))
+				ctx := NewContext(g, pred.XLabel, o)
 				completed := false
 				for _, allow := range []int{0, 1, 3, 7, 15, 40, 200} {
 					co := o
 					co.Ctx = newPollCtx(allow)
-					res, err := sh.DMine(pred, co)
+					res, err := DMineCtx(ctx, pred, co)
 					if err == nil {
 						// Budget outlasted the run: it finished normally and
 						// must match, cancellable context or not.
@@ -132,7 +133,7 @@ func TestCancelThenRerunParityLocal(t *testing.T) {
 					if res != nil {
 						t.Fatalf("allow=%d: canceled run returned a result", allow)
 					}
-					if got := digest(must(sh.DMine(pred, o))); got != want {
+					if got := digest(must(DMineCtx(ctx, pred, o))); got != want {
 						t.Fatalf("allow=%d: rerun after cancel at superstep %d mines %s, want %s",
 							allow, ce.Superstep, got, want)
 					}

@@ -12,8 +12,7 @@ import (
 
 // This file is what one DMine run shares with the next over the same graph:
 // Context, the immutable layout every run with the same (x-label, d, n)
-// mines on, and Shared, the mutable worker scratch one job carries from
-// predicate to predicate.
+// mines on.
 
 // Context is the predicate-independent layout of a DMine run: the graph,
 // the candidate centers of one x-label, and the worker count that cuts them
@@ -41,15 +40,13 @@ type Context struct {
 // it. The fragment graph itself is dropped once encoded.
 type wireFragment struct {
 	data, hash []byte
-	centers    []graph.NodeID // owned centers as global IDs, in the fragment's Centers order
 }
 
-// WireFragment returns fragment i's canonical binary encoding, its content
-// hash (wire.HashFragment over those bytes) and its owned centers. The
-// partition runs once per context, on the first call, so repeat and retried
-// distributed jobs skip it and the re-encode, and the hash keys the workers'
-// fragment caches stably.
-func (c *Context) WireFragment(i int) (data, hash []byte, centers []graph.NodeID) {
+// WireFragment returns fragment i's canonical binary encoding and its
+// content hash (wire.HashFragment over those bytes). The partition runs once
+// per context, on the first call, so repeat and retried distributed jobs skip
+// it and the re-encode, and the hash keys the workers' fragment caches stably.
+func (c *Context) WireFragment(i int) (data, hash []byte) {
 	c.wireOnce.Do(func() {
 		frags := partition.Partition(c.g, c.cands, c.n, c.d)
 		c.wireFrags = make([]wireFragment, len(frags))
@@ -57,14 +54,10 @@ func (c *Context) WireFragment(i int) (data, hash []byte, centers []graph.NodeID
 			wf := &c.wireFrags[j]
 			wf.data = f.AppendBinary(nil)
 			wf.hash = wire.HashFragment(wf.data)
-			wf.centers = make([]graph.NodeID, len(f.Centers))
-			for k, lc := range f.Centers {
-				wf.centers[k] = f.Global(lc)
-			}
 		}
 	})
 	wf := &c.wireFrags[i]
-	return wf.data, wf.hash, wf.centers
+	return wf.data, wf.hash
 }
 
 // NewContext fixes the mining layout for x-label candidates on g with opts'
@@ -107,68 +100,5 @@ func DMineCtx(ctx *Context, pred core.Predicate, opts Options) (*Result, error) 
 	if err := ctx.check(pred, opts); err != nil {
 		return nil, err
 	}
-	m := newMiner(ctx, pred, opts, nil)
-	return m.runE()
-}
-
-// Shared is the cross-predicate accumulator of DMineMulti: everything that
-// is a pure function of the graph and the worker layout — the worker
-// goroutine states with their memoized extendability probes (distCache),
-// owned-center sets, epoch-stamped discovery scratch, extension intern
-// tables and round arenas, and the bisimulation-bucket interner — survives
-// from one predicate's run to the next instead of being rebuilt per
-// predicate. The serving layer also pools Shared values across mine jobs,
-// so a steady stream of jobs over one snapshot reuses the same grown arenas
-// round after round.
-//
-// Sharing is determinism-safe: every retained structure is either a memo
-// of a pure function (distCache) or an interning table whose concrete IDs
-// never influence results (bucket IDs only group equal summaries;
-// extension-overflow codes only key accumulators that are re-sorted by the
-// extension's total order), and the arenas are reset at their phase
-// boundaries. The differential tests pin byte-identity against fresh runs.
-//
-// A Shared belongs to one mining job at a time: unlike Context it is
-// mutable and must not be used by concurrent runs. Concurrent jobs share
-// an immutable Context and bring their own Shared (or none).
-type Shared struct {
-	ctx     *Context
-	workers []*worker
-	buckets bucketInterner
-}
-
-// NewShared returns an empty accumulator over ctx.
-func NewShared(ctx *Context) *Shared {
-	return &Shared{ctx: ctx}
-}
-
-// DMine mines pred reusing the accumulator's context and every run-to-run
-// survivable structure. Results are byte-identical to DMine(g, pred, opts).
-// Errors are a context/options mismatch or, for a set Options.Ctx, the
-// typed *CanceledError; a canceled accumulator is reusable — the next run
-// resets every per-run structure, byte-identically to a fresh one.
-func (sh *Shared) DMine(pred core.Predicate, opts Options) (*Result, error) {
-	opts = opts.Defaults()
-	if err := sh.ctx.check(pred, opts); err != nil {
-		return nil, err
-	}
-	m := newMiner(sh.ctx, pred, opts, sh)
-	return m.runE()
-}
-
-// attachWorkers returns the accumulator's workers, creating them on first
-// use and rebinding each to its own fragment on every call: the per-run
-// state is cleared, the graph-dependent memoization survives (the shared
-// Context fixes the graph and the chunks it depends on).
-func (sh *Shared) attachWorkers() []*worker {
-	if sh.workers == nil {
-		sh.workers = make([]*worker, sh.ctx.n)
-		for i := range sh.workers {
-			sh.workers[i] = &worker{frag: sh.ctx.fragment(i)}
-		}
-	}
-	for i, w := range sh.workers {
-		w.bind(i, w.frag)
-	}
-	return sh.workers
+	return newMiner(ctx, pred, opts).runE()
 }

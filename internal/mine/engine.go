@@ -68,11 +68,8 @@ type localRule struct {
 
 // localEngine runs the workers as goroutines over the context's graph, each
 // on its chunk of the candidate centers — the single-process mode of
-// DMine/DMineCtx/Shared.DMine.
+// DMine/DMineCtx.
 type localEngine struct {
-	// shared is the cross-predicate accumulator, nil for standalone runs
-	// (which draw workers from the global pool instead).
-	shared  *Shared
 	workers []*worker
 	msgBuf  []message   // recycled concatenation buffer (generate)
 	lrBuf   []localRule // recycled frontier projection (generate)
@@ -80,15 +77,11 @@ type localEngine struct {
 }
 
 func (e *localEngine) attach(m *miner) ([]int, []int, error) {
-	// Standalone runs draw workers from the global pool (close returns
-	// them), so even a cold DMine reuses previously grown arenas and scratch.
-	if e.shared != nil {
-		e.workers = e.shared.attachWorkers()
-	} else {
-		e.workers = make([]*worker, m.ctx.n)
-		for i := range e.workers {
-			e.workers[i] = acquireWorker(i, m.ctx.fragment(i))
-		}
+	// Workers come from the global pool (close returns them), so even a
+	// cold DMine reuses previously grown arenas and scratch.
+	e.workers = make([]*worker, m.ctx.n)
+	for i := range e.workers {
+		e.workers[i] = acquireWorker(i, m.ctx.fragment(i))
 	}
 	pred := m.pred
 	err := e.parallel(m, func(w *worker) {
@@ -149,13 +142,7 @@ func (e *localEngine) close(m *miner) {
 		return
 	}
 	e.closed = true
-	// Standalone workers return to the pool; a Shared accumulator keeps its
-	// workers (their memoized probes are part of the cross-run reuse).
-	if e.shared == nil {
-		for _, w := range e.workers {
-			w.release()
-		}
-	}
+	releaseWorkers(e.workers...)
 	e.workers = nil
 }
 
@@ -201,7 +188,7 @@ func (e *localEngine) parallel(m *miner, fn func(w *worker)) error {
 // of the full out-adjacency.
 func (w *worker) classify(pred core.Predicate) {
 	n := w.frag.G.NumNodes()
-	if len(w.pq) == n { // shared worker: reuse the classification buffers
+	if len(w.pq) == n { // pooled worker: reuse the classification buffers
 		clear(w.pq)
 		clear(w.pqbar)
 	} else {

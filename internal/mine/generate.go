@@ -69,11 +69,9 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 			if rad := radiusFrom(w.distBuf); rad < 0 || rad > lp.d {
 				continue
 			}
-			w.distBuf = q.DistancesInto(w.distBuf, q.X)
-			radius := radiusFrom(w.distBuf)
 
 			msg := message{worker: w.id, parent: parent.id, ext: acc.ext}
-			mq, mr, mqb, mu := w.ar.q.mark(), w.ar.r.mark(), w.ar.qqb.mark(), w.ar.usupp.mark()
+			mq, mr, mqb := w.ar.q.mark(), w.ar.r.mark(), w.ar.qqb.mark()
 			// One pooled matcher per child rule, reused across all centers.
 			prm := match.NewMatcher(pr, w.frag.G, opts)
 			for _, c := range acc.centers {
@@ -86,10 +84,6 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 					w.ops++
 					if prm.HasMatchAt(c) {
 						w.ar.r.push(gv)
-						// Usupp_i: PR matches that still have room to grow.
-						if w.extendable(c, gv, radius+1) {
-							w.ar.usupp.push(gv)
-						}
 					}
 				}
 			}
@@ -97,8 +91,6 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 			msg.qCenters = w.ar.q.take(mq)
 			msg.rSet = w.ar.r.take(mr)
 			msg.qqbCenters = w.ar.qqb.take(mqb)
-			msg.usuppCenters = w.ar.usupp.take(mu)
-			msg.flag = len(msg.qCenters) > 0
 			out = append(out, msg)
 		}
 	}

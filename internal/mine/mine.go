@@ -3,13 +3,12 @@
 // algorithm DMine: a bulk-synchronous coordinator/worker computation that
 // grows GPAR antecedents levelwise from the consequent predicate q(x,y),
 // assembles worker-local support and confidence messages, incrementally
-// maintains a diversified top-k set (procedure incDiv), and prunes the
-// search with the Lemma 3 reduction rules and the Lemma 4 bisimulation
-// prefilter.
+// maintains a diversified top-k set (procedure incDiv), and groups
+// automorphic candidates behind the Lemma 4 bisimulation prefilter.
 //
 // Workers are goroutines over the one shared graph, each owning a contiguous
-// chunk of the candidate centers; each round they exchange <R, conf, flag>
-// messages with the coordinator exactly as in Fig. 4 of the paper. The
+// chunk of the candidate centers; each round they exchange <R, conf>
+// messages with the coordinator as in Fig. 4 of the paper. The
 // d-neighbourhood fragments of Section 4.2 are what a worker in another
 // process mines instead (distributed.go): it has no graph.
 //
@@ -71,14 +70,12 @@ type Options struct {
 	// GOMAXPROCS. Results are independent of the gate.
 	Gate *Gate
 
-	// Optimization toggles — the three DMine optimizations of Section 6
-	// ("incremental, reductions and bisimilarity checking"). DMine sets all
-	// true; DMineNo all false.
+	// Optimization toggles — incDiv and the Lemma 4 prefilter, the Section 6
+	// optimizations that DMineNo, the paper's Fig. 5 baseline, switches off.
+	// DMine sets both true. The section's third, the Lemma 3 reduction rules,
+	// is not implemented: it saved no work on the scenario corpus (DESIGN.md,
+	// "What the Section 6 optimizations buy").
 	Incremental bool // incDiv incremental queue vs from-scratch greedy
-	// Reduction is the Lemma 3 upper-bound filtering of Σ and ∆E. Its bound
-	// is the incDiv queue's minimum F', so it is a no-op unless Incremental
-	// is set too.
-	Reduction   bool
 	BisimFilter bool // Lemma 4 prefilter before isomorphism grouping
 
 	// MaxCandidatesPerRound caps |∆E| per round, keeping dense graphs
@@ -108,10 +105,9 @@ func (o Options) Defaults() Options {
 	return o
 }
 
-// WithOptimizations returns o with all three DMine optimizations enabled.
+// WithOptimizations returns o with both DMine optimizations enabled.
 func (o Options) WithOptimizations() Options {
 	o.Incremental = true
-	o.Reduction = true
 	o.BisimFilter = true
 	return o
 }
@@ -129,8 +125,6 @@ type Mined struct {
 	// bits is Set in popcount form, built once and shared with every
 	// diversify.Entry the rule appears in.
 	bits diversify.Bits
-	// extendable mirrors the flag of the rule's assembled message.
-	extendable bool
 	// qCenters is Q(x,G) over the mining frontier (global IDs, sorted); it
 	// seeds the workers' next-round center lists.
 	qCenters []graph.NodeID
@@ -160,7 +154,7 @@ type Result struct {
 	Rounds      int
 	Generated   int     // candidate GPARs generated (before support filter)
 	Kept        int     // |Σ| retained
-	Pruned      int     // removed by the Lemma 3 reduction rules
+	Pruned      int     // always 0: nothing prunes Σ; benchmark/ reads it
 	IsoChecks   int     // exact isomorphism tests performed
 	BisimSkips  int     // pairs rejected by the bisimulation prefilter
 	WorkerOps   []int64 // per-worker match-operation counts (work proxy)
@@ -192,24 +186,22 @@ type SuperstepStat struct {
 }
 
 // DMine mines diversified top-k GPARs for pred on g. It implements Fig. 4
-// of the paper with all optimizations per opts. DMineCtx on a prebuilt
-// Context and, across the predicates of one job, Shared.DMine return
-// byte-identical results. Options.Ctx must be nil here: this entry point
-// has no error return, so cancellable runs go through
-// DMineCtx/Shared.DMine/DMineDistributed.
+// of the paper with the optimizations opts switches on. DMineCtx on a
+// prebuilt Context returns byte-identical results. Options.Ctx must be nil
+// here: this entry point has no error return, so cancellable runs go through
+// DMineCtx/DMineDistributed.
 func DMine(g *graph.Graph, pred core.Predicate, opts Options) *Result {
 	opts = opts.Defaults()
-	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts, nil)
+	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts)
 	return m.run()
 }
 
 // DMineNo is the unoptimized baseline of Section 6: identical search, but
-// no incremental diversification, no reduction rules, no bisimulation
-// prefilter and no guided matching.
+// no incremental diversification, no bisimulation prefilter and no guided
+// matching.
 func DMineNo(g *graph.Graph, pred core.Predicate, opts Options) *Result {
 	opts = opts.Defaults()
 	opts.Incremental = false
-	opts.Reduction = false
 	opts.BisimFilter = false
 	return DMine(g, pred, opts)
 }
@@ -242,7 +234,7 @@ type worker struct {
 	// Round arenas and recycled scratch (see arena.go). msgs is the
 	// worker's reusable message slice; qScratch/prScratch are the candidate
 	// patterns localMine materializes per discovered extension; distBuf is
-	// the radius-probe distance buffer.
+	// the radius-check distance buffer.
 	ar        roundArenas
 	asm       asmScratch
 	msgs      []message
@@ -250,20 +242,6 @@ type worker struct {
 	prScratch *pattern.Pattern
 	distBuf   []int
 	distXBuf  []int
-
-	// distCache memoizes extendable per (global center, dist): the
-	// same extendability probe recurs across rules and rounds. Owned
-	// centers are disjoint across workers, so caches never duplicate work.
-	distCache map[distKey]bool
-
-	// ecc, when non-nil, replaces the whole-graph extendability probe: a
-	// remote worker's fragment is not the whole graph, so the coordinator
-	// ships each owned center's whole-graph eccentricity capped at
-	// MaxEdges+1 (indexed by local node ID; non-centers are never probed).
-	// BFS levels are contiguous, so HasNodeAtDistance(v, d) ⟺ d ≤ ecc(v),
-	// and every probe distance is ≤ MaxEdges+1 — the table answers exactly
-	// what the global graph would.
-	ecc []int32
 
 	// Extension-discovery scratch (discoverExtensions): an epoch-stamped
 	// dense inverse-embedding index in the style of the matcher's used-set
@@ -309,35 +287,6 @@ func (w *worker) extCode(e pattern.Extension) uint64 {
 	return id
 }
 
-type distKey struct {
-	v graph.NodeID
-	d int
-}
-
-// extendable is the Usupp probe of Lemma 3: does the whole graph still have
-// a node at distance d from center c (local) / gv (global)? The answer must
-// come from the whole graph: a d-neighbourhood fragment probed at distance
-// d+1 would see more or fewer nodes depending on which other centers share
-// it, i.e. on the worker count. In-process workers mine the whole graph and
-// memoize its probe; remote workers answer from the shipped
-// capped-eccentricity table — the two are equal for every probe distance
-// the miner issues (≤ MaxEdges+1, the table's cap).
-func (w *worker) extendable(c, gv graph.NodeID, d int) bool {
-	if w.ecc != nil {
-		return d <= int(w.ecc[c])
-	}
-	if w.distCache == nil {
-		w.distCache = make(map[distKey]bool)
-	}
-	k := distKey{gv, d}
-	if r, ok := w.distCache[k]; ok {
-		return r
-	}
-	r := w.frag.G.HasNodeAtDistance(gv, d)
-	w.distCache[k] = r
-	return r
-}
-
 // ownsCenter reports whether the local node is one of this worker's owned
 // candidate centers.
 func (w *worker) ownsCenter(v graph.NodeID) bool {
@@ -350,11 +299,13 @@ func (w *worker) ownsCenter(v graph.NodeID) bool {
 	return w.centerSet[v]
 }
 
-// message is the <R, conf, flag> triple of Fig. 4, extended with the data
-// DMine's coordinator needs: local support counters and the local match
-// sets whose union forms PR(x,G) and the extension frontier. The candidate
-// itself travels structurally as (parent, ext) — workers verify it on
-// recycled scratch patterns and the assembly materializes one rule per
+// message is the <R, conf, flag> triple of Fig. 4 in the form DMine's
+// coordinator needs: the local match sets whose unions give the graph-wide
+// supports, PR(x,G) and the extension frontier. The flag is implicit: a
+// worker emits a message only for a candidate some owned center matches, so
+// every assembled rule can be extended and the frontier is all of ∆E. The
+// candidate itself travels structurally as (parent, ext) — workers verify it
+// on recycled scratch patterns and the assembly materializes one rule per
 // distinct candidate — and the center sets are views into the emitting
 // worker's round arena, dead once the round's assembly completes.
 type message struct {
@@ -365,11 +316,6 @@ type message struct {
 	qCenters   []graph.NodeID // global IDs: owned centers matching the new Q
 	rSet       []graph.NodeID // global IDs: owned centers matching PR
 	qqbCenters []graph.NodeID // global IDs: Q-matching centers in the q̄ set
-	// usuppCenters realizes Usupp_i(R, Fi): PR-matching centers that can
-	// still be extended (have nodes at the next hop), feeding Uconf+
-	// (Lemma 3).
-	usuppCenters []graph.NodeID
-	flag         bool // extendable at this worker
 }
 
 // miner is the coordinator.
@@ -385,12 +331,9 @@ type miner struct {
 	suppQ1  int // supp(q,G)
 	suppQbr int // supp(q̄,G)
 
-	// sigma is Σ, all retained rules indexed by ruleID (nil = never kept,
-	// or pruned by the reduction rules). Index 0 is the seed slot.
-	sigma []*Mined
-	// uconf tracks Uconf+(R) per extendable candidate (Lemma 3), indexed
-	// like sigma.
-	uconf        []float64
+	// sigma is Σ, all retained rules indexed by ruleID (nil = never kept).
+	// Index 0 is the seed slot.
+	sigma        []*Mined
 	sigmaBuckets map[bucketID][]ruleID // Lemma 4 bucket -> Σ ids
 	queue        *diversify.Queue
 	params       diversify.Params
@@ -414,32 +357,23 @@ type miner struct {
 	deltaEntries []diversify.Entry
 }
 
-// newMiner wires a coordinator over a prebuilt context. With a Shared
-// accumulator, the interning tables come from it (and outlive this run);
-// otherwise they are fresh.
-func newMiner(ctx *Context, pred core.Predicate, opts Options, sh *Shared) *miner {
-	m := &miner{
-		ctx:   ctx,
-		pred:  pred,
-		opts:  opts,
-		eng:   &localEngine{shared: sh},
-		sigma: make([]*Mined, 1), // slot 0: seed
-		uconf: make([]float64, 1),
-		res:   &Result{},
+// newMiner wires a coordinator over a prebuilt context.
+func newMiner(ctx *Context, pred core.Predicate, opts Options) *miner {
+	return &miner{
+		ctx:     ctx,
+		pred:    pred,
+		opts:    opts,
+		eng:     &localEngine{},
+		sigma:   make([]*Mined, 1), // slot 0: seed
+		buckets: new(bucketInterner),
+		res:     &Result{},
 	}
-	if sh != nil {
-		m.buckets = &sh.buckets
-	} else {
-		m.buckets = new(bucketInterner)
-	}
-	return m
 }
 
-// newRuleID appends a fresh Σ/uconf slot and returns its id.
+// newRuleID appends a fresh Σ slot and returns its id.
 func (m *miner) newRuleID() ruleID {
 	m.lastID++
 	m.sigma = append(m.sigma, nil)
-	m.uconf = append(m.uconf, 0)
 	return m.lastID
 }
 
@@ -497,10 +431,9 @@ func (m *miner) runE() (*Result, error) {
 			return nil, m.wrapCanceled(err, r)
 		}
 		st.Messages, st.GenerateMs = len(msgs), lap()
-		deltaE := m.assemble(frontier, msgs)
-		st.Kept, st.AssembleMs = len(deltaE), lap()
-		frontier, err = m.diversifyAndFilter(deltaE, r)
-		if err != nil {
+		frontier = m.assemble(frontier, msgs)
+		st.Kept, st.AssembleMs = len(frontier), lap()
+		if err := m.diversifyAndDistribute(frontier); err != nil {
 			return nil, m.wrapCanceled(err, r)
 		}
 		st.DiversifyMs = lap()
@@ -547,36 +480,57 @@ func (m *miner) prepare() ([]*Mined, error) {
 	return []*Mined{seed}, nil
 }
 
-// workerPool recycles standalone workers across runs. What survives in the
-// pool is exclusively graph-agnostic capacity — round arenas, message
-// slices, extension accumulators, assembly scratch, scratch patterns, the
-// epoch-stamped discovery arrays (safe across graphs because the epoch
-// only moves forward). Everything whose *content* depends on the bound
-// graph is reset in bind.
-var workerPool = sync.Pool{New: func() any { return new(worker) }}
+// workerPool recycles workers across runs: a stack of idle workers, so a
+// stream of jobs keeps mining on the arenas the jobs before it grew. What
+// survives in the pool is exclusively graph-agnostic capacity — round
+// arenas, message slices, extension accumulators, assembly scratch, scratch
+// patterns, the epoch-stamped discovery arrays (safe across graphs because
+// the epoch only moves forward). Everything whose *content* depends on the
+// bound graph is reset in bind.
+//
+// It is not a sync.Pool because a worker is megabytes of grown arenas, not a
+// small temporary. A sync.Pool is emptied by every second garbage collection
+// and keeps one entry per P out of the other Ps' reach, so a daemon mining
+// job after job regrew worker sets beside the stranded ones: 76 against 61 MB
+// peak RSS on the end-to-end mine-jobs workload (DESIGN.md, "What the Section
+// 6 optimizations buy").
+var workerPool struct {
+	mu   sync.Mutex
+	idle []*worker
+}
 
 // acquireWorker binds pooled worker scratch to one worker's view of this
 // run's data.
 func acquireWorker(id int, frag *partition.Fragment) *worker {
-	w := workerPool.Get().(*worker)
+	var w *worker
+	workerPool.mu.Lock()
+	if n := len(workerPool.idle); n > 0 {
+		w, workerPool.idle = workerPool.idle[n-1], workerPool.idle[:n-1]
+	}
+	workerPool.mu.Unlock()
+	if w == nil {
+		w = new(worker)
+	}
 	w.bind(id, frag)
 	return w
 }
 
-// bind points the worker at its view of a run's data and clears the per-run
-// state; every run, standalone, shared or remote, starts here. What
-// memoizes a property of the graph and the worker's chunk (distCache,
-// centerSet, the extension intern table) is dropped only when frag is not
-// the fragment the worker already holds: a Shared accumulator rebinds each
-// worker to its own fragment, run after run, and keeps them.
+// DropIdleWorkers hands the idle workers' memory to the garbage collector. A
+// server under memory pressure calls it beside shrinking its caches; runs in
+// flight keep their workers.
+func DropIdleWorkers() {
+	workerPool.mu.Lock()
+	workerPool.idle = nil
+	workerPool.mu.Unlock()
+}
+
+// bind points the worker at its view of a run's data and clears everything
+// whose content depends on the run or its graph; every run, in process or
+// remote, starts here.
 func (w *worker) bind(id int, frag *partition.Fragment) {
-	if w.frag != frag {
-		w.frag = frag
-		w.centerSet = nil // rebuilt lazily by ownsCenter
-		clear(w.distCache)
-		clear(w.extOverflow)
-	}
-	w.id = id
+	w.id, w.frag = id, frag
+	w.centerSet = nil // rebuilt lazily by ownsCenter
+	clear(w.extOverflow)
 	w.npq, w.npqbar = 0, 0
 	w.ops, w.capped = 0, 0
 	if w.centersFor == nil {
@@ -585,12 +539,21 @@ func (w *worker) bind(id int, frag *partition.Fragment) {
 	clear(w.centersFor)
 }
 
-// release parks the worker in the pool, dropping its references into the
-// graph (and a remote runtime's eccentricity table) so the pool never pins
-// a retired snapshot.
-func (w *worker) release() {
-	w.frag, w.ecc = nil, nil
-	workerPool.Put(w)
+// releaseWorkers returns a finished run's workers to the pool, dropping their
+// references into the graph so the pool never pins a retired snapshot. The
+// pool keeps as many idle workers as the run had, or as can run at once if
+// that is more — what a stream of like jobs reuses, however many jobs finish
+// together — and lets the rest go.
+func releaseWorkers(ws ...*worker) {
+	keep := max(len(ws), runtime.GOMAXPROCS(0))
+	workerPool.mu.Lock()
+	defer workerPool.mu.Unlock()
+	for _, w := range ws {
+		w.frag = nil
+		if len(workerPool.idle) < keep {
+			workerPool.idle = append(workerPool.idle, w)
+		}
+	}
 }
 
 // finish materializes the final top-k list and objective value.

@@ -22,10 +22,8 @@ type MultiResult struct {
 // predicates are collapsed; results preserve the input order of their first
 // occurrence.
 //
-// Predicates over the same x-label share one mining Context and one Shared
-// accumulator, so worker scratch, extendability memos and interning tables
-// survive across the runs. Results are byte-identical to
-// mining each predicate independently with DMine.
+// Predicates over the same x-label share one mining Context. Results are
+// byte-identical to mining each predicate independently with DMine.
 //
 // A set Options.Ctx cancels the whole job with a *CanceledError: completed
 // predicates are discarded along with the in-flight one, so a multi-mine
@@ -33,19 +31,19 @@ type MultiResult struct {
 func DMineMulti(g *graph.Graph, preds []core.Predicate, opts Options) ([]MultiResult, error) {
 	opts = opts.Defaults()
 	seen := make(map[core.Predicate]bool, len(preds))
-	shared := make(map[graph.Label]*Shared)
+	ctxs := make(map[graph.Label]*Context)
 	var out []MultiResult
 	for _, p := range preds {
 		if seen[p] {
 			continue
 		}
 		seen[p] = true
-		sh := shared[p.XLabel]
-		if sh == nil {
-			sh = NewShared(NewContext(g, p.XLabel, opts))
-			shared[p.XLabel] = sh
+		ctx := ctxs[p.XLabel]
+		if ctx == nil {
+			ctx = NewContext(g, p.XLabel, opts)
+			ctxs[p.XLabel] = ctx
 		}
-		res, err := sh.DMine(p, opts)
+		res, err := DMineCtx(ctx, p, opts)
 		if err != nil {
 			return nil, err
 		}

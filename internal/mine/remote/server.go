@@ -206,11 +206,7 @@ func (sv *Service) serveConn(conn net.Conn) {
 				fail(err)
 				return
 			}
-			newRT, ack, err := mine.NewWorkerRuntimeFragment(setup, frag)
-			if err != nil {
-				fail(err)
-				return
-			}
+			newRT, ack := mine.NewWorkerRuntimeFragment(setup, frag)
 			rt = newRT
 			sv.jobs.Add(1)
 			opts.logf("remote: %v: job %d as worker %d", peer, setup.JobID, setup.Worker)

@@ -24,10 +24,7 @@ func HashFragment(frag []byte) []byte {
 // JobSetup is the coordinator → worker job preamble: the run parameters a
 // localMine superstep needs, the label symbol table (names in label-ID
 // order, so decoded fragments and patterns speak the coordinator's label
-// IDs), the content hash of the worker's fragment, and the extendability
-// table — each owned center's whole-graph eccentricity capped at EccCap,
-// which lets a fragment-only worker answer the Lemma 3 whole-graph probe
-// exactly.
+// IDs) and the content hash of the worker's fragment.
 type JobSetup struct {
 	JobID    uint64
 	Worker   int // this worker's index (message attribution)
@@ -36,9 +33,7 @@ type JobSetup struct {
 
 	XLabel, EdgeLabel, YLabel graph.Label
 
-	Symbols   []string
-	EccCap    int
-	CenterEcc []int32 // parallel to the fragment's Centers
+	Symbols []string
 	// Fragment is the partition.Fragment.AppendBinary encoding and FragHash
 	// its HashFragment. The coordinator's engine fills both; the connection
 	// sends the setup with the hash alone, the worker resolves the body from
@@ -62,11 +57,6 @@ func (s *JobSetup) Append(dst []byte) []byte {
 	for _, name := range s.Symbols {
 		dst = appendString(dst, name)
 	}
-	dst = binary.AppendUvarint(dst, uint64(s.EccCap))
-	dst = binary.AppendUvarint(dst, uint64(len(s.CenterEcc)))
-	for _, e := range s.CenterEcc {
-		dst = binary.AppendUvarint(dst, uint64(e))
-	}
 	dst = appendBytesField(dst, s.Fragment)
 	return appendBytesField(dst, s.FragHash)
 }
@@ -87,11 +77,6 @@ func DecodeJobSetup(p []byte) (*JobSetup, error) {
 	nsym := r.intf("symbol count")
 	for i := 0; i < nsym && r.err == nil; i++ {
 		s.Symbols = append(s.Symbols, r.string("symbol"))
-	}
-	s.EccCap = r.intf("eccCap")
-	necc := r.intf("eccentricity count")
-	for i := 0; i < necc && r.err == nil; i++ {
-		s.CenterEcc = append(s.CenterEcc, int32(r.intf("eccentricity")))
 	}
 	s.Fragment = r.bytesCopy("fragment")
 	s.FragHash = r.hash()
@@ -188,16 +173,14 @@ func DecodeRound(p []byte) (*Round, error) {
 }
 
 // Msg is one candidate message of Fig. 4 as it crosses the wire: the
-// structural (parent, extension) identity plus the four support lanes of
-// global node IDs and the extendability flag.
+// structural (parent, extension) identity plus the three support lanes of
+// global node IDs.
 type Msg struct {
-	Parent       uint32
-	Ext          pattern.Extension
-	QCenters     []graph.NodeID
-	RSet         []graph.NodeID
-	QqbCenters   []graph.NodeID
-	UsuppCenters []graph.NodeID
-	Flag         bool
+	Parent     uint32
+	Ext        pattern.Extension
+	QCenters   []graph.NodeID
+	RSet       []graph.NodeID
+	QqbCenters []graph.NodeID
 }
 
 // Messages is the worker → coordinator superstep reply: the round's
@@ -225,8 +208,6 @@ func (ms *Messages) Append(dst []byte) []byte {
 		dst = appendLane(dst, m.QCenters)
 		dst = appendLane(dst, m.RSet)
 		dst = appendLane(dst, m.QqbCenters)
-		dst = appendLane(dst, m.UsuppCenters)
-		dst = appendBool(dst, m.Flag)
 	}
 	return dst
 }
@@ -248,8 +229,6 @@ func DecodeMessages(p []byte) (*Messages, error) {
 		m.QCenters = readLane(&r, "qCenters")
 		m.RSet = readLane(&r, "rSet")
 		m.QqbCenters = readLane(&r, "qqbCenters")
-		m.UsuppCenters = readLane(&r, "usuppCenters")
-		m.Flag = r.bool("flag")
 		ms.Msgs = append(ms.Msgs, m)
 	}
 	if err := r.done(); err != nil {

@@ -1,13 +1,12 @@
 // Package wire is the binary protocol of distributed DMine: length-prefixed
 // frames, in the one protocol version both ends must speak, carrying the BSP
 // superstep traffic between the mining coordinator and its remote workers —
-// job setup (symbols, options, the content hash of the worker's fragment and
-// its extendability table), the fragment body when the worker's cache lacks
-// it, per-round frontier hand-offs, the workers' <R, conf, flag> message
-// streams, and job teardown.
+// job setup (symbols, options, the content hash of the worker's fragment),
+// the fragment body when the worker's cache lacks it, per-round frontier
+// hand-offs, the workers' <R, conf> message streams, and job teardown.
 //
 // Everything on the wire is structural: a candidate GPAR travels as its
-// (parent ruleID, extension) pair plus four flat center lanes of global
+// (parent ruleID, extension) pair plus three flat center lanes of global
 // node IDs, exactly the shape the in-process engine passes between its
 // phases, so the coordinator's deterministic assembly reduce consumes
 // remote and local messages identically. Integers are unsigned varints
@@ -30,14 +29,13 @@ const (
 	// Magic opens the handshake: "GPWK" followed by the version byte.
 	Magic = "GPWK"
 	// Version is the protocol version this package speaks.
-	Version = 4
+	Version = 5
 )
 
 // Frame types.
 const (
 	// TypeJobSetup: coordinator → worker. Everything one worker needs for a
-	// mining job: symbols, predicate, options, its fragment, its
-	// extendability table.
+	// mining job: symbols, predicate, options, its fragment.
 	TypeJobSetup byte = 1
 	// TypeSetupAck: worker → coordinator. Round-0 classification counts.
 	TypeSetupAck byte = 2
@@ -215,23 +213,6 @@ func (r *reader) intf(what string) int {
 	return int(v)
 }
 
-func (r *reader) bool(what string) bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.buf) == 0 {
-		r.fail("truncated payload reading %s", what)
-		return false
-	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	if b > 1 {
-		r.fail("%s byte is %d, want 0 or 1", what, b)
-		return false
-	}
-	return b == 1
-}
-
 func (r *reader) bytes(what string) []byte {
 	n := r.intf(what)
 	if r.err != nil {
@@ -272,13 +253,6 @@ func (r *reader) done() error {
 		return errorf("%d trailing bytes after payload", len(r.buf))
 	}
 	return nil
-}
-
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
 }
 
 func appendString(dst []byte, s string) []byte {

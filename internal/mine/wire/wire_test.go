@@ -39,7 +39,7 @@ func TestHandshake(t *testing.T) {
 		t.Fatalf("answerer: %v", err)
 	}
 
-	const golden = "GPWK\x04"
+	const golden = "GPWK\x05"
 	for _, dialer := range []bool{true, false} {
 		var sent bytes.Buffer
 		if err := Handshake(&rw{strings.NewReader(golden), &sent}, dialer); err != nil {
@@ -62,8 +62,8 @@ func TestHandshakeErrors(t *testing.T) {
 		{"short", "GP", false},
 		{"bad magic", "NOPE\x04", false},
 		{"version 0", "GPWK\x00", true},
-		{"older version", "GPWK\x03", true},
-		{"newer version", "GPWK\x05", true},
+		{"older version", "GPWK\x04", true},
+		{"newer version", "GPWK\x06", true},
 	} {
 		for _, dialer := range []bool{true, false} {
 			var sent bytes.Buffer
@@ -205,8 +205,6 @@ func fullSetup() *JobSetup {
 		EdgeLabel: 0,
 		YLabel:    graph.NoLabel,
 		Symbols:   []string{"person", "", "likes", "page"},
-		EccCap:    3,
-		CenterEcc: []int32{0, 1, 3, 2},
 		Fragment:  []byte("GPFRfragmentbytes"),
 		FragHash:  HashFragment([]byte("GPFRfragmentbytes")),
 	}
@@ -221,7 +219,7 @@ func TestJobSetupRoundTrip(t *testing.T) {
 	hashOnly.Fragment = nil
 	roundTrip(t, hashOnly.Append, DecodeJobSetup, hashOnly)
 
-	// Minimal setup: no symbols, no centers, only the mandatory hash.
+	// Minimal setup: no symbols, only the mandatory hash.
 	min := &JobSetup{FragHash: HashFragment(nil)}
 	roundTrip(t, min.Append, DecodeJobSetup, min)
 
@@ -239,18 +237,17 @@ func TestJobSetupRoundTrip(t *testing.T) {
 
 // TestJobSetupGoldenFrame pins the bytes of one fully-populated JobSetup
 // frame, so a layout change that forgets to bump Version fails here. The
-// bytes are the version-3 golden frame minus its disableArenas byte (and the
-// length that counted it).
+// bytes are the version-4 golden frame minus its eccCap and centerEcc fields
+// (and the six bytes of length that counted them).
 func TestJobSetupGoldenFrame(t *testing.T) {
 	var frame bytes.Buffer
 	if err := WriteFrame(&frame, TypeJobSetup, fullSetup().Append(nil)); err != nil {
 		t.Fatal(err)
 	}
-	const golden = "0000005d01" + // length, TypeJobSetup
+	const golden = "0000005701" + // length, TypeJobSetup
 		"918080808080808010030240" + // jobID, worker, d, embedCap
 		"080000" + // xLabel, edgeLabel, yLabel (zigzag)
 		"0406706572736f6e00056c696b65730470616765" + // symbols
-		"030400010302" + // eccCap, centerEcc
 		"1147504652667261676d656e746279746573" + // fragment
 		"20ff1baf4772dd8e6c1ecce6e5f281c2ebd26af7a932116a84515820c941ae324c" // fragHash
 	if got := hex.EncodeToString(frame.Bytes()); got != golden {
@@ -318,14 +315,14 @@ func TestMessagesRoundTrip(t *testing.T) {
 	ls := lanes()
 	ms := &Messages{Round: 2, Ops: -5, Capped: 3}
 	for i, e := range exts {
-		m := Msg{Parent: uint32(i * 7), Ext: e, Flag: i%2 == 0}
+		m := Msg{Parent: uint32(i * 7), Ext: e}
 		pick := func(k int) []graph.NodeID {
 			if l := ls[(i+k)%len(ls)]; len(l) > 0 {
 				return l
 			}
 			return nil
 		}
-		m.QCenters, m.RSet, m.QqbCenters, m.UsuppCenters = pick(0), pick(1), pick(2), pick(3)
+		m.QCenters, m.RSet, m.QqbCenters = pick(0), pick(1), pick(2)
 		ms.Msgs = append(ms.Msgs, m)
 	}
 	roundTrip(t, ms.Append, DecodeMessages, ms)
@@ -336,6 +333,33 @@ func TestMessagesRoundTrip(t *testing.T) {
 
 	none := &Messages{Round: 3}
 	roundTrip(t, none.Append, DecodeMessages, none)
+}
+
+// TestMessagesGoldenFrame pins the bytes of one Messages frame, the reply
+// that carries every superstep's payload. The bytes are what version 4 wrote
+// for these two messages (recorded at 65d882b, the first with a one-center
+// usupp lane and flag set, the second with both empty) minus exactly those
+// two fields per message and the five bytes of length that counted them.
+func TestMessagesGoldenFrame(t *testing.T) {
+	ms := &Messages{Round: 2, Ops: 1234, Capped: 5, Msgs: []Msg{
+		{Parent: 0, Ext: pattern.Extension{Src: 0, Outgoing: true, EdgeLabel: 3, NewLabel: 7, Close: pattern.NoNode},
+			QCenters: []graph.NodeID{1, 2, 300}, RSet: []graph.NodeID{1, 300}, QqbCenters: []graph.NodeID{2}},
+		{Parent: 9, Ext: pattern.Extension{Src: 2, AsY: true, EdgeLabel: 1, NewLabel: 4, Close: 1},
+			QCenters: []graph.NodeID{70000}},
+	}}
+	var frame bytes.Buffer
+	if err := WriteFrame(&frame, TypeMessages, ms.Append(nil)); err != nil {
+		t.Fatal(err)
+	}
+	const golden = "0000002304" + // length, TypeMessages
+		"02a4130a02" + // round, ops, capped (zigzag), message count
+		"00" + "0001060e01" + // parent, extension
+		"030102ac02" + "0201ac02" + "0102" + // qCenters, rSet, qqbCenters
+		"09" + "0402020802" + // parent, extension
+		"01f0a204" + "00" + "00" // qCenters, rSet, qqbCenters
+	if got := hex.EncodeToString(frame.Bytes()); got != golden {
+		t.Fatalf("Messages frame bytes changed (bump Version with the layout):\n got %s\nwant %s", got, golden)
+	}
 }
 
 func TestErrorFrameRoundTrip(t *testing.T) {

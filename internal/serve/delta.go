@@ -224,8 +224,8 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 	}
 	warmCarried := s.warmCarry(snap.Gen, next.Gen, impact)
 	s.snap.Store(next)
-	// Mine contexts and parked accumulators are keyed to the old
-	// generation's graph; reclaim them eagerly, as a swap would.
+	// Mine contexts are keyed to the old generation's graph; reclaim them
+	// eagerly, as a swap would.
 	s.mineCtx.Purge()
 	s.nSwap.Add(1)
 	s.nDeltaBatches.Add(1)

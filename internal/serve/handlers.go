@@ -17,6 +17,7 @@ import (
 
 	"gpar/internal/core"
 	"gpar/internal/graph"
+	"gpar/internal/mine"
 )
 
 // jsonFloat marshals NaN and ±Inf — which encoding/json rejects — as
@@ -116,9 +117,6 @@ type StatsResponse struct {
 	// MineCache counts mine-context reuse: hits are mine jobs that found
 	// their (generation, xLabel, d, n) context already resident.
 	MineCache CacheStats `json:"mineCache"`
-	// MinePool counts mine.Shared accumulator reuse: a reuse is a job that
-	// mined on a recycled worker set (round arenas already grown).
-	MinePool MinePoolStats `json:"minePool"`
 	// MineCapped sums the jobs' capped counts: embedding enumerations that
 	// reached EmbedCap in every mine run completed since start.
 	MineCapped int64 `json:"mineCapped"`
@@ -330,14 +328,15 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		}
 		defer release()
 	}
-	// Hard memory watermark: shed cache memory before evaluating. The shed
-	// is attributed to whichever request observes the level — degradation
-	// is a property of the server, not of the victim request, which still
-	// gets its answer.
+	// Hard memory watermark: shed cache memory, and the idle mining workers'
+	// arenas, before evaluating. The shed is attributed to whichever request
+	// observes the level — degradation is a property of the server, not of
+	// the victim request, which still gets its answer.
 	if s.mem != nil && s.mem.level() >= memHard {
 		s.nCacheShrink.Add(1)
 		s.cache.Shrink()
 		s.mineCtx.Shrink()
+		mine.DropIdleWorkers()
 	}
 
 	start := time.Now()
@@ -610,7 +609,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.CPUBudget.PoolSize = s.pool.Size()
 	resp.Cache = s.cache.Stats()
 	resp.MineCache = s.mineCtx.Stats()
-	resp.MinePool = s.mineCtx.PoolStats()
 	resp.MineCapped = s.nMineCapped.Load()
 	resp.Fleet.Workers = len(s.cfg.MineWorkers)
 	resp.Fleet.RemoteJobs = s.nRemoteMine.Load()

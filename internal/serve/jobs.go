@@ -325,7 +325,7 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	}
 	var res *mine.Result
 	var mineErr error
-	var ctxEntry *mineCtxEntry
+	var mctx *mine.Context
 	ctxHit := false
 	distributed := false
 	fleetFallback := ""
@@ -341,14 +341,14 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	}
 	key := MineCtxKey{Gen: snap.Gen, XLabel: pred.XLabel, D: opts.D, N: opts.N}
 	if !warmStarted {
-		ctxEntry, ctxHit = s.mineCtx.GetOrBuild(key, func() *mine.Context {
+		mctx, ctxHit = s.mineCtx.GetOrBuild(key, func() *mine.Context {
 			return mine.NewContext(snap.G, pred.XLabel, opts)
 		})
 		if s.gen.Load() != key.Gen {
 			// A swap raced the build. Its Purge may have run before this key
 			// was inserted, and no future job keys this generation, so the
 			// entry would only pin the retired snapshot's graph. This run
-			// still mines on the entry's context — the snapshot it was admitted
+			// still mines on the context it got — the snapshot it was admitted
 			// against.
 			s.mineCtx.Discard(key)
 		}
@@ -367,7 +367,7 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 			// retry loop early on shutdown instead of sleeping out backoffs.
 			var rep remote.JobReport
 			res, rep, mineErr = remote.MineFleet(
-				ctxEntry.ctx, pred, opts, s.cfg.MineWorkers,
+				mctx, pred, opts, s.cfg.MineWorkers,
 				remote.DialOptions{StepTimeout: s.cfg.MineStepTimeout},
 				s.retryPolicy(),
 				func() bool { return s.closed.Load() || jobCtx.Err() != nil },
@@ -401,15 +401,7 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 		}
 	}
 	if res == nil && mineErr == nil {
-		// Mine in-process on a pooled accumulator: a recycled worker set
-		// brings its grown round arenas and memoized probes from previous
-		// jobs over this context, and is parked on the same entry afterwards
-		// for the next job. A canceled run parks too: the accumulator resets
-		// every per-run structure on its next acquire, byte-identically to a
-		// fresh one (pinned by the mine package's parity tests).
-		sh := s.mineCtx.acquire(ctxEntry)
-		res, mineErr = sh.DMine(pred, opts)
-		s.mineCtx.park(ctxEntry, sh)
+		res, mineErr = mine.DMineCtx(mctx, pred, opts)
 	}
 	if mineErr != nil {
 		status, msg := JobFailed, mineErr.Error()

@@ -227,9 +227,6 @@ func TestStatsExposesMineCache(t *testing.T) {
 	if st.MineCache.Capacity != 4 {
 		t.Fatalf("default mine-cache capacity = %d, want 4", st.MineCache.Capacity)
 	}
-	if st.MinePool.Gets != 2 || st.MinePool.Reuses != 1 {
-		t.Fatalf("stats.minePool = %+v, want gets=2 reuses=1", st.MinePool)
-	}
 	if b := st.CPUBudget; b.Procs < 1 || b.MineProcs < 1 || b.PoolSize < 1 || b.MineShare <= 0 || b.MineShare > 1 {
 		t.Fatalf("stats.cpuBudget = %+v", b)
 	}

@@ -36,13 +36,13 @@ func BenchmarkMineJobCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cache := NewMineContextCache(4)
-		e, hit := cache.GetOrBuild(key, func() *mine.Context {
+		ctx, hit := cache.GetOrBuild(key, func() *mine.Context {
 			return mine.NewContext(g, pred.XLabel, opts)
 		})
 		if hit {
 			b.Fatal("cold job hit the cache")
 		}
-		if res, err := mine.DMineCtx(e.ctx, pred, opts); err != nil || len(res.TopK) == 0 {
+		if res, err := mine.DMineCtx(ctx, pred, opts); err != nil || len(res.TopK) == 0 {
 			b.Fatalf("no rules mined (err=%v)", err)
 		}
 	}
@@ -62,14 +62,14 @@ func BenchmarkMineJobWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, hit := cache.GetOrBuild(key, func() *mine.Context {
+		ctx, hit := cache.GetOrBuild(key, func() *mine.Context {
 			b.Fatal("warm job rebuilt the context")
 			return nil
 		})
 		if !hit {
 			b.Fatal("warm job missed the cache")
 		}
-		if res, err := mine.DMineCtx(e.ctx, pred, opts); err != nil || len(res.TopK) == 0 {
+		if res, err := mine.DMineCtx(ctx, pred, opts); err != nil || len(res.TopK) == 0 {
 			b.Fatalf("no rules mined (err=%v)", err)
 		}
 	}
@@ -84,8 +84,8 @@ func BenchmarkMineJobWarm(b *testing.B) {
 // of 5 000 users read back from its text form (file interning order, as
 // benchmark/inputs.go does), that workload's parameters — the predicates in
 // turn, σ stepping up from 4 once per pass over them, in a cycle of four so
-// an iteration's work does not drift with b.N — two workers behind a gate of
-// one, and the accumulator parked on the context entry between jobs. This is
+// an iteration's work does not drift with b.N — and two workers, drawn from
+// the mine package's pool, behind a gate of one. This is
 // the hub-shaped regime: embeddings run through high-degree school, major
 // and employer nodes, where the Pokec-like graph of the other mining
 // benchmarks has few. Recorded in BENCH_mine.json by `make bench`.
@@ -110,17 +110,15 @@ func BenchmarkMineJobSteady(b *testing.B) {
 		pred := preds[i%len(preds)]
 		o := opts
 		o.Sigma = 4 + (i/len(preds))%4
-		e, _ := cache.GetOrBuild(MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: o.D, N: o.N}, func() *mine.Context {
+		ctx, _ := cache.GetOrBuild(MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: o.D, N: o.N}, func() *mine.Context {
 			return mine.NewContext(g, pred.XLabel, o)
 		})
-		sh := cache.acquire(e)
-		res, err := sh.DMine(pred, o)
-		cache.park(e, sh)
+		res, err := mine.DMineCtx(ctx, pred, o)
 		if err != nil || len(res.TopK) == 0 {
 			b.Fatalf("job %d: no rules mined (err=%v)", i, err)
 		}
 	}
-	// One pass warms the accumulator: arenas grown, extendability memoized.
+	// One pass warms the pooled workers: arenas grown.
 	for i := range preds {
 		job(i)
 	}

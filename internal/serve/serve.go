@@ -19,12 +19,9 @@
 //   - MineContextCache: a bounded LRU of mine.Context values keyed by
 //     (generation, xLabel, d, n) with single-flight builds. In-process
 //     mining runs on the snapshot's own graph, so a context is cheap; an
-//     entry earns its place by parking the mine.Shared accumulators (worker
-//     sets with their round arenas) of finished jobs, so a steady stream
-//     of mine jobs reuses grown scratch instead of rebuilding it, and by
-//     keeping a fleet job's encoded wire fragments for the next one. An
-//     evicted context takes both with it. Swaps purge it; the generation in the key makes stale entries
-//     unreachable regardless.
+//     entry earns its place by keeping a fleet job's encoded wire fragments
+//     for the next one. Swaps purge it; the generation in the key makes
+//     stale entries unreachable regardless.
 //   - Batcher: single-flight coalescing of concurrent identify calls for
 //     the same rule into one match execution.
 //   - Pool: a bounded worker pool shared by all requests; per-rule
@@ -351,8 +348,7 @@ func (s *Server) loadLocked(g *graph.Graph, pred core.Predicate, rules []*core.R
 	}
 	s.cache.Purge()
 	// Mine contexts are keyed by generation, so old entries could never be
-	// served again; purging reclaims the accumulators parked on them, and
-	// any encoded wire fragments, eagerly.
+	// served again; purging reclaims their encoded wire fragments eagerly.
 	s.mineCtx.Purge()
 	s.nSwap.Add(1)
 	return snap.Gen, nil
