@@ -2,8 +2,8 @@ GO ?= go
 BIN := bin
 
 .PHONY: all build vet fmt-check test race bench bench-match bench-mine \
-	bench-short bench-mine-short bench-e2e-check docs-check fuzz-smoke \
-	loadtest overload crashtest serve clean
+	bench-short bench-mine-short bench-e2e-check docs-check loc-check \
+	fuzz-smoke loadtest overload crashtest serve clean
 
 all: vet fmt-check build test
 
@@ -31,11 +31,15 @@ race:
 	$(GO) test -race -run 'TestEvalRuleCorpus' .
 
 # Short coverage-guided runs of the fuzz targets: delta ingest (wire decode
-# in serve, op application in graph) and the durability decoders (snapshot
-# file format, WAL replay). Go allows one target per -fuzz invocation, so
-# each runs separately; seed corpora also run on every plain `make test`.
+# in serve, op application in graph), the graph file reader gpard -graph
+# boots from, the fragment decoder a gparworker receives, and the
+# durability decoders (snapshot file format, WAL replay). Go allows one
+# target per -fuzz invocation, so each runs separately; seed corpora also
+# run on every plain `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzApplyDelta' -fuzztime 20s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz 'FuzzRead' -fuzztime 20s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz 'FuzzFragmentDecode' -fuzztime 20s ./internal/partition/
 	$(GO) test -run '^$$' -fuzz 'FuzzDeltaHandler' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 20s ./internal/snapfile/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 20s ./internal/serve/
@@ -113,11 +117,22 @@ crashtest:
 	$(GO) test -race -timeout 120s -run 'TestCrashRecoveryOracle|TestRecover|TestCheckpoint|TestDeltaAborts|TestShutdownFlushes' \
 	    ./internal/serve/
 
-# Fail if any internal package lacks a package-level doc comment, or if
+# Fail if any internal package lacks a package-level doc comment, if
 # DESIGN.md / API.md name a backticked `pkg.Ident` that internal/pkg no
-# longer declares — the documentation gate CI runs on every push.
+# longer declares, or if DESIGN.md has outgrown the size ceiling in
+# cmd/docscheck — the documentation gate CI runs on every push.
 docs-check:
 	$(GO) run ./cmd/docscheck internal DESIGN.md API.md
+
+# Fail if the non-test Go outside benchmark/ has grown past the budget: the
+# count after the last PR that lowered it. A PR that must add code raises
+# the number here, in the diff, where a reviewer sees it; one that deletes
+# code lowers it to the new count.
+LOC_BUDGET := 17778
+loc-check:
+	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
+	echo "non-test Go outside benchmark/: $$n lines (budget $(LOC_BUDGET))"; \
+	test $$n -le $(LOC_BUDGET)
 
 # Start the serving daemon on a generated Pokec-like graph, mining a
 # starter rule set for the Disco predicate (see DESIGN.md quickstart).

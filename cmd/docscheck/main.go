@@ -6,7 +6,8 @@
 // given Markdown files and fails for every backticked `pkg.Ident` or
 // `pkg.Type.Member` — pkg being the name of a directory in those trees —
 // that names no exported top-level declaration, field or method there, so
-// prose cannot go on describing code that was deleted.
+// prose cannot go on describing code that was deleted. DESIGN.md also
+// fails when it is larger than designCeiling.
 //
 // Usage: docscheck DIR|FILE.md ...
 package main
@@ -23,6 +24,11 @@ import (
 	"sort"
 	"strings"
 )
+
+// designCeiling is the size in bytes DESIGN.md may not exceed: its size
+// after the last PR that shrank it. Lower it when the file shrinks; it is
+// not meant to go up.
+const designCeiling = 74864
 
 func main() {
 	if len(os.Args) < 2 {
@@ -63,6 +69,9 @@ func main() {
 			fail(err)
 		}
 		bad = append(bad, staleRefs(doc, string(text), decls)...)
+		if filepath.Base(doc) == "DESIGN.md" && len(text) > designCeiling {
+			bad = append(bad, fmt.Sprintf("%s: %d bytes, over its ceiling of %d: cut it, or move measurement history to CHANGES.md", doc, len(text), designCeiling))
+		}
 	}
 	if len(bad) > 0 {
 		sort.Strings(bad)

@@ -48,7 +48,15 @@ func identifyCorpus(tb testing.TB, users int) []corpusCase {
 	pokec := gen.Pokec(graph.NewSymbols(), gen.DefaultPokec(users, 1))
 	gplus := gen.Gplus(graph.NewSymbols(), gen.DefaultGplus(users, 1))
 	hub := gen.Pokec(graph.NewSymbols(), gen.DefaultPokec(users, 1))
-	everyone := hub.NodesWithLabel(hub.Symbols().Intern("user"))
+	// Collected by Label, not NodesWithLabel: an indexed read would freeze
+	// hub and end its build phase.
+	var everyone []graph.NodeID
+	userL := hub.Symbols().Intern("user")
+	for v := graph.NodeID(0); int(v) < hub.NumNodes(); v++ {
+		if hub.Label(v) == userL {
+			everyone = append(everyone, v)
+		}
+	}
 	for i := 0; i < 3; i++ {
 		item := hub.AddNode("hobby:everyone")
 		for _, u := range everyone {

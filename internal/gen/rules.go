@@ -142,11 +142,15 @@ func removeNode(s []graph.NodeID, v graph.NodeID) []graph.NodeID {
 	return s
 }
 
-// corePq re-implements core.Pq locally to avoid an import cycle in tests
-// that already use the core package (gen may be imported from core tests).
+// corePq is core.Pq by a scan of Label instead of NodesWithLabel: an indexed
+// read would freeze g, and growRule samples a graph that is still being
+// built in its insertion order (the rules a seed yields depend on it).
 func corePq(g *graph.Graph, pred core.Predicate) []graph.NodeID {
 	var out []graph.NodeID
-	for _, v := range g.NodesWithLabel(pred.XLabel) {
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		if g.Label(v) != pred.XLabel {
+			continue
+		}
 		for _, e := range g.Out(v) {
 			if e.Label == pred.EdgeLabel && g.Label(e.To) == pred.YLabel {
 				out = append(out, v)

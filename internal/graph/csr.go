@@ -31,7 +31,6 @@ type csrIndex struct {
 	// indexed directly by the (dense, interned) label value.
 	nodesByLabel []NodeID
 	labelOff     []int32
-	labelsSorted []Label // distinct node labels present, ascending
 }
 
 // buildCSR flattens the mutable adjacency into a csrIndex.
@@ -61,11 +60,6 @@ func buildCSR(g *Graph) *csrIndex {
 		c.nodesByLabel[cur[l]] = NodeID(v)
 		cur[l]++
 	}
-	for l := Label(1); l <= maxL; l++ {
-		if c.labelOff[l] < c.labelOff[l+1] {
-			c.labelsSorted = append(c.labelsSorted, l)
-		}
-	}
 	return c
 }
 
@@ -79,7 +73,7 @@ func buildDirection(adj [][]Edge, numE int) (arena []Edge, off []int32, lab []La
 		labOff[v] = int32(len(lab))
 		start := len(arena)
 		arena = append(arena, adj[v]...)
-		sortAdj(arena[start:])
+		slices.SortFunc(arena[start:], cmpEdge)
 		off[v+1] = int32(len(arena))
 		for i := start; i < len(arena); i++ {
 			if i == start || arena[i].Label != arena[i-1].Label {
@@ -91,16 +85,6 @@ func buildDirection(adj [][]Edge, numE int) (arena []Edge, off []int32, lab []La
 	labOff[n] = int32(len(lab))
 	labStart = append(labStart, int32(len(arena))) // sentinel
 	return
-}
-
-// sortAdj orders one adjacency range by (Label, To), the frozen invariant.
-func sortAdj(adj []Edge) {
-	slices.SortFunc(adj, func(a, b Edge) int {
-		if a.Label != b.Label {
-			return int(a.Label) - int(b.Label)
-		}
-		return int(a.To) - int(b.To)
-	})
 }
 
 // rangeL returns the contiguous arena run of node v's edges labeled l in

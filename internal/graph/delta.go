@@ -2,8 +2,8 @@
 // re-freezing it. ApplyDelta returns a new *Graph that shares the base
 // graph's CSR arenas and symbol table, carries fresh merged adjacency only
 // for the touched nodes, and routes the CSR-backed read paths (OutRangeL,
-// InRangeL, NodesWithLabel, NodeLabels) around the stale index entries via
-// a small overlay. Untouched nodes keep the frozen fast path bit for bit;
+// InRangeL, NodesWithLabel) around the stale index entries via a small
+// overlay. Untouched nodes keep the frozen fast path bit for bit;
 // the base graph is never mutated, so readers of the old generation are
 // undisturbed — the serving layer installs the derived graph as a new
 // snapshot generation. CompactCopy folds an overlay back into a fresh
@@ -85,7 +85,6 @@ type overlay struct {
 	// node list for that label. Labels absent from the map are served from
 	// the csr.
 	nodesByLabel map[Label][]NodeID
-	labelsSorted []Label // distinct node labels of the overlaid graph, ascending
 
 	ops          int      // cumulative op count since the last real freeze
 	batchTouched []NodeID // nodes touched by the most recent batch, ascending
@@ -141,11 +140,9 @@ func cmpEdge(a, b Edge) int {
 // on a frozen graph is safe on it. Application is atomic — the first
 // invalid op aborts the whole batch with a *DeltaError and no derived
 // graph. Deltas stack: applying a batch to an already-overlaid graph
-// accumulates into one overlay over the original freeze.
-//
-// Note that a derived graph reports Frozen() == true while Freeze remains a
-// no-op on it; folding the overlay back into a real freeze is an explicit
-// CompactCopy.
+// accumulates into one overlay over the original freeze. Freeze is a no-op
+// on a derived graph; folding the overlay back into a real freeze is an
+// explicit CompactCopy.
 func (g *Graph) ApplyDelta(ops []DeltaOp) (*Graph, error) {
 	g.Freeze()
 	baseN := g.NumNodes()
@@ -270,13 +267,11 @@ func (g *Graph) ApplyDelta(ops []DeltaOp) (*Graph, error) {
 		in[v] = slices.Clip(adj)
 	}
 	d := &Graph{
-		syms:    g.syms,
-		labels:  labels,
-		out:     out,
-		in:      in,
-		numE:    numE,
-		byLabel: make(map[Label][]NodeID),
-		dirty:   true,
+		syms:   g.syms,
+		labels: labels,
+		out:    out,
+		in:     in,
+		numE:   numE,
 	}
 
 	// Build the cumulative overlay over the original freeze.
@@ -310,7 +305,7 @@ func (g *Graph) ApplyDelta(ops []DeltaOp) (*Graph, error) {
 		for l := range affected {
 			ov.nodesByLabel[l] = nil
 		}
-		// One scan rebuilds every affected label's candidate list, already
+		// One scan refills every affected label's candidate list, already
 		// sorted because node IDs ascend.
 		for v, l := range labels {
 			if _, ok := affected[l]; ok {
@@ -318,18 +313,6 @@ func (g *Graph) ApplyDelta(ops []DeltaOp) (*Graph, error) {
 			}
 		}
 	}
-	for _, l := range g.NodeLabels() {
-		if _, ok := affected[l]; !ok {
-			ov.labelsSorted = append(ov.labelsSorted, l)
-		}
-	}
-	for l := range affected {
-		if len(ov.nodesByLabel[l]) > 0 {
-			ov.labelsSorted = append(ov.labelsSorted, l)
-		}
-	}
-	slices.Sort(ov.labelsSorted)
-
 	d.csr = g.csr
 	d.ov = ov
 	d.frozen.Store(true)
@@ -343,13 +326,11 @@ func (g *Graph) ApplyDelta(ops []DeltaOp) (*Graph, error) {
 // also works on plain graphs, where it is a frozen deep copy.
 func (g *Graph) CompactCopy() *Graph {
 	c := &Graph{
-		syms:    g.syms,
-		labels:  slices.Clone(g.labels),
-		out:     slices.Clone(g.out),
-		in:      slices.Clone(g.in),
-		numE:    g.numE,
-		byLabel: make(map[Label][]NodeID),
-		dirty:   true,
+		syms:   g.syms,
+		labels: slices.Clone(g.labels),
+		out:    slices.Clone(g.out),
+		in:     slices.Clone(g.in),
+		numE:   g.numE,
 	}
 	// Freeze builds fresh arenas from the (cloned) adjacency headers and
 	// re-points them; the original's arenas are only read.
@@ -359,7 +340,7 @@ func (g *Graph) CompactCopy() *Graph {
 
 // Overlaid reports whether the graph is a frozen graph with a live delta
 // overlay (i.e. produced by ApplyDelta and not yet compacted).
-func (g *Graph) Overlaid() bool { return g.frozen.Load() && g.ov != nil }
+func (g *Graph) Overlaid() bool { return g.ov != nil }
 
 // OverlayOps reports the cumulative number of delta ops applied since the
 // last real freeze — the compaction trigger's input. Zero for non-overlaid

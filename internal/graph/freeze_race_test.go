@@ -31,17 +31,15 @@ func TestConcurrentFreezeOnFrozenGraph(t *testing.T) {
 				g.OutRangeL(v, l)
 				g.InRangeL(u, l)
 				g.NodesWithLabel(g.Label(v))
-				g.NodeLabels()
-				g.Neighborhood(v, 2)
+				g.AppendNeighborhood(nil, v, 2)
 			}
 		}(w)
 	}
 	wg.Wait()
 }
 
-// TestRangeLMatchesScan: the frozen label-range lookups agree with a scan
-// of the adjacency on random graphs, and thawing by mutation preserves all
-// answers.
+// TestRangeLMatchesScan: the label-range lookups agree with a scan of the
+// as-built adjacency on random graphs.
 func TestRangeLMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -93,24 +91,6 @@ func TestRangeLMatchesScan(t *testing.T) {
 		for k, want := range wantIn {
 			if got := g.InRangeL(k.v, k.l); !sameSet(got, want) {
 				t.Fatalf("seed %d: InRangeL(%d,%d) = %v, want %v", seed, k.v, k.l, got, want)
-			}
-		}
-		// Thaw by mutation: answers must survive, plus the new edge.
-		v := g.AddNodeL(1)
-		if g.Frozen() {
-			t.Fatal("AddNodeL left the graph frozen")
-		}
-		g.AddEdgeL(0, v, 2)
-		if !g.HasEdge(0, v, 2) {
-			t.Fatal("post-thaw edge missing")
-		}
-		for k, want := range wantOut {
-			got := g.OutRangeL(k.v, k.l)
-			if k.v == 0 && k.l == 2 {
-				continue // gained the new edge
-			}
-			if !sameSet(got, want) {
-				t.Fatalf("seed %d: post-thaw OutRangeL(%d,%d) = %v, want %v", seed, k.v, k.l, got, want)
 			}
 		}
 	}

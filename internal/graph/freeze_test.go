@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -14,17 +15,12 @@ func TestFreezePreservesHasEdge(t *testing.T) {
 	g.AddEdge(a, b, "e")
 	g.AddEdge(a, c, "f")
 	g.AddEdge(c, a, "e")
+	g.AddEdge(b, c, "e")
 
 	e := g.Symbols().Lookup("e")
 	f := g.Symbols().Lookup("f")
-	if g.Frozen() {
-		t.Fatal("graph frozen before Freeze")
-	}
 	g.Freeze()
-	if !g.Frozen() {
-		t.Fatal("Freeze did not freeze")
-	}
-	if !g.HasEdge(a, b, e) || !g.HasEdge(a, c, f) || !g.HasEdge(c, a, e) {
+	if !g.HasEdge(a, b, e) || !g.HasEdge(a, c, f) || !g.HasEdge(c, a, e) || !g.HasEdge(b, c, e) {
 		t.Error("frozen HasEdge lost edges")
 	}
 	if g.HasEdge(b, a, e) || g.HasEdge(a, b, f) {
@@ -35,23 +31,15 @@ func TestFreezePreservesHasEdge(t *testing.T) {
 	if !g.HasEdge(a, b, e) {
 		t.Error("second Freeze broke HasEdge")
 	}
-	// Mutation unfreezes; lookups still work.
-	g.AddEdge(b, c, "e")
-	if g.Frozen() {
-		t.Error("AddEdge left the graph frozen")
-	}
-	if !g.HasEdge(b, c, e) || !g.HasEdge(a, b, e) {
-		t.Error("post-mutation HasEdge wrong")
-	}
 }
 
-// TestQuickFreezeEquivalence: frozen and unfrozen HasEdge agree on every
-// (from, to, label) triple, present or absent.
+// TestQuickFreezeEquivalence: HasEdge agrees with a scan of the as-built
+// adjacency on every (from, to, label) triple, present or absent.
 func TestQuickFreezeEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 15, 60)
-		// Record every answer unfrozen.
+		// Record every answer from the insertion-order adjacency.
 		type key struct {
 			from, to NodeID
 			l        Label
@@ -62,7 +50,7 @@ func TestQuickFreezeEquivalence(t *testing.T) {
 			for to := 0; to < g.NumNodes(); to++ {
 				for _, l := range labels {
 					k := key{NodeID(from), NodeID(to), l}
-					answers[k] = g.HasEdge(k.from, k.to, k.l)
+					answers[k] = slices.Contains(g.Out(k.from), Edge{To: k.to, Label: k.l})
 				}
 			}
 		}
@@ -96,5 +84,59 @@ func TestFreezeDoesNotChangeDegreesOrLabels(t *testing.T) {
 		if after != before[v] {
 			t.Fatalf("node %d changed by Freeze: %+v vs %+v", v, before[v], after)
 		}
+	}
+}
+
+// TestLifecycle: the build phase ends at Freeze and at the first indexed
+// read, and a derived graph never has one; AddNode/AddEdge panic from then
+// on, and a Clone of any of them is a fresh, independent build phase.
+func TestLifecycle(t *testing.T) {
+	const e = Label(2) // path interns "v" then "e"
+	ends := []struct {
+		name string
+		end  func(g *Graph) *Graph
+	}{
+		{"Freeze", func(g *Graph) *Graph { g.Freeze(); return g }},
+		{"HasEdge", func(g *Graph) *Graph { g.HasEdge(0, 1, e); return g }},
+		{"OutRangeL", func(g *Graph) *Graph { g.OutRangeL(0, e); return g }},
+		{"InRangeL", func(g *Graph) *Graph { g.InRangeL(1, e); return g }},
+		{"NodesWithLabel", func(g *Graph) *Graph { g.NodesWithLabel(1); return g }},
+		{"ApplyDelta", func(g *Graph) *Graph {
+			d, err := g.ApplyDelta([]DeltaOp{{Kind: DeltaAddEdge, From: 2, To: 0, Label: e}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}},
+		{"CompactCopy", func(g *Graph) *Graph { return g.CompactCopy() }},
+	}
+	panics := func(f func()) (did bool) {
+		defer func() { did = recover() != nil }()
+		f()
+		return false
+	}
+	for _, tc := range ends {
+		t.Run(tc.name, func(t *testing.T) {
+			built, _ := path(3)
+			g := tc.end(built)
+			if !panics(func() { g.AddNode("v") }) {
+				t.Error("AddNode did not panic")
+			}
+			if !panics(func() { g.AddEdge(2, 0, "f") }) {
+				t.Error("AddEdge did not panic")
+			}
+			nodes, edges := g.NumNodes(), g.NumEdges()
+			c := g.Clone()
+			v := c.AddNode("v")
+			if !c.AddEdge(v, 0, "e") || c.AddEdge(0, 1, "e") {
+				t.Error("Clone: AddEdge of a new edge failed, or of a duplicate succeeded")
+			}
+			if !c.HasEdge(v, 0, e) || !c.HasEdge(1, 2, e) || c.NumNodes() != nodes+1 || c.NumEdges() != edges+1 {
+				t.Errorf("Clone after building: %v", c)
+			}
+			if g.NumNodes() != nodes || g.NumEdges() != edges || len(g.In(0)) != len(c.In(0))-1 {
+				t.Errorf("building on the Clone changed the original: %v", g)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -21,23 +20,24 @@ type Edge struct {
 // Multiple edges between the same pair of nodes are allowed as long as their
 // labels differ; AddEdge deduplicates exact (from, to, label) triples.
 //
-// Concurrency contract: a Graph is not safe for concurrent mutation, and an
-// unfrozen graph is not safe for concurrent reads that touch the lazy label
-// index (NodesWithLabel, NodeLabels). Freeze the graph before sharing it:
-// after Freeze returns, every read path — including further
-// Freeze calls, which are then cheap atomic no-ops — is safe from any
-// number of goroutines until the next mutation. Mutating a shared graph
-// (which thaws it) requires external synchronization, exactly like any
-// other write.
+// Lifecycle: a graph is built (AddNode*/AddEdge*; Label, Out, In, Degree,
+// WriteTo and Clone read it meanwhile, in insertion order), frozen once —
+// by Freeze or by the first indexed read (HasEdge, OutRangeL, InRangeL,
+// NodesWithLabel), which sorts every adjacency list by (Label, To) — and
+// from then on only derived from: ApplyDelta and CompactCopy return new
+// graphs, Clone returns an unfrozen copy to build on. Adding to a frozen
+// graph panics.
+//
+// Concurrency contract: building is single-goroutine, and so is the freeze
+// itself. Freeze the graph before sharing it: after Freeze returns, every
+// read path — including further Freeze calls, which are then cheap atomic
+// no-ops — is safe from any number of goroutines, for good.
 type Graph struct {
 	syms   *Symbols
 	labels []Label  // labels[v] is the node label of v
 	out    [][]Edge // out[v] lists edges v -> w; frozen: views into csr.outE
 	in     [][]Edge // in[v] lists edges w -> v as {To: w}; frozen: views into csr.inE
 	numE   int
-
-	byLabel map[Label][]NodeID // label index for unfrozen graphs; rebuilt lazily
-	dirty   bool               // true when byLabel is stale
 
 	// frozen publishes csr: buildCSR happens-before frozen.Store(true), so
 	// any goroutine observing true may read csr without locks.
@@ -57,10 +57,7 @@ func New(syms *Symbols) *Graph {
 	if syms == nil {
 		syms = NewSymbols()
 	}
-	return &Graph{
-		syms:    syms,
-		byLabel: make(map[Label][]NodeID),
-	}
+	return &Graph{syms: syms}
 }
 
 // Symbols returns the symbol table shared by this graph.
@@ -82,13 +79,19 @@ func (g *Graph) AddNode(name string) NodeID {
 
 // AddNodeL adds a node with an already-interned label.
 func (g *Graph) AddNodeL(l Label) NodeID {
-	g.thaw()
+	g.mustBuild()
 	v := NodeID(len(g.labels))
 	g.labels = append(g.labels, l)
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
-	g.dirty = true
 	return v
+}
+
+// mustBuild panics once the build phase is over.
+func (g *Graph) mustBuild() {
+	if g.frozen.Load() {
+		panic("graph: AddNode/AddEdge on a frozen graph; derive with ApplyDelta, or build on a Clone")
+	}
 }
 
 // AddEdge adds edge from -> to labeled name. It returns false if the exact
@@ -99,27 +102,16 @@ func (g *Graph) AddEdge(from, to NodeID, name string) bool {
 
 // AddEdgeL adds an edge with an already-interned label.
 func (g *Graph) AddEdgeL(from, to NodeID, l Label) bool {
-	if g.hasEdge(from, to, l) {
-		return false
+	g.mustBuild()
+	for _, e := range g.out[from] {
+		if e.To == to && e.Label == l {
+			return false
+		}
 	}
-	g.thaw()
 	g.out[from] = append(g.out[from], Edge{To: to, Label: l})
 	g.in[to] = append(g.in[to], Edge{To: from, Label: l})
 	g.numE++
-	g.dirty = true
 	return true
-}
-
-func (g *Graph) hasEdge(from, to NodeID, l Label) bool {
-	if g.frozen.Load() {
-		return searchEdge(g.out[from], to, l)
-	}
-	for _, e := range g.out[from] {
-		if e.To == to && e.Label == l {
-			return true
-		}
-	}
-	return false
 }
 
 // searchEdge binary-searches a (Label, To)-sorted adjacency list.
@@ -137,103 +129,64 @@ func searchEdge(adj []Edge, to NodeID, l Label) bool {
 	return lo < len(adj) && adj[lo].Label == l && adj[lo].To == to
 }
 
-// Freeze compiles the graph into its flat CSR representation: contiguous
-// per-direction edge arenas sorted by (Label, To) within each node, a
-// per-node (direction, edge label) range index, and a flat node-label
-// candidate index. After Freeze, HasEdge is a binary search, OutRangeL and
-// InRangeL return label-contiguous arena subslices without allocating, and
-// NodesWithLabel reads the precomputed index without mutating the graph.
+// Freeze ends the build phase: it compiles the graph into its flat CSR
+// representation — contiguous per-direction edge arenas sorted by
+// (Label, To) within each node, a per-node (direction, edge label) range
+// index, and a flat node-label candidate index — and re-points Out/In at
+// the arenas. It is one-way.
 //
 // Freeze is idempotent and, once the graph is frozen, safe to call
-// concurrently (it reduces to an atomic load) — matchers call it
+// concurrently (it reduces to an atomic load) — every indexed read calls it
 // unconditionally. Freezing an *unfrozen* graph concurrently with any other
-// access is a data race, like any mutation: freeze before sharing. Any
-// later mutation thaws the graph back to its mutable representation.
+// access is a data race: freeze before sharing.
 func (g *Graph) Freeze() {
-	if g.frozen.Load() {
-		return
+	if !g.frozen.Load() {
+		g.freeze()
 	}
+}
+
+// freeze is Freeze past its check, apart so that the check inlines into
+// every indexed read.
+func (g *Graph) freeze() {
 	c := buildCSR(g)
 	// Re-point adjacency at the arenas so every reader of Out/In iterates
-	// cache-contiguous memory. The three-index slices cap each view at its
-	// range end, so a post-thaw append copies out instead of clobbering the
-	// next node's edges.
+	// cache-contiguous memory.
 	for v := range g.out {
-		g.out[v] = c.outE[c.outOff[v]:c.outOff[v+1]:c.outOff[v+1]]
-		g.in[v] = c.inE[c.inOff[v]:c.inOff[v+1]:c.inOff[v+1]]
+		g.out[v] = c.outE[c.outOff[v]:c.outOff[v+1]]
+		g.in[v] = c.inE[c.inOff[v]:c.inOff[v+1]]
 	}
 	g.csr = c
 	g.frozen.Store(true)
 }
 
-// Frozen reports whether the graph is currently in CSR form.
-func (g *Graph) Frozen() bool { return g.frozen.Load() }
-
-// thaw drops the CSR index before a mutation. Adjacency views stay valid
-// (they point into the old arenas and copy out on append).
-func (g *Graph) thaw() {
-	if g.frozen.Load() {
-		g.frozen.Store(false)
-		g.csr = nil
-		g.ov = nil
-	}
-}
-
-// HasEdge reports whether edge from -> to with label l exists.
+// HasEdge reports whether edge from -> to with label l exists, by binary
+// search on from's (Label, To)-sorted adjacency.
 func (g *Graph) HasEdge(from, to NodeID, l Label) bool {
-	if g.frozen.Load() {
-		return searchEdge(g.out[from], to, l)
-	}
-	// Scan the shorter adjacency list.
-	if len(g.out[from]) <= len(g.in[to]) {
-		return g.hasEdge(from, to, l)
-	}
-	for _, e := range g.in[to] {
-		if e.To == from && e.Label == l {
-			return true
-		}
-	}
-	return false
+	g.Freeze()
+	return searchEdge(g.out[from], to, l)
 }
 
-// OutRangeL returns v's outgoing edges labeled l. On a frozen graph this is
-// a label-contiguous subslice of the CSR arena, found by binary search over
-// v's distinct labels with no allocation; on an unfrozen graph it allocates
-// a filtered copy. The caller must not mutate the result.
+// OutRangeL returns v's outgoing edges labeled l: a label-contiguous
+// subslice of the CSR arena, found by binary search over v's distinct
+// labels with no allocation. The caller must not mutate the result.
 func (g *Graph) OutRangeL(v NodeID, l Label) []Edge {
-	if g.frozen.Load() {
-		if ov := g.ov; ov != nil && ov.bypass(v) {
-			return labelRun(g.out[v], l)
-		}
-		c := g.csr
-		return rangeL(c.outE, c.outLab, c.outLabOff, c.outLabStart, v, l)
+	g.Freeze()
+	if ov := g.ov; ov != nil && ov.bypass(v) {
+		return labelRun(g.out[v], l)
 	}
-	var out []Edge
-	for _, e := range g.out[v] {
-		if e.Label == l {
-			out = append(out, e)
-		}
-	}
-	return out
+	c := g.csr
+	return rangeL(c.outE, c.outLab, c.outLabOff, c.outLabStart, v, l)
 }
 
 // InRangeL is OutRangeL for incoming edges: each Edge's To field is the
 // source node of an edge To -> v labeled l.
 func (g *Graph) InRangeL(v NodeID, l Label) []Edge {
-	if g.frozen.Load() {
-		if ov := g.ov; ov != nil && ov.bypass(v) {
-			return labelRun(g.in[v], l)
-		}
-		c := g.csr
-		return rangeL(c.inE, c.inLab, c.inLabOff, c.inLabStart, v, l)
+	g.Freeze()
+	if ov := g.ov; ov != nil && ov.bypass(v) {
+		return labelRun(g.in[v], l)
 	}
-	var out []Edge
-	for _, e := range g.in[v] {
-		if e.Label == l {
-			out = append(out, e)
-		}
-	}
-	return out
+	c := g.csr
+	return rangeL(c.inE, c.inLab, c.inLabOff, c.inLabStart, v, l)
 }
 
 // Label returns the node label of v.
@@ -251,59 +204,25 @@ func (g *Graph) In(v NodeID) []Edge { return g.in[v] }
 // Degree reports the total (in+out) degree of v.
 func (g *Graph) Degree(v NodeID) int { return len(g.out[v]) + len(g.in[v]) }
 
-// rebuild refreshes the label index.
-func (g *Graph) rebuild() {
-	if !g.dirty {
-		return
-	}
-	g.byLabel = make(map[Label][]NodeID)
-	for v, l := range g.labels {
-		g.byLabel[l] = append(g.byLabel[l], NodeID(v))
-	}
-	g.dirty = false
-}
-
-// NodesWithLabel returns all nodes labeled l, in ID order. Read-only. On a
-// frozen graph this is a subslice of the precomputed candidate index and
-// never mutates the graph, so it is safe under concurrency.
+// NodesWithLabel returns all nodes labeled l, in ID order: a subslice of
+// the precomputed candidate index. The caller must not mutate the result.
 func (g *Graph) NodesWithLabel(l Label) []NodeID {
-	if g.frozen.Load() {
-		if ov := g.ov; ov != nil {
-			if nodes, ok := ov.nodesByLabel[l]; ok {
-				return nodes
-			}
+	g.Freeze()
+	if ov := g.ov; ov != nil {
+		if nodes, ok := ov.nodesByLabel[l]; ok {
+			return nodes
 		}
-		c := g.csr
-		if l < 0 || int(l)+1 >= len(c.labelOff) {
-			return nil
-		}
-		return c.nodesByLabel[c.labelOff[l]:c.labelOff[l+1]]
 	}
-	g.rebuild()
-	return g.byLabel[l]
-}
-
-// NodeLabels returns the distinct node labels present, sorted. Read-only
-// when the graph is frozen.
-func (g *Graph) NodeLabels() []Label {
-	if g.frozen.Load() {
-		if ov := g.ov; ov != nil {
-			return ov.labelsSorted
-		}
-		return g.csr.labelsSorted
+	c := g.csr
+	if l < 0 || int(l)+1 >= len(c.labelOff) {
+		return nil
 	}
-	g.rebuild()
-	out := make([]Label, 0, len(g.byLabel))
-	for l := range g.byLabel {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return c.nodesByLabel[c.labelOff[l]:c.labelOff[l+1]]
 }
 
 // bfsScratch is pooled epoch-stamped BFS state: bumping the epoch clears
 // the visited set in O(1), so undirected BFS over the graph allocates
-// nothing in steady state. Partitioning calls Neighborhood once per
+// nothing in steady state. Partitioning calls AppendNeighborhood once per
 // candidate per DMine run, which made map-based visited sets a top-three
 // cost of the whole mining loop.
 type bfsScratch struct {
@@ -331,16 +250,11 @@ func acquireBFS(n int) *bfsScratch {
 	return s
 }
 
-// Neighborhood returns the set Nr(v) of all nodes within undirected radius r
-// of v, including v itself, in BFS order (Section 2.1, notation (3)).
-func (g *Graph) Neighborhood(v NodeID, r int) []NodeID {
-	return g.AppendNeighborhood(nil, v, r)
-}
-
-// AppendNeighborhood is Neighborhood appending to dst, so callers that
-// compute one neighborhood per candidate (the partitioner does this for
-// every candidate on every mine-context build) can recycle one buffer
-// instead of regrowing a fresh slice each time.
+// AppendNeighborhood appends to dst the set Nr(v) of all nodes within
+// undirected radius r of v, including v itself, in BFS order (Section 2.1,
+// notation (3)). Callers that compute one neighborhood per candidate (the
+// partitioner does this for every candidate on every mine-context build)
+// recycle one buffer through dst.
 func (g *Graph) AppendNeighborhood(dst []NodeID, v NodeID, r int) []NodeID {
 	if r < 0 {
 		return dst
@@ -424,11 +338,11 @@ func (g *Graph) InducedSubgraph(nodes []NodeID) (sub *Graph, toLocal map[NodeID]
 		sub.out[lv] = outArena[start:len(outArena):len(outArena)]
 	}
 	sub.numE = numE
-	sub.dirty = true
 	return sub, toLocal, toGlobal
 }
 
-// Clone returns a deep copy sharing the symbol table.
+// Clone returns an unfrozen deep copy sharing the symbol table: a new build
+// phase, whatever phase g is in, with g's adjacency order as its own.
 func (g *Graph) Clone() *Graph {
 	c := New(g.syms)
 	c.labels = append([]Label(nil), g.labels...)
@@ -439,7 +353,6 @@ func (g *Graph) Clone() *Graph {
 		c.in[v] = append([]Edge(nil), g.in[v]...)
 	}
 	c.numE = g.numE
-	c.dirty = true
 	return c
 }
 

@@ -22,7 +22,7 @@ func BenchmarkNeighborhood(b *testing.B) {
 	g := benchGraph(5000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Neighborhood(NodeID(i%g.NumNodes()), 2)
+		g.AppendNeighborhood(nil, NodeID(i%g.NumNodes()), 2)
 	}
 }
 

@@ -58,14 +58,13 @@ func Read(r io.Reader, syms *Symbols) (*Graph, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.SplitN(line, " ", 2)
-		switch fields[0] {
+		kind, rest, _ := strings.Cut(line, " ")
+		switch kind {
 		case "graph":
 			if _, err := fmt.Sscanf(line, "graph %d %d", &declaredNodes, &declaredEdges); err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad header %q: %w", lineNo, line, err)
 			}
 		case "n":
-			rest := fields[1]
 			sp := strings.IndexByte(rest, ' ')
 			if sp < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad node line %q", lineNo, line)
@@ -82,7 +81,6 @@ func Read(r io.Reader, syms *Symbols) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: node ids must be dense and ordered; got %d want %d", lineNo, id, got)
 			}
 		case "e":
-			rest := fields[1]
 			parts := strings.SplitN(rest, " ", 3)
 			if len(parts) != 3 {
 				return nil, fmt.Errorf("graph: line %d: bad edge line %q", lineNo, line)
@@ -98,7 +96,7 @@ func Read(r io.Reader, syms *Symbols) (*Graph, error) {
 			}
 			g.AddEdge(NodeID(from), NodeID(to), label)
 		default:
-			return nil, fmt.Errorf("graph: line %d: unknown record %q", lineNo, fields[0])
+			return nil, fmt.Errorf("graph: line %d: unknown record %q", lineNo, kind)
 		}
 	}
 	if err := sc.Err(); err != nil {

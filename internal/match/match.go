@@ -292,13 +292,8 @@ func (m *Matcher) consistent(u int, v graph.NodeID, skip int32) bool {
 
 // hasDataEdge tests from -l-> to against the frozen graph by binary-
 // searching only the label-contiguous CSR range, falling to a linear scan
-// on the short tail. If the graph was thawed behind the matcher's back
-// (a contract violation, but a silent-wrong-answer hazard) it falls back
-// to the unfrozen HasEdge scan, which does not assume sorted ranges.
+// on the short tail.
 func (m *Matcher) hasDataEdge(from, to graph.NodeID, l graph.Label) bool {
-	if !m.g.Frozen() {
-		return m.g.HasEdge(from, to, l)
-	}
 	r := m.g.OutRangeL(from, l) // sorted by To within the label range
 	lo, hi := 0, len(r)
 	for hi-lo > 8 {

@@ -100,6 +100,9 @@ func DecodeFragment(data []byte, syms *graph.Symbols) (*Fragment, []byte, error)
 	if n > numGlobal {
 		return nil, nil, codecErrorf("fragment has %d nodes but the original graph only %d", n, numGlobal)
 	}
+	if n > len(d.buf) { // every node takes at least a label byte; bounds the allocations below
+		return nil, nil, codecErrorf("fragment claims %d nodes in %d bytes", n, len(d.buf))
+	}
 	g := graph.New(syms)
 	for v := 0; v < n && d.err == nil; v++ {
 		g.AddNodeL(graph.Label(d.intf("node label")))

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
@@ -157,6 +158,7 @@ func TestFragmentCodecErrors(t *testing.T) {
 		{"bad magic", []byte("NOPE\x01\x00")},
 		{"bad version", append([]byte("GPFR"), 99)},
 		{"truncated header", enc[:6]},
+		{"node count beyond the input", binary.AppendUvarint(binary.AppendUvarint([]byte("GPFR\x01"), 1<<40), 1<<40)},
 		{"truncated mid-stream", enc[:len(enc)/2]},
 		{"truncated tail", enc[:len(enc)-1]},
 	}

@@ -14,10 +14,19 @@ import (
 // TestWholeVsPartitionN1 checks that a one-fragment partition is
 // observationally equivalent to Whole for anchored matching: same owned
 // centers and the full d-neighborhood of every center present.
+// minNodeLabel returns the smallest node label present in g.
+func minNodeLabel(g *graph.Graph) graph.Label {
+	l := g.Label(0)
+	for v := 1; v < g.NumNodes(); v++ {
+		l = min(l, g.Label(graph.NodeID(v)))
+	}
+	return l
+}
+
 func TestWholeVsPartitionN1(t *testing.T) {
 	syms := graph.NewSymbols()
 	g := gen.Synthetic(syms, 200, 500, 3)
-	label := g.NodeLabels()[0]
+	label := minNodeLabel(g)
 	cands := g.NodesWithLabel(label)
 	if len(cands) == 0 {
 		t.Fatal("fixture has no candidates")
@@ -49,8 +58,8 @@ func TestWholeVsPartitionN1(t *testing.T) {
 		if !ok {
 			t.Fatalf("candidate %d missing from fragment", vx)
 		}
-		want := g.Neighborhood(vx, d)
-		gotHood := f.G.Neighborhood(lv, d)
+		want := g.AppendNeighborhood(nil, vx, d)
+		gotHood := f.G.AppendNeighborhood(nil, lv, d)
 		if len(gotHood) != len(want) {
 			t.Errorf("candidate %d: neighborhood %d nodes, want %d", vx, len(gotHood), len(want))
 		}
@@ -101,7 +110,7 @@ func TestWholeEmptyCandidates(t *testing.T) {
 func TestPartitionFewerCandidatesThanFragments(t *testing.T) {
 	syms := graph.NewSymbols()
 	g := gen.Synthetic(syms, 60, 120, 5)
-	label := g.NodeLabels()[0]
+	label := minNodeLabel(g)
 	one := g.NodesWithLabel(label)[:1]
 	frags := Partition(g, one, 4, 2)
 	nonEmpty := 0

@@ -58,7 +58,7 @@ func TestPartitionCoversNeighborhoods(t *testing.T) {
 	for _, fr := range frags {
 		for _, c := range fr.Centers {
 			gv := fr.Global(c)
-			for _, u := range f.G.Neighborhood(gv, d) {
+			for _, u := range f.G.AppendNeighborhood(nil, gv, d) {
 				if _, ok := fr.Local(u); !ok {
 					t.Errorf("node %d of Gd(%d) missing from fragment", u, gv)
 				}
@@ -135,7 +135,7 @@ func TestQuickPartitionInvariants(t *testing.T) {
 				if fr.G.Label(c) != g.Label(gv) {
 					return false
 				}
-				for _, u := range g.Neighborhood(gv, d) {
+				for _, u := range g.AppendNeighborhood(nil, gv, d) {
 					if _, ok := fr.Local(u); !ok {
 						return false
 					}

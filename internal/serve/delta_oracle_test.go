@@ -18,7 +18,6 @@ import (
 	"strings"
 	"testing"
 
-	"gpar/internal/core"
 	"gpar/internal/gen"
 	"gpar/internal/graph"
 	"gpar/internal/mine"
@@ -171,20 +170,7 @@ func TestDeltaServeOracle(t *testing.T) {
 			t.Parallel()
 			syms := graph.NewSymbols()
 			g := gen.Pokec(syms, gen.DefaultPokec(120, 1))
-			var pred core.Predicate
-			for _, p := range gen.PokecPredicates(syms) {
-				if len(core.Pq(g, p)) > 0 {
-					pred = p
-					break
-				}
-			}
-			if pred.XLabel == graph.NoLabel {
-				t.Fatal("no supported predicate in generated graph")
-			}
-			rules := gen.Rules(g, pred, gen.RuleGenParams{Count: 3, VP: 3, EP: 3, Seed: 1})
-			if len(rules) == 0 {
-				t.Fatal("no rules generated")
-			}
+			pred, rules := supportedRules(t, g, 3)
 			model := newWireModel(g)
 
 			live := New(Config{Workers: n})

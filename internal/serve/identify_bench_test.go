@@ -1,12 +1,36 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 
 	"gpar/internal/core"
 	"gpar/internal/gen"
 	"gpar/internal/graph"
 )
+
+// supportedRules returns the first Pokec predicate with support in g and
+// count rules generated for it. It finds the predicate by generating —
+// gen.Rules yields nothing for an unsupported one — because a core.Pq probe
+// would freeze g first, and the rules a seed yields are sampled from the
+// adjacency order gen.Rules finds: insertion order here, which is what the
+// recorded benchmark numbers and the oracle fixtures are for.
+func supportedRules(tb testing.TB, g *graph.Graph, count int) (core.Predicate, []*core.Rule) {
+	tb.Helper()
+	for _, pred := range gen.PokecPredicates(g.Symbols()) {
+		rules := gen.Rules(g, pred, gen.RuleGenParams{Count: count, VP: 3, EP: 3, Seed: 1})
+		if len(rules) > 0 {
+			return pred, rules
+		}
+	}
+	tb.Fatal("no supported predicate in generated graph")
+	return core.Predicate{}, nil
+}
+
+// benchRuleKeys pins benchSnapshot's rule set (Rule.Key of each, in order),
+// so BenchmarkIdentify, BenchmarkIdentifyWithOverlay and BenchmarkDeltaApply keep
+// measuring the rules BENCH_match.json was recorded with.
+const benchRuleKeys = "e6f4c0836a66ebfa207cf754 4301faa53645b130fad395dc ba2f105e9d3279bcfeaca7ec 2dedd218bd9138c15ab544ac"
 
 // benchSnapshot builds the Pokec-like serving fixture used by the identify
 // acceptance benchmark: a generated social graph, a handful of mined-shape
@@ -15,23 +39,17 @@ func benchSnapshot(b *testing.B) (*Snapshot, []*ServedRule, *Pool) {
 	b.Helper()
 	syms := graph.NewSymbols()
 	g := gen.Pokec(syms, gen.DefaultPokec(1500, 1))
-	var pred core.Predicate
-	for _, p := range gen.PokecPredicates(syms) {
-		if len(core.Pq(g, p)) > 0 {
-			pred = p
-			break
-		}
-	}
-	if pred.XLabel == graph.NoLabel {
-		b.Fatal("no supported predicate in generated graph")
-	}
-	rules := gen.Rules(g, pred, gen.RuleGenParams{Count: 4, VP: 3, EP: 3, Seed: 1})
-	if len(rules) == 0 {
-		b.Fatal("no rules generated")
-	}
+	pred, rules := supportedRules(b, g, 4)
 	snap, err := BuildSnapshot(g, pred, rules, Config{Workers: 4})
 	if err != nil {
 		b.Fatalf("BuildSnapshot: %v", err)
+	}
+	keys := make([]string, len(snap.Rules))
+	for i, r := range snap.Rules {
+		keys[i] = r.Key
+	}
+	if got := strings.Join(keys, " "); got != benchRuleKeys {
+		b.Fatalf("fixture rule keys moved:\n got %s\nwant %s", got, benchRuleKeys)
 	}
 	return snap, snap.Rules, NewPool(4)
 }
