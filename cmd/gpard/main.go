@@ -174,7 +174,7 @@ func main() {
 			pred = rules[0].Pred
 			log.Printf("loaded %d rules from %s", len(rules), *rulesIn)
 		case *predStr != "":
-			pred, err = parsePred(syms, *predStr)
+			pred, err = core.ParsePredicate(syms, *predStr)
 			if err != nil {
 				fatal(err)
 			}
@@ -287,18 +287,6 @@ func loadGraph(file, kind string, users, nv, ne int, seed int64) (*graph.Graph, 
 	default:
 		return nil, nil, errors.New("one of -graph or -gen is required")
 	}
-}
-
-func parsePred(syms *graph.Symbols, s string) (core.Predicate, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return core.Predicate{}, fmt.Errorf("predicate must be xLabel,edgeLabel,yLabel; got %q", s)
-	}
-	return core.Predicate{
-		XLabel:    syms.Intern(strings.TrimSpace(parts[0])),
-		EdgeLabel: syms.Intern(strings.TrimSpace(parts[1])),
-		YLabel:    syms.Intern(strings.TrimSpace(parts[2])),
-	}, nil
 }
 
 func fatal(err error) {

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"gpar/internal/core"
 	"gpar/internal/gen"
@@ -77,7 +76,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		pred, err := parsePred(syms, *predStr)
+		pred, err := core.ParsePredicate(syms, *predStr)
 		if err != nil {
 			fatal(err)
 		}
@@ -97,18 +96,6 @@ func writeGraph(w *os.File, g *graph.Graph) {
 	if _, err := g.WriteTo(w); err != nil {
 		fatal(err)
 	}
-}
-
-func parsePred(syms *graph.Symbols, s string) (core.Predicate, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return core.Predicate{}, fmt.Errorf("predicate must be xLabel,edgeLabel,yLabel")
-	}
-	return core.Predicate{
-		XLabel:    syms.Intern(strings.TrimSpace(parts[0])),
-		EdgeLabel: syms.Intern(strings.TrimSpace(parts[1])),
-		YLabel:    syms.Intern(strings.TrimSpace(parts[2])),
-	}, nil
 }
 
 func fatal(err error) {

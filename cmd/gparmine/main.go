@@ -85,7 +85,7 @@ func main() {
 
 	var allRules []*core.Rule
 	for _, ps := range strings.Split(*predStr, ";") {
-		pred, err := parsePred(syms, ps)
+		pred, err := core.ParsePredicate(syms, ps)
 		if err != nil {
 			fatal(err)
 		}
@@ -123,18 +123,6 @@ func main() {
 		f.Close()
 		fmt.Printf("\nwrote %d rules to %s\n", len(allRules), *rulesOut)
 	}
-}
-
-func parsePred(syms *graph.Symbols, s string) (core.Predicate, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return core.Predicate{}, fmt.Errorf("predicate must be xLabel,edgeLabel,yLabel; got %q", s)
-	}
-	return core.Predicate{
-		XLabel:    syms.Intern(strings.TrimSpace(parts[0])),
-		EdgeLabel: syms.Intern(strings.TrimSpace(parts[1])),
-		YLabel:    syms.Intern(strings.TrimSpace(parts[2])),
-	}, nil
 }
 
 func fatal(err error) {

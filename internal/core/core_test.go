@@ -294,3 +294,40 @@ func TestCloneAndString(t *testing.T) {
 		t.Error("String/Size broken")
 	}
 }
+
+// TestParsePredicate: three comma-separated names, spaces dropped, interned
+// x, edge, y — so in a fresh table the edge label is numbered right after x
+// and a new y right after the edge, whatever the names.
+func TestParsePredicate(t *testing.T) {
+	for _, c := range []struct {
+		in      string
+		x, e, y string // "" = want an error
+		yOffset graph.Label
+	}{
+		{"user,like_music,music:Disco", "user", "like_music", "music:Disco", 2},
+		{" user , like_music ,music:Disco ", "user", "like_music", "music:Disco", 2},
+		{"b,a,b", "b", "a", "b", 0},
+		{in: "user,like_music"},
+		{in: "user,like_music,music,Disco"},
+		{in: ""},
+	} {
+		syms := graph.NewSymbols()
+		pred, err := ParsePredicate(syms, c.in)
+		if c.x == "" {
+			if err == nil {
+				t.Errorf("ParsePredicate(%q) = %+v, want an error", c.in, pred)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParsePredicate(%q): %v", c.in, err)
+			continue
+		}
+		if x, e, y := syms.Name(pred.XLabel), syms.Name(pred.EdgeLabel), syms.Name(pred.YLabel); x != c.x || e != c.e || y != c.y {
+			t.Errorf("ParsePredicate(%q) names (%q, %q, %q), want (%q, %q, %q)", c.in, x, e, y, c.x, c.e, c.y)
+		}
+		if pred.EdgeLabel != pred.XLabel+1 || pred.YLabel != pred.XLabel+c.yOffset {
+			t.Errorf("ParsePredicate(%q) = %+v, want labels numbered x, edge, y", c.in, pred)
+		}
+	}
+}

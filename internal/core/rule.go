@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"gpar/internal/graph"
 	"gpar/internal/pattern"
@@ -31,6 +32,22 @@ type Predicate struct {
 // String renders the predicate using the symbol table.
 func (p Predicate) String(syms *graph.Symbols) string {
 	return fmt.Sprintf("%s(%s, %s)", syms.Name(p.EdgeLabel), syms.Name(p.XLabel), syms.Name(p.YLabel))
+}
+
+// ParsePredicate reads the command-line form "xLabel,edgeLabel,yLabel"
+// (spaces around a name are dropped). It interns x, then the edge, then y:
+// the order fixes the label numbers in a fresh symbol table, and DMine
+// breaks ties by label number.
+func ParsePredicate(syms *graph.Symbols, s string) (Predicate, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 3 {
+		return Predicate{}, fmt.Errorf("predicate must be xLabel,edgeLabel,yLabel; got %q", s)
+	}
+	var labels [3]graph.Label
+	for i, name := range parts {
+		labels[i] = syms.Intern(strings.TrimSpace(name))
+	}
+	return Predicate{XLabel: labels[0], EdgeLabel: labels[1], YLabel: labels[2]}, nil
 }
 
 // Rule is a GPAR R(x,y): Q(x,y) ⇒ q(x,y). Q.X must be set and labeled

@@ -1,7 +1,6 @@
 package eip
 
 import (
-	"sort"
 	"sync"
 
 	"gpar/internal/core"
@@ -24,11 +23,8 @@ func DisVF2(g *graph.Graph, rules []*core.Rule, opts Options) (*Result, error) {
 	g.Freeze()
 
 	// Global LCWA classification (computed once; it is per-predicate).
-	pqSet := make(map[graph.NodeID]bool)
+	suppQ1 := len(core.Pq(g, pred))
 	qbarSet := make(map[graph.NodeID]bool)
-	for _, v := range core.Pq(g, pred) {
-		pqSet[v] = true
-	}
 	for _, v := range core.Pqbar(g, pred) {
 		qbarSet[v] = true
 	}
@@ -71,39 +67,15 @@ func DisVF2(g *graph.Graph, rules []*core.Rule, opts Options) (*Result, error) {
 	}
 	wg.Wait()
 
-	res := &Result{WorkerOps: workerOps}
-	for _, ops := range workerOps {
-		if ops > res.MaxWorkerOp {
-			res.MaxWorkerOp = ops
-		}
-	}
-	identified := make(map[graph.NodeID]bool)
-	for ri, r := range rules {
-		rr := results[ri]
-		out := RuleOutcome{Rule: r}
+	parts := make([]Partial, len(rules))
+	for ri, rr := range results {
+		parts[ri].R = len(rr.rSet)
 		for v := range rr.qSet {
-			out.QSet = append(out.QSet, v)
+			parts[ri].Q = append(parts[ri].Q, v)
 			if qbarSet[v] {
-				out.Stats.SuppQqb++
+				parts[ri].Qqb++
 			}
 		}
-		sort.Slice(out.QSet, func(i, j int) bool { return out.QSet[i] < out.QSet[j] })
-		out.Stats.SuppQ = len(out.QSet)
-		out.Stats.SuppR = len(rr.rSet)
-		out.Stats.SuppQ1 = len(pqSet)
-		out.Stats.SuppQbar = len(qbarSet)
-		out.Conf = out.Stats.Conf()
-		out.Applied = out.Conf >= opts.Eta
-		if out.Applied {
-			for _, v := range out.QSet {
-				identified[v] = true
-			}
-		}
-		res.PerRule = append(res.PerRule, out)
 	}
-	for v := range identified {
-		res.Identified = append(res.Identified, v)
-	}
-	sort.Slice(res.Identified, func(i, j int) bool { return res.Identified[i] < res.Identified[j] })
-	return res, nil
+	return finish(rules, parts, suppQ1, len(qbarSet), workerOps, opts.Eta), nil
 }

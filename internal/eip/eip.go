@@ -20,7 +20,7 @@ package eip
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"gpar/internal/core"
@@ -309,43 +309,47 @@ func processFragment(f *partition.Fragment, rules []*core.Rule, needQ, needPR []
 	return st
 }
 
-// assemble is step 3 of Matchc: sum the per-fragment partial supports,
-// compute conf(R,G) per rule, and emit Σ(x,G,η).
+// assemble is step 3 of Matchc: sum the per-fragment partial supports and
+// hand them to finish.
 func assemble(rules []*core.Rule, states []*fragState, opts Options) *Result {
-	res := &Result{}
 	suppQ1, suppQbar := 0, 0
-	for _, st := range states {
+	workerOps := make([]int64, len(states))
+	parts := make([]Partial, len(rules))
+	for w, st := range states {
 		suppQ1 += len(st.centers.Pq)
 		suppQbar += len(st.centers.Pqbar)
-		res.WorkerOps = append(res.WorkerOps, st.ops)
-		if st.ops > res.MaxWorkerOp {
-			res.MaxWorkerOp = st.ops
+		workerOps[w] = st.ops
+		for ri, p := range st.parts {
+			parts[ri].Q = append(parts[ri].Q, p.Q...)
+			parts[ri].R += p.R
+			parts[ri].Qqb += p.Qqb
 		}
 	}
-	identified := make(map[graph.NodeID]bool)
+	return finish(rules, parts, suppQ1, suppQbar, workerOps, opts.Eta)
+}
+
+// finish is the shared tail of Matchc, Match and DisVF2: from each rule's
+// graph-wide Q(x,G) (any order), supp(R) and supp(Qq̄), and the predicate's
+// two class supports, compute conf(R,G) per rule and emit Σ(x,G,η).
+func finish(rules []*core.Rule, parts []Partial, suppQ1, suppQbar int, workerOps []int64, eta float64) *Result {
+	res := &Result{WorkerOps: workerOps}
+	for _, ops := range workerOps {
+		res.MaxWorkerOp = max(res.MaxWorkerOp, ops)
+	}
 	for ri, r := range rules {
-		out := RuleOutcome{Rule: r}
-		for _, st := range states {
-			out.QSet = append(out.QSet, st.parts[ri].Q...)
-			out.Stats.SuppR += st.parts[ri].R
-			out.Stats.SuppQqb += st.parts[ri].Qqb
-		}
-		sort.Slice(out.QSet, func(i, j int) bool { return out.QSet[i] < out.QSet[j] })
-		out.Stats.SuppQ = len(out.QSet)
-		out.Stats.SuppQ1 = suppQ1
-		out.Stats.SuppQbar = suppQbar
+		p := parts[ri]
+		slices.Sort(p.Q)
+		out := RuleOutcome{Rule: r, QSet: p.Q, Stats: core.Stats{
+			SuppR: p.R, SuppQ: len(p.Q), SuppQ1: suppQ1, SuppQbar: suppQbar, SuppQqb: p.Qqb,
+		}}
 		out.Conf = out.Stats.Conf()
-		out.Applied = out.Conf >= opts.Eta
+		out.Applied = out.Conf >= eta
 		if out.Applied {
-			for _, v := range out.QSet {
-				identified[v] = true
-			}
+			res.Identified = append(res.Identified, out.QSet...)
 		}
 		res.PerRule = append(res.PerRule, out)
 	}
-	for v := range identified {
-		res.Identified = append(res.Identified, v)
-	}
-	sort.Slice(res.Identified, func(i, j int) bool { return res.Identified[i] < res.Identified[j] })
+	slices.Sort(res.Identified)
+	res.Identified = slices.Compact(res.Identified)
 	return res
 }

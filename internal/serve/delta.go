@@ -19,7 +19,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -210,7 +209,7 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 	}
 	carried, invalidated := 0, 0
 	for _, sr := range snap.Rules {
-		oldKey := fmt.Sprintf("g%d|%s", snap.Gen, sr.Key)
+		oldKey := evalKey{snap.Gen, sr.Key}
 		// A rule is unaffected iff the impact exceeds its radius.
 		if impact != -1 && impact <= sr.Radius {
 			if s.cache.Remove(oldKey) {
@@ -218,7 +217,7 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 			}
 			continue
 		}
-		if s.cache.Carry(oldKey, fmt.Sprintf("g%d|%s", next.Gen, sr.Key)) {
+		if s.cache.Carry(oldKey, evalKey{next.Gen, sr.Key}) {
 			carried++
 		}
 	}
@@ -299,10 +298,7 @@ func (s *Server) Compact() (uint64, bool, error) {
 		return s.gen.Load(), false, err
 	}
 	for _, sr := range snap.Rules {
-		s.cache.Carry(
-			fmt.Sprintf("g%d|%s", snap.Gen, sr.Key),
-			fmt.Sprintf("g%d|%s", next.Gen, sr.Key),
-		)
+		s.cache.Carry(evalKey{snap.Gen, sr.Key}, evalKey{next.Gen, sr.Key})
 	}
 	s.warmCarry(snap.Gen, next.Gen, -1) // logical graph unchanged: carry all
 	s.snap.Store(next)
@@ -428,15 +424,15 @@ func (s *Server) warmPurge() {
 // handleDelta is POST /v1/graph/delta. 202: the batch was applied as a new
 // snapshot generation (the body reports it). 400: malformed JSON or an op
 // the protocol does not know. 409: a well-formed batch the graph refuses —
-// unknown node, duplicate edge, missing edge — applied not at all.
+// unknown node, duplicate edge, missing edge — applied not at all. 413: a
+// body over maxDeltaBody, or a batch whose WAL record recovery would refuse.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if s.ready(w) == nil {
 		return
 	}
 	var req DeltaRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if !decodeBody(w, r, maxDeltaBody, &req) {
 		s.nDeltaRejects.Add(1)
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	resp, err := s.ApplyDelta(req)
@@ -447,6 +443,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "%v", err)
 		case errors.As(err, &de):
 			httpError(w, http.StatusConflict, "%v", err)
+		case errors.Is(err, errRecordTooLarge):
+			httpError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		default:
 			httpError(w, http.StatusServiceUnavailable, "%v", err)
 		}

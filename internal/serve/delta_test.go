@@ -122,7 +122,7 @@ func TestDeltaSelectiveInvalidation(t *testing.T) {
 	// An island disconnected from every candidate: impact -1, both entries
 	// carried. The repeat identify hits the carried entries — hits rise by
 	// exactly the rule count, misses not at all.
-	before := s.cache.Stats()
+	before, _ := s.cacheStats()
 	code, dr := deltaJSON(t, ts.URL, `{"ops":[
 		{"op":"addNode","label":"island"},
 		{"op":"addNode","label":"island"}]}`)
@@ -138,7 +138,7 @@ func TestDeltaSelectiveInvalidation(t *testing.T) {
 	if carried.Generation != 2 || !reflect.DeepEqual(carried.Identified, base.Identified) {
 		t.Errorf("carried answer drifted: %+v vs %+v", carried.Identified, base.Identified)
 	}
-	after := s.cache.Stats()
+	after, _ := s.cacheStats()
 	if after.Hits != before.Hits+2 || after.Misses != before.Misses {
 		t.Errorf("carry changed counters: before %+v after %+v", before, after)
 	}

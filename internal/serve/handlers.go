@@ -269,8 +269,7 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IdentifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxQueryBody, &req) {
 		return
 	}
 	eta := req.Eta
@@ -499,8 +498,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var p MineParams
-	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxQueryBody, &p) {
 		return
 	}
 	job, err := s.StartMine(p)
@@ -607,8 +605,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.CPUBudget.MineShare = s.cfg.MineShare
 	resp.CPUBudget.MineProcs = s.mineGate.Size()
 	resp.CPUBudget.PoolSize = s.pool.Size()
-	resp.Cache = s.cache.Stats()
-	resp.MineCache = s.mineCtx.Stats()
+	resp.Cache, resp.Batch = s.cacheStats()
+	resp.MineCache = s.mineCacheStats()
 	resp.MineCapped = s.nMineCapped.Load()
 	resp.Fleet.Workers = len(s.cfg.MineWorkers)
 	resp.Fleet.RemoteJobs = s.nRemoteMine.Load()
@@ -617,7 +615,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if bs, ok := s.BreakerStats(); ok {
 		resp.Fleet.Breaker = &bs
 	}
-	resp.Batch = s.batch.Stats()
 	resp.Requests.Identify = s.nIdentify.Load()
 	resp.Requests.Rules = s.nRules.Load()
 	resp.Requests.Mine = s.nMine.Load()
@@ -674,6 +671,30 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// Request body bounds: a delta batch may be as large as a rule set, an
+// identify or mine request is a handful of parameters.
+const (
+	maxDeltaBody = 16 << 20
+	maxQueryBody = 1 << 20
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes into v. It
+// answers 413 for a longer body and 400 for malformed JSON, and reports
+// whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "bad request body: %v", err)
+	return false
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

@@ -341,19 +341,23 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	}
 	key := MineCtxKey{Gen: snap.Gen, XLabel: pred.XLabel, D: opts.D, N: opts.N}
 	if !warmStarted {
-		mctx, ctxHit = s.mineCtx.GetOrBuild(key, func() *mine.Context {
-			return mine.NewContext(snap.G, pred.XLabel, opts)
+		// An error here is another job's build of this key having panicked
+		// under this one: the job fails rather than mine on a nil context.
+		var how memoOutcome
+		mctx, how, mineErr = s.mineCtx.GetOrBuild(key, func() (*mine.Context, error) {
+			return mine.NewContext(snap.G, pred.XLabel, opts), nil
 		})
+		ctxHit = how != memoBuilt
 		if s.gen.Load() != key.Gen {
 			// A swap raced the build. Its Purge may have run before this key
 			// was inserted, and no future job keys this generation, so the
 			// entry would only pin the retired snapshot's graph. This run
 			// still mines on the context it got — the snapshot it was admitted
 			// against.
-			s.mineCtx.Discard(key)
+			s.mineCtx.Remove(key)
 		}
 	}
-	if n := len(s.cfg.MineWorkers); n > 0 && !warmStarted {
+	if n := len(s.cfg.MineWorkers); n > 0 && !warmStarted && mineErr == nil {
 		switch {
 		case opts.N != n:
 			fleetFallback = fmt.Sprintf("job pinned %d workers but the fleet has %d", opts.N, n)

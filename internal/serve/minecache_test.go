@@ -3,11 +3,8 @@ package serve
 import (
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"gpar/internal/mine"
 )
 
 // waitJob polls the registry until the job leaves the running states.
@@ -34,60 +31,6 @@ func mineFixtureParams() MineParams {
 	return MineParams{
 		XLabel: "cust", EdgeLabel: "visit", YLabel: "restaurant",
 		K: 3, Sigma: 1, D: 2, MaxEdges: 1, Workers: 2, Cap: 20,
-	}
-}
-
-// TestMineContextCacheUnit exercises the LRU mechanics directly: hit on a
-// repeated key, miss and separate builds across distinct keys, and
-// eviction of the least recently used context.
-func TestMineContextCacheUnit(t *testing.T) {
-	c := NewMineContextCache(2)
-	var builds atomic.Int64
-	build := func() *mine.Context {
-		builds.Add(1)
-		return nil // the cache never dereferences contexts
-	}
-
-	k1 := MineCtxKey{Gen: 1, XLabel: 3, D: 2, N: 4}
-	k2 := MineCtxKey{Gen: 1, XLabel: 3, D: 3, N: 4} // differing d
-	k3 := MineCtxKey{Gen: 1, XLabel: 5, D: 2, N: 4} // differing xLabel
-
-	if _, hit := c.GetOrBuild(k1, build); hit {
-		t.Fatal("first lookup reported a hit")
-	}
-	if _, hit := c.GetOrBuild(k1, build); !hit {
-		t.Fatal("repeat lookup missed")
-	}
-	if _, hit := c.GetOrBuild(k2, build); hit {
-		t.Fatal("differing d hit k1's context")
-	}
-	if _, hit := c.GetOrBuild(k3, build); hit {
-		t.Fatal("differing xLabel hit a cached context")
-	}
-	// Capacity 2: inserting k3 must have evicted the LRU entry (k1 — it
-	// was touched before k2).
-	if _, hit := c.GetOrBuild(k1, build); hit {
-		t.Fatal("evicted key still reported a hit")
-	}
-	st := c.Stats()
-	if st.Evictions < 2 || st.Hits != 1 || st.Misses != 4 {
-		t.Fatalf("stats = %+v, want hits=1 misses=4 evictions>=2", st)
-	}
-	if got := builds.Load(); got != 4 {
-		t.Fatalf("build ran %d times, want 4", got)
-	}
-	// Discard (the stale-generation path of runMine) drops one entry and
-	// is a no-op for absent keys.
-	c.Discard(k1)
-	if _, hit := c.GetOrBuild(k1, build); hit {
-		t.Fatal("discarded key still reported a hit")
-	}
-	c.Discard(MineCtxKey{Gen: 99})
-	if n := c.Purge(); n != 2 {
-		t.Fatalf("Purge dropped %d entries, want 2", n)
-	}
-	if st := c.Stats(); st.Entries != 0 || st.Purges != 1 {
-		t.Fatalf("post-purge stats = %+v", st)
 	}
 }
 
@@ -122,7 +65,7 @@ func TestMineJobContextReuse(t *testing.T) {
 	if !reflect.DeepEqual(first.RuleKeys, second.RuleKeys) {
 		t.Fatalf("cached run mined different rules:\n%v\nvs\n%v", first.RuleKeys, second.RuleKeys)
 	}
-	if st := s.mineCtx.Stats(); st.Hits != 1 || st.Misses != 1 {
+	if st := s.mineCacheStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("mine cache stats = %+v, want hits=1 misses=1", st)
 	}
 
@@ -140,14 +83,14 @@ func TestMineJobContextReuse(t *testing.T) {
 
 	// A snapshot hot-swap purges the cache and bumps the generation, so
 	// even the original parameters build afresh.
-	entriesBefore := s.mineCtx.Stats().Entries
+	entriesBefore := s.mineCacheStats().Entries
 	if entriesBefore == 0 {
 		t.Fatal("no cached contexts before swap")
 	}
 	if _, err := s.SwapRules(rules); err != nil {
 		t.Fatalf("SwapRules: %v", err)
 	}
-	st := s.mineCtx.Stats()
+	st := s.mineCacheStats()
 	if st.Entries != 0 || st.Purges == 0 {
 		t.Fatalf("swap did not purge the mine-context cache: %+v", st)
 	}
@@ -199,7 +142,7 @@ func TestConcurrentMineJobsShareOneContext(t *testing.T) {
 			hits++
 		}
 	}
-	st := s.mineCtx.Stats()
+	st := s.mineCacheStats()
 	if st.Misses != 1 || st.Hits != int64(jobs-1) || hits != jobs-1 {
 		t.Fatalf("stats = %+v with %d cached jobs; want exactly one build for %d jobs",
 			st, hits, jobs)

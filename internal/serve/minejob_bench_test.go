@@ -35,11 +35,11 @@ func BenchmarkMineJobCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cache := NewMineContextCache(4)
-		ctx, hit := cache.GetOrBuild(key, func() *mine.Context {
-			return mine.NewContext(g, pred.XLabel, opts)
+		cache := newMemo[MineCtxKey, *mine.Context](4)
+		ctx, how, _ := cache.GetOrBuild(key, func() (*mine.Context, error) {
+			return mine.NewContext(g, pred.XLabel, opts), nil
 		})
-		if hit {
+		if how != memoBuilt {
 			b.Fatal("cold job hit the cache")
 		}
 		if res, err := mine.DMineCtx(ctx, pred, opts); err != nil || len(res.TopK) == 0 {
@@ -55,18 +55,18 @@ func BenchmarkMineJobCold(b *testing.B) {
 func BenchmarkMineJobWarm(b *testing.B) {
 	g, pred, opts := mineJobBenchInput(b)
 	key := MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: opts.D, N: opts.N}
-	cache := NewMineContextCache(4)
-	cache.GetOrBuild(key, func() *mine.Context {
-		return mine.NewContext(g, pred.XLabel, opts)
+	cache := newMemo[MineCtxKey, *mine.Context](4)
+	cache.GetOrBuild(key, func() (*mine.Context, error) {
+		return mine.NewContext(g, pred.XLabel, opts), nil
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx, hit := cache.GetOrBuild(key, func() *mine.Context {
+		ctx, how, _ := cache.GetOrBuild(key, func() (*mine.Context, error) {
 			b.Fatal("warm job rebuilt the context")
-			return nil
+			return nil, nil
 		})
-		if !hit {
+		if how != memoHit {
 			b.Fatal("warm job missed the cache")
 		}
 		if res, err := mine.DMineCtx(ctx, pred, opts); err != nil || len(res.TopK) == 0 {
@@ -74,7 +74,7 @@ func BenchmarkMineJobWarm(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if st := cache.Stats(); st.Hits == 0 {
+	if st, _ := cache.Stats(); st.Hits == 0 {
 		b.Fatalf("warm benchmark recorded no cache hits: %+v", st)
 	}
 }
@@ -105,13 +105,13 @@ func BenchmarkMineJobSteady(b *testing.B) {
 		K: 8, D: 2, Lambda: 0.5, N: 2, MaxEdges: 2, MaxCandidatesPerRound: 40,
 		Gate: mine.NewGate(1),
 	}.WithOptimizations().Defaults()
-	cache := NewMineContextCache(4)
+	cache := newMemo[MineCtxKey, *mine.Context](4)
 	job := func(i int) {
 		pred := preds[i%len(preds)]
 		o := opts
 		o.Sigma = 4 + (i/len(preds))%4
-		ctx, _ := cache.GetOrBuild(MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: o.D, N: o.N}, func() *mine.Context {
-			return mine.NewContext(g, pred.XLabel, o)
+		ctx, _, _ := cache.GetOrBuild(MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: o.D, N: o.N}, func() (*mine.Context, error) {
+			return mine.NewContext(g, pred.XLabel, o), nil
 		})
 		res, err := mine.DMineCtx(ctx, pred, o)
 		if err != nil || len(res.TopK) == 0 {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -271,32 +270,6 @@ func TestMemWatermarkDegrade(t *testing.T) {
 		j, ok := s.jobs.Get(job.ID)
 		return ok && terminal(j.Status)
 	})
-}
-
-// TestCacheShrinkKeepsHotHalf pins the degrade primitive itself: Shrink
-// evicts the cold (LRU) half and keeps the hot half resident.
-func TestCacheShrinkKeepsHotHalf(t *testing.T) {
-	c := NewCache(16)
-	for i := 0; i < 8; i++ {
-		c.Put(fmt.Sprintf("k%d", i), &RuleEval{})
-	}
-	// Touch the upper half so it is the hot end.
-	for i := 4; i < 8; i++ {
-		c.Get(fmt.Sprintf("k%d", i))
-	}
-	if evicted := c.Shrink(); evicted != 4 {
-		t.Fatalf("Shrink evicted %d, want 4", evicted)
-	}
-	for i := 0; i < 4; i++ {
-		if _, ok := c.Get(fmt.Sprintf("k%d", i)); ok {
-			t.Errorf("cold entry k%d survived the shrink", i)
-		}
-	}
-	for i := 4; i < 8; i++ {
-		if _, ok := c.Get(fmt.Sprintf("k%d", i)); !ok {
-			t.Errorf("hot entry k%d was evicted", i)
-		}
-	}
 }
 
 // TestPanickingEvaluationAnswers500: identify evaluates every rule on its own

@@ -173,6 +173,42 @@ func TestDeltaAbortsWhenWALFails(t *testing.T) {
 	}
 }
 
+// A batch whose WAL record the reader would take for corruption is refused,
+// never acknowledged: logged, it made recovery quarantine the log at that
+// record and lose every batch acknowledged after it. The limit is lowered
+// for the test so the batch need not be 64 MiB.
+func TestDeltaAbortsOversizedRecord(t *testing.T) {
+	defer func(n int) { walMaxRecord = n }(walMaxRecord)
+	walMaxRecord = 1 << 10
+	m := diskfault.NewMemFS()
+	s := newPersistedServer(t, m, "data", PersistOptions{})
+	gen, nodes := s.Generation(), s.Snapshot().G.NumNodes()
+
+	big := DeltaRequest{Ops: []DeltaOpSpec{{Op: "addNode", Label: strings.Repeat("a", walMaxRecord+1)}}}
+	if _, err := s.ApplyDelta(big); !errors.Is(err, errRecordTooLarge) {
+		t.Fatalf("oversized ApplyDelta: %v, want errRecordTooLarge", err)
+	}
+	body, _ := json.Marshal(big)
+	if code := doLocal(t, s.Handler(), "POST", "/v1/graph/delta", body, nil); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /v1/graph/delta: %d, want 413", code)
+	}
+	if s.Generation() != gen {
+		t.Fatalf("generation moved to %d on a refused batch", s.Generation())
+	}
+	applyN(t, s, 1)
+	m.Crash()
+	m.Reboot()
+
+	s2, rep := recoveredServer(t, m, "data", PersistOptions{})
+	if rep.Replayed != 1 || rep.Truncated != 0 || len(rep.Quarantined) != 0 {
+		t.Fatalf("report: %+v, want the one acknowledged batch replayed cleanly", rep)
+	}
+	if s2.Generation() != gen+1 || s2.Snapshot().G.NumNodes() != nodes+1 {
+		t.Fatalf("recovered generation %d with %d nodes, want %d with %d",
+			s2.Generation(), s2.Snapshot().G.NumNodes(), gen+1, nodes+1)
+	}
+}
+
 // A torn WAL tail (partial record surviving the crash) is truncated and
 // the file quarantined; the valid prefix is recovered exactly.
 func TestRecoverTruncatesTornTail(t *testing.T) {

@@ -14,16 +14,14 @@
 //     graph. Snapshots are swapped atomically (LoadSnapshot / SwapRules /
 //     ApplyDelta / Compact), so in-flight queries keep the state they
 //     started with.
-//   - Cache: a bounded LRU of per-rule match-set evaluations keyed by rule
-//     Key() + graph generation; a swap bumps the generation and purges.
-//   - MineContextCache: a bounded LRU of mine.Context values keyed by
-//     (generation, xLabel, d, n) with single-flight builds. In-process
-//     mining runs on the snapshot's own graph, so a context is cheap; an
-//     entry earns its place by keeping a fleet job's encoded wire fragments
-//     for the next one. Swaps purge it; the generation in the key makes
-//     stale entries unreachable regardless.
-//   - Batcher: single-flight coalescing of concurrent identify calls for
-//     the same rule into one match execution.
+//   - memo: a bounded LRU with single-flight builds, used twice. Keyed by
+//     (generation, rule Key()) it holds per-rule match-set evaluations:
+//     concurrent identify calls for one rule share one match execution, a
+//     swap purges it, a delta carries the entries it provably cannot
+//     affect. Keyed by (generation, xLabel, d, n) it holds mine.Context
+//     values: in-process mining runs on the snapshot's own graph, so a
+//     context is cheap; an entry earns its place by keeping a fleet job's
+//     encoded wire fragments for the next one.
 //   - Pool: a bounded worker pool shared by all requests; per-rule
 //     evaluation fans out over the snapshot's chunks through it, so
 //     total matching concurrency is bounded no matter how many clients
@@ -197,16 +195,15 @@ func (c Config) mineProcs() int {
 	return n
 }
 
-// Server owns the current Snapshot and the shared cache, batcher, pool and
-// job registry. Create with New, install state with LoadSnapshot, expose
+// Server owns the current Snapshot and the shared memos, pool and job
+// registry. Create with New, install state with LoadSnapshot, expose
 // with Handler.
 type Server struct {
 	cfg      Config
 	pool     *Pool
-	cache    *Cache
-	mineCtx  *MineContextCache
-	mineGate *mine.Gate // shared CPU budget: all mine jobs together
-	batch    *Batcher[*RuleEval]
+	cache    *memo[evalKey, *RuleEval]        // match sets, single-flight
+	mineCtx  *memo[MineCtxKey, *mine.Context] // mine contexts, single-flight
+	mineGate *mine.Gate                       // shared CPU budget: all mine jobs together
 	jobs     *Jobs
 	breaker  *breaker // fleet circuit breaker; nil when disabled or no fleet
 	admit    *admitter
@@ -277,10 +274,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		pool:     NewPool(cfg.PoolSize),
-		cache:    NewCache(cfg.CacheCap),
-		mineCtx:  NewMineContextCache(mineCacheCap),
+		cache:    newMemo[evalKey, *RuleEval](cfg.CacheCap),
+		mineCtx:  newMemo[MineCtxKey, *mine.Context](mineCacheCap),
 		mineGate: mine.NewGate(cfg.mineProcs()),
-		batch:    NewBatcher[*RuleEval](),
 		jobs:     NewJobs(),
 		start:    time.Now(),
 	}
@@ -421,23 +417,37 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// identifyOne evaluates one rule of the snapshot through the cache and the
-// batcher. It reports whether the evaluation was served from cache and
-// whether this call coalesced onto a concurrent identical one.
+// evalKey names one rule's evaluation in the match-set memo. The generation
+// in it orphans every old entry at a swap; Purge reclaims them eagerly, and
+// the delta path carries the provably unaffected ones to the new generation.
+type evalKey struct {
+	gen  uint64
+	rule string // ServedRule.Key
+}
+
+// identifyOne evaluates one rule of the snapshot through the match-set memo.
+// It reports whether a finished evaluation was resident (cached) or this
+// call waited on a concurrent identical one (coalesced).
 func (s *Server) identifyOne(snap *Snapshot, sr *ServedRule) (ev *RuleEval, cached, coalesced bool, err error) {
-	key := fmt.Sprintf("g%d|%s", snap.Gen, sr.Key)
-	if ev, ok := s.cache.Get(key); ok {
-		return ev, true, false, nil
-	}
-	ev, coalesced, err = s.batch.Do(key, func() (*RuleEval, error) {
-		// Re-check as the leader: a previous leader may have populated the
-		// cache between this caller's Get miss and its Do entry.
-		if ev, ok := s.cache.Get(key); ok {
-			return ev, nil
-		}
-		ev := snap.EvalRule(sr, s.pool)
-		s.cache.Put(key, ev)
-		return ev, nil
+	ev, how, err := s.cache.GetOrBuild(evalKey{snap.Gen, sr.Key}, func() (*RuleEval, error) {
+		return snap.EvalRule(sr, s.pool), nil
 	})
-	return ev, false, coalesced, err
+	return ev, how == memoHit, how == memoJoined, err
+}
+
+// cacheStats reads the match-set memo as /stats reports it: a caller that
+// waited on another's evaluation missed the cache and coalesced.
+func (s *Server) cacheStats() (CacheStats, BatchStats) {
+	st, joined := s.cache.Stats()
+	batch := BatchStats{Executions: st.Misses, Coalesced: joined}
+	st.Misses += joined
+	return st, batch
+}
+
+// mineCacheStats reads the mine-context memo as /stats reports it: a job
+// that waited on another's build did not build, so it hit.
+func (s *Server) mineCacheStats() CacheStats {
+	st, joined := s.mineCtx.Stats()
+	st.Hits += joined
+	return st
 }

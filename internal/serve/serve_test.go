@@ -229,8 +229,34 @@ func TestCacheHitAndSwapInvalidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesAnswer413: the three JSON endpoints bound their request
+// bodies; a longer one is refused before it is buffered, and changes nothing.
+func TestOversizedBodiesAnswer413(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{Workers: 2})
+	for _, c := range []struct {
+		path, prefix string
+		limit        int
+	}{
+		{"/v1/graph/delta", `{"ops":[{"op":"addNode","label":"`, maxDeltaBody},
+		{"/v1/identify", `{"rules":["`, maxQueryBody},
+		{"/v1/mine", `{"xLabel":"`, maxQueryBody},
+	} {
+		body := append([]byte(c.prefix), bytes.Repeat([]byte("a"), c.limit)...)
+		// In-process: over a socket the server may close on a client still writing.
+		if code := doLocal(t, s.Handler(), "POST", c.path, body, nil); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: %d, want 413", c.path, len(body), code)
+		}
+	}
+	if gen := s.Generation(); gen != 1 {
+		t.Errorf("generation %d after refused bodies, want 1", gen)
+	}
+	if n := len(s.jobs.List()); n != 0 {
+		t.Errorf("%d mine jobs registered by a refused body", n)
+	}
+}
+
 func TestIdentifyCoalescesConcurrentDuplicates(t *testing.T) {
-	// Admission is off (MaxQueue < 0) so every client reaches the batcher
+	// Admission is off (MaxQueue < 0) so every client reaches the memo
 	// while the leader is held up.
 	s, ts, _ := newTestServer(t, Config{Workers: 2, PoolSize: 2, MaxQueue: -1})
 
@@ -250,7 +276,7 @@ func TestIdentifyCoalescesConcurrentDuplicates(t *testing.T) {
 			codes[i] = doJSON(t, "POST", ts.URL+"/v1/identify", []byte(`{"indices":[0]}`), &responses[i])
 		}(i)
 	}
-	waitCoalesced(t, s.batch, clients-1) // everyone else is parked behind the leader
+	waitCoalesced(t, s.cache, clients-1) // everyone else is parked behind the leader
 	for i := 0; i < s.pool.Size(); i++ {
 		<-s.pool.sem
 	}

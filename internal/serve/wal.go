@@ -21,6 +21,7 @@ package serve
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -32,9 +33,16 @@ const (
 	walMagic     = "GPWL"
 	walVersion   = 1
 	walHeaderLen = 16
-	// walMaxRecord bounds a record a reader will believe; a length prefix
-	// beyond it is treated as corruption, not an allocation request.
-	walMaxRecord = 64 << 20
+)
+
+// walMaxRecord bounds a record's payload on both sides of the log: a reader
+// treats a longer length prefix as corruption, not an allocation request, so
+// the writer refuses one with errRecordTooLarge (413 to the client) — an
+// acknowledged batch must be one recovery will believe. A variable only so
+// tests can reach the limit without building 64 MiB batches.
+var (
+	walMaxRecord      = 64 << 20
+	errRecordTooLarge = errors.New("serve: delta batch too large to log")
 )
 
 // WALError is the typed error for a structurally invalid WAL file or
@@ -60,11 +68,14 @@ type walRecord struct {
 	Req DeltaRequest
 }
 
-// encodeWALRecord frames one record.
+// encodeWALRecord frames one record, refusing one over walMaxRecord.
 func encodeWALRecord(gen uint64, req DeltaRequest) ([]byte, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
+	}
+	if 8+len(body) > walMaxRecord {
+		return nil, fmt.Errorf("%w: %d bytes encoded, limit %d", errRecordTooLarge, 8+len(body), walMaxRecord)
 	}
 	payload := make([]byte, 8+len(body))
 	binary.LittleEndian.PutUint64(payload, gen)
@@ -158,7 +169,7 @@ func readWAL(fs diskfault.FS, path string) (base uint64, recs []walRecord, err e
 		}
 		n := binary.LittleEndian.Uint32(buf)
 		crc := binary.LittleEndian.Uint32(buf[4:])
-		if n > walMaxRecord {
+		if int64(n) > int64(walMaxRecord) {
 			return base, recs, &WALError{Path: path, Off: off, Msg: fmt.Sprintf("implausible record length %d", n)}
 		}
 		if uint32(len(buf)-8) < n {
