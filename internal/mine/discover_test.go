@@ -70,6 +70,49 @@ func perEdgeReference(g *graph.Graph, lp localParams, q *pattern.Pattern, center
 	return ref, capped
 }
 
+// withheldThenRealized reports whether some center reaches one (u, w,
+// direction) under two embeddings such that a neighbour class of w is
+// withheld under the earlier one — every member embedded — and realized
+// under a later one: the corner the per-center memo must not skip.
+func withheldThenRealized(g *graph.Graph, lp localParams, q *pattern.Pattern, centers []graph.NodeID) bool {
+	type site struct {
+		u          int
+		w          graph.NodeID
+		outgoing   bool
+		edge, node graph.Label
+	}
+	distX := q.DistancesInto(nil, q.X)
+	opts := match.Options{MaxMatches: lp.embedCap, Canonical: true}
+	found := false
+	for _, vx := range centers {
+		withheld := make(map[site]bool)
+		match.EnumerateAnchored(q, g, vx, opts, func(asgn []graph.NodeID) bool {
+			for u, dv := range asgn {
+				if distX[u] < 0 || distX[u]+1 > lp.d {
+					continue
+				}
+				for _, outgoing := range []bool{true, false} {
+					adj := g.In(dv)
+					if outgoing {
+						adj = g.Out(dv)
+					}
+					free := make(map[site]bool)
+					for _, e := range adj {
+						s := site{u, dv, outgoing, e.Label, g.Label(e.To)}
+						free[s] = free[s] || !slices.Contains(asgn, e.To)
+					}
+					for s, f := range free {
+						found = found || f && withheld[s]
+						withheld[s] = withheld[s] || !f
+					}
+				}
+			}
+			return true
+		})
+	}
+	return found
+}
+
 // discoveryCase is one graph of the collapse property test.
 type discoveryCase struct {
 	name     string
@@ -78,7 +121,7 @@ type discoveryCase struct {
 	embedCap int
 	// What the case exists to exercise; asserted so a fixture that stops
 	// exercising it fails instead of passing vacuously.
-	wantCapped, wantClose, wantSelfLoop, wantAsY bool
+	wantCapped, wantClose, wantSelfLoop, wantAsY, wantWithheld bool
 }
 
 func abPredicate(syms *graph.Symbols) core.Predicate {
@@ -86,7 +129,8 @@ func abPredicate(syms *graph.Symbols) core.Predicate {
 }
 
 // interleavedGraph labels nodes a, p, q, a, p, q, … by ID, so a (Label, To)-
-// sorted adjacency alternates neighbor classes and most runs have length 1.
+// sorted adjacency alternates neighbour classes and summarize must find
+// most neighbours' class through labAt, not as the previous neighbour's.
 func interleavedGraph() *graph.Graph {
 	g := graph.New(nil)
 	rng := rand.New(rand.NewSource(3))
@@ -138,12 +182,30 @@ func parallelGraph() *graph.Graph {
 	return g
 }
 
-// TestDiscoverExtensionsMatchesPerEdgeReference: collapsing neighbor-class
-// runs is only an optimization. For every parent pattern grown levelwise
-// from the seed (three levels, so closing edges and AsY twins occur), the
-// extensions discoverExtensions reports and their supporting centers equal
-// the per-edge reference's, with the centers split over 1 and 3 workers
-// whose scratch and accumulators are recycled from parent to parent.
+// withheldGraph gives center a0 two embeddings of x -e-> h, x -e-> p
+// through hub h0, with p ↦ p1 first and p ↦ p2 second. p1 is h0's only
+// f-neighbour, so h0's class (f, p) is withheld under the first embedding
+// and realized under the second. Center a1's class (f, p) at h1 is withheld
+// under its only embedding, as are p1's and p3's (e, a) in-classes.
+func withheldGraph() *graph.Graph {
+	g := graph.New(nil)
+	a0, h0, p1, p2 := g.AddNode("a"), g.AddNode("h"), g.AddNode("p"), g.AddNode("p")
+	a1, h1, p3 := g.AddNode("a"), g.AddNode("h"), g.AddNode("p")
+	for _, e := range [][2]graph.NodeID{{a0, h0}, {a0, p1}, {a0, p2}, {a1, h1}, {a1, p3}} {
+		g.AddEdge(e[0], e[1], "e")
+	}
+	g.AddEdge(h0, p1, "f")
+	g.AddEdge(h1, p3, "f")
+	return g
+}
+
+// TestDiscoverExtensionsMatchesPerEdgeReference: reading each data node's
+// neighbour classes once per parent is only an optimization. For every
+// parent pattern grown levelwise from the seed (three levels, so closing
+// edges and AsY twins occur), the extensions discoverExtensions reports and
+// their supporting centers equal the per-edge reference's, with the centers
+// split over 1 and 3 workers whose scratch and accumulators are recycled
+// from parent to parent.
 func TestDiscoverExtensionsMatchesPerEdgeReference(t *testing.T) {
 	inter := interleavedGraph()
 	inter.Freeze()
@@ -152,12 +214,13 @@ func TestDiscoverExtensionsMatchesPerEdgeReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub, par := hubGraph(), parallelGraph()
+	hub, par, wh := hubGraph(), parallelGraph(), withheldGraph()
 	cases := []discoveryCase{
 		{name: "interleaved", g: inter, pred: pred, embedCap: 64, wantClose: true, wantAsY: true},
 		{name: "overlay", g: overlay, pred: pred, embedCap: 64, wantClose: true, wantAsY: true},
 		{name: "hub", g: hub, pred: abPredicate(hub.Symbols()), embedCap: 4, wantCapped: true, wantAsY: true},
 		{name: "parallel", g: par, pred: abPredicate(par.Symbols()), embedCap: 64, wantClose: true, wantSelfLoop: true, wantAsY: true},
+		{name: "withheld", g: wh, pred: abPredicate(wh.Symbols()), embedCap: 64, wantClose: true, wantAsY: true, wantWithheld: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { checkDiscovery(t, c) })
@@ -180,12 +243,13 @@ func checkDiscovery(t *testing.T, c discoveryCase) {
 	seed.X = seed.AddNodeL(c.pred.XLabel)
 	level := []parent{{seed, g.NodesWithLabel(c.pred.XLabel)}}
 	var capped int64
-	var sawClose, sawSelfLoop, sawAsY bool
+	var sawClose, sawSelfLoop, sawAsY, sawWithheld bool
 	for depth := 0; depth < 3; depth++ {
 		var next []parent
 		for _, p := range level {
 			ref, hitCap := perEdgeReference(g, lp, p.q, p.centers)
 			capped += hitCap
+			sawWithheld = sawWithheld || c.wantWithheld && withheldThenRealized(g, lp, p.q, p.centers)
 			want := make(map[pattern.Extension][]graph.NodeID, len(ref))
 			var exts []pattern.Extension
 			for ext, cs := range ref {
@@ -248,4 +312,44 @@ func checkDiscovery(t *testing.T, c discoveryCase) {
 	if c.wantAsY && !sawAsY {
 		t.Error("no AsY twin occurred")
 	}
+	if c.wantWithheld && !sawWithheld {
+		t.Error("no class was withheld under one embedding and realized under a later one of the same center")
+	}
+}
+
+// FuzzDiscoverExtensions holds discoverExtensions to the per-edge reference
+// on small labelled graphs decoded from the input: byte 0 sets the node
+// count (at most 24), one byte per node its label (a, p or q), and every
+// following byte triple an edge (from, to, label e or f) — self-loops and
+// parallel edges of different labels included. Parents grow two levels from
+// the seed, under EmbedCap 64 and 3.
+func FuzzDiscoverExtensions(f *testing.F) {
+	f.Add([]byte{4, 0, 0, 1, 1, 0, 2, 0, 1, 2, 1, 2, 3, 0, 0, 0})
+	// withheldGraph, with h as q.
+	f.Add([]byte{7, 0, 2, 1, 1, 0, 2, 1, 0, 1, 0, 0, 2, 0, 0, 3, 0, 4, 5, 0, 4, 6, 0, 1, 2, 1, 5, 6, 1})
+	// Six a's into one hub: EmbedCap 3 bites in round 2.
+	f.Add([]byte{8, 2, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 0, 6, 0, 0, 0, 7, 1, 1, 7, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%24
+		data = data[1:]
+		g := graph.New(nil)
+		for v := 0; v < n; v++ {
+			l := 0
+			if v < len(data) {
+				l = int(data[v]) % 3
+			}
+			g.AddNode([]string{"a", "p", "q"}[l])
+		}
+		data = data[min(n, len(data)):]
+		for i := 0; i+2 < len(data) && i < 3*96; i += 3 {
+			from, to := graph.NodeID(int(data[i])%n), graph.NodeID(int(data[i+1])%n)
+			g.AddEdge(from, to, []string{"e", "f"}[data[i+2]%2])
+		}
+		for _, embedCap := range []int{64, 3} {
+			checkDiscovery(t, discoveryCase{g: g, pred: abPredicate(g.Symbols()), embedCap: embedCap})
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package mine
 
 import (
+	"bytes"
 	"testing"
 
 	"gpar/internal/core"
@@ -82,22 +83,57 @@ func BenchmarkLocalMineRound(b *testing.B) {
 // BenchmarkDiscoverExtensions isolates the extension-discovery hot loop of
 // localMine: enumerate embeddings around every owned center and accumulate
 // the distinct single-edge extensions with their supporting centers.
+//
+//   - seed: round 1 on the Pokec-like graph of BenchmarkDMine — every
+//     center has one embedding and touches only its own adjacency.
+//   - hub: round 2 on the Google+-style graph of BenchmarkMineJobSteady
+//     (5 000 users, read back from text), parent x -school-> school:CMU,
+//     over the school's students: every center's embedding runs through
+//     the one hub, whose in-adjacency is the factor read once per parent.
 func BenchmarkDiscoverExtensions(b *testing.B) {
-	g, pred, opts := dmineBenchInput()
-	g.Freeze()
+	b.Run("seed", func(b *testing.B) {
+		g, pred, opts := dmineBenchInput()
+		g.Freeze()
+		seedQ := pattern.New(g.Symbols())
+		seedQ.X = seedQ.AddNodeL(pred.XLabel)
+		benchDiscover(b, g, pred, opts, seedQ, g.NodesWithLabel(pred.XLabel))
+	})
+	b.Run("hub", func(b *testing.B) {
+		var buf bytes.Buffer
+		if _, err := gen.Gplus(graph.NewSymbols(), gen.DefaultGplus(5000, 1)).WriteTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+		syms := graph.NewSymbols()
+		g, err := graph.Read(&buf, syms)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.Freeze()
+		pred := gen.GplusPredicates(syms)[0]
+		opts := Options{K: 8, Sigma: 4, D: 2, Lambda: 0.5, N: 2, MaxEdges: 2, MaxCandidatesPerRound: 40}.WithOptimizations()
+		school, cmu := syms.Lookup("school"), g.NodesWithLabel(syms.Lookup("school:CMU"))[0]
+		q := pattern.New(syms)
+		q.X = q.AddNodeL(pred.XLabel)
+		q.AddEdgeL(q.X, q.AddNodeL(g.Label(cmu)), school)
+		var centers []graph.NodeID
+		for _, e := range g.InRangeL(cmu, school) {
+			centers = append(centers, e.To)
+		}
+		benchDiscover(b, g, pred, opts, q, centers)
+	})
+}
+
+// benchDiscover times discoverExtensions of parent q over centers on one
+// warmed-up worker owning the whole graph.
+func benchDiscover(b *testing.B, g *graph.Graph, pred core.Predicate, opts Options, q *pattern.Pattern, centers []graph.NodeID) {
 	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts.Defaults())
 	lp := m.localParams()
-	cands := g.NodesWithLabel(pred.XLabel)
-	frag := partition.Whole(g, cands)
-	frag.G.Freeze()
-	w := &worker{id: 0, frag: frag}
-	seedQ := pattern.New(g.Symbols())
-	seedQ.X = seedQ.AddNodeL(pred.XLabel)
+	w := &worker{id: 0, frag: partition.Whole(g, g.NodesWithLabel(pred.XLabel))}
+	w.discoverExtensions(lp, q, centers, match.Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		accs := w.discoverExtensions(lp, seedQ, frag.Centers, match.Options{})
-		if len(accs) == 0 {
+		if accs := w.discoverExtensions(lp, q, centers, match.Options{}); len(accs) == 0 {
 			b.Fatal("no extensions discovered")
 		}
 	}

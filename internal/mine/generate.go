@@ -118,10 +118,14 @@ func radiusFrom(dist []int) int {
 // 4.2). Injectivity and the radius bound are respected; the supporting
 // centers of each extension are collected exactly (up to EmbedCap embeddings
 // per center; w.capped counts the centers that reached it). Embeddings are
-// enumerated canonically (match.Options.
-// Canonical; local IDs ascend with global IDs on the shared graph and on a
-// wire fragment alike), so EmbedCap truncation sees the same embeddings
-// whichever worker owns the center.
+// enumerated canonically (match.Options.Canonical; local IDs ascend with
+// global IDs on the shared graph and on a wire fragment alike), so EmbedCap
+// truncation sees the same embeddings whichever worker owns the center.
+//
+// The adjacency of an embedded data node is read once per parent, not once
+// per embedding: the first embedding that touches a (data node, direction)
+// walks it into a neighbour-class summary (summarize); every embedding, of
+// this center or the next, reads the summary instead (extendAt).
 //
 // The returned accumulators are sorted by Extension.Compare and owned by
 // the worker: they are recycled on the next call.
@@ -130,11 +134,7 @@ func (w *worker) discoverExtensions(lp localParams, q *pattern.Pattern, centers 
 	distX := w.distXBuf
 	w.resetAccs()
 	g := w.frag.G
-	if n := g.NumNodes(); len(w.invEpoch) < n {
-		w.inv = make([]int32, n)
-		w.invEpoch = make([]uint32, n)
-		w.epoch = 0
-	}
+	w.resetSummaries(g.NumNodes())
 	opts.MaxMatches = lp.embedCap
 	opts.Canonical = true
 	// One pooled matcher per parent, reused across all centers.
@@ -142,23 +142,12 @@ func (w *worker) discoverExtensions(lp localParams, q *pattern.Pattern, centers 
 	for _, vx := range centers {
 		w.ops++
 		seen := qm.EnumerateAnchored(vx, func(asgn []graph.NodeID) bool {
-			// Stamp the inverse embedding into the epoch scratch: one
-			// epoch bump invalidates the previous embedding's entries.
-			w.epoch++
-			if w.epoch == 0 { // uint32 wraparound: rewind the stamps
-				clear(w.invEpoch)
-				w.epoch = 1
-			}
-			for u, dv := range asgn {
-				w.inv[dv] = int32(u)
-				w.invEpoch[dv] = w.epoch
-			}
-			for u, dv := range asgn {
+			for u := range asgn {
 				// The new node would sit at distance distX[u]+1 from x;
 				// enforce the antecedent radius bound r(Q, x) <= d.
 				canGrow := distX[u] >= 0 && distX[u]+1 <= lp.d
-				w.scanAdjacency(lp, q, vx, u, g.Out(dv), true, canGrow)
-				w.scanAdjacency(lp, q, vx, u, g.In(dv), false, canGrow)
+				w.extendAt(lp, q, vx, asgn, u, true, canGrow)
+				w.extendAt(lp, q, vx, asgn, u, false, canGrow)
 			}
 			return true
 		})
@@ -173,56 +162,166 @@ func (w *worker) discoverExtensions(lp localParams, q *pattern.Pattern, centers 
 	return w.accList
 }
 
-// scanAdjacency records, for center vx, the extensions realized by adj: the
-// outgoing or incoming adjacency of the data node that the current embedding
-// (stamped into w.inv at w.epoch) assigns to pattern node u. An edge to
-// another embedded node is a closing extension unless Q already has it. The
-// other neighbors offer a new node, and they are taken as neighbor-class
-// runs: consecutive neighbors with the same edge label and the same node
-// label realize the same extension, and addExt ignores a repeat for the
-// center it saw last, so only the first edge of a run touches the
-// accumulators. Adjacency is (Label, To)-sorted, so on a hub most of the
-// scan is one run; the order decides only how much collapses, never what is
-// found.
-func (w *worker) scanAdjacency(lp localParams, q *pattern.Pattern, vx graph.NodeID, u int, adj []graph.Edge, outgoing, canGrow bool) {
-	g, epoch := w.frag.G, w.epoch
-	runEdge, runNode := graph.NoLabel, graph.NoLabel
+// nbrClass is one neighbour class of a data node in one direction: the
+// neighbours reached over edge label edge that carry node label node, and
+// how many there are. A class is exactly what a new-node extension is made
+// of, next to the pattern node and direction the caller fixes; acc caches
+// that extension's accumulator (for pattern node acc.ext.Src), so the next
+// center through this node skips extCode and the map.
+type nbrClass struct {
+	edge, node graph.Label
+	count      int32
+	acc        *extAcc
+}
+
+// nbrSummary is the per-parent scratch slot of one (data node, direction):
+// its classes, w.classes[lo:hi], valid iff epoch == w.nbrEpoch, whether the
+// node has a self-loop, and the per-center memo — every new-node class of
+// (doneU ↦ this node) has been added for center doneVx.
+type nbrSummary struct {
+	epoch  uint32
+	lo, hi int32
+	doneVx graph.NodeID
+	doneU  int32
+	self   bool
+}
+
+// resetSummaries invalidates every summary in O(1) by bumping the epoch:
+// a new parent, or a new graph for a pooled worker, starts with none.
+func (w *worker) resetSummaries(n int) {
+	if len(w.nbr) < 2*n {
+		w.nbr = make([]nbrSummary, 2*n)
+		w.nbrEpoch = 0
+	}
+	w.nbrEpoch++
+	if w.nbrEpoch == 0 { // uint32 wraparound: rewind the stamps
+		clear(w.nbr)
+		w.nbrEpoch = 1
+	}
+	w.classes = w.classes[:0]
+}
+
+// summarize walks adj — the (Label, To)-sorted adjacency of data node v in
+// one direction — into its neighbour classes, appended to w.classes. A
+// class's members sit inside one edge-label range, so a neighbour's class
+// is the previous neighbour's, or found through labAt among the classes the
+// current range has opened (labAt[l] is label l's latest class; an index
+// below seg is stale).
+func (w *worker) summarize(s *nbrSummary, v graph.NodeID, adj []graph.Edge) {
+	g, cls, labAt := w.frag.G, w.classes, w.labAt
+	s.epoch, s.lo, s.doneVx, s.self = w.nbrEpoch, int32(len(cls)), -1, false
+	seg, k, edge := len(cls), -1, graph.NoLabel
 	for _, e := range adj {
-		if w.invEpoch[e.To] == epoch {
-			u2 := int(w.inv[e.To])
+		if e.Label != edge {
+			seg, edge = len(cls), e.Label
+		}
+		if e.To == v {
+			s.self = true
+		}
+		l := g.Label(e.To)
+		if k < seg || cls[k].node != l {
+			if int(l) >= len(labAt) {
+				labAt = append(labAt, make([]int32, int(l)+1-len(labAt))...)
+			}
+			k = int(labAt[l])
+			if k < seg || k >= len(cls) || cls[k].node != l {
+				k = len(cls)
+				labAt[l] = int32(k)
+				// Field by field: appending a composite literal goes through
+				// a stack temporary whose reload stalls store forwarding.
+				cls = slices.Grow(cls, 1)[:k+1]
+				c := &cls[k]
+				c.edge, c.node, c.count, c.acc = edge, l, 0, nil
+			}
+		}
+		cls[k].count++
+	}
+	w.classes, w.labAt = cls, labAt
+	s.hi = int32(len(cls))
+}
+
+// extendAt records, for center vx, the extensions the embedding asgn
+// realizes at dv = asgn[u] in one direction, from dv's neighbour classes:
+//
+//   - Closing edges: an embedded node t with a class's label (dv itself only
+//     if it has a self-loop) is a member of the class iff an edge of Q, or
+//     one a binary search finds, joins dv and t; a found edge is a Close
+//     extension.
+//   - New nodes: a class is realized iff its count exceeds its embedded
+//     members. A class whose every member is embedded yields nothing.
+//   - Per-center memo: once (u, dv, direction) has added every one of its
+//     classes for vx, later embeddings of vx skip the new-node part. Those
+//     addExt calls would be no-ops: each extension's lastVx already holds
+//     vx, because a center's embeddings are enumerated consecutively.
+func (w *worker) extendAt(lp localParams, q *pattern.Pattern, vx graph.NodeID, asgn []graph.NodeID, u int, outgoing, canGrow bool) {
+	g, dv := w.frag.G, asgn[u]
+	s, adj := &w.nbr[2*int(dv)], g.In(dv)
+	if outgoing {
+		s, adj = &w.nbr[2*int(dv)+1], g.Out(dv)
+	}
+	if s.epoch != w.nbrEpoch {
+		w.summarize(s, dv, adj)
+	}
+	grow := canGrow && (s.doneVx != vx || s.doneU != int32(u))
+	complete := true
+	cls := w.classes[s.lo:s.hi]
+	for i := range cls {
+		c := &cls[i]
+		var embedded int32
+		for u2, t := range asgn {
+			if g.Label(t) != c.node || u2 == u && !s.self {
+				continue
+			}
 			from, to := u, u2
 			if !outgoing {
 				from, to = u2, u
 			}
-			if !q.HasEdge(from, to, e.Label) {
-				w.addExt(vx, pattern.Extension{Src: u, Outgoing: outgoing, EdgeLabel: e.Label, Close: u2})
+			// An edge of Q is an edge of the data: no search needed.
+			if q.HasEdge(from, to, c.edge) {
+				embedded++
+			} else if g.HasEdge(asgn[from], asgn[to], c.edge) {
+				embedded++
+				w.addExt(vx, pattern.Extension{Src: u, Outgoing: outgoing, EdgeLabel: c.edge, Close: u2})
 			}
+		}
+		if !grow {
 			continue
 		}
-		if !canGrow {
+		if c.count <= embedded {
+			complete = false
 			continue
 		}
-		l := g.Label(e.To)
-		if e.Label == runEdge && l == runNode {
-			continue
+		ext := pattern.Extension{Src: u, Outgoing: outgoing, EdgeLabel: c.edge, NewLabel: c.node, Close: pattern.NoNode}
+		if c.acc == nil || c.acc.ext.Src != u {
+			c.acc = w.accFor(ext)
 		}
-		runEdge, runNode = e.Label, l
-		ext := pattern.Extension{Src: u, Outgoing: outgoing, EdgeLabel: e.Label, NewLabel: l, Close: pattern.NoNode}
-		w.addExt(vx, ext)
-		if q.Y == pattern.NoNode && l == lp.pred.YLabel {
+		c.acc.add(vx)
+		if q.Y == pattern.NoNode && c.node == lp.pred.YLabel {
 			ext.AsY = true
 			w.addExt(vx, ext)
 		}
+	}
+	if grow && complete {
+		s.doneVx, s.doneU = vx, int32(u)
 	}
 }
 
 // addExt counts center vx as supporting ext, once.
 func (w *worker) addExt(vx graph.NodeID, ext pattern.Extension) {
+	w.accFor(ext).add(vx)
+}
+
+// accFor returns ext's accumulator, registering a fresh one on first sight.
+func (w *worker) accFor(ext pattern.Extension) *extAcc {
 	code := w.extCode(ext)
-	acc := w.accs[code]
-	if acc == nil {
-		acc = w.newAcc(code, ext)
+	if acc := w.accs[code]; acc != nil {
+		return acc
 	}
+	return w.newAcc(code, ext)
+}
+
+// add counts center vx, once.
+func (acc *extAcc) add(vx graph.NodeID) {
 	if acc.lastVx != vx {
 		acc.lastVx = vx
 		acc.centers = append(acc.centers, vx)

@@ -197,8 +197,7 @@ func DMine(g *graph.Graph, pred core.Predicate, opts Options) *Result {
 }
 
 // DMineNo is the unoptimized baseline of Section 6: identical search, but
-// no incremental diversification, no bisimulation prefilter and no guided
-// matching.
+// no incremental diversification and no bisimulation prefilter.
 func DMineNo(g *graph.Graph, pred core.Predicate, opts Options) *Result {
 	opts = opts.Defaults()
 	opts.Incremental = false
@@ -243,14 +242,14 @@ type worker struct {
 	distBuf   []int
 	distXBuf  []int
 
-	// Extension-discovery scratch (discoverExtensions): an epoch-stamped
-	// dense inverse-embedding index in the style of the matcher's used-set
-	// — bumping the epoch invalidates the whole array in O(1), so no map
-	// is allocated per embedding — plus a pooled extension-accumulator set
-	// reused across parents and rounds.
-	inv      []int32  // inv[local data node] = pattern node, iff stamped
-	invEpoch []uint32 // invEpoch[local data node] == epoch ⇒ inv is valid
-	epoch    uint32
+	// Extension-discovery scratch (discoverExtensions): epoch-stamped
+	// neighbour-class summaries, two slots per local data node — bumping
+	// the epoch once per parent invalidates them all in O(1) — plus a
+	// pooled extension-accumulator set reused across parents and rounds.
+	nbr      []nbrSummary // nbr[2v] in-adjacency of v, nbr[2v+1] out-adjacency
+	nbrEpoch uint32
+	classes  []nbrClass         // backing store of the current parent's summaries
+	labAt    []int32            // labAt[node label]: its class in the range being summarized
 	accs     map[uint64]*extAcc // keyed by packed extension code
 	accList  []*extAcc          // discovery order; re-sorted deterministically
 	accPool  []*extAcc          // recycled accumulators
