@@ -42,7 +42,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -76,12 +75,6 @@ func main() {
 		mineCPU   = flag.Float64("mine-share", 0, "fraction of GOMAXPROCS mine jobs may occupy together (0 = default 0.5)")
 		cache     = flag.Int("cache", 256, "match-set cache capacity")
 		eta       = flag.Float64("eta", 1.0, "default confidence bound η")
-		fleet     = flag.String("mine-workers", "", "comma-separated gparworker addresses; mine jobs run on this fleet")
-		stepTO    = flag.Duration("mine-step-timeout", 0, "per-superstep worker deadline for -mine-workers (0 = 2m)")
-		retries   = flag.Int("mine-retries", 0, "fleet attempts per mine job before in-process fallback (0 = default 3)")
-		backoff   = flag.Duration("mine-retry-backoff", 0, "base backoff between fleet attempts, doubling with jitter (0 = 50ms)")
-		brkN      = flag.Int("breaker-threshold", 0, "consecutive fleet failures that open the circuit breaker (0 = default 3, negative = off)")
-		brkCool   = flag.Duration("breaker-cooldown", 0, "how long an open breaker skips the fleet before probing (0 = 30s)")
 		reqTO     = flag.Duration("request-timeout", 0, "server-side identify deadline (0 = 30s, negative = off)")
 		maxQ      = flag.Int("max-queue", 0, "admission queue depth before shedding 429 (0 = 64, negative = off)")
 		queueTO   = flag.Duration("queue-timeout", 0, "longest an admitted request may wait for a slot (0 = 1s)")
@@ -101,20 +94,11 @@ func main() {
 		PoolSize:         *pool,
 		CacheCap:         *cache,
 		DefaultEta:       *eta,
-		MineStepTimeout:  *stepTO,
 		RequestTimeout:   *reqTO,
 		MaxQueue:         *maxQ,
 		QueueTimeout:     *queueTO,
 		MemLimitBytes:    *memLim,
 		CompactThreshold: *compactN,
-	}
-	if *fleet != "" {
-		cfg.MineWorkers = strings.Split(*fleet, ",")
-		cfg.MineRetries = *retries
-		cfg.MineRetryBackoff = *backoff
-		cfg.FleetBreakerThreshold = *brkN
-		cfg.FleetBreakerCooldown = *brkCool
-		log.Printf("mine jobs run on a %d-worker fleet (retry + recorded in-process fallback; circuit breaker on repeated failure)", len(cfg.MineWorkers))
 	}
 	srv := serve.New(cfg)
 

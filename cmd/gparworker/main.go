@@ -1,8 +1,8 @@
 // Command gparworker is the distributed-DMine worker daemon: it listens for
-// coordinator connections (gpard with -mine-workers, or gparmine -workers)
-// and hosts mining jobs over the binary wire protocol. Each job ships this
-// worker its graph fragment in the setup frame, so the daemon needs no graph
-// file, no configuration beyond an address, and no state between jobs.
+// coordinator connections (gparmine -workers) and hosts mining jobs over
+// the binary wire protocol. Each job ships this worker its graph fragment
+// in the setup frame, so the daemon needs no graph file, no configuration
+// beyond an address, and no state between jobs.
 //
 // Usage:
 //

@@ -24,9 +24,8 @@
 // Beyond the paper's batch algorithms, the internal/serve subsystem and the
 // gpard daemon (cmd/gpard) turn the reproduction into a mine-once/match-many
 // serving system: a resident graph + rule-set snapshot with atomic hot-swap,
-// a per-rule match-set cache, a mine-context cache (recycled mining worker
-// sets and, for fleet jobs, encoded wire fragments, reused across mine
-// jobs), single-flight request batching, and a configurable CPU split so
+// a per-rule match-set cache, a mine-context cache reused across mine jobs,
+// single-flight request batching, and a configurable CPU split so
 // mine jobs and identify traffic share GOMAXPROCS instead of
 // oversubscribing it, all behind a JSON HTTP API — endpoint reference
 // in API.md. The root package exists to carry module-level documentation

@@ -106,9 +106,3 @@ func FrequentPredicates(g *graph.Graph, topN int, edgeLabel graph.Label) []core.
 	}
 	return out
 }
-
-// DMineAuto mines without a user-given predicate: it collects the topN most
-// frequent edge predicates and mines GPARs for each.
-func DMineAuto(g *graph.Graph, topN int, opts Options) ([]MultiResult, error) {
-	return DMineMulti(g, FrequentPredicates(g, topN, graph.NoLabel), opts)
-}

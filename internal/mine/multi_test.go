@@ -68,18 +68,3 @@ func TestDMineMulti(t *testing.T) {
 		}
 	}
 }
-
-func TestDMineAuto(t *testing.T) {
-	syms := graph.NewSymbols()
-	f := gen.G1(syms)
-	res := must(DMineAuto(f.G, 2, baseOpts()))
-	if len(res) != 2 {
-		t.Fatalf("got %d results want 2", len(res))
-	}
-	// The auto-selected predicates must have support in G.
-	for _, r := range res {
-		if len(core.Pq(f.G, r.Pred)) == 0 {
-			t.Errorf("auto predicate %s has no support", r.Pred.String(syms))
-		}
-	}
-}

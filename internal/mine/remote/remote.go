@@ -74,9 +74,6 @@ type Conn struct {
 	enc  []byte // payload encode buffer, reused
 	err  error  // sticky failure; written only by the driving goroutine
 
-	fragHits  int // setups the worker acked straight from its cache
-	fragShips int // setups that needed the fragment body shipped
-
 	// cancelMu guards the cancellation handshake between the driving
 	// goroutine and a concurrent Cancel: the canceled flag, the inflight
 	// flag, and — critically — every SetDeadline call, so a send/recv
@@ -112,11 +109,6 @@ func Dial(addr string, opts DialOptions) (*Conn, error) {
 	}
 	return &Conn{c: nc, opts: opts}, nil
 }
-
-// FragStats reports how many job setups on this connection were served
-// from the worker's fragment cache (hits) versus needed the fragment body
-// shipped (ships).
-func (c *Conn) FragStats() (hits, ships int) { return c.fragHits, c.fragShips }
 
 // fail records a sticky failure and returns it.
 func (c *Conn) fail(err error) error {
@@ -223,7 +215,6 @@ func (c *Conn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
 		if !bytes.Equal(need.Hash, s.FragHash) {
 			return nil, c.fail(fmt.Errorf("remote: worker requested fragment %x, offered %x", need.Hash, s.FragHash))
 		}
-		c.fragShips++
 		have := wire.FragHave{Hash: s.FragHash, Fragment: s.Fragment}
 		c.enc = have.Append(c.enc[:0])
 		if err := c.send(wire.TypeFragHave, c.enc); err != nil {
@@ -232,8 +223,6 @@ func (c *Conn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
 		if typ, reply, err = c.recv(); err != nil {
 			return nil, err
 		}
-	} else {
-		c.fragHits++
 	}
 	if typ != wire.TypeSetupAck {
 		return nil, c.fail(fmt.Errorf("remote: setup reply frame type %d, want %d", typ, wire.TypeSetupAck))

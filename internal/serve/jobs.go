@@ -11,7 +11,6 @@ import (
 	"gpar/internal/core"
 	"gpar/internal/graph"
 	"gpar/internal/mine"
-	"gpar/internal/mine/remote"
 )
 
 // MineParams is the body of POST /v1/mine: a DMine run over the resident
@@ -91,25 +90,10 @@ type Job struct {
 	Installed bool     `json:"installed,omitempty"`
 	// Generation is the snapshot generation after install (0 otherwise).
 	Generation uint64 `json:"generation,omitempty"`
-	// ContextCached reports whether the job reused a cached mine context
-	// (and with it, on a fleet, the already encoded wire fragments). Results
-	// are byte-identical either way.
+	// ContextCached reports whether the job reused a cached mine context.
+	// A context is the graph, the x-label's node list and (d, n), so a hit
+	// saves about 180 ns; results are byte-identical either way.
 	ContextCached bool `json:"contextCached,omitempty"`
-	// Distributed reports whether the job mined on the configured worker
-	// fleet (Config.MineWorkers) rather than in-process. Results are
-	// byte-identical either way.
-	Distributed bool `json:"distributed,omitempty"`
-	// FleetFallback, when non-empty, is why a configured fleet was not used
-	// for this job: a pinned worker count that does not match the fleet
-	// size, the fleet circuit breaker open, or the fleet failing every
-	// retry attempt. The job then mined in-process — results are
-	// byte-identical, but the fallback is always recorded so a sick fleet
-	// cannot be masked.
-	FleetFallback string `json:"fleetFallback,omitempty"`
-	// Attempts is how many fleet attempts (dial + mine) this job made
-	// before succeeding or falling back (0 for jobs that never tried the
-	// fleet).
-	Attempts int `json:"attempts,omitempty"`
 	// ServedGeneration is the snapshot generation the job was admitted
 	// against — the graph it mined.
 	ServedGeneration uint64 `json:"servedGeneration,omitempty"`
@@ -120,7 +104,7 @@ type Job struct {
 	WarmStarted bool `json:"warmStarted,omitempty"`
 	// Supersteps is the run's per-round account — frontier, messages, rules
 	// kept, and the milliseconds its generate, assemble and diversify phases
-	// took — as the coordinator stamped it, in process or over a fleet.
+	// took — as the coordinator stamped it.
 	// Absent on a warm-started job, which ran nothing.
 	Supersteps []mine.SuperstepStat `json:"supersteps,omitempty"`
 	// Capped is how many (parent rule, center) embedding enumerations of the
@@ -317,19 +301,9 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	}.Defaults()
 	opts.Gate = s.mineGate
 	opts.Ctx = jobCtx
-	if n := len(s.cfg.MineWorkers); n > 0 && p.Workers == 0 {
-		// A fleet job runs one worker service per fragment, so the fleet size
-		// sets the worker count unless the request pinned one.
-		// Results are byte-identical across worker counts either way.
-		opts.N = n
-	}
 	var res *mine.Result
 	var mineErr error
-	var mctx *mine.Context
 	ctxHit := false
-	distributed := false
-	fleetFallback := ""
-	attempts := 0
 	warmStarted := false
 	if wres := s.warmGet(pred, opts, snap.Gen); wres != nil {
 		// A completed result with these exact parameters was carried to this
@@ -338,11 +312,11 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 		res = wres
 		warmStarted = true
 		s.nWarmMineHits.Add(1)
-	}
-	key := MineCtxKey{Gen: snap.Gen, XLabel: pred.XLabel, D: opts.D, N: opts.N}
-	if !warmStarted {
+	} else {
+		key := MineCtxKey{Gen: snap.Gen, XLabel: pred.XLabel, D: opts.D, N: opts.N}
 		// An error here is another job's build of this key having panicked
 		// under this one: the job fails rather than mine on a nil context.
+		var mctx *mine.Context
 		var how memoOutcome
 		mctx, how, mineErr = s.mineCtx.GetOrBuild(key, func() (*mine.Context, error) {
 			return mine.NewContext(snap.G, pred.XLabel, opts), nil
@@ -356,56 +330,9 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 			// against.
 			s.mineCtx.Remove(key)
 		}
-	}
-	if n := len(s.cfg.MineWorkers); n > 0 && !warmStarted && mineErr == nil {
-		switch {
-		case opts.N != n:
-			fleetFallback = fmt.Sprintf("job pinned %d workers but the fleet has %d", opts.N, n)
-		case !s.fleetAllow():
-			fleetFallback = "fleet circuit breaker open; mined in-process"
-		default:
-			// Each attempt re-dials the whole fleet, health-probes every
-			// worker, and re-runs the job from scratch; workers hold no
-			// cross-job state and Σ only installs on success, so a retried
-			// job is byte-identical to a clean one. The stop hook drains the
-			// retry loop early on shutdown instead of sleeping out backoffs.
-			var rep remote.JobReport
-			res, rep, mineErr = remote.MineFleet(
-				mctx, pred, opts, s.cfg.MineWorkers,
-				remote.DialOptions{StepTimeout: s.cfg.MineStepTimeout},
-				s.retryPolicy(),
-				func() bool { return s.closed.Load() || jobCtx.Err() != nil },
-			)
-			attempts = rep.Attempts
-			switch {
-			case mineErr == nil:
-				s.fleetResult(true)
-				distributed = true
-				s.nRemoteMine.Add(1)
-				if rep.Attempts > 1 {
-					s.nMineRetry.Add(1)
-				}
-			case isCanceled(mineErr):
-				// The job itself was canceled or timed out — not a fleet
-				// failure: no breaker strike, and no in-process fallback
-				// (it would only be canceled again).
-			default:
-				// Every attempt failed (or shutdown abandoned the retry
-				// loop). Fall back in-process as a *recorded* last resort:
-				// the breaker trips on repeated failures so a sick fleet is
-				// skipped — and surfaced — rather than silently re-mined
-				// around forever.
-				s.fleetResult(false)
-				fleetFallback = fmt.Sprintf("fleet failed after %d attempt(s): %v", rep.Attempts, mineErr)
-				res, mineErr = nil, nil
-			}
+		if mineErr == nil {
+			res, mineErr = mine.DMineCtx(mctx, pred, opts)
 		}
-		if fleetFallback != "" {
-			s.nFleetFall.Add(1)
-		}
-	}
-	if res == nil && mineErr == nil {
-		res, mineErr = mine.DMineCtx(mctx, pred, opts)
 	}
 	if mineErr != nil {
 		status, msg := JobFailed, mineErr.Error()
@@ -422,9 +349,6 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 			j.Status = status
 			j.Error = msg
 			j.ContextCached = ctxHit
-			j.Distributed = distributed
-			j.FleetFallback = fleetFallback
-			j.Attempts = attempts
 			j.cancel = nil
 		})
 		return
@@ -471,9 +395,6 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 			j.Supersteps = res.Supersteps
 			j.Capped = res.Capped
 		}
-		j.Distributed = distributed
-		j.FleetFallback = fleetFallback
-		j.Attempts = attempts
 		if installErr != nil {
 			j.Status = JobFailed
 			j.Error = installErr.Error()
@@ -482,12 +403,6 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 		}
 		j.cancel = nil
 	})
-}
-
-// isCanceled reports whether err is (or wraps) a mining cancellation.
-func isCanceled(err error) bool {
-	var ce *mine.CanceledError
-	return errors.As(err, &ce)
 }
 
 // lookupPred resolves the mine predicate's label names without interning.

@@ -19,9 +19,10 @@
 //     concurrent identify calls for one rule share one match execution, a
 //     swap purges it, a delta carries the entries it provably cannot
 //     affect. Keyed by (generation, xLabel, d, n) it holds mine.Context
-//     values: in-process mining runs on the snapshot's own graph, so a
-//     context is cheap; an entry earns its place by keeping a fleet job's
-//     encoded wire fragments for the next one.
+//     values. Every mine job runs in process on the snapshot's own graph,
+//     where a context is the graph, a node list and (d, n): a hit saves
+//     about 180 ns, and the entry stays only because the benchmark reads
+//     its hit ratio.
 //   - Pool: a bounded worker pool shared by all requests; per-rule
 //     evaluation fans out over the snapshot's chunks through it, so
 //     total matching concurrency is bounded no matter how many clients
@@ -76,35 +77,6 @@ type Config struct {
 	// DefaultEta is the confidence bound η applied when a request omits it.
 	// Default 1.0.
 	DefaultEta float64
-	// MineWorkers, when non-empty, lists the host:port addresses of gparworker
-	// services; mine jobs are then submitted to that fleet — one worker
-	// service per fragment — instead of mining in-process. The fleet is
-	// dialed per job (workers cache fragments by content hash, so repeat
-	// dials are cheap) and each job retries the whole fleet cycle up to
-	// MineRetries times; a job whose retries are exhausted falls back to
-	// in-process mining as a last resort, recorded on the job and counted
-	// toward the circuit breaker. Results are byte-identical to in-process
-	// mining.
-	MineWorkers []string
-	// MineStepTimeout bounds each distributed superstep exchange per worker
-	// (the stalled-worker guillotine). Zero means the remote package default
-	// (2 minutes). Ignored without MineWorkers.
-	MineStepTimeout time.Duration
-	// MineRetries is the total number of fleet attempts per mine job, the
-	// first included (default 3). Each failed attempt closes the fleet,
-	// backs off, and re-dials from scratch.
-	MineRetries int
-	// MineRetryBackoff is the pause after a job's first failed fleet
-	// attempt, doubling per failure with bounded jitter (default 50ms).
-	MineRetryBackoff time.Duration
-	// FleetBreakerThreshold trips the fleet circuit breaker after this many
-	// consecutive mine jobs exhausted their fleet retries (default 3;
-	// negative disables the breaker). While open, fleet-eligible jobs mine
-	// in-process immediately instead of paying the dial+retry latency.
-	FleetBreakerThreshold int
-	// FleetBreakerCooldown is how long an open breaker waits before
-	// admitting one half-open probe job to the fleet (default 30s).
-	FleetBreakerCooldown time.Duration
 
 	// RequestTimeout is the server-side deadline stacked on every identify
 	// request's own context: evaluation that has not finished by then
@@ -154,18 +126,6 @@ func (c Config) defaults() Config {
 	if c.DefaultEta <= 0 {
 		c.DefaultEta = 1.0
 	}
-	if c.MineRetries <= 0 {
-		c.MineRetries = 3
-	}
-	if c.MineRetryBackoff <= 0 {
-		c.MineRetryBackoff = 50 * time.Millisecond
-	}
-	if c.FleetBreakerThreshold == 0 {
-		c.FleetBreakerThreshold = 3
-	}
-	if c.FleetBreakerCooldown <= 0 {
-		c.FleetBreakerCooldown = 30 * time.Second
-	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
@@ -205,7 +165,6 @@ type Server struct {
 	mineCtx  *memo[MineCtxKey, *mine.Context] // mine contexts, single-flight
 	mineGate *mine.Gate                       // shared CPU budget: all mine jobs together
 	jobs     *Jobs
-	breaker  *breaker // fleet circuit breaker; nil when disabled or no fleet
 	admit    *admitter
 	mem      *memWatch // heap watermark; nil when MemLimitBytes is 0
 
@@ -228,8 +187,6 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	fleetProbe fleetProbe // cached /healthz fleet reachability
-
 	// warm holds completed mine results carried across generations whose
 	// deltas provably cannot affect them (see delta.go); guarded by warmMu,
 	// not swapMu, because runMine reads and writes it off the swap lock.
@@ -241,10 +198,7 @@ type Server struct {
 	nRules      atomic.Int64
 	nMine       atomic.Int64
 	nSwap       atomic.Int64
-	nRemoteMine atomic.Int64 // mine jobs submitted to the worker fleet
-	nFleetFall  atomic.Int64 // fleet jobs that fell back to in-process
 	nMineCapped atomic.Int64 // Σ mine.Result.Capped over completed mine runs
-	nMineRetry  atomic.Int64 // fleet jobs that needed more than one attempt
 
 	reqSeq       atomic.Uint64 // request IDs for the recovery middleware
 	nShedFull    atomic.Int64  // 429s: admission queue full on arrival
@@ -279,9 +233,6 @@ func New(cfg Config) *Server {
 		mineGate: mine.NewGate(cfg.mineProcs()),
 		jobs:     NewJobs(),
 		start:    time.Now(),
-	}
-	if len(cfg.MineWorkers) > 0 && cfg.FleetBreakerThreshold > 0 {
-		s.breaker = newBreaker(cfg.FleetBreakerThreshold, cfg.FleetBreakerCooldown)
 	}
 	if cfg.MaxQueue >= 0 {
 		s.admit = newAdmitter(cfg.PoolSize, cfg.MaxQueue, cfg.QueueTimeout)
@@ -344,7 +295,7 @@ func (s *Server) loadLocked(g *graph.Graph, pred core.Predicate, rules []*core.R
 	}
 	s.cache.Purge()
 	// Mine contexts are keyed by generation, so old entries could never be
-	// served again; purging reclaims their encoded wire fragments eagerly.
+	// served again; purging releases the retired graph they hold.
 	s.mineCtx.Purge()
 	s.nSwap.Add(1)
 	return snap.Gen, nil
@@ -394,7 +345,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed.Store(true)
 	s.swapMu.Unlock()
 	// Every job context is a child of baseCtx; canceling it reaches each
-	// run's per-superstep checks (and unwedges fleet exchanges in flight).
+	// run's per-superstep checks.
 	s.baseCancel()
 	done := make(chan struct{})
 	go func() {

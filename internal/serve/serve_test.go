@@ -229,22 +229,23 @@ func TestCacheHitAndSwapInvalidation(t *testing.T) {
 	}
 }
 
-// TestOversizedBodiesAnswer413: the three JSON endpoints bound their request
-// bodies; a longer one is refused before it is buffered, and changes nothing.
+// TestOversizedBodiesAnswer413: every endpoint with a body bounds it; a
+// longer one is refused before it is buffered, and changes nothing.
 func TestOversizedBodiesAnswer413(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{Workers: 2})
 	for _, c := range []struct {
-		path, prefix string
-		limit        int
+		method, path, prefix string
+		limit                int
 	}{
-		{"/v1/graph/delta", `{"ops":[{"op":"addNode","label":"`, maxDeltaBody},
-		{"/v1/identify", `{"rules":["`, maxQueryBody},
-		{"/v1/mine", `{"xLabel":"`, maxQueryBody},
+		{"POST", "/v1/graph/delta", `{"ops":[{"op":"addNode","label":"`, maxDeltaBody},
+		{"POST", "/v1/identify", `{"rules":["`, maxQueryBody},
+		{"POST", "/v1/mine", `{"xLabel":"`, maxQueryBody},
+		{"PUT", "/v1/rules", "rule\npred \"", maxRulesBody},
 	} {
 		body := append([]byte(c.prefix), bytes.Repeat([]byte("a"), c.limit)...)
 		// In-process: over a socket the server may close on a client still writing.
-		if code := doLocal(t, s.Handler(), "POST", c.path, body, nil); code != http.StatusRequestEntityTooLarge {
-			t.Errorf("POST %s with %d bytes: %d, want 413", c.path, len(body), code)
+		if code := doLocal(t, s.Handler(), c.method, c.path, body, nil); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s with %d bytes: %d, want 413", c.method, c.path, len(body), code)
 		}
 	}
 	if gen := s.Generation(); gen != 1 {

@@ -1,9 +1,8 @@
 // Package snapfile is the on-disk snapshot format for a gpard serving
 // state: one versioned file holding the symbol table, the frozen graph's
 // CSR arenas, the predicate and the mined rule set Σ, each in its own
-// checksummed section. It is the durable half of ROADMAP item 5: a daemon
-// restarts by reading one file instead of re-ingesting and re-freezing,
-// and snapshot files ship between mining fleets and serve nodes.
+// checksummed section. It is gpard's checkpoint: a daemon restarts by
+// reading one file instead of re-ingesting and re-freezing.
 //
 // Layout (all integers little-endian):
 //
