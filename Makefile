@@ -34,8 +34,9 @@ race:
 # in serve, op application in graph), the graph file reader gpard -graph
 # boots from, the fragment decoder a gparworker receives, the
 # durability decoders (snapshot file format, WAL replay), mining's
-# extension discovery against its per-edge reference, and the canonical
-# pattern code against pairwise isomorphism. Go allows one
+# extension discovery against its per-edge reference, the canonical
+# pattern code against pairwise isomorphism, and the identify filter's
+# soundness against the matcher. Go allows one
 # target per -fuzz invocation, so each runs separately; seed corpora also
 # run on every plain `make test`.
 fuzz-smoke:
@@ -47,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzDiscoverExtensions' -fuzztime 20s ./internal/mine/
 	$(GO) test -run '^$$' -fuzz 'FuzzPatternCode' -fuzztime 20s ./internal/pattern/
+	$(GO) test -run '^$$' -fuzz 'FuzzFilter' -fuzztime 20s ./internal/match/
 
 # Run the hot-path benchmarks with -benchmem and record them, stamped with
 # the machine fingerprint and commit, in BENCH_match.json (matcher, serving,
@@ -132,7 +134,7 @@ docs-check:
 # count after the last PR that lowered it. A PR that must add code raises
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count.
-LOC_BUDGET := 17069
+LOC_BUDGET := 17269
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	echo "non-test Go outside benchmark/: $$n lines (budget $(LOC_BUDGET))"; \

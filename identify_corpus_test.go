@@ -27,12 +27,13 @@ type corpusRule struct {
 
 // corpusCase is one graph of the corpus with its predicate and rules.
 // itemEdge and item name the edge and node label the shared-item rule is
-// built over.
+// built over; attrEdge and attr a second attribute for the two-edge shapes.
 type corpusCase struct {
 	name           string
 	g              *graph.Graph
 	pred           core.Predicate
 	itemEdge, item string
+	attrEdge, attr string
 	rules          []corpusRule
 }
 
@@ -64,9 +65,12 @@ func identifyCorpus(tb testing.TB, users int) []corpusCase {
 		}
 	}
 	cases := []corpusCase{
-		{name: "pokec", g: pokec, pred: gen.PokecPredicates(pokec.Symbols())[0], itemEdge: "hobby", item: "hobby:party"},
-		{name: "gplus", g: gplus, pred: gen.GplusPredicates(gplus.Symbols())[0], itemEdge: "school", item: "school:CMU"},
-		{name: "hub", g: hub, pred: gen.PokecPredicates(hub.Symbols())[0], itemEdge: "hobby", item: "hobby:everyone"},
+		{name: "pokec", g: pokec, pred: gen.PokecPredicates(pokec.Symbols())[0],
+			itemEdge: "hobby", item: "hobby:party", attrEdge: "like_music", attr: "music:Rock"},
+		{name: "gplus", g: gplus, pred: gen.GplusPredicates(gplus.Symbols())[0],
+			itemEdge: "school", item: "school:CMU", attrEdge: "employer", attr: "employer:Google"},
+		{name: "hub", g: hub, pred: gen.PokecPredicates(hub.Symbols())[0],
+			itemEdge: "hobby", item: "hobby:everyone", attrEdge: "like_music", attr: "music:Rock"},
 	}
 	for i := range cases {
 		c := &cases[i]
@@ -86,20 +90,54 @@ func identifyCorpus(tb testing.TB, users int) []corpusCase {
 		if len(large) == 0 {
 			tb.Fatalf("%s: gen.Rules produced no |Vp| 4 / |Ep| 5 rule", c.name)
 		}
+		// The benchmark's six two-edge shapes: x and another user joined by
+		// follow (x -> user when out, user -> x otherwise) and one edge from
+		// x or from the other user to an item, a city, or a second attribute.
+		twoEdge := func(out, onX bool, edge, label string) *core.Rule {
+			q := pattern.New(c.g.Symbols())
+			q.X = q.AddNode("user")
+			u, it := q.AddNode("user"), q.AddNode(label)
+			if out {
+				q.AddEdge(q.X, u, "follow")
+			} else {
+				q.AddEdge(u, q.X, "follow")
+			}
+			if onX {
+				q.AddEdge(q.X, it, edge)
+			} else {
+				q.AddEdge(u, it, edge)
+			}
+			return &core.Rule{Q: q, Pred: c.pred}
+		}
 		c.rules = []corpusRule{
 			{"mined-1edge", mined.TopK[0].Rule},
 			{"shared-item", &core.Rule{Q: q, Pred: c.pred}},
 			{"vp4-ep5", large[0]},
+			{"x>user,x>item", twoEdge(true, true, c.itemEdge, c.item)},
+			{"user>x,x>item", twoEdge(false, true, c.itemEdge, c.item)},
+			{"x>user>city", twoEdge(true, false, "live_in", "city:00")},
+			{"user>x,user>city", twoEdge(false, false, "live_in", "city:00")},
+			{"x>user>attr", twoEdge(true, false, c.attrEdge, c.attr)},
+			{"user>x,user>item", twoEdge(false, false, c.itemEdge, c.item)},
 		}
 	}
 	return cases
 }
 
+// unnarrowed names the corpus rules whose x the identify filter must leave
+// alone on the frozen 150-user graphs: no child of x is selective, so the pass does no
+// work and the matcher tries every centre. Pokec's |Vp| 4 rule is an
+// all-user path; the hub's follower-with-item shape reaches x through a
+// user set as large as x's own. Every other rule must be narrowed.
+var unnarrowed = map[string]bool{"pokec/vp4-ep5": true, "hub/user>x,user>item": true}
+
 // TestEvalRuleCorpus checks Snapshot.EvalRule against the sequential
 // reference (core.Eval with the plain matcher over the whole graph) for
 // every corpus rule, on the three states a served graph goes through —
 // frozen, overlaid by a delta batch, and compacted — all built by the one
-// snapshot constructor. CI runs it under -race as well.
+// snapshot constructor. It also pins which rules the filter narrows, and
+// that the kernel counts its centres and survivors. CI runs it under -race
+// as well.
 func TestEvalRuleCorpus(t *testing.T) {
 	cfg := serve.Config{Workers: 3}
 	pool := serve.NewPool(2)
@@ -154,8 +192,44 @@ func TestEvalRuleCorpus(t *testing.T) {
 					if len(want.QSet) == 0 {
 						t.Errorf("%s/%s: rule matches nowhere; the case checks nothing", st.name, c.rules[i].shape)
 					}
+					f := match.NewFilter(sr.Rule.Q, st.snap.G)
+					if name := c.name + "/" + c.rules[i].shape; st.snap == frozen && f.Narrowed() == unnarrowed[name] {
+						t.Errorf("%s/%s: filter narrowed x = %v, want %v", st.name, name, f.Narrowed(), !unnarrowed[name])
+					}
+					if centres := len(st.snap.G.NodesWithLabel(c.pred.XLabel)); got.Centres != centres || got.Survivors != f.Kept() ||
+						got.Survivors < len(got.Matches) {
+						t.Errorf("%s/%s: %d centres, %d survivors, %d matches; want %d centres, %d survivors, no fewer than the matches",
+							st.name, c.rules[i].shape, got.Centres, got.Survivors, len(got.Matches), centres, f.Kept())
+					}
+					f.Release()
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEvalRuleShapes times one uncached Snapshot.EvalRule per op for
+// every corpus rule at 10 000 users, on a frozen snapshot of two chunks
+// and a one-slot pool (gpard's -n 2 on a two-core machine), so ns/op is
+// the kernel's CPU per evaluation: the filter pass plus the confirm step.
+func BenchmarkEvalRuleShapes(b *testing.B) {
+	pool := serve.NewPool(1)
+	for _, c := range identifyCorpus(b, 10000) {
+		rules := make([]*core.Rule, len(c.rules))
+		for i, r := range c.rules {
+			rules[i] = r.rule
+		}
+		snap, err := serve.BuildSnapshot(c.g, c.pred, rules, serve.Config{Workers: 2})
+		if err != nil {
+			b.Fatalf("BuildSnapshot: %v", err)
+		}
+		for i, sr := range snap.Rules {
+			b.Run(c.name+"/"+c.rules[i].shape, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					snap.EvalRule(sr, pool)
+				}
+			})
+		}
 	}
 }

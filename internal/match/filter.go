@@ -1,0 +1,167 @@
+package match
+
+import (
+	"math/bits"
+	"slices"
+	"sync"
+
+	"gpar/internal/graph"
+	"gpar/internal/pattern"
+)
+
+// Filter is the set-at-a-time half of the identify kernel: a bottom-up
+// semi-join pass over a BFS spanning tree of the expanded pattern, rooted at
+// x, narrows the x-labelled nodes to a sound superset of Q(x,G). Each node
+// with a child smaller than its own label list pushes from the smallest
+// such child and pulls the others; the matcher, run where Keep holds,
+// confirms what the tree cannot see (DESIGN.md, "One identify kernel").
+type Filter struct {
+	g *graph.Graph
+	p *pattern.Pattern // expanded
+
+	// The tree: the children of order[i] are order[kids[i]:kids[i+1]], and
+	// elab/down are the label and direction (parent to node) of the edge
+	// above each node. sets[u] is u's narrowed bitset, empty while u is
+	// un-narrowed; keep is sets[x].
+	order, kids []int
+	elab        []graph.Label
+	down        []bool
+	sets        [][]uint64
+	keep        []uint64
+}
+
+var filterPool = sync.Pool{New: func() any { return new(Filter) }}
+
+// NewFilter runs the pass for p (x set) over the frozen, possibly overlaid
+// g and returns the pooled result. Release it when done.
+func NewFilter(p *pattern.Pattern, g *graph.Graph) *Filter {
+	f := filterPool.Get().(*Filter)
+	f.g, f.p = g, p.Expand()
+	f.buildTree()
+	f.narrow()
+	return f
+}
+
+// Release returns the Filter to the pool. It must not be used afterwards.
+func (f *Filter) Release() {
+	f.g, f.p, f.keep = nil, nil, nil
+	filterPool.Put(f)
+}
+
+// Keep reports whether x may map to v: false means no match does.
+func (f *Filter) Keep(v graph.NodeID) bool {
+	return len(f.keep) == 0 || f.keep[v>>6]&(1<<(v&63)) != 0
+}
+
+// Narrowed reports whether the pass narrowed x; if not, Keep always holds.
+func (f *Filter) Narrowed() bool { return len(f.keep) > 0 }
+
+// Kept returns how many x-labelled nodes Keep admits.
+func (f *Filter) Kept() int { return f.size(f.p.X) }
+
+func (f *Filter) buildTree() {
+	n := f.p.NumNodes()
+	f.elab, f.down, f.sets = grow(f.elab, n), grow(f.down, n), grow(f.sets, n)
+	for u := range f.sets {
+		f.sets[u] = f.sets[u][:0]
+	}
+	f.order, f.kids = append(f.order[:0], f.p.X), f.kids[:0]
+	for i := 0; i < len(f.order); i++ {
+		u := f.order[i]
+		f.kids = append(f.kids, len(f.order))
+		for _, e := range f.p.Edges() {
+			c, down := e.To, e.From == u
+			if !down {
+				c = e.From
+			}
+			if (down || e.To == u) && !slices.Contains(f.order, c) {
+				f.order = append(f.order, c)
+				f.elab[c], f.down[c] = e.Label, down
+			}
+		}
+	}
+	f.kids = append(f.kids, len(f.order))
+}
+
+func (f *Filter) narrow() {
+	for i := len(f.order) - 1; i >= 0; i-- {
+		u, kids := f.order[i], f.order[f.kids[i]:f.kids[i+1]]
+		lim := len(f.g.NodesWithLabel(f.p.Label(u)))
+		src, srcSize := -1, lim
+		for _, c := range kids {
+			if sz := f.size(c); sz < srcSize {
+				src, srcSize = c, sz
+			}
+		}
+		if src < 0 {
+			continue
+		}
+		set, lu := grow(f.sets[u], (f.g.NumNodes()+63)/64), f.p.Label(u)
+		clear(set)
+		f.members(src, func(w graph.NodeID) {
+			for _, e := range f.adj(w, src, false) {
+				if f.g.Label(e.To) == lu {
+					set[e.To>>6] |= 1 << (e.To & 63)
+				}
+			}
+		})
+		f.sets[u] = set
+		for _, c := range kids {
+			if c == src || f.size(c) >= lim {
+				continue
+			}
+			f.members(u, func(v graph.NodeID) {
+				for _, e := range f.adj(v, c, true) {
+					if f.has(c, e.To) {
+						return
+					}
+				}
+				set[v>>6] &^= 1 << (v & 63)
+			})
+		}
+	}
+	f.keep = f.sets[f.p.X]
+}
+
+// size is |S(c)|, the set the pass reads for c.
+func (f *Filter) size(c int) int {
+	if len(f.sets[c]) == 0 {
+		return len(f.g.NodesWithLabel(f.p.Label(c)))
+	}
+	n := 0
+	for _, word := range f.sets[c] {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// has reports w ∈ S(c).
+func (f *Filter) has(c int, w graph.NodeID) bool {
+	if set := f.sets[c]; len(set) > 0 {
+		return set[w>>6]&(1<<(w&63)) != 0
+	}
+	return f.g.Label(w) == f.p.Label(c)
+}
+
+// adj returns v's edges along the tree edge above c, toward c or its parent.
+func (f *Filter) adj(v graph.NodeID, c int, towardChild bool) []graph.Edge {
+	if f.down[c] == towardChild {
+		return f.g.OutRangeL(v, f.elab[c])
+	}
+	return f.g.InRangeL(v, f.elab[c])
+}
+
+// members calls fn on S(c); fn may clear its node (the loop copies words).
+func (f *Filter) members(c int, fn func(graph.NodeID)) {
+	if len(f.sets[c]) == 0 {
+		for _, w := range f.g.NodesWithLabel(f.p.Label(c)) {
+			fn(w)
+		}
+		return
+	}
+	for i, word := range f.sets[c] {
+		for ; word != 0; word &= word - 1 {
+			fn(graph.NodeID(i*64 + bits.TrailingZeros64(word)))
+		}
+	}
+}

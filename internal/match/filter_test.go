@@ -1,0 +1,150 @@
+package match_test
+
+import (
+	"testing"
+
+	"gpar/internal/graph"
+	. "gpar/internal/match"
+	"gpar/internal/pattern"
+)
+
+// filterCase decodes a fuzz input into a data graph and a pattern:
+//
+//	byte 0      data nodes n = 1 + b%24
+//	byte 1      pattern nodes pn = 1 + b%5, node 0 is x
+//	byte 2      bit 0: serve the graph through a delta overlay; the rest
+//	            picks the one pattern node (other than x) of multiplicity 2
+//	byte 3      pattern edges = b%9
+//	n bytes     data node labels (a, b or c)
+//	pn bytes    pattern node labels
+//	3 per edge  pattern edges (from, to, label e or f)
+//	the rest    data edge triples, at most 96
+//
+// Self-loops, cycles, repeated labels and parallel edges of different
+// labels all decode. With the overlay bit, the base graph gets the even
+// data edges and a delta batch adds the odd ones, deletes the first base
+// edge, relabels a node and adds a node wired to node 0.
+func filterCase(data []byte) (*graph.Graph, *pattern.Pattern) {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
+	}
+	n, pn, flags, pe := 1+at(0)%24, 1+at(1)%5, at(2), at(3)%9
+	names, elabels := []string{"a", "b", "c"}, []string{"e", "f"}
+	g := graph.New(nil)
+	syms := g.Symbols()
+	for _, name := range append(names, elabels...) {
+		syms.Intern(name)
+	}
+	pos := 4
+	for v := 0; v < n; v++ {
+		g.AddNode(names[at(pos)%3])
+		pos++
+	}
+	p := pattern.New(g.Symbols())
+	for u := 0; u < pn; u++ {
+		p.AddNode(names[at(pos)%3])
+		pos++
+	}
+	p.X = 0
+	if m := (flags >> 1) % pn; m != 0 {
+		p.SetMult(m, 2)
+	}
+	for i := 0; i < pe; i++ {
+		p.AddEdge(at(pos)%pn, at(pos+1)%pn, elabels[at(pos+2)%2])
+		pos += 3
+	}
+	type triple struct {
+		from, to graph.NodeID
+		l        graph.Label
+	}
+	var odd []triple
+	for i := 0; pos+2 < len(data) && i < 96; i++ {
+		t := triple{graph.NodeID(at(pos) % n), graph.NodeID(at(pos+1) % n), syms.Lookup(elabels[at(pos+2)%2])}
+		pos += 3
+		if flags&1 == 0 || i%2 == 0 {
+			g.AddEdgeL(t.from, t.to, t.l)
+		} else {
+			odd = append(odd, t)
+		}
+	}
+	g.Freeze()
+	if flags&1 == 0 {
+		return g, p
+	}
+	var ops []graph.DeltaOp
+	added := map[triple]bool{}
+	for _, t := range odd {
+		if !g.HasEdge(t.from, t.to, t.l) && !added[t] {
+			added[t] = true
+			ops = append(ops, graph.DeltaOp{Kind: graph.DeltaAddEdge, From: t.from, To: t.to, Label: t.l})
+		}
+	}
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		if out := g.Out(v); len(out) > 0 {
+			ops = append(ops, graph.DeltaOp{Kind: graph.DeltaDelEdge, From: v, To: out[0].To, Label: out[0].Label})
+			break
+		}
+	}
+	fresh := graph.NodeID(n)
+	ops = append(ops,
+		graph.DeltaOp{Kind: graph.DeltaSetLabel, Node: graph.NodeID(flags % n), Label: syms.Lookup(names[flags%3])},
+		graph.DeltaOp{Kind: graph.DeltaAddNode, Label: syms.Lookup(names[(flags>>2)%3])},
+		graph.DeltaOp{Kind: graph.DeltaAddEdge, From: fresh, To: 0, Label: syms.Lookup("e")},
+	)
+	d, err := g.ApplyDelta(ops)
+	if err != nil {
+		panic(err) // the decoder builds only valid batches
+	}
+	return d, p
+}
+
+// checkFilter asserts the filter's contract on one case: Keep holds
+// wherever the pattern matches, an un-narrowed filter keeps every node,
+// and Kept counts the x-labelled nodes Keep admits.
+func checkFilter(t *testing.T, g *graph.Graph, p *pattern.Pattern) {
+	t.Helper()
+	f := NewFilter(p, g)
+	defer f.Release()
+	m := NewMatcher(p, g, Options{})
+	defer m.Release()
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		if m.HasMatchAt(v) && !f.Keep(v) {
+			t.Fatalf("pattern %v matches at %d, but the filter drops it", p, v)
+		}
+		if !f.Narrowed() && !f.Keep(v) {
+			t.Fatalf("un-narrowed filter drops %d", v)
+		}
+	}
+	kept := 0
+	for _, v := range g.NodesWithLabel(p.Label(p.X)) {
+		if f.Keep(v) {
+			kept++
+		}
+	}
+	if kept != f.Kept() {
+		t.Fatalf("Kept() = %d, but Keep admits %d x-labelled nodes", f.Kept(), kept)
+	}
+}
+
+// FuzzFilter holds the semi-join filter to soundness: on small labelled
+// graphs, frozen or overlaid, no node where HasMatchAt holds is dropped.
+// The seeds run under plain go test; each kills one broken pass (a push
+// walking the wrong direction, a pull demanding every edge, a push reading
+// only the first edge of each range).
+func FuzzFilter(f *testing.F) {
+	// x -f-> c: the push must walk c's in-range, not its out-range.
+	f.Add([]byte("70001000110210020710710710710"))
+	// The same, on a delta overlay.
+	f.Add([]byte("70101000110210020710710710710"))
+	// a -e-> x <-f- c: x is kept if some e-edge, not every one, comes from an a.
+	f.Add([]byte("70001021210110201002011111002011110010"))
+	// x -e-> a: an a's e-labelled in-range holds more than one source.
+	f.Add([]byte("790700011111100010000000700"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, p := filterCase(data)
+		checkFilter(t, g, p)
+	})
+}

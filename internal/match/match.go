@@ -14,6 +14,9 @@
 //   - guided search: candidate ordering by k-hop sketch scores, the second
 //     optimization of algorithm Match.
 //
+// Filter answers set-at-a-time what HasMatchAt answers per anchor, as a
+// sound superset: gpard's identify kernel confirms only its survivors.
+//
 // The engine runs on the frozen CSR representation of the data graph
 // (graph.Freeze): candidate generation iterates label-contiguous arena
 // ranges instead of scanning whole adjacency lists, the used-set is an

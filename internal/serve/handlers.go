@@ -122,7 +122,14 @@ type StatsResponse struct {
 	// reached EmbedCap in every mine run completed since start.
 	MineCapped int64      `json:"mineCapped"`
 	Batch      BatchStats `json:"batch"`
-	Requests   struct {
+	// Kernel sums the identify kernel's work over the evaluations built
+	// since start: centres tried, filter survivors, confirmed matches.
+	Kernel struct {
+		Centres   int64 `json:"centres"`
+		Survivors int64 `json:"survivors"`
+		Matches   int64 `json:"matches"`
+	} `json:"kernel"`
+	Requests struct {
 		Identify int64 `json:"identify"`
 		Rules    int64 `json:"rules"`
 		Mine     int64 `json:"mine"`
@@ -584,6 +591,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Cache, resp.Batch = s.cacheStats()
 	resp.MineCache = s.mineCacheStats()
 	resp.MineCapped = s.nMineCapped.Load()
+	k := &resp.Kernel
+	k.Centres, k.Survivors, k.Matches = s.nCentres.Load(), s.nSurvivors.Load(), s.nMatches.Load()
 	resp.Requests.Identify = s.nIdentify.Load()
 	resp.Requests.Rules = s.nRules.Load()
 	resp.Requests.Mine = s.nMine.Load()

@@ -5,9 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// Pool bounds the total matching concurrency of the server. Every request
-// fans its per-chunk evaluation tasks through the one shared Pool, so N
-// concurrent clients cannot start more than PoolSize chunk matchers.
+// Pool bounds the total matching concurrency of the server. Every rule
+// evaluation runs its filter task, then its per-chunk confirm tasks, through
+// the one shared Pool: N clients cannot run more than PoolSize at once.
 type Pool struct {
 	sem chan struct{}
 }
@@ -27,6 +27,13 @@ func (p *Pool) Size() int { return cap(p.sem) }
 // InUse reports how many tasks hold a slot right now — the /stats
 // saturation signal for the identify pool.
 func (p *Pool) InUse() int { return len(p.sem) }
+
+// runOne is Do for one task, on the caller: no goroutine to escape into.
+func (p *Pool) runOne(task func()) {
+	p.sem <- struct{}{}
+	defer func() { <-p.sem }()
+	task()
+}
 
 // Do runs all tasks, at most Size at a time pool-wide, and waits for them.
 // The calling goroutine also executes tasks (it runs the last one inline

@@ -199,6 +199,9 @@ type Server struct {
 	nMine       atomic.Int64
 	nSwap       atomic.Int64
 	nMineCapped atomic.Int64 // Σ mine.Result.Capped over completed mine runs
+	nCentres    atomic.Int64 // Σ RuleEval.Centres over built evaluations
+	nSurvivors  atomic.Int64 // Σ RuleEval.Survivors over built evaluations
+	nMatches    atomic.Int64 // Σ len(RuleEval.Matches) over built evaluations
 
 	reqSeq       atomic.Uint64 // request IDs for the recovery middleware
 	nShedFull    atomic.Int64  // 429s: admission queue full on arrival
@@ -381,7 +384,11 @@ type evalKey struct {
 // call waited on a concurrent identical one (coalesced).
 func (s *Server) identifyOne(snap *Snapshot, sr *ServedRule) (ev *RuleEval, cached, coalesced bool, err error) {
 	ev, how, err := s.cache.GetOrBuild(evalKey{snap.Gen, sr.Key}, func() (*RuleEval, error) {
-		return snap.EvalRule(sr, s.pool), nil
+		ev := snap.EvalRule(sr, s.pool)
+		s.nCentres.Add(int64(ev.Centres))
+		s.nSurvivors.Add(int64(ev.Survivors))
+		s.nMatches.Add(int64(len(ev.Matches)))
+		return ev, nil
 	})
 	return ev, how == memoHit, how == memoJoined, err
 }

@@ -198,6 +198,17 @@ func TestCacheHitAndSwapInvalidation(t *testing.T) {
 	if st.Cache.Hits < int64(len(rules)) {
 		t.Errorf("cache hits %d, want >= %d", st.Cache.Hits, len(rules))
 	}
+	// The kernel block counts the first call's evaluations only: a hit
+	// builds nothing.
+	snap := s.Snapshot()
+	centres := int64(len(rules) * len(snap.G.NodesWithLabel(snap.Pred.XLabel)))
+	matches := int64(0)
+	for _, r := range first.Rules {
+		matches += int64(r.Matches)
+	}
+	if k := st.Kernel; k.Centres != centres || k.Matches != matches || k.Survivors < k.Matches || k.Survivors > k.Centres {
+		t.Errorf("kernel counts %+v, want %d centres, %d matches and survivors between", k, centres, matches)
+	}
 
 	// Hot-swap the rule set to just rule 0 via the wire format round-trip.
 	var buf bytes.Buffer

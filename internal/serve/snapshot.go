@@ -52,10 +52,11 @@ type Snapshot struct {
 
 // RuleEval is one rule's graph-wide evaluation: the match-set cache value.
 type RuleEval struct {
-	Key     string
-	Stats   core.Stats
-	Conf    float64
-	Matches []graph.NodeID // Q(x,G), sorted global IDs: the potential customers
+	Key                string
+	Stats              core.Stats
+	Conf               float64
+	Matches            []graph.NodeID // Q(x,G), sorted global IDs: the potential customers
+	Centres, Survivors int            // candidates, and those the filter kept
 }
 
 // BuildSnapshot prepares serving state for g, pred and rules. Rules must
@@ -144,12 +145,15 @@ func (s *Snapshot) RuleByKey(key string) (*ServedRule, bool) {
 	return sr, ok
 }
 
-// EvalRule computes the rule's match set and statistics, fanning the
-// per-chunk work out through pool. Each task binds two plain matchers
-// (pooled, reused across every candidate of the chunk) to the shared graph
-// and runs eip.EvalCenters: early-terminating HasMatchAt per candidate and
-// the PR ⇒ Q containment reuse of Example 10.
+// EvalRule computes the rule's match set and statistics in two pool rounds:
+// one task runs match.NewFilter (a superset of Q(x,G) ⊇ PR(x,G)), then one
+// task per chunk binds two pooled plain matchers to the shared graph and
+// runs eip.EvalCenters — early-terminating HasMatchAt on the filter's
+// survivors only, and the PR ⇒ Q containment reuse of Example 10.
 func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
+	var f *match.Filter
+	pool.runOne(func() { f = match.NewFilter(sr.Rule.Q, s.G) })
+	defer f.Release()
 	parts := make([]eip.Partial, len(s.chunks))
 	tasks := make([]func(), len(s.chunks))
 	for i, c := range s.chunks {
@@ -158,12 +162,15 @@ func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
 			defer qm.Release()
 			prm := match.NewMatcher(sr.pr, s.G, match.Options{})
 			defer prm.Release()
-			parts[i] = eip.EvalCenters(prm.HasMatchAt, qm.HasMatchAt, c)
+			parts[i] = eip.EvalCenters(
+				func(v graph.NodeID) bool { return f.Keep(v) && prm.HasMatchAt(v) },
+				func(v graph.NodeID) bool { return f.Keep(v) && qm.HasMatchAt(v) },
+				c)
 		}
 	}
 	pool.Do(tasks...)
 
-	ev := &RuleEval{Key: sr.Key}
+	ev := &RuleEval{Key: sr.Key, Centres: len(s.G.NodesWithLabel(s.Pred.XLabel)), Survivors: f.Kept()}
 	for _, p := range parts {
 		ev.Matches = append(ev.Matches, p.Q...)
 		ev.Stats.SuppR += p.R
