@@ -32,8 +32,8 @@ race:
 
 # Short coverage-guided runs of the fuzz targets: delta ingest (wire decode
 # in serve, op application in graph), the graph file reader gpard -graph
-# boots from, the fragment decoder a gparworker receives, the
-# durability decoders (snapshot file format, WAL replay), mining's
+# boots from, the fragment decoder and the wire payload decoders a
+# gparworker receives, the durability decoders (snapshot file format, WAL replay), mining's
 # extension discovery against its per-edge reference, the canonical
 # pattern code against pairwise isomorphism, and the identify filter's
 # soundness against the matcher. Go allows one
@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzApplyDelta' -fuzztime 20s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz 'FuzzRead' -fuzztime 20s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz 'FuzzFragmentDecode' -fuzztime 20s ./internal/partition/
+	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 20s ./internal/mine/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzDeltaHandler' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 20s ./internal/snapfile/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 20s ./internal/serve/
@@ -134,7 +135,7 @@ docs-check:
 # count after the last PR that lowered it. A PR that must add code raises
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count.
-LOC_BUDGET := 17269
+LOC_BUDGET := 16961
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	echo "non-test Go outside benchmark/: $$n lines (budget $(LOC_BUDGET))"; \

@@ -7,13 +7,12 @@
 // Usage:
 //
 //	gparworker -addr :9090 [-idle-timeout 5m] [-max-frame 268435456]
-//	           [-frag-cache 8] [-healthz :9091] [-quiet]
+//	           [-healthz :9091] [-quiet]
 //
 // A fleet is one gparworker per fragment; the coordinator connects to all of
 // them and drives BSP supersteps. -healthz serves the worker's counters
-// (connections, jobs, pings, fragment cache) as JSON over HTTP for fleet
-// monitoring. See DESIGN.md ("Distributed DMine") for the protocol and
-// failure semantics.
+// (connections, jobs, cancels) as JSON over HTTP for fleet monitoring. See
+// DESIGN.md ("Distributed DMine") for the protocol and failure semantics.
 package main
 
 import (
@@ -35,12 +34,11 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":9090", "listen address")
-		idle      = flag.Duration("idle-timeout", 5*time.Minute, "drop a connection idle this long (0 = never)")
-		maxFrame  = flag.Int("max-frame", wire.DefaultMaxFrame, "largest accepted frame in bytes")
-		fragCache = flag.Int("frag-cache", 0, "fragment cache entries (0 = default 8, negative = off)")
-		healthz   = flag.String("healthz", "", "serve GET /healthz and /stats on this address (e.g. :9091)")
-		quiet     = flag.Bool("quiet", false, "suppress per-connection logging")
+		addr     = flag.String("addr", ":9090", "listen address")
+		idle     = flag.Duration("idle-timeout", 5*time.Minute, "drop a connection idle this long (0 = never)")
+		maxFrame = flag.Int("max-frame", wire.DefaultMaxFrame, "largest accepted frame in bytes")
+		healthz  = flag.String("healthz", "", "serve GET /healthz and /stats on this address (e.g. :9091)")
+		quiet    = flag.Bool("quiet", false, "suppress per-connection logging")
 	)
 	flag.Parse()
 
@@ -49,9 +47,8 @@ func main() {
 		fatal(err)
 	}
 	opts := remote.ServerOptions{
-		MaxFrame:     *maxFrame,
-		IdleTimeout:  *idle,
-		FragCacheCap: *fragCache,
+		MaxFrame:    *maxFrame,
+		IdleTimeout: *idle,
 	}
 	if !*quiet {
 		opts.Logf = log.Printf

@@ -6,7 +6,6 @@ import (
 
 	"gpar/internal/core"
 	"gpar/internal/graph"
-	"gpar/internal/mine/wire"
 	"gpar/internal/partition"
 )
 
@@ -19,8 +18,8 @@ import (
 // into chunks. In-process workers all mine the one graph, each owning a
 // contiguous chunk of the ID-sorted candidate list, so building a Context
 // costs O(1). The d-neighbourhood fragments of Section 4.2 exist only for
-// remote workers, which have no graph: they are partitioned, encoded and
-// hashed on a fleet job's first use.
+// remote workers, which have no graph: they are partitioned and encoded on a
+// fleet job's first use.
 //
 // A Context is safe to share between any number of concurrent runs — the
 // serving subsystem caches Contexts per snapshot generation and hands one to
@@ -32,32 +31,24 @@ type Context struct {
 	// cands is g's own label index entry: ID-sorted, and never written.
 	cands []graph.NodeID
 
-	wireOnce  sync.Once
-	wireFrags []wireFragment
+	wireOnce sync.Once
+	// wireFrags holds each d-neighbourhood fragment's encoding; the fragment
+	// graphs themselves are dropped once encoded.
+	wireFrags [][]byte
 }
 
-// wireFragment is one d-neighbourhood fragment as a remote worker receives
-// it. The fragment graph itself is dropped once encoded.
-type wireFragment struct {
-	data, hash []byte
-}
-
-// WireFragment returns fragment i's canonical binary encoding and its
-// content hash (wire.HashFragment over those bytes). The partition runs once
-// per context, on the first call, so repeat and retried distributed jobs skip
-// it and the re-encode, and the hash keys the workers' fragment caches stably.
-func (c *Context) WireFragment(i int) (data, hash []byte) {
+// WireFragment returns fragment i's canonical binary encoding, as a remote
+// worker receives it. The partition runs once per context, on the first
+// call, so repeat and retried distributed jobs skip it and the re-encode.
+func (c *Context) WireFragment(i int) []byte {
 	c.wireOnce.Do(func() {
 		frags := partition.Partition(c.g, c.cands, c.n, c.d)
-		c.wireFrags = make([]wireFragment, len(frags))
+		c.wireFrags = make([][]byte, len(frags))
 		for j, f := range frags {
-			wf := &c.wireFrags[j]
-			wf.data = f.AppendBinary(nil)
-			wf.hash = wire.HashFragment(wf.data)
+			c.wireFrags[j] = f.AppendBinary(nil)
 		}
 	})
-	wf := &c.wireFrags[i]
-	return wf.data, wf.hash
+	return c.wireFrags[i]
 }
 
 // NewContext fixes the mining layout for x-label candidates on g with opts'

@@ -1,7 +1,6 @@
 package mine
 
 import (
-	"bytes"
 	"slices"
 	"sync"
 	"testing"
@@ -9,7 +8,6 @@ import (
 	"gpar/internal/core"
 	"gpar/internal/gen"
 	"gpar/internal/graph"
-	"gpar/internal/mine/wire"
 	"gpar/internal/partition"
 )
 
@@ -146,8 +144,8 @@ func TestNewContextIsConstantWork(t *testing.T) {
 	}
 }
 
-// TestWireFragmentBuiltOncePerContext: the fleet path partitions, encodes
-// and hashes on first use and every later caller, concurrent ones included,
+// TestWireFragmentBuiltOncePerContext: the fleet path partitions and
+// encodes on first use and every later caller, concurrent ones included,
 // gets the same bytes. Together the decoded fragments own every candidate
 // once.
 func TestWireFragmentBuiltOncePerContext(t *testing.T) {
@@ -162,8 +160,7 @@ func TestWireFragmentBuiltOncePerContext(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < opts.N; i++ {
-				data, _ := ctx.WireFragment(i)
-				datas[c] = append(datas[c], data)
+				datas[c] = append(datas[c], ctx.WireFragment(i))
 			}
 		}()
 	}
@@ -171,10 +168,7 @@ func TestWireFragmentBuiltOncePerContext(t *testing.T) {
 
 	var owned []graph.NodeID
 	for i := 0; i < opts.N; i++ {
-		data, hash := ctx.WireFragment(i)
-		if !bytes.Equal(hash, wire.HashFragment(data)) {
-			t.Errorf("fragment %d: hash does not cover its encoding", i)
-		}
+		data := ctx.WireFragment(i)
 		for c := range datas {
 			if &datas[c][i][0] != &data[0] {
 				t.Fatalf("fragment %d: caller %d got its own encoding", i, c)

@@ -182,7 +182,6 @@ func (e *remoteEngine) attach(m *miner) ([]int, []int, error) {
 	npq := make([]int, len(e.conns))
 	npqbar := make([]int, len(e.conns))
 	err := e.fanOutCtx(m.opts.Ctx, func(i int, c WorkerConn) error {
-		fragBytes, fragHash := m.ctx.WireFragment(i)
 		setup := &wire.JobSetup{
 			JobID:     e.jobID,
 			Worker:    i,
@@ -192,8 +191,7 @@ func (e *remoteEngine) attach(m *miner) ([]int, []int, error) {
 			EdgeLabel: m.pred.EdgeLabel,
 			YLabel:    m.pred.YLabel,
 			Symbols:   syms,
-			Fragment:  fragBytes,
-			FragHash:  fragHash,
+			Fragment:  m.ctx.WireFragment(i),
 		}
 		ack, err := c.Setup(setup)
 		if err != nil {
@@ -307,15 +305,22 @@ type WorkerRuntime struct {
 	out   wire.Messages // recycled reply
 }
 
-// NewWorkerRuntimeFragment builds the job state from a setup frame over the
-// decoded fragment its content hash names, and returns the ack the
-// coordinator is waiting for (the round-0 classification counts). The
-// fragment is read read-only, so one cached fragment may back concurrent
-// runtimes.
-func NewWorkerRuntimeFragment(s *wire.JobSetup, frag *partition.Fragment) (*WorkerRuntime, *wire.SetupAck) {
+// NewWorkerRuntime builds the job state from a setup frame, decoding the
+// fragment it carries against its symbol table, and returns the ack the
+// coordinator is waiting for (the round-0 classification counts). A
+// fragment that fails to decode, or is followed by trailing bytes, is an
+// error and starts no job.
+func NewWorkerRuntime(s *wire.JobSetup) (*WorkerRuntime, *wire.SetupAck, error) {
 	syms := graph.NewSymbols()
 	for _, name := range s.Symbols {
 		syms.Intern(name)
+	}
+	frag, rest, err := partition.DecodeFragment(s.Fragment, syms)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(rest) != 0 {
+		return nil, nil, fmt.Errorf("mine: %d trailing bytes after the job's fragment", len(rest))
 	}
 	pred := core.Predicate{XLabel: s.XLabel, EdgeLabel: s.EdgeLabel, YLabel: s.YLabel}
 	w := acquireWorker(s.Worker, frag)
@@ -330,7 +335,7 @@ func NewWorkerRuntimeFragment(s *wire.JobSetup, frag *partition.Fragment) (*Work
 		rules: make(map[uint32]*pattern.Pattern),
 		next:  make(map[uint32]*pattern.Pattern),
 	}
-	return rt, &wire.SetupAck{JobID: s.JobID, NPq: w.npq, NPqbar: w.npqbar}
+	return rt, &wire.SetupAck{JobID: s.JobID, NPq: w.npq, NPqbar: w.npqbar}, nil
 }
 
 // Round runs one superstep: install the frame's frontier (rebuilding each

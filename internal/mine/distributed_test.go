@@ -8,7 +8,6 @@ import (
 	"gpar/internal/gen"
 	"gpar/internal/graph"
 	"gpar/internal/mine/wire"
-	"gpar/internal/partition"
 )
 
 // loopbackConn drives a WorkerRuntime through the full wire codec path —
@@ -24,17 +23,10 @@ func (c *loopbackConn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
 	if err != nil {
 		return nil, err
 	}
-	// No fragment cache and no FragNeed exchange here (the remote package
-	// has both): the runtime gets the decode of the body the engine passed.
-	syms := graph.NewSymbols()
-	for _, name := range dec.Symbols {
-		syms.Intern(name)
-	}
-	frag, _, err := partition.DecodeFragment(dec.Fragment, syms)
+	rt, ack, err := NewWorkerRuntime(dec)
 	if err != nil {
 		return nil, err
 	}
-	rt, ack := NewWorkerRuntimeFragment(dec, frag)
 	c.rt = rt
 	return wire.DecodeSetupAck(ack.Append(nil))
 }

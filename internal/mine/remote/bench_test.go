@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -10,24 +9,19 @@ import (
 	"gpar/internal/mine"
 )
 
-// benchFleet runs one distributed mining job per iteration over a 4-worker
-// loopback-TCP fleet of services built with sopts.
-func benchFleet(b *testing.B, sopts ServerOptions) {
+// BenchmarkDMineDistributed times one full distributed mining job over a
+// 4-worker loopback-TCP fleet: per-worker job setup (fragment ship and
+// decode), the BSP supersteps with their frame round trips, and the
+// coordinator's assemble/diversify reduce. The in-process equivalent of
+// this workload is BenchmarkDMine (internal/mine); the gap between the two
+// is the wire overhead. Recorded in BENCH_mine.json by `make bench`.
+func BenchmarkDMineDistributed(b *testing.B) {
 	syms := graph.NewSymbols()
 	g := gen.Pokec(syms, gen.DefaultPokec(500, 7))
 	pred := gen.PokecPredicates(syms)[0]
 	opts := mine.Options{K: 10, Sigma: 5, D: 2, Lambda: 0.5, N: 4, MaxEdges: 2}.Defaults()
 
-	addrs := make([]string, opts.N)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer l.Close()
-		go Serve(l, sopts)
-		addrs[i] = l.Addr().String()
-	}
+	addrs := startWorkers(b, opts.N, ServerOptions{})
 	conns, err := DialFleet(addrs, DialOptions{StepTimeout: time.Minute})
 	if err != nil {
 		b.Fatal(err)
@@ -49,24 +43,4 @@ func benchFleet(b *testing.B, sopts ServerOptions) {
 			b.Fatal("no rules mined")
 		}
 	}
-}
-
-// BenchmarkDMineDistributed times one full distributed mining job over a
-// 4-worker loopback-TCP fleet: per-worker job setup (fragment ship and
-// decode), the BSP supersteps with their frame round trips, and the
-// coordinator's assemble/diversify reduce. The workers' fragment caches are
-// disabled, so every job ships every fragment. The in-process equivalent
-// of this workload is BenchmarkDMine (internal/mine); the gap between the
-// two is the wire overhead. Recorded in BENCH_mine.json by `make bench`.
-func BenchmarkDMineDistributed(b *testing.B) {
-	benchFleet(b, ServerOptions{FragCacheCap: -1})
-}
-
-// BenchmarkDMineDistributedCachedFragment is the same job with the workers'
-// content-addressed fragment caches warm: after the first iteration every
-// setup is a hash-only frame answered from cache, so the gap to
-// BenchmarkDMineDistributed is the per-job fragment ship+decode the cache
-// saves. Recorded in BENCH_mine.json by `make bench`.
-func BenchmarkDMineDistributedCachedFragment(b *testing.B) {
-	benchFleet(b, ServerOptions{})
 }

@@ -15,13 +15,12 @@ import (
 	"gpar/internal/netfault"
 )
 
-// Worker-written frame indexes on a connection to a worker with a cold
-// fragment cache, for targeting netfault scripts. The 5-byte handshake reply
-// travels before frame parsing (SkipBytes).
+// Worker-written frame indexes on a job's connection, for targeting
+// netfault scripts. The 5-byte handshake reply travels before frame parsing
+// (SkipBytes).
 const (
-	frFragNeed = 1 // cold fragment cache asks for the body
-	frSetupAck = 2 // setup acknowledged
-	frRound1   = 3 // first superstep's message reply
+	frSetupAck = 1 // setup acknowledged
+	frRound1   = 2 // first superstep's message reply
 )
 
 // chaosWatchdog bounds every faulted job: a fault must surface as an error
@@ -286,8 +285,7 @@ func TestChaosCancelAgainstStalledWorker(t *testing.T) {
 }
 
 // TestChaosPreCanceledJobNeverSetsUp: a run context that is already dead
-// ends the job before any worker is set up — no fragment ships and no
-// worker starts a job.
+// ends the job before any worker is set up — no worker starts a job.
 func TestChaosPreCanceledJobNeverSetsUp(t *testing.T) {
 	mctx, pred, o := chaosJob(150, 3, 1)
 	dead, cancel := context.WithCancel(context.Background())
@@ -303,74 +301,7 @@ func TestChaosPreCanceledJobNeverSetsUp(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("error %T (%v), want *mine.CanceledError", err, err)
 	}
-	if st := svs[0].Stats(); st.Jobs != 0 || st.FragCache.Misses != 0 {
-		t.Fatalf("worker stats %+v, want no job and no fragment ship", st)
-	}
-}
-
-// TestChaosFragmentShipsOncePerWorker: repeat jobs over re-dialed
-// connections ship each worker's fragment exactly once — the first job
-// pays one ship per worker and every later job is all cache hits, as the
-// worker services' own stats show.
-func TestChaosFragmentShipsOncePerWorker(t *testing.T) {
-	ctx, pred, o := chaosJob(200, 11, 2)
-	want := fingerprint(mustMine(mine.DMineCtx(ctx, pred, o)))
-
-	addrs, svs := chaosFleet(t, 2, ServerOptions{}, noFaults)
-	dopts := DialOptions{StepTimeout: 30 * time.Second}
-
-	// Same context, fresh connections each time: the fragment must travel
-	// only with the first job.
-	for i := 0; i < 3; i++ {
-		res, err := dialAndMine(ctx, pred, o, addrs, dopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fingerprint(res); got != want {
-			t.Fatalf("job %d result differs from clean run", i)
-		}
-		for w, sv := range svs {
-			if st := sv.Stats(); st.FragCache.Misses != 1 || st.FragCache.Hits != int64(i) {
-				t.Fatalf("after job %d worker %d cache stats %+v, want 1 miss, %d hits", i, w, st.FragCache, i)
-			}
-		}
-	}
-	for w, sv := range svs {
-		st := sv.Stats()
-		if st.FragCache.Entries != 1 || st.Jobs != 3 {
-			t.Fatalf("worker %d stats %+v, want 1 cache entry and 3 jobs", w, st)
-		}
-	}
-}
-
-// TestChaosRetryWarmCacheSkipsShip: a job that dies AFTER the fragment
-// landed leaves the worker's cache warm, so the caller's retry on fresh
-// connections ships nothing — the fragment travels once although the job
-// ran twice.
-func TestChaosRetryWarmCacheSkipsShip(t *testing.T) {
-	ctx, pred, o := chaosJob(200, 11, 2)
-
-	addrs, svs := chaosFleet(t, 2, ServerOptions{}, func(worker, conn int) *netfault.Script {
-		if worker == 0 && conn == 0 {
-			// The fragment arrives during setup (before SetupAck); dying on
-			// the first round reply leaves the cache warm.
-			return &netfault.Script{SkipBytes: 5, CloseAtFrame: frRound1}
-		}
-		return nil
-	})
-	dopts := DialOptions{StepTimeout: time.Second}
-	if _, err := dialAndMine(ctx, pred, o, addrs, dopts); err == nil {
-		t.Fatal("faulted job succeeded")
-	}
-	res, err := dialAndMine(ctx, pred, o, addrs, dopts)
-	if err != nil || res == nil {
-		t.Fatalf("retried job failed: %v", err)
-	}
-	// The retry hit both caches: worker 0's was warmed by the failed job,
-	// worker 1's by its own completed setup.
-	for w, sv := range svs {
-		if st := sv.Stats(); st.FragCache.Misses != 1 || st.FragCache.Hits != 1 {
-			t.Fatalf("worker %d cache stats %+v, want the fragment shipped once and hit once", w, st.FragCache)
-		}
+	if st := svs[0].Stats(); st.Jobs != 0 {
+		t.Fatalf("worker stats %+v, want no job", st)
 	}
 }

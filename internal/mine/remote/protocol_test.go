@@ -129,18 +129,19 @@ func TestServeVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestSetupWithoutHashExchangeRefused: the worker takes the fragment only
-// by content hash. A setup frame carrying the body inline, or carrying no
-// hash, is answered with an Error frame and starts no job.
-func TestSetupWithoutHashExchangeRefused(t *testing.T) {
-	body := []byte("GPFRbody")
+// TestSetupBadFragmentRefused: the worker decodes the fragment a setup frame
+// carries. A body that does not decode, or one followed by trailing bytes,
+// is answered with an Error frame, closes the connection and starts no job.
+func TestSetupBadFragmentRefused(t *testing.T) {
+	mctx, _, _ := chaosJob(150, 3, 1)
+	frag := mctx.WireFragment(0)
 	for _, tc := range []struct {
-		name  string
-		setup wire.JobSetup
-		want  string
+		name     string
+		fragment []byte
+		want     string
 	}{
-		{"inline fragment", wire.JobSetup{Fragment: body, FragHash: wire.HashFragment(body)}, "inline fragment body"},
-		{"no hash", wire.JobSetup{}, "fragment hash is 0 bytes"},
+		{"no fragment", nil, "magic"},
+		{"trailing bytes", append(append([]byte(nil), frag...), 0), "1 trailing bytes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addrs, svs := chaosFleet(t, 1, ServerOptions{}, noFaults)
@@ -153,7 +154,8 @@ func TestSetupWithoutHashExchangeRefused(t *testing.T) {
 			if err := wire.Handshake(c, true); err != nil {
 				t.Fatal(err)
 			}
-			if err := wire.WriteFrame(c, wire.TypeJobSetup, tc.setup.Append(nil)); err != nil {
+			setup := wire.JobSetup{Fragment: tc.fragment}
+			if err := wire.WriteFrame(c, wire.TypeJobSetup, setup.Append(nil)); err != nil {
 				t.Fatal(err)
 			}
 			typ, payload, _, err := wire.ReadFrame(c, nil, 0)

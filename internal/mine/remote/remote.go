@@ -4,8 +4,8 @@
 // connection, DialFleet to bring up a full worker fleet, and Mine as the
 // one-call entry point. Both ends speak the wire package's one protocol
 // version: Dial opens one TCP connection and a peer of any other version is
-// a typed handshake error on both sides. A job's fragment travels by content
-// hash first and in full only when the worker's cache lacks it.
+// a typed handshake error on both sides. A job's fragment travels inline in
+// its setup frame; a worker keeps nothing once the job finishes.
 //
 // Failure semantics are strict and typed: dial-phase failures wrap
 // ErrFleetUnavailable (the caller can fall back to in-process mining,
@@ -17,7 +17,6 @@
 package remote
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -193,51 +192,19 @@ func (c *Conn) roundTrip(reqType byte, payload []byte, wantType byte) ([]byte, e
 	return reply, nil
 }
 
-// Setup implements mine.WorkerConn. The fragment body is withheld: the
-// setup frame carries only its content hash, and the body is shipped in a
-// FragHave frame only when the worker answers FragNeed (a cache miss).
+// Setup implements mine.WorkerConn: the setup frame carries the worker's
+// fragment, and the worker answers with its round-0 counts.
 func (c *Conn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
-	hashOnly := *s
-	hashOnly.Fragment = nil
-	c.enc = hashOnly.Append(c.enc[:0])
-	if err := c.send(wire.TypeJobSetup, c.enc); err != nil {
-		return nil, err
-	}
-	typ, reply, err := c.recv()
+	c.enc = s.Append(c.enc[:0])
+	reply, err := c.roundTrip(wire.TypeJobSetup, c.enc, wire.TypeSetupAck)
 	if err != nil {
 		return nil, err
-	}
-	if typ == wire.TypeFragNeed {
-		need, derr := wire.DecodeFragNeed(reply)
-		if derr != nil {
-			return nil, c.fail(derr)
-		}
-		if !bytes.Equal(need.Hash, s.FragHash) {
-			return nil, c.fail(fmt.Errorf("remote: worker requested fragment %x, offered %x", need.Hash, s.FragHash))
-		}
-		have := wire.FragHave{Hash: s.FragHash, Fragment: s.Fragment}
-		c.enc = have.Append(c.enc[:0])
-		if err := c.send(wire.TypeFragHave, c.enc); err != nil {
-			return nil, err
-		}
-		if typ, reply, err = c.recv(); err != nil {
-			return nil, err
-		}
-	}
-	if typ != wire.TypeSetupAck {
-		return nil, c.fail(fmt.Errorf("remote: setup reply frame type %d, want %d", typ, wire.TypeSetupAck))
 	}
 	ack, err := wire.DecodeSetupAck(reply)
 	if err != nil {
 		return nil, c.fail(err)
 	}
 	return ack, nil
-}
-
-// Ping round-trips a health probe. Only legal between jobs.
-func (c *Conn) Ping() error {
-	_, err := c.roundTrip(wire.TypePing, nil, wire.TypePing)
-	return err
 }
 
 // Mine implements mine.WorkerConn.

@@ -244,12 +244,12 @@ func TestMidSuperstepDisconnect(t *testing.T) {
 	}.Defaults()
 	ctx := mine.NewContext(g, pred.XLabel, o)
 
-	// Worker 1 serves the handshake and the setup exchange (its frames 1 and
-	// 2: FragNeed, SetupAck), then drops the connection in place of its
-	// first superstep reply.
+	// Worker 1 serves the handshake and the setup exchange (its frame 1,
+	// SetupAck), then drops the connection in place of its first superstep
+	// reply.
 	addrs, _ := chaosFleet(t, 2, ServerOptions{}, func(worker, conn int) *netfault.Script {
 		if worker == 1 {
-			return &netfault.Script{SkipBytes: 5, CloseAtFrame: 3}
+			return &netfault.Script{SkipBytes: 5, CloseAtFrame: 2}
 		}
 		return nil
 	})

@@ -1,15 +1,12 @@
 package remote
 
 import (
-	"bytes"
 	"net"
 	"sync/atomic"
 	"time"
 
-	"gpar/internal/graph"
 	"gpar/internal/mine"
 	"gpar/internal/mine/wire"
-	"gpar/internal/partition"
 )
 
 // ServerOptions tunes a worker service. The zero value means defaults.
@@ -26,11 +23,6 @@ type ServerOptions struct {
 	// client that connects and never speaks cannot pin a goroutine
 	// (slowloris). Default 10s; negative disables.
 	HandshakeTimeout time.Duration
-	// FragCacheCap bounds the content-addressed fragment cache in entries
-	// (decoded, frozen fragments keyed by the SHA-256 of their binary
-	// encoding, LRU-evicted). 0 means the default (8); negative disables
-	// caching.
-	FragCacheCap int
 	// Logf, when non-nil, receives one line per connection-level event
 	// (accepted, job started, failed, closed).
 	Logf func(format string, args ...any)
@@ -43,9 +35,6 @@ func (o ServerOptions) defaults() ServerOptions {
 	if o.HandshakeTimeout == 0 {
 		o.HandshakeTimeout = 10 * time.Second
 	}
-	if o.FragCacheCap == 0 {
-		o.FragCacheCap = 8
-	}
 	return o
 }
 
@@ -55,35 +44,29 @@ func (o *ServerOptions) logf(format string, args ...any) {
 	}
 }
 
-// Service is one worker process's shared state: the options, the
-// content-addressed fragment cache that survives across connections (so a
-// coordinator that re-dials after a failure, or a new job over the same
-// graph, skips the fragment ship), and the counters behind Stats.
+// Service is one worker process's shared state: the options and the
+// counters behind Stats. Jobs share nothing else — each one's fragment
+// arrives in its setup frame and is dropped at Finish.
 type Service struct {
-	opts  ServerOptions
-	frags *fragCache
+	opts ServerOptions
 
 	conns       atomic.Int64 // accepted, lifetime
 	activeConns atomic.Int64
 	jobs        atomic.Int64
-	pings       atomic.Int64
 	cancels     atomic.Int64 // jobs dropped by a coordinator Cancel frame
 }
 
 // NewService builds a worker service.
 func NewService(opts ServerOptions) *Service {
-	opts = opts.defaults()
-	return &Service{opts: opts, frags: newFragCache(opts.FragCacheCap)}
+	return &Service{opts: opts.defaults()}
 }
 
 // ServiceStats is a point-in-time snapshot of a worker's counters.
 type ServiceStats struct {
-	ActiveConns int64          `json:"activeConns"`
-	TotalConns  int64          `json:"totalConns"`
-	Jobs        int64          `json:"jobs"`
-	Pings       int64          `json:"pings"`
-	Cancels     int64          `json:"cancels"`
-	FragCache   FragCacheStats `json:"fragCache"`
+	ActiveConns int64 `json:"activeConns"`
+	TotalConns  int64 `json:"totalConns"`
+	Jobs        int64 `json:"jobs"`
+	Cancels     int64 `json:"cancels"`
 }
 
 // Stats snapshots the service counters.
@@ -92,9 +75,7 @@ func (sv *Service) Stats() ServiceStats {
 		ActiveConns: sv.activeConns.Load(),
 		TotalConns:  sv.conns.Load(),
 		Jobs:        sv.jobs.Load(),
-		Pings:       sv.pings.Load(),
 		Cancels:     sv.cancels.Load(),
-		FragCache:   sv.frags.stats(),
 	}
 }
 
@@ -182,15 +163,6 @@ func (sv *Service) serveConn(conn net.Conn) {
 		}
 		buf = newBuf
 		switch typ {
-		case wire.TypePing:
-			if rt != nil {
-				fail(protocolErr("unexpected ping"))
-				return
-			}
-			sv.pings.Add(1)
-			if wire.WriteFrame(conn, wire.TypePing, nil) != nil {
-				return
-			}
 		case wire.TypeJobSetup:
 			if rt != nil {
 				fail(protocolErr("job setup while a job is active"))
@@ -201,12 +173,11 @@ func (sv *Service) serveConn(conn net.Conn) {
 				fail(err)
 				return
 			}
-			frag, err := sv.resolveFragment(conn, setup, deadline, &buf, &enc)
+			newRT, ack, err := mine.NewWorkerRuntime(setup)
 			if err != nil {
 				fail(err)
 				return
 			}
-			newRT, ack := mine.NewWorkerRuntimeFragment(setup, frag)
 			rt = newRT
 			sv.jobs.Add(1)
 			opts.logf("remote: %v: job %d as worker %d", peer, setup.JobID, setup.Worker)
@@ -260,64 +231,6 @@ func (sv *Service) serveConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// resolveFragment turns a job setup into a decoded, frozen fragment: from
-// the content-addressed cache on a hit, or — on a miss — by asking the
-// coordinator for the body with a FragNeed/FragHave exchange, verifying it
-// against the hash and caching its decode. A setup frame that carries a
-// body itself is a protocol error (DecodeJobSetup has already refused one
-// without a hash).
-func (sv *Service) resolveFragment(conn net.Conn, setup *wire.JobSetup, deadline func() bool, buf, enc *[]byte) (*partition.Fragment, error) {
-	if len(setup.Fragment) > 0 {
-		return nil, protocolErr("job setup carries an inline fragment body")
-	}
-	hash := setup.FragHash
-	if frag, ok := sv.frags.get(hash); ok {
-		return frag, nil
-	}
-	need := wire.FragNeed{Hash: hash}
-	*enc = need.Append((*enc)[:0])
-	if err := wire.WriteFrame(conn, wire.TypeFragNeed, *enc); err != nil {
-		return nil, err
-	}
-	if !deadline() {
-		return nil, protocolErr("setting fragment exchange deadline")
-	}
-	typ, payload, newBuf, err := wire.ReadFrame(conn, *buf, sv.opts.MaxFrame)
-	*buf = newBuf
-	if err != nil {
-		return nil, err
-	}
-	if typ != wire.TypeFragHave {
-		return nil, protocolErr("expected fragment body after cache miss")
-	}
-	have, err := wire.DecodeFragHave(payload)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(have.Hash, hash) {
-		return nil, protocolErr("fragment body for the wrong hash")
-	}
-	if !bytes.Equal(wire.HashFragment(have.Fragment), hash) {
-		return nil, protocolErr("fragment body does not match its content hash")
-	}
-	// The decode interns the job's symbol table, but the fragment itself is
-	// symbol-independent (labels are raw IDs), so reuse across jobs with
-	// grown symbol tables is sound.
-	syms := graph.NewSymbols()
-	for _, name := range setup.Symbols {
-		syms.Intern(name)
-	}
-	frag, rest, err := partition.DecodeFragment(have.Fragment, syms)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, protocolErr("trailing bytes after fragment body")
-	}
-	sv.frags.put(hash, frag)
-	return frag, nil
 }
 
 // protocolErr builds the worker-side protocol violation error.

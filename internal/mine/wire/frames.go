@@ -1,30 +1,16 @@
 package wire
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 
 	"gpar/internal/graph"
 	"gpar/internal/pattern"
 )
 
-// HashSize is the length of a fragment content hash on the wire.
-const HashSize = sha256.Size
-
-// HashFragment returns the content hash keying the worker-side fragment
-// cache: SHA-256 over the fragment's canonical binary encoding. Symbols are
-// deliberately excluded — labels travel as raw IDs inside the fragment
-// bytes and the symbol table rides separately per job, so symbol-table
-// growth between jobs cannot invalidate (or poison) cached fragments.
-func HashFragment(frag []byte) []byte {
-	h := sha256.Sum256(frag)
-	return h[:]
-}
-
 // JobSetup is the coordinator → worker job preamble: the run parameters a
 // localMine superstep needs, the label symbol table (names in label-ID
 // order, so decoded fragments and patterns speak the coordinator's label
-// IDs) and the content hash of the worker's fragment.
+// IDs) and the worker's fragment.
 type JobSetup struct {
 	JobID    uint64
 	Worker   int // this worker's index (message attribution)
@@ -34,14 +20,9 @@ type JobSetup struct {
 	XLabel, EdgeLabel, YLabel graph.Label
 
 	Symbols []string
-	// Fragment is the partition.Fragment.AppendBinary encoding and FragHash
-	// its HashFragment. The coordinator's engine fills both; the connection
-	// sends the setup with the hash alone, the worker resolves the body from
-	// its content-addressed cache and answers TypeFragNeed on a miss, and
-	// only then does the body travel, once, in TypeFragHave. A worker
-	// refuses a setup frame that carries a body.
+	// Fragment is the partition.Fragment.AppendBinary encoding, decoded by
+	// the worker once per job.
 	Fragment []byte
-	FragHash []byte
 }
 
 // Append encodes the setup into dst.
@@ -57,12 +38,10 @@ func (s *JobSetup) Append(dst []byte) []byte {
 	for _, name := range s.Symbols {
 		dst = appendString(dst, name)
 	}
-	dst = appendBytesField(dst, s.Fragment)
-	return appendBytesField(dst, s.FragHash)
+	return appendBytesField(dst, s.Fragment)
 }
 
-// DecodeJobSetup decodes a TypeJobSetup payload. A setup without a
-// HashSize-byte fragment hash is malformed.
+// DecodeJobSetup decodes a TypeJobSetup payload.
 func DecodeJobSetup(p []byte) (*JobSetup, error) {
 	r := reader{buf: p}
 	s := &JobSetup{
@@ -79,7 +58,6 @@ func DecodeJobSetup(p []byte) (*JobSetup, error) {
 		s.Symbols = append(s.Symbols, r.string("symbol"))
 	}
 	s.Fragment = r.bytesCopy("fragment")
-	s.FragHash = r.hash()
 	if err := r.done(); err != nil {
 		return nil, err
 	}
@@ -258,54 +236,6 @@ func DecodeError(p []byte) (*ErrorFrame, error) {
 	return e, nil
 }
 
-// FragNeed is the worker → coordinator cache-miss reply to a JobSetup: the
-// worker does not hold the fragment with this content hash and needs the
-// body before it can ack the setup.
-type FragNeed struct {
-	Hash []byte
-}
-
-// Append encodes the request into dst.
-func (f *FragNeed) Append(dst []byte) []byte {
-	return appendBytesField(dst, f.Hash)
-}
-
-// DecodeFragNeed decodes a TypeFragNeed payload.
-func DecodeFragNeed(p []byte) (*FragNeed, error) {
-	r := reader{buf: p}
-	f := &FragNeed{Hash: r.hash()}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// FragHave is the coordinator → worker answer to FragNeed: the fragment
-// body for the named content hash. The worker verifies the hash over the
-// received bytes before caching — a corrupt body is a typed error, never a
-// poisoned cache entry.
-type FragHave struct {
-	Hash     []byte
-	Fragment []byte
-}
-
-// Append encodes the reply into dst.
-func (f *FragHave) Append(dst []byte) []byte {
-	dst = appendBytesField(dst, f.Hash)
-	return appendBytesField(dst, f.Fragment)
-}
-
-// DecodeFragHave decodes a TypeFragHave payload.
-func DecodeFragHave(p []byte) (*FragHave, error) {
-	r := reader{buf: p}
-	f := &FragHave{Hash: r.hash()}
-	f.Fragment = r.bytesCopy("fragment")
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // appendExtension encodes a pattern extension. Src and Close are node
 // ordinals within the pattern (Close may be the NoNode sentinel -1, hence
 // signed); labels are encoded signed for uniformity with Close, at a cost
@@ -360,6 +290,10 @@ func appendLane(dst []byte, lane []graph.NodeID) []byte {
 func readLane(r *reader, what string) []graph.NodeID {
 	n := r.intf(what)
 	if r.err != nil || n == 0 {
+		return nil
+	}
+	if n > len(r.buf) { // every ID takes at least one byte; bounds the allocation below
+		r.fail("%s claims %d IDs in %d bytes", what, n, len(r.buf))
 		return nil
 	}
 	lane := make([]graph.NodeID, 0, n)

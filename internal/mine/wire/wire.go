@@ -1,9 +1,9 @@
 // Package wire is the binary protocol of distributed DMine: length-prefixed
 // frames, in the one protocol version both ends must speak, carrying the BSP
 // superstep traffic between the mining coordinator and its remote workers —
-// job setup (symbols, options, the content hash of the worker's fragment),
-// the fragment body when the worker's cache lacks it, per-round frontier
-// hand-offs, the workers' <R, conf> message streams, and job teardown.
+// job setup (symbols, options and the worker's fragment, inline), per-round
+// frontier hand-offs, the workers' <R, conf> message streams, and job
+// teardown.
 //
 // Everything on the wire is structural: a candidate GPAR travels as its
 // (parent ruleID, extension) pair plus three flat center lanes of global
@@ -29,7 +29,7 @@ const (
 	// Magic opens the handshake: "GPWK" followed by the version byte.
 	Magic = "GPWK"
 	// Version is the protocol version this package speaks.
-	Version = 5
+	Version = 6
 )
 
 // Frame types.
@@ -50,15 +50,6 @@ const (
 	TypeFinish byte = 5
 	// TypeError: either direction. A typed failure; the job is dead.
 	TypeError byte = 6
-	// TypePing: coordinator → worker health probe, echoed verbatim. Only
-	// legal between jobs.
-	TypePing byte = 7
-	// TypeFragNeed: worker → coordinator reply to a hash-only JobSetup
-	// whose fragment is not in the worker's cache; carries the hash.
-	TypeFragNeed byte = 8
-	// TypeFragHave: coordinator → worker reply to TypeFragNeed: the
-	// fragment body for the named content hash.
-	TypeFragHave byte = 9
 	// TypeCancel: coordinator → worker. The in-flight job is abandoned; the
 	// worker drops its runtime and awaits the next TypeJobSetup on the same
 	// connection. No reply — the coordinator has already stopped listening
@@ -233,15 +224,6 @@ func (r *reader) string(what string) string { return string(r.bytes(what)) }
 // overwrites; an empty field decodes as nil.
 func (r *reader) bytesCopy(what string) []byte {
 	return append([]byte(nil), r.bytes(what)...)
-}
-
-// hash decodes a fragment content hash, which is exactly HashSize bytes.
-func (r *reader) hash() []byte {
-	h := r.bytesCopy("fragment hash")
-	if r.err == nil && len(h) != HashSize {
-		r.fail("fragment hash is %d bytes, want %d", len(h), HashSize)
-	}
-	return h
 }
 
 // done asserts the payload was fully consumed.

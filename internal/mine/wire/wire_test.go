@@ -2,14 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestHandshake(t *testing.T) {
 		t.Fatalf("answerer: %v", err)
 	}
 
-	const golden = "GPWK\x05"
+	const golden = "GPWK\x06"
 	for _, dialer := range []bool{true, false} {
 		var sent bytes.Buffer
 		if err := Handshake(&rw{strings.NewReader(golden), &sent}, dialer); err != nil {
@@ -62,8 +63,8 @@ func TestHandshakeErrors(t *testing.T) {
 		{"short", "GP", false},
 		{"bad magic", "NOPE\x04", false},
 		{"version 0", "GPWK\x00", true},
-		{"older version", "GPWK\x04", true},
-		{"newer version", "GPWK\x06", true},
+		{"older version", Magic + string([]byte{Version - 1}), true},
+		{"newer version", Magic + string([]byte{Version + 1}), true},
 	} {
 		for _, dialer := range []bool{true, false} {
 			var sent bytes.Buffer
@@ -206,7 +207,6 @@ func fullSetup() *JobSetup {
 		YLabel:    graph.NoLabel,
 		Symbols:   []string{"person", "", "likes", "page"},
 		Fragment:  []byte("GPFRfragmentbytes"),
-		FragHash:  HashFragment([]byte("GPFRfragmentbytes")),
 	}
 }
 
@@ -214,75 +214,26 @@ func TestJobSetupRoundTrip(t *testing.T) {
 	s := fullSetup()
 	roundTrip(t, s.Append, DecodeJobSetup, s)
 
-	// The shape the coordinator's connection sends: hash, no body.
-	hashOnly := fullSetup()
-	hashOnly.Fragment = nil
-	roundTrip(t, hashOnly.Append, DecodeJobSetup, hashOnly)
-
-	// Minimal setup: no symbols, only the mandatory hash.
-	min := &JobSetup{FragHash: HashFragment(nil)}
-	roundTrip(t, min.Append, DecodeJobSetup, min)
-
-	// A missing or wrong-sized hash is a typed error, not a short hash.
-	for _, hash := range [][]byte{nil, []byte("short"), bytes.Repeat([]byte{1}, HashSize+1)} {
-		bad := fullSetup()
-		bad.FragHash = hash
-		if _, err := DecodeJobSetup(bad.Append(nil)); err == nil {
-			t.Fatalf("%d-byte fragment hash accepted", len(hash))
-		} else if _, ok := err.(*FrameError); !ok {
-			t.Fatalf("%d-byte hash error type %T, want *FrameError", len(hash), err)
-		}
-	}
+	// Minimal setup: no symbols, an empty fragment.
+	roundTrip(t, (&JobSetup{}).Append, DecodeJobSetup, &JobSetup{})
 }
 
 // TestJobSetupGoldenFrame pins the bytes of one fully-populated JobSetup
 // frame, so a layout change that forgets to bump Version fails here. The
-// bytes are the version-4 golden frame minus its eccCap and centerEcc fields
-// (and the six bytes of length that counted them).
+// bytes are the version-5 golden frame minus its 33-byte fragment-hash field
+// (and the length that counted it).
 func TestJobSetupGoldenFrame(t *testing.T) {
 	var frame bytes.Buffer
 	if err := WriteFrame(&frame, TypeJobSetup, fullSetup().Append(nil)); err != nil {
 		t.Fatal(err)
 	}
-	const golden = "0000005701" + // length, TypeJobSetup
+	const golden = "0000003601" + // length, TypeJobSetup
 		"918080808080808010030240" + // jobID, worker, d, embedCap
 		"080000" + // xLabel, edgeLabel, yLabel (zigzag)
 		"0406706572736f6e00056c696b65730470616765" + // symbols
-		"1147504652667261676d656e746279746573" + // fragment
-		"20ff1baf4772dd8e6c1ecce6e5f281c2ebd26af7a932116a84515820c941ae324c" // fragHash
+		"1147504652667261676d656e746279746573" // fragment
 	if got := hex.EncodeToString(frame.Bytes()); got != golden {
 		t.Fatalf("JobSetup frame bytes changed (bump Version with the layout):\n got %s\nwant %s", got, golden)
-	}
-}
-
-func TestFragNeedRoundTrip(t *testing.T) {
-	f := &FragNeed{Hash: HashFragment([]byte("some fragment"))}
-	roundTrip(t, f.Append, DecodeFragNeed, f)
-
-	// Hashes must be exactly HashSize bytes.
-	for _, n := range []int{0, 1, HashSize - 1, HashSize + 1} {
-		bad := &FragNeed{Hash: bytes.Repeat([]byte{0xab}, n)}
-		if _, err := DecodeFragNeed(bad.Append(nil)); err == nil {
-			t.Fatalf("%d-byte hash accepted", n)
-		} else if _, ok := err.(*FrameError); !ok {
-			t.Fatalf("%d-byte hash error type %T, want *FrameError", n, err)
-		}
-	}
-}
-
-func TestFragHaveRoundTrip(t *testing.T) {
-	body := []byte("GPFRfragmentbody")
-	f := &FragHave{Hash: HashFragment(body), Fragment: body}
-	roundTrip(t, f.Append, DecodeFragHave, f)
-
-	empty := &FragHave{Hash: HashFragment(nil)}
-	roundTrip(t, empty.Append, DecodeFragHave, empty)
-
-	bad := &FragHave{Hash: []byte{1, 2, 3}, Fragment: body}
-	if _, err := DecodeFragHave(bad.Append(nil)); err == nil {
-		t.Fatal("undersized hash accepted")
-	} else if _, ok := err.(*FrameError); !ok {
-		t.Fatalf("undersized hash error type %T, want *FrameError", err)
 	}
 }
 
@@ -369,28 +320,86 @@ func TestErrorFrameRoundTrip(t *testing.T) {
 	roundTrip(t, empty.Append, DecodeError, empty)
 }
 
-// TestDecodeFuzzish throws random bytes at every payload decoder: errors are
-// fine, panics are not.
-func TestDecodeFuzzish(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	decoders := []func([]byte) error{
-		func(b []byte) error { _, err := DecodeJobSetup(b); return err },
-		func(b []byte) error { _, err := DecodeSetupAck(b); return err },
-		func(b []byte) error { _, err := DecodeRound(b); return err },
-		func(b []byte) error { _, err := DecodeMessages(b); return err },
-		func(b []byte) error { _, err := DecodeError(b); return err },
-		func(b []byte) error { _, err := DecodeFragNeed(b); return err },
-		func(b []byte) error { _, err := DecodeFragHave(b); return err },
-	}
-	for trial := 0; trial < 2000; trial++ {
-		b := make([]byte, rng.Intn(64))
-		rng.Read(b)
-		for _, dec := range decoders {
-			if err := dec(b); err != nil {
-				if _, ok := err.(*FrameError); !ok {
-					t.Fatalf("decoder returned %T (%v), want *FrameError", err, err)
-				}
-			}
+// hugeLane is a payload prefix up to a lane count: one entry whose first
+// lane claims n IDs and then ends. The count is read straight off the wire.
+func hugeLane(prefix []byte, n int) []byte {
+	p := append([]byte(nil), prefix...)
+	p = appendExtension(p, pattern.Extension{Close: pattern.NoNode})
+	return binary.AppendUvarint(p, uint64(n))
+}
+
+// TestDecodeLaneCountBoundsAllocation: a lane count larger than the bytes
+// left in the payload is a *FrameError before anything is allocated for it.
+// Each payload is a dozen bytes; a lane sized by its count instead would
+// take 64 MiB here, and 8 GiB at the int32 maximum.
+func TestDecodeLaneCountBoundsAllocation(t *testing.T) {
+	const claim = 1 << 24
+	for _, tc := range []struct {
+		name string
+		dec  func([]byte) error
+		p    []byte
+	}{
+		// round 1, one frontier entry with id 1 and parent 0.
+		{"Round qCenters", func(b []byte) error { _, err := DecodeRound(b); return err },
+			hugeLane([]byte{1, 1, 1, 0}, claim)},
+		// round 1, ops 0, capped 0, one message with parent 0.
+		{"Messages qCenters", func(b []byte) error { _, err := DecodeMessages(b); return err },
+			hugeLane([]byte{1, 0, 0, 1, 0}, claim)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.dec(tc.p)
+		runtime.ReadMemStats(&after)
+		var fe *FrameError
+		if !errors.As(err, &fe) {
+			t.Errorf("%s (%d bytes): error %T (%v), want *FrameError", tc.name, len(tc.p), err, err)
 		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s (%d bytes): decoding allocated %d bytes, want under 1 MiB", tc.name, len(tc.p), grew)
+		}
+	}
+}
+
+// FuzzDecode throws arbitrary bytes at every payload decoder. A decoder
+// never panics and fails only with a *FrameError, and whatever it accepts
+// re-encodes to bytes that decode to the same value.
+func FuzzDecode(f *testing.F) {
+	for _, seed := range [][]byte{
+		nil,
+		fullSetup().Append(nil),
+		(&SetupAck{JobID: 9, NPq: 12, NPqbar: 3}).Append(nil),
+		(&Round{Round: 1, Frontier: []FrontierEntry{{ID: 1, Ext: extensions()[2], QCenters: []graph.NodeID{4}}}}).Append(nil),
+		(&Messages{Round: 2, Ops: 7, Msgs: []Msg{{Parent: 1, Ext: extensions()[1], QCenters: []graph.NodeID{3, 9}}}}).Append(nil),
+		(&ErrorFrame{Msg: "boom"}).Append(nil),
+		hugeLane([]byte{1, 1, 1, 0}, 1<<29),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		checkDecode(t, p, DecodeJobSetup)
+		checkDecode(t, p, DecodeSetupAck)
+		checkDecode(t, p, DecodeRound)
+		checkDecode(t, p, DecodeMessages)
+		checkDecode(t, p, DecodeError)
+	})
+}
+
+// checkDecode is FuzzDecode's contract for one decoder.
+func checkDecode[T interface{ Append([]byte) []byte }](t *testing.T, p []byte, dec func([]byte) (T, error)) {
+	t.Helper()
+	v, err := dec(p)
+	if err != nil {
+		var fe *FrameError
+		if !errors.As(err, &fe) {
+			t.Fatalf("decoder returned %T (%v), want *FrameError", err, err)
+		}
+		return
+	}
+	again, err := dec(v.Append(nil))
+	if err != nil {
+		t.Fatalf("re-encoded %T fails to decode: %v", v, err)
+	}
+	if !reflect.DeepEqual(again, v) {
+		t.Fatalf("decode(encode(decode(p))) != decode(p):\n got %+v\nwant %+v", again, v)
 	}
 }

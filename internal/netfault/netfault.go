@@ -20,7 +20,7 @@
 // flips the top bit of the length prefix so the peer's frame-size guard
 // rejects it with a typed error. CorruptPayload flips a bit mid-payload and
 // is only guaranteed to surface where the protocol validates content
-// (flag bytes, trailing-byte checks, fragment content hashes).
+// (flag bytes, trailing-byte checks).
 package netfault
 
 import (
