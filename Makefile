@@ -135,7 +135,7 @@ docs-check:
 # count after the last PR that lowered it. A PR that must add code raises
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count.
-LOC_BUDGET := 16961
+LOC_BUDGET := 16705
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	echo "non-test Go outside benchmark/: $$n lines (budget $(LOC_BUDGET))"; \

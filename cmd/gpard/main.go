@@ -14,7 +14,7 @@
 // With -data-dir the daemon is durable: every snapshot swap is
 // checkpointed to a checksummed snapshot file and every accepted delta
 // batch is appended to a write-ahead log before it is acknowledged
-// (-wal-sync controls the fsync policy: always | interval | none). On
+// (-wal-sync controls the fsync policy: always | none). On
 // restart, if the directory holds a recoverable state, the daemon
 // recovers it — newest valid snapshot plus WAL replay — and the
 // -graph/-gen/-rules/-mine flags are skipped; corrupt files are
@@ -54,36 +54,33 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		graphIn   = flag.String("graph", "", "input graph file (exclusive with -gen)")
-		genKind   = flag.String("gen", "", "generate the graph: pokec | gplus | synthetic")
-		users     = flag.Int("users", 2000, "user count for -gen pokec/gplus")
-		nv        = flag.Int("v", 10000, "nodes for -gen synthetic")
-		ne        = flag.Int("e", 20000, "edges for -gen synthetic")
-		seed      = flag.Int64("seed", 1, "random seed for -gen")
-		rulesIn   = flag.String("rules", "", "input rules file")
-		predStr   = flag.String("pred", "", "predicate xLabel,edgeLabel,yLabel (required without -rules)")
-		doMine    = flag.Bool("mine", false, "mine rules at startup with DMine")
-		k         = flag.Int("k", 10, "top-k size for -mine")
-		sigma     = flag.Int("sigma", 10, "support threshold σ for -mine")
-		d         = flag.Int("d", 2, "radius bound for -mine")
-		lambda    = flag.Float64("lambda", 0.5, "diversification balance λ for -mine")
-		maxEd     = flag.Int("max-edges", 3, "antecedent edge budget for -mine")
-		capRd     = flag.Int("cap", 100, "mining candidates per round (0 = unlimited)")
-		workers   = flag.Int("n", 4, "identify fan-out: candidate chunks per rule evaluation; also the fragment count of the -mine start-up job")
-		pool      = flag.Int("pool", 0, "matching concurrency bound (0 = GOMAXPROCS minus the mine share)")
-		mineCPU   = flag.Float64("mine-share", 0, "fraction of GOMAXPROCS mine jobs may occupy together (0 = default 0.5)")
-		cache     = flag.Int("cache", 256, "match-set cache capacity")
-		eta       = flag.Float64("eta", 1.0, "default confidence bound η")
-		reqTO     = flag.Duration("request-timeout", 0, "server-side identify deadline (0 = 30s, negative = off)")
-		maxQ      = flag.Int("max-queue", 0, "admission queue depth before shedding 429 (0 = 64, negative = off)")
-		queueTO   = flag.Duration("queue-timeout", 0, "longest an admitted request may wait for a slot (0 = 1s)")
-		memLim    = flag.Uint64("mem-limit", 0, "heap watermark in bytes: >=90% rejects mine jobs, >=100% shrinks caches (0 = off)")
-		compactN  = flag.Int("compact-threshold", 0, "overlay ops that trigger background delta compaction (0 = off)")
-		compactIv = flag.Duration("compact-interval", 0, "periodic delta compaction interval (0 = off)")
-		dataDir   = flag.String("data-dir", "", "durable data directory: checkpoints snapshots + a delta WAL and recovers from them at startup")
-		walSync   = flag.String("wal-sync", "always", "WAL fsync policy for -data-dir: always | interval | none")
-		walSyncIv = flag.Duration("wal-sync-interval", 100*time.Millisecond, "flush period for -wal-sync interval")
+		addr     = flag.String("addr", ":8080", "listen address")
+		graphIn  = flag.String("graph", "", "input graph file (exclusive with -gen)")
+		genKind  = flag.String("gen", "", "generate the graph: pokec | gplus | synthetic")
+		users    = flag.Int("users", 2000, "user count for -gen pokec/gplus")
+		nv       = flag.Int("v", 10000, "nodes for -gen synthetic")
+		ne       = flag.Int("e", 20000, "edges for -gen synthetic")
+		seed     = flag.Int64("seed", 1, "random seed for -gen")
+		rulesIn  = flag.String("rules", "", "input rules file")
+		predStr  = flag.String("pred", "", "predicate xLabel,edgeLabel,yLabel (required without -rules)")
+		doMine   = flag.Bool("mine", false, "mine rules at startup with DMine")
+		k        = flag.Int("k", 10, "top-k size for -mine")
+		sigma    = flag.Int("sigma", 10, "support threshold σ for -mine")
+		d        = flag.Int("d", 2, "radius bound for -mine")
+		lambda   = flag.Float64("lambda", 0.5, "diversification balance λ for -mine")
+		maxEd    = flag.Int("max-edges", 3, "antecedent edge budget for -mine")
+		capRd    = flag.Int("cap", 100, "mining candidates per round (0 = unlimited)")
+		workers  = flag.Int("n", 4, "identify fan-out: candidate chunks per rule evaluation; also the fragment count of the -mine start-up job")
+		pool     = flag.Int("pool", 0, "matching concurrency bound (0 = GOMAXPROCS minus the mine share)")
+		mineCPU  = flag.Float64("mine-share", 0, "fraction of GOMAXPROCS mine jobs may occupy together (0 = default 0.5)")
+		cache    = flag.Int("cache", 256, "match-set cache capacity")
+		eta      = flag.Float64("eta", 1.0, "default confidence bound η")
+		reqTO    = flag.Duration("request-timeout", 0, "server-side identify deadline (0 = 30s, negative = off)")
+		maxQ     = flag.Int("max-queue", 0, "admission queue depth before shedding 429 (0 = 64, negative = off)")
+		queueTO  = flag.Duration("queue-timeout", 0, "longest an admitted request may wait for a slot (0 = 1s)")
+		compactN = flag.Int("compact-threshold", 0, "overlay ops that trigger background delta compaction (0 = off)")
+		dataDir  = flag.String("data-dir", "", "durable data directory: checkpoints snapshots + a delta WAL and recovers from them at startup")
+		walSync  = flag.String("wal-sync", "always", "WAL fsync policy for -data-dir: always | none")
 	)
 	flag.Parse()
 	bootStart := time.Now()
@@ -97,7 +94,6 @@ func main() {
 		RequestTimeout:   *reqTO,
 		MaxQueue:         *maxQ,
 		QueueTimeout:     *queueTO,
-		MemLimitBytes:    *memLim,
 		CompactThreshold: *compactN,
 	}
 	srv := serve.New(cfg)
@@ -109,9 +105,8 @@ func main() {
 	recovered := false
 	if *dataDir != "" {
 		if err := srv.EnablePersistence(serve.PersistOptions{
-			Dir:          *dataDir,
-			Sync:         serve.SyncPolicy(*walSync),
-			SyncInterval: *walSyncIv,
+			Dir:  *dataDir,
+			Sync: serve.SyncPolicy(*walSync),
 		}); err != nil {
 			fatal(err)
 		}
@@ -201,30 +196,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 
-	// Periodic compaction: fold any delta overlay back into a real freeze on
-	// a timer, independent of the op-count threshold. A tick with no overlay
-	// is a no-op.
-	var compactDone chan struct{}
-	if *compactIv > 0 {
-		compactDone = make(chan struct{})
-		go func() {
-			tick := time.NewTicker(*compactIv)
-			defer tick.Stop()
-			for {
-				select {
-				case <-compactDone:
-					return
-				case <-tick.C:
-					if gen, did, err := srv.Compact(); err != nil {
-						log.Printf("compact: %v", err)
-					} else if did {
-						log.Printf("compacted delta overlay; generation %d", gen)
-					}
-				}
-			}
-		}()
-	}
-
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
@@ -232,9 +203,6 @@ func main() {
 		fatal(err)
 	case sig := <-sigc:
 		log.Printf("received %v; draining", sig)
-	}
-	if compactDone != nil {
-		close(compactDone)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()

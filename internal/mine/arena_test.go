@@ -105,8 +105,7 @@ func TestDMineMultiArenasOnOffIdentity(t *testing.T) {
 // TestWorkerPoolKeepsOneRunsWorkers pins the pool's policy: a finished run
 // leaves its workers idle; the next like run mines on those very workers
 // (and their grown arenas) instead of building new ones; runs finishing
-// together leave no more than one of them would (or GOMAXPROCS);
-// DropIdleWorkers lets them all go.
+// together leave no more than one of them would (or GOMAXPROCS).
 func TestWorkerPoolKeepsOneRunsWorkers(t *testing.T) {
 	g, optsList := arenaFixture(t)
 	pred := gen.PokecPredicates(g.Symbols())[0]
@@ -121,7 +120,9 @@ func TestWorkerPoolKeepsOneRunsWorkers(t *testing.T) {
 	}
 	keep := max(8, runtime.GOMAXPROCS(0))
 
-	DropIdleWorkers()
+	workerPool.mu.Lock()
+	workerPool.idle = nil
+	workerPool.mu.Unlock()
 	DMine(g, pred, optsList[3]) // N = 8
 	first := idle()
 	if len(first) != keep {
@@ -142,10 +143,6 @@ func TestWorkerPoolKeepsOneRunsWorkers(t *testing.T) {
 	wg.Wait()
 	if n := len(idle()); n != keep {
 		t.Fatalf("%d idle workers after three concurrent 8-worker runs, want %d", n, keep)
-	}
-	DropIdleWorkers()
-	if n := len(idle()); n != 0 {
-		t.Fatalf("%d idle workers after DropIdleWorkers", n)
 	}
 }
 

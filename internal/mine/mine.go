@@ -512,15 +512,6 @@ func acquireWorker(id int, frag *partition.Fragment) *worker {
 	return w
 }
 
-// DropIdleWorkers hands the idle workers' memory to the garbage collector. A
-// server under memory pressure calls it beside shrinking its caches; runs in
-// flight keep their workers.
-func DropIdleWorkers() {
-	workerPool.mu.Lock()
-	workerPool.idle = nil
-	workerPool.mu.Unlock()
-}
-
 // bind points the worker at its view of a run's data and clears everything
 // whose content depends on the run or its graph; every run, in process or
 // remote, starts here.

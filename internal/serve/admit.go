@@ -3,21 +3,17 @@ package serve
 import (
 	"context"
 	"errors"
-	"runtime/metrics"
 	"sync"
 	"time"
 )
 
 // This file is the server's overload front door: a bounded admission queue
-// ahead of the identify pool, and a heap watermark that degrades service
-// before the process runs out of memory. The ladder, in order of pressure:
-// admit (a running slot is free) → queue (bounded wait for one) → shed
-// (429 once the queue is full or the wait exceeds its budget) → degrade
-// (above the soft heap watermark new mine jobs are rejected; above the hard
-// watermark the match-set and mine-context caches are shrunk). Shedding
-// early and cheaply is what keeps the latency of *admitted* requests
-// bounded when offered load exceeds capacity — the load harness
-// (cmd/gparload -overload) measures exactly that.
+// ahead of the identify pool. The ladder, in order of pressure: admit (a
+// running slot is free) → queue (bounded wait for one) → shed (429 once the
+// queue is full or the wait exceeds its budget). Shedding early and cheaply
+// is what keeps the latency of *admitted* requests bounded when offered
+// load exceeds capacity — the load harness (cmd/gparload -overload)
+// measures exactly that.
 
 // Shed verdicts, distinguished so the handler can phrase the 429 and the
 // counters can tell queue-full (instant reject) from queue-timeout (waited,
@@ -96,78 +92,3 @@ func (a *admitter) depth() int64 {
 
 // inUse is how many admitted requests are currently evaluating.
 func (a *admitter) inUse() int { return len(a.slots) }
-
-// Memory watermark levels. Soft (≥ 90% of the limit) stops admitting new
-// mine jobs — mining is the workload whose working set is both large and
-// deferrable. Hard (≥ the limit) additionally sheds cache memory: the
-// match-set and mine-context caches are shrunk to half on every identify
-// that observes the level. Identify traffic itself is never memory-shed —
-// its per-request footprint is small and bounded by the pool.
-const (
-	memOK   = 0
-	memSoft = 1
-	memHard = 2
-)
-
-// heapBytes reads the live heap from runtime/metrics — the allocator's own
-// view, no stop-the-world, cheap enough to sample on request paths (and
-// cached by memWatch regardless).
-func heapBytes() uint64 {
-	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	metrics.Read(s)
-	return s[0].Value.Uint64()
-}
-
-// memWatch samples the heap against a configured limit, caching the reading
-// briefly so a request burst costs one metrics.Read, not thousands. sample
-// is a test hook; production uses heapBytes.
-type memWatch struct {
-	limit  uint64
-	sample func() uint64
-
-	mu     sync.Mutex
-	lastAt time.Time
-	last   uint64
-}
-
-const memSampleEvery = 250 * time.Millisecond
-
-func newMemWatch(limit uint64) *memWatch {
-	return &memWatch{limit: limit, sample: heapBytes}
-}
-
-// heap returns the (cached) live heap size.
-func (m *memWatch) heap() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if now := time.Now(); now.Sub(m.lastAt) >= memSampleEvery {
-		m.last = m.sample()
-		m.lastAt = now
-	}
-	return m.last
-}
-
-// level maps the current heap to the watermark ladder.
-func (m *memWatch) level() int {
-	h := m.heap()
-	switch {
-	case h >= m.limit:
-		return memHard
-	case h*10 >= m.limit*9: // ≥ 90%, in integer arithmetic
-		return memSoft
-	default:
-		return memOK
-	}
-}
-
-// levelName renders a watermark level for /stats.
-func levelName(l int) string {
-	switch l {
-	case memSoft:
-		return "soft"
-	case memHard:
-		return "hard"
-	default:
-		return "ok"
-	}
-}

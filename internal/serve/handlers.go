@@ -17,7 +17,6 @@ import (
 
 	"gpar/internal/core"
 	"gpar/internal/graph"
-	"gpar/internal/mine"
 )
 
 // jsonFloat marshals NaN and ±Inf — which encoding/json rejects — as
@@ -161,8 +160,6 @@ type StatsResponse struct {
 	// evaluating vs queued, and how many were shed (429) because the queue
 	// was full or the wait exceeded its budget. Absent when MaxQueue < 0.
 	Admission *AdmissionStats `json:"admission,omitempty"`
-	// Mem reports the heap watermark ladder. Absent when MemLimitBytes == 0.
-	Mem *MemStats `json:"mem,omitempty"`
 	// Saturation is the live occupancy of the two CPU pools plus the
 	// admission queue depth — the signals to watch before shedding starts.
 	Saturation struct {
@@ -192,15 +189,6 @@ type AdmissionStats struct {
 	ShedFull     int64  `json:"shedFull"`
 	ShedTimeout  int64  `json:"shedTimeout"`
 	QueueTimeout string `json:"queueTimeout"`
-}
-
-// MemStats is the /stats view of the heap watermark ladder.
-type MemStats struct {
-	LimitBytes   uint64 `json:"limitBytes"`
-	HeapBytes    uint64 `json:"heapBytes"`
-	Level        string `json:"level"`
-	MineRejects  int64  `json:"mineRejects"`
-	CacheShrinks int64  `json:"cacheShrinks"`
 }
 
 // Handler returns the server's HTTP API, wrapped in the panic-recovery
@@ -320,16 +308,6 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer release()
-	}
-	// Hard memory watermark: shed cache memory, and the idle mining workers'
-	// arenas, before evaluating. The shed is attributed to whichever request
-	// observes the level — degradation is a property of the server, not of
-	// the victim request, which still gets its answer.
-	if s.mem != nil && s.mem.level() >= memHard {
-		s.nCacheShrink.Add(1)
-		s.cache.Shrink()
-		s.mineCtx.Shrink()
-		mine.DropIdleWorkers()
 	}
 
 	start := time.Now()
@@ -497,11 +475,6 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := s.StartMine(p)
 	if err != nil {
-		if errors.Is(err, errMemPressure) {
-			w.Header().Set("Retry-After", "5")
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -612,15 +585,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			QueueTimeout: s.cfg.QueueTimeout.String(),
 		}
 		resp.Saturation.QueueDepth = s.admit.depth()
-	}
-	if s.mem != nil {
-		resp.Mem = &MemStats{
-			LimitBytes:   s.mem.limit,
-			HeapBytes:    s.mem.heap(),
-			Level:        levelName(s.mem.level()),
-			MineRejects:  s.nMemRejects.Load(),
-			CacheShrinks: s.nCacheShrink.Load(),
-		}
 	}
 	resp.Saturation.PoolInUse = s.pool.InUse()
 	resp.Saturation.PoolSize = s.pool.Size()

@@ -67,10 +67,6 @@ func terminal(st JobStatus) bool {
 	return false
 }
 
-// errMemPressure rejects new mine jobs at the soft memory watermark; the
-// handler maps it to 503.
-var errMemPressure = errors.New("serve: heap above memory watermark; not accepting mine jobs")
-
 // Job is one asynchronous DMine run. Fields are snapshots; the registry
 // returns copies, so readers never observe a job mid-update.
 type Job struct {
@@ -233,19 +229,12 @@ func (j *Jobs) Counts() map[JobStatus]int {
 // DMine run in the background, returning the pending job. The whole
 // admission runs under the swap lock: Symbols.Lookup must not race a
 // concurrent Intern (PUT /v1/rules), and the closed-check + jobWG.Add must
-// serialize with Shutdown so no job registers after the drain begins. At
-// the soft memory watermark new jobs are rejected outright (errMemPressure)
-// — mining is the deferrable, large-working-set workload, so it sheds
-// first.
+// serialize with Shutdown so no job registers after the drain begins.
 func (s *Server) StartMine(p MineParams) (Job, error) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	if s.closed.Load() {
 		return Job{}, fmt.Errorf("serve: server is shutting down")
-	}
-	if s.mem != nil && s.mem.level() >= memSoft {
-		s.nMemRejects.Add(1)
-		return Job{}, errMemPressure
 	}
 	snap := s.snap.Load()
 	if snap == nil {

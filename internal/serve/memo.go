@@ -9,8 +9,8 @@ import (
 // memo is the serving layer's one "build a missing value once and remember
 // it" mechanism — the match-set cache and the mine-context cache are both
 // one: a bounded, locked LRU whose only read is GetOrBuild. An entry enters
-// the LRU when its build starts, so eviction, Carry, Remove, Purge and
-// Shrink treat a build in flight like a finished value: they move or drop
+// the LRU when its build starts, so eviction, Carry, Remove and Purge
+// treat a build in flight like a finished value: they move or drop
 // the memo's reference, and whoever holds the entry still gets its value.
 type memo[K comparable, V any] struct {
 	mu    sync.Mutex
@@ -93,7 +93,10 @@ func (m *memo[K, V]) GetOrBuild(key K, build func() (V, error)) (v V, how memoOu
 	el := m.ll.PushFront(e)
 	m.byKey[key] = el
 	m.built++
-	m.dropOldest(m.ll.Len() - m.cap)
+	for m.ll.Len() > m.cap {
+		delete(m.byKey, m.ll.Remove(m.ll.Back()).(*memoEntry[K, V]).key)
+		m.evictions++
+	}
 	m.mu.Unlock()
 
 	defer func() {
@@ -118,17 +121,6 @@ func (m *memo[K, V]) GetOrBuild(key K, build func() (V, error)) (v V, how memoOu
 	}()
 	e.val, e.err = build()
 	return e.val, memoBuilt, e.err
-}
-
-// dropOldest evicts up to n least-recently-used entries and returns how many
-// it dropped. Caller holds m.mu.
-func (m *memo[K, V]) dropOldest(n int) int {
-	dropped := 0
-	for ; dropped < n && m.ll.Len() > 0; dropped++ {
-		delete(m.byKey, m.ll.Remove(m.ll.Back()).(*memoEntry[K, V]).key)
-		m.evictions++
-	}
-	return dropped
 }
 
 // Carry renames oldKey's entry to newKey — the delta path's selective
@@ -177,15 +169,6 @@ func (m *memo[K, V]) Purge() int {
 		m.purges++
 	}
 	return n
-}
-
-// Shrink evicts the least-recently-used half and returns how many entries
-// were dropped. The hard memory watermark calls it: halving, not purging,
-// keeps the part of the working set that is still earning its keep.
-func (m *memo[K, V]) Shrink() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dropOldest((m.ll.Len() + 1) / 2)
 }
 
 // Stats returns the counters: st.Hits finished entries found, st.Misses

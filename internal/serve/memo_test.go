@@ -261,27 +261,6 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestCacheShrinkKeepsHotHalf pins the degrade primitive itself: Shrink
-// evicts the cold (LRU) half and keeps the hot half resident.
-func TestCacheShrinkKeepsHotHalf(t *testing.T) {
-	m := newMemo[string, int](16)
-	for i := 0; i < 8; i++ {
-		put(m, fmt.Sprintf("k%d", i))
-	}
-	// Touch the upper half so it is the hot end.
-	for i := 4; i < 8; i++ {
-		put(m, fmt.Sprintf("k%d", i))
-	}
-	if evicted := m.Shrink(); evicted != 4 {
-		t.Fatalf("Shrink evicted %d, want 4", evicted)
-	}
-	for i := 0; i < 8; i++ {
-		if got, want := resident(m, fmt.Sprintf("k%d", i)), i >= 4; got != want {
-			t.Errorf("k%d resident = %v after the shrink, want %v", i, got, want)
-		}
-	}
-}
-
 // TestMineContextCacheUnit exercises the memo as the mine-context cache uses
 // it: hit on a repeated key, separate builds across keys differing in one
 // field, eviction of the least recently used context, Remove and Purge.

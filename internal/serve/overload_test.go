@@ -213,65 +213,6 @@ func TestIdentifyClientGoneWhileQueued(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return s.nClientGone.Load() >= 1 })
 }
 
-// TestMemWatermarkDegrade drives the heap watermark ladder with a fake
-// sampler: soft rejects new mine jobs with 503 + Retry-After, hard
-// additionally shrinks the match-set cache while still answering the
-// identify that observed it, and dropping back below the watermark restores
-// mine admission.
-func TestMemWatermarkDegrade(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{Workers: 2, MemLimitBytes: 1 << 30})
-	setHeap := func(h uint64) {
-		s.mem.mu.Lock()
-		s.mem.sample = func() uint64 { return h }
-		s.mem.lastAt = time.Time{} // next read re-samples
-		s.mem.mu.Unlock()
-	}
-
-	mineBody := []byte(`{"xLabel":"cust","edgeLabel":"visit","yLabel":"restaurant",
-		"k":2,"sigma":1,"maxEdges":1,"cap":10}`)
-
-	// Soft (≥ 90%): mine jobs are the deferrable workload, so they shed first.
-	setHeap(1<<30 - 1<<26) // 960 MiB of a 1 GiB limit ≈ 94%
-	resp := rawDo(t, "POST", ts.URL+"/v1/mine", mineBody)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("mine at soft watermark: %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("memory-pressure 503 carries no Retry-After")
-	}
-	// Identify is never memory-shed: its footprint is bounded by the pool.
-	if resp := rawDo(t, "POST", ts.URL+"/v1/identify", []byte(`{}`)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("identify at soft watermark: %d, want 200", resp.StatusCode)
-	}
-	var st StatsResponse
-	doJSON(t, "GET", ts.URL+"/stats", nil, &st)
-	if st.Mem == nil || st.Mem.Level != "soft" || st.Mem.MineRejects < 1 {
-		t.Fatalf("stats at soft watermark: %+v", st.Mem)
-	}
-
-	// Hard (≥ limit): the identify that observes it sheds cache memory but
-	// still gets its answer.
-	setHeap(1 << 30)
-	if resp := rawDo(t, "POST", ts.URL+"/v1/identify", []byte(`{}`)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("identify at hard watermark: %d, want 200", resp.StatusCode)
-	}
-	doJSON(t, "GET", ts.URL+"/stats", nil, &st)
-	if st.Mem == nil || st.Mem.Level != "hard" || st.Mem.CacheShrinks < 1 {
-		t.Fatalf("stats at hard watermark: %+v", st.Mem)
-	}
-
-	// Back under the watermark, mine jobs are admitted again.
-	setHeap(1 << 20)
-	var job Job
-	if code := doJSON(t, "POST", ts.URL+"/v1/mine", mineBody, &job); code != http.StatusAccepted {
-		t.Fatalf("mine below watermark: %d, want 202", code)
-	}
-	waitFor(t, 10*time.Second, func() bool {
-		j, ok := s.jobs.Get(job.ID)
-		return ok && terminal(j.Status)
-	})
-}
-
 // TestPanickingEvaluationAnswers500: identify evaluates every rule on its own
 // goroutine, and the pool runs all chunks but one on its goroutines; a panic
 // on any of them must come back as that request's 500, leave every pool slot

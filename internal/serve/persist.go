@@ -30,7 +30,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gpar/internal/core"
 	"gpar/internal/diskfault"
@@ -41,13 +40,12 @@ import (
 type SyncPolicy string
 
 // The WAL sync policies: fsync every record (no accepted batch is ever
-// lost), fsync on a timer (bounded loss window, much cheaper), or never
-// fsync explicitly (the OS decides; crash loss is unbounded but replay is
-// still exact up to the torn tail).
+// lost), or never fsync a record explicitly (the OS decides; crash loss is
+// unbounded but replay is still exact up to the torn tail). Either way a
+// checkpoint's WAL rotation and Shutdown sync the log.
 const (
-	SyncAlways   SyncPolicy = "always"
-	SyncInterval SyncPolicy = "interval"
-	SyncNone     SyncPolicy = "none"
+	SyncAlways SyncPolicy = "always"
+	SyncNone   SyncPolicy = "none"
 )
 
 // PersistOptions configures on-disk durability for a Server.
@@ -59,8 +57,6 @@ type PersistOptions struct {
 	FS diskfault.FS
 	// Sync is the WAL sync policy. Default SyncAlways.
 	Sync SyncPolicy
-	// SyncInterval is the flush period under SyncInterval. Default 100ms.
-	SyncInterval time.Duration
 }
 
 // retainSnapshots is how many checkpointed snapshots (with their WALs) a
@@ -114,26 +110,20 @@ type PersistenceStats struct {
 
 // persister owns the server's durability state.
 type persister struct {
-	fs       diskfault.FS
-	dir      string
-	policy   SyncPolicy
-	interval time.Duration
+	fs     diskfault.FS
+	dir    string
+	policy SyncPolicy
 
-	// walMu orders WAL file operations (append under swapMu, rotation
-	// under swapMu, timed flushes from the flusher goroutine, close).
+	// walMu orders WAL file operations: append and rotation under swapMu,
+	// and close from Shutdown, which does not hold it.
 	walMu    sync.Mutex
 	wal      *walWriter
-	walDirty bool
+	closeErr error
 
 	// suppress, guarded by the server's swapMu, turns checkpoint and
 	// append hooks off while Recover replays history through the normal
 	// swap paths.
 	suppress bool
-
-	stop      chan struct{}
-	flusherD  chan struct{}
-	closeOnce sync.Once
-	closeErr  error
 
 	nSnapLoads    atomic.Int64
 	nWalRecords   atomic.Int64
@@ -175,25 +165,13 @@ func (s *Server) EnablePersistence(opts PersistOptions) error {
 	if opts.Sync == "" {
 		opts.Sync = SyncAlways
 	}
-	switch opts.Sync {
-	case SyncAlways, SyncInterval, SyncNone:
-	default:
-		return fmt.Errorf("serve: unknown WAL sync policy %q", opts.Sync)
-	}
-	if opts.SyncInterval <= 0 {
-		opts.SyncInterval = 100 * time.Millisecond
+	if opts.Sync != SyncAlways && opts.Sync != SyncNone {
+		return fmt.Errorf("serve: unknown WAL sync policy %q (want %q or %q)", opts.Sync, SyncAlways, SyncNone)
 	}
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return fmt.Errorf("serve: create data dir: %w", err)
 	}
-	p := &persister{
-		fs:       opts.FS,
-		dir:      opts.Dir,
-		policy:   opts.Sync,
-		interval: opts.SyncInterval,
-		stop:     make(chan struct{}),
-		flusherD: make(chan struct{}),
-	}
+	p := &persister{fs: opts.FS, dir: opts.Dir, policy: opts.Sync}
 
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -207,50 +185,18 @@ func (s *Server) EnablePersistence(opts PersistOptions) error {
 			return err
 		}
 	}
-	if p.policy == SyncInterval {
-		go p.flusher()
-	} else {
-		close(p.flusherD)
-	}
 	return nil
 }
 
-// flusher is the SyncInterval background loop: it fsyncs the WAL whenever
-// records were appended since the last flush.
-func (p *persister) flusher() {
-	defer close(p.flusherD)
-	t := time.NewTicker(p.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-t.C:
-			p.walMu.Lock()
-			if p.walDirty && p.wal != nil {
-				// A failed timed flush leaves walDirty set, so the next
-				// tick (or close) retries.
-				if p.wal.sync() == nil {
-					p.walDirty = false
-				}
-			}
-			p.walMu.Unlock()
-		}
-	}
-}
-
-// close stops the flusher and syncs + closes the WAL. Idempotent.
+// close syncs and closes the WAL. Idempotent: a repeat call returns the
+// first call's error.
 func (p *persister) close() error {
-	p.closeOnce.Do(func() {
-		close(p.stop)
-		<-p.flusherD
-		p.walMu.Lock()
-		defer p.walMu.Unlock()
-		if p.wal != nil {
-			p.closeErr = p.wal.close()
-			p.wal = nil
-		}
-	})
+	p.walMu.Lock()
+	defer p.walMu.Unlock()
+	if p.wal != nil {
+		p.closeErr = p.wal.close()
+		p.wal = nil
+	}
 	return p.closeErr
 }
 
@@ -265,9 +211,6 @@ func (p *persister) appendDelta(gen uint64, req DeltaRequest) error {
 	}
 	if err := p.wal.append(gen, req, p.policy == SyncAlways); err != nil {
 		return err
-	}
-	if p.policy != SyncAlways {
-		p.walDirty = true
 	}
 	p.nWalRecords.Add(1)
 	return nil
@@ -304,7 +247,6 @@ func (p *persister) checkpoint(snap *Snapshot) error {
 		return err
 	}
 	p.wal = w
-	p.walDirty = false
 	p.lastCkpt.Store(snap.Gen)
 	p.prune(snap.Gen)
 	return nil
@@ -361,9 +303,11 @@ func (p *persister) quarantine(name string) string {
 	to := from + ".corrupt"
 	// A previous quarantine of the same name is itself evidence; keep it.
 	for i := 1; ; i++ {
-		if _, err := p.fs.OpenFile(to, os.O_RDONLY, 0); err != nil {
+		f, err := p.fs.OpenFile(to, os.O_RDONLY, 0)
+		if err != nil {
 			break
 		}
+		f.Close()
 		to = fmt.Sprintf("%s.corrupt.%d", from, i)
 	}
 	if err := p.fs.Rename(from, to); err != nil {

@@ -1,7 +1,7 @@
 // Persistence unit tests: checkpoint/rotation layout, the WAL
 // append-before-publish barrier, recovery with corrupt tails and corrupt
-// snapshots, quarantine semantics, retention pruning, and the goroutine
-// hygiene of the interval flusher across start → deltas → stop → recover.
+// snapshots, quarantine semantics, retention pruning, the WAL sync policy
+// table, and goroutine hygiene across start → deltas → stop → recover.
 // The end-to-end crash-recovery differential oracle lives in
 // crash_oracle_test.go.
 package serve
@@ -324,6 +324,35 @@ func TestRecoverRefusesAllCorrupt(t *testing.T) {
 	}
 }
 
+// Quarantine probes each taken name on its way to a free one; every probe
+// handle is closed, so repeated collisions cost no file descriptors.
+func TestQuarantineClosesProbeHandles(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors with")
+	}
+	dir := t.TempDir()
+	for _, n := range []string{"x", "x.corrupt", "x.corrupt.1", "x.corrupt.2"} {
+		if err := os.WriteFile(filepath.Join(dir, n), []byte(n), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	p := &persister{fs: diskfault.OS(), dir: dir}
+	before := openFDs()
+	if got := p.quarantine("x"); got != "x.corrupt.3" {
+		t.Fatalf("quarantined as %q, want x.corrupt.3", got)
+	}
+	if after := openFDs(); after > before {
+		t.Fatalf("open descriptors grew from %d to %d across one quarantine", before, after)
+	}
+}
+
 // An empty data directory is not an error: Recovered=false and the caller
 // boots the ordinary way, which lays down the initial checkpoint.
 func TestRecoverFreshDir(t *testing.T) {
@@ -342,6 +371,39 @@ func TestRecoverFreshDir(t *testing.T) {
 	}
 	if got := dirNames(t, m, "data"); len(got) != 2 {
 		t.Fatalf("after first load: %v", got)
+	}
+}
+
+// EnablePersistence accepts the two WAL sync policies (empty means always)
+// and refuses anything else before it creates the data directory.
+func TestEnablePersistenceSyncPolicies(t *testing.T) {
+	for _, c := range []struct {
+		sync SyncPolicy
+		want string // the policy in force, or "" for a refusal
+	}{
+		{"", "always"},
+		{SyncAlways, "always"},
+		{SyncNone, "none"},
+		{"interval", ""},
+		{"bogus", ""},
+	} {
+		dir := filepath.Join(t.TempDir(), "data")
+		s := New(Config{Workers: 2})
+		err := s.EnablePersistence(PersistOptions{Dir: dir, Sync: c.sync})
+		if c.want == "" {
+			if err == nil || !strings.Contains(err.Error(), string(c.sync)) {
+				t.Errorf("sync %q: error %v, want a refusal naming the policy", c.sync, err)
+			}
+			if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
+				t.Errorf("sync %q: refused, yet the data directory exists (%v)", c.sync, serr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("sync %q: %v", c.sync, err)
+		} else if got := string(s.persist.policy); got != c.want {
+			t.Errorf("sync %q: policy %q, want %q", c.sync, got, c.want)
+		}
 	}
 }
 
@@ -412,7 +474,7 @@ func TestShutdownFlushesWAL(t *testing.T) {
 // /stats exposes the persistence block and /healthz the durability field.
 func TestPersistenceSurfacedInStats(t *testing.T) {
 	m := diskfault.NewMemFS()
-	s := newPersistedServer(t, m, "data", PersistOptions{Sync: SyncInterval, SyncInterval: time.Hour})
+	s := newPersistedServer(t, m, "data", PersistOptions{Sync: SyncNone})
 	applyN(t, s, 2)
 	var stats StatsResponse
 	rec := doLocal(t, s.Handler(), "GET", "/stats", nil, &stats)
@@ -420,14 +482,14 @@ func TestPersistenceSurfacedInStats(t *testing.T) {
 		t.Fatalf("stats: %d", rec)
 	}
 	p := stats.Persistence
-	if p == nil || p.WALRecords != 2 || p.FsyncPolicy != "interval" || p.LastCheckpointGeneration != 1 {
+	if p == nil || p.WALRecords != 2 || p.FsyncPolicy != "none" || p.LastCheckpointGeneration != 1 {
 		t.Fatalf("persistence block: %+v", p)
 	}
 	var health map[string]any
 	if code := doLocal(t, s.Handler(), "GET", "/healthz", nil, &health); code != 200 {
 		t.Fatalf("healthz: %d", code)
 	}
-	if health["durability"] != "interval" {
+	if health["durability"] != "none" {
 		t.Fatalf("durability: %v", health["durability"])
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -437,12 +499,12 @@ func TestPersistenceSurfacedInStats(t *testing.T) {
 	}
 }
 
-// Full persistence lifecycles — enable (with the interval flusher), load,
-// deltas, stop, recover — leave no goroutines behind.
+// Full persistence lifecycles — enable, load, deltas, stop, recover — leave
+// no goroutines behind.
 func TestNoGoroutineLeakAcrossRecoverCycles(t *testing.T) {
 	m := diskfault.NewMemFS()
 	cycle := func(i int) {
-		opts := PersistOptions{Sync: SyncInterval, SyncInterval: time.Millisecond}
+		opts := PersistOptions{Sync: SyncNone}
 		var s *Server
 		if i == 0 {
 			s = newPersistedServer(t, m, "data", opts)

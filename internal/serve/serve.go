@@ -92,18 +92,12 @@ type Config struct {
 	// QueueTimeout is the longest an admitted request may wait in the
 	// admission queue before being shed with 429. Default 1s.
 	QueueTimeout time.Duration
-	// MemLimitBytes arms the memory watermark (0 = off): at ≥ 90% live heap
-	// new mine jobs are rejected with 503, and at ≥ 100% the match-set and
-	// mine-context caches are shrunk — degrade before dying. The limit
-	// should sit under the container/cgroup limit with headroom for
-	// transient allocation.
-	MemLimitBytes uint64
 
 	// CompactThreshold triggers background compaction once a delta overlay
 	// has accumulated this many ops since the last real freeze: the overlay
 	// is folded into a fresh frozen graph and hot-swapped in (see
-	// Server.Compact). 0 disables threshold-triggered compaction; operators
-	// may still compact on a timer via Server.Compact.
+	// Server.Compact). 0 disables threshold-triggered compaction; callers
+	// may still compact explicitly via Server.Compact.
 	CompactThreshold int
 }
 
@@ -166,7 +160,6 @@ type Server struct {
 	mineGate *mine.Gate                       // shared CPU budget: all mine jobs together
 	jobs     *Jobs
 	admit    *admitter
-	mem      *memWatch // heap watermark; nil when MemLimitBytes is 0
 
 	swapMu sync.Mutex // serializes snapshot swaps and symbol interning
 	snap   atomic.Pointer[Snapshot]
@@ -209,8 +202,6 @@ type Server struct {
 	nDeadline    atomic.Int64  // identify requests past their deadline
 	nClientGone  atomic.Int64  // identify requests whose client vanished while queued
 	nCancelReq   atomic.Int64  // DELETE /v1/jobs cancellations delivered
-	nMemRejects  atomic.Int64  // mine jobs rejected at the soft watermark
-	nCacheShrink atomic.Int64  // hard-watermark cache shrink events
 	nPanics      atomic.Int64  // handler panics recovered to 500
 	nJobPanics   atomic.Int64  // mine-job panics recovered to failed jobs
 
@@ -239,9 +230,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxQueue >= 0 {
 		s.admit = newAdmitter(cfg.PoolSize, cfg.MaxQueue, cfg.QueueTimeout)
-	}
-	if cfg.MemLimitBytes > 0 {
-		s.mem = newMemWatch(cfg.MemLimitBytes)
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	return s

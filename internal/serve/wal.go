@@ -87,9 +87,8 @@ func encodeWALRecord(gen uint64, req DeltaRequest) ([]byte, error) {
 	return rec, nil
 }
 
-// walWriter appends records to one log file. Appends are serialized by the
-// server's swap lock; mu only coordinates them with the interval-sync
-// flusher and Close.
+// walWriter appends records to one log file. The persister's walMu
+// serializes every call.
 type walWriter struct {
 	fs   diskfault.FS
 	f    diskfault.File
@@ -132,9 +131,6 @@ func (w *walWriter) append(gen uint64, req DeltaRequest, sync bool) error {
 	}
 	return nil
 }
-
-// sync flushes buffered records to durable storage.
-func (w *walWriter) sync() error { return w.f.Sync() }
 
 // close syncs and closes the file.
 func (w *walWriter) close() error {
