@@ -35,8 +35,8 @@ race:
 # boots from, the fragment decoder and the wire payload decoders a
 # gparworker receives, the durability decoders (snapshot file format, WAL replay), mining's
 # extension discovery against its per-edge reference, the canonical
-# pattern code against pairwise isomorphism, and the identify filter's
-# soundness against the matcher. Go allows one
+# pattern code against pairwise isomorphism, and a matcher restricted to
+# the identify filter's sets against a plain one. Go allows one
 # target per -fuzz invocation, so each runs separately; seed corpora also
 # run on every plain `make test`.
 fuzz-smoke:
@@ -53,7 +53,8 @@ fuzz-smoke:
 
 # Run the hot-path benchmarks with -benchmem and record them, stamped with
 # the machine fingerprint and commit, in BENCH_match.json (matcher, serving,
-# durability) and BENCH_mine.json (mining loop, local and distributed).
+# durability, and the identify kernel per rule shape on the three corpus
+# graphs) and BENCH_mine.json (mining loop, local and distributed).
 # Record both in one run on one machine; numbers from different
 # fingerprints do not compare. The two-step temp-file dance (rather than a
 # pipe) makes a benchmark failure fail the target instead of being masked
@@ -63,6 +64,7 @@ bench: bench-match bench-mine
 bench-match:
 	$(GO) test -run '^$$' -bench 'BenchmarkAnchoredMatch|BenchmarkMatchSet$$|BenchmarkIdentify|BenchmarkDeltaApply|BenchmarkWALAppend|BenchmarkSnapshotLoad' \
 	    -benchmem -benchtime=1s ./internal/match/ ./internal/serve/ ./internal/snapfile/ > bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkEvalRuleShapes' -benchmem -benchtime=1s . >> bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_match.json < bench.out
 	@rm -f bench.out
 
@@ -135,7 +137,7 @@ docs-check:
 # count after the last PR that lowered it. A PR that must add code raises
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count.
-LOC_BUDGET := 16705
+LOC_BUDGET := 16730
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	echo "non-test Go outside benchmark/: $$n lines (budget $(LOC_BUDGET))"; \

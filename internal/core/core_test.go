@@ -165,6 +165,31 @@ func TestPRConstruction(t *testing.T) {
 	if pr2.NumNodes() != 3 || pr2.Y == pattern.NoNode {
 		t.Errorf("fresh y not added: %d nodes, Y=%d", pr2.NumNodes(), pr2.Y)
 	}
+
+	// gpard's identify kernel restricts PR's matcher to the filter sets of
+	// Q's expanded nodes, so Q.Expand() must be a numbering prefix of
+	// PR.Expand() with a subset of its edges: for R1 (y in Q, the
+	// multiplicity-3 node before it) and for a Q without y whose
+	// multiplicity-2 node expands before the appended y.
+	fr := p.AddNode(gen.LFrench)
+	p.SetMult(fr, 2)
+	p.AddEdge(x2, fr, gen.ELike)
+	for _, r := range []*Rule{r1, r} {
+		q, pr := r.Q.Expand(), r.PR().Expand()
+		if q.NumNodes() == r.Q.NumNodes() || q.X != pr.X || q.NumNodes() > pr.NumNodes() {
+			t.Fatalf("%v: Q expands to %d nodes, x = %d; PR to %d nodes, x = %d", r.Q, q.NumNodes(), q.X, pr.NumNodes(), pr.X)
+		}
+		for u := 0; u < q.NumNodes(); u++ {
+			if q.Label(u) != pr.Label(u) {
+				t.Errorf("%v: expanded node %d is %s in Q, %s in PR", r.Q, u, q.LabelName(u), pr.LabelName(u))
+			}
+		}
+		for _, e := range q.Edges() {
+			if !pr.HasEdge(e.From, e.To, e.Label) {
+				t.Errorf("%v: expanded Q edge %v is not in PR", r.Q, e)
+			}
+		}
+	}
 }
 
 func TestRadiusAndNontrivial(t *testing.T) {

@@ -150,12 +150,13 @@ type Partial struct {
 
 // EvalCenters is the per-candidate loop of algorithms Matchc and Match for
 // one rule: matchPR and matchQ report whether PR and Q match anchored at a
-// center (matchers on the centers' graph, in gpard behind its semi-join
-// filter; the caller decides how they search). Pq members try PR first, and
-// a PR match is a Q match (Example 10's containment reuse), so the Q check
-// is skipped; q̄ members' Q matches count for supp(Qq̄); every Q match is a
-// potential customer. It is the one copy of this loop: the batch algorithms
-// here and gpard's Snapshot.EvalRule (internal/serve) both call it.
+// center (matchers on the centers' graph, in gpard restricted to its
+// semi-join filter's per-node sets; the caller decides how they search).
+// Pq members try PR first, and a PR match is a Q match (Example 10's
+// containment reuse), so the Q check is skipped; q̄ members' Q matches
+// count for supp(Qq̄); every Q match is a potential customer. It is the one
+// copy of this loop: the batch algorithms here and gpard's
+// Snapshot.EvalRule (internal/serve) both call it.
 func EvalCenters(matchPR, matchQ func(graph.NodeID) bool, c Centers) Partial {
 	var p Partial
 	for _, v := range c.Pq {

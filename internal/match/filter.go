@@ -11,18 +11,19 @@ import (
 
 // Filter is the set-at-a-time half of the identify kernel: a bottom-up
 // semi-join pass over a BFS spanning tree of the expanded pattern, rooted at
-// x, narrows the x-labelled nodes to a sound superset of Q(x,G). Each node
-// with a child smaller than its own label list pushes from the smallest
-// such child and pulls the others; the matcher, run where Keep holds,
-// confirms what the tree cannot see (DESIGN.md, "One identify kernel").
+// x, narrows each pattern node u to a bitset S(u) that holds h(u) for every
+// match h. Each node with a child smaller than its own label list pushes
+// from the smallest such child and pulls the others. A matcher bound to the
+// filter by Restrict draws every narrowed node from its set and confirms
+// what the tree cannot see (DESIGN.md, "One identify kernel").
 type Filter struct {
 	g *graph.Graph
 	p *pattern.Pattern // expanded
 
 	// The tree: the children of order[i] are order[kids[i]:kids[i+1]], and
 	// elab/down are the label and direction (parent to node) of the edge
-	// above each node. sets[u] is u's narrowed bitset, empty while u is
-	// un-narrowed; keep is sets[x].
+	// above each node. sets[u] is u's narrowed bitset, indexed by pattern
+	// node and empty while u is un-narrowed; keep is sets[x].
 	order, kids []int
 	elab        []graph.Label
 	down        []bool
@@ -42,16 +43,25 @@ func NewFilter(p *pattern.Pattern, g *graph.Graph) *Filter {
 	return f
 }
 
-// Release returns the Filter to the pool. It must not be used afterwards.
+// Release returns the Filter to the pool. It must not be used afterwards,
+// and every Matcher restricted to it must be released first: the pool
+// reuses the sets they read.
 func (f *Filter) Release() {
 	f.g, f.p, f.keep = nil, nil, nil
 	filterPool.Put(f)
 }
 
+// Restrict makes m reject v for pattern node u when the pass narrowed u and
+// v ∉ S(u). m is bound to the filter's graph and pattern, or to an extension
+// whose expansion keeps the pattern's as a numbering prefix (Rule.PRInto's
+// Q plus y; y stays label-only). The filter must outlive m's binding.
+func (f *Filter) Restrict(m *Matcher) { m.sets = f.sets }
+
 // Keep reports whether x may map to v: false means no match does.
-func (f *Filter) Keep(v graph.NodeID) bool {
-	return len(f.keep) == 0 || f.keep[v>>6]&(1<<(v&63)) != 0
-}
+func (f *Filter) Keep(v graph.NodeID) bool { return inSet(f.keep, v) }
+
+// inSet reports v ∈ s, where an empty s is un-narrowed and holds every node.
+func inSet(s []uint64, v graph.NodeID) bool { return len(s) == 0 || s[v>>6]&(1<<(v&63)) != 0 }
 
 // Narrowed reports whether the pass narrowed x; if not, Keep always holds.
 func (f *Filter) Narrowed() bool { return len(f.keep) > 0 }
@@ -135,12 +145,9 @@ func (f *Filter) size(c int) int {
 	return n
 }
 
-// has reports w ∈ S(c).
+// has reports w ∈ S(c); a narrowed set holds only c-labelled nodes.
 func (f *Filter) has(c int, w graph.NodeID) bool {
-	if set := f.sets[c]; len(set) > 0 {
-		return set[w>>6]&(1<<(w&63)) != 0
-	}
-	return f.g.Label(w) == f.p.Label(c)
+	return inSet(f.sets[c], w) && f.g.Label(w) == f.p.Label(c)
 }
 
 // adj returns v's edges along the tree edge above c, toward c or its parent.

@@ -8,13 +8,16 @@ import (
 	"gpar/internal/pattern"
 )
 
-// filterCase decodes a fuzz input into a data graph and a pattern:
+// filterCase decodes a fuzz input into a data graph, a pattern and its
+// PR-style copy (the pattern plus a node y and an edge from x to it, as
+// Rule.PRInto builds PR from Q):
 //
 //	byte 0      data nodes n = 1 + b%24
 //	byte 1      pattern nodes pn = 1 + b%5, node 0 is x
 //	byte 2      bit 0: serve the graph through a delta overlay; the rest
 //	            picks the one pattern node (other than x) of multiplicity 2
-//	byte 3      pattern edges = b%9
+//	byte 3      pattern edges = b%9; b/9 picks y's label (a, b or c) and
+//	            b/27 the label of the edge from x to y (e or f)
 //	n bytes     data node labels (a, b or c)
 //	pn bytes    pattern node labels
 //	3 per edge  pattern edges (from, to, label e or f)
@@ -24,7 +27,7 @@ import (
 // labels all decode. With the overlay bit, the base graph gets the even
 // data edges and a delta batch adds the odd ones, deletes the first base
 // edge, relabels a node and adds a node wired to node 0.
-func filterCase(data []byte) (*graph.Graph, *pattern.Pattern) {
+func filterCase(data []byte) (*graph.Graph, *pattern.Pattern, *pattern.Pattern) {
 	at := func(i int) int {
 		if i < len(data) {
 			return int(data[i])
@@ -56,6 +59,8 @@ func filterCase(data []byte) (*graph.Graph, *pattern.Pattern) {
 		p.AddEdge(at(pos)%pn, at(pos+1)%pn, elabels[at(pos+2)%2])
 		pos += 3
 	}
+	pr := p.Clone()
+	pr.AddEdge(pr.X, pr.AddNode(names[at(3)/9%3]), elabels[at(3)/27%2])
 	type triple struct {
 		from, to graph.NodeID
 		l        graph.Label
@@ -72,7 +77,7 @@ func filterCase(data []byte) (*graph.Graph, *pattern.Pattern) {
 	}
 	g.Freeze()
 	if flags&1 == 0 {
-		return g, p
+		return g, p, pr
 	}
 	var ops []graph.DeltaOp
 	added := map[triple]bool{}
@@ -98,25 +103,35 @@ func filterCase(data []byte) (*graph.Graph, *pattern.Pattern) {
 	if err != nil {
 		panic(err) // the decoder builds only valid batches
 	}
-	return d, p
+	return d, p, pr
 }
 
 // checkFilter asserts the filter's contract on one case: Keep holds
 // wherever the pattern matches, an un-narrowed filter keeps every node,
-// and Kept counts the x-labelled nodes Keep admits.
-func checkFilter(t *testing.T, g *graph.Graph, p *pattern.Pattern) {
+// Kept counts the x-labelled nodes Keep admits, and a matcher restricted to
+// the filter's sets answers HasMatchAt as a plain one does at every node,
+// for p and for its PR-style copy pr.
+func checkFilter(t *testing.T, g *graph.Graph, p, pr *pattern.Pattern) {
 	t.Helper()
 	f := NewFilter(p, g)
 	defer f.Release()
-	m := NewMatcher(p, g, Options{})
-	defer m.Release()
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if m.HasMatchAt(v) && !f.Keep(v) {
-			t.Fatalf("pattern %v matches at %d, but the filter drops it", p, v)
+	for _, q := range []*pattern.Pattern{p, pr} {
+		plain, restricted := NewMatcher(q, g, Options{}), NewMatcher(q, g, Options{})
+		f.Restrict(restricted)
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			want := plain.HasMatchAt(v)
+			if got := restricted.HasMatchAt(v); got != want {
+				t.Fatalf("pattern %v at %d: restricted HasMatchAt = %v, plain %v", q, v, got, want)
+			}
+			if want && !f.Keep(v) {
+				t.Fatalf("pattern %v matches at %d, but the filter drops it", q, v)
+			}
+			if !f.Narrowed() && !f.Keep(v) {
+				t.Fatalf("un-narrowed filter drops %d", v)
+			}
 		}
-		if !f.Narrowed() && !f.Keep(v) {
-			t.Fatalf("un-narrowed filter drops %d", v)
-		}
+		restricted.Release()
+		plain.Release()
 	}
 	kept := 0
 	for _, v := range g.NodesWithLabel(p.Label(p.X)) {
@@ -129,11 +144,14 @@ func checkFilter(t *testing.T, g *graph.Graph, p *pattern.Pattern) {
 	}
 }
 
-// FuzzFilter holds the semi-join filter to soundness: on small labelled
-// graphs, frozen or overlaid, no node where HasMatchAt holds is dropped.
-// The seeds run under plain go test; each kills one broken pass (a push
-// walking the wrong direction, a pull demanding every edge, a push reading
-// only the first edge of each range).
+// FuzzFilter holds the semi-join filter to soundness for every pattern
+// node: on small labelled graphs, frozen or overlaid, a matcher restricted
+// to its sets finds exactly the anchors a plain one does, for the pattern
+// and for its PR-style copy. The seeds run under plain go test; each kills
+// one broken pass (a push walking the wrong direction, a pull demanding
+// every edge, a push reading only the first edge of each range) or one
+// broken restriction (an empty set admitting nothing, sets indexed by tree
+// position instead of pattern node, PR's y reading a Q set).
 func FuzzFilter(f *testing.F) {
 	// x -f-> c: the push must walk c's in-range, not its out-range.
 	f.Add([]byte("70001000110210020710710710710"))
@@ -143,8 +161,47 @@ func FuzzFilter(f *testing.F) {
 	f.Add([]byte("70001021210110201002011111002011110010"))
 	// x -e-> a: an a's e-labelled in-range holds more than one source.
 	f.Add([]byte("790700011111100010000000700"))
+	// x -e-> b with b of multiplicity 2: the narrowed x admits node 0, and
+	// the un-narrowed leaves must admit both b nodes.
+	f.Add([]byte("43270110001010230240"))
+	// x -e-> 2 -e-> 1: the tree visits node 2 before node 1, and S(2) is
+	// narrowed while node 1 is not.
+	f.Add([]byte("440800112021020210240410"))
+	// The same plus x -e-> a node 5: PR's y maps only to 5, outside S(x)
+	// and S(2).
+	f.Add([]byte("5408001120021020210020240050"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, p := filterCase(data)
-		checkFilter(t, g, p)
+		g, p, pr := filterCase(data)
+		checkFilter(t, g, p, pr)
 	})
+}
+
+// TestReleasedMatcherIsUnrestricted pins the pooled-matcher hazard: a
+// Matcher taken from the pool after a restricted one was released reads no
+// filter sets. The pool usually hands the released Matcher straight back;
+// several rounds make that near certain.
+func TestReleasedMatcherIsUnrestricted(t *testing.T) {
+	g := graph.New(nil)
+	a0, b, a2 := g.AddNode("a"), g.AddNode("b"), g.AddNode("a")
+	g.AddEdge(a0, b, "e")
+	p := pattern.New(g.Symbols())
+	p.X = p.AddNode("a")
+	p.AddEdge(p.X, p.AddNode("b"), "e")
+	lone := pattern.New(g.Symbols())
+	lone.X = lone.AddNode("a")
+	for range 8 {
+		f := NewFilter(p, g)
+		if !f.Narrowed() || f.Kept() != 1 {
+			t.Fatalf("filter narrowed %v, kept %d; want x narrowed to node %d", f.Narrowed(), f.Kept(), a0)
+		}
+		m := NewMatcher(p, g, Options{})
+		f.Restrict(m)
+		m.Release()
+		m = NewMatcher(lone, g, Options{})
+		if !m.HasMatchAt(a2) {
+			t.Fatalf("a lone x misses node %d: the pooled Matcher kept a released restriction", a2)
+		}
+		m.Release()
+		f.Release()
+	}
 }

@@ -15,7 +15,9 @@
 //     optimization of algorithm Match.
 //
 // Filter answers set-at-a-time what HasMatchAt answers per anchor, as a
-// sound superset: gpard's identify kernel confirms only its survivors.
+// sound superset for every pattern node: gpard's identify kernel restricts
+// its matchers to the filter's sets, so the confirm starts only at x's
+// survivors and descends only into nodes the sets admit.
 //
 // The engine runs on the frozen CSR representation of the data graph
 // (graph.Freeze): candidate generation iterates label-contiguous arena
@@ -110,6 +112,10 @@ type Matcher struct {
 	// Guided state.
 	needSk []sketch.Sketch
 	cbufs  [][]scoredCand // per-depth candidate buffers, reused across calls
+
+	// sets are a Filter's per-node bitsets (Filter.Restrict), nil when
+	// unrestricted; nodes past len(sets) are unrestricted.
+	sets [][]uint64
 }
 
 var matcherPool = sync.Pool{New: func() any { return new(Matcher) }}
@@ -125,18 +131,19 @@ func NewMatcher(p *pattern.Pattern, g *graph.Graph, opts Options) *Matcher {
 }
 
 // Release returns the Matcher to the pool. The Matcher must not be used
-// afterwards.
+// afterwards. A restricted Matcher must be released before its Filter;
+// the pooled Matcher forgets the restriction.
 func (m *Matcher) Release() {
 	m.p, m.g = nil, nil
 	m.opts = Options{}
-	m.needSk = nil
+	m.needSk, m.sets = nil, nil
 	matcherPool.Put(m)
 }
 
 func (m *Matcher) bind(p *pattern.Pattern, g *graph.Graph, opts Options) {
 	g.Freeze() // no-op (atomic load) when already frozen
 	pe := p.Expand()
-	m.p, m.g, m.opts = pe, g, opts
+	m.p, m.g, m.opts, m.sets = pe, g, opts, nil
 
 	n := pe.NumNodes()
 	edges := pe.Edges()
@@ -249,8 +256,11 @@ func (m *Matcher) buildOrder(root int) {
 	}
 }
 
-// feasible applies label, degree and (optionally) sketch pruning.
+// feasible applies filter-set, label, degree and (optionally) sketch pruning.
 func (m *Matcher) feasible(u int, v graph.NodeID) bool {
+	if u < len(m.sets) && !inSet(m.sets[u], v) {
+		return false
+	}
 	if m.g.Label(v) != m.p.Label(u) {
 		return false
 	}

@@ -146,10 +146,13 @@ func (s *Snapshot) RuleByKey(key string) (*ServedRule, bool) {
 }
 
 // EvalRule computes the rule's match set and statistics in two pool rounds:
-// one task runs match.NewFilter (a superset of Q(x,G) ⊇ PR(x,G)), then one
-// task per chunk binds two pooled plain matchers to the shared graph and
-// runs eip.EvalCenters — early-terminating HasMatchAt on the filter's
-// survivors only, and the PR ⇒ Q containment reuse of Example 10.
+// one task runs match.NewFilter, whose per-node sets hold every match of Q
+// and so of PR ⊇ Q; then one task per chunk binds two pooled plain
+// matchers to the shared graph, restricts both to the filter's sets, and
+// runs eip.EvalCenters — Keep, then early-terminating HasMatchAt that
+// descends only into nodes the sets admit, and the PR ⇒ Q containment
+// reuse of Example 10. The chunk tasks read the sets concurrently; the
+// filter is released after every task has returned.
 func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
 	var f *match.Filter
 	pool.runOne(func() { f = match.NewFilter(sr.Rule.Q, s.G) })
@@ -162,6 +165,10 @@ func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
 			defer qm.Release()
 			prm := match.NewMatcher(sr.pr, s.G, match.Options{})
 			defer prm.Release()
+			f.Restrict(qm)
+			f.Restrict(prm)
+			// HasMatchAt rejects x outside S(x) too, but Keep inlines here
+			// and saves a call per rejected centre.
 			parts[i] = eip.EvalCenters(
 				func(v graph.NodeID) bool { return f.Keep(v) && prm.HasMatchAt(v) },
 				func(v graph.NodeID) bool { return f.Keep(v) && qm.HasMatchAt(v) },
