@@ -115,6 +115,11 @@ type Job struct {
 	cancel context.CancelFunc
 }
 
+// maxMineWorkers bounds MineParams.Workers. Results do not depend on the
+// worker count and the mine gate runs at most mineProcs workers at a time,
+// so more buy nothing — yet each holds O(|V|) scratch while the server lives.
+const maxMineWorkers = 64
+
 // maxJobs bounds the registry: when exceeded, the oldest finished jobs are
 // evicted (running and pending jobs are never dropped), so a daemon that
 // re-mines periodically does not grow without bound.
@@ -239,6 +244,9 @@ func (s *Server) StartMine(p MineParams) (Job, error) {
 	snap := s.snap.Load()
 	if snap == nil {
 		return Job{}, fmt.Errorf("serve: no snapshot loaded")
+	}
+	if p.Workers < 0 || p.Workers > maxMineWorkers {
+		return Job{}, fmt.Errorf("serve: workers %d outside [0, %d]", p.Workers, maxMineWorkers)
 	}
 	pred, err := lookupPred(snap.G.Symbols(), p)
 	if err != nil {

@@ -2,8 +2,8 @@
 // append-before-publish barrier, recovery with corrupt tails and corrupt
 // snapshots, quarantine semantics, retention pruning, the WAL sync policy
 // table, and goroutine hygiene across start → deltas → stop → recover.
-// The end-to-end crash-recovery differential oracle lives in
-// crash_oracle_test.go.
+// Recovery's answers after every kind of crash are FuzzServeModel's
+// (model_test.go).
 package serve
 
 import (
@@ -119,39 +119,6 @@ func TestCheckpointOnEverySwap(t *testing.T) {
 	}
 }
 
-// Delta batches append to the WAL and a crashed server replays them
-// byte-identically — the accepted state survives without re-ingest.
-func TestRecoverReplaysDeltas(t *testing.T) {
-	m := diskfault.NewMemFS()
-	s := newPersistedServer(t, m, "data", PersistOptions{})
-	applyN(t, s, 3)
-	wantBytes := identifyBytes(t, s.Handler())
-	wantGen := s.Generation()
-	// No Shutdown: the process dies. SyncAlways means nothing is lost.
-	m.Crash()
-	m.Reboot()
-
-	s2, rep := recoveredServer(t, m, "data", PersistOptions{})
-	if !rep.Recovered || rep.Replayed != 3 || rep.Truncated != 0 || len(rep.Quarantined) != 0 {
-		t.Fatalf("report: %+v", rep)
-	}
-	if s2.Generation() != wantGen {
-		t.Fatalf("generation %d, want %d", s2.Generation(), wantGen)
-	}
-	if got := identifyBytes(t, s2.Handler()); !bytes.Equal(got, wantBytes) {
-		t.Fatalf("identify diverged after recovery\nwant: %s\ngot:  %s", wantBytes, got)
-	}
-	ps := s2.persist.stats()
-	if ps.SnapshotLoads != 1 || ps.WALReplayed != 3 {
-		t.Fatalf("stats: %+v", ps)
-	}
-	// The recovered server keeps extending the same history.
-	applyN(t, s2, 1)
-	if s2.Generation() != wantGen+1 {
-		t.Fatalf("post-recovery generation %d, want %d", s2.Generation(), wantGen+1)
-	}
-}
-
 // A WAL append failure aborts the delta: the generation rolls back, the
 // client sees the error, and nothing partial is ever served.
 func TestDeltaAbortsWhenWALFails(t *testing.T) {
@@ -206,46 +173,6 @@ func TestDeltaAbortsOversizedRecord(t *testing.T) {
 	if s2.Generation() != gen+1 || s2.Snapshot().G.NumNodes() != nodes+1 {
 		t.Fatalf("recovered generation %d with %d nodes, want %d with %d",
 			s2.Generation(), s2.Snapshot().G.NumNodes(), gen+1, nodes+1)
-	}
-}
-
-// A torn WAL tail (partial record surviving the crash) is truncated and
-// the file quarantined; the valid prefix is recovered exactly.
-func TestRecoverTruncatesTornTail(t *testing.T) {
-	m := diskfault.NewMemFS()
-	s := newPersistedServer(t, m, "data", PersistOptions{})
-	applyN(t, s, 2)
-	wantBytes := identifyBytes(t, s.Handler())
-	wantGen := s.Generation()
-	// The third batch dies mid-write: 5 bytes (a torn frame header) land
-	// durably before the crash.
-	m.Inject(diskfault.Fault{Op: diskfault.OpWrite, Path: "wal-", ShortWrite: 5, Kill: true, KeepTail: 5})
-	_, err := s.ApplyDelta(DeltaRequest{Ops: []DeltaOpSpec{{Op: "addNode", Label: "cust"}}})
-	if !errors.Is(err, diskfault.ErrCrashed) {
-		t.Fatalf("ApplyDelta during crash: %v", err)
-	}
-	m.Reboot()
-
-	s2, rep := recoveredServer(t, m, "data", PersistOptions{})
-	if !rep.Recovered || rep.Replayed != 2 || rep.Truncated != 1 {
-		t.Fatalf("report: %+v", rep)
-	}
-	if len(rep.Quarantined) != 1 || !strings.HasSuffix(rep.Quarantined[0], ".corrupt") {
-		t.Fatalf("quarantined: %v", rep.Quarantined)
-	}
-	if s2.Generation() != wantGen {
-		t.Fatalf("generation %d, want %d", s2.Generation(), wantGen)
-	}
-	if got := identifyBytes(t, s2.Handler()); !bytes.Equal(got, wantBytes) {
-		t.Fatal("identify diverged after torn-tail recovery")
-	}
-	// The quarantined file still exists under its .corrupt name, bytes intact.
-	q, err := diskfault.ReadFile(m, filepath.Join("data", rep.Quarantined[0]))
-	if err != nil {
-		t.Fatalf("quarantined file unreadable: %v", err)
-	}
-	if len(q) == 0 {
-		t.Fatal("quarantined file is empty")
 	}
 }
 
@@ -404,33 +331,6 @@ func TestEnablePersistenceSyncPolicies(t *testing.T) {
 		} else if got := string(s.persist.policy); got != c.want {
 			t.Errorf("sync %q: policy %q, want %q", c.sync, got, c.want)
 		}
-	}
-}
-
-// Compaction checkpoints like any other swap, and recovery across one
-// resumes the exact generation numbering.
-func TestRecoverAfterCompaction(t *testing.T) {
-	m := diskfault.NewMemFS()
-	s := newPersistedServer(t, m, "data", PersistOptions{})
-	applyN(t, s, 2)
-	if _, did, err := s.Compact(); err != nil || !did {
-		t.Fatalf("Compact: %v %v", did, err)
-	}
-	applyN(t, s, 1)
-	wantBytes := identifyBytes(t, s.Handler())
-	wantGen := s.Generation() // 1 load + 2 deltas + 1 compact + 1 delta = 5
-	m.Crash()
-	m.Reboot()
-
-	s2, rep := recoveredServer(t, m, "data", PersistOptions{})
-	if !rep.Recovered || rep.Snapshot != "snap-0000000000000004.gpsnap" || rep.Replayed != 1 {
-		t.Fatalf("report: %+v", rep)
-	}
-	if s2.Generation() != wantGen {
-		t.Fatalf("generation %d, want %d", s2.Generation(), wantGen)
-	}
-	if got := identifyBytes(t, s2.Handler()); !bytes.Equal(got, wantBytes) {
-		t.Fatal("identify diverged after compaction recovery")
 	}
 }
 

@@ -377,10 +377,20 @@ func TestMineJobAndInstall(t *testing.T) {
 		t.Fatal("no rules after installing a mine job")
 	}
 
-	// Unknown labels are rejected up front, without starting a job.
-	if code := doJSON(t, "POST", ts.URL+"/v1/mine",
-		[]byte(`{"xLabel":"cust","edgeLabel":"visit","yLabel":"starship"}`), nil); code != 400 {
-		t.Errorf("unknown label: %d, want 400", code)
+	// Unknown labels and worker counts outside [0, maxMineWorkers] are
+	// rejected up front, without starting a job.
+	jobs := len(s.jobs.List())
+	for _, bad := range []string{
+		`{"xLabel":"cust","edgeLabel":"visit","yLabel":"starship"}`,
+		`{"xLabel":"cust","edgeLabel":"visit","yLabel":"restaurant","workers":20000}`,
+		`{"xLabel":"cust","edgeLabel":"visit","yLabel":"restaurant","workers":-1}`,
+	} {
+		if code := doJSON(t, "POST", ts.URL+"/v1/mine", []byte(bad), nil); code != 400 {
+			t.Errorf("mine %s: %d, want 400", bad, code)
+		}
+	}
+	if n := len(s.jobs.List()); n != jobs {
+		t.Errorf("%d mine jobs registered by refused requests", n-jobs)
 	}
 }
 
