@@ -125,7 +125,7 @@ overload:
 # build instead of stalling it.
 crashtest:
 	$(GO) test -race -timeout 120s ./internal/diskfault/ ./internal/snapfile/
-	$(GO) test -race -timeout 120s -run 'FuzzServeModel|TestRecover|TestCheckpoint|TestDeltaAborts|TestShutdownFlushes' \
+	$(GO) test -race -timeout 120s -run 'FuzzServeModel|TestCrashRecoveryOracle|TestRecover|TestCheckpoint|TestDeltaAborts|TestShutdownFlushes' \
 	    ./internal/serve/
 
 # Fail if any internal package lacks a package-level doc comment, if

@@ -8,6 +8,8 @@
 // mine.DMine. The rules are local and their supports plain functions of the
 // graph (Section 3), so no history may change an answer. The seeds run under
 // plain `go test`; `go test -fuzz FuzzServeModel` searches and minimises.
+// TestDeltaServeOracle, TestCrashRecoveryOracle and FuzzDeltaHandler drive
+// the same model with fixed op sequences and single raw delta bodies.
 package serve
 
 import (
@@ -582,40 +584,98 @@ func FuzzServeModel(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		t.Parallel()
-		md := newModel(t, in)
-		md.check()
-		for step := 0; step < maxModelOps && len(md.in) > 0; step++ {
-			switch md.next() % numOps {
-			case opIdentify:
-				b := md.next()
-				md.identify(b/3, []float64{0, 0.5, 2}[b%3])
-			case opDelta:
-				batch := md.cur().clone().randBatch(rand.New(rand.NewSource(int64(md.next()))), md.nodeNames, md.edgeNames)
-				body, _ := json.Marshal(DeltaRequest{Ops: batch})
-				md.delta(body)
-			case opRawDelta:
-				body := md.in[:min(int(md.next()), len(md.in))]
-				md.in = md.in[len(body):]
-				md.delta(body)
-			case opPutRules:
-				md.putRules(md.next())
-			case opMine:
-				md.mine(md.next())
-			case opCancelMine:
-				md.cancelMine()
-			case opCompact:
-				md.compact()
-			case opCrash:
-				md.crash(md.next() % 4)
-			}
-			md.check()
-		}
+		runModel(t, in)
+	})
+}
 
-		// Σ mined on the served graph equals Σ mined on the rebuilt one.
-		opts := mine.Options{K: 3, Sigma: 1, D: 2, MaxEdges: 2, N: md.cfg.Workers, MaxCandidatesPerRound: 20}
-		live := sigmaOf(mine.DMine(md.s.Snapshot().G, md.pred, opts))
-		if ref := sigmaOf(mine.DMine(md.cur().graph(), md.pred, opts)); live != ref {
-			t.Fatalf("Σ diverged\nserved:  %+v\nrebuilt: %+v", live, ref)
+// runModel decodes in, runs its operations, checking the server against
+// the model after each, and ends by comparing Σ mined on both graphs.
+func runModel(t *testing.T, in []byte) {
+	md := newModel(t, in)
+	md.check()
+	for step := 0; step < maxModelOps && len(md.in) > 0; step++ {
+		switch md.next() % numOps {
+		case opIdentify:
+			b := md.next()
+			md.identify(b/3, []float64{0, 0.5, 2}[b%3])
+		case opDelta:
+			batch := md.cur().clone().randBatch(rand.New(rand.NewSource(int64(md.next()))), md.nodeNames, md.edgeNames)
+			body, _ := json.Marshal(DeltaRequest{Ops: batch})
+			md.delta(body)
+		case opRawDelta:
+			body := md.in[:min(int(md.next()), len(md.in))]
+			md.in = md.in[len(body):]
+			md.delta(body)
+		case opPutRules:
+			md.putRules(md.next())
+		case opMine:
+			md.mine(md.next())
+		case opCancelMine:
+			md.cancelMine()
+		case opCompact:
+			md.compact()
+		case opCrash:
+			md.crash(md.next() % 4)
 		}
+		md.check()
+	}
+
+	// Σ mined on the served graph equals Σ mined on the rebuilt one.
+	opts := mine.Options{K: 3, Sigma: 1, D: 2, MaxEdges: 2, N: md.cfg.Workers, MaxCandidatesPerRound: 20}
+	live := sigmaOf(mine.DMine(md.s.Snapshot().G, md.pred, opts))
+	if ref := sigmaOf(mine.DMine(md.cur().graph(), md.pred, opts)); live != ref {
+		t.Fatalf("Σ diverged\nserved:  %+v\nrebuilt: %+v", live, ref)
+	}
+}
+
+// modelFanOuts are the header's fan-outs, in header order.
+var modelFanOuts = []int{1, 2, 3, 8}
+
+// TestDeltaServeOracle runs deltas and compactions through the model at
+// every fan-out: each answer must equal core.Eval on the rebuilt graph.
+func TestDeltaServeOracle(t *testing.T) {
+	for i, n := range modelFanOuts {
+		t.Run(fmt.Sprintf("%d-workers", n), func(t *testing.T) {
+			t.Parallel()
+			s := 40 + 10*i
+			runModel(t, prog(i, opDelta, s, opDelta, s+1, opIdentify, 4, opCompact, opDelta, s+2,
+				opDelta, s+3, opDelta, s+4, opIdentify, 5, opCompact, opCompact, opDelta, s+5, opIdentify, 3))
+		})
+	}
+}
+
+// TestCrashRecoveryOracle runs deltas and every crash variant through the
+// model at every fan-out under SyncAlways: no acknowledged batch may be
+// lost unless a bit flip hit it, and every torn or flipped record must be
+// truncated and quarantined.
+func TestCrashRecoveryOracle(t *testing.T) {
+	for i, n := range modelFanOuts {
+		t.Run(fmt.Sprintf("%d-workers", n), func(t *testing.T) {
+			t.Parallel()
+			s := 80 + 10*i
+			runModel(t, prog(i, opDelta, s, opDelta, s+1, opCrash, crashClean, opDelta, s+2,
+				opCrash, crashTornHeader, s+3, opDelta, s+4, opCrash, crashTornPayload, s+5,
+				opDelta, s+6, opDelta, s+7, opCrash, crashBitFlip, s, 7*s, opIdentify, 4, opDelta, s+8))
+		})
+	}
+}
+
+// FuzzDeltaHandler throws arbitrary bytes at POST /v1/graph/delta: the
+// handler must answer what the model decides from DeltaOpSpec's semantics,
+// move the generation only on a 202, and keep serving the model's graph.
+func FuzzDeltaHandler(f *testing.F) {
+	f.Add([]byte(`{"ops":[{"op":"addNode","label":"island"}]}`))
+	f.Add([]byte(`{"ops":[{"op":"addNode","label":"x"},{"op":"addEdge","from":11,"to":0,"label":"friend"}]}`))
+	f.Add([]byte(`{"ops":[{"op":"addEdge","from":0,"to":1,"label":"friend"}]}`))
+	f.Add([]byte(`{"ops":[{"op":"delEdge","from":0,"to":1,"label":"friend"}]}`))
+	f.Add([]byte(`{"ops":[{"op":"setLabel","node":-1,"label":"cust"}]}`))
+	f.Add([]byte(`{"ops":[{"op":"addEdge","from":2147483647,"to":-2,"label":""}]}`))
+	f.Add([]byte(`{"ops":[]}`))
+	f.Add([]byte(`{nope`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		t.Parallel()
+		md := newModel(t, []byte{0x01})
+		md.delta(body)
+		md.check()
 	})
 }
