@@ -1,25 +1,20 @@
 package gpar_test
 
-// Benchmarks regenerating every table and figure of Section 6 of the paper
-// (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured results). Each figure is one benchmark with one
-// sub-benchmark per (sweep point, algorithm); run them all with
+// BenchmarkFig5 times every sweep of Section 6 — Exp-1's Figures 5(a)-5(f)
+// and varying-d result (5x), Exp-3's Figures 5(h)-5(o) — from
+// internal/bench's experiment table, one sub-benchmark per
+// figure/x/algorithm:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench 'Fig5/5h' -benchtime 1x .
 //
 // Workload sizes sit between the harness's QuickScale and DefaultScale so a
-// full -bench=. run stays in the minutes range.
+// full run stays in the minutes range. DESIGN.md's *Paper fidelity* table
+// says what the figures show.
 
 import (
-	"fmt"
 	"testing"
 
 	"gpar/internal/bench"
-	"gpar/internal/core"
-	"gpar/internal/eip"
-	"gpar/internal/gen"
-	"gpar/internal/graph"
-	"gpar/internal/mine"
 )
 
 func benchScale() bench.Scale {
@@ -36,116 +31,31 @@ func benchScale() bench.Scale {
 	}
 }
 
-func dmOpts(sigma, n, d int) mine.Options {
-	return mine.Options{
-		K: 10, Sigma: sigma, D: d, Lambda: 0.5, N: n,
-		MaxEdges: 3, MaxCandidatesPerRound: 60,
-	}
-}
-
-// benchDMine runs the DMine-vs-DMineno pair for each sweep point.
-func benchDMine(b *testing.B, xs []string, run func(i int, optimized bool) *mine.Result) {
-	for i, x := range xs {
-		i := i
-		b.Run(fmt.Sprintf("%s/DMine", x), func(b *testing.B) {
-			for j := 0; j < b.N; j++ {
-				res := run(i, true)
-				b.ReportMetric(float64(res.MaxWorkerOp), "maxWorkerOps")
-			}
-		})
-		b.Run(fmt.Sprintf("%s/DMineno", x), func(b *testing.B) {
-			for j := 0; j < b.N; j++ {
-				res := run(i, false)
-				b.ReportMetric(float64(res.MaxWorkerOp), "maxWorkerOps")
+func BenchmarkFig5(b *testing.B) {
+	for _, e := range bench.Experiments(benchScale()) {
+		b.Run(e.ID, func(b *testing.B) {
+			for i, x := range e.Xs {
+				b.Run(x, func(b *testing.B) {
+					for a, algo := range e.Algos {
+						b.Run(algo, func(b *testing.B) {
+							run := e.At(i)
+							for b.Loop() {
+								c, err := run(a)
+								if err != nil {
+									b.Fatal(err)
+								}
+								b.ReportMetric(float64(c.Work), "maxWorkerOps")
+							}
+						})
+					}
+				})
 			}
 		})
 	}
 }
 
-func runDM(g *graph.Graph, pred core.Predicate, opts mine.Options, optimized bool) *mine.Result {
-	if optimized {
-		return mine.DMine(g, pred, opts)
-	}
-	return mine.DMineNo(g, pred, opts)
-}
-
-// --- Exp-1: DMine scalability, Figures 5(a)-5(f) plus the varying-d text
-// result ---
-
-func BenchmarkFig5a_DMineVaryN_Pokec(b *testing.B) {
-	sc := benchScale()
-	g, syms := bench.PokecGraph(sc.PokecUsers, sc.Seed)
-	pred := gen.PokecPredicates(syms)[0]
-	sigma := sc.SigmaPokec[len(sc.SigmaPokec)/2]
-	benchDMine(b, nLabels(sc.Ns), func(i int, opt bool) *mine.Result {
-		return runDM(g, pred, dmOpts(sigma, sc.Ns[i], 2), opt)
-	})
-}
-
-func BenchmarkFig5b_DMineVaryN_Gplus(b *testing.B) {
-	sc := benchScale()
-	g, syms := bench.GplusGraph(sc.GplusUsers, sc.Seed)
-	pred := gen.GplusPredicates(syms)[0]
-	sigma := sc.SigmaGplus[len(sc.SigmaGplus)/2]
-	benchDMine(b, nLabels(sc.Ns), func(i int, opt bool) *mine.Result {
-		return runDM(g, pred, dmOpts(sigma, sc.Ns[i], 2), opt)
-	})
-}
-
-func BenchmarkFig5c_DMineVarySigma_Pokec(b *testing.B) {
-	sc := benchScale()
-	g, syms := bench.PokecGraph(sc.PokecUsers, sc.Seed)
-	pred := gen.PokecPredicates(syms)[0]
-	benchDMine(b, sigmaLabels(sc.SigmaPokec), func(i int, opt bool) *mine.Result {
-		return runDM(g, pred, dmOpts(sc.SigmaPokec[i], 4, 2), opt)
-	})
-}
-
-func BenchmarkFig5d_DMineVarySigma_Gplus(b *testing.B) {
-	sc := benchScale()
-	g, syms := bench.GplusGraph(sc.GplusUsers, sc.Seed)
-	pred := gen.GplusPredicates(syms)[0]
-	benchDMine(b, sigmaLabels(sc.SigmaGplus), func(i int, opt bool) *mine.Result {
-		return runDM(g, pred, dmOpts(sc.SigmaGplus[i], 4, 2), opt)
-	})
-}
-
-func BenchmarkFig5e_DMineVaryN_Synthetic(b *testing.B) {
-	sc := benchScale()
-	g, _ := bench.SyntheticGraph(sc.SynSizes[0][0], sc.SynSizes[0][1], sc.Seed)
-	pred := bench.SyntheticPredicate(g)
-	benchDMine(b, nLabels(sc.Ns), func(i int, opt bool) *mine.Result {
-		return runDM(g, pred, dmOpts(2, sc.Ns[i], 2), opt)
-	})
-}
-
-func BenchmarkFig5f_DMineVaryG_Synthetic(b *testing.B) {
-	sc := benchScale()
-	xs := make([]string, len(sc.SynSizes))
-	for i, s := range sc.SynSizes {
-		xs[i] = fmt.Sprintf("V=%d", s[0])
-	}
-	benchDMine(b, xs, func(i int, opt bool) *mine.Result {
-		g, _ := bench.SyntheticGraph(sc.SynSizes[i][0], sc.SynSizes[i][1], sc.Seed)
-		pred := bench.SyntheticPredicate(g)
-		return runDM(g, pred, dmOpts(2, 16, 2), opt)
-	})
-}
-
-func BenchmarkFig5x_DMineVaryD_Synthetic(b *testing.B) {
-	sc := benchScale()
-	g, _ := bench.SyntheticGraph(sc.SynSizes[0][0], sc.SynSizes[0][1], sc.Seed)
-	pred := bench.SyntheticPredicate(g)
-	benchDMine(b, dLabels(sc.Ds), func(i int, opt bool) *mine.Result {
-		return runDM(g, pred, dmOpts(2, 8, sc.Ds[i]), opt)
-	})
-}
-
-// --- Exp-2: the precision table ---
-
-// BenchmarkTable2_Precision times the full cross-validation study; the
-// precision values themselves are printed by `gparbench -exp precision` and
-// recorded in EXPERIMENTS.md.
+// BenchmarkTable2_Precision times the full cross-validation study of
+// Exp-2; `gparbench -exp precision` prints the table itself.
 func BenchmarkTable2_Precision(b *testing.B) {
 	sc := benchScale()
 	for i := 0; i < b.N; i++ {
@@ -154,137 +64,4 @@ func BenchmarkTable2_Precision(b *testing.B) {
 		// in a healthy run; surface the value as a metric.
 		b.ReportMetric(table.Values[2][0], "conf-top10-precision")
 	}
-}
-
-// --- Exp-3: Match scalability, Figures 5(h)-5(o) ---
-
-func benchEIP(b *testing.B, xs []string, setup func(i int) (*graph.Graph, []*core.Rule, eip.Options)) {
-	algos := []struct {
-		name string
-		run  func(*graph.Graph, []*core.Rule, eip.Options) (*eip.Result, error)
-	}{
-		{"Match", eip.Match},
-		{"Matchc", eip.Matchc},
-		{"disVF2", eip.DisVF2},
-	}
-	for i, x := range xs {
-		g, rules, opts := setup(i)
-		for _, a := range algos {
-			b.Run(fmt.Sprintf("%s/%s", x, a.name), func(b *testing.B) {
-				for j := 0; j < b.N; j++ {
-					res, err := a.run(g, rules, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(res.MaxWorkerOp), "maxWorkerOps")
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkFig5h_MatchVaryN_Pokec(b *testing.B) {
-	sc := benchScale()
-	g, syms := bench.PokecGraph(sc.PokecUsers, sc.Seed)
-	rules := gen.Rules(g, gen.PokecPredicates(syms)[0], gen.RuleGenParams{Count: 24, VP: 4, EP: 5, Seed: sc.Seed})
-	benchEIP(b, nLabels(sc.Ns), func(i int) (*graph.Graph, []*core.Rule, eip.Options) {
-		return g, rules, eip.Options{N: sc.Ns[i], Eta: 1.5}
-	})
-}
-
-func BenchmarkFig5i_MatchVaryN_Gplus(b *testing.B) {
-	sc := benchScale()
-	g, syms := bench.GplusGraph(sc.GplusUsers, sc.Seed)
-	rules := gen.Rules(g, gen.GplusPredicates(syms)[0], gen.RuleGenParams{Count: 24, VP: 4, EP: 5, Seed: sc.Seed})
-	benchEIP(b, nLabels(sc.Ns), func(i int) (*graph.Graph, []*core.Rule, eip.Options) {
-		return g, rules, eip.Options{N: sc.Ns[i], Eta: 1.5}
-	})
-}
-
-func BenchmarkFig5j_MatchVarySigmaSet_Pokec(b *testing.B) {
-	sc := benchScale()
-	g, syms := bench.PokecGraph(sc.PokecUsers, sc.Seed)
-	all := gen.Rules(g, gen.PokecPredicates(syms)[0], gen.RuleGenParams{Count: 48, VP: 4, EP: 5, Seed: sc.Seed})
-	benchEIP(b, setLabels(sc.RuleCounts), func(i int) (*graph.Graph, []*core.Rule, eip.Options) {
-		n := sc.RuleCounts[i]
-		if n > len(all) {
-			n = len(all)
-		}
-		return g, all[:n], eip.Options{N: 8, Eta: 1.5}
-	})
-}
-
-func BenchmarkFig5k_MatchVarySigmaSet_Gplus(b *testing.B) {
-	sc := benchScale()
-	g, syms := bench.GplusGraph(sc.GplusUsers, sc.Seed)
-	all := gen.Rules(g, gen.GplusPredicates(syms)[0], gen.RuleGenParams{Count: 48, VP: 4, EP: 5, Seed: sc.Seed})
-	benchEIP(b, setLabels(sc.RuleCounts), func(i int) (*graph.Graph, []*core.Rule, eip.Options) {
-		n := sc.RuleCounts[i]
-		if n > len(all) {
-			n = len(all)
-		}
-		return g, all[:n], eip.Options{N: 8, Eta: 1.5}
-	})
-}
-
-func BenchmarkFig5l_MatchVaryD_Pokec(b *testing.B) {
-	sc := benchScale()
-	g, syms := bench.PokecGraph(sc.PokecUsers, sc.Seed)
-	pred := gen.PokecPredicates(syms)[0]
-	benchEIP(b, dLabels(sc.Ds), func(i int) (*graph.Graph, []*core.Rule, eip.Options) {
-		d := sc.Ds[i]
-		rules := gen.Rules(g, pred, gen.RuleGenParams{Count: 10, VP: 2 + d, EP: 3 + d, Seed: sc.Seed + int64(d)})
-		return g, rules, eip.Options{N: 8, Eta: 1.5}
-	})
-}
-
-func BenchmarkFig5m_MatchVaryD_Gplus(b *testing.B) {
-	sc := benchScale()
-	g, syms := bench.GplusGraph(sc.GplusUsers, sc.Seed)
-	pred := gen.GplusPredicates(syms)[0]
-	benchEIP(b, dLabels(sc.Ds), func(i int) (*graph.Graph, []*core.Rule, eip.Options) {
-		d := sc.Ds[i]
-		rules := gen.Rules(g, pred, gen.RuleGenParams{Count: 10, VP: 2 + d, EP: 3 + d, Seed: sc.Seed + int64(d)})
-		return g, rules, eip.Options{N: 8, Eta: 1.5}
-	})
-}
-
-func BenchmarkFig5n_MatchVaryN_Synthetic(b *testing.B) {
-	sc := benchScale()
-	size := sc.SynSizes[len(sc.SynSizes)-1]
-	g, _ := bench.SyntheticGraph(size[0], size[1], sc.Seed)
-	pred := bench.SyntheticPredicate(g)
-	rules := gen.Rules(g, pred, gen.RuleGenParams{Count: 24, VP: 4, EP: 5, Seed: sc.Seed})
-	benchEIP(b, nLabels(sc.Ns), func(i int) (*graph.Graph, []*core.Rule, eip.Options) {
-		return g, rules, eip.Options{N: sc.Ns[i], Eta: 1.5}
-	})
-}
-
-func BenchmarkFig5o_MatchVaryG_Synthetic(b *testing.B) {
-	sc := benchScale()
-	xs := make([]string, len(sc.SynSizes))
-	for i, s := range sc.SynSizes {
-		xs[i] = fmt.Sprintf("V=%d", s[0])
-	}
-	benchEIP(b, xs, func(i int) (*graph.Graph, []*core.Rule, eip.Options) {
-		g, _ := bench.SyntheticGraph(sc.SynSizes[i][0], sc.SynSizes[i][1], sc.Seed)
-		pred := bench.SyntheticPredicate(g)
-		rules := gen.Rules(g, pred, gen.RuleGenParams{Count: 24, VP: 4, EP: 5, Seed: sc.Seed})
-		return g, rules, eip.Options{N: 4, Eta: 1.5}
-	})
-}
-
-// --- label helpers ---
-
-func nLabels(ns []int) []string     { return prefixed("n=", ns) }
-func sigmaLabels(ss []int) []string { return prefixed("sigma=", ss) }
-func dLabels(ds []int) []string     { return prefixed("d=", ds) }
-func setLabels(ss []int) []string   { return prefixed("rules=", ss) }
-
-func prefixed(p string, xs []int) []string {
-	out := make([]string, len(xs))
-	for i, x := range xs {
-		out[i] = fmt.Sprintf("%s%d", p, x)
-	}
-	return out
 }

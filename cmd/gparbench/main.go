@@ -1,5 +1,5 @@
 // Command gparbench regenerates the paper's tables and figures (Section 6)
-// at laptop scale. See DESIGN.md §4 for the experiment index.
+// at laptop scale, from internal/bench's experiment table.
 //
 // Usage:
 //
@@ -8,12 +8,15 @@
 //	gparbench -exp 5a,5h      # selected figures
 //	gparbench -exp case       # the Fig. 5(g) case study
 //	gparbench -exp precision  # the Exp-2 precision table
+//	gparbench -quick -csv FIGURES.csv  # also write the figures and precision table as CSV
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"gpar/internal/bench"
@@ -23,81 +26,76 @@ func main() {
 	var (
 		quick = flag.Bool("quick", false, "use the tiny smoke-test scale")
 		exp   = flag.String("exp", "all", "comma-separated experiment ids (5a..5o, 5x, case, precision, all)")
-		csv   = flag.String("csv", "", "also append figure data as CSV to this file")
+		csv   = flag.String("csv", "", "also write the figures and precision table as CSV to this file, replacing it")
 	)
 	flag.Parse()
 	sc := bench.DefaultScale()
 	if *quick {
 		sc = bench.QuickScale()
 	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
+	table := bench.Experiments(sc)
+	want, err := parseExp(*exp, table)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gparbench: %v\n", err)
+		os.Exit(2)
 	}
 	all := want["all"]
 
-	type figFn struct {
-		id  string
-		fn  func(bench.Scale) bench.Figure
-		efn func(bench.Scale) (bench.Figure, error)
-	}
-	figs := []figFn{
-		{id: "5a", fn: bench.Fig5a},
-		{id: "5b", fn: bench.Fig5b},
-		{id: "5c", fn: bench.Fig5c},
-		{id: "5d", fn: bench.Fig5d},
-		{id: "5e", fn: bench.Fig5e},
-		{id: "5f", fn: bench.Fig5f},
-		{id: "5x", fn: bench.Fig5x},
-		{id: "5h", efn: bench.Fig5h},
-		{id: "5i", efn: bench.Fig5i},
-		{id: "5j", efn: bench.Fig5j},
-		{id: "5k", efn: bench.Fig5k},
-		{id: "5l", efn: bench.Fig5l},
-		{id: "5m", efn: bench.Fig5m},
-		{id: "5n", efn: bench.Fig5n},
-		{id: "5o", efn: bench.Fig5o},
-	}
-	for _, f := range figs {
-		if !all && !want[f.id] {
+	var figs []bench.Figure
+	for _, e := range table {
+		if !all && !want[e.ID] {
 			continue
 		}
-		var fig bench.Figure
-		var err error
-		if f.fn != nil {
-			fig = f.fn(sc)
-		} else {
-			fig, err = f.efn(sc)
-		}
+		fig, err := bench.Measure(e)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gparbench: figure %s: %v\n", f.id, err)
+			fmt.Fprintf(os.Stderr, "gparbench: figure %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		fig.Format(os.Stdout)
 		fmt.Println()
-		if *csv != "" {
-			cf, err := os.OpenFile(*csv, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gparbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := fig.WriteCSV(cf); err != nil {
-				fmt.Fprintf(os.Stderr, "gparbench: %v\n", err)
-			}
-			cf.Close()
-		}
+		figs = append(figs, fig)
 	}
 	if all || want["case"] || want["5g"] {
 		bench.CaseStudy(os.Stdout, sc)
 		fmt.Println()
 	}
+	var prec bench.PrecisionTable
 	if all || want["precision"] {
 		fmt.Println("=== Exp-2 precision table (conf vs PCAconf vs Iconf) ===")
 		tops := []int{10, 30, 60}
 		if *quick {
 			tops = []int{5, 10}
 		}
-		table := bench.Precision(sc, tops)
-		table.Format(os.Stdout)
+		prec = bench.Precision(sc, tops)
+		prec.Format(os.Stdout)
 	}
+	if *csv != "" {
+		f, err := os.Create(*csv)
+		if err == nil {
+			err = errors.Join(bench.WriteCSV(f, figs, prec), f.Close())
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "gparbench: %v\n", err)
+			os.Exit(1)
+		}
+	}
+}
+
+// parseExp reads -exp's comma-separated ids into a set. An id that names
+// no experiment is an error listing the valid ones.
+func parseExp(spec string, table []bench.Experiment) (map[string]bool, error) {
+	var valid []string
+	for _, e := range table {
+		valid = append(valid, e.ID)
+	}
+	valid = append(valid, "case", "5g", "precision", "all")
+	want := map[string]bool{}
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(valid, ", "))
+		}
+		want[id] = true
+	}
+	return want, nil
 }

@@ -5,30 +5,31 @@
 // (conf vs PCAconf vs Iconf), and Figures 5(h)-5(o) for Match vs Matchc vs
 // DisVF2.
 //
-// Graph sizes are scaled (Section 2 of DESIGN.md); each experiment reports
-// wall-clock seconds and, because this reproduction runs workers as
-// goroutines possibly on few cores, also the maximum per-worker match-work
-// counter — the quantity the paper's parallel-scalability claims are about.
+// Graph sizes are scaled (Scale); each experiment reports wall-clock
+// seconds and, because this reproduction runs workers as goroutines
+// possibly on few cores, also the maximum per-worker match-work counter —
+// the quantity the paper's parallel-scalability claims are about.
+// DESIGN.md's *Paper fidelity* table lists the shape claims the counters
+// are tested against.
 package bench
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
-	"time"
 
 	"gpar/internal/core"
-	"gpar/internal/eip"
 	"gpar/internal/gen"
 	"gpar/internal/graph"
-	"gpar/internal/mine"
 )
 
 // Point is one measurement.
 type Point struct {
 	X       string  // swept parameter value
 	Seconds float64 // wall-clock time
-	Work    float64 // max per-worker op count (parallel-scalability proxy)
+	Counters
 }
 
 // Series is one algorithm's curve.
@@ -39,10 +40,11 @@ type Series struct {
 
 // Figure is one reproduced plot.
 type Figure struct {
-	ID    string // e.g. "5a"
-	Title string
-	XAxis string
-	Serie []Series
+	ID     string // e.g. "5a"
+	Title  string
+	XAxis  string
+	Mining bool // the points carry IsoChecks and Kept
+	Serie  []Series
 }
 
 // Format renders the figure as an aligned text table.
@@ -61,15 +63,15 @@ func (f Figure) Format(w io.Writer) {
 		fmt.Fprintf(w, "%-12s", f.Serie[0].Points[i].X)
 		for _, s := range f.Serie {
 			if i < len(s.Points) {
-				fmt.Fprintf(w, "%18.3f%18.0f", s.Points[i].Seconds, s.Points[i].Work)
+				fmt.Fprintf(w, "%18.3f%18d", s.Points[i].Seconds, s.Points[i].Work)
 			}
 		}
 		fmt.Fprintln(w)
 	}
 }
 
-// Scale fixes the scaled-down workload sizes. The paper's sizes divided by
-// roughly 1000 (documented in DESIGN.md/EXPERIMENTS.md).
+// Scale fixes the scaled-down workload sizes: the paper's sizes divided by
+// roughly 1000.
 type Scale struct {
 	PokecUsers int
 	GplusUsers int
@@ -190,35 +192,34 @@ func less(a, b core.Predicate) bool {
 	return a.YLabel < b.YLabel
 }
 
-// timeDMine runs one miner and reports seconds plus the work proxy.
-func timeDMine(f func() *mine.Result) Point {
-	start := time.Now()
-	res := f()
-	return Point{Seconds: time.Since(start).Seconds(), Work: float64(res.MaxWorkerOp)}
-}
+// csvHeader names the columns of WriteCSV's output. A matching figure's
+// row leaves iso_checks and kept empty and every figure row leaves
+// precision empty; a precision row (figure "precision", x the top N,
+// series the metric) carries its value in precision alone. Seconds, the
+// one column that differs between runs, comes last so a check can cut it.
+var csvHeader = []string{"figure", "x", "series", "work", "iso_checks", "kept", "precision", "seconds"}
 
-// timeEIP runs one EIP algorithm and reports seconds plus the work proxy.
-func timeEIP(f func() (*eip.Result, error)) (Point, error) {
-	start := time.Now()
-	res, err := f()
-	if err != nil {
-		return Point{}, err
-	}
-	return Point{Seconds: time.Since(start).Seconds(), Work: float64(res.MaxWorkerOp)}, nil
-}
-
-// WriteCSV renders the figure as CSV rows (x, series, seconds, work) for
-// external plotting.
-func (f Figure) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "figure,x,series,seconds,work\n"); err != nil {
-		return err
-	}
-	for _, s := range f.Serie {
-		for _, p := range s.Points {
-			if _, err := fmt.Fprintf(w, "%s,%s,%s,%.6f,%.0f\n", f.ID, p.X, s.Name, p.Seconds, p.Work); err != nil {
-				return err
+// WriteCSV writes the figures' points and then the precision table's
+// values as one CSV document with one header, for external plotting.
+func WriteCSV(w io.Writer, figs []Figure, prec PrecisionTable) error {
+	rows := [][]string{csvHeader}
+	for _, f := range figs {
+		for _, s := range f.Serie {
+			for _, p := range s.Points {
+				iso, kept := "", ""
+				if f.Mining {
+					iso, kept = strconv.Itoa(p.IsoChecks), strconv.Itoa(p.Kept)
+				}
+				rows = append(rows, []string{f.ID, p.X, s.Name, strconv.FormatInt(p.Work, 10), iso, kept, "",
+					strconv.FormatFloat(p.Seconds, 'f', 6, 64)})
 			}
 		}
 	}
-	return nil
+	for mi, m := range prec.Metrics {
+		for ti, top := range prec.Tops {
+			rows = append(rows, []string{"precision", strconv.Itoa(top), m, "", "", "",
+				strconv.FormatFloat(prec.Values[mi][ti], 'f', 6, 64), ""})
+		}
+	}
+	return csv.NewWriter(w).WriteAll(rows)
 }
