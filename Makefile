@@ -151,11 +151,13 @@ docs-check:
 # Fail if the non-test Go outside benchmark/ has grown past the budget: the
 # count after the last PR that lowered it. A PR that must add code raises
 # the number here, in the diff, where a reviewer sees it; one that deletes
-# code lowers it to the new count.
-LOC_BUDGET := 16658
+# code lowers it to the new count. The test Go count beside it is
+# informational: it has no budget.
+LOC_BUDGET := 16498
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
-	echo "non-test Go outside benchmark/: $$n lines (budget $(LOC_BUDGET))"; \
+	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
+	echo "non-test Go outside benchmark/: $$n lines (budget $(LOC_BUDGET)); test Go: $$t lines"; \
 	test $$n -le $(LOC_BUDGET)
 
 # Start the serving daemon on a generated Pokec-like graph, mining a

@@ -72,31 +72,20 @@ var arenasOffGoldens = map[string]string{
 }
 
 // TestDMineArenasOnOffIdentity pins the recycled lanes against the
-// arenas-off goldens for every worker count.
+// arenas-off goldens: predicate 0 at every worker count, then predicates
+// 1-4 at N = 2 (sharded assembly and real message traffic), each run
+// inheriting the pooled workers, arenas and all, that the previous one
+// released — the lifetime the recycling discipline must survive.
 func TestDMineArenasOnOffIdentity(t *testing.T) {
 	g, optsList := arenaFixture(t)
-	pred := gen.PokecPredicates(g.Symbols())[0]
+	preds := gen.PokecPredicates(g.Symbols())
 	for _, o := range optsList {
-		if got, want := digest(DMine(g, pred, o)), arenasOffGoldens["arena/pred0"]; got != want {
+		if got, want := digest(DMine(g, preds[0], o)), arenasOffGoldens["arena/pred0"]; got != want {
 			t.Errorf("N=%d: digest %s, arenas-off golden %s", o.N, got, want)
 		}
 	}
-}
-
-// TestDMineMultiArenasOnOffIdentity extends the pin to DMineMulti: each
-// predicate's run inherits the pooled workers (arenas and all) the previous
-// one released, which is exactly the lifetime the recycling discipline must
-// survive.
-func TestDMineMultiArenasOnOffIdentity(t *testing.T) {
-	g, optsList := arenaFixture(t)
-	preds := gen.PokecPredicates(g.Symbols())
-	// N=2: sharded assembly and real message traffic.
-	res := must(DMineMulti(g, preds, optsList[1]))
-	if len(res) != 5 {
-		t.Fatalf("%d results, want one per arena/pred golden", len(res))
-	}
-	for i, r := range res {
-		if got, want := digest(r.Result), arenasOffGoldens[fmt.Sprintf("arena/pred%d", i)]; got != want {
+	for i := 1; i < 5; i++ {
+		if got, want := digest(DMine(g, preds[i], optsList[1])), arenasOffGoldens[fmt.Sprintf("arena/pred%d", i)]; got != want {
 			t.Errorf("predicate %d: digest %s, arenas-off golden %s", i, got, want)
 		}
 	}

@@ -49,40 +49,6 @@ func TestDMineCtxMatchesDMine(t *testing.T) {
 	}
 }
 
-// TestDMineMultiMatchesIndependentRuns checks DMineMulti end to end: the
-// per-x-label context sharing (and the pooled workers successive predicates
-// inherit) must not change any result relative to independent DMine calls,
-// and the result list must still deduplicate predicates preserving
-// first-occurrence order.
-func TestDMineMultiMatchesIndependentRuns(t *testing.T) {
-	g, preds, opts := contextFixture(t)
-	// Duplicate the first predicate to exercise the dedup path too.
-	input := append(append([]core.Predicate(nil), preds...), preds[0])
-
-	got := must(DMineMulti(g, input, opts))
-	var wantOrder []core.Predicate
-	seen := map[core.Predicate]bool{}
-	for _, p := range input {
-		if !seen[p] {
-			seen[p] = true
-			wantOrder = append(wantOrder, p)
-		}
-	}
-	if len(got) != len(wantOrder) {
-		t.Fatalf("DMineMulti returned %d results, want %d", len(got), len(wantOrder))
-	}
-	for i, mr := range got {
-		if mr.Pred != wantOrder[i] {
-			t.Fatalf("result %d is for %+v, want %+v", i, mr.Pred, wantOrder[i])
-		}
-		want := fingerprint(DMine(g, mr.Pred, opts))
-		if fp := fingerprint(mr.Result); fp != want {
-			t.Fatalf("DMineMulti result %d differs from independent DMine:\n--- independent ---\n%s--- multi ---\n%s",
-				i, want, fp)
-		}
-	}
-}
-
 // TestConcurrentDMineSharedContext stresses the Context immutability
 // contract: many concurrent DMineCtx runs over one shared Context (each
 // with its own miner state) must all produce the byte-identical result.

@@ -135,6 +135,7 @@ func TestServeVersionMismatch(t *testing.T) {
 func TestSetupBadFragmentRefused(t *testing.T) {
 	mctx, _, _ := chaosJob(150, 3, 1)
 	frag := mctx.WireFragment(0)
+	g, _ := pokecFixture(150, 3) // chaosJob's graph: the symbols its fragment's labels index
 	for _, tc := range []struct {
 		name     string
 		fragment []byte
@@ -154,7 +155,7 @@ func TestSetupBadFragmentRefused(t *testing.T) {
 			if err := wire.Handshake(c, true); err != nil {
 				t.Fatal(err)
 			}
-			setup := wire.JobSetup{Fragment: tc.fragment}
+			setup := wire.JobSetup{Symbols: g.Symbols().Names(), Fragment: tc.fragment}
 			if err := wire.WriteFrame(c, wire.TypeJobSetup, setup.Append(nil)); err != nil {
 				t.Fatal(err)
 			}

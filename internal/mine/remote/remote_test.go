@@ -37,16 +37,9 @@ func startWorkers(t testing.TB, n int, opts ServerOptions) []string {
 	return addrs
 }
 
-// mustMine / mustMulti unwrap (value, error) mining pairs; the
+// mustMine unwraps (value, error) mining pairs; the
 // differentials below never expect the local reference runs to fail.
 func mustMine(res *mine.Result, err error) *mine.Result {
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-func mustMulti(res []mine.MultiResult, err error) []mine.MultiResult {
 	if err != nil {
 		panic(err)
 	}
@@ -120,8 +113,8 @@ func TestMineMatchesLocalTCP(t *testing.T) {
 }
 
 // TestMineMultiJobReuse runs several predicates' jobs back to back over one
-// fleet — the DMineMulti shape — pinning both connection reuse across jobs
-// and per-predicate byte-identity with the in-process engine.
+// fleet, sharing a context per x-label, pinning both connection reuse across
+// jobs and per-predicate byte-identity with the in-process engine.
 func TestMineMultiJobReuse(t *testing.T) {
 	syms := graph.NewSymbols()
 	g := gen.Pokec(syms, gen.DefaultPokec(250, 7))
@@ -134,8 +127,6 @@ func TestMineMultiJobReuse(t *testing.T) {
 		MaxEdges: 2, EmbedCap: 1 << 20,
 	}.Defaults()
 
-	want := mustMulti(mine.DMineMulti(g, preds, o))
-
 	addrs := startWorkers(t, 3, ServerOptions{})
 	conns, err := DialFleet(addrs, DialOptions{StepTimeout: 30 * time.Second})
 	if err != nil {
@@ -144,18 +135,18 @@ func TestMineMultiJobReuse(t *testing.T) {
 	defer CloseAll(conns)
 
 	ctxs := make(map[graph.Label]*mine.Context)
-	for i, mr := range want {
-		ctx := ctxs[mr.Pred.XLabel]
+	for i, pred := range preds {
+		ctx := ctxs[pred.XLabel]
 		if ctx == nil {
-			ctx = mine.NewContext(g, mr.Pred.XLabel, o)
-			ctxs[mr.Pred.XLabel] = ctx
+			ctx = mine.NewContext(g, pred.XLabel, o)
+			ctxs[pred.XLabel] = ctx
 		}
-		res, err := Mine(ctx, mr.Pred, o, conns)
+		res, err := Mine(ctx, pred, o, conns)
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		if fw, fg := fingerprint(mr.Result), fingerprint(res); fw != fg {
-			t.Fatalf("job %d differs from DMineMulti:\n%s\nvs\n%s", i, fw, fg)
+		if fw, fg := fingerprint(mine.DMine(g, pred, o)), fingerprint(res); fw != fg {
+			t.Fatalf("job %d differs from DMine:\n%s\nvs\n%s", i, fw, fg)
 		}
 	}
 }

@@ -76,11 +76,11 @@ func (f *Fragment) AppendBinary(dst []byte) []byte {
 }
 
 // DecodeFragment decodes one fragment from data, binding its graph to syms
-// (the job's symbol table; labels in the encoding are IDs into it). The
-// decoded fragment graph is frozen, and — because the encoder wrote edges
-// in frozen CSR order and Freeze re-derives exactly that order — re-encoding
-// it reproduces data byte for byte. The remainder of data after the
-// fragment is returned.
+// (the job's symbol table; labels in the encoding are IDs into it). Only
+// the canonical encoding decodes: minimal varints, labels inside syms, and
+// each node's edges strictly ascending in frozen CSR (label, to) order, so
+// re-encoding the frozen fragment reproduces data byte for byte. The
+// remainder of data after the fragment is returned.
 func DecodeFragment(data []byte, syms *graph.Symbols) (*Fragment, []byte, error) {
 	d := fragDecoder{buf: data}
 	if len(d.buf) < len(fragMagic)+1 || string(d.buf[:len(fragMagic)]) != fragMagic {
@@ -105,23 +105,27 @@ func DecodeFragment(data []byte, syms *graph.Symbols) (*Fragment, []byte, error)
 	}
 	g := graph.New(syms)
 	for v := 0; v < n && d.err == nil; v++ {
-		g.AddNodeL(graph.Label(d.intf("node label")))
+		g.AddNodeL(d.label("node label", syms))
 	}
 	degs := make([]int, n)
 	for v := 0; v < n && d.err == nil; v++ {
 		degs[v] = d.intf("out-degree")
 	}
 	for v := 0; v < n && d.err == nil; v++ {
+		prev := graph.Edge{To: -1}
 		for k := 0; k < degs[v] && d.err == nil; k++ {
-			l := graph.Label(d.intf("edge label"))
-			to := d.intf("edge target")
+			e := graph.Edge{Label: d.label("edge label", syms), To: graph.NodeID(d.intf("edge target"))}
 			if d.err != nil {
 				break
 			}
-			if to >= n {
-				return nil, nil, codecErrorf("edge target %d out of range (fragment has %d nodes)", to, n)
+			if int(e.To) >= n {
+				return nil, nil, codecErrorf("edge target %d out of range (fragment has %d nodes)", e.To, n)
 			}
-			g.AddEdgeL(graph.NodeID(v), graph.NodeID(to), l)
+			if e.Label < prev.Label || e.Label == prev.Label && e.To <= prev.To {
+				return nil, nil, codecErrorf("node %d edges not strictly ascending at (%d, %d)", v, e.Label, e.To)
+			}
+			g.AddEdgeL(graph.NodeID(v), e.To, e.Label)
+			prev = e
 		}
 	}
 	nc := d.intf("numCenters")
@@ -167,8 +171,8 @@ type fragDecoder struct {
 	err error
 }
 
-// intf decodes one uvarint as a non-negative int, recording a descriptive
-// sticky error on truncation or overflow.
+// intf decodes one minimal uvarint as a non-negative int, recording a
+// descriptive sticky error on truncation, padding or overflow.
 func (d *fragDecoder) intf(what string) int {
 	if d.err != nil {
 		return 0
@@ -178,10 +182,24 @@ func (d *fragDecoder) intf(what string) int {
 		d.err = codecErrorf("truncated fragment encoding reading %s", what)
 		return 0
 	}
+	if k > 1 && d.buf[k-1] == 0 {
+		d.err = codecErrorf("non-minimal varint reading %s", what)
+		return 0
+	}
 	if v > uint64(int32(^uint32(0)>>1)) { // node IDs and labels are int32
 		d.err = codecErrorf("%s %d overflows int32", what, v)
 		return 0
 	}
 	d.buf = d.buf[k:]
 	return int(v)
+}
+
+// label decodes one label ID, recording a sticky error for NoLabel or an ID
+// outside syms.
+func (d *fragDecoder) label(what string, syms *graph.Symbols) graph.Label {
+	l := d.intf(what)
+	if d.err == nil && (l == 0 || l > syms.Len()) {
+		d.err = codecErrorf("%s %d outside symbol table of %d", what, l, syms.Len())
+	}
+	return graph.Label(l)
 }

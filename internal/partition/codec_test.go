@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"gpar/internal/gen"
@@ -172,9 +173,11 @@ func TestFragmentCodecErrors(t *testing.T) {
 }
 
 // FuzzFragmentDecode throws arbitrary bytes at the decoder: it must either
-// return an error or produce a fragment that re-encodes canonically — and
-// never panic or hang. Valid encodings are seeded so the fuzzer starts from
-// the interesting region of the input space.
+// return the codec's typed error or produce a fragment whose labels lie in
+// the symbol table and that re-encodes to exactly the bytes it was read
+// from — and never panic or hang. Valid encodings are seeded so the fuzzer
+// starts from the interesting region of the input space, with three
+// non-canonical ones the snapshot decoder also refuses.
 func FuzzFragmentDecode(f *testing.F) {
 	_, frags := codecFixture(f, 120, 2)
 	syms := frags[0].G.Symbols()
@@ -182,15 +185,38 @@ func FuzzFragmentDecode(f *testing.F) {
 		f.Add(fr.AppendBinary(nil))
 	}
 	f.Add([]byte("GPFR\x01"))
+	// The golden layout: 3 of 3 nodes, then labels, degrees and (label, to)
+	// edges, then centers 0, 1 and toGlobal 0, 1, 2.
+	head, tail := []byte("GPFR\x01\x03\x03"), []byte{2, 0, 1, 0, 1, 2}
+	past := binary.AppendUvarint(nil, uint64(syms.Len()+1))
+	for _, body := range [][]byte{
+		{1, 1, 2, 3, 1, 0, 3, 1, 3, 1, 4, 2, 3, 0},    // edge 0→1 twice
+		append(past, 1, 2, 2, 1, 0, 3, 1, 4, 2, 3, 0), // node label past the table
+		{1, 1, 2, 2, 1, 0, 0, 1, 4, 2, 3, 0},          // edge label NoLabel
+	} {
+		f.Add(slices.Concat(head, body, tail))
+	}
+	inTable := func(l graph.Label) bool { return l != graph.NoLabel && int(l) <= syms.Len() }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, _, err := DecodeFragment(data, syms)
+		dec, rest, err := DecodeFragment(data, syms)
 		if err != nil {
+			if _, ok := err.(*codecError); !ok {
+				t.Fatalf("error type %T, want *codecError: %v", err, err)
+			}
 			return
 		}
-		// Whatever decoded must re-encode to a decodable encoding.
-		re := dec.AppendBinary(nil)
-		if _, _, err := DecodeFragment(re, syms); err != nil {
-			t.Fatalf("re-encoding of a decoded fragment does not decode: %v", err)
+		for v := graph.NodeID(0); int(v) < dec.G.NumNodes(); v++ {
+			if !inTable(dec.G.Label(v)) {
+				t.Fatalf("node %d decoded with label %d outside the table", v, dec.G.Label(v))
+			}
+			for _, e := range dec.G.Out(v) {
+				if !inTable(e.Label) {
+					t.Fatalf("edge %d→%d decoded with label %d outside the table", v, e.To, e.Label)
+				}
+			}
+		}
+		if re := dec.AppendBinary(nil); !bytes.Equal(re, data[:len(data)-len(rest)]) {
+			t.Fatalf("re-encoding differs from the input:\n got %x\nwant %x", re, data[:len(data)-len(rest)])
 		}
 	})
 }

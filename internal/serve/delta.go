@@ -1,20 +1,11 @@
 // Delta ingest and incremental maintenance: POST /v1/graph/delta applies a
 // mutation batch to the served graph as a new snapshot generation without
-// re-freezing (graph.ApplyDelta builds an overlay over the shared CSR), the
-// match-set cache is invalidated selectively — only rules whose d-hop
-// neighborhoods can intersect the touched nodes lose their entries — warm
-// mine results survive mutations provably outside their reach, and a
-// threshold (or the operator's timer) folds the overlay back into a real
-// freeze in the background with a hot swap.
-//
-// The invalidation invariant: a cached evaluation for rule R may be carried
-// to the new generation iff no touched node lies within distance R.Radius()
-// of any XLabel node in either the old or the new graph. Every served rule
-// has radius ≥ 1 (BuildSnapshot refuses anything else), which is also the
-// LCWA classification radius the snapshot-global supp(q,G)/supp(q̄,G) in
-// each cached Stats depend on. Warm mine results use the same test with
-// radius max(D, MaxEdges)+1, the farthest any DMine probe reaches from a
-// candidate center.
+// re-freezing (graph.ApplyDelta builds an overlay over the shared CSR), and
+// a threshold folds the overlay back into a real freeze in the background
+// (Compact). What survives a batch is publish's reach rule, fed by
+// deltaImpact. Every served rule has radius ≥ 1 (BuildSnapshot refuses
+// anything else), which is also the LCWA classification radius the
+// snapshot-global supp(q,G)/supp(q̄,G) in each cached Stats depend on.
 
 package serve
 
@@ -23,9 +14,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"gpar/internal/core"
 	"gpar/internal/graph"
-	"gpar/internal/mine"
 )
 
 // errBadDelta marks delta requests rejected before they reach the graph:
@@ -69,12 +58,12 @@ type DeltaResponse struct {
 	// OverlayOps is the cumulative op count since the last real freeze —
 	// the compaction trigger's input.
 	OverlayOps int `json:"overlayOps"`
-	// RulesCarried counts match-set cache entries renamed to the new
+	// RulesCarried counts match-set cache entries moved to the new
 	// generation because the batch provably cannot affect them;
 	// RulesInvalidated counts entries dropped.
 	RulesCarried     int `json:"rulesCarried"`
 	RulesInvalidated int `json:"rulesInvalidated"`
-	// WarmMineCarried counts completed mine results still valid for the new
+	// WarmMineCarried counts finished mine results moved to the new
 	// generation (jobs with identical parameters return them without
 	// re-mining).
 	WarmMineCarried int `json:"warmMineCarried"`
@@ -129,12 +118,13 @@ func mapDeltaOps(syms *graph.Symbols, req DeltaRequest) ([]graph.DeltaOp, error)
 
 // deltaImpact returns the smallest distance from any touched node to an
 // XLabel node, looking in both the old and the new graph (a deletion's
-// effect is visible only in the old one, an addition's only in the new),
-// capped at bound; -1 when every touched node is farther than bound. This
-// single number drives all carry decisions: rule R is unaffected iff the
-// impact exceeds R's radius.
+// effect is visible only in the old one, an addition's only in the new), or
+// bound+1 when every touched node is farther than bound: a lower bound on
+// the distance, exact up to bound. publish carries a value across the
+// batch iff the impact exceeds its reach, so bound must cover the farthest
+// resident reach.
 func deltaImpact(old, new *graph.Graph, touched []graph.NodeID, xl graph.Label, bound int) int {
-	min := -1
+	impact := bound + 1
 	for _, t := range touched {
 		d := new.LabelWithinDistance(t, xl, bound)
 		if int(t) < old.NumNodes() {
@@ -142,14 +132,14 @@ func deltaImpact(old, new *graph.Graph, touched []graph.NodeID, xl graph.Label, 
 				d = od
 			}
 		}
-		if d != -1 && (min == -1 || d < min) {
-			min = d
+		if d != -1 && d < impact {
+			impact = d
 		}
-		if min == 0 {
+		if impact == 0 {
 			break
 		}
 	}
-	return min
+	return impact
 }
 
 // ApplyDelta applies a mutation batch to the served graph and installs the
@@ -187,64 +177,36 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 		return nil, err
 	}
 
-	// Decide what survives before anything is installed. One BFS per
-	// touched node answers both the per-rule question (bound D) and the
-	// warm-mine question (bound max(D, MaxEdges)+1 per entry).
+	// One BFS per touched node, bounded by the farthest reach resident: the
+	// largest rule radius, or a finished mine result's.
 	touched := g2.DeltaTouched()
 	bound := snap.D
-	if wb := s.warmMaxReach(); wb > bound {
-		bound = wb
+	for _, k := range s.mined.Keys() {
+		bound = max(bound, k.reach())
 	}
 	impact := deltaImpact(snap.G, g2, touched, snap.Pred.XLabel, bound)
-
 	next := DeriveDeltaSnapshot(snap, g2, s.cfg)
-	next.Gen = s.gen.Add(1)
-	// Durability barrier: the accepted batch reaches the WAL (per the sync
-	// policy) before any publication side effect; on failure the generation
-	// rolls back and the client sees the error, so no generation is ever
-	// served that recovery could not reproduce.
-	if err := s.persistAppend(next.Gen, req); err != nil {
-		s.gen.Store(next.Gen - 1)
+	c, err := s.publish(next, impact, &req)
+	if err != nil {
 		return nil, fmt.Errorf("serve: delta not logged: %w", err)
 	}
-	carried, invalidated := 0, 0
-	for _, sr := range snap.Rules {
-		oldKey := evalKey{snap.Gen, sr.Key}
-		// A rule is unaffected iff the impact exceeds its radius.
-		if impact != -1 && impact <= sr.Radius {
-			if s.cache.Remove(oldKey) {
-				invalidated++
-			}
-			continue
-		}
-		if s.cache.Carry(oldKey, evalKey{next.Gen, sr.Key}) {
-			carried++
-		}
-	}
-	warmCarried := s.warmCarry(snap.Gen, next.Gen, impact)
-	s.snap.Store(next)
-	// Mine contexts are keyed to the old generation's graph; reclaim them
-	// eagerly, as a swap would.
-	s.mineCtx.Purge()
-	s.nSwap.Add(1)
 	s.nDeltaBatches.Add(1)
 	s.nDeltaOps.Add(int64(len(ops)))
-	s.nRuleCarried.Add(int64(carried))
-	s.nRuleInvalidated.Add(int64(invalidated))
+	s.nRuleCarried.Add(int64(c.rules))
+	s.nRuleInvalidated.Add(int64(c.dropped))
 
-	resp := &DeltaResponse{
+	return &DeltaResponse{
 		Generation:       next.Gen,
 		Ops:              len(ops),
 		Nodes:            g2.NumNodes(),
 		Edges:            g2.NumEdges(),
 		TouchedNodes:     len(touched),
 		OverlayOps:       g2.OverlayOps(),
-		RulesCarried:     carried,
-		RulesInvalidated: invalidated,
-		WarmMineCarried:  warmCarried,
+		RulesCarried:     c.rules,
+		RulesInvalidated: c.dropped,
+		WarmMineCarried:  c.mined,
 		Compacting:       s.maybeCompactLocked(g2),
-	}
-	return resp, nil
+	}, nil
 }
 
 // maybeCompactLocked kicks off background compaction when the overlay has
@@ -270,7 +232,7 @@ func (s *Server) maybeCompactLocked(g *graph.Graph) bool {
 
 // Compact folds the served graph's delta overlay into a freshly frozen
 // graph and hot-swaps it in as a new generation. The logical graph is
-// unchanged, so every match-set cache entry and warm mine result is carried
+// unchanged, so publish carries every match-set evaluation and mine result
 // across. The copy itself runs off-lock (the overlay graph is immutable);
 // snapshot rebuild and install serialize with other mutations on the swap
 // lock, and the install aborts — no error, nothing lost — if a delta or
@@ -291,134 +253,11 @@ func (s *Server) Compact() (uint64, bool, error) {
 		return s.gen.Load(), false, nil
 	}
 	next := DeriveDeltaSnapshot(snap, g, s.cfg)
-	next.Gen = s.gen.Add(1)
-	// A compaction is a swap like any other: checkpoint before publish.
-	if err := s.persistCheckpoint(next); err != nil {
-		s.gen.Store(next.Gen - 1)
+	if _, err := s.publish(next, -1, nil); err != nil {
 		return s.gen.Load(), false, err
 	}
-	for _, sr := range snap.Rules {
-		s.cache.Carry(evalKey{snap.Gen, sr.Key}, evalKey{next.Gen, sr.Key})
-	}
-	s.warmCarry(snap.Gen, next.Gen, -1) // logical graph unchanged: carry all
-	s.snap.Store(next)
-	s.mineCtx.Purge()
-	s.nSwap.Add(1)
 	s.nCompactions.Add(1)
 	return next.Gen, true, nil
-}
-
-// warmKey identifies a completed mine result by its fully resolved
-// parameters. The worker count is deliberately absent: mining results are
-// byte-identical across worker counts (pinned by the mine package's parity
-// tests), so a result computed under any N answers them all.
-type warmKey struct {
-	pred     core.Predicate
-	k, sigma int
-	d        int
-	lambda   float64
-	maxEdges int
-	cap      int
-}
-
-// warmEntry is one carried mine result: valid only while gen matches the
-// served generation, carried across deltas whose impact stays beyond reach.
-// bornGen is the generation the result was mined at; a warm hit requires
-// gen != bornGen — the entry must have been carried across at least one
-// swap — so same-generation repeat jobs keep exercising the real mining
-// path (and its context reuse) exactly as before deltas existed.
-type warmEntry struct {
-	gen     uint64
-	bornGen uint64
-	reach   int // max(d, maxEdges) + 1: the farthest probe from a candidate
-	res     *mine.Result
-}
-
-// maxWarmMine bounds the warm-result map; completed param sets beyond it
-// evict arbitrarily (operator-driven mining keeps this tiny in practice).
-const maxWarmMine = 16
-
-func warmKeyFor(pred core.Predicate, opts mine.Options) warmKey {
-	return warmKey{
-		pred: pred, k: opts.K, sigma: opts.Sigma, d: opts.D,
-		lambda: opts.Lambda, maxEdges: opts.MaxEdges,
-		cap: opts.MaxCandidatesPerRound,
-	}
-}
-
-// warmGet returns the carried result for these parameters if it is valid
-// for generation gen and was mined at an earlier generation.
-func (s *Server) warmGet(pred core.Predicate, opts mine.Options, gen uint64) *mine.Result {
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
-	if e, ok := s.warm[warmKeyFor(pred, opts)]; ok && e.gen == gen && e.bornGen != gen {
-		return e.res
-	}
-	return nil
-}
-
-// warmPut records a completed mine result for generation gen.
-func (s *Server) warmPut(pred core.Predicate, opts mine.Options, gen uint64, res *mine.Result) {
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
-	if s.warm == nil {
-		s.warm = make(map[warmKey]*warmEntry)
-	}
-	k := warmKeyFor(pred, opts)
-	if _, ok := s.warm[k]; !ok && len(s.warm) >= maxWarmMine {
-		for victim := range s.warm {
-			delete(s.warm, victim)
-			break
-		}
-	}
-	reach := opts.D
-	if opts.MaxEdges > reach {
-		reach = opts.MaxEdges
-	}
-	s.warm[k] = &warmEntry{gen: gen, bornGen: gen, reach: reach + 1, res: res}
-}
-
-// warmMaxReach returns the largest invalidation radius among live warm
-// entries (0 when none), so ApplyDelta can size its BFS bound.
-func (s *Server) warmMaxReach() int {
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
-	max := 0
-	for _, e := range s.warm {
-		if e.reach > max {
-			max = e.reach
-		}
-	}
-	return max
-}
-
-// warmCarry retargets entries from oldGen to newGen when the delta impact
-// (−1 = nothing touched within the probed bound) stays strictly beyond
-// their reach, and drops the rest. It returns how many were carried.
-func (s *Server) warmCarry(oldGen, newGen uint64, impact int) int {
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
-	carried := 0
-	for k, e := range s.warm {
-		if e.gen != oldGen {
-			delete(s.warm, k) // stale generation: unreachable forever
-			continue
-		}
-		if impact != -1 && impact <= e.reach {
-			delete(s.warm, k)
-			continue
-		}
-		e.gen = newGen
-		carried++
-	}
-	return carried
-}
-
-// warmPurge drops every warm entry (graph replaced wholesale).
-func (s *Server) warmPurge() {
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
-	clear(s.warm)
 }
 
 // handleDelta is POST /v1/graph/delta. 202: the batch was applied as a new

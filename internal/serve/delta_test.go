@@ -245,21 +245,6 @@ func TestDeltaCompaction(t *testing.T) {
 func TestDeltaWarmMineCarry(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{Workers: 2})
 
-	waitJob := func(id string) Job {
-		t.Helper()
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			var j Job
-			doJSON(t, "GET", ts.URL+"/v1/jobs/"+id, nil, &j)
-			if terminal(j.Status) {
-				return j
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s stuck in %s", id, j.Status)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
 	params := MineParams{
 		XLabel: "cust", EdgeLabel: "visit", YLabel: "restaurant",
 		K: 2, Sigma: 1, D: 2, MaxEdges: 1, Cap: 10,
@@ -270,7 +255,11 @@ func TestDeltaWarmMineCarry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("StartMine: %v", err)
 		}
-		return waitJob(job.ID)
+		waitJobUntil(t, s, job.ID, 30*time.Second, func(j Job) bool { return terminal(j.Status) })
+		// Every check below is on the job as GET /v1/jobs/{id} returns it.
+		var j Job
+		doJSON(t, "GET", ts.URL+"/v1/jobs/"+job.ID, nil, &j)
+		return j
 	}
 
 	j1 := start()

@@ -93,10 +93,11 @@ type Job struct {
 	// ServedGeneration is the snapshot generation the job was admitted
 	// against — the graph it mined.
 	ServedGeneration uint64 `json:"servedGeneration,omitempty"`
-	// WarmStarted reports that the job was answered from a carried mine
-	// result of an earlier generation whose parameters matched and whose
-	// reach no intervening delta touched: no mining ran at all. The result
-	// is byte-identical to a fresh run by the carry invariant (delta.go).
+	// WarmStarted reports that the job was answered from a finished mine
+	// result with the same parameters for this generation — mined by an
+	// earlier job at it, or carried from an earlier generation by changes
+	// that stayed beyond its reach: no mining ran at all. The result is
+	// byte-identical to a fresh run by publish's reach rule.
 	WarmStarted bool `json:"warmStarted,omitempty"`
 	// Supersteps is the run's per-round account — frontier, messages, rules
 	// kept, and the milliseconds its generate, assemble and diversify phases
@@ -298,16 +299,14 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	}.Defaults()
 	opts.Gate = s.mineGate
 	opts.Ctx = jobCtx
-	var res *mine.Result
+	// A finished result for these parameters at this generation answers
+	// the job without even a context. Jobs never join each other's runs:
+	// each has its own cancel and deadline.
+	mkey := minedKeyFor(snap.Gen, pred, opts)
+	res, warmStarted := s.mined.Get(mkey)
 	var mineErr error
 	ctxHit := false
-	warmStarted := false
-	if wres := s.warmGet(pred, opts, snap.Gen); wres != nil {
-		// A completed result with these exact parameters was carried to this
-		// generation — every delta since it ran stayed outside its reach, so
-		// re-mining would reproduce it byte for byte. Skip even the context.
-		res = wres
-		warmStarted = true
+	if warmStarted {
 		s.nWarmMineHits.Add(1)
 	} else {
 		key := MineCtxKey{Gen: snap.Gen, XLabel: pred.XLabel, D: opts.D, N: opts.N}
@@ -320,11 +319,11 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 		})
 		ctxHit = how != memoBuilt
 		if s.gen.Load() != key.Gen {
-			// A swap raced the build. Its Purge may have run before this key
-			// was inserted, and no future job keys this generation, so the
-			// entry would only pin the retired snapshot's graph. This run
-			// still mines on the context it got — the snapshot it was admitted
-			// against.
+			// A publish raced the build. Its Purge may have run before this
+			// key was inserted, and no future job keys this generation, so
+			// the entry would only pin the retired snapshot's graph. This run
+			// still mines on the context it got — the snapshot it was
+			// admitted against.
 			s.mineCtx.Remove(key)
 		}
 		if mineErr == nil {
@@ -352,10 +351,9 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	}
 
 	if !warmStarted {
-		// Record the completed result for warm starts; stored before any
-		// install so the install's generation bump retargets it along with
-		// every other live entry.
-		s.warmPut(pred, opts, snap.Gen, res)
+		// Stored before any install, so the install's publish carries it
+		// to the next generation along with every other live entry.
+		s.mined.Put(mkey, res)
 		s.nMineCapped.Add(res.Capped)
 	}
 	rules := make([]*core.Rule, 0, len(res.TopK))

@@ -117,8 +117,9 @@ func TestJobDeadline(t *testing.T) {
 }
 
 // TestJobRunsCleanAfterCanceledJob: a canceled run releases its pooled
-// accumulator cleanly — the next job over the same context succeeds and its
-// result installs, which would fail if cancellation left partial state.
+// accumulator cleanly — the next job over the same context succeeds, which
+// would fail if cancellation left partial state — and leaves no result
+// behind for the next job to be answered from.
 func TestJobRunsCleanAfterCanceledJob(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{Workers: 2})
 	release := holdGate(t, s)
@@ -140,10 +141,15 @@ func TestJobRunsCleanAfterCanceledJob(t *testing.T) {
 	if final.Status != JobDone {
 		t.Fatalf("rerun finished %q (%s), want done", final.Status, final.Error)
 	}
-	if len(final.RuleKeys) == 0 {
-		t.Error("rerun after cancel mined no rules")
+	// Only a finished run records a result: the rerun mined, and the job
+	// after it is answered from the rerun's result.
+	if len(final.RuleKeys) == 0 || final.WarmStarted || len(final.Supersteps) == 0 {
+		t.Errorf("rerun after cancel: %+v; want a run that mines rules", final)
 	}
-	_ = ts
+	doJSON(t, "POST", ts.URL+"/v1/mine", body, &rerun)
+	if again := waitJobUntil(t, s, rerun.ID, 10*time.Second, func(j Job) bool { return terminal(j.Status) }); !again.WarmStarted {
+		t.Errorf("job after the rerun: %+v; want it answered from the rerun's result", again)
+	}
 }
 
 // TestShutdownCancelsRunningJobs: the drain is active — Shutdown cancels a

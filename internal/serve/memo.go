@@ -6,12 +6,15 @@ import (
 	"sync"
 )
 
-// memo is the serving layer's one "build a missing value once and remember
-// it" mechanism — the match-set cache and the mine-context cache are both
-// one: a bounded, locked LRU whose only read is GetOrBuild. An entry enters
-// the LRU when its build starts, so eviction, Carry, Remove and Purge
-// treat a build in flight like a finished value: they move or drop
-// the memo's reference, and whoever holds the entry still gets its value.
+// memo is the serving layer's one "remember a value for a generation"
+// mechanism — match sets, mined results and mine contexts are all one: a
+// bounded, locked LRU keyed by (generation, …). GetOrBuild builds a missing
+// value once for every concurrent caller; Get and Put read and insert
+// finished values; Retarget is the publish step's walk, which moves each
+// entry to the next generation's key or drops it. An entry enters the LRU
+// when its build starts, so eviction, Retarget, Remove and Purge treat a
+// build in flight like a finished value: they move or drop the memo's
+// reference, and whoever holds the entry still gets its value.
 type memo[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
@@ -22,7 +25,8 @@ type memo[K comparable, V any] struct {
 }
 
 // memoEntry is one value, finished or still being built: the builder writes
-// val and err, then closes done. key is guarded by memo.mu (Carry renames it).
+// val and err, then closes done. key is guarded by memo.mu (Retarget
+// renames it).
 type memoEntry[K comparable, V any] struct {
 	key  K
 	done chan struct{}
@@ -90,13 +94,8 @@ func (m *memo[K, V]) GetOrBuild(key K, build func() (V, error)) (v V, how memoOu
 		return e.val, memoJoined, e.err
 	}
 	e := &memoEntry[K, V]{key: key, done: make(chan struct{})}
-	el := m.ll.PushFront(e)
-	m.byKey[key] = el
+	el := m.insertLocked(e)
 	m.built++
-	for m.ll.Len() > m.cap {
-		delete(m.byKey, m.ll.Remove(m.ll.Back()).(*memoEntry[K, V]).key)
-		m.evictions++
-	}
 	m.mu.Unlock()
 
 	defer func() {
@@ -123,25 +122,90 @@ func (m *memo[K, V]) GetOrBuild(key K, build func() (V, error)) (v V, how memoOu
 	return e.val, memoBuilt, e.err
 }
 
-// Carry renames oldKey's entry to newKey — the delta path's selective
-// invalidation: a value a mutation batch provably cannot affect moves to the
-// new generation's key instead of being recomputed. A rename is not an
-// access: recency and every counter stay as they are. It reports whether an
-// entry was carried; an existing newKey entry is replaced.
-func (m *memo[K, V]) Carry(oldKey, newKey K) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.byKey[oldKey]
-	if !ok {
-		return false
-	}
-	if old, ok := m.byKey[newKey]; ok {
+// insertLocked makes e the most recently used entry under e.key, replacing
+// any entry there, and evicts the least recently used past capacity.
+func (m *memo[K, V]) insertLocked(e *memoEntry[K, V]) *list.Element {
+	if old, ok := m.byKey[e.key]; ok {
 		m.ll.Remove(old)
 	}
-	delete(m.byKey, oldKey)
-	el.Value.(*memoEntry[K, V]).key = newKey
-	m.byKey[newKey] = el
-	return true
+	el := m.ll.PushFront(e)
+	m.byKey[e.key] = el
+	for m.ll.Len() > m.cap {
+		delete(m.byKey, m.ll.Remove(m.ll.Back()).(*memoEntry[K, V]).key)
+		m.evictions++
+	}
+	return el
+}
+
+// Get returns key's finished value, marking it most recently used: an
+// absent entry, a build in flight and a failed build (never kept) miss.
+func (m *memo[K, V]) Get(key K) (v V, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, in := m.byKey[key]; in {
+		e := el.Value.(*memoEntry[K, V])
+		select {
+		case <-e.done:
+			m.ll.MoveToFront(el)
+			m.hits++
+			return e.val, true
+		default:
+		}
+	}
+	return v, false
+}
+
+// Put inserts v as key's finished value, replacing any entry there (a build
+// in flight still delivers to its own waiters), as the most recently used.
+func (m *memo[K, V]) Put(key K, v V) {
+	e := &memoEntry[K, V]{key: key, done: make(chan struct{}), val: v}
+	close(e.done)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.insertLocked(e)
+	m.built++
+}
+
+// Retarget is the publish step's walk: next maps each resident key, finished
+// or in flight, to its key in the new generation, or reports that the entry
+// does not survive the change. A moved build still delivers to its waiters
+// and then stays under its new key; two entries mapped to one key keep the
+// more recently used. A move is not an access, so recency and hits stay as
+// they are; a walk that drops anything counts as one purge. next runs
+// under the memo's lock and must not call back into the memo. It returns
+// how many entries moved and how many were dropped.
+func (m *memo[K, V]) Retarget(next func(K) (K, bool)) (kept, dropped int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	byKey := make(map[K]*list.Element, len(m.byKey))
+	for el := m.ll.Front(); el != nil; {
+		nx, e := el.Next(), el.Value.(*memoEntry[K, V])
+		if k, ok := next(e.key); ok && byKey[k] == nil {
+			e.key = k
+			byKey[k] = el
+			kept++
+		} else {
+			m.ll.Remove(el)
+			dropped++
+		}
+		el = nx
+	}
+	m.byKey = byKey
+	if dropped > 0 {
+		m.purges++
+	}
+	return kept, dropped
+}
+
+// Keys returns the resident keys, finished or in flight.
+func (m *memo[K, V]) Keys() []K {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	keys := make([]K, 0, len(m.byKey))
+	for k := range m.byKey {
+		keys = append(keys, k)
+	}
+	return keys
 }
 
 // Remove drops key's entry if present (counted as an eviction) and reports
@@ -158,22 +222,17 @@ func (m *memo[K, V]) Remove(key K) bool {
 	return ok
 }
 
-// Purge drops every entry (snapshot swap) and returns how many were dropped.
+// Purge drops every entry — a walk that keeps nothing — and returns how
+// many were dropped.
 func (m *memo[K, V]) Purge() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := m.ll.Len()
-	m.ll.Init()
-	clear(m.byKey)
-	if n > 0 {
-		m.purges++
-	}
+	_, n := m.Retarget(func(k K) (K, bool) { return k, false })
 	return n
 }
 
-// Stats returns the counters: st.Hits finished entries found, st.Misses
-// builds run, joined callers that waited on another's build — a miss to the
-// match-set cache, a hit to the mine-context cache, so each adds it itself.
+// Stats returns the counters: st.Hits counts finished entries found;
+// st.Misses, builds run and values put; st.Purges, walks that dropped
+// entries; joined, callers that waited on another's build (a miss to the
+// match-set cache, a hit to the mine-context cache, so each adds it itself).
 func (m *memo[K, V]) Stats() (st CacheStats, joined int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -117,7 +117,11 @@ func TestBatcherPropagatesErrors(t *testing.T) {
 	if err != boom {
 		t.Fatalf("err %v, want boom", err)
 	}
-	// The failed build is not kept: no entry, and a later call rebuilds.
+	// The failed build is not kept: no entry, no Get, and a later call
+	// rebuilds.
+	if _, ok := m.Get("k"); ok {
+		t.Fatal("Get returned a failed build")
+	}
 	if st, _ := m.Stats(); st.Entries != 0 {
 		t.Fatalf("failed build left %d entries behind", st.Entries)
 	}
@@ -246,7 +250,13 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				case 0:
 					m.Remove(k)
 				case 1:
-					m.Carry(k, fmt.Sprintf("k%d", (i+j+1)%32))
+					to := fmt.Sprintf("k%d", (i+j+1)%32)
+					m.Retarget(func(key string) (string, bool) {
+						if key == k {
+							return to, true
+						}
+						return key, true
+					})
 				default:
 					if v, _, err := m.GetOrBuild(k, func() (int, error) { return j, nil }); err != nil || v < 0 {
 						t.Errorf("GetOrBuild(%s) = %d, %v", k, v, err)
@@ -258,6 +268,70 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if st, _ := m.Stats(); st.Entries > 16 {
 		t.Errorf("entries %d exceed capacity", st.Entries)
+	}
+}
+
+// TestRetargetMovesInFlightBuild: the publish walk moves a build still in
+// flight to its new key and drops the entry it rejects. The waiter joined
+// under the old key still gets the value, which then answers the new key;
+// the rejected key is gone, and the drop counts one purge.
+func TestRetargetMovesInFlightBuild(t *testing.T) {
+	m := newMemo[string, int](4)
+	put(m, "old-b")
+	started, release := make(chan struct{}), make(chan struct{})
+	builder := make(chan int, 1)
+	go func() {
+		v, _, _ := m.GetOrBuild("old-a", func() (int, error) {
+			close(started)
+			<-release
+			return 42, nil
+		})
+		builder <- v
+	}()
+	<-started
+	waiter := make(chan int, 1)
+	go func() {
+		v, _, _ := m.GetOrBuild("old-a", func() (int, error) { return 0, errors.New("waiter built") })
+		waiter <- v
+	}()
+	waitCoalesced(t, m, 1)
+	kept, dropped := m.Retarget(func(k string) (string, bool) { return "new" + k[3:], k == "old-a" })
+	if kept != 1 || dropped != 1 || resident(m, "old-a") || resident(m, "new-b") || !resident(m, "new-a") {
+		t.Fatalf("retarget kept %d, dropped %d", kept, dropped)
+	}
+	if _, ok := m.Get("new-a"); ok {
+		t.Fatal("Get returned a build still in flight")
+	}
+	close(release)
+	if b, w := <-builder, <-waiter; b != 42 || w != 42 {
+		t.Fatalf("builder got %d, waiter %d, want 42", b, w)
+	}
+	if v, ok := m.Get("new-a"); !ok || v != 42 {
+		t.Fatalf("Get(new-a) = %d, %v after the build, want 42", v, ok)
+	}
+	if st, _ := m.Stats(); st.Purges != 1 || st.Entries != 1 {
+		t.Errorf("stats %+v, want one purge and one entry", st)
+	}
+}
+
+// TestPutEvictsLeastRecentlyUsed: Put inserts a finished value as the most
+// recently used, Get counts as a use, and past capacity the least recently
+// used entry goes.
+func TestPutEvictsLeastRecentlyUsed(t *testing.T) {
+	m := newMemo[string, int](2)
+	m.Put("a", 1)
+	m.Put("b", 2)
+	m.Get("a") // b is now the least recently used
+	m.Put("c", 3)
+	if resident(m, "b") || !resident(m, "a") || !resident(m, "c") {
+		t.Fatal("Put did not evict the least recently used entry")
+	}
+	m.Put("a", 4) // a replacement is not an eviction
+	if v, ok := m.Get("a"); !ok || v != 4 {
+		t.Fatalf("Get(a) = %d, %v after a second Put, want 4", v, ok)
+	}
+	if st, _ := m.Stats(); st.Evictions != 1 || st.Entries != 2 || st.Hits != 2 || st.Misses != 4 {
+		t.Errorf("stats %+v, want 1 eviction, 2 entries, 2 hits, 4 puts", st)
 	}
 }
 

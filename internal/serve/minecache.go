@@ -1,15 +1,16 @@
 package serve
 
-import "gpar/internal/graph"
+import (
+	"gpar/internal/core"
+	"gpar/internal/graph"
+	"gpar/internal/mine"
+)
 
-// MineCtxKey identifies one reusable mining layout in the mine-context memo:
-// the snapshot generation (a proxy for graph identity — every swap bumps it
-// and purges the memo, so stale contexts can never be served), the candidate
-// x-label, the worker count n and the radius d. Two mine jobs with equal
-// keys mine the same chunks of the same graph. Every job runs in process,
-// where a context is the snapshot's own candidate index and three numbers,
-// so reuse saves about 180 ns; the memo stays because the benchmark reads
-// its hit ratio.
+// MineCtxKey identifies one reusable mining layout in the mine-context
+// memo: the generation (every publish purges the memo), the candidate
+// x-label, the worker count n and the radius d. In process a context is the
+// snapshot's own candidate index and three numbers, so reuse saves about
+// 180 ns; the memo stays because the benchmark reads its hit ratio.
 type MineCtxKey struct {
 	Gen    uint64
 	XLabel graph.Label
@@ -18,3 +19,27 @@ type MineCtxKey struct {
 
 // mineCacheCap is how many mine contexts a server keeps across mine jobs.
 const mineCacheCap = 4
+
+// minedKey identifies a finished mine result: the generation it holds for,
+// the predicate, and the resolved options that decide it. N, Gate and Ctx
+// are zeroed: mining results are byte-identical across worker counts
+// (pinned by the mine package's parity tests), and the other two only
+// schedule and cancel a run.
+type minedKey struct {
+	gen  uint64
+	pred core.Predicate
+	opts mine.Options
+}
+
+func minedKeyFor(gen uint64, pred core.Predicate, opts mine.Options) minedKey {
+	opts.N, opts.Gate, opts.Ctx = 0, nil, nil
+	return minedKey{gen, pred, opts}
+}
+
+// reach is max(D, MaxEdges)+1, the farthest any DMine probe of the run
+// looks from a candidate center: a change farther away leaves the result
+// as it is.
+func (k minedKey) reach() int { return max(k.opts.D, k.opts.MaxEdges) + 1 }
+
+// minedCap is how many finished mine results a server keeps.
+const minedCap = 16

@@ -2,28 +2,18 @@ package serve
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"gpar/internal/mine"
 )
 
-// waitJob polls the registry until the job leaves the running states.
+// waitJob waits for the job to finish, done or failed.
 func waitJob(t *testing.T, s *Server, id string) Job {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		job, ok := s.jobs.Get(id)
-		if !ok {
-			t.Fatalf("job %s disappeared", id)
-		}
-		if job.Status == JobDone || job.Status == JobFailed {
-			return job
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s", id, job.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	return waitJobUntil(t, s, id, 15*time.Second, func(j Job) bool { return j.Status == JobDone || j.Status == JobFailed })
 }
 
 // mineFixtureParams is the fixture predicate as mine-job parameters.
@@ -34,10 +24,11 @@ func mineFixtureParams() MineParams {
 	}
 }
 
-// TestMineJobContextReuse is the serving-level lifecycle test: an
-// identical repeated mine job hits the context cache (and returns the
-// byte-identical rule set), jobs with differing (d, n) miss, and a
-// snapshot hot-swap invalidates everything.
+// TestMineJobContextReuse is the serving-level lifecycle test: a job that
+// differs only in k hits the context cache, an identical one at the same
+// generation is answered from the first job's result (no supersteps, no
+// context), jobs with differing (d, n) miss, and a rules-only hot-swap
+// drops every context but keeps the mined result.
 func TestMineJobContextReuse(t *testing.T) {
 	s, _, rules := newTestServer(t, Config{Workers: 2})
 
@@ -58,12 +49,16 @@ func TestMineJobContextReuse(t *testing.T) {
 	if first.ContextCached {
 		t.Error("first job reported a cached context")
 	}
-	second := run(p)
-	if !second.ContextCached {
-		t.Error("repeated job did not reuse the cached context")
+	pk := p
+	pk.K++
+	if second := run(pk); !second.ContextCached || second.WarmStarted {
+		t.Errorf("job with differing k: contextCached %v, warmStarted %v; want a context hit that mines",
+			second.ContextCached, second.WarmStarted)
 	}
-	if !reflect.DeepEqual(first.RuleKeys, second.RuleKeys) {
-		t.Fatalf("cached run mined different rules:\n%v\nvs\n%v", first.RuleKeys, second.RuleKeys)
+	third := run(p)
+	if !third.WarmStarted || third.ContextCached || len(third.Supersteps) != 0 || third.F != first.F ||
+		!reflect.DeepEqual(first.RuleKeys, third.RuleKeys) {
+		t.Fatalf("repeated job: %+v; want the first job's Σ %v, unmined", third, first.RuleKeys)
 	}
 	if st := s.mineCacheStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("mine cache stats = %+v, want hits=1 misses=1", st)
@@ -81,8 +76,9 @@ func TestMineJobContextReuse(t *testing.T) {
 		t.Error("job with differing worker count reused a context")
 	}
 
-	// A snapshot hot-swap purges the cache and bumps the generation, so
-	// even the original parameters build afresh.
+	// A snapshot hot-swap purges the context cache and bumps the
+	// generation, so new parameters build afresh; the graph is the same, so
+	// the original parameters are still answered from their result.
 	entriesBefore := s.mineCacheStats().Entries
 	if entriesBefore == 0 {
 		t.Fatal("no cached contexts before swap")
@@ -94,26 +90,33 @@ func TestMineJobContextReuse(t *testing.T) {
 	if st.Entries != 0 || st.Purges == 0 {
 		t.Fatalf("swap did not purge the mine-context cache: %+v", st)
 	}
-	if job := run(p); job.ContextCached {
+	pk.K++
+	if job := run(pk); job.ContextCached {
 		t.Error("post-swap job reused a stale context")
+	}
+	if job := run(p); !job.WarmStarted || !reflect.DeepEqual(first.RuleKeys, job.RuleKeys) {
+		t.Errorf("post-swap repeat: warmStarted %v, rules %v; want the carried %v", job.WarmStarted, job.RuleKeys, first.RuleKeys)
 	}
 }
 
 // TestConcurrentMineJobsShareOneContext is the -race stress test of the
-// single-flight build: a stampede of identical mine jobs must build the
-// context exactly once, share it, and all mine the identical rule set.
+// single-flight build: a stampede of mine jobs that differ only in k, so
+// none can be answered from another's result, must build the context
+// exactly once, share it, and each mine what DMine mines alone.
 func TestConcurrentMineJobsShareOneContext(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{Workers: 2})
 
 	const jobs = 8
-	p := mineFixtureParams()
+	ps := make([]MineParams, jobs)
 	ids := make([]string, jobs)
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
+		ps[i] = mineFixtureParams()
+		ps[i].K = 1 + i
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			job, err := s.StartMine(p)
+			job, err := s.StartMine(ps[i])
 			if err != nil {
 				t.Errorf("StartMine %d: %v", i, err)
 				return
@@ -126,17 +129,22 @@ func TestConcurrentMineJobsShareOneContext(t *testing.T) {
 		t.FailNow()
 	}
 
-	var keys []string
+	snap := s.Snapshot()
 	hits := 0
 	for i, id := range ids {
 		job := waitJob(t, s, id)
 		if job.Status != JobDone {
 			t.Fatalf("job %d failed: %s", i, job.Error)
 		}
-		if keys == nil {
-			keys = job.RuleKeys
-		} else if !reflect.DeepEqual(keys, job.RuleKeys) {
-			t.Fatalf("job %d mined %v, others mined %v", i, job.RuleKeys, keys)
+		p := ps[i]
+		res := mine.DMine(snap.G, snap.Pred, mine.Options{K: p.K, Sigma: p.Sigma, D: p.D,
+			MaxEdges: p.MaxEdges, MaxCandidatesPerRound: p.Cap, N: 1})
+		var want []string
+		for _, mm := range res.TopK {
+			want = append(want, mm.Rule.Key())
+		}
+		if job.WarmStarted || !slices.Equal(job.RuleKeys, want) {
+			t.Fatalf("job %d: warmStarted %v, mined %v; DMine alone mines %v", i, job.WarmStarted, job.RuleKeys, want)
 		}
 		if job.ContextCached {
 			hits++
@@ -154,6 +162,7 @@ func TestStatsExposesMineCache(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{Workers: 2})
 	p := mineFixtureParams()
 	for i := 0; i < 2; i++ {
+		p.K += i // an identical job would be answered from the first's result
 		job, err := s.StartMine(p)
 		if err != nil {
 			t.Fatalf("StartMine: %v", err)

@@ -1,10 +1,10 @@
 // Persistence: the durability layer over snapshot files (internal/snapfile)
 // and the delta WAL (wal.go). The invariant is that every generation change
-// is durable before it is published: delta batches append a WAL record
-// first, and every other swap (LoadSnapshot, SwapRules, a mine job's
-// install, Compact) checkpoints a full snapshot file and rotates the WAL —
-// all before s.snap.Store, rolling the generation back on failure, so a
-// partial generation is never served and never recovered.
+// is durable before it is published: publish appends a delta batch's WAL
+// record, and checkpoints a full snapshot file and rotates the WAL for
+// every other swap (LoadSnapshot, SwapRules, a mine job's install,
+// Compact) — all before s.snap.Store, rolling the generation back on
+// failure, so a partial generation is never served and never recovered.
 //
 // On disk, a data directory holds:
 //
@@ -331,26 +331,19 @@ func (p *persister) stats() *PersistenceStats {
 	}
 }
 
-// persistCheckpoint is the swap-path hook: no-op without persistence or
-// during recovery replay. Caller holds swapMu and has already assigned
-// snap.Gen but not yet published snap.
-func (s *Server) persistCheckpoint(snap *Snapshot) error {
+// persistGen makes a generation durable before publish stores it: a WAL
+// record for a delta batch (req non-nil), a checkpoint for every other
+// change. A no-op without persistence or during recovery replay. Caller
+// holds swapMu and has assigned snap.Gen.
+func (s *Server) persistGen(snap *Snapshot, req *DeltaRequest) error {
 	p := s.persist
 	if p == nil || p.suppress {
 		return nil
+	}
+	if req != nil {
+		return p.appendDelta(snap.Gen, *req)
 	}
 	return p.checkpoint(snap)
-}
-
-// persistAppend is the delta-path hook: no-op without persistence or
-// during recovery replay. Caller holds swapMu and has not yet published
-// the new generation.
-func (s *Server) persistAppend(gen uint64, req DeltaRequest) error {
-	p := s.persist
-	if p == nil || p.suppress {
-		return nil
-	}
-	return p.appendDelta(gen, req)
 }
 
 // Recover restores serving state from the data directory: it loads the

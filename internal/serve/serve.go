@@ -14,15 +14,13 @@
 //     graph. Snapshots are swapped atomically (LoadSnapshot / SwapRules /
 //     ApplyDelta / Compact), so in-flight queries keep the state they
 //     started with.
-//   - memo: a bounded LRU with single-flight builds, used twice. Keyed by
-//     (generation, rule Key()) it holds per-rule match-set evaluations:
-//     concurrent identify calls for one rule share one match execution, a
-//     swap purges it, a delta carries the entries it provably cannot
-//     affect. Keyed by (generation, xLabel, d, n) it holds mine.Context
-//     values. Every mine job runs in process on the snapshot's own graph,
-//     where a context is the graph, a node list and (d, n): a hit saves
-//     about 180 ns, and the entry stays only because the benchmark reads
-//     its hit ratio.
+//   - memo: a bounded LRU with single-flight builds, keyed by generation
+//     and used three times: per-rule match-set evaluations (concurrent
+//     identify calls for one rule share one execution), finished mine
+//     results (a repeated job is answered without mining) and mine.Context
+//     values (a hit saves about 180 ns; the benchmark reads its ratio). One
+//     publish step installs every generation, and one reach rule decides
+//     which entries cross to it.
 //   - Pool: a bounded worker pool shared by all requests; per-rule
 //     evaluation fans out over the snapshot's chunks through it, so
 //     total matching concurrency is bounded no matter how many clients
@@ -156,6 +154,7 @@ type Server struct {
 	cfg      Config
 	pool     *Pool
 	cache    *memo[evalKey, *RuleEval]        // match sets, single-flight
+	mined    *memo[minedKey, *mine.Result]    // finished mine results
 	mineCtx  *memo[MineCtxKey, *mine.Context] // mine contexts, single-flight
 	mineGate *mine.Gate                       // shared CPU budget: all mine jobs together
 	jobs     *Jobs
@@ -180,11 +179,6 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// warm holds completed mine results carried across generations whose
-	// deltas provably cannot affect them (see delta.go); guarded by warmMu,
-	// not swapMu, because runMine reads and writes it off the swap lock.
-	warmMu      sync.Mutex
-	warm        map[warmKey]*warmEntry
 	compactBusy atomic.Bool // one background compaction at a time
 
 	nIdentify   atomic.Int64
@@ -210,7 +204,7 @@ type Server struct {
 	nDeltaRejects    atomic.Int64 // delta batches refused (400 or 409)
 	nRuleCarried     atomic.Int64 // match-set cache entries carried across deltas
 	nRuleInvalidated atomic.Int64 // match-set cache entries dropped by deltas
-	nWarmMineHits    atomic.Int64 // mine jobs answered from a carried result
+	nWarmMineHits    atomic.Int64 // mine jobs answered from a finished result
 	nCompactions     atomic.Int64 // overlay compactions installed
 	nCompactAborts   atomic.Int64 // compactions abandoned (raced swap or error)
 }
@@ -223,6 +217,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		pool:     NewPool(cfg.PoolSize),
 		cache:    newMemo[evalKey, *RuleEval](cfg.CacheCap),
+		mined:    newMemo[minedKey, *mine.Result](minedCap),
 		mineCtx:  newMemo[MineCtxKey, *mine.Context](mineCacheCap),
 		mineGate: mine.NewGate(cfg.mineProcs()),
 		jobs:     NewJobs(),
@@ -245,8 +240,8 @@ func (s *Server) Generation() uint64 { return s.gen.Load() }
 
 // LoadSnapshot builds and atomically installs serving state for graph g,
 // predicate pred and rule set rules (which may be empty). It freezes g,
-// classifies centers under the LCWA, purges the cache, and bumps the
-// generation. In-flight requests finish on the old snapshot.
+// classifies centers under the LCWA and publishes the next generation.
+// In-flight requests finish on the old snapshot.
 func (s *Server) LoadSnapshot(g *graph.Graph, pred core.Predicate, rules []*core.Rule) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -265,37 +260,58 @@ func (s *Server) loadLocked(g *graph.Graph, pred core.Predicate, rules []*core.R
 	if err != nil {
 		return 0, err
 	}
-	prev := s.snap.Load()
-	snap.Gen = s.gen.Add(1)
-	// Durability barrier: a full swap (load, rules install, compaction)
-	// checkpoints a snapshot file and rotates the WAL before the new
-	// generation is published — never after, so no served generation can be
-	// lost to a crash.
-	if err := s.persistCheckpoint(snap); err != nil {
-		s.gen.Store(snap.Gen - 1)
+	// The served graph object is the same logical graph, so a rules-only
+	// swap or an install reaches nothing; a new graph reaches everything.
+	impact := 0
+	if prev := s.snap.Load(); prev != nil && prev.G == g {
+		impact = -1
+	}
+	if _, err := s.publish(snap, impact, nil); err != nil {
 		return 0, err
 	}
-	s.snap.Store(snap)
-	// Warm mine results depend only on the graph and mining parameters, not
-	// on the served rule set: a rules-only swap carries them forward, a new
-	// graph drops them.
-	if prev != nil && prev.G == g {
-		s.warmCarry(prev.Gen, snap.Gen, -1)
-	} else {
-		s.warmPurge()
-	}
-	s.cache.Purge()
-	// Mine contexts are keyed by generation, so old entries could never be
-	// served again; purging releases the retired graph they hold.
-	s.mineCtx.Purge()
-	s.nSwap.Add(1)
 	return snap.Gen, nil
+}
+
+// carried is what one publish kept: match-set evaluations moved to the new
+// generation and dropped, and finished mine results moved.
+type carried struct{ rules, dropped, mined int }
+
+// publish is the one step that installs a generation. It assigns next.Gen,
+// makes it durable — a WAL record for a delta batch (req non-nil), a
+// checkpoint otherwise — and rolls the generation back if that fails. Then
+// one reach rule decides what crosses to it, impact being how near the
+// change comes to an x-labelled node (-1: the logical graph is unchanged):
+// a match-set evaluation crosses iff next still serves its rule and impact
+// is -1 or exceeds the rule's radius, a finished mine result iff impact is
+// -1 or exceeds minedKey.reach, and a mine context never. Caller holds
+// swapMu.
+func (s *Server) publish(next *Snapshot, impact int, req *DeltaRequest) (carried, error) {
+	next.Gen = s.gen.Add(1)
+	if err := s.persistGen(next, req); err != nil {
+		s.gen.Store(next.Gen - 1)
+		return carried{}, err
+	}
+	var c carried
+	prev := next.Gen - 1 // the served generation: swapMu orders publishes
+	beyond := func(reach int) bool { return impact == -1 || impact > reach }
+	c.rules, c.dropped = s.cache.Retarget(func(k evalKey) (evalKey, bool) {
+		sr, served := next.byKey[k.rule]
+		return evalKey{next.Gen, k.rule}, k.gen == prev && served && beyond(sr.Radius)
+	})
+	c.mined, _ = s.mined.Retarget(func(k minedKey) (minedKey, bool) {
+		ok := k.gen == prev && beyond(k.reach())
+		k.gen = next.Gen
+		return k, ok
+	})
+	s.mineCtx.Purge()
+	s.snap.Store(next)
+	s.nSwap.Add(1)
+	return c, nil
 }
 
 // SwapRules hot-swaps the rule set, keeping the current graph, and returns
 // the installed generation. When rules is non-empty its predicate replaces
-// the snapshot's; an empty set keeps the old predicate. The match-set
-// cache is invalidated.
+// the snapshot's; an empty set keeps the old predicate.
 func (s *Server) SwapRules(rules []*core.Rule) (uint64, error) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -359,9 +375,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// evalKey names one rule's evaluation in the match-set memo. The generation
-// in it orphans every old entry at a swap; Purge reclaims them eagerly, and
-// the delta path carries the provably unaffected ones to the new generation.
+// evalKey names one rule's evaluation in the match-set memo. publish moves
+// the entries a change cannot reach to the new generation and drops the
+// rest.
 type evalKey struct {
 	gen  uint64
 	rule string // ServedRule.Key

@@ -223,20 +223,32 @@ func TestCacheHitAndSwapInvalidation(t *testing.T) {
 		t.Fatalf("generation %d after swap, want 2", gen)
 	}
 
+	// The swap keeps the graph: rule 0's evaluation crosses to generation 2
+	// and answers from the cache; rule 1's is dropped with its rule.
 	var third IdentifyResponse
 	doJSON(t, "POST", ts.URL+"/v1/identify", []byte(`{}`), &third)
 	if len(third.Rules) != 1 {
 		t.Fatalf("post-swap rule count %d, want 1", len(third.Rules))
 	}
-	if third.Rules[0].Cached {
-		t.Errorf("post-swap identify served from a stale cache")
+	if !third.Rules[0].Cached || third.Rules[0].Matches != first.Rules[0].Matches {
+		t.Errorf("post-swap identify of the kept rule: cached %v, %d matches; want cached, %d",
+			third.Rules[0].Cached, third.Rules[0].Matches, first.Rules[0].Matches)
 	}
 	if third.Generation != 2 {
 		t.Errorf("post-swap generation %d, want 2", third.Generation)
 	}
 	doJSON(t, "GET", ts.URL+"/stats", nil, &st)
-	if st.Cache.Purges == 0 {
-		t.Errorf("swap did not purge the cache: %+v", st.Cache)
+	if st.Cache.Entries != 1 || st.Cache.Purges != 1 || st.Kernel.Centres != centres {
+		t.Errorf("after the swap: cache %+v, kernel %+v; want the kept rule's entry alone, one purge, no evaluation",
+			st.Cache, st.Kernel)
+	}
+	// Swapping back keeps rule 0 cached; rule 1 is new to the last Σ.
+	if _, err := s.SwapRules(rules); err != nil {
+		t.Fatal(err)
+	}
+	doJSON(t, "POST", ts.URL+"/v1/identify", []byte(`{}`), &third)
+	if len(third.Rules) != 2 || !third.Rules[0].Cached || third.Rules[1].Cached || third.Rules[1].Matches != first.Rules[1].Matches {
+		t.Errorf("identify after swapping back: %+v; want rule 0 cached, rule 1 evaluated afresh", third.Rules)
 	}
 }
 

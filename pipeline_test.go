@@ -110,16 +110,9 @@ func TestPipelineMultiPredicate(t *testing.T) {
 		K: 3, Sigma: 2, D: 2, Lambda: 0.5, N: 2,
 		MaxEdges: 2, MaxCandidatesPerRound: 20,
 	}
-	results, err := mine.DMineMulti(g, preds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for _, r := range results {
-		for _, mm := range r.Result.TopK {
-			if mm.Rule.Pred != r.Pred {
+	for _, pred := range preds {
+		for _, mm := range mine.DMine(g, pred, opts).TopK {
+			if mm.Rule.Pred != pred {
 				t.Error("cross-predicate rule leaked")
 			}
 		}
