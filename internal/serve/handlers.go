@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -258,33 +258,30 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 	if eta == 0 {
 		eta = s.cfg.DefaultEta
 	}
-	var selected []*ServedRule
-	switch {
-	case len(req.Rules) == 0 && len(req.Indices) == 0:
-		selected = snap.Rules
-	default:
+	selected := snap.Rules
+	if len(req.Rules) > 0 || len(req.Indices) > 0 {
+		selected = nil
 		seen := make(map[string]bool)
+		pick := func(sr *ServedRule) {
+			if !seen[sr.Key] {
+				seen[sr.Key] = true
+				selected = append(selected, sr)
+			}
+		}
 		for _, key := range req.Rules {
 			sr, ok := snap.RuleByKey(key)
 			if !ok {
 				httpError(w, http.StatusNotFound, "unknown rule key %q", key)
 				return
 			}
-			if !seen[sr.Key] {
-				seen[sr.Key] = true
-				selected = append(selected, sr)
-			}
+			pick(sr)
 		}
 		for _, ix := range req.Indices {
 			if ix < 0 || ix >= len(snap.Rules) {
 				httpError(w, http.StatusNotFound, "rule index %d out of range [0,%d)", ix, len(snap.Rules))
 				return
 			}
-			sr := snap.Rules[ix]
-			if !seen[sr.Key] {
-				seen[sr.Key] = true
-				selected = append(selected, sr)
-			}
+			pick(snap.Rules[ix])
 		}
 	}
 	if len(selected) == 0 {
@@ -348,7 +345,7 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "deadline exceeded during evaluation: %v", err)
 		return
 	}
-	identified := make(map[graph.NodeID]bool)
+	var applied [][]graph.NodeID
 	for i, sr := range selected {
 		o := outcomes[i]
 		if o.err != nil {
@@ -370,13 +367,11 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 			ir.Nodes = o.ev.Matches
 		}
 		if ir.Applied {
-			for _, v := range o.ev.Matches {
-				identified[v] = true
-			}
+			applied = append(applied, o.ev.Matches)
 		}
 		resp.Rules = append(resp.Rules, ir)
 	}
-	resp.Identified = sortedIDs(identified)
+	resp.Identified = unionSorted(applied)
 	resp.Count = len(resp.Identified)
 	resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
 	writeJSON(w, http.StatusOK, resp)
@@ -388,18 +383,15 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 // expired while queued answers 503, and a client that vanished gets
 // nothing — writing to it is wasted work, which is the point of shedding.
 func (s *Server) shedResponse(w http.ResponseWriter, err error) {
-	retryAfter := int(s.cfg.QueueTimeout / time.Second)
-	if retryAfter < 1 {
-		retryAfter = 1
-	}
+	retryAfter := strconv.Itoa(max(1, int(s.cfg.QueueTimeout/time.Second)))
 	switch {
 	case errors.Is(err, errQueueFull):
 		s.nShedFull.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		httpError(w, http.StatusTooManyRequests, "overloaded: admission queue full")
 	case errors.Is(err, errQueueTimeout):
 		s.nShedTimeout.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		httpError(w, http.StatusTooManyRequests, "overloaded: queued longer than %s", s.cfg.QueueTimeout)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.nDeadline.Add(1)
@@ -458,10 +450,7 @@ func (s *Server) handleRulesPut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "swap failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": gen,
-		"rules":      len(rules),
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"generation": gen, "rules": len(rules)})
 }
 
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
@@ -515,61 +504,44 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	status := "ok"
-	code := http.StatusOK
+	status, code := "ok", http.StatusOK
 	if s.closed.Load() || s.snap.Load() == nil {
-		status = "unavailable"
-		code = http.StatusServiceUnavailable
+		status, code = "unavailable", http.StatusServiceUnavailable
 	}
 	durability := "off"
 	if p := s.persist; p != nil {
 		durability = string(p.policy)
 	}
-	body := map[string]any{
+	writeJSON(w, code, map[string]any{
 		"status":     status,
 		"generation": s.gen.Load(),
 		"uptimeSec":  time.Since(s.start).Seconds(),
 		"durability": durability,
-	}
-	writeJSON(w, code, body)
+	})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var resp StatsResponse
-	resp.Generation = s.gen.Load()
-	resp.UptimeSec = time.Since(s.start).Seconds()
+	resp.Generation, resp.UptimeSec = s.gen.Load(), time.Since(s.start).Seconds()
+	d := &resp.Delta
 	if snap := s.snap.Load(); snap != nil {
-		resp.Graph.Nodes = snap.G.NumNodes()
-		resp.Graph.Edges = snap.G.NumEdges()
-		resp.Pred = snap.PredDisplay
-		resp.Rules = len(snap.Rules)
-		resp.Fragments = len(snap.chunks)
-		resp.Delta.Overlaid = snap.G.Overlaid()
-		resp.Delta.OverlayOps = snap.G.OverlayOps()
+		resp.Graph.Nodes, resp.Graph.Edges = snap.G.NumNodes(), snap.G.NumEdges()
+		resp.Pred, resp.Rules, resp.Fragments = snap.PredDisplay, len(snap.Rules), len(snap.chunks)
+		d.Overlaid, d.OverlayOps = snap.G.Overlaid(), snap.G.OverlayOps()
 	}
-	resp.Delta.Batches = s.nDeltaBatches.Load()
-	resp.Delta.Ops = s.nDeltaOps.Load()
-	resp.Delta.Rejected = s.nDeltaRejects.Load()
-	resp.Delta.RulesCarried = s.nRuleCarried.Load()
-	resp.Delta.RulesInvalidated = s.nRuleInvalidated.Load()
-	resp.Delta.WarmMineHits = s.nWarmMineHits.Load()
-	resp.Delta.Compactions = s.nCompactions.Load()
-	resp.Delta.CompactAborts = s.nCompactAborts.Load()
-	resp.Delta.CompactThreshold = s.cfg.CompactThreshold
+	d.Batches, d.Ops, d.Rejected = s.nDeltaBatches.Load(), s.nDeltaOps.Load(), s.nDeltaRejects.Load()
+	d.RulesCarried, d.RulesInvalidated = s.nRuleCarried.Load(), s.nRuleInvalidated.Load()
+	d.WarmMineHits, d.Compactions, d.CompactAborts = s.nWarmMineHits.Load(), s.nCompactions.Load(), s.nCompactAborts.Load()
+	d.CompactThreshold = s.cfg.CompactThreshold
 	resp.PoolSize = s.pool.Size()
-	resp.CPUBudget.Procs = runtime.GOMAXPROCS(0)
-	resp.CPUBudget.MineShare = s.cfg.MineShare
-	resp.CPUBudget.MineProcs = s.mineGate.Size()
-	resp.CPUBudget.PoolSize = s.pool.Size()
+	c := &resp.CPUBudget
+	c.Procs, c.MineShare, c.MineProcs, c.PoolSize = runtime.GOMAXPROCS(0), s.cfg.MineShare, s.mineGate.Size(), s.pool.Size()
 	resp.Cache, resp.Batch = s.cacheStats()
-	resp.MineCache = s.mineCacheStats()
-	resp.MineCapped = s.nMineCapped.Load()
+	resp.MineCache, resp.MineCapped = s.mineCacheStats(), s.nMineCapped.Load()
 	k := &resp.Kernel
 	k.Centres, k.Survivors, k.Matches = s.nCentres.Load(), s.nSurvivors.Load(), s.nMatches.Load()
-	resp.Requests.Identify = s.nIdentify.Load()
-	resp.Requests.Rules = s.nRules.Load()
-	resp.Requests.Mine = s.nMine.Load()
-	resp.Requests.Swaps = s.nSwap.Load()
+	q := &resp.Requests
+	q.Identify, q.Rules, q.Mine, q.Swaps = s.nIdentify.Load(), s.nRules.Load(), s.nMine.Load(), s.nSwap.Load()
 	resp.Jobs = s.jobs.Counts()
 	if p := s.persist; p != nil {
 		resp.Persistence = p.stats()
@@ -586,33 +558,53 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Saturation.QueueDepth = s.admit.depth()
 	}
-	resp.Saturation.PoolInUse = s.pool.InUse()
-	resp.Saturation.PoolSize = s.pool.Size()
-	resp.Saturation.MineGateInUse = s.mineGate.InUse()
-	resp.Saturation.MineGateSize = s.mineGate.Size()
-	resp.Lifecycle.CancelRequests = s.nCancelReq.Load()
-	resp.Lifecycle.Deadlines = s.nDeadline.Load()
-	resp.Lifecycle.ClientGone = s.nClientGone.Load()
-	resp.Lifecycle.Panics = s.nPanics.Load()
-	resp.Lifecycle.JobPanics = s.nJobPanics.Load()
+	sat := &resp.Saturation
+	sat.PoolInUse, sat.PoolSize = s.pool.InUse(), s.pool.Size()
+	sat.MineGateInUse, sat.MineGateSize = s.mineGate.InUse(), s.mineGate.Size()
+	l := &resp.Lifecycle
+	l.CancelRequests, l.Deadlines, l.ClientGone = s.nCancelReq.Load(), s.nDeadline.Load(), s.nClientGone.Load()
+	l.Panics, l.JobPanics = s.nPanics.Load(), s.nJobPanics.Load()
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func sortedIDs(set map[graph.NodeID]bool) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(set))
-	for v := range set {
-		out = append(out, v)
+// unionSorted returns the sorted union of sorted ID lists, never nil, so
+// it encodes as [] when empty. A single list is returned as is, without a
+// copy. More are merged through a bitset sized by the largest last
+// element, so the cost is their total length plus one word per 64 IDs.
+func unionSorted(lists [][]graph.NodeID) []graph.NodeID {
+	if len(lists) == 1 && lists[0] != nil {
+		return lists[0]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	hi := graph.NodeID(-1)
+	for _, l := range lists {
+		if len(l) > 0 {
+			hi = max(hi, l[len(l)-1])
+		}
+	}
+	set := make([]uint64, hi>>6+1)
+	for _, l := range lists {
+		for _, v := range l {
+			set[v>>6] |= 1 << (v & 63)
+		}
+	}
+	n := 0
+	for _, word := range set {
+		n += bits.OnesCount64(word)
+	}
+	out := make([]graph.NodeID, 0, n)
+	for i, word := range set {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, graph.NodeID(i<<6+bits.TrailingZeros64(word)))
+		}
+	}
 	return out
 }
 
+// writeJSON answers v as compact JSON.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // Request body bounds: a delta batch may be as large as a rule set, an
@@ -624,12 +616,20 @@ const (
 )
 
 // decodeBody decodes a JSON request body of at most limit bytes into v. It
-// answers 413 for a longer body and 400 for malformed JSON, and reports
-// whether v was decoded.
+// answers 413 for a longer body and 400 for malformed JSON, a field v does
+// not have, or anything but white space after the one JSON value, and
+// reports whether v was decoded.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
-		return true
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if bodyErrorCode(err) != http.StatusRequestEntityTooLarge {
+			err = errors.New("data after the JSON value")
+		}
 	}
 	httpError(w, bodyErrorCode(err), "bad request body: %v", err)
 	return false

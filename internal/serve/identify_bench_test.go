@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -64,5 +68,45 @@ func BenchmarkIdentify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap.EvalRule(rules[i%len(rules)], pool)
+	}
+}
+
+// BenchmarkIdentifyHandler is the identify response path on a warm cache:
+// POST /v1/identify through Server.Handler() on benchSnapshot's fixture
+// with every rule already evaluated, so what remains is HTTP decode,
+// admission, the cache read, the union and the JSON encode. single asks
+// for one rule, whole for Σ (all four rules clear the default η). Recorded
+// in BENCH_match.json by `make bench`.
+func BenchmarkIdentifyHandler(b *testing.B) {
+	snap, served, _ := benchSnapshot(b)
+	rules := make([]*core.Rule, len(served))
+	for i, sr := range served {
+		rules[i] = sr.Rule
+	}
+	s := New(Config{Workers: 4})
+	if err := s.LoadSnapshot(snap.G, snap.Pred, rules); err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	for _, c := range []struct{ name, body string }{
+		{"single", fmt.Sprintf(`{"rules":[%q]}`, served[0].Key)},
+		{"whole", `{}`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			body := []byte(c.body)
+			post := func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/identify", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("identify %s: %d %s", body, rec.Code, rec.Body.Bytes())
+				}
+			}
+			post() // fill the cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post()
+			}
+		})
 	}
 }

@@ -129,14 +129,17 @@ func (m *wireModel) randBatch(rng *rand.Rand, nodeLabels, edgeLabels []string) [
 }
 
 // decide is the model's verdict on a delta body under DeltaOpSpec's
-// semantics: 400 for bad JSON, no ops, an unknown op or a missing label;
-// 409 when an op names a node that does not exist, adds an edge that does,
-// or deletes one that does not; otherwise 202 and the state the batch
-// leads to. Like the server it interns the labels of a batch that is not a
-// 400, in op order, before applying any op.
+// semantics: 400 for bad JSON, a field DeltaRequest or DeltaOpSpec does not
+// have, anything but white space after the JSON value, no ops, an unknown
+// op or a missing label; 409 when an op names a node that does not exist,
+// adds an edge that does, or deletes one that does not; otherwise 202 and
+// the state the batch leads to. Like the server it interns the labels of a
+// batch that is not a 400, in op order, before applying any op.
 func (m *wireModel) decide(body []byte) (int, *wireModel) {
 	var req DeltaRequest
-	if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil || len(req.Ops) == 0 {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&req) != nil || dec.InputOffset() != int64(len(bytes.TrimRight(body, " \t\r\n"))) || len(req.Ops) == 0 {
 		return http.StatusBadRequest, nil
 	}
 	for _, op := range req.Ops {
@@ -672,6 +675,9 @@ func FuzzDeltaHandler(f *testing.F) {
 	f.Add([]byte(`{"ops":[{"op":"addEdge","from":2147483647,"to":-2,"label":""}]}`))
 	f.Add([]byte(`{"ops":[]}`))
 	f.Add([]byte(`{nope`))
+	f.Add([]byte(`{"ops":[{"op":"addNode","label":"x","lable":"y"}]}`))
+	f.Add([]byte(`{"ops":[{"op":"addNode","label":"x"}]}{}`))
+	f.Add([]byte("{\"ops\":[{\"op\":\"addNode\",\"label\":\"x\"}]} \r\n"))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		t.Parallel()
 		md := newModel(t, []byte{0x01})

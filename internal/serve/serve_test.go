@@ -7,9 +7,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -478,5 +482,136 @@ func TestNonFiniteConfidenceMarshals(t *testing.T) {
 		if string(data) != want {
 			t.Errorf("marshal %v = %s, want %s", v, data, want)
 		}
+	}
+}
+
+// TestUnionSorted checks unionSorted against a map and a sort on random
+// sorted lists: empty and nil ones, the bitset's word edges 0, 63 and 64,
+// and IDs past a frozen graph's NumNodes, which an overlay's nodes get.
+func TestUnionSorted(t *testing.T) {
+	g, _, _ := fixture(t)
+	n := graph.NodeID(g.NumNodes())
+	cases := [][][]graph.NodeID{
+		nil,
+		{nil},
+		{{}},
+		{nil, {}},
+		{{0}},
+		{{63}, {64}},
+		{{0, 63, 64}, {63, 64, 65, 127, 128}},
+		{{0, n - 1}, {n, n + 64}, nil},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 500 {
+		lists := make([][]graph.NodeID, rng.Intn(5))
+		for i := range lists {
+			hi := []int{1, 64, 65, 200, 5000}[rng.Intn(5)]
+			for v := range hi {
+				if rng.Intn(4) == 0 {
+					lists[i] = append(lists[i], graph.NodeID(v))
+				}
+			}
+		}
+		cases = append(cases, lists)
+	}
+	for _, lists := range cases {
+		set := map[graph.NodeID]bool{}
+		for _, l := range lists {
+			for _, v := range l {
+				set[v] = true
+			}
+		}
+		want := []graph.NodeID{}
+		for v := range set {
+			want = append(want, v)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		got := unionSorted(lists)
+		if got == nil || !slices.Equal(got, want) {
+			t.Fatalf("unionSorted(%v) = %#v, want %v", lists, got, want)
+		}
+		if len(lists) == 1 && len(got) > 0 && &got[0] != &lists[0][0] {
+			t.Fatalf("unionSorted copied its one list %v", lists[0])
+		}
+	}
+}
+
+// TestIdentifyResponseShape checks the identify answer's form: a single
+// applied rule that matched nothing answers "identified":[], not null; a
+// single applied rule answers exactly its resident match set; and the body
+// is one line of compact JSON.
+func TestIdentifyResponseShape(t *testing.T) {
+	g, pred, rules := fixture(t)
+	q := pattern.New(g.Symbols())
+	q.X = q.AddNode("cust")
+	q.AddEdge(q.X, q.AddNode("bar"), "friend") // no customer befriends a bar
+	none := &core.Rule{Q: q, Pred: pred}
+	s := New(Config{Workers: 2})
+	if err := s.LoadSnapshot(g, pred, append(rules, none)); err != nil {
+		t.Fatal(err)
+	}
+	// The answer without conf, which is "+Inf" for the rule without matches.
+	type answer struct {
+		Identified []graph.NodeID
+		Rules      []struct {
+			Matches int
+			Applied bool
+		}
+	}
+	post := func(body string) (answer, []byte) {
+		t.Helper()
+		var resp answer
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/identify", strings.NewReader(body)))
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("identify %s: %d %s", body, rec.Code, rec.Body.Bytes())
+		}
+		if b := rec.Body.Bytes(); bytes.IndexByte(b, '\n') != len(b)-1 {
+			t.Fatalf("identify %s: body is not one line:\n%s", body, b)
+		}
+		return resp, rec.Body.Bytes()
+	}
+
+	resp, body := post(fmt.Sprintf(`{"rules":[%q]}`, none.Key()))
+	if r := resp.Rules[0]; !r.Applied || r.Matches != 0 || !bytes.Contains(body, []byte(`"identified":[]`)) {
+		t.Fatalf("an applied rule without matches answered %s", body)
+	}
+	snap := s.Snapshot()
+	for _, sr := range snap.Rules[:2] {
+		resp, body := post(fmt.Sprintf(`{"rules":[%q],"eta":1e-9}`, sr.Key))
+		ev, cached, _, err := s.identifyOne(snap, sr)
+		if err != nil || !cached || len(ev.Matches) == 0 || !resp.Rules[0].Applied {
+			t.Fatalf("rule %s: cached %v, %d matches, err %v; answer %s", sr.Key, cached, len(ev.Matches), err, body)
+		}
+		if !slices.Equal(resp.Identified, ev.Matches) {
+			t.Errorf("rule %s identified %v, its match set is %v", sr.Key, resp.Identified, ev.Matches)
+		}
+	}
+	post(`{}`) // the whole Σ: a union of three lists, one of them empty
+}
+
+// TestRequestBodiesAreStrict checks that identify, mine and delta refuse a
+// body with a field their request type lacks, or with data after the JSON
+// value, with 400 and no effect: no evaluation, no job, no generation.
+func TestRequestBodiesAreStrict(t *testing.T) {
+	s, _, rules := newTestServer(t, Config{Workers: 2})
+	key := rules[0].Key()
+	for _, c := range []struct{ path, body string }{
+		{"/v1/identify", fmt.Sprintf(`{"rule":[%q]}`, key)},
+		{"/v1/identify", fmt.Sprintf(`{"rules":[%q]}garbage`, key)},
+		{"/v1/graph/delta", `{"ops":[{"op":"addNode","label":"island"}]}{"ops":[]}`},
+		{"/v1/mine", `{"xLabel":"cust","edgeLabel":"visit","yLabel":"restaurant","maxEdge":2}`},
+	} {
+		if code := doLocal(t, s.Handler(), "POST", c.path, []byte(c.body), nil); code != http.StatusBadRequest {
+			t.Errorf("POST %s %s: %d, want 400", c.path, c.body, code)
+		}
+	}
+	if st, _ := s.cacheStats(); st.Hits+st.Misses != 0 || s.Generation() != 1 || len(s.jobs.List()) != 0 {
+		t.Fatalf("refused bodies had effects: %d cache reads, generation %d, %d jobs",
+			st.Hits+st.Misses, s.Generation(), len(s.jobs.List()))
+	}
+	// White space after the value is not data.
+	if code := doLocal(t, s.Handler(), "POST", "/v1/identify", []byte(fmt.Sprintf("{\"rules\":[%q]}\r\n\t ", key)), nil); code != http.StatusOK {
+		t.Errorf("identify with trailing white space: %d, want 200", code)
 	}
 }
