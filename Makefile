@@ -153,18 +153,20 @@ docs-check:
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count. The test Go count beside it is
 # informational: it has no budget.
-LOC_BUDGET := 16498
+LOC_BUDGET := 16429
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	echo "non-test Go outside benchmark/: $$n lines (budget $(LOC_BUDGET)); test Go: $$t lines"; \
 	test $$n -le $(LOC_BUDGET)
 
-# Start the serving daemon on a generated Pokec-like graph, mining a
-# starter rule set for the Disco predicate (see DESIGN.md quickstart).
+# Start the serving daemon on a generated Pokec-like graph with a starter
+# rule set mined for the Disco predicate (see DESIGN.md quickstart).
 serve: build
-	./$(BIN)/gpard -addr :8080 -gen pokec -users 2000 -seed 1 \
-	    -pred "user,like_music,music:Disco" -mine -k 8 -sigma 20
+	./$(BIN)/gpargen -kind pokec -users 2000 -seed 1 -out $(BIN)/serve-graph.txt
+	./$(BIN)/gparmine -graph $(BIN)/serve-graph.txt -pred "user,like_music,music:Disco" \
+	    -k 8 -sigma 20 -rules $(BIN)/serve-rules.txt
+	./$(BIN)/gpard -addr :8080 -graph $(BIN)/serve-graph.txt -rules $(BIN)/serve-rules.txt
 
 clean:
 	rm -rf $(BIN) data demo-data

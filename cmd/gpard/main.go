@@ -1,15 +1,18 @@
-// Command gpard is the GPAR serving daemon: it loads (or generates) a data
-// graph, loads or mines a GPAR rule set, and serves entity-identification
-// queries over HTTP until terminated — the "mine once, match many" serving
-// shape of the paper's use cases. See internal/serve for the subsystem and
-// DESIGN.md for the endpoint reference.
+// Command gpard is the GPAR serving daemon: it loads a data graph and a
+// GPAR rule set and serves entity-identification queries over HTTP until
+// terminated — the "mine once, match many" serving shape of the paper's
+// use cases. See internal/serve for the subsystem and DESIGN.md for the
+// endpoint reference.
 //
 // Usage:
 //
 //	gpard -addr :8080 -graph graph.txt -rules rules.txt
-//	gpard -addr :8080 -gen pokec -users 2000 -seed 1 \
-//	      -pred "user,like_music,music:Disco" -mine -k 8 -sigma 20
+//	gpard -addr :8080 -graph graph.txt -pred "user,like_music,music:Disco"
 //	gpard -addr :8080 -data-dir /var/lib/gpard -wal-sync always
+//
+// Graph files come from gpargen, rule files from gparmine or gpargen. With
+// -pred and no -rules the daemon starts with an empty rule set; POST
+// /v1/mine with {"install":true} mines one as a job and installs it.
 //
 // With -data-dir the daemon is durable: every snapshot swap is
 // checkpointed to a checksummed snapshot file and every accepted delta
@@ -17,7 +20,7 @@
 // (-wal-sync controls the fsync policy: always | none). On
 // restart, if the directory holds a recoverable state, the daemon
 // recovers it — newest valid snapshot plus WAL replay — and the
-// -graph/-gen/-rules/-mine flags are skipped; corrupt files are
+// -graph/-rules/-pred flags are skipped; corrupt files are
 // quarantined as *.corrupt, never deleted. See DESIGN.md, "Durability &
 // crash recovery".
 //
@@ -46,31 +49,17 @@ import (
 	"time"
 
 	"gpar/internal/core"
-	"gpar/internal/gen"
 	"gpar/internal/graph"
-	"gpar/internal/mine"
 	"gpar/internal/serve"
 )
 
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		graphIn  = flag.String("graph", "", "input graph file (exclusive with -gen)")
-		genKind  = flag.String("gen", "", "generate the graph: pokec | gplus | synthetic")
-		users    = flag.Int("users", 2000, "user count for -gen pokec/gplus")
-		nv       = flag.Int("v", 10000, "nodes for -gen synthetic")
-		ne       = flag.Int("e", 20000, "edges for -gen synthetic")
-		seed     = flag.Int64("seed", 1, "random seed for -gen")
+		graphIn  = flag.String("graph", "", "input graph file (gpargen's format)")
 		rulesIn  = flag.String("rules", "", "input rules file")
-		predStr  = flag.String("pred", "", "predicate xLabel,edgeLabel,yLabel (required without -rules)")
-		doMine   = flag.Bool("mine", false, "mine rules at startup with DMine")
-		k        = flag.Int("k", 10, "top-k size for -mine")
-		sigma    = flag.Int("sigma", 10, "support threshold σ for -mine")
-		d        = flag.Int("d", 2, "radius bound for -mine")
-		lambda   = flag.Float64("lambda", 0.5, "diversification balance λ for -mine")
-		maxEd    = flag.Int("max-edges", 3, "antecedent edge budget for -mine")
-		capRd    = flag.Int("cap", 100, "mining candidates per round (0 = unlimited)")
-		workers  = flag.Int("n", 4, "identify fan-out: candidate chunks per rule evaluation; also the fragment count of the -mine start-up job")
+		predStr  = flag.String("pred", "", "predicate xLabel,edgeLabel,yLabel: start with an empty rule set (exclusive with -rules)")
+		workers  = flag.Int("n", 4, "identify fan-out: candidate chunks per rule evaluation")
 		pool     = flag.Int("pool", 0, "matching concurrency bound (0 = GOMAXPROCS minus the mine share)")
 		mineCPU  = flag.Float64("mine-share", 0, "fraction of GOMAXPROCS mine jobs may occupy together (0 = default 0.5)")
 		cache    = flag.Int("cache", 256, "match-set cache capacity")
@@ -78,7 +67,7 @@ func main() {
 		reqTO    = flag.Duration("request-timeout", 0, "server-side identify deadline (0 = 30s, negative = off)")
 		maxQ     = flag.Int("max-queue", 0, "admission queue depth before shedding 429 (0 = 64, negative = off)")
 		queueTO  = flag.Duration("queue-timeout", 0, "longest an admitted request may wait for a slot (0 = 1s)")
-		compactN = flag.Int("compact-threshold", 0, "overlay ops that trigger background delta compaction (0 = off)")
+		compactN = flag.Int("compact-threshold", 0, "overlay ops at which a delta batch compacts the overlay before it answers (0 = off)")
 		dataDir  = flag.String("data-dir", "", "durable data directory: checkpoints snapshots + a delta WAL and recovers from them at startup")
 		walSync  = flag.String("wal-sync", "always", "WAL fsync policy for -data-dir: always | none")
 	)
@@ -126,56 +115,7 @@ func main() {
 	}
 
 	if !recovered {
-		g, syms, err := loadGraph(*graphIn, *genKind, *users, *nv, *ne, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		log.Printf("graph: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
-
-		var rules []*core.Rule
-		var pred core.Predicate
-		switch {
-		case *rulesIn != "" && (*doMine || *predStr != ""):
-			fatal(errors.New("-rules is exclusive with -mine/-pred (the rule file fixes the predicate)"))
-		case *rulesIn != "":
-			f, err := os.Open(*rulesIn)
-			if err != nil {
-				fatal(err)
-			}
-			rules, err = core.ReadRules(f, syms)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-			if len(rules) == 0 {
-				fatal(errors.New("rules file is empty"))
-			}
-			pred = rules[0].Pred
-			log.Printf("loaded %d rules from %s", len(rules), *rulesIn)
-		case *predStr != "":
-			pred, err = core.ParsePredicate(syms, *predStr)
-			if err != nil {
-				fatal(err)
-			}
-			if *doMine {
-				opts := mine.Options{
-					K: *k, Sigma: *sigma, D: *d, Lambda: *lambda, N: *workers,
-					MaxEdges: *maxEd, MaxCandidatesPerRound: *capRd,
-				}
-				start := time.Now()
-				res := mine.DMine(g, pred, opts)
-				for _, mm := range res.TopK {
-					rules = append(rules, mm.Rule)
-				}
-				log.Printf("mined %d rules (F=%.4f) in %s", len(rules), res.F,
-					time.Since(start).Round(time.Millisecond))
-			} else {
-				log.Printf("starting with an empty rule set; POST /v1/mine or PUT /v1/rules to load")
-			}
-		default:
-			fatal(errors.New("one of -rules or -pred is required"))
-		}
-		if err := srv.LoadSnapshot(g, pred, rules); err != nil {
+		if err := load(srv, *graphIn, *rulesIn, *predStr); err != nil {
 			fatal(err)
 		}
 	}
@@ -215,30 +155,48 @@ func main() {
 	log.Printf("bye")
 }
 
-func loadGraph(file, kind string, users, nv, ne int, seed int64) (*graph.Graph, *graph.Symbols, error) {
-	syms := graph.NewSymbols()
+// load installs the first snapshot: the -graph file with the -rules file's
+// rules, or with an empty rule set for the -pred predicate.
+func load(srv *serve.Server, graphIn, rulesIn, predStr string) error {
 	switch {
-	case file != "" && kind != "":
-		return nil, nil, errors.New("-graph and -gen are exclusive")
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		g, err := graph.Read(f, syms)
-		return g, syms, err
-	case kind == "pokec":
-		return gen.Pokec(syms, gen.DefaultPokec(users, seed)), syms, nil
-	case kind == "gplus":
-		return gen.Gplus(syms, gen.DefaultGplus(users, seed)), syms, nil
-	case kind == "synthetic":
-		return gen.Synthetic(syms, nv, ne, seed), syms, nil
-	case kind != "":
-		return nil, nil, fmt.Errorf("unknown -gen %q", kind)
-	default:
-		return nil, nil, errors.New("one of -graph or -gen is required")
+	case graphIn == "":
+		return errors.New("-graph is required")
+	case (rulesIn == "") == (predStr == ""):
+		return errors.New("exactly one of -rules or -pred is required")
 	}
+	syms := graph.NewSymbols()
+	f, err := os.Open(graphIn)
+	if err != nil {
+		return err
+	}
+	g, err := graph.Read(f, syms)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("read %s: %w", graphIn, err)
+	}
+	log.Printf("graph: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
+
+	if predStr != "" {
+		pred, err := core.ParsePredicate(syms, predStr)
+		if err != nil {
+			return err
+		}
+		log.Printf("starting with an empty rule set; POST /v1/mine or PUT /v1/rules to load")
+		return srv.LoadSnapshot(g, pred, nil)
+	}
+	if f, err = os.Open(rulesIn); err != nil {
+		return err
+	}
+	rules, err := core.ReadRules(f, syms)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("read %s: %w", rulesIn, err)
+	}
+	if len(rules) == 0 {
+		return errors.New("rules file is empty")
+	}
+	log.Printf("loaded %d rules from %s", len(rules), rulesIn)
+	return srv.LoadSnapshot(g, rules[0].Pred, rules)
 }
 
 func fatal(err error) {

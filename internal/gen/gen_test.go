@@ -1,6 +1,7 @@
 package gen_test
 
 import (
+	"slices"
 	"testing"
 
 	"gpar/internal/core"
@@ -139,6 +140,27 @@ func TestRulesGenerator(t *testing.T) {
 	}
 	if len(sigs) != len(rules) {
 		t.Errorf("duplicate rules generated: %d distinct of %d", len(sigs), len(rules))
+	}
+}
+
+// TestRulesIgnoreFreezeState: a graph's Out and In change order at its
+// first freeze, so Rules must draw the same rules from a fresh graph as
+// from the same graph once something has frozen it.
+func TestRulesIgnoreFreezeState(t *testing.T) {
+	keys := func(freeze bool) []string {
+		syms := graph.NewSymbols()
+		g := Pokec(syms, DefaultPokec(300, 7))
+		if freeze {
+			g.Freeze()
+		}
+		var out []string
+		for _, r := range Rules(g, PokecPredicates(syms)[0], RuleGenParams{Count: 8, VP: 3, EP: 3, Seed: 3}) {
+			out = append(out, r.Key())
+		}
+		return out
+	}
+	if fresh, frozen := keys(false), keys(true); !slices.Equal(fresh, frozen) {
+		t.Errorf("rules depend on whether the graph was frozen first:\nfresh  %v\nfrozen %v", fresh, frozen)
 	}
 }
 

@@ -22,10 +22,13 @@ type RuleGenParams struct {
 // Rules samples GPARs for pred from g by growing patterns along data edges
 // around randomly chosen Pq members. All returned rules are connected,
 // nontrivial, pertain to pred, and have at least one match in g by
-// construction.
+// construction. Rules freezes g first, so a graph yields the same rules
+// whether or not anything read it before: growRule walks Out and In, whose
+// order is insertion order only until the first freeze.
 func Rules(g *graph.Graph, pred core.Predicate, p RuleGenParams) []*core.Rule {
+	g.Freeze()
 	rng := rand.New(rand.NewSource(p.Seed))
-	seeds := corePq(g, pred)
+	seeds := core.Pq(g, pred)
 	var out []*core.Rule
 	if len(seeds) == 0 {
 		return out
@@ -140,23 +143,4 @@ func removeNode(s []graph.NodeID, v graph.NodeID) []graph.NodeID {
 		}
 	}
 	return s
-}
-
-// corePq is core.Pq by a scan of Label instead of NodesWithLabel: an indexed
-// read would freeze g, and growRule samples a graph that is still being
-// built in its insertion order (the rules a seed yields depend on it).
-func corePq(g *graph.Graph, pred core.Predicate) []graph.NodeID {
-	var out []graph.NodeID
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if g.Label(v) != pred.XLabel {
-			continue
-		}
-		for _, e := range g.Out(v) {
-			if e.Label == pred.EdgeLabel && g.Label(e.To) == pred.YLabel {
-				out = append(out, v)
-				break
-			}
-		}
-	}
-	return out
 }

@@ -1,11 +1,12 @@
 // Delta ingest and incremental maintenance: POST /v1/graph/delta applies a
 // mutation batch to the served graph as a new snapshot generation without
 // re-freezing (graph.ApplyDelta builds an overlay over the shared CSR), and
-// a threshold folds the overlay back into a real freeze in the background
-// (Compact). What survives a batch is publish's reach rule, fed by
-// deltaImpact. Every served rule has radius ≥ 1 (BuildSnapshot refuses
-// anything else), which is also the LCWA classification radius the
-// snapshot-global supp(q,G)/supp(q̄,G) in each cached Stats depend on.
+// the batch that brings the overlay to a threshold folds it back into a
+// real freeze before it answers (compactLocked). What survives a batch is
+// publish's reach rule, fed by deltaImpact. Every served rule has radius
+// ≥ 1 (BuildSnapshot refuses anything else), which is also the LCWA
+// classification radius the snapshot-global supp(q,G)/supp(q̄,G) in each
+// cached Stats depend on.
 
 package serve
 
@@ -55,8 +56,8 @@ type DeltaResponse struct {
 	Nodes        int    `json:"nodes"`
 	Edges        int    `json:"edges"`
 	TouchedNodes int    `json:"touchedNodes"`
-	// OverlayOps is the cumulative op count since the last real freeze —
-	// the compaction trigger's input.
+	// OverlayOps is the cumulative op count since the last real freeze,
+	// this batch included — the compaction trigger's input.
 	OverlayOps int `json:"overlayOps"`
 	// RulesCarried counts match-set cache entries moved to the new
 	// generation because the batch provably cannot affect them;
@@ -67,8 +68,9 @@ type DeltaResponse struct {
 	// generation (jobs with identical parameters return them without
 	// re-mining).
 	WarmMineCarried int `json:"warmMineCarried"`
-	// Compacting reports that this batch crossed Config.CompactThreshold
-	// and background compaction was kicked off.
+	// Compacting reports that this batch reached Config.CompactThreshold
+	// and the overlay was folded, as generation Generation+1, before this
+	// answer.
 	Compacting bool `json:"compacting"`
 }
 
@@ -146,18 +148,27 @@ func deltaImpact(old, new *graph.Graph, touched []graph.NodeID, xl graph.Label, 
 // result as a new snapshot generation. The whole operation runs under the
 // swap lock (interning, graph derivation, selective cache carry, install);
 // identify traffic never blocks on it — in-flight requests finish on the
-// snapshot they loaded. Errors wrapping errBadDelta are malformed requests
-// (400); *graph.DeltaError means the batch is well-formed but inconsistent
-// with the graph (409), applied atomically-or-not-at-all.
+// snapshot they loaded. A batch that brings the overlay to
+// Config.CompactThreshold also compacts it, still under the lock, before it
+// answers. Errors wrapping errBadDelta are malformed requests (400);
+// *graph.DeltaError means the batch is well-formed but inconsistent with
+// the graph (409), applied atomically-or-not-at-all.
 func (s *Server) ApplyDelta(req DeltaRequest) (*DeltaResponse, error) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	return s.applyDeltaLocked(req)
+	resp, err := s.applyDeltaLocked(req)
+	if err == nil && s.cfg.CompactThreshold > 0 && resp.OverlayOps >= s.cfg.CompactThreshold {
+		_, resp.Compacting, _ = s.compactLocked(s.snap.Load())
+	}
+	return resp, err
 }
 
-// applyDeltaLocked is ApplyDelta with s.swapMu already held; WAL recovery
-// replays logged batches through it (with persistence suppressed) so replay
-// interns symbols and derives snapshots exactly like live traffic.
+// applyDeltaLocked is ApplyDelta with s.swapMu already held and no
+// compaction; WAL recovery replays logged batches through it (with
+// persistence suppressed) so replay interns symbols and derives snapshots
+// exactly like live traffic. A compaction is a checkpoint, never a WAL
+// record, so replay must not add one: every later record would land one
+// generation off.
 func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("serve: server is shutting down")
@@ -205,55 +216,34 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 		RulesCarried:     c.rules,
 		RulesInvalidated: c.dropped,
 		WarmMineCarried:  c.mined,
-		Compacting:       s.maybeCompactLocked(g2),
 	}, nil
 }
 
-// maybeCompactLocked kicks off background compaction when the overlay has
-// crossed Config.CompactThreshold and none is already running. Caller holds
-// swapMu; the goroutine blocks on it until the delta installs.
-func (s *Server) maybeCompactLocked(g *graph.Graph) bool {
-	if s.cfg.CompactThreshold <= 0 || g.OverlayOps() < s.cfg.CompactThreshold {
-		return false
-	}
-	if !s.compactBusy.CompareAndSwap(false, true) {
-		return false
-	}
-	s.jobWG.Add(1)
-	go func() {
-		defer s.jobWG.Done()
-		defer s.compactBusy.Store(false)
-		if _, _, err := s.Compact(); err != nil {
-			s.nCompactAborts.Add(1)
-		}
-	}()
-	return true
-}
-
 // Compact folds the served graph's delta overlay into a freshly frozen
-// graph and hot-swaps it in as a new generation. The logical graph is
-// unchanged, so publish carries every match-set evaluation and mine result
-// across. The copy itself runs off-lock (the overlay graph is immutable);
-// snapshot rebuild and install serialize with other mutations on the swap
-// lock, and the install aborts — no error, nothing lost — if a delta or
-// swap landed in between (the next trigger retries on the newer overlay).
-// It reports the resulting generation and whether a compaction happened;
-// a snapshot with no overlay is a no-op.
+// graph and publishes it as a new generation. It reports the resulting
+// generation and whether a compaction happened; a snapshot with no
+// overlay, or a server shutting down, is a no-op.
 func (s *Server) Compact() (uint64, bool, error) {
-	snap := s.snap.Load()
-	if snap == nil || !snap.G.Overlaid() {
-		return s.gen.Load(), false, nil
-	}
-	g := snap.G.CompactCopy()
-
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	if s.closed.Load() || s.snap.Load() != snap {
-		s.nCompactAborts.Add(1)
+	snap := s.snap.Load()
+	if s.closed.Load() || snap == nil || !snap.G.Overlaid() {
 		return s.gen.Load(), false, nil
 	}
-	next := DeriveDeltaSnapshot(snap, g, s.cfg)
+	return s.compactLocked(snap)
+}
+
+// compactLocked copies snap's graph, overlay and all, into a freshly frozen
+// one and publishes it, checkpointed. The logical graph is unchanged, so
+// publish carries every match-set evaluation and mine result across. The
+// caller holds swapMu and snap is the served snapshot, so nothing can land
+// between the copy and its publish. A failed publish counts as an abort
+// and leaves the overlay served: the next batch that finds it at the
+// threshold tries again.
+func (s *Server) compactLocked(snap *Snapshot) (uint64, bool, error) {
+	next := DeriveDeltaSnapshot(snap, snap.G.CompactCopy(), s.cfg)
 	if _, err := s.publish(next, -1, nil); err != nil {
+		s.nCompactAborts.Add(1)
 		return s.gen.Load(), false, err
 	}
 	s.nCompactions.Add(1)

@@ -10,9 +10,10 @@ import (
 )
 
 // TestDeltaRaceStress drives concurrent delta ingest, identify traffic, and
-// mine jobs across background compaction hot-swaps. Run under -race it pins
-// the locking story: mutation and swap serialize on swapMu, readers load
-// the snapshot atomically and finish on whatever generation they started.
+// mine jobs across the compaction swaps that threshold-crossing batches
+// publish. Run under -race it pins the locking story: mutation, compaction
+// and swap serialize on swapMu, readers load the snapshot atomically and
+// finish on whatever generation they started.
 func TestDeltaRaceStress(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{Workers: 2, CompactThreshold: 4})
 

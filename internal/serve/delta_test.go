@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"gpar/internal/gen"
+	"gpar/internal/graph"
 )
 
 // deltaJSON posts a delta batch and returns the status code plus response.
@@ -199,19 +202,13 @@ func TestDeltaCompaction(t *testing.T) {
 		t.Fatalf("island delta carried %d, want 2", dr.RulesCarried)
 	}
 	code, dr = deltaJSON(t, ts.URL, `{"ops":[{"op":"addEdge","from":11,"to":12,"label":"bridge"}]}`)
-	if code != http.StatusAccepted || !dr.Compacting {
-		t.Fatalf("threshold delta did not trigger compaction: %d %+v", code, dr)
+	if code != http.StatusAccepted || !dr.Compacting || dr.Generation != 3 {
+		t.Fatalf("threshold delta did not compact: %d %+v", code, dr)
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Snapshot().G.Overlaid() {
-		if time.Now().After(deadline) {
-			t.Fatal("compaction never swapped a frozen graph in")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if gen := s.Generation(); gen != 4 {
-		t.Errorf("generation %d after two deltas + compaction, want 4", gen)
+	// The crossing batch answers only once the compaction is published.
+	if gen := s.Generation(); gen != 4 || s.Snapshot().G.Overlaid() {
+		t.Errorf("generation %d, overlaid %v after the crossing batch; want 4 and no overlay",
+			gen, s.Snapshot().G.Overlaid())
 	}
 
 	// The logical graph is unchanged: the cache survives the compaction
@@ -235,6 +232,33 @@ func TestDeltaCompaction(t *testing.T) {
 	// Compacting a graph with no overlay is a no-op.
 	if gen, did, err := s.Compact(); err != nil || did || gen != 4 {
 		t.Errorf("no-op compact: gen %d did %v err %v", gen, did, err)
+	}
+}
+
+// TestDeltaCompactionSteadyWriter: a writer that never pauses still gets
+// every compaction its threshold asks for. 200 back-to-back batches of 10
+// ops at threshold 100 cross it 20 times, and each crossing batch compacts
+// before it answers, so no later batch can overtake the copy.
+func TestDeltaCompactionSteadyWriter(t *testing.T) {
+	g := gen.Pokec(graph.NewSymbols(), gen.DefaultPokec(2000, 1))
+	pred, rules := supportedRules(t, g, 4)
+	s := New(Config{Workers: 2, CompactThreshold: 100})
+	if err := s.LoadSnapshot(g, pred, rules); err != nil {
+		t.Fatal(err)
+	}
+	const batches, size = 200, 10
+	for i := range batches {
+		ops := make([]DeltaOpSpec, size)
+		for j := range ops {
+			v := int32(i*size + j)
+			ops[j] = DeltaOpSpec{Op: "addEdge", From: v, To: v + 1, Label: "steady"}
+		}
+		if _, err := s.ApplyDelta(DeltaRequest{Ops: ops}); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if ov, n, aborts := s.Snapshot().G.OverlayOps(), s.nCompactions.Load(), s.nCompactAborts.Load(); ov >= 100 || n != 20 || aborts != 0 {
+		t.Errorf("after %d batches: overlay %d ops, %d compactions, %d aborts; want < 100, 20, 0", batches, ov, n, aborts)
 	}
 }
 

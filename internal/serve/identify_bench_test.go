@@ -34,7 +34,7 @@ func supportedRules(tb testing.TB, g *graph.Graph, count int) (core.Predicate, [
 // benchRuleKeys pins benchSnapshot's rule set (Rule.Key of each, in order),
 // so BenchmarkIdentify, BenchmarkIdentifyWithOverlay and BenchmarkDeltaApply keep
 // measuring the rules BENCH_match.json was recorded with.
-const benchRuleKeys = "e6f4c0836a66ebfa207cf754 4301faa53645b130fad395dc ba2f105e9d3279bcfeaca7ec 2dedd218bd9138c15ab544ac"
+const benchRuleKeys = "e6f4c0836a66ebfa207cf754 4301faa53645b130fad395dc 6bbc36648ded148bfc65571b 96e330d8703c6e2aee22ae5f"
 
 // benchSnapshot builds the Pokec-like serving fixture used by the identify
 // acceptance benchmark: a generated social graph, a handful of mined-shape

@@ -1,12 +1,13 @@
 // FuzzServeModel is the serve-level differential oracle. Its input decodes
-// into a header byte (fan-out, cache capacity, WAL sync policy) and up to
-// maxModelOps operations — identify, valid and raw delta batches, rule
-// swaps, mine jobs, a canceled mine job, compaction, and four kinds of
-// crash — run against a Server persisting to a diskfault.MemFS. After every
-// step the server must agree with a naive model: the graph as node labels
-// plus an edge set, rebuilt from scratch and evaluated with core.Eval and
-// mine.DMine. The rules are local and their supports plain functions of the
-// graph (Section 3), so no history may change an answer. The seeds run under
+// into a header byte (fan-out, cache capacity, WAL sync policy, compaction
+// threshold) and up to maxModelOps operations — identify, valid and raw
+// delta batches, rule swaps, mine jobs, a canceled mine job, compaction,
+// and four kinds of crash — run against a Server persisting to a
+// diskfault.MemFS. After every step the server must agree with a naive
+// model: the graph as node labels plus an edge set, rebuilt from scratch
+// and evaluated with core.Eval and mine.DMine. The rules are local and
+// their supports plain functions of the graph (Section 3), so no history
+// may change an answer. The seeds run under
 // plain `go test`; `go test -fuzz FuzzServeModel` searches and minimises.
 // TestDeltaServeOracle, TestCrashRecoveryOracle and FuzzDeltaHandler drive
 // the same model with fixed op sequences and single raw delta bodies.
@@ -257,18 +258,28 @@ type model struct {
 	rules  []*core.Rule // the served Σ
 	ckpt   uint64       // the newest checkpoint's generation
 	states []*wireModel // states[i] is the graph at generation ckpt+i; the last is acknowledged
-	// overlaid reports a delta overlay on the served graph: Compact works.
-	overlaid             bool
+	// overlay[i] is the served graph's overlay op count at states[i]: the
+	// compaction threshold's input, and Compact works when it is positive.
+	overlay              []int
 	nodeNames, edgeNames []string
 }
 
 func (md *model) cur() *wireModel { return md.states[len(md.states)-1] }
 func (md *model) gen() uint64     { return md.ckpt + uint64(len(md.states)) - 1 }
 
+func (md *model) ops() int { return md.overlay[len(md.overlay)-1] }
+
 // checkpoint records a swap: a new generation, durable as a snapshot.
 func (md *model) checkpoint() {
 	md.ckpt = md.gen() + 1
 	md.states = md.states[len(md.states)-1:]
+	md.overlay = md.overlay[len(md.overlay)-1:]
+}
+
+// compacted records a compaction: a checkpoint with no overlay left.
+func (md *model) compacted() {
+	md.checkpoint()
+	md.overlay[0] = 0
 }
 
 func (md *model) next() (b byte) {
@@ -287,15 +298,17 @@ func (md *model) do(method, path string, body []byte, out any) (int, []byte) {
 }
 
 // newModel reads the header byte of in and loads the fixture: a 120-user
-// Pokec graph serving two rules of a four-rule pool.
+// Pokec graph serving two rules of a four-rule pool. Header bits: 0–1 the
+// fan-out, 2 a one-entry cache, 3 SyncNone, 4 a compaction threshold of 6
+// overlay ops (randBatch draws 2–6 per batch).
 func newModel(t *testing.T, in []byte) *model {
 	syms := graph.NewSymbols()
 	g := gen.Pokec(syms, gen.DefaultPokec(120, 1))
 	pred, pool := supportedRules(t, g, 4)
 	fs := diskfault.NewMemFS()
-	md := &model{t: t, fs: fs, in: in, pred: pred, pool: pool, rules: pool[:2], ckpt: 1, states: []*wireModel{newWireModel(g)}}
+	md := &model{t: t, fs: fs, in: in, pred: pred, pool: pool, rules: pool[:2], ckpt: 1, states: []*wireModel{newWireModel(g)}, overlay: []int{0}}
 	hdr := md.next()
-	md.cfg = Config{Workers: []int{1, 2, 3, 8}[hdr&3], CacheCap: []int{256, 1}[hdr>>2&1]}
+	md.cfg = Config{Workers: []int{1, 2, 3, 8}[hdr&3], CacheCap: []int{256, 1}[hdr>>2&1], CompactThreshold: []int{0, 6}[hdr>>4&1]}
 	md.popts = PersistOptions{Dir: "d", FS: fs, Sync: []SyncPolicy{SyncAlways, SyncNone}[hdr>>3&1]}
 	nodes, edges := map[string]bool{}, map[string]bool{}
 	for v := 0; v < g.NumNodes(); v++ {
@@ -364,24 +377,38 @@ func (md *model) check() {
 	md.t.Helper()
 	var st StatsResponse
 	md.do("GET", "/stats", nil, &st)
-	got := []any{st.Generation, st.Graph.Nodes, st.Graph.Edges, st.Rules, st.Persistence.LastCheckpointGeneration}
-	want := []any{md.gen(), len(md.cur().labels), len(md.cur().edges), len(md.rules), md.ckpt}
+	got := []any{st.Generation, st.Graph.Nodes, st.Graph.Edges, st.Rules, st.Persistence.LastCheckpointGeneration, st.Delta.OverlayOps}
+	want := []any{md.gen(), len(md.cur().labels), len(md.cur().edges), len(md.rules), md.ckpt, md.ops()}
 	if !slices.Equal(got, want) {
-		md.t.Fatalf("stats (generation, nodes, edges, rules, checkpoint) %v, model %v", got, want)
+		md.t.Fatalf("stats (generation, nodes, edges, rules, checkpoint, overlay ops) %v, model %v", got, want)
 	}
 	md.identify(0, 0)
 }
 
+// delta posts a batch. An accepted batch that brings the overlay to the
+// compaction threshold answers only once the compaction is published too:
+// two generations, the batch's then the compaction's checkpoint.
 func (md *model) delta(body []byte) {
 	want, next := md.cur().decide(body)
+	ops := md.ops()
+	if next != nil {
+		var req DeltaRequest
+		json.Unmarshal(body, &req) // decide accepted it, so it decodes
+		ops += len(req.Ops)
+	}
+	compacts := next != nil && md.cfg.CompactThreshold > 0 && ops >= md.cfg.CompactThreshold
 	var dr DeltaResponse
 	if code, got := md.do("POST", "/v1/graph/delta", body, &dr); code != want ||
-		want == http.StatusAccepted && dr.Generation != md.gen()+1 {
-		md.t.Fatalf("delta %q: %d (%s); model says %d at generation %d", body, code, got, want, md.gen()+1)
+		want == http.StatusAccepted && (dr.Generation != md.gen()+1 || dr.OverlayOps != ops || dr.Compacting != compacts) {
+		md.t.Fatalf("delta %q: %d (%s); model says %d at generation %d, overlay %d ops, compacting %v",
+			body, code, got, want, md.gen()+1, ops, compacts)
 	}
 	if next != nil {
 		md.states = append(md.states, next)
-		md.overlaid = true
+		md.overlay = append(md.overlay, ops)
+	}
+	if compacts {
+		md.compacted()
 	}
 }
 
@@ -454,12 +481,11 @@ func (md *model) cancelMine() {
 
 func (md *model) compact() {
 	gen, did, err := md.s.Compact()
-	if err != nil || did != md.overlaid || did && gen != md.gen()+1 {
-		md.t.Fatalf("Compact: generation %d, did %v, err %v; model overlaid %v at %d", gen, did, err, md.overlaid, md.gen())
+	if err != nil || did != (md.ops() > 0) || did && gen != md.gen()+1 {
+		md.t.Fatalf("Compact: generation %d, did %v, err %v; model overlay %d ops at %d", gen, did, err, md.ops(), md.gen())
 	}
 	if did {
-		md.overlaid = false
-		md.checkpoint()
+		md.compacted()
 	}
 }
 
@@ -526,8 +552,11 @@ func (md *model) crash(variant byte) {
 	if md.rules, err = core.ReadRules(&buf, syms); err != nil {
 		t.Fatal(err)
 	}
-	md.s, md.overlaid = s, rg > md.ckpt
+	// Replay starts from a frozen snapshot: the overlay holds the replayed
+	// batches' ops only.
+	md.s = s
 	md.states = []*wireModel{md.states[rg-md.ckpt].rebase(syms)}
+	md.overlay = []int{md.overlay[rg-md.ckpt] - md.overlay[0]}
 	md.ckpt = rg
 }
 
@@ -582,6 +611,13 @@ func FuzzServeModel(f *testing.F) {
 			opCrash, crashClean, opMine, 2),
 		// Canceled jobs around an install, then a torn crash under SyncNone.
 		prog(0x0e, opCancelMine, opDelta, 20, opMine, 2, opCancelMine, opCompact, opCrash, crashTornHeader, 21, opIdentify, 8),
+		// A threshold of 6: crossing batches compact before they answer, and
+		// a clean crash recovers from the last one's checkpoint.
+		prog(0x11, opDelta, 22, opDelta, 23, opDelta, 24, opIdentify, 4, opDelta, 25, opDelta, 26,
+			opDelta, 27, opCrash, crashClean, opDelta, 28, opCompact, opIdentify, 5),
+		// The same under SyncNone, with a torn crash between crossings.
+		prog(0x1a, opDelta, 29, opDelta, 30, opDelta, 31, opCrash, crashTornPayload, 32, opDelta, 33,
+			opDelta, 34, opIdentify, 3, opCrash, crashClean, opDelta, 35),
 	} {
 		f.Add(in)
 	}

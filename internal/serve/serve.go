@@ -91,11 +91,12 @@ type Config struct {
 	// admission queue before being shed with 429. Default 1s.
 	QueueTimeout time.Duration
 
-	// CompactThreshold triggers background compaction once a delta overlay
-	// has accumulated this many ops since the last real freeze: the overlay
-	// is folded into a fresh frozen graph and hot-swapped in (see
-	// Server.Compact). 0 disables threshold-triggered compaction; callers
-	// may still compact explicitly via Server.Compact.
+	// CompactThreshold compacts the delta overlay once it has accumulated
+	// this many ops since the last real freeze: the batch that reaches it
+	// folds the overlay into a fresh frozen graph and publishes it as the
+	// next generation before it answers (see Server.Compact). 0 disables
+	// threshold-triggered compaction; callers may still compact explicitly
+	// via Server.Compact.
 	CompactThreshold int
 }
 
@@ -179,8 +180,6 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	compactBusy atomic.Bool // one background compaction at a time
-
 	nIdentify   atomic.Int64
 	nRules      atomic.Int64
 	nMine       atomic.Int64
@@ -206,7 +205,7 @@ type Server struct {
 	nRuleInvalidated atomic.Int64 // match-set cache entries dropped by deltas
 	nWarmMineHits    atomic.Int64 // mine jobs answered from a finished result
 	nCompactions     atomic.Int64 // overlay compactions installed
-	nCompactAborts   atomic.Int64 // compactions abandoned (raced swap or error)
+	nCompactAborts   atomic.Int64 // compactions whose publish failed
 }
 
 // New returns a Server with no snapshot installed; handlers answer 503
