@@ -34,7 +34,7 @@ race:
 # (op sequences over identify, deltas, swaps, mines, compaction and crashes,
 # checked against core.Eval), delta op application in graph, the graph file
 # reader gpard -graph boots from, the fragment decoder and the wire payload
-# decoders a gparworker receives, the durability decoders (snapshot file
+# decoders a fleet worker runs, the durability decoders (snapshot file
 # format, WAL replay), mining's extension discovery against its per-edge
 # reference, the canonical pattern code against pairwise isomorphism, and
 # a matcher restricted to the identify filter's sets against a plain one.
@@ -153,7 +153,7 @@ docs-check:
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count. The test Go count beside it is
 # informational: it has no budget.
-LOC_BUDGET := 16429
+LOC_BUDGET := 16171
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \

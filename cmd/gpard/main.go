@@ -60,10 +60,8 @@ func main() {
 		rulesIn  = flag.String("rules", "", "input rules file")
 		predStr  = flag.String("pred", "", "predicate xLabel,edgeLabel,yLabel: start with an empty rule set (exclusive with -rules)")
 		workers  = flag.Int("n", 4, "identify fan-out: candidate chunks per rule evaluation")
-		pool     = flag.Int("pool", 0, "matching concurrency bound (0 = GOMAXPROCS minus the mine share)")
-		mineCPU  = flag.Float64("mine-share", 0, "fraction of GOMAXPROCS mine jobs may occupy together (0 = default 0.5)")
+		pool     = flag.Int("pool", 0, "matching concurrency bound (0 = GOMAXPROCS minus the mine gate's ceil(GOMAXPROCS/2))")
 		cache    = flag.Int("cache", 256, "match-set cache capacity")
-		eta      = flag.Float64("eta", 1.0, "default confidence bound η")
 		reqTO    = flag.Duration("request-timeout", 0, "server-side identify deadline (0 = 30s, negative = off)")
 		maxQ     = flag.Int("max-queue", 0, "admission queue depth before shedding 429 (0 = 64, negative = off)")
 		queueTO  = flag.Duration("queue-timeout", 0, "longest an admitted request may wait for a slot (0 = 1s)")
@@ -76,10 +74,8 @@ func main() {
 
 	cfg := serve.Config{
 		Workers:          *workers,
-		MineShare:        *mineCPU,
 		PoolSize:         *pool,
 		CacheCap:         *cache,
-		DefaultEta:       *eta,
 		RequestTimeout:   *reqTO,
 		MaxQueue:         *maxQ,
 		QueueTimeout:     *queueTO,

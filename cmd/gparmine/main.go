@@ -8,10 +8,6 @@
 //
 // Multiple comma-triple predicates may be given separated by ';' (the
 // paper's multi-predicate remark): rules are mined per predicate.
-//
-// With -workers host:port,host:port,... mining runs on a gparworker fleet —
-// one worker service per fragment, so the fleet size sets the partition
-// width (-n is overridden). Results are byte-identical to in-process runs.
 package main
 
 import (
@@ -24,7 +20,6 @@ import (
 	"gpar/internal/core"
 	"gpar/internal/graph"
 	"gpar/internal/mine"
-	"gpar/internal/mine/remote"
 )
 
 func main() {
@@ -40,8 +35,6 @@ func main() {
 		capPerRd = flag.Int("cap", 100, "max candidates per round (0 = unlimited)")
 		noOpt    = flag.Bool("no-opt", false, "run the unoptimized DMineno baseline")
 		rulesOut = flag.String("rules", "", "write discovered rules to this file")
-		fleet    = flag.String("workers", "", "comma-separated gparworker addresses; mine on this fleet")
-		stepTO   = flag.Duration("step-timeout", 0, "per-superstep worker deadline for -workers (0 = 2m)")
 	)
 	flag.Parse()
 	if *graphIn == "" || *predStr == "" {
@@ -65,24 +58,6 @@ func main() {
 		MaxEdges: *maxEdges, MaxCandidatesPerRound: *capPerRd,
 	}
 
-	var conns []*remote.Conn
-	if *fleet != "" {
-		if *noOpt {
-			fatal(fmt.Errorf("-workers is exclusive with -no-opt (the baseline is in-process only)"))
-		}
-		addrs := strings.Split(*fleet, ",")
-		if opts.N != len(addrs) {
-			fmt.Printf("fleet: overriding -n %d with fleet size %d (one worker per fragment)\n", opts.N, len(addrs))
-			opts.N = len(addrs)
-		}
-		conns, err = remote.DialFleet(addrs, remote.DialOptions{StepTimeout: *stepTO})
-		if err != nil {
-			fatal(err)
-		}
-		defer remote.CloseAll(conns)
-		fmt.Printf("fleet: %d workers connected\n", len(conns))
-	}
-
 	var allRules []*core.Rule
 	for _, ps := range strings.Split(*predStr, ";") {
 		pred, err := core.ParsePredicate(syms, ps)
@@ -91,16 +66,9 @@ func main() {
 		}
 		start := time.Now()
 		var res *mine.Result
-		switch {
-		case conns != nil:
-			ctx := mine.NewContext(g, pred.XLabel, opts)
-			res, err = remote.Mine(ctx, pred, opts, conns)
-			if err != nil {
-				fatal(err)
-			}
-		case *noOpt:
+		if *noOpt {
 			res = mine.DMineNo(g, pred, opts)
-		default:
+		} else {
 			res = mine.DMine(g, pred, opts)
 		}
 		elapsed := time.Since(start)

@@ -50,7 +50,7 @@ func main() {
 	fmt.Printf("mined %d rules (F=%.4f)\n", len(rules), res.F)
 
 	// 2. Serve many.
-	srv := serve.New(serve.Config{Workers: 4, DefaultEta: 1.0})
+	srv := serve.New(serve.Config{Workers: 4})
 	if err := srv.LoadSnapshot(g, pred, rules); err != nil {
 		panic(err)
 	}
@@ -148,7 +148,7 @@ func main() {
 		panic(err)
 	}
 	defer os.RemoveAll(dataDir)
-	dur := serve.New(serve.Config{Workers: 4, DefaultEta: 1.0})
+	dur := serve.New(serve.Config{Workers: 4})
 	if err := dur.EnablePersistence(serve.PersistOptions{Dir: dataDir}); err != nil {
 		panic(err)
 	}
@@ -175,7 +175,7 @@ func main() {
 	ds.Close() // the process "dies" here: no shutdown, no goodbye
 
 	restart := time.Now()
-	dur2 := serve.New(serve.Config{Workers: 4, DefaultEta: 1.0})
+	dur2 := serve.New(serve.Config{Workers: 4})
 	if err := dur2.EnablePersistence(serve.PersistOptions{Dir: dataDir}); err != nil {
 		panic(err)
 	}

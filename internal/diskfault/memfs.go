@@ -99,9 +99,6 @@ type MemFS struct {
 	dirs    map[string]bool
 	faults  []Fault
 	crashed bool
-
-	writes int // total Write/WriteAt calls observed, for WriteCount
-	syncs  int
 }
 
 // NewMemFS returns an empty in-memory filesystem.
@@ -115,13 +112,6 @@ func (m *MemFS) Inject(f Fault) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.faults = append(m.faults, f)
-}
-
-// ClearFaults drops all pending faults.
-func (m *MemFS) ClearFaults() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.faults = nil
 }
 
 // Crash simulates power loss: every file reverts to its durable bytes.
@@ -145,22 +135,6 @@ func (m *MemFS) Crashed() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.crashed
-}
-
-// WriteCount reports the total number of Write/WriteAt calls observed, so
-// a test can first count a run's write operations and then re-run it with
-// a kill-point at every index.
-func (m *MemFS) WriteCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.writes
-}
-
-// SyncCount reports the total number of Sync calls observed.
-func (m *MemFS) SyncCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.syncs
 }
 
 // CorruptDurable XORs bit 0 of the durable byte at off in the file at
@@ -408,7 +382,6 @@ func (h *memHandle) writeAtLocked(p []byte, off int64) (int, error) {
 	if h.fs.crashed {
 		return 0, ErrCrashed
 	}
-	h.fs.writes++
 	var fault *Fault
 	n := len(p)
 	if f := h.fs.takeFault(OpWrite, h.path); f != nil {
@@ -449,7 +422,6 @@ func (h *memHandle) Sync() error {
 	if h.fs.crashed {
 		return ErrCrashed
 	}
-	h.fs.syncs++
 	if f := h.fs.takeFault(OpSync, h.path); f != nil {
 		if f.Kill {
 			h.fs.crashLocked(nil, 0)

@@ -89,14 +89,10 @@ func TestDialVersionMismatch(t *testing.T) {
 
 // TestServeVersionMismatch: a coordinator proposing another protocol version
 // gets the worker's own hello back and then a closed connection — one
-// connection, no job — and the worker logs the typed error naming both
-// versions.
+// connection, no job.
 func TestServeVersionMismatch(t *testing.T) {
 	for _, v := range otherVersions {
-		logs := make(chan string, 16) // connected, handshake error, closed: 3 lines
-		addrs, svs := chaosFleet(t, 1, ServerOptions{Logf: func(format string, args ...any) {
-			logs <- fmt.Sprintf(format, args...)
-		}}, noFaults)
+		addrs, svs := chaosFleet(t, 1, ServerOptions{}, noFaults)
 
 		c, err := net.Dial("tcp", addrs[0])
 		if err != nil {
@@ -113,15 +109,6 @@ func TestServeVersionMismatch(t *testing.T) {
 		}
 		if string(reply) != hello(wire.Version) {
 			t.Fatalf("worker answered v%d with %q, want its own hello %q", v, reply, hello(wire.Version))
-		}
-		want := fmt.Sprintf("wire: handshake: peer speaks version %d, this side speaks version %d", v, wire.Version)
-		for line := range logs {
-			if strings.Contains(line, want) {
-				break
-			}
-			if strings.Contains(line, "closed") {
-				t.Fatalf("worker closed the v%d connection without logging %q", v, want)
-			}
 		}
 		if st := svs[0].Stats(); st.TotalConns != 1 || st.Jobs != 0 {
 			t.Fatalf("stats after a v%d coordinator: %+v, want 1 connection, 0 jobs", v, st)
@@ -184,15 +171,14 @@ func TestSetupBadFragmentRefused(t *testing.T) {
 }
 
 // TestSlowlorisHandshakeDropped: a client that connects and never speaks is
-// dropped within the handshake timeout even when IdleTimeout is 0 — it
-// cannot pin a worker goroutine.
+// dropped within the handshake timeout — it cannot pin a worker goroutine.
 func TestSlowlorisHandshakeDropped(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	sv := NewService(ServerOptions{IdleTimeout: 0, HandshakeTimeout: 100 * time.Millisecond})
+	sv := NewService(ServerOptions{HandshakeTimeout: 100 * time.Millisecond})
 	go sv.Serve(l)
 
 	c, err := net.Dial("tcp", l.Addr().String())

@@ -285,21 +285,6 @@ func TestDialFleetUnavailable(t *testing.T) {
 	}
 }
 
-// TestWorkerIdleTimeout: a service with an idle deadline drops a silent
-// connection, and the coordinator sees the break on its next call.
-func TestWorkerIdleTimeout(t *testing.T) {
-	addrs := startWorkers(t, 1, ServerOptions{IdleTimeout: 100 * time.Millisecond})
-	conns, err := DialFleet(addrs, DialOptions{StepTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseAll(conns)
-	time.Sleep(400 * time.Millisecond)
-	if err := conns[0].Finish(); err == nil {
-		t.Fatal("call on an idle-dropped connection succeeded")
-	}
-}
-
 // TestArenasOffTCP pins, over real TCP, the result the arenas-off mode
 // produced for this job at 04ded92 (the last commit that had it; sha256 of
 // the fingerprint, local and fleet agreed): the workers' recycled lanes must

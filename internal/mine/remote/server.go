@@ -11,44 +11,18 @@ import (
 
 // ServerOptions tunes a worker service. The zero value means defaults.
 type ServerOptions struct {
-	// MaxFrame bounds accepted frame sizes (default wire.DefaultMaxFrame).
-	MaxFrame int
-	// IdleTimeout, when positive, bounds how long a connection may sit
-	// without traffic — between jobs or mid-job — before the worker drops
-	// it, so a dead coordinator cannot pin worker state forever. 0 means
-	// no deadline.
-	IdleTimeout time.Duration
 	// HandshakeTimeout bounds how long an accepted connection may take to
-	// complete the protocol handshake, even when IdleTimeout is 0 — a
-	// client that connects and never speaks cannot pin a goroutine
-	// (slowloris). Default 10s; negative disables.
+	// complete the protocol handshake — a client that connects and never
+	// speaks cannot pin a goroutine (slowloris). Default 10s; negative
+	// disables.
 	HandshakeTimeout time.Duration
-	// Logf, when non-nil, receives one line per connection-level event
-	// (accepted, job started, failed, closed).
-	Logf func(format string, args ...any)
 }
 
-func (o ServerOptions) defaults() ServerOptions {
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = wire.DefaultMaxFrame
-	}
-	if o.HandshakeTimeout == 0 {
-		o.HandshakeTimeout = 10 * time.Second
-	}
-	return o
-}
-
-func (o *ServerOptions) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-	}
-}
-
-// Service is one worker process's shared state: the options and the
-// counters behind Stats. Jobs share nothing else — each one's fragment
+// Service is one worker process's shared state: the handshake deadline and
+// the counters behind Stats. Jobs share nothing else — each one's fragment
 // arrives in its setup frame and is dropped at Finish.
 type Service struct {
-	opts ServerOptions
+	handshake time.Duration // resolved HandshakeTimeout; 0 means none
 
 	conns       atomic.Int64 // accepted, lifetime
 	activeConns atomic.Int64
@@ -58,7 +32,11 @@ type Service struct {
 
 // NewService builds a worker service.
 func NewService(opts ServerOptions) *Service {
-	return &Service{opts: opts.defaults()}
+	hs := opts.HandshakeTimeout
+	if hs == 0 {
+		hs = 10 * time.Second
+	}
+	return &Service{handshake: max(hs, 0)}
 }
 
 // ServiceStats is a point-in-time snapshot of a worker's counters.
@@ -102,9 +80,6 @@ func Serve(l net.Listener, opts ServerOptions) error {
 // serveConn is one coordinator connection's lifetime.
 func (sv *Service) serveConn(conn net.Conn) {
 	defer conn.Close()
-	opts := &sv.opts
-	peer := conn.RemoteAddr()
-	opts.logf("remote: %v connected", peer)
 	sv.conns.Add(1)
 	sv.activeConns.Add(1)
 
@@ -114,50 +89,29 @@ func (sv *Service) serveConn(conn net.Conn) {
 			rt.Close()
 		}
 		sv.activeConns.Add(-1)
-		opts.logf("remote: %v closed", peer)
 	}()
 
-	deadline := func() bool {
-		var t time.Time
-		if opts.IdleTimeout > 0 {
-			t = time.Now().Add(opts.IdleTimeout)
-		}
-		return conn.SetDeadline(t) == nil
-	}
-	// The coordinator (dialer) speaks first. The handshake always runs under
-	// a deadline — even with no idle timeout, a silent client cannot pin this
-	// goroutine.
-	hsDeadline := opts.HandshakeTimeout
-	if hsDeadline < 0 {
-		hsDeadline = 0
-	}
-	if opts.IdleTimeout > 0 && (hsDeadline == 0 || opts.IdleTimeout < hsDeadline) {
-		hsDeadline = opts.IdleTimeout
-	}
+	// The coordinator (dialer) speaks first, under the handshake deadline;
+	// past it a connection waits for its coordinator without one.
 	var hsAt time.Time
-	if hsDeadline > 0 {
-		hsAt = time.Now().Add(hsDeadline)
+	if sv.handshake > 0 {
+		hsAt = time.Now().Add(sv.handshake)
 	}
-	if conn.SetDeadline(hsAt) != nil {
+	if conn.SetDeadline(hsAt) != nil || wire.Handshake(conn, false) != nil {
 		return
 	}
-	if err := wire.Handshake(conn, false); err != nil {
-		opts.logf("remote: %v: %v", peer, err)
+	if conn.SetDeadline(time.Time{}) != nil {
 		return
 	}
 
 	fail := func(err error) {
-		opts.logf("remote: %v: %v", peer, err)
 		ef := wire.ErrorFrame{Msg: err.Error()}
 		_ = wire.WriteFrame(conn, wire.TypeError, ef.Append(nil))
 	}
 
 	var buf, enc []byte
 	for {
-		if !deadline() {
-			return
-		}
-		typ, payload, newBuf, err := wire.ReadFrame(conn, buf, opts.MaxFrame)
+		typ, payload, newBuf, err := wire.ReadFrame(conn, buf, wire.DefaultMaxFrame)
 		if err != nil {
 			return // peer gone or protocol breakdown; nothing to answer
 		}
@@ -180,7 +134,6 @@ func (sv *Service) serveConn(conn net.Conn) {
 			}
 			rt = newRT
 			sv.jobs.Add(1)
-			opts.logf("remote: %v: job %d as worker %d", peer, setup.JobID, setup.Worker)
 			enc = ack.Append(enc[:0])
 			if wire.WriteFrame(conn, wire.TypeSetupAck, enc) != nil {
 				return
@@ -224,7 +177,6 @@ func (sv *Service) serveConn(conn net.Conn) {
 				rt.Close()
 				rt = nil
 				sv.cancels.Add(1)
-				opts.logf("remote: %v: job canceled by coordinator", peer)
 			}
 		default:
 			fail(protocolErr("unexpected frame type"))

@@ -43,7 +43,7 @@ func (f jsonFloat) MarshalJSON() ([]byte, error) {
 type IdentifyRequest struct {
 	Rules   []string `json:"rules,omitempty"`
 	Indices []int    `json:"indices,omitempty"`
-	// Eta is the confidence bound η; 0 means the server default.
+	// Eta is the confidence bound η; 0 means η = 1.
 	Eta float64 `json:"eta,omitempty"`
 	// IncludeMatches returns each rule's match set, not just its size.
 	IncludeMatches bool `json:"includeMatches,omitempty"`
@@ -103,18 +103,17 @@ type StatsResponse struct {
 	// out over (Config.Workers).
 	Fragments int `json:"fragments"`
 	PoolSize  int `json:"poolSize"`
-	// CPUBudget is the configured GOMAXPROCS split: identify traffic runs
-	// on at most PoolSize chunk evaluators while all mine jobs together
-	// run at most MineProcs worker goroutines.
+	// CPUBudget is the GOMAXPROCS split: identify traffic runs on at most
+	// PoolSize chunk evaluators while all mine jobs together run at most
+	// MineProcs worker goroutines, and each job mines with MineProcs workers.
 	CPUBudget struct {
-		Procs     int     `json:"procs"`
-		MineShare float64 `json:"mineShare"`
-		MineProcs int     `json:"mineProcs"`
-		PoolSize  int     `json:"poolSize"`
+		Procs     int `json:"procs"`
+		MineProcs int `json:"mineProcs"`
+		PoolSize  int `json:"poolSize"`
 	} `json:"cpuBudget"`
 	Cache CacheStats `json:"cache"`
 	// MineCache counts mine-context reuse: hits are mine jobs that found
-	// their (generation, xLabel, d, n) context already resident. A hit saves
+	// their (generation, xLabel, d) context already resident. A hit saves
 	// about 180 ns; the block stays because the benchmark reads its ratio.
 	MineCache CacheStats `json:"mineCache"`
 	// MineCapped sums the jobs' capped counts: embedding enumerations that
@@ -256,7 +255,7 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 	}
 	eta := req.Eta
 	if eta == 0 {
-		eta = s.cfg.DefaultEta
+		eta = 1
 	}
 	selected := snap.Rules
 	if len(req.Rules) > 0 || len(req.Indices) > 0 {
@@ -535,7 +534,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	d.CompactThreshold = s.cfg.CompactThreshold
 	resp.PoolSize = s.pool.Size()
 	c := &resp.CPUBudget
-	c.Procs, c.MineShare, c.MineProcs, c.PoolSize = runtime.GOMAXPROCS(0), s.cfg.MineShare, s.mineGate.Size(), s.pool.Size()
+	c.Procs, c.MineProcs, c.PoolSize = runtime.GOMAXPROCS(0), s.mineGate.Size(), s.pool.Size()
 	resp.Cache, resp.Batch = s.cacheStats()
 	resp.MineCache, resp.MineCapped = s.mineCacheStats(), s.nMineCapped.Load()
 	k := &resp.Kernel

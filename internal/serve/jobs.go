@@ -17,14 +17,12 @@ import (
 // graph. Label names must already exist in the graph (they are resolved
 // with the read-only Symbols.Lookup, never interned).
 //
-// Workers = 0 inherits mine.Options' default — one worker per core
-// (runtime.GOMAXPROCS) — and the server's shared mine.Gate caps how many
-// of those workers across all jobs execute at once (Config.MineShare), so
-// an unconfigured mine job uses its CPU budget, not the whole machine.
-// Mining results are byte-identical across worker counts — including when
+// A job mines with one worker per slot of the server's shared mine.Gate,
+// which caps how many workers across all jobs execute at once. Mining
+// results are byte-identical across worker counts — including when
 // mine.Options.EmbedCap truncates dense neighborhoods, since embeddings
-// are enumerated in a canonical global-ID order — so Workers only affects
-// how the candidate centers are split, never the answer.
+// are enumerated in a canonical global-ID order — so the width only
+// affects how the candidate centers are split, never the answer.
 type MineParams struct {
 	XLabel    string  `json:"xLabel"`
 	EdgeLabel string  `json:"edgeLabel"`
@@ -34,7 +32,6 @@ type MineParams struct {
 	D         int     `json:"d,omitempty"`
 	Lambda    float64 `json:"lambda,omitempty"`
 	MaxEdges  int     `json:"maxEdges,omitempty"`
-	Workers   int     `json:"workers,omitempty"`
 	Cap       int     `json:"cap,omitempty"`
 	// Install swaps the mined top-k in as the served rule set on success,
 	// bumping the generation and invalidating the match-set cache.
@@ -115,11 +112,6 @@ type Job struct {
 	// reaches a terminal state.
 	cancel context.CancelFunc
 }
-
-// maxMineWorkers bounds MineParams.Workers. Results do not depend on the
-// worker count and the mine gate runs at most mineProcs workers at a time,
-// so more buy nothing — yet each holds O(|V|) scratch while the server lives.
-const maxMineWorkers = 64
 
 // maxJobs bounds the registry: when exceeded, the oldest finished jobs are
 // evicted (running and pending jobs are never dropped), so a daemon that
@@ -246,9 +238,6 @@ func (s *Server) StartMine(p MineParams) (Job, error) {
 	if snap == nil {
 		return Job{}, fmt.Errorf("serve: no snapshot loaded")
 	}
-	if p.Workers < 0 || p.Workers > maxMineWorkers {
-		return Job{}, fmt.Errorf("serve: workers %d outside [0, %d]", p.Workers, maxMineWorkers)
-	}
 	pred, err := lookupPred(snap.G.Symbols(), p)
 	if err != nil {
 		return Job{}, err
@@ -289,12 +278,12 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 		j.Status = JobRunning
 		j.Started = time.Now()
 	})
-	// Defaults are resolved here (not left to DMine) because the resolved
-	// (D, N) pair is part of the context-cache key. The shared gate caps
-	// how much of the machine this job's workers (and every other job's)
-	// may occupy at once.
+	// Defaults are resolved here (not left to DMine) because the resolved D
+	// is part of the context-cache key. The job runs one worker per slot of
+	// the shared gate, which caps how much of the machine this job's workers
+	// (and every other job's) may occupy at once.
 	opts := mine.Options{
-		K: p.K, Sigma: p.Sigma, D: p.D, Lambda: p.Lambda, N: p.Workers,
+		K: p.K, Sigma: p.Sigma, D: p.D, Lambda: p.Lambda, N: s.mineGate.Size(),
 		MaxEdges: p.MaxEdges, MaxCandidatesPerRound: p.Cap,
 	}.Defaults()
 	opts.Gate = s.mineGate
@@ -309,7 +298,7 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 	if warmStarted {
 		s.nWarmMineHits.Add(1)
 	} else {
-		key := MineCtxKey{Gen: snap.Gen, XLabel: pred.XLabel, D: opts.D, N: opts.N}
+		key := MineCtxKey{Gen: snap.Gen, XLabel: pred.XLabel, D: opts.D}
 		// An error here is another job's build of this key having panicked
 		// under this one: the job fails rather than mine on a nil context.
 		var mctx *mine.Context

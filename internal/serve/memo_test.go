@@ -349,9 +349,9 @@ func TestMineContextCacheUnit(t *testing.T) {
 		return how == memoBuilt
 	}
 
-	k1 := MineCtxKey{Gen: 1, XLabel: 3, D: 2, N: 4}
-	k2 := MineCtxKey{Gen: 1, XLabel: 3, D: 3, N: 4} // differing d
-	k3 := MineCtxKey{Gen: 1, XLabel: 5, D: 2, N: 4} // differing xLabel
+	k1 := MineCtxKey{Gen: 1, XLabel: 3, D: 2}
+	k2 := MineCtxKey{Gen: 1, XLabel: 3, D: 3} // differing d
+	k3 := MineCtxKey{Gen: 1, XLabel: 5, D: 2} // differing xLabel
 
 	if !built(k1) {
 		t.Fatal("first lookup reported a hit")

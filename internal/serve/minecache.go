@@ -8,23 +8,23 @@ import (
 
 // MineCtxKey identifies one reusable mining layout in the mine-context
 // memo: the generation (every publish purges the memo), the candidate
-// x-label, the worker count n and the radius d. In process a context is the
-// snapshot's own candidate index and three numbers, so reuse saves about
-// 180 ns; the memo stays because the benchmark reads its hit ratio.
+// x-label and the radius d; the worker count is the server's gate size. In
+// process a context is the snapshot's own candidate index and three
+// numbers, so reuse saves about 180 ns; the memo stays because the
+// benchmark reads its hit ratio.
 type MineCtxKey struct {
 	Gen    uint64
 	XLabel graph.Label
-	D, N   int
+	D      int
 }
 
 // mineCacheCap is how many mine contexts a server keeps across mine jobs.
 const mineCacheCap = 4
 
 // minedKey identifies a finished mine result: the generation it holds for,
-// the predicate, and the resolved options that decide it. N, Gate and Ctx
-// are zeroed: mining results are byte-identical across worker counts
-// (pinned by the mine package's parity tests), and the other two only
-// schedule and cancel a run.
+// the predicate, and the resolved options that decide it. Gate and Ctx are
+// zeroed: they only schedule and cancel a run, and N is the server's gate
+// size.
 type minedKey struct {
 	gen  uint64
 	pred core.Predicate
@@ -32,7 +32,7 @@ type minedKey struct {
 }
 
 func minedKeyFor(gen uint64, pred core.Predicate, opts mine.Options) minedKey {
-	opts.N, opts.Gate, opts.Ctx = 0, nil, nil
+	opts.Gate, opts.Ctx = nil, nil
 	return minedKey{gen, pred, opts}
 }
 

@@ -20,14 +20,14 @@ func waitJob(t *testing.T, s *Server, id string) Job {
 func mineFixtureParams() MineParams {
 	return MineParams{
 		XLabel: "cust", EdgeLabel: "visit", YLabel: "restaurant",
-		K: 3, Sigma: 1, D: 2, MaxEdges: 1, Workers: 2, Cap: 20,
+		K: 3, Sigma: 1, D: 2, MaxEdges: 1, Cap: 20,
 	}
 }
 
 // TestMineJobContextReuse is the serving-level lifecycle test: a job that
 // differs only in k hits the context cache, an identical one at the same
 // generation is answered from the first job's result (no supersteps, no
-// context), jobs with differing (d, n) miss, and a rules-only hot-swap
+// context), a job with a differing d misses, and a rules-only hot-swap
 // drops every context but keeps the mined result.
 func TestMineJobContextReuse(t *testing.T) {
 	s, _, rules := newTestServer(t, Config{Workers: 2})
@@ -64,16 +64,11 @@ func TestMineJobContextReuse(t *testing.T) {
 		t.Fatalf("mine cache stats = %+v, want hits=1 misses=1", st)
 	}
 
-	// Differing fragmentation parameters are distinct preambles.
+	// A differing radius is a distinct preamble.
 	pd := p
 	pd.D = 1
 	if job := run(pd); job.ContextCached {
 		t.Error("job with differing d reused a context")
-	}
-	pn := p
-	pn.Workers = 1
-	if job := run(pn); job.ContextCached {
-		t.Error("job with differing worker count reused a context")
 	}
 
 	// A snapshot hot-swap purges the context cache and bumps the
@@ -96,6 +91,27 @@ func TestMineJobContextReuse(t *testing.T) {
 	}
 	if job := run(p); !job.WarmStarted || !reflect.DeepEqual(first.RuleKeys, job.RuleKeys) {
 		t.Errorf("post-swap repeat: warmStarted %v, rules %v; want the carried %v", job.WarmStarted, job.RuleKeys, first.RuleKeys)
+	}
+}
+
+// TestMineJobWidthIsGateSize: a job mines with one worker per mine-gate
+// slot, whatever the machine's core count.
+func TestMineJobWidthIsGateSize(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{Workers: 2})
+	job, err := s.StartMine(mineFixtureParams())
+	if err != nil {
+		t.Fatalf("StartMine: %v", err)
+	}
+	if done := waitJob(t, s, job.ID); done.Status != JobDone {
+		t.Fatalf("job failed: %s", done.Error)
+	}
+	keys := s.mined.Keys()
+	if len(keys) != 1 {
+		t.Fatalf("%d mined results after one job, want 1", len(keys))
+	}
+	res, _ := s.mined.Get(keys[0])
+	if n := len(res.WorkerOps); n != s.mineGate.Size() {
+		t.Fatalf("the job mined with %d workers, want the gate's %d", n, s.mineGate.Size())
 	}
 }
 
@@ -179,7 +195,7 @@ func TestStatsExposesMineCache(t *testing.T) {
 	if st.MineCache.Capacity != 4 {
 		t.Fatalf("default mine-cache capacity = %d, want 4", st.MineCache.Capacity)
 	}
-	if b := st.CPUBudget; b.Procs < 1 || b.MineProcs < 1 || b.PoolSize < 1 || b.MineShare <= 0 || b.MineShare > 1 {
+	if b := st.CPUBudget; b.Procs < 1 || b.MineProcs < 1 || b.PoolSize < 1 {
 		t.Fatalf("stats.cpuBudget = %+v", b)
 	}
 }

@@ -31,7 +31,7 @@ func mineJobBenchInput(b *testing.B) (*graph.Graph, core.Predicate, mine.Options
 // pool.
 func BenchmarkMineJobCold(b *testing.B) {
 	g, pred, opts := mineJobBenchInput(b)
-	key := MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: opts.D, N: opts.N}
+	key := MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: opts.D}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,7 +54,7 @@ func BenchmarkMineJobCold(b *testing.B) {
 // is worth to a non-fleet job.
 func BenchmarkMineJobWarm(b *testing.B) {
 	g, pred, opts := mineJobBenchInput(b)
-	key := MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: opts.D, N: opts.N}
+	key := MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: opts.D}
 	cache := newMemo[MineCtxKey, *mine.Context](4)
 	cache.GetOrBuild(key, func() (*mine.Context, error) {
 		return mine.NewContext(g, pred.XLabel, opts), nil
@@ -84,8 +84,9 @@ func BenchmarkMineJobWarm(b *testing.B) {
 // of 5 000 users read back from its text form (file interning order, as
 // benchmark/inputs.go does), that workload's parameters — the predicates in
 // turn, σ stepping up from 4 once per pass over them, in a cycle of four so
-// an iteration's work does not drift with b.N — and two workers, drawn from
-// the mine package's pool, behind a gate of one. This is
+// an iteration's work does not drift with b.N — and one worker per slot of
+// a gate of one, gpard's mine gate on two cores, drawn from the mine
+// package's pool. This is
 // the hub-shaped regime: embeddings run through high-degree school, major
 // and employer nodes, where the Pokec-like graph of the other mining
 // benchmarks has few. Recorded in BENCH_mine.json by `make bench`.
@@ -101,16 +102,17 @@ func BenchmarkMineJobSteady(b *testing.B) {
 	}
 	g.Freeze()
 	preds := gen.GplusPredicates(syms)
+	gate := mine.NewGate(1)
 	opts := mine.Options{
-		K: 8, D: 2, Lambda: 0.5, N: 2, MaxEdges: 2, MaxCandidatesPerRound: 40,
-		Gate: mine.NewGate(1),
+		K: 8, D: 2, Lambda: 0.5, N: gate.Size(), MaxEdges: 2, MaxCandidatesPerRound: 40,
+		Gate: gate,
 	}.Defaults()
 	cache := newMemo[MineCtxKey, *mine.Context](4)
 	job := func(i int) {
 		pred := preds[i%len(preds)]
 		o := opts
 		o.Sigma = 4 + (i/len(preds))%4
-		ctx, _, _ := cache.GetOrBuild(MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: o.D, N: o.N}, func() (*mine.Context, error) {
+		ctx, _, _ := cache.GetOrBuild(MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: o.D}, func() (*mine.Context, error) {
 			return mine.NewContext(g, pred.XLabel, o), nil
 		})
 		res, err := mine.DMineCtx(ctx, pred, o)

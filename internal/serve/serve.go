@@ -26,9 +26,10 @@
 //     total matching concurrency is bounded no matter how many clients
 //     connect.
 //   - mine.Gate: the mining half of the CPU budget — all mine jobs
-//     together run at most ceil(Config.MineShare × GOMAXPROCS) worker
-//     goroutines, and the Pool defaults to the remainder, so mining and
-//     identify traffic split the machine instead of oversubscribing it.
+//     together run at most ceil(GOMAXPROCS / 2) worker goroutines, each job
+//     mines with one worker per gate slot, and the Pool defaults to the
+//     remainder, so mining and identify traffic split the machine instead
+//     of oversubscribing it.
 //
 // Concurrency discipline: graph.Graph and graph.Symbols are not safe for
 // concurrent mutation, so BuildSnapshot freezes the graph, forces the label
@@ -58,23 +59,13 @@ type Config struct {
 	// Workers is the number of candidate chunks per snapshot: the width of
 	// one rule evaluation's fan-out over the Pool. Default 4.
 	Workers int
-	// MineShare splits the machine between mining and serving: all mine
-	// jobs collectively run at most ceil(MineShare × GOMAXPROCS) worker
-	// goroutines (minimum 1), enforced by a mine.Gate every job shares.
-	// Serving keeps the rest (see PoolSize). Must be in (0, 1]; default
-	// 0.5. The split bounds CPU occupancy only — mining results are
-	// independent of it.
-	MineShare float64
 	// PoolSize bounds concurrent chunk-evaluation tasks across all
-	// requests. Default: GOMAXPROCS minus the mine share (minimum 1), so
-	// identify traffic and mine jobs split the machine instead of
-	// oversubscribing it.
+	// requests. Default: GOMAXPROCS minus the mine gate's ceil(GOMAXPROCS
+	// / 2) slots (minimum 1), so identify traffic and mine jobs split the
+	// machine instead of oversubscribing it.
 	PoolSize int
 	// CacheCap bounds the number of cached per-rule evaluations. Default 256.
 	CacheCap int
-	// DefaultEta is the confidence bound η applied when a request omits it.
-	// Default 1.0.
-	DefaultEta float64
 
 	// RequestTimeout is the server-side deadline stacked on every identify
 	// request's own context: evaluation that has not finished by then
@@ -104,20 +95,11 @@ func (c Config) defaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.MineShare <= 0 || c.MineShare > 1 {
-		c.MineShare = 0.5
-	}
 	if c.PoolSize <= 0 {
-		c.PoolSize = runtime.GOMAXPROCS(0) - c.mineProcs()
-		if c.PoolSize < 1 {
-			c.PoolSize = 1
-		}
+		c.PoolSize = max(runtime.GOMAXPROCS(0)-mineProcs(), 1)
 	}
 	if c.CacheCap <= 0 {
 		c.CacheCap = 256
-	}
-	if c.DefaultEta <= 0 {
-		c.DefaultEta = 1.0
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
@@ -131,22 +113,9 @@ func (c Config) defaults() Config {
 	return c
 }
 
-// mineProcs is the mining side of the CPU budget: ceil(MineShare × procs),
-// at least 1.
-func (c Config) mineProcs() int {
-	procs := runtime.GOMAXPROCS(0)
-	n := int(c.MineShare * float64(procs))
-	if float64(n) < c.MineShare*float64(procs) {
-		n++
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > procs {
-		n = procs
-	}
-	return n
-}
+// mineProcs is the mining half of the CPU budget: ceil(GOMAXPROCS / 2)
+// gate slots. Mining results are independent of it.
+func mineProcs() int { return (runtime.GOMAXPROCS(0) + 1) / 2 }
 
 // Server owns the current Snapshot and the shared memos, pool and job
 // registry. Create with New, install state with LoadSnapshot, expose
@@ -218,7 +187,7 @@ func New(cfg Config) *Server {
 		cache:    newMemo[evalKey, *RuleEval](cfg.CacheCap),
 		mined:    newMemo[minedKey, *mine.Result](minedCap),
 		mineCtx:  newMemo[MineCtxKey, *mine.Context](mineCacheCap),
-		mineGate: mine.NewGate(cfg.mineProcs()),
+		mineGate: mine.NewGate(mineProcs()),
 		jobs:     NewJobs(),
 		start:    time.Now(),
 	}

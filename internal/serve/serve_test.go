@@ -393,13 +393,10 @@ func TestMineJobAndInstall(t *testing.T) {
 		t.Fatal("no rules after installing a mine job")
 	}
 
-	// Unknown labels and worker counts outside [0, maxMineWorkers] are
-	// rejected up front, without starting a job.
+	// Unknown labels are rejected up front, without starting a job.
 	jobs := len(s.jobs.List())
 	for _, bad := range []string{
 		`{"xLabel":"cust","edgeLabel":"visit","yLabel":"starship"}`,
-		`{"xLabel":"cust","edgeLabel":"visit","yLabel":"restaurant","workers":20000}`,
-		`{"xLabel":"cust","edgeLabel":"visit","yLabel":"restaurant","workers":-1}`,
 	} {
 		if code := doJSON(t, "POST", ts.URL+"/v1/mine", []byte(bad), nil); code != 400 {
 			t.Errorf("mine %s: %d, want 400", bad, code)
@@ -609,6 +606,14 @@ func TestRequestBodiesAreStrict(t *testing.T) {
 	if st, _ := s.cacheStats(); st.Hits+st.Misses != 0 || s.Generation() != 1 || len(s.jobs.List()) != 0 {
 		t.Fatalf("refused bodies had effects: %d cache reads, generation %d, %d jobs",
 			st.Hits+st.Misses, s.Generation(), len(s.jobs.List()))
+	}
+	// A mine job's width is the mine gate's, not the caller's: "workers" is
+	// an unknown field, and the answer names it.
+	var refused struct{ Error string }
+	body := []byte(`{"xLabel":"cust","edgeLabel":"visit","yLabel":"restaurant","workers":2}`)
+	if code := doLocal(t, s.Handler(), "POST", "/v1/mine", body, &refused); code != http.StatusBadRequest ||
+		!strings.Contains(refused.Error, `unknown field "workers"`) {
+		t.Errorf("mine with workers: %d %q, want 400 naming the field", code, refused.Error)
 	}
 	// White space after the value is not data.
 	if code := doLocal(t, s.Handler(), "POST", "/v1/identify", []byte(fmt.Sprintf("{\"rules\":[%q]}\r\n\t ", key)), nil); code != http.StatusOK {
