@@ -32,7 +32,8 @@ race:
 
 # Short coverage-guided runs of the fuzz targets: gpard against its model
 # (op sequences over identify, deltas, swaps, mines, compaction and crashes,
-# checked against core.Eval), delta op application in graph, the graph file
+# checked against core.Eval), the delta repair of cached evaluations
+# against a fresh one, delta op application in graph, the graph file
 # reader gpard -graph boots from, the fragment decoder and the wire payload
 # decoders a fleet worker runs, the durability decoders (snapshot file
 # format, WAL replay), mining's extension discovery against its per-edge
@@ -46,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFragmentDecode' -fuzztime 20s ./internal/partition/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 20s ./internal/mine/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzServeModel' -fuzztime 20s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzDeltaRepair' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 20s ./internal/snapfile/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzDiscoverExtensions' -fuzztime 20s ./internal/mine/
@@ -63,7 +65,7 @@ fuzz-smoke:
 bench: bench-match bench-mine
 
 bench-match:
-	$(GO) test -run '^$$' -bench 'BenchmarkAnchoredMatch|BenchmarkMatchSet$$|BenchmarkIdentify|BenchmarkDeltaApply|BenchmarkWALAppend|BenchmarkSnapshotLoad' \
+	$(GO) test -run '^$$' -bench 'BenchmarkAnchoredMatch|BenchmarkMatchSet$$|BenchmarkIdentify|BenchmarkDeltaApply|BenchmarkDeltaRepair|BenchmarkWALAppend|BenchmarkSnapshotLoad' \
 	    -benchmem -benchtime=1s ./internal/match/ ./internal/serve/ ./internal/snapfile/ > bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkEvalRuleShapes' -benchmem -benchtime=1s . >> bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_match.json < bench.out
@@ -153,7 +155,7 @@ docs-check:
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count. The test Go count beside it is
 # informational: it has no budget.
-LOC_BUDGET := 16171
+LOC_BUDGET := 16371
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \

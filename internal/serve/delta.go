@@ -2,11 +2,9 @@
 // mutation batch to the served graph as a new snapshot generation without
 // re-freezing (graph.ApplyDelta builds an overlay over the shared CSR), and
 // the batch that brings the overlay to a threshold folds it back into a
-// real freeze before it answers (compactLocked). What survives a batch is
-// publish's reach rule, fed by deltaImpact. Every served rule has radius
-// ≥ 1 (BuildSnapshot refuses anything else), which is also the LCWA
-// classification radius the snapshot-global supp(q,G)/supp(q̄,G) in each
-// cached Stats depend on.
+// real freeze before it answers (compactLocked). A cached rule evaluation
+// crosses a batch repaired at the centres the batch can affect (repair); a
+// finished mine result crosses by publish's reach rule, fed by deltaImpact.
 
 package serve
 
@@ -14,8 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 
+	"gpar/internal/eip"
 	"gpar/internal/graph"
+	"gpar/internal/match"
+	"gpar/internal/pattern"
 )
 
 // errBadDelta marks delta requests rejected before they reach the graph:
@@ -60,9 +62,10 @@ type DeltaResponse struct {
 	// this batch included — the compaction trigger's input.
 	OverlayOps int `json:"overlayOps"`
 	// RulesCarried counts match-set cache entries moved to the new
-	// generation because the batch provably cannot affect them;
+	// generation, as they were or repaired (RulesRepaired of them);
 	// RulesInvalidated counts entries dropped.
 	RulesCarried     int `json:"rulesCarried"`
+	RulesRepaired    int `json:"rulesRepaired"`
 	RulesInvalidated int `json:"rulesInvalidated"`
 	// WarmMineCarried counts finished mine results moved to the new
 	// generation (jobs with identical parameters return them without
@@ -122,9 +125,9 @@ func mapDeltaOps(syms *graph.Symbols, req DeltaRequest) ([]graph.DeltaOp, error)
 // XLabel node, looking in both the old and the new graph (a deletion's
 // effect is visible only in the old one, an addition's only in the new), or
 // bound+1 when every touched node is farther than bound: a lower bound on
-// the distance, exact up to bound. publish carries a value across the
-// batch iff the impact exceeds its reach, so bound must cover the farthest
-// resident reach.
+// the distance, exact up to bound. publish carries a mine result across
+// the batch iff the impact exceeds its reach, so bound must cover the
+// farthest resident mine reach.
 func deltaImpact(old, new *graph.Graph, touched []graph.NodeID, xl graph.Label, bound int) int {
 	impact := bound + 1
 	for _, t := range touched {
@@ -146,13 +149,13 @@ func deltaImpact(old, new *graph.Graph, touched []graph.NodeID, xl graph.Label, 
 
 // ApplyDelta applies a mutation batch to the served graph and installs the
 // result as a new snapshot generation. The whole operation runs under the
-// swap lock (interning, graph derivation, selective cache carry, install);
-// identify traffic never blocks on it — in-flight requests finish on the
-// snapshot they loaded. A batch that brings the overlay to
-// Config.CompactThreshold also compacts it, still under the lock, before it
-// answers. Errors wrapping errBadDelta are malformed requests (400);
-// *graph.DeltaError means the batch is well-formed but inconsistent with
-// the graph (409), applied atomically-or-not-at-all.
+// swap lock (interning, graph derivation, cache repair, install); identify
+// traffic never blocks on it — in-flight requests finish on the snapshot
+// they loaded. A batch that brings the overlay to Config.CompactThreshold
+// also compacts it, still under the lock, before it answers. Errors
+// wrapping errBadDelta are malformed requests (400); *graph.DeltaError
+// means the batch is well-formed but inconsistent with the graph (409),
+// applied atomically-or-not-at-all.
 func (s *Server) ApplyDelta(req DeltaRequest) (*DeltaResponse, error) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -188,16 +191,16 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 		return nil, err
 	}
 
-	// One BFS per touched node, bounded by the farthest reach resident: the
-	// largest rule radius, or a finished mine result's.
+	// Mined results cross by reach, probed up to the farthest resident one.
 	touched := g2.DeltaTouched()
-	bound := snap.D
+	bound := 0
 	for _, k := range s.mined.Keys() {
 		bound = max(bound, k.reach())
 	}
 	impact := deltaImpact(snap.G, g2, touched, snap.Pred.XLabel, bound)
 	next := DeriveDeltaSnapshot(snap, g2, s.cfg)
-	c, err := s.publish(next, impact, &req)
+	rep := newRepair(snap, next, ops, touched)
+	c, err := s.publish(next, impact, rep, &req)
 	if err != nil {
 		return nil, fmt.Errorf("serve: delta not logged: %w", err)
 	}
@@ -205,6 +208,8 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 	s.nDeltaOps.Add(int64(len(ops)))
 	s.nRuleCarried.Add(int64(c.rules))
 	s.nRuleInvalidated.Add(int64(c.dropped))
+	s.nRuleRepaired.Add(int64(rep.repaired))
+	s.nCentresRepaired.Add(int64(rep.centres))
 
 	return &DeltaResponse{
 		Generation:       next.Gen,
@@ -214,9 +219,187 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 		TouchedNodes:     len(touched),
 		OverlayOps:       g2.OverlayOps(),
 		RulesCarried:     c.rules,
+		RulesRepaired:    rep.repaired,
 		RulesInvalidated: c.dropped,
 		WarmMineCarried:  c.mined,
 	}, nil
+}
+
+// repair is one delta batch's maintenance of the match-set memo. A match of
+// P (Q or PR) at c lies within dist_P(x, u) of c for each pattern node u
+// (Section 2.2), and a match gained (in the new graph) or lost (in the old)
+// uses a changed edge or node label. So P(c) can change only at x nodes
+// within dist_P(x, a) of s, or dist_P(x, b) of t, of a changed edge s -ℓ->
+// t that can play a P-edge a -ℓ-> b, or within dist_P(x, u) of a changed
+// node that can play u, in the graph that has the edge or label; centres
+// whose LCWA class can change join them. apply re-checks only those.
+type repair struct {
+	old, next *Snapshot
+	edges     []change       // edges in one of the two graphs only
+	nodes     []change       // labels a touched node has in one of them only
+	lcwa      []graph.NodeID // nodes whose LCWA class can change
+	same      bool           // supp(q,G), supp(q̄,G) and the centre count unchanged
+	near      map[reachKey][]graph.NodeID
+
+	repaired, centres int // entries patched, and the centres they re-checked
+}
+
+// change is an edge s -l-> t, or a label l on node s, that g has and the
+// other graph of the batch has not.
+type change struct {
+	s, t graph.NodeID
+	l    graph.Label
+	g    *graph.Graph
+}
+
+type reachKey struct {
+	g *graph.Graph
+	v graph.NodeID
+	d int
+}
+
+// newRepair collects what the batch ops changed between old and next.
+func newRepair(old, next *Snapshot, ops []graph.DeltaOp, touched []graph.NodeID) *repair {
+	g0, g1, q := old.G, next.G, old.Pred.EdgeLabel
+	r := &repair{old: old, next: next, near: map[reachKey][]graph.NodeID{},
+		same: old.SuppQ1 == next.SuppQ1 && old.SuppQbar == next.SuppQbar &&
+			len(g0.NodesWithLabel(old.Pred.XLabel)) == len(g1.NodesWithLabel(old.Pred.XLabel))}
+	has := func(g *graph.Graph, op graph.DeltaOp) bool {
+		n := graph.NodeID(g.NumNodes())
+		return op.From < n && op.To < n && g.HasEdge(op.From, op.To, op.Label)
+	}
+	for _, op := range ops {
+		if in0 := has(g0, op); (op.Kind == graph.DeltaAddEdge || op.Kind == graph.DeltaDelEdge) && in0 != has(g1, op) {
+			g := g1
+			if in0 {
+				g = g0
+			}
+			r.edges = append(r.edges, change{op.From, op.To, op.Label, g})
+			if op.Label == q {
+				r.lcwa = append(r.lcwa, op.From)
+			}
+		}
+	}
+	for _, v := range touched {
+		if int(v) < g0.NumNodes() && g0.Label(v) == g1.Label(v) {
+			continue
+		}
+		for _, g := range []*graph.Graph{g0, g1} {
+			if int(v) < g.NumNodes() {
+				r.nodes = append(r.nodes, change{s: v, l: g.Label(v), g: g})
+				r.lcwa = append(r.lcwa, v)
+				for _, e := range g.InRangeL(v, q) {
+					r.lcwa = append(r.lcwa, e.To)
+				}
+			}
+		}
+	}
+	return r
+}
+
+// affected returns sr's affected centres, ascending, or false when the batch
+// changes a part of Q that x cannot reach in Q (it hangs off y, joined to x
+// only by q(x, y)): Q(c) may then change at every centre.
+func (r *repair) affected(sr *ServedRule) ([]graph.NodeID, bool) {
+	set := slices.Clone(r.lcwa)
+	for _, p := range []*pattern.Pattern{sr.Rule.Q, sr.pr} {
+		dist := p.DistancesFrom(p.X) // Q's own: it reaches farther than PR's
+		reach := func(g *graph.Graph, v graph.NodeID, u int) bool {
+			set = append(set, r.within(g, v, dist[u])...)
+			return dist[u] >= 0
+		}
+		for _, c := range r.edges {
+			for _, e := range p.Edges() {
+				if e.Label != c.l || p.Label(e.From) != c.g.Label(c.s) || p.Label(e.To) != c.g.Label(c.t) {
+					continue
+				}
+				v, u := c.s, e.From
+				if dist[e.To] < dist[u] {
+					v, u = c.t, e.To
+				}
+				if !reach(c.g, v, u) {
+					return nil, false
+				}
+			}
+		}
+		for _, c := range r.nodes {
+			for u := range dist {
+				if p.Label(u) == c.l && !reach(c.g, c.s, u) {
+					return nil, false
+				}
+			}
+		}
+	}
+	set = slices.DeleteFunc(set, func(v graph.NodeID) bool { return !r.centre(r.old.G, v) && !r.centre(r.next.G, v) })
+	slices.Sort(set)
+	return slices.Compact(set), true
+}
+
+// within returns the x nodes of g within d undirected hops of v (none for
+// d < 0), once per batch for each (graph, node, distance).
+func (r *repair) within(g *graph.Graph, v graph.NodeID, d int) []graph.NodeID {
+	k := reachKey{g, v, d}
+	if near, ok := r.near[k]; ok {
+		return near
+	}
+	near := slices.DeleteFunc(g.AppendNeighborhood(nil, v, d), func(w graph.NodeID) bool { return !r.centre(g, w) })
+	r.near[k] = near
+	return near
+}
+
+// centre reports whether v is a node of g with the x label.
+func (r *repair) centre(g *graph.Graph, v graph.NodeID) bool {
+	return int(v) < g.NumNodes() && g.Label(v) == r.old.Pred.XLabel
+}
+
+// apply is the publish walk's decision for sr's entry ev (nil: a build in
+// flight). With no affected centre and unchanged snapshot-wide counts it
+// crosses as it is. Otherwise the affected centres' shares of a finished
+// entry — Q(c) before read from Matches, PR(c) before re-checked on the old
+// graph — are replaced by their shares on the new graph. A build in flight,
+// a rule without locality, and a set over the entry's Survivors (a
+// re-evaluation would confirm fewer centres) are dropped.
+func (r *repair) apply(sr *ServedRule, ev *RuleEval) (*RuleEval, bool) {
+	set, local := r.affected(sr)
+	switch {
+	case !local:
+		return nil, false
+	case len(set) == 0 && r.same:
+		return ev, true
+	case ev == nil || len(set) > ev.Survivors:
+		return nil, false
+	}
+	in := func(s []graph.NodeID) func(graph.NodeID) bool {
+		return func(v graph.NodeID) bool { _, ok := slices.BinarySearch(s, v); return ok }
+	}
+	was := in(ev.Matches)
+	pr0 := match.NewMatcher(sr.pr, r.old.G, match.Options{})
+	defer pr0.Release()
+	before := eip.EvalCenters(func(v graph.NodeID) bool { return was(v) && pr0.HasMatchAt(v) }, was, r.classify(r.old.G, set))
+	q1 := match.NewMatcher(sr.Rule.Q, r.next.G, match.Options{})
+	defer q1.Release()
+	pr1 := match.NewMatcher(sr.pr, r.next.G, match.Options{})
+	defer pr1.Release()
+	after := eip.EvalCenters(pr1.HasMatchAt, q1.HasMatchAt, r.classify(r.next.G, set))
+	slices.Sort(after.Q)
+	out := *ev
+	if inQ := slices.DeleteFunc(slices.Clone(set), func(v graph.NodeID) bool { return !was(v) }); !slices.Equal(inQ, after.Q) {
+		out.Matches = unionSorted([][]graph.NodeID{slices.DeleteFunc(slices.Clone(ev.Matches), in(inQ)), after.Q})
+	}
+	out.Stats.SuppR += after.R - before.R
+	out.Stats.SuppQqb += after.Qqb - before.Qqb
+	out.Stats.SuppQ, out.Stats.SuppQ1, out.Stats.SuppQbar = len(out.Matches), r.next.SuppQ1, r.next.SuppQbar
+	out.Conf = out.Stats.Conf()
+	out.Centres = len(r.next.G.NodesWithLabel(r.old.Pred.XLabel))
+	r.repaired++
+	r.centres += len(set)
+	return &out, true
+}
+
+// classify files the members of set that are centres of g by LCWA class.
+func (r *repair) classify(g *graph.Graph, set []graph.NodeID) eip.Centers {
+	cs := slices.DeleteFunc(slices.Clone(set), func(v graph.NodeID) bool { return !r.centre(g, v) })
+	return eip.ClassifyCenters(g, cs, r.old.Pred)
 }
 
 // Compact folds the served graph's delta overlay into a freshly frozen
@@ -242,7 +425,7 @@ func (s *Server) Compact() (uint64, bool, error) {
 // threshold tries again.
 func (s *Server) compactLocked(snap *Snapshot) (uint64, bool, error) {
 	next := DeriveDeltaSnapshot(snap, snap.G.CompactCopy(), s.cfg)
-	if _, err := s.publish(next, -1, nil); err != nil {
+	if _, err := s.publish(next, -1, nil, nil); err != nil {
 		s.nCompactAborts.Add(1)
 		return s.gen.Load(), false, err
 	}

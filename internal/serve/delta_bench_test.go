@@ -3,6 +3,7 @@ package serve
 import (
 	"testing"
 
+	"gpar/internal/core"
 	"gpar/internal/graph"
 )
 
@@ -64,5 +65,63 @@ func BenchmarkIdentifyWithOverlay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		delta.EvalRule(rules[i%len(rules)], pool)
+	}
+}
+
+// BenchmarkDeltaRepair is the ack cost of a delta batch on a rule's edge
+// label: one user–user edge, added and deleted on alternate iterations,
+// through ApplyDelta on benchSnapshot's rules. cold has no cached
+// evaluation to maintain; warm reads every rule before each batch (cache
+// hits once the first is evaluated), so each batch also re-checks the
+// centres the edge can affect. The gap is what the repair adds to the
+// ack. Recorded in BENCH_match.json by `make bench`.
+func BenchmarkDeltaRepair(b *testing.B) {
+	snap, served, _ := benchSnapshot(b)
+	g, xl := snap.G, snap.Pred.XLabel
+	var l graph.Label
+	for _, sr := range served {
+		for _, e := range sr.Rule.Q.Edges() {
+			if sr.Rule.Q.Label(e.From) == xl && sr.Rule.Q.Label(e.To) == xl {
+				l = e.Label
+			}
+		}
+	}
+	users := g.NodesWithLabel(xl)
+	u, v := users[0], users[1]
+	for _, w := range users[1:] {
+		if !g.HasEdge(u, w, l) {
+			v = w
+			break
+		}
+	}
+	rules := make([]*core.Rule, len(served))
+	for i, sr := range served {
+		rules[i] = sr.Rule
+	}
+	name := g.Symbols().Name(l)
+	batches := [2]DeltaRequest{
+		{Ops: []DeltaOpSpec{{Op: "addEdge", From: int32(u), To: int32(v), Label: name}}},
+		{Ops: []DeltaOpSpec{{Op: "delEdge", From: int32(u), To: int32(v), Label: name}}},
+	}
+	for _, warm := range []bool{false, true} {
+		b.Run(map[bool]string{false: "cold", true: "warm"}[warm], func(b *testing.B) {
+			s := New(Config{Workers: 4})
+			if err := s.LoadSnapshot(g, snap.Pred, rules); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if warm {
+					cur := s.Snapshot()
+					for _, sr := range cur.Rules {
+						s.identifyOne(cur, sr)
+					}
+				}
+				if _, err := s.ApplyDelta(batches[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

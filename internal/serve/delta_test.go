@@ -3,11 +3,15 @@ package serve
 import (
 	"net/http"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"gpar/internal/core"
 	"gpar/internal/gen"
 	"gpar/internal/graph"
+	"gpar/internal/match"
+	"gpar/internal/pattern"
 )
 
 // deltaJSON posts a delta batch and returns the status code plus response.
@@ -102,18 +106,13 @@ func TestDeltaEndpointSemantics(t *testing.T) {
 	}
 }
 
-// TestDeltaSelectiveInvalidation pins the carry invariant end to end: a
-// mutation farther than every rule's radius from any candidate keeps all
-// cache entries (hit counters prove it), a mutation at impact 1 — the LCWA
-// classification radius — drops everything, and one at impact 2 evicts the
-// radius-2 rule and carries the radius-1 one (impact = radius + 1).
+// TestDeltaSelectiveInvalidation pins the carry and the repair end to end:
+// a batch whose edges no rule can play keeps every entry as it is (hit
+// counters prove it), however near a candidate it lands, and a batch on a
+// rule's edge label repairs the entries it reaches, which then answer as
+// a fresh evaluation would.
 func TestDeltaSelectiveInvalidation(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{Workers: 2})
-	snap := s.Snapshot()
-	if snap.Rules[0].Radius != 2 || snap.Rules[1].Radius != 1 {
-		t.Fatalf("fixture radii (%d, %d), want (2, 1)", snap.Rules[0].Radius, snap.Rules[1].Radius)
-	}
-
 	base := identify(t, ts.URL) // fills the cache
 	warm := identify(t, ts.URL)
 	for i := range warm.Rules {
@@ -122,66 +121,56 @@ func TestDeltaSelectiveInvalidation(t *testing.T) {
 		}
 	}
 
-	// An island disconnected from every candidate: impact -1, both entries
-	// carried. The repeat identify hits the carried entries — hits rise by
-	// exactly the rule count, misses not at all.
-	before, _ := s.cacheStats()
-	code, dr := deltaJSON(t, ts.URL, `{"ops":[
-		{"op":"addNode","label":"island"},
-		{"op":"addNode","label":"island"}]}`)
-	if code != http.StatusAccepted || dr.RulesCarried != 2 || dr.RulesInvalidated != 0 {
-		t.Fatalf("island delta: %d %+v", code, dr)
-	}
-	carried := identify(t, ts.URL)
-	for i := range carried.Rules {
-		if !carried.Rules[i].Cached {
-			t.Errorf("rule %d lost its cache entry across an island delta", i)
+	// An island disconnected from every candidate, then a bridge from the
+	// bar — one hop from a cust — to it and on along the island: no rule
+	// has a bridge edge, so both batches carry both entries. The repeat
+	// identifies hit the carried entries — hits rise by exactly the rule
+	// count each, misses not at all.
+	for i, batch := range []string{
+		`{"ops":[{"op":"addNode","label":"island"},{"op":"addNode","label":"island"}]}`,
+		`{"ops":[{"op":"addEdge","from":10,"to":11,"label":"bridge"},{"op":"addEdge","from":11,"to":12,"label":"bridge"}]}`,
+	} {
+		before, _ := s.cacheStats()
+		code, dr := deltaJSON(t, ts.URL, batch)
+		if code != http.StatusAccepted || dr.RulesCarried != 2 || dr.RulesRepaired != 0 || dr.RulesInvalidated != 0 {
+			t.Fatalf("batch %d: %d %+v", i, code, dr)
+		}
+		carried := identify(t, ts.URL)
+		for r := range carried.Rules {
+			if !carried.Rules[r].Cached {
+				t.Errorf("batch %d: rule %d lost its cache entry", i, r)
+			}
+		}
+		if !reflect.DeepEqual(carried.Identified, base.Identified) {
+			t.Errorf("batch %d: carried answer drifted: %+v vs %+v", i, carried.Identified, base.Identified)
+		}
+		after, _ := s.cacheStats()
+		if after.Hits != before.Hits+2 || after.Misses != before.Misses {
+			t.Errorf("batch %d: carry changed counters: before %+v after %+v", i, before, after)
 		}
 	}
-	if carried.Generation != 2 || !reflect.DeepEqual(carried.Identified, base.Identified) {
-		t.Errorf("carried answer drifted: %+v vs %+v", carried.Identified, base.Identified)
-	}
-	after, _ := s.cacheStats()
-	if after.Hits != before.Hits+2 || after.Misses != before.Misses {
-		t.Errorf("carry changed counters: before %+v after %+v", before, after)
-	}
 
-	// Bridging the island to the bar puts a touched node at distance 1 from
-	// a cust candidate: the classification radius, and inside every rule's
-	// radius (none is below 1). Everything is dropped.
-	code, dr = deltaJSON(t, ts.URL, `{"ops":[{"op":"addEdge","from":10,"to":11,"label":"bridge"}]}`)
-	if code != http.StatusAccepted || dr.RulesCarried != 0 || dr.RulesInvalidated != 2 {
-		t.Fatalf("bridge delta: %d %+v", code, dr)
+	// Cust 6 befriends cust 4, who visits the bistro: both rules' x
+	// -friend-> y1 can play the edge, so both entries are repaired at the
+	// one centre it reaches, 6, and R1 now matches there.
+	code, dr := deltaJSON(t, ts.URL, `{"ops":[{"op":"addEdge","from":6,"to":4,"label":"friend"}]}`)
+	if code != http.StatusAccepted || dr.RulesCarried != 2 || dr.RulesRepaired != 2 || dr.RulesInvalidated != 0 {
+		t.Fatalf("friend delta: %d %+v", code, dr)
 	}
-	cold := identify(t, ts.URL)
-	for i := range cold.Rules {
-		if cold.Rules[i].Cached {
-			t.Errorf("rule %d cached after a radius-1 mutation", i)
+	checkResident(t, s)
+	repaired := identify(t, ts.URL)
+	for r := range repaired.Rules {
+		if !repaired.Rules[r].Cached {
+			t.Errorf("rule %d lost its cache entry to a repair", r)
 		}
 	}
-	identify(t, ts.URL) // refill
-
-	// Extending the island chain one hop out: the touched nodes are now at
-	// distances 2 (node 11, via the bar) and 3 (node 12) from the nearest
-	// candidate. Impact 2 reaches R1 (radius 2) but not R2 (radius 1).
-	code, dr = deltaJSON(t, ts.URL, `{"ops":[{"op":"addEdge","from":11,"to":12,"label":"bridge"}]}`)
-	if code != http.StatusAccepted || dr.RulesCarried != 1 || dr.RulesInvalidated != 1 {
-		t.Fatalf("chain delta: %d %+v", code, dr)
-	}
-	split := identify(t, ts.URL)
-	if split.Rules[0].Cached {
-		t.Errorf("R1 (radius 2) kept its entry through an impact-2 mutation")
-	}
-	if !split.Rules[1].Cached {
-		t.Errorf("R2 (radius 1) lost its entry to an impact-2 mutation")
-	}
-	if !reflect.DeepEqual(split.Identified, base.Identified) {
-		t.Errorf("island chain changed the answer: %+v vs %+v", split.Identified, base.Identified)
+	if got, was := repaired.Rules[0].Matches, base.Rules[0].Matches; got != was+1 {
+		t.Errorf("R1 matches %d before the friend edge, %d after; want cust 6 added", was, got)
 	}
 
 	var st StatsResponse
 	doJSON(t, "GET", ts.URL+"/stats", nil, &st)
-	if st.Delta.RulesCarried != 3 || st.Delta.RulesInvalidated != 3 {
+	if st.Delta.RulesCarried != 6 || st.Delta.RulesRepaired != 2 || st.Delta.CentresRepaired != 2 || st.Delta.RulesInvalidated != 0 {
 		t.Errorf("cumulative carry counters: %+v", st.Delta)
 	}
 }
@@ -342,5 +331,50 @@ func TestDeltaWarmMineCarry(t *testing.T) {
 	j3 := start()
 	if j3.Status != JobDone || j3.WarmStarted || j3.ServedGeneration != 3 {
 		t.Fatalf("post-invalidation job: %+v", j3)
+	}
+}
+
+// TestDeltaDisconnectedAntecedent: Q's y half (y -genre-> genre:pop) joins
+// x only through q(x, y), so Q(x) depends on it at any distance. Deleting
+// the only genre edge, held by a Disco node that no user likes and that has
+// no user within r(PR, x) = 2 hops, must change the answer at user 0.
+func TestDeltaDisconnectedAntecedent(t *testing.T) {
+	syms := graph.NewSymbols()
+	g := graph.New(syms)
+	u0, u1 := g.AddNode("user"), g.AddNode("user")
+	liked, far, pop := g.AddNode("music:Disco"), g.AddNode("music:Disco"), g.AddNode("genre:pop")
+	g.AddEdge(u0, u1, "follow")
+	g.AddEdge(u0, liked, "like_music")
+	g.AddEdge(far, pop, "genre")
+	pred := core.Predicate{XLabel: syms.Intern("user"), EdgeLabel: syms.Intern("like_music"), YLabel: syms.Intern("music:Disco")}
+	q := pattern.New(syms)
+	q.X = q.AddNode("user")
+	q.AddEdge(q.X, q.AddNode("user"), "follow")
+	q.Y = q.AddNode("music:Disco")
+	q.AddEdge(q.Y, q.AddNode("genre:pop"), "genre")
+	rule := &core.Rule{Q: q, Pred: pred}
+	if rule.Radius() != 2 {
+		t.Fatalf("r(PR, x) = %d, want 2", rule.Radius())
+	}
+	s := New(Config{Workers: 1})
+	if err := s.LoadSnapshot(g, pred, []*core.Rule{rule}); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	if ev, _, _, _ := s.identifyOne(snap, snap.Rules[0]); !slices.Equal(ev.Matches, []graph.NodeID{u0}) {
+		t.Fatalf("before the delta: matches %v, want [%d]", ev.Matches, u0)
+	}
+
+	dr, err := s.ApplyDelta(DeltaRequest{Ops: []DeltaOpSpec{{Op: "delEdge", From: int32(far), To: int32(pop), Label: "genre"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap = s.Snapshot()
+	ev, _, _, _ := s.identifyOne(snap, snap.Rules[0])
+	if want := core.Eval(snap.G, rule, match.Options{}, true); len(ev.Matches) != len(want.QSet) || ev.Stats != want.Stats {
+		t.Errorf("after the delta: matches %v %+v, core.Eval %v %+v", ev.Matches, ev.Stats, want.QSet, want.Stats)
+	}
+	if dr.RulesCarried != 0 || dr.RulesInvalidated != 1 {
+		t.Errorf("delta carried %d and dropped %d entries, want 0 and 1", dr.RulesCarried, dr.RulesInvalidated)
 	}
 }

@@ -135,8 +135,8 @@ type StatsResponse struct {
 	} `json:"requests"`
 	Jobs map[JobStatus]int `json:"jobs"`
 	// Delta reports live-graph maintenance: applied batches and ops, refused
-	// batches, the current snapshot's overlay state, selective match-set
-	// invalidation traffic (carried vs dropped entries), warm mine-result
+	// batches, the current snapshot's overlay state, match-set maintenance
+	// (entries carried, repaired and dropped; centres re-checked), warm mine-result
 	// hits, and compaction activity.
 	Delta struct {
 		Batches          int64 `json:"batches"`
@@ -145,6 +145,8 @@ type StatsResponse struct {
 		Overlaid         bool  `json:"overlaid"`
 		OverlayOps       int   `json:"overlayOps"`
 		RulesCarried     int64 `json:"rulesCarried"`
+		RulesRepaired    int64 `json:"rulesRepaired"`
+		CentresRepaired  int64 `json:"centresRepaired"`
 		RulesInvalidated int64 `json:"rulesInvalidated"`
 		WarmMineHits     int64 `json:"warmMineHits"`
 		Compactions      int64 `json:"compactions"`
@@ -530,6 +532,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	d.Batches, d.Ops, d.Rejected = s.nDeltaBatches.Load(), s.nDeltaOps.Load(), s.nDeltaRejects.Load()
 	d.RulesCarried, d.RulesInvalidated = s.nRuleCarried.Load(), s.nRuleInvalidated.Load()
+	d.RulesRepaired, d.CentresRepaired = s.nRuleRepaired.Load(), s.nCentresRepaired.Load()
 	d.WarmMineHits, d.Compactions, d.CompactAborts = s.nWarmMineHits.Load(), s.nCompactions.Load(), s.nCompactAborts.Load()
 	d.CompactThreshold = s.cfg.CompactThreshold
 	resp.PoolSize = s.pool.Size()

@@ -11,10 +11,11 @@ import (
 // bounded, locked LRU keyed by (generation, …). GetOrBuild builds a missing
 // value once for every concurrent caller; Get and Put read and insert
 // finished values; Retarget is the publish step's walk, which moves each
-// entry to the next generation's key or drops it. An entry enters the LRU
-// when its build starts, so eviction, Retarget, Remove and Purge treat a
-// build in flight like a finished value: they move or drop the memo's
-// reference, and whoever holds the entry still gets its value.
+// entry to the next generation's key (a finished value possibly replaced)
+// or drops it. An entry enters the LRU when its build starts, so eviction,
+// Retarget, Remove and Purge treat a build in flight like a finished value:
+// they move or drop the memo's reference, and whoever holds the entry still
+// gets its value.
 type memo[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
@@ -166,22 +167,35 @@ func (m *memo[K, V]) Put(key K, v V) {
 	m.built++
 }
 
-// Retarget is the publish step's walk: next maps each resident key, finished
-// or in flight, to its key in the new generation, or reports that the entry
-// does not survive the change. A moved build still delivers to its waiters
-// and then stays under its new key; two entries mapped to one key keep the
-// more recently used. A move is not an access, so recency and hits stay as
-// they are; a walk that drops anything counts as one purge. next runs
+// Retarget is the publish step's walk: next maps each resident entry, given
+// its value (the zero V for a build in flight), to its key in the new
+// generation and the value to keep there, or reports that it does not
+// survive. A finished entry's value is replaced (the old entry stays intact
+// for whoever holds it); a build in flight moves as it is, delivers to its
+// waiters and stays under its new key. Two entries mapped to one key keep
+// the more recently used. A move is not an access, so recency and hits stay
+// as they are; a walk that drops anything counts as one purge. next runs
 // under the memo's lock and must not call back into the memo. It returns
 // how many entries moved and how many were dropped.
-func (m *memo[K, V]) Retarget(next func(K) (K, bool)) (kept, dropped int) {
+func (m *memo[K, V]) Retarget(next func(K, V) (K, V, bool)) (kept, dropped int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	byKey := make(map[K]*list.Element, len(m.byKey))
 	for el := m.ll.Front(); el != nil; {
 		nx, e := el.Next(), el.Value.(*memoEntry[K, V])
-		if k, ok := next(e.key); ok && byKey[k] == nil {
-			e.key = k
+		var v V
+		done := false
+		select {
+		case <-e.done:
+			v, done = e.val, true
+		default:
+		}
+		if k, v, ok := next(e.key, v); ok && byKey[k] == nil {
+			if done {
+				el.Value = &memoEntry[K, V]{key: k, done: e.done, val: v}
+			} else {
+				e.key = k
+			}
 			byKey[k] = el
 			kept++
 		} else {
@@ -225,7 +239,7 @@ func (m *memo[K, V]) Remove(key K) bool {
 // Purge drops every entry — a walk that keeps nothing — and returns how
 // many were dropped.
 func (m *memo[K, V]) Purge() int {
-	_, n := m.Retarget(func(k K) (K, bool) { return k, false })
+	_, n := m.Retarget(func(k K, v V) (K, V, bool) { return k, v, false })
 	return n
 }
 

@@ -251,11 +251,11 @@ func TestCacheConcurrentAccess(t *testing.T) {
 					m.Remove(k)
 				case 1:
 					to := fmt.Sprintf("k%d", (i+j+1)%32)
-					m.Retarget(func(key string) (string, bool) {
+					m.Retarget(func(key string, v int) (string, int, bool) {
 						if key == k {
-							return to, true
+							return to, v, true
 						}
-						return key, true
+						return key, v, true
 					})
 				default:
 					if v, _, err := m.GetOrBuild(k, func() (int, error) { return j, nil }); err != nil || v < 0 {
@@ -295,7 +295,7 @@ func TestRetargetMovesInFlightBuild(t *testing.T) {
 		waiter <- v
 	}()
 	waitCoalesced(t, m, 1)
-	kept, dropped := m.Retarget(func(k string) (string, bool) { return "new" + k[3:], k == "old-a" })
+	kept, dropped := m.Retarget(func(k string, v int) (string, int, bool) { return "new" + k[3:], v, k == "old-a" })
 	if kept != 1 || dropped != 1 || resident(m, "old-a") || resident(m, "new-b") || !resident(m, "new-a") {
 		t.Fatalf("retarget kept %d, dropped %d", kept, dropped)
 	}
@@ -422,6 +422,7 @@ func TestDeltaCarriesEvaluationInFlight(t *testing.T) {
 	s, url, finish := heldEvaluation(t)
 	code, dr := deltaJSON(t, url, `{"ops":[{"op":"addNode","label":"island"}]}`)
 	if code != http.StatusAccepted || dr.RulesCarried != 1 || dr.RulesInvalidated != 0 {
+		finish()
 		t.Fatalf("island delta: %d %+v", code, dr)
 	}
 	held := finish()
@@ -441,17 +442,17 @@ func TestDeltaCarriesEvaluationInFlight(t *testing.T) {
 	}
 }
 
-// TestDeltaDropsAffectedEvaluationInFlight: a delta inside the rule's radius
-// drops the running evaluation's entry; the caller waiting on it still gets
-// its answer, and the new generation evaluates afresh.
+// TestDeltaDropsAffectedEvaluationInFlight: a delta that reaches the rule
+// drops the running evaluation's entry, which has no value to repair yet;
+// the caller waiting on it still gets its answer, and the new generation
+// evaluates afresh.
 func TestDeltaDropsAffectedEvaluationInFlight(t *testing.T) {
 	s, url, finish := heldEvaluation(t)
-	// A new node hung off the bar: distance 1 from a cust candidate.
-	code, dr := deltaJSON(t, url, `{"ops":[
-		{"op":"addNode","label":"island"},
-		{"op":"addEdge","from":10,"to":11,"label":"bridge"}]}`)
+	// A friend edge at cust 6 can play R2's x -friend-> y1.
+	code, dr := deltaJSON(t, url, `{"ops":[{"op":"addEdge","from":6,"to":4,"label":"friend"}]}`)
 	if code != http.StatusAccepted || dr.RulesCarried != 0 || dr.RulesInvalidated != 1 {
-		t.Fatalf("bridge delta: %d %+v", code, dr)
+		finish()
+		t.Fatalf("friend delta: %d %+v", code, dr)
 	}
 	if held := finish(); held.Generation != 1 || len(held.Rules) != 1 {
 		t.Fatalf("held identify answered %+v, want its generation-1 answer", held)

@@ -298,13 +298,16 @@ func (md *model) do(method, path string, body []byte, out any) (int, []byte) {
 }
 
 // newModel reads the header byte of in and loads the fixture: a 120-user
-// Pokec graph serving two rules of a four-rule pool. Header bits: 0–1 the
+// Pokec graph serving two rules of a five-rule pool: four from gen.Rules
+// and a hangingRule whose y half, some user -q-> y, can change every
+// centre's answer at once. Header bits: 0–1 the
 // fan-out, 2 a one-entry cache, 3 SyncNone, 4 a compaction threshold of 6
 // overlay ops (randBatch draws 2–6 per batch).
 func newModel(t *testing.T, in []byte) *model {
 	syms := graph.NewSymbols()
 	g := gen.Pokec(syms, gen.DefaultPokec(120, 1))
 	pred, pool := supportedRules(t, g, 4)
+	pool = append(pool, hangingRule(syms, pred, syms.Name(pred.EdgeLabel), syms.Name(pred.XLabel), false))
 	fs := diskfault.NewMemFS()
 	md := &model{t: t, fs: fs, in: in, pred: pred, pool: pool, rules: pool[:2], ckpt: 1, states: []*wireModel{newWireModel(g)}, overlay: []int{0}}
 	hdr := md.next()
@@ -618,6 +621,9 @@ func FuzzServeModel(f *testing.F) {
 		// The same under SyncNone, with a torn crash between crossings.
 		prog(0x1a, opDelta, 29, opDelta, 30, opDelta, 31, opCrash, crashTornPayload, 32, opDelta, 33,
 			opDelta, 34, opIdentify, 3, opCrash, crashClean, opDelta, 35),
+		// The hanging rule served, cached and then reached by the relabel of
+		// the one Disco node, far as that is from most users.
+		prog(0x00, opPutRules, 0b10001, opRawDelta, noDisco, opRawDelta, disco, opIdentify, 2),
 	} {
 		f.Add(in)
 	}

@@ -19,8 +19,8 @@
 //     identify calls for one rule share one execution), finished mine
 //     results (a repeated job is answered without mining) and mine.Context
 //     values (a hit saves about 180 ns; the benchmark reads its ratio). One
-//     publish step installs every generation, and one reach rule decides
-//     which entries cross to it.
+//     publish step installs every generation: match sets cross a delta
+//     batch repaired at the centres it can affect, mine results by reach.
 //   - Pool: a bounded worker pool shared by all requests; per-rule
 //     evaluation fans out over the snapshot's chunks through it, so
 //     total matching concurrency is bounded no matter how many clients
@@ -170,7 +170,9 @@ type Server struct {
 	nDeltaBatches    atomic.Int64 // delta batches applied
 	nDeltaOps        atomic.Int64 // delta ops applied across all batches
 	nDeltaRejects    atomic.Int64 // delta batches refused (400 or 409)
-	nRuleCarried     atomic.Int64 // match-set cache entries carried across deltas
+	nRuleCarried     atomic.Int64 // match-set cache entries carried across deltas, repairs included
+	nRuleRepaired    atomic.Int64 // match-set cache entries repaired across deltas
+	nCentresRepaired atomic.Int64 // affected centres the repairs re-checked
 	nRuleInvalidated atomic.Int64 // match-set cache entries dropped by deltas
 	nWarmMineHits    atomic.Int64 // mine jobs answered from a finished result
 	nCompactions     atomic.Int64 // overlay compactions installed
@@ -234,7 +236,7 @@ func (s *Server) loadLocked(g *graph.Graph, pred core.Predicate, rules []*core.R
 	if prev := s.snap.Load(); prev != nil && prev.G == g {
 		impact = -1
 	}
-	if _, err := s.publish(snap, impact, nil); err != nil {
+	if _, err := s.publish(snap, impact, nil, nil); err != nil {
 		return 0, err
 	}
 	return snap.Gen, nil
@@ -247,13 +249,13 @@ type carried struct{ rules, dropped, mined int }
 // publish is the one step that installs a generation. It assigns next.Gen,
 // makes it durable — a WAL record for a delta batch (req non-nil), a
 // checkpoint otherwise — and rolls the generation back if that fails. Then
-// one reach rule decides what crosses to it, impact being how near the
-// change comes to an x-labelled node (-1: the logical graph is unchanged):
-// a match-set evaluation crosses iff next still serves its rule and impact
-// is -1 or exceeds the rule's radius, a finished mine result iff impact is
-// -1 or exceeds minedKey.reach, and a mine context never. Caller holds
-// swapMu.
-func (s *Server) publish(next *Snapshot, impact int, req *DeltaRequest) (carried, error) {
+// it decides what crosses to it. impact is how near the change comes to an
+// x-labelled node (-1: the logical graph is unchanged). A finished mine
+// result crosses iff impact is -1 or exceeds minedKey.reach, a mine context
+// never. A match-set evaluation crosses only if next still serves its rule:
+// as it is when impact is -1, as rep repairs it for a delta batch, and
+// never otherwise. Caller holds swapMu.
+func (s *Server) publish(next *Snapshot, impact int, rep *repair, req *DeltaRequest) (carried, error) {
 	next.Gen = s.gen.Add(1)
 	if err := s.persistGen(next, req); err != nil {
 		s.gen.Store(next.Gen - 1)
@@ -261,15 +263,18 @@ func (s *Server) publish(next *Snapshot, impact int, req *DeltaRequest) (carried
 	}
 	var c carried
 	prev := next.Gen - 1 // the served generation: swapMu orders publishes
-	beyond := func(reach int) bool { return impact == -1 || impact > reach }
-	c.rules, c.dropped = s.cache.Retarget(func(k evalKey) (evalKey, bool) {
-		sr, served := next.byKey[k.rule]
-		return evalKey{next.Gen, k.rule}, k.gen == prev && served && beyond(sr.Radius)
+	c.rules, c.dropped = s.cache.Retarget(func(k evalKey, ev *RuleEval) (evalKey, *RuleEval, bool) {
+		sr, ok := next.byKey[k.rule]
+		ok = ok && k.gen == prev && (impact == -1 || rep != nil)
+		if ok && rep != nil {
+			ev, ok = rep.apply(sr, ev)
+		}
+		return evalKey{next.Gen, k.rule}, ev, ok
 	})
-	c.mined, _ = s.mined.Retarget(func(k minedKey) (minedKey, bool) {
-		ok := k.gen == prev && beyond(k.reach())
+	c.mined, _ = s.mined.Retarget(func(k minedKey, res *mine.Result) (minedKey, *mine.Result, bool) {
+		ok := k.gen == prev && (impact == -1 || impact > k.reach())
 		k.gen = next.Gen
-		return k, ok
+		return k, res, ok
 	})
 	s.mineCtx.Purge()
 	s.snap.Store(next)
@@ -344,8 +349,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // evalKey names one rule's evaluation in the match-set memo. publish moves
-// the entries a change cannot reach to the new generation and drops the
-// rest.
+// the entries that survive a change to the new generation, repaired when a
+// delta batch reaches them, and drops the rest.
 type evalKey struct {
 	gen  uint64
 	rule string // ServedRule.Key

@@ -18,7 +18,7 @@ type ServedRule struct {
 	Key     string // core.Rule.Key(), the cache identity
 	Rule    *core.Rule
 	Display string // Rule.String(), rendered at build time
-	Radius  int    // r(PR, x): how far a delta must stay away to leave the rule's answer alone
+	Radius  int    // r(PR, x), as /v1/rules shows it
 	Size    int    // |Q|
 
 	// pr is Rule.PR() materialized once at build time (Rule.PR() clones per
@@ -41,9 +41,6 @@ type Snapshot struct {
 	// each classified once under the LCWA: the unit of EvalRule's fan-out.
 	// Every chunk reads the one shared graph.
 	chunks []eip.Centers
-	// D is the largest rule radius: the farthest any rule looks from a
-	// candidate, and so the bound of the delta impact probe.
-	D int
 	// SuppQ1 and SuppQbar are supp(q,G) and supp(q̄,G): the LCWA
 	// classification of candidates, shared by every rule of the predicate.
 	SuppQ1   int
@@ -74,8 +71,8 @@ func BuildSnapshot(g *graph.Graph, pred core.Predicate, rules []*core.Rule, cfg 
 		if r.Pred != pred {
 			return nil, fmt.Errorf("serve: rule %d pertains to a different predicate", i)
 		}
-		// The delta carry rule bounds a rule's reach by its radius: PR must
-		// be connected (Section 2.2) with y distinct from x.
+		// A delta batch finds the centres it can affect by distances in PR:
+		// PR must be connected (Section 2.2) with y distinct from x.
 		if rad := r.Radius(); rad < 1 {
 			return nil, fmt.Errorf("serve: rule %d: r(PR, x) = %d, want >= 1 with every node reachable from x", i, rad)
 		}
@@ -88,7 +85,6 @@ func BuildSnapshot(g *graph.Graph, pred core.Predicate, rules []*core.Rule, cfg 
 		Pred:        pred,
 		PredDisplay: pred.String(g.Symbols()),
 		byKey:       make(map[string]*ServedRule, len(rules)),
-		D:           eip.MaxRadius(rules),
 	}
 	for i, r := range rules {
 		sr := &ServedRule{
@@ -125,7 +121,6 @@ func newSnapshot(from *Snapshot, g *graph.Graph, cfg Config) *Snapshot {
 		PredDisplay: from.PredDisplay,
 		Rules:       from.Rules,
 		byKey:       from.byKey,
-		D:           from.D,
 	}
 	cands := g.NodesWithLabel(snap.Pred.XLabel)
 	n := cfg.defaults().Workers

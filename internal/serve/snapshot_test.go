@@ -103,11 +103,11 @@ func TestEvalRuleQbarOnlyCenters(t *testing.T) {
 	}
 }
 
-// TestBuildSnapshotRadiusAtLeastOne pins what the delta carry rule leans on:
-// a served rule's r(PR, x) is never below 1, so "impact ≤ radius" already
-// covers every batch inside the LCWA classification radius. PR always holds
-// q(x,y); the two ways under 1 — a node x cannot reach (radius -1) and a
-// consequent that loops back onto x (radius 0) — are refused at the door.
+// TestBuildSnapshotRadiusAtLeastOne pins what the delta repair leans on: a
+// served rule's r(PR, x) is never below 1, so x reaches every node of PR
+// and the repair's distances in PR are finite. PR always holds q(x,y); the
+// two ways under 1 — a node x cannot reach (radius -1) and a consequent
+// that loops back onto x (radius 0) — are refused at the door.
 func TestBuildSnapshotRadiusAtLeastOne(t *testing.T) {
 	g, pred, rules := fixture(t)
 	// The smallest antecedent there is: x alone.
