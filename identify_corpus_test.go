@@ -43,7 +43,9 @@ type corpusCase struct {
 // three items every user is wired to, so one hop from any candidate reaches
 // a node whose in-range is every user. Each comes with a mined single-edge
 // rule, the two-edge "shares an item with another user" shape over item,
-// and a |Vp| 4 / |Ep| 5 pattern from gen.Rules.
+// a |Vp| 4 / |Ep| 5 pattern from gen.Rules, and two-edge shapes — one of
+// them, x>user>y, with a node carrying the predicate's y label, so PR's y
+// can collide with it and its PR check is a search (core.Rule.YFree).
 func identifyCorpus(tb testing.TB, users int) []corpusCase {
 	tb.Helper()
 	pokec := gen.Pokec(graph.NewSymbols(), gen.DefaultPokec(users, 1))
@@ -119,6 +121,7 @@ func identifyCorpus(tb testing.TB, users int) []corpusCase {
 			{"user>x,user>city", twoEdge(false, false, "live_in", "city:00")},
 			{"x>user>attr", twoEdge(true, false, c.attrEdge, c.attr)},
 			{"user>x,user>item", twoEdge(false, false, c.itemEdge, c.item)},
+			{"x>user>y", twoEdge(true, false, c.g.Symbols().Name(c.pred.EdgeLabel), c.g.Symbols().Name(c.pred.YLabel))},
 		}
 	}
 	return cases
@@ -179,6 +182,9 @@ func TestEvalRuleCorpus(t *testing.T) {
 				{"frozen", frozen},
 				{"overlaid", serve.DeriveDeltaSnapshot(frozen, overlaid, cfg)},
 				{"compacted", serve.DeriveDeltaSnapshot(frozen, overlaid.CompactCopy(), cfg)},
+			}
+			if !slices.ContainsFunc(rules, func(r *core.Rule) bool { return !r.YFree() }) {
+				t.Error("every corpus rule is y-free: no EvalRule here searches PR")
 			}
 			for _, st := range states {
 				for i, sr := range st.snap.Rules {

@@ -78,6 +78,19 @@ func (r *Rule) PRInto(dst *pattern.Pattern) *pattern.Pattern {
 	return p
 }
 
+// YFree reports whether Q designates no y and no node of Q, x included,
+// carries the consequent's y label. PR's fresh y then cannot collide with
+// any image of Q, so at a Pq centre PR matches exactly where Q does:
+// PR(x,G) = Q(x,G) ∩ Pq(x,G).
+func (r *Rule) YFree() bool {
+	for u := range r.Q.NumNodes() {
+		if r.Q.Label(u) == r.Pred.YLabel {
+			return false
+		}
+	}
+	return r.Q.Y == pattern.NoNode
+}
+
 // Radius returns r(PR, x), the radius the DMP bound d constrains.
 func (r *Rule) Radius() int {
 	return r.PR().RadiusAt(r.Q.X)

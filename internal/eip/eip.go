@@ -153,17 +153,22 @@ type Partial struct {
 // center (matchers on the centers' graph, in gpard restricted to its
 // semi-join filter's per-node sets; the caller decides how they search).
 // Pq members try PR first, and a PR match is a Q match (Example 10's
-// containment reuse), so the Q check is skipped; q̄ members' Q matches
+// containment reuse), so the Q check is skipped. A nil matchPR means the
+// converse holds too (core.Rule.YFree): a Pq member's Q match is its PR
+// match, and it is tried once. q̄ members' Q matches
 // count for supp(Qq̄); every Q match is a potential customer. It is the one
 // copy of this loop: the batch algorithms here and gpard's
 // Snapshot.EvalRule (internal/serve) both call it.
 func EvalCenters(matchPR, matchQ func(graph.NodeID) bool, c Centers) Partial {
 	var p Partial
 	for _, v := range c.Pq {
-		if matchPR(v) {
+		if matchPR != nil && matchPR(v) {
 			p.R++
 			p.Q = append(p.Q, v)
 		} else if matchQ(v) {
+			if matchPR == nil {
+				p.R++
+			}
 			p.Q = append(p.Q, v)
 		}
 	}

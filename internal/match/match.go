@@ -305,7 +305,8 @@ func (m *Matcher) consistent(u int, v graph.NodeID, skip int32) bool {
 
 // hasDataEdge tests from -l-> to against the frozen graph by binary-
 // searching only the label-contiguous CSR range, falling to a linear scan
-// on the short tail.
+// on the short tail. The scan runs to the range's end: the bisection's
+// last probe, r[hi], may be the match.
 func (m *Matcher) hasDataEdge(from, to graph.NodeID, l graph.Label) bool {
 	r := m.g.OutRangeL(from, l) // sorted by To within the label range
 	lo, hi := 0, len(r)
@@ -317,7 +318,7 @@ func (m *Matcher) hasDataEdge(from, to graph.NodeID, l graph.Label) bool {
 			hi = mid
 		}
 	}
-	for ; lo < hi; lo++ {
+	for ; lo < len(r); lo++ {
 		if r[lo].To >= to {
 			return r[lo].To == to
 		}

@@ -115,3 +115,57 @@ func TestQuickAnchoredAgainstOracle(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// bisectionInstance is a hub "a" with k "b" spokes it points to, of which
+// only spokes[target] points back; two more "a" nodes point at that spoke,
+// so its in-range outgrows its out-range. The reciprocal pattern x(b) ⇄
+// y(a) anchored at the spoke then binds y = hub through the spoke's
+// one-entry out-range and checks the closing edge hub → spoke with
+// hasDataEdge on the hub's k-entry range, where the spoke sits at index
+// target.
+func bisectionInstance(k, target int) (*graph.Graph, *pattern.Pattern, graph.NodeID) {
+	g := graph.New(nil)
+	hub := g.AddNode("a")
+	spokes := make([]graph.NodeID, k)
+	for i := range spokes {
+		spokes[i] = g.AddNode("b")
+		g.AddEdge(hub, spokes[i], "e")
+	}
+	t := spokes[target]
+	g.AddEdge(t, hub, "e")
+	for range 2 {
+		g.AddEdge(g.AddNode("a"), t, "e")
+	}
+	p := pattern.New(g.Symbols())
+	p.X = p.AddNode("b")
+	y := p.AddNode("a")
+	p.AddEdge(p.X, y, "e")
+	p.AddEdge(y, p.X, "e")
+	return g, p, t
+}
+
+// TestClosingEdgeOnLongRangeAgainstOracle: a closing edge whose label range
+// is long enough to be bisected (more than 8 entries) is found wherever its
+// target sits in the range — the bisection's last probe included. A 9-entry
+// range with the target at index 4 is the shape that first exposed a scan
+// that stopped short of that probe.
+func TestClosingEdgeOnLongRangeAgainstOracle(t *testing.T) {
+	for _, k := range []int{9, 10, 16, 17, 40} {
+		for target := range k {
+			g, p, v := bisectionInstance(k, target)
+			if r := g.OutRangeL(0, g.Symbols().Lookup("e")); len(r) != k || r[target].To != v {
+				t.Fatalf("k=%d target=%d: hub's range %v does not hold %d at index %d", k, target, r, v, target)
+			}
+			want := bruteForceCount(p, g)
+			if want != 1 {
+				t.Fatalf("k=%d target=%d: oracle counts %d embeddings, want 1", k, target, want)
+			}
+			if got := Enumerate(p, g, Options{}, nil); got != want {
+				t.Errorf("k=%d target=%d: Enumerate = %d, oracle %d", k, target, got, want)
+			}
+			if !HasMatchAt(p, g, v, Options{}) {
+				t.Errorf("k=%d target=%d: HasMatchAt(%d) = false, oracle matches", k, target, v)
+			}
+		}
+	}
+}

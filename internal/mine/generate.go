@@ -72,8 +72,13 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 
 			msg := message{worker: w.id, parent: parent.id, ext: acc.ext}
 			mq, mr, mqb := w.ar.q.mark(), w.ar.r.mark(), w.ar.qqb.mark()
-			// One pooled matcher per child rule, reused across all centers.
-			prm := match.NewMatcher(pr, w.frag.G, opts)
+			// One pooled matcher per child rule, reused across all centers;
+			// none for a y-free child, whose PR matches at every Pq center
+			// Q does (every center of acc does).
+			var prm *match.Matcher
+			if !child.YFree() {
+				prm = match.NewMatcher(pr, w.frag.G, opts)
+			}
 			for _, c := range acc.centers {
 				gv := w.frag.Global(c)
 				w.ar.q.push(gv)
@@ -82,12 +87,14 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 				}
 				if w.pq[c] {
 					w.ops++
-					if prm.HasMatchAt(c) {
+					if prm == nil || prm.HasMatchAt(c) {
 						w.ar.r.push(gv)
 					}
 				}
 			}
-			prm.Release()
+			if prm != nil {
+				prm.Release()
+			}
 			msg.qCenters = w.ar.q.take(mq)
 			msg.rSet = w.ar.r.take(mr)
 			msg.qqbCenters = w.ar.qqb.take(mqb)

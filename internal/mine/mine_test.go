@@ -70,6 +70,45 @@ func TestDMineFindsRulesOnG1(t *testing.T) {
 	}
 }
 
+// TestDMineSigmaAgainstEval: every rule DMine keeps — all of Σ, not only
+// the top-k — carries the supports and confidence the sequential reference
+// evaluation (core.Eval, which always searches PR) computes, for every
+// predicate of a Pokec-like and a Google+-like graph. Both the y-free
+// children, whose PR check DMine reads off their Q centers, and the rest,
+// whose PR it searches, are covered.
+func TestDMineSigmaAgainstEval(t *testing.T) {
+	syms := graph.NewSymbols()
+	graphs := []struct {
+		name  string
+		g     *graph.Graph
+		preds []core.Predicate
+	}{
+		{"pokec", gen.Pokec(syms, gen.DefaultPokec(300, 3)), gen.PokecPredicates(syms)},
+		{"gplus", gen.Gplus(syms, gen.DefaultGplus(300, 3)), gen.GplusPredicates(syms)},
+	}
+	opts := baseOpts()
+	opts.MaxEdges = 2
+	for _, tc := range graphs {
+		yFree, checked := 0, 0
+		for _, pred := range tc.preds {
+			for _, mm := range DMine(tc.g, pred, opts).All {
+				checked++
+				if mm.Rule.YFree() {
+					yFree++
+				}
+				ref := core.Eval(tc.g, mm.Rule, match.Options{}, false)
+				if ref.Stats.SuppR != mm.Stats.SuppR || ref.Stats.SuppQqb != mm.Stats.SuppQqb || math.Abs(ref.Stats.Conf()-mm.Conf) > 1e-9 {
+					t.Errorf("%s %s: mined supp(R)=%d supp(Qq̄)=%d conf=%v, reference %d %d %v", tc.name, mm.Rule,
+						mm.Stats.SuppR, mm.Stats.SuppQqb, mm.Conf, ref.Stats.SuppR, ref.Stats.SuppQqb, ref.Stats.Conf())
+				}
+			}
+		}
+		if yFree == 0 || yFree == checked {
+			t.Errorf("%s: %d of %d mined rules are y-free; the oracle must see both kinds", tc.name, yFree, checked)
+		}
+	}
+}
+
 // TestDMineDiscoversHighConfidenceFriendRule: on G1, the rule "x friend x',
 // x' visits y" predicts visits with BF confidence 1.0 (all five q-matches
 // satisfy it, and the one q̄ node matches its antecedent). With λ = 0 the

@@ -356,7 +356,8 @@ func (r *repair) centre(g *graph.Graph, v graph.NodeID) bool {
 // flight). With no affected centre and unchanged snapshot-wide counts it
 // crosses as it is. Otherwise the affected centres' shares of a finished
 // entry — Q(c) before read from Matches, PR(c) before re-checked on the old
-// graph — are replaced by their shares on the new graph. A build in flight,
+// graph (or read from Matches too, for a y-free rule) — are replaced by
+// their shares on the new graph. A build in flight,
 // a rule without locality, and a set over the entry's Survivors (a
 // re-evaluation would confirm fewer centres) are dropped.
 func (r *repair) apply(sr *ServedRule, ev *RuleEval) (*RuleEval, bool) {
@@ -373,14 +374,19 @@ func (r *repair) apply(sr *ServedRule, ev *RuleEval) (*RuleEval, bool) {
 		return func(v graph.NodeID) bool { _, ok := slices.BinarySearch(s, v); return ok }
 	}
 	was := in(ev.Matches)
-	pr0 := match.NewMatcher(sr.pr, r.old.G, match.Options{})
-	defer pr0.Release()
-	before := eip.EvalCenters(func(v graph.NodeID) bool { return was(v) && pr0.HasMatchAt(v) }, was, r.classify(r.old.G, set))
+	var wasR, isR func(graph.NodeID) bool // nil for a y-free rule
+	if !sr.Rule.YFree() {
+		pr0 := match.NewMatcher(sr.pr, r.old.G, match.Options{})
+		defer pr0.Release()
+		pr1 := match.NewMatcher(sr.pr, r.next.G, match.Options{})
+		defer pr1.Release()
+		wasR = func(v graph.NodeID) bool { return was(v) && pr0.HasMatchAt(v) }
+		isR = pr1.HasMatchAt
+	}
+	before := eip.EvalCenters(wasR, was, r.classify(r.old.G, set))
 	q1 := match.NewMatcher(sr.Rule.Q, r.next.G, match.Options{})
 	defer q1.Release()
-	pr1 := match.NewMatcher(sr.pr, r.next.G, match.Options{})
-	defer pr1.Release()
-	after := eip.EvalCenters(pr1.HasMatchAt, q1.HasMatchAt, r.classify(r.next.G, set))
+	after := eip.EvalCenters(isR, q1.HasMatchAt, r.classify(r.next.G, set))
 	slices.Sort(after.Q)
 	out := *ev
 	if inQ := slices.DeleteFunc(slices.Clone(set), func(v graph.NodeID) bool { return !was(v) }); !slices.Equal(inQ, after.Q) {

@@ -79,18 +79,15 @@ func BenchmarkMineJobWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkMineJobSteady is one in-process job as a warmed-up gpard runs it
-// on the end-to-end benchmark's mine-jobs workload: the Google+-style graph
-// of 5 000 users read back from its text form (file interning order, as
-// benchmark/inputs.go does), that workload's parameters — the predicates in
-// turn, σ stepping up from 4 once per pass over them, in a cycle of four so
-// an iteration's work does not drift with b.N — and one worker per slot of
-// a gate of one, gpard's mine gate on two cores, drawn from the mine
-// package's pool. This is
-// the hub-shaped regime: embeddings run through high-degree school, major
-// and employer nodes, where the Pokec-like graph of the other mining
-// benchmarks has few. Recorded in BENCH_mine.json by `make bench`.
-func BenchmarkMineJobSteady(b *testing.B) {
+// gplusMineInput is the end-to-end benchmark's mine-jobs input: the
+// Google+-style graph of 5 000 users read back from its text form (file
+// interning order, as benchmark/inputs.go does), its five predicates, and
+// that workload's job parameters (σ is the caller's) on one worker per slot
+// of a gate of one, gpard's mine gate on two cores. This is the hub-shaped regime:
+// embeddings run through high-degree school, major and employer nodes,
+// where the Pokec-like graph of the other mining benchmarks has few.
+func gplusMineInput(b *testing.B) (*graph.Graph, []core.Predicate, mine.Options) {
+	b.Helper()
 	var buf bytes.Buffer
 	if _, err := gen.Gplus(graph.NewSymbols(), gen.DefaultGplus(5000, 1)).WriteTo(&buf); err != nil {
 		b.Fatal(err)
@@ -101,12 +98,40 @@ func BenchmarkMineJobSteady(b *testing.B) {
 		b.Fatal(err)
 	}
 	g.Freeze()
-	preds := gen.GplusPredicates(syms)
 	gate := mine.NewGate(1)
 	opts := mine.Options{
 		K: 8, D: 2, Lambda: 0.5, N: gate.Size(), MaxEdges: 2, MaxCandidatesPerRound: 40,
 		Gate: gate,
 	}.Defaults()
+	return g, gen.GplusPredicates(syms), opts
+}
+
+// BenchmarkMineJobGplus is one mine-jobs job per op for each predicate at
+// the workload's σ of 4, on a resident context: where a job's time goes,
+// predicate by predicate. Recorded in BENCH_mine.json by `make bench`.
+func BenchmarkMineJobGplus(b *testing.B) {
+	g, preds, opts := gplusMineInput(b)
+	opts.Sigma = 4
+	for _, pred := range preds {
+		ctx := mine.NewContext(g, pred.XLabel, opts)
+		b.Run(g.Symbols().Name(pred.YLabel), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if res, err := mine.DMineCtx(ctx, pred, opts); err != nil || len(res.TopK) == 0 {
+					b.Fatalf("no rules mined (err=%v)", err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMineJobSteady is one in-process job as a warmed-up gpard runs it
+// on mine-jobs (gplusMineInput): the predicates in turn, σ stepping up from
+// 4 once per pass over them, in a cycle of four so an iteration's work does
+// not drift with b.N, on workers drawn from the mine package's pool.
+// Recorded in BENCH_mine.json by `make bench`.
+func BenchmarkMineJobSteady(b *testing.B) {
+	g, preds, opts := gplusMineInput(b)
 	cache := newMemo[MineCtxKey, *mine.Context](4)
 	job := func(i int) {
 		pred := preds[i%len(preds)]

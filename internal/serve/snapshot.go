@@ -142,30 +142,35 @@ func (s *Snapshot) RuleByKey(key string) (*ServedRule, bool) {
 
 // EvalRule computes the rule's match set and statistics in two pool rounds:
 // one task runs match.NewFilter, whose per-node sets hold every match of Q
-// and so of PR ⊇ Q; then one task per chunk binds two pooled plain
-// matchers to the shared graph, restricts both to the filter's sets, and
-// runs eip.EvalCenters — Keep, then early-terminating HasMatchAt that
-// descends only into nodes the sets admit, and the PR ⇒ Q containment
-// reuse of Example 10. The chunk tasks read the sets concurrently; the
-// filter is released after every task has returned.
+// and so of PR ⊇ Q; then one task per chunk binds pooled plain matchers to
+// the shared graph — Q's, and PR's unless the rule is y-free
+// (core.Rule.YFree: PR ⇔ Q at a Pq centre) — restricts them to the
+// filter's sets, and runs eip.EvalCenters — Keep, then early-terminating
+// HasMatchAt that descends only into nodes the sets admit, and the PR ⇒ Q
+// containment reuse of Example 10. The chunk tasks read the sets
+// concurrently; the filter is released after every task has returned.
 func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
 	var f *match.Filter
 	pool.runOne(func() { f = match.NewFilter(sr.Rule.Q, s.G) })
 	defer f.Release()
 	parts := make([]eip.Partial, len(s.chunks))
 	tasks := make([]func(), len(s.chunks))
+	yFree := sr.Rule.YFree()
 	for i, c := range s.chunks {
 		tasks[i] = func() {
 			qm := match.NewMatcher(sr.Rule.Q, s.G, match.Options{})
 			defer qm.Release()
-			prm := match.NewMatcher(sr.pr, s.G, match.Options{})
-			defer prm.Release()
 			f.Restrict(qm)
-			f.Restrict(prm)
 			// HasMatchAt rejects x outside S(x) too, but Keep inlines here
 			// and saves a call per rejected centre.
-			parts[i] = eip.EvalCenters(
-				func(v graph.NodeID) bool { return f.Keep(v) && prm.HasMatchAt(v) },
+			var matchPR func(graph.NodeID) bool
+			if !yFree {
+				prm := match.NewMatcher(sr.pr, s.G, match.Options{})
+				defer prm.Release()
+				f.Restrict(prm)
+				matchPR = func(v graph.NodeID) bool { return f.Keep(v) && prm.HasMatchAt(v) }
+			}
+			parts[i] = eip.EvalCenters(matchPR,
 				func(v graph.NodeID) bool { return f.Keep(v) && qm.HasMatchAt(v) },
 				c)
 		}
