@@ -247,15 +247,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := Stats{SuppR: 1, SuppQ: 2, SuppQqb: 3, SuppQ1: 4, SuppQbar: 5}
-	b := Stats{SuppR: 10, SuppQ: 20, SuppQqb: 30, SuppQ1: 40, SuppQbar: 50}
-	a.Add(b)
-	if a.SuppR != 11 || a.SuppQ != 22 || a.SuppQqb != 33 || a.SuppQ1 != 44 || a.SuppQbar != 55 {
-		t.Errorf("Add = %+v", a)
-	}
-}
-
 func TestPCAConf(t *testing.T) {
 	s := Stats{SuppR: 3, SuppQqb: 2}
 	if got := s.PCAConf(); got != 1.5 {

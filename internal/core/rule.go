@@ -151,16 +151,6 @@ type Stats struct {
 	SuppQbar int // supp(q̄,G)
 }
 
-// Add accumulates fragment-local stats (message assembly, lines 4-7 of
-// algorithm DMine).
-func (s *Stats) Add(t Stats) {
-	s.SuppR += t.SuppR
-	s.SuppQ += t.SuppQ
-	s.SuppQqb += t.SuppQqb
-	s.SuppQ1 += t.SuppQ1
-	s.SuppQbar += t.SuppQbar
-}
-
 // Trivial classifies the two degenerate cases of Section 3. It returns
 // (true, reason) when the rule is trivial on this graph.
 func (s Stats) Trivial() (bool, string) {

@@ -113,26 +113,17 @@ type Centers struct {
 }
 
 // ClassifyCenters splits centers into their LCWA classes with respect to
-// pred, keeping input order within each class. It is shared by the batch
-// algorithms here and the serving snapshot constructor (internal/serve).
+// pred, keeping input order within each class, from each center's
+// pred-labelled edge range alone. It is shared by the batch algorithms here
+// and the serving snapshot constructor (internal/serve).
 func ClassifyCenters(g *graph.Graph, centers []graph.NodeID, pred core.Predicate) Centers {
 	var c Centers
 	for _, v := range centers {
-		hasQ, hasMatch := false, false
-		for _, e := range g.Out(v) {
-			if e.Label != pred.EdgeLabel {
-				continue
-			}
-			hasQ = true
-			if g.Label(e.To) == pred.YLabel {
-				hasMatch = true
-				break
-			}
-		}
+		qEdges := g.OutRangeL(v, pred.EdgeLabel)
 		switch {
-		case hasMatch:
+		case slices.ContainsFunc(qEdges, func(e graph.Edge) bool { return g.Label(e.To) == pred.YLabel }):
 			c.Pq = append(c.Pq, v)
-		case hasQ:
+		case len(qEdges) > 0:
 			c.Pqbar = append(c.Pqbar, v)
 		default:
 			c.Other = append(c.Other, v)
@@ -158,7 +149,7 @@ type Partial struct {
 // match, and it is tried once. q̄ members' Q matches
 // count for supp(Qq̄); every Q match is a potential customer. It is the one
 // copy of this loop: the batch algorithms here and gpard's
-// Snapshot.EvalRule (internal/serve) both call it.
+// Snapshot.confirm (internal/serve) both call it.
 func EvalCenters(matchPR, matchQ func(graph.NodeID) bool, c Centers) Partial {
 	var p Partial
 	for _, v := range c.Pq {

@@ -291,39 +291,14 @@ func (m *Matcher) consistent(u int, v graph.NodeID, skip int32) bool {
 			continue
 		}
 		if h.outgoing {
-			if !m.hasDataEdge(v, w, h.label) {
+			if !m.g.HasEdge(v, w, h.label) {
 				return false
 			}
-		} else {
-			if !m.hasDataEdge(w, v, h.label) {
-				return false
-			}
+		} else if !m.g.HasEdge(w, v, h.label) {
+			return false
 		}
 	}
 	return true
-}
-
-// hasDataEdge tests from -l-> to against the frozen graph by binary-
-// searching only the label-contiguous CSR range, falling to a linear scan
-// on the short tail. The scan runs to the range's end: the bisection's
-// last probe, r[hi], may be the match.
-func (m *Matcher) hasDataEdge(from, to graph.NodeID, l graph.Label) bool {
-	r := m.g.OutRangeL(from, l) // sorted by To within the label range
-	lo, hi := 0, len(r)
-	for hi-lo > 8 {
-		mid := (lo + hi) / 2
-		if r[mid].To < to {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for ; lo < len(r); lo++ {
-		if r[lo].To >= to {
-			return r[lo].To == to
-		}
-	}
-	return false
 }
 
 // search assigns order[idx..]; fn receives each complete assignment and

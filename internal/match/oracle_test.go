@@ -120,10 +120,12 @@ func TestQuickAnchoredAgainstOracle(t *testing.T) {
 // only spokes[target] points back; two more "a" nodes point at that spoke,
 // so its in-range outgrows its out-range. The reciprocal pattern x(b) ⇄
 // y(a) anchored at the spoke then binds y = hub through the spoke's
-// one-entry out-range and checks the closing edge hub → spoke with
-// hasDataEdge on the hub's k-entry range, where the spoke sits at index
-// target.
-func bisectionInstance(k, target int) (*graph.Graph, *pattern.Pattern, graph.NodeID) {
+// one-entry out-range and checks the closing edge hub → spoke on the hub's
+// k-entry range, where the spoke sits at index target. With overlaid, a
+// delta adds one more spoke to the hub, so the hub's adjacency is the
+// overlay's merged slice (k+1 entries, target still at index target)
+// instead of the frozen CSR arena.
+func bisectionInstance(k, target int, overlaid bool) (*graph.Graph, *pattern.Pattern, graph.NodeID) {
 	g := graph.New(nil)
 	hub := g.AddNode("a")
 	spokes := make([]graph.NodeID, k)
@@ -141,30 +143,48 @@ func bisectionInstance(k, target int) (*graph.Graph, *pattern.Pattern, graph.Nod
 	y := p.AddNode("a")
 	p.AddEdge(p.X, y, "e")
 	p.AddEdge(y, p.X, "e")
+	if overlaid {
+		syms, spoke := g.Symbols(), graph.NodeID(g.NumNodes())
+		d, err := g.ApplyDelta([]graph.DeltaOp{
+			{Kind: graph.DeltaAddNode, Label: syms.Lookup("b")},
+			{Kind: graph.DeltaAddEdge, From: hub, To: spoke, Label: syms.Lookup("e")},
+		})
+		if err != nil {
+			panic(err)
+		}
+		g = d
+	}
 	return g, p, t
 }
 
 // TestClosingEdgeOnLongRangeAgainstOracle: a closing edge whose label range
 // is long enough to be bisected (more than 8 entries) is found wherever its
-// target sits in the range — the bisection's last probe included. A 9-entry
-// range with the target at index 4 is the shape that first exposed a scan
-// that stopped short of that probe.
+// target sits in the range — the bisection's last probe included — on a
+// frozen graph and on an overlaid one whose delta touched the closing
+// edge's source. A 9-entry range with the target at index 4 is the shape
+// that first exposed a scan that stopped short of that probe.
 func TestClosingEdgeOnLongRangeAgainstOracle(t *testing.T) {
-	for _, k := range []int{9, 10, 16, 17, 40} {
-		for target := range k {
-			g, p, v := bisectionInstance(k, target)
-			if r := g.OutRangeL(0, g.Symbols().Lookup("e")); len(r) != k || r[target].To != v {
-				t.Fatalf("k=%d target=%d: hub's range %v does not hold %d at index %d", k, target, r, v, target)
-			}
-			want := bruteForceCount(p, g)
-			if want != 1 {
-				t.Fatalf("k=%d target=%d: oracle counts %d embeddings, want 1", k, target, want)
-			}
-			if got := Enumerate(p, g, Options{}, nil); got != want {
-				t.Errorf("k=%d target=%d: Enumerate = %d, oracle %d", k, target, got, want)
-			}
-			if !HasMatchAt(p, g, v, Options{}) {
-				t.Errorf("k=%d target=%d: HasMatchAt(%d) = false, oracle matches", k, target, v)
+	for _, overlaid := range []bool{false, true} {
+		for _, k := range []int{9, 10, 16, 17, 40} {
+			for target := range k {
+				g, p, v := bisectionInstance(k, target, overlaid)
+				n := k
+				if overlaid {
+					n++
+				}
+				if r := g.OutRangeL(0, g.Symbols().Lookup("e")); g.Overlaid() != overlaid || len(r) != n || r[target].To != v {
+					t.Fatalf("overlaid=%v k=%d target=%d: hub's range %v does not hold %d at index %d of %d", overlaid, k, target, r, v, target, n)
+				}
+				want := bruteForceCount(p, g)
+				if want != 1 {
+					t.Fatalf("overlaid=%v k=%d target=%d: oracle counts %d embeddings, want 1", overlaid, k, target, want)
+				}
+				if got := Enumerate(p, g, Options{}, nil); got != want {
+					t.Errorf("overlaid=%v k=%d target=%d: Enumerate = %d, oracle %d", overlaid, k, target, got, want)
+				}
+				if !HasMatchAt(p, g, v, Options{}) {
+					t.Errorf("overlaid=%v k=%d target=%d: HasMatchAt(%d) = false, oracle matches", overlaid, k, target, v)
+				}
 			}
 		}
 	}

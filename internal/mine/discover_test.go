@@ -233,7 +233,7 @@ func checkDiscovery(t *testing.T, c discoveryCase) {
 	lp := localParams{pred: c.pred, d: 2, embedCap: c.embedCap, syms: g.Symbols()}
 	workers := make([]*worker, 3)
 	for i := range workers {
-		workers[i] = &worker{id: i, frag: partition.Whole(g, nil)}
+		workers[i] = &worker{frag: partition.Whole(g, nil)}
 	}
 	type parent struct {
 		q       *pattern.Pattern

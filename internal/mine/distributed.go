@@ -114,7 +114,6 @@ type remoteEngine struct {
 
 	frontBuf []wire.FrontierEntry // recycled Round frame scratch
 	msgBuf   []message            // recycled concatenation buffer
-	setupBuf []byte               // recycled frame encode buffer
 	closed   bool
 }
 
@@ -243,7 +242,6 @@ func (e *remoteEngine) generate(m *miner, frontier []*Mined) ([]message, error) 
 		for j := range ms.Msgs {
 			wm := &ms.Msgs[j]
 			msgs = append(msgs, message{
-				worker:     i,
 				parent:     ruleID(wm.Parent),
 				ext:        wm.Ext,
 				qCenters:   wm.QCenters,
@@ -323,7 +321,7 @@ func NewWorkerRuntime(s *wire.JobSetup) (*WorkerRuntime, *wire.SetupAck, error) 
 		return nil, nil, fmt.Errorf("mine: %d trailing bytes after the job's fragment", len(rest))
 	}
 	pred := core.Predicate{XLabel: s.XLabel, EdgeLabel: s.EdgeLabel, YLabel: s.YLabel}
-	w := acquireWorker(s.Worker, frag)
+	w := acquireWorker(frag)
 	w.classify(pred)
 
 	seedQ := pattern.New(syms)

@@ -128,7 +128,7 @@ func BenchmarkDiscoverExtensions(b *testing.B) {
 func benchDiscover(b *testing.B, g *graph.Graph, pred core.Predicate, opts Options, q *pattern.Pattern, centers []graph.NodeID) {
 	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts.Defaults())
 	lp := m.localParams()
-	w := &worker{id: 0, frag: partition.Whole(g, g.NodesWithLabel(pred.XLabel))}
+	w := &worker{frag: partition.Whole(g, g.NodesWithLabel(pred.XLabel))}
 	w.discoverExtensions(lp, q, centers, match.Options{})
 	b.ReportAllocs()
 	b.ResetTimer()

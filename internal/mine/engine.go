@@ -81,7 +81,7 @@ func (e *localEngine) attach(m *miner) ([]int, []int, error) {
 	// cold DMine reuses previously grown arenas and scratch.
 	e.workers = make([]*worker, m.ctx.n)
 	for i := range e.workers {
-		e.workers[i] = acquireWorker(i, m.ctx.fragment(i))
+		e.workers[i] = acquireWorker(m.ctx.fragment(i))
 	}
 	pred := m.pred
 	err := e.parallel(m, func(w *worker) {

@@ -70,7 +70,7 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 				continue
 			}
 
-			msg := message{worker: w.id, parent: parent.id, ext: acc.ext}
+			msg := message{parent: parent.id, ext: acc.ext}
 			mq, mr, mqb := w.ar.q.mark(), w.ar.r.mark(), w.ar.qqb.mark()
 			// One pooled matcher per child rule, reused across all centers;
 			// none for a y-free child, whose PR matches at every Pq center

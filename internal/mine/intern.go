@@ -30,8 +30,7 @@ func (id ruleID) String() string {
 
 // groupKey identifies one candidate rule of a round structurally: the
 // parent it grew from plus the extension applied. pattern.Extension is
-// comparable with equality matching Extension.Key() equality, so the pair
-// is directly usable as a map key and as the shard-assignment hash input.
+// comparable, so the pair is directly usable as a map key and as the shard-assignment hash input.
 type groupKey struct {
 	parent ruleID
 	ext    pattern.Extension

@@ -8,11 +8,11 @@ import (
 	"gpar/internal/pattern"
 )
 
-// TestExtCodeMatchesLegacyKey: the packed uint64 extension code used by the
-// discovery accumulator collides iff the legacy Key() string collides —
-// over in-range extensions, deliberately out-of-range ones (overflow
-// interning), and mixtures of the two.
-func TestExtCodeMatchesLegacyKey(t *testing.T) {
+// TestExtCodeMatchesIdentity: the packed uint64 extension code used by the
+// discovery accumulator collides iff the extensions are equal — over
+// in-range extensions, deliberately out-of-range ones (overflow interning),
+// and mixtures of the two.
+func TestExtCodeMatchesIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w := &worker{}
 	mk := func() pattern.Extension {
@@ -38,10 +38,9 @@ func TestExtCodeMatchesLegacyKey(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		a, b := mk(), mk()
 		codeEq := w.extCode(a) == w.extCode(b)
-		keyEq := a.Key() == b.Key()
-		if codeEq != keyEq {
-			t.Fatalf("code/key identity mismatch: %+v vs %+v: code=%v key=%v",
-				a, b, codeEq, keyEq)
+		if structEq := a == b; codeEq != structEq || codeEq != (a.Compare(b) == 0) {
+			t.Fatalf("code/struct identity mismatch: %+v vs %+v: code=%v struct=%v",
+				a, b, codeEq, structEq)
 		}
 	}
 }

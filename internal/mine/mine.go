@@ -203,7 +203,6 @@ func DMineNo(g *graph.Graph, pred core.Predicate, opts Options) *Result {
 // worker holds its view of the data plus its per-round caches and scratch.
 // All scratch is owned by the worker goroutine; nothing here is shared.
 type worker struct {
-	id int
 	// frag is the graph the worker mines and the centers it owns. In process
 	// it is the identity fragment (partition.Whole) over the shared graph
 	// and a chunk of the candidate list; on a remote worker it is a decoded
@@ -300,7 +299,6 @@ func (w *worker) ownsCenter(v graph.NodeID) bool {
 // distinct candidate — and the center sets are views into the emitting
 // worker's round arena, dead once the round's assembly completes.
 type message struct {
-	worker int
 	parent ruleID
 	ext    pattern.Extension
 
@@ -498,7 +496,7 @@ var workerPool struct {
 
 // acquireWorker binds pooled worker scratch to one worker's view of this
 // run's data.
-func acquireWorker(id int, frag *partition.Fragment) *worker {
+func acquireWorker(frag *partition.Fragment) *worker {
 	var w *worker
 	workerPool.mu.Lock()
 	if n := len(workerPool.idle); n > 0 {
@@ -508,15 +506,15 @@ func acquireWorker(id int, frag *partition.Fragment) *worker {
 	if w == nil {
 		w = new(worker)
 	}
-	w.bind(id, frag)
+	w.bind(frag)
 	return w
 }
 
 // bind points the worker at its view of a run's data and clears everything
 // whose content depends on the run or its graph; every run, in process or
 // remote, starts here.
-func (w *worker) bind(id int, frag *partition.Fragment) {
-	w.id, w.frag = id, frag
+func (w *worker) bind(frag *partition.Fragment) {
+	w.frag = frag
 	w.centerSet = nil // rebuilt lazily by ownsCenter
 	clear(w.extOverflow)
 	w.npq, w.npqbar = 0, 0

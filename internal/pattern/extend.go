@@ -1,10 +1,6 @@
 package pattern
 
-import (
-	"strconv"
-
-	"gpar/internal/graph"
-)
+import "gpar/internal/graph"
 
 // Extension describes one way to grow a pattern by a single new edge, the
 // unit of levelwise expansion in algorithm DMine (Section 4.2): "it expands
@@ -14,10 +10,8 @@ import (
 // endpoint is a fresh node labeled NewLabel; otherwise the edge closes onto
 // the existing node Close.
 //
-// The struct is comparable and its field equality coincides exactly with
-// Key() string equality, so hot paths use Extension values directly as map
-// keys and order them with Compare; Key() survives only at boundaries that
-// need a printable form.
+// The struct is comparable, so the mining loop uses Extension values
+// directly as map keys and orders them with Compare.
 type Extension struct {
 	Src       int         // existing pattern node
 	Outgoing  bool        // true: Src -> target; false: target -> Src
@@ -27,33 +21,10 @@ type Extension struct {
 	AsY       bool        // designate the fresh node as y (requires p.Y == NoNode)
 }
 
-// Key returns a dedup key unique per extension shape.
-func (e Extension) Key() string {
-	buf := make([]byte, 0, 32)
-	buf = strconv.AppendInt(buf, int64(e.Src), 10)
-	buf = append(buf, '|')
-	if e.Outgoing {
-		buf = append(buf, 'o')
-	} else {
-		buf = append(buf, 'i')
-	}
-	buf = strconv.AppendInt(buf, int64(e.EdgeLabel), 10)
-	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(e.NewLabel), 10)
-	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(e.Close), 10)
-	if e.AsY {
-		buf = append(buf, 'y')
-	}
-	return string(buf)
-}
-
 // Compare totally orders extensions by (Src, direction, EdgeLabel,
 // NewLabel, Close, AsY), incoming before outgoing and plain before AsY.
-// Compare(f) == 0 iff the structs are equal iff the Key strings are equal.
-// The order is not the lexicographic order of Key() — it compares numeric
-// fields numerically — but any fixed total order serves the deterministic
-// processing the miner needs, without building a string per comparison.
+// Compare(f) == 0 iff the structs are equal. Any fixed total order serves
+// the deterministic processing the miner needs.
 func (e Extension) Compare(f Extension) int {
 	if e.Src != f.Src {
 		return cmpInt(e.Src, f.Src)

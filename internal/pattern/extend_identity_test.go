@@ -26,20 +26,14 @@ func randExt(rng *rand.Rand) Extension {
 	return e
 }
 
-// TestExtensionIdentityMatchesKey is the interned-identity property test:
-// the comparable struct (the mining loop's identity) collides exactly when
-// the legacy Key() string collides, and Compare is a total order consistent
-// with that identity.
-func TestExtensionIdentityMatchesKey(t *testing.T) {
+// TestExtensionIdentityMatchesCompare is the interned-identity property
+// test: Compare is a total order consistent with the comparable struct's
+// equality (the mining loop's identity).
+func TestExtensionIdentityMatchesCompare(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 20000; i++ {
 		a, b := randExt(rng), randExt(rng)
 		structEq := a == b
-		keyEq := a.Key() == b.Key()
-		if structEq != keyEq {
-			t.Fatalf("identity mismatch: %+v vs %+v: struct=%v key=%v (%q, %q)",
-				a, b, structEq, keyEq, a.Key(), b.Key())
-		}
 		cab, cba := a.Compare(b), b.Compare(a)
 		if (cab == 0) != structEq {
 			t.Fatalf("Compare==0 disagrees with equality: %+v vs %+v -> %d", a, b, cab)

@@ -272,8 +272,8 @@ func TestExtensionKeyUniqueness(t *testing.T) {
 	e1 := Extension{Src: 0, Outgoing: true, EdgeLabel: 1, NewLabel: 2, Close: NoNode}
 	e2 := Extension{Src: 0, Outgoing: false, EdgeLabel: 1, NewLabel: 2, Close: NoNode}
 	e3 := Extension{Src: 0, Outgoing: true, EdgeLabel: 1, NewLabel: 2, Close: 1}
-	keys := map[string]bool{e1.Key(): true, e2.Key(): true, e3.Key(): true}
-	if len(keys) != 3 {
+	keys := map[Extension]bool{e1: true, e2: true, e3: true}
+	if len(keys) != 3 || e1.Compare(e2) == 0 || e1.Compare(e3) == 0 || e2.Compare(e3) == 0 {
 		t.Errorf("extension keys collide: %v", keys)
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	"gpar/internal/eip"
 	"gpar/internal/graph"
-	"gpar/internal/match"
 	"gpar/internal/pattern"
 )
 
@@ -355,11 +354,10 @@ func (r *repair) centre(g *graph.Graph, v graph.NodeID) bool {
 // apply is the publish walk's decision for sr's entry ev (nil: a build in
 // flight). With no affected centre and unchanged snapshot-wide counts it
 // crosses as it is. Otherwise the affected centres' shares of a finished
-// entry — Q(c) before read from Matches, PR(c) before re-checked on the old
-// graph (or read from Matches too, for a y-free rule) — are replaced by
-// their shares on the new graph. A build in flight,
-// a rule without locality, and a set over the entry's Survivors (a
-// re-evaluation would confirm fewer centres) are dropped.
+// entry — confirmed on the old snapshot — are replaced by their shares
+// confirmed on the new one. A build in flight, a rule without locality, and
+// a set over the entry's Survivors (a re-evaluation would confirm fewer
+// centres) are dropped.
 func (r *repair) apply(sr *ServedRule, ev *RuleEval) (*RuleEval, bool) {
 	set, local := r.affected(sr)
 	switch {
@@ -370,27 +368,14 @@ func (r *repair) apply(sr *ServedRule, ev *RuleEval) (*RuleEval, bool) {
 	case ev == nil || len(set) > ev.Survivors:
 		return nil, false
 	}
-	in := func(s []graph.NodeID) func(graph.NodeID) bool {
-		return func(v graph.NodeID) bool { _, ok := slices.BinarySearch(s, v); return ok }
-	}
-	was := in(ev.Matches)
-	var wasR, isR func(graph.NodeID) bool // nil for a y-free rule
-	if !sr.Rule.YFree() {
-		pr0 := match.NewMatcher(sr.pr, r.old.G, match.Options{})
-		defer pr0.Release()
-		pr1 := match.NewMatcher(sr.pr, r.next.G, match.Options{})
-		defer pr1.Release()
-		wasR = func(v graph.NodeID) bool { return was(v) && pr0.HasMatchAt(v) }
-		isR = pr1.HasMatchAt
-	}
-	before := eip.EvalCenters(wasR, was, r.classify(r.old.G, set))
-	q1 := match.NewMatcher(sr.Rule.Q, r.next.G, match.Options{})
-	defer q1.Release()
-	after := eip.EvalCenters(isR, q1.HasMatchAt, r.classify(r.next.G, set))
+	before := r.old.confirm(sr, r.classify(r.old.G, set), nil)
+	after := r.next.confirm(sr, r.classify(r.next.G, set), nil)
+	slices.Sort(before.Q)
 	slices.Sort(after.Q)
 	out := *ev
-	if inQ := slices.DeleteFunc(slices.Clone(set), func(v graph.NodeID) bool { return !was(v) }); !slices.Equal(inQ, after.Q) {
-		out.Matches = unionSorted([][]graph.NodeID{slices.DeleteFunc(slices.Clone(ev.Matches), in(inQ)), after.Q})
+	if !slices.Equal(before.Q, after.Q) {
+		gone := func(v graph.NodeID) bool { _, ok := slices.BinarySearch(before.Q, v); return ok }
+		out.Matches = unionSorted([][]graph.NodeID{slices.DeleteFunc(slices.Clone(ev.Matches), gone), after.Q})
 	}
 	out.Stats.SuppR += after.R - before.R
 	out.Stats.SuppQqb += after.Qqb - before.Qqb

@@ -142,38 +142,17 @@ func (s *Snapshot) RuleByKey(key string) (*ServedRule, bool) {
 
 // EvalRule computes the rule's match set and statistics in two pool rounds:
 // one task runs match.NewFilter, whose per-node sets hold every match of Q
-// and so of PR ⊇ Q; then one task per chunk binds pooled plain matchers to
-// the shared graph — Q's, and PR's unless the rule is y-free
-// (core.Rule.YFree: PR ⇔ Q at a Pq centre) — restricts them to the
-// filter's sets, and runs eip.EvalCenters — Keep, then early-terminating
-// HasMatchAt that descends only into nodes the sets admit, and the PR ⇒ Q
-// containment reuse of Example 10. The chunk tasks read the sets
-// concurrently; the filter is released after every task has returned.
+// and so of PR ⊇ Q; then one confirm task per chunk, restricted to the
+// filter's sets. The chunk tasks read the sets concurrently; the filter is
+// released after every task has returned.
 func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
 	var f *match.Filter
 	pool.runOne(func() { f = match.NewFilter(sr.Rule.Q, s.G) })
 	defer f.Release()
 	parts := make([]eip.Partial, len(s.chunks))
 	tasks := make([]func(), len(s.chunks))
-	yFree := sr.Rule.YFree()
 	for i, c := range s.chunks {
-		tasks[i] = func() {
-			qm := match.NewMatcher(sr.Rule.Q, s.G, match.Options{})
-			defer qm.Release()
-			f.Restrict(qm)
-			// HasMatchAt rejects x outside S(x) too, but Keep inlines here
-			// and saves a call per rejected centre.
-			var matchPR func(graph.NodeID) bool
-			if !yFree {
-				prm := match.NewMatcher(sr.pr, s.G, match.Options{})
-				defer prm.Release()
-				f.Restrict(prm)
-				matchPR = func(v graph.NodeID) bool { return f.Keep(v) && prm.HasMatchAt(v) }
-			}
-			parts[i] = eip.EvalCenters(matchPR,
-				func(v graph.NodeID) bool { return f.Keep(v) && qm.HasMatchAt(v) },
-				c)
-		}
+		tasks[i] = func() { parts[i] = s.confirm(sr, c, f) }
 	}
 	pool.Do(tasks...)
 
@@ -189,4 +168,31 @@ func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
 	ev.Stats.SuppQbar = s.SuppQbar
 	ev.Conf = ev.Stats.Conf()
 	return ev
+}
+
+// confirm is algorithm Match's per-candidate step for sr over cs on s.G, and
+// the only code in this package that binds a matcher: pooled plain matchers
+// for Q and, unless the rule is y-free (core.Rule.YFree: PR ⇔ Q at a Pq
+// centre), PR, restricted to f's sets when f is not nil, run by
+// eip.EvalCenters — early-terminating HasMatchAt, PR first, and the PR ⇒ Q
+// containment reuse of Example 10. HasMatchAt rejects x outside S(x) too,
+// but Keep inlines here and saves a call per rejected centre.
+func (s *Snapshot) confirm(sr *ServedRule, cs eip.Centers, f *match.Filter) eip.Partial {
+	qm := match.NewMatcher(sr.Rule.Q, s.G, match.Options{})
+	defer qm.Release()
+	var matchPR func(graph.NodeID) bool
+	if !sr.Rule.YFree() {
+		prm := match.NewMatcher(sr.pr, s.G, match.Options{})
+		defer prm.Release()
+		if f != nil {
+			f.Restrict(prm)
+		}
+		matchPR = func(v graph.NodeID) bool { return (f == nil || f.Keep(v)) && prm.HasMatchAt(v) }
+	}
+	if f != nil {
+		f.Restrict(qm)
+	}
+	return eip.EvalCenters(matchPR,
+		func(v graph.NodeID) bool { return (f == nil || f.Keep(v)) && qm.HasMatchAt(v) },
+		cs)
 }

@@ -218,9 +218,6 @@ func (ix *Index) PatternSketches(p *pattern.Pattern) []Sketch {
 	return sks
 }
 
-// K reports the sketch depth.
-func (ix *Index) K() int { return ix.k }
-
 // Sketch returns the (cached) sketch of v.
 func (ix *Index) Sketch(v graph.NodeID) Sketch {
 	ix.mu.Lock()

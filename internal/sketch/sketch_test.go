@@ -98,9 +98,6 @@ func TestOfPattern(t *testing.T) {
 func TestIndexCaching(t *testing.T) {
 	g, hub := star(3)
 	ix := NewIndex(g, 2)
-	if ix.K() != 2 {
-		t.Errorf("K = %d", ix.K())
-	}
 	_ = ix.Sketch(hub)
 	_ = ix.Sketch(hub)
 	if len(ix.cache) != 1 {
