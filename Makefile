@@ -86,6 +86,7 @@ bench-mine:
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkAnchoredMatch|BenchmarkIdentify|BenchmarkDeltaRepair' \
 	    -benchmem -benchtime=50x ./internal/match/ ./internal/serve/ > bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkEvalRuleShapes' -benchmem -benchtime=10x . >> bench.out
 	$(GO) run ./cmd/benchjson < bench.out
 	@rm -f bench.out
 
@@ -155,7 +156,7 @@ docs-check:
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count. The test Go count beside it is
 # informational: it has no budget.
-LOC_BUDGET := 16318
+LOC_BUDGET := 16269
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \

@@ -7,6 +7,7 @@ package gpar_test
 // a generation can be in.
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -138,21 +139,17 @@ var unnarrowed = map[string]bool{"pokec/vp4-ep5": true, "hub/user>x,user>item": 
 // reference (core.Eval with the plain matcher over the whole graph) for
 // every corpus rule, on the three states a served graph goes through —
 // frozen, overlaid by a delta batch, and compacted — all built by the one
-// snapshot constructor. It also pins which rules the filter narrows, and
-// that the kernel counts its centres and survivors. CI runs it under -race
-// as well.
+// snapshot constructor, each at 1, 3 and 7 chunks: EvalRule concatenates
+// the chunks' matches without sorting, so a chunk out of order fails the
+// comparison. It also pins which rules the filter narrows, and that the
+// kernel counts its centres and survivors. CI runs it under -race as well.
 func TestEvalRuleCorpus(t *testing.T) {
-	cfg := serve.Config{Workers: 3}
 	pool := serve.NewPool(2)
 	for _, c := range identifyCorpus(t, 150) {
 		t.Run(c.name, func(t *testing.T) {
 			rules := make([]*core.Rule, len(c.rules))
 			for i, r := range c.rules {
 				rules[i] = r.rule
-			}
-			frozen, err := serve.BuildSnapshot(c.g, c.pred, rules, cfg)
-			if err != nil {
-				t.Fatalf("BuildSnapshot: %v", err)
 			}
 			// A batch that reaches the candidates: a new user who follows
 			// and is followed, gains the consequent, and an old follow gone.
@@ -175,39 +172,47 @@ func TestEvalRuleCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ApplyDelta: %v", err)
 			}
-			states := []struct {
-				name string
-				snap *serve.Snapshot
-			}{
-				{"frozen", frozen},
-				{"overlaid", serve.DeriveDeltaSnapshot(frozen, overlaid, cfg)},
-				{"compacted", serve.DeriveDeltaSnapshot(frozen, overlaid.CompactCopy(), cfg)},
-			}
+			compacted := overlaid.CompactCopy()
 			if !slices.ContainsFunc(rules, func(r *core.Rule) bool { return !r.YFree() }) {
 				t.Error("every corpus rule is y-free: no EvalRule here searches PR")
 			}
-			for _, st := range states {
-				for i, sr := range st.snap.Rules {
-					want := core.Eval(st.snap.G, sr.Rule, match.Options{}, true)
-					slices.Sort(want.QSet)
-					got := st.snap.EvalRule(sr, pool)
-					if !slices.Equal(got.Matches, want.QSet) || got.Stats != want.Stats {
-						t.Errorf("%s/%s: EvalRule = %d matches, stats %+v; core.Eval = %d matches, stats %+v",
-							st.name, c.rules[i].shape, len(got.Matches), got.Stats, len(want.QSet), want.Stats)
+			for _, workers := range []int{1, 3, 7} {
+				cfg := serve.Config{Workers: workers}
+				frozen, err := serve.BuildSnapshot(c.g, c.pred, rules, cfg)
+				if err != nil {
+					t.Fatalf("BuildSnapshot: %v", err)
+				}
+				states := []struct {
+					name string
+					snap *serve.Snapshot
+				}{
+					{fmt.Sprintf("frozen@%d", workers), frozen},
+					{fmt.Sprintf("overlaid@%d", workers), serve.DeriveDeltaSnapshot(frozen, overlaid, cfg)},
+					{fmt.Sprintf("compacted@%d", workers), serve.DeriveDeltaSnapshot(frozen, compacted, cfg)},
+				}
+				for _, st := range states {
+					for i, sr := range st.snap.Rules {
+						want := core.Eval(st.snap.G, sr.Rule, match.Options{}, true)
+						slices.Sort(want.QSet)
+						got := st.snap.EvalRule(sr, pool)
+						if !slices.Equal(got.Matches, want.QSet) || got.Stats != want.Stats {
+							t.Errorf("%s/%s: EvalRule = %d matches, stats %+v; core.Eval = %d matches, stats %+v",
+								st.name, c.rules[i].shape, len(got.Matches), got.Stats, len(want.QSet), want.Stats)
+						}
+						if len(want.QSet) == 0 {
+							t.Errorf("%s/%s: rule matches nowhere; the case checks nothing", st.name, c.rules[i].shape)
+						}
+						f := match.NewFilter(sr.Rule.Q, st.snap.G)
+						if name := c.name + "/" + c.rules[i].shape; st.snap == frozen && f.Narrowed() == unnarrowed[name] {
+							t.Errorf("%s/%s: filter narrowed x = %v, want %v", st.name, name, f.Narrowed(), !unnarrowed[name])
+						}
+						if centres := len(st.snap.G.NodesWithLabel(c.pred.XLabel)); got.Centres != centres || got.Survivors != f.Kept() ||
+							got.Survivors < len(got.Matches) {
+							t.Errorf("%s/%s: %d centres, %d survivors, %d matches; want %d centres, %d survivors, no fewer than the matches",
+								st.name, c.rules[i].shape, got.Centres, got.Survivors, len(got.Matches), centres, f.Kept())
+						}
+						f.Release()
 					}
-					if len(want.QSet) == 0 {
-						t.Errorf("%s/%s: rule matches nowhere; the case checks nothing", st.name, c.rules[i].shape)
-					}
-					f := match.NewFilter(sr.Rule.Q, st.snap.G)
-					if name := c.name + "/" + c.rules[i].shape; st.snap == frozen && f.Narrowed() == unnarrowed[name] {
-						t.Errorf("%s/%s: filter narrowed x = %v, want %v", st.name, name, f.Narrowed(), !unnarrowed[name])
-					}
-					if centres := len(st.snap.G.NodesWithLabel(c.pred.XLabel)); got.Centres != centres || got.Survivors != f.Kept() ||
-						got.Survivors < len(got.Matches) {
-						t.Errorf("%s/%s: %d centres, %d survivors, %d matches; want %d centres, %d survivors, no fewer than the matches",
-							st.name, c.rules[i].shape, got.Centres, got.Survivors, len(got.Matches), centres, f.Kept())
-					}
-					f.Release()
 				}
 			}
 		})

@@ -104,37 +104,61 @@ func MaxRadius(rules []*core.Rule) int {
 	return d
 }
 
-// Centers is a set of candidate centers split into the three LCWA classes
-// of Section 3 with respect to a predicate: Pq (an outgoing pred edge to a
-// YLabel-labeled node exists), Pqbar (pred edges exist, none to YLabel — the
-// q̄ set), and Other (no pred edge at all, the unknown cases).
+// Class is a candidate center's LCWA class of Section 3 with respect to a
+// predicate: Pq (an outgoing pred edge to a YLabel-labeled node exists),
+// Pqbar (pred edges exist, none to YLabel — the q̄ set), or Other (no pred
+// edge at all, the unknown cases).
+type Class uint8
+
+const (
+	Other Class = iota
+	Pq
+	Pqbar
+)
+
+// Centers is a list of candidate centers, each with its LCWA class:
+// Class[i] is the class of Nodes[i].
 type Centers struct {
-	Pq, Pqbar, Other []graph.NodeID
+	Nodes []graph.NodeID
+	Class []Class
 }
 
-// ClassifyCenters splits centers into their LCWA classes with respect to
-// pred, keeping input order within each class, from each center's
-// pred-labelled edge range alone. It is shared by the batch algorithms here
-// and the serving snapshot constructor (internal/serve).
+// ClassifyCenters classifies centers, in input order, with respect to pred
+// from each center's pred-labelled edge range alone. Nodes aliases centers.
+// It is the one LCWA read outside core's oracle: the batch algorithms here,
+// gpard's snapshot constructor (internal/serve) and mining's round 0
+// (internal/mine) all call it.
 func ClassifyCenters(g *graph.Graph, centers []graph.NodeID, pred core.Predicate) Centers {
-	var c Centers
-	for _, v := range centers {
+	c := Centers{Nodes: centers, Class: make([]Class, len(centers))}
+	for i, v := range centers {
 		qEdges := g.OutRangeL(v, pred.EdgeLabel)
 		switch {
 		case slices.ContainsFunc(qEdges, func(e graph.Edge) bool { return g.Label(e.To) == pred.YLabel }):
-			c.Pq = append(c.Pq, v)
+			c.Class[i] = Pq
 		case len(qEdges) > 0:
-			c.Pqbar = append(c.Pqbar, v)
-		default:
-			c.Other = append(c.Other, v)
+			c.Class[i] = Pqbar
 		}
 	}
 	return c
 }
 
+// Count returns the number of Pq and of q̄ centers: their shares of
+// supp(q,G) and supp(q̄,G).
+func (c Centers) Count() (pq, pqbar int) {
+	for _, k := range c.Class {
+		switch k {
+		case Pq:
+			pq++
+		case Pqbar:
+			pqbar++
+		}
+	}
+	return pq, pqbar
+}
+
 // Partial is one rule's evaluation over one set of classified centers.
 type Partial struct {
-	Q   []graph.NodeID // centers where Q matches, class by class (Pq, q̄, other)
+	Q   []graph.NodeID // centers where Q matches, in center order
 	R   int            // Pq centers where PR matches: the supp(R) share
 	Qqb int            // q̄ centers where Q matches: the supp(Qq̄) share
 }
@@ -146,33 +170,24 @@ type Partial struct {
 // Pq members try PR first, and a PR match is a Q match (Example 10's
 // containment reuse), so the Q check is skipped. A nil matchPR means the
 // converse holds too (core.Rule.YFree): a Pq member's Q match is its PR
-// match, and it is tried once. q̄ members' Q matches
-// count for supp(Qq̄); every Q match is a potential customer. It is the one
-// copy of this loop: the batch algorithms here and gpard's
-// Snapshot.confirm (internal/serve) both call it.
+// match, and it is tried once. q̄ members' Q matches count for supp(Qq̄);
+// every Q match is a potential customer. It is the one copy of this loop:
+// the batch algorithms here and gpard's Snapshot.confirm (internal/serve)
+// both call it.
 func EvalCenters(matchPR, matchQ func(graph.NodeID) bool, c Centers) Partial {
 	var p Partial
-	for _, v := range c.Pq {
-		if matchPR != nil && matchPR(v) {
+	for i, v := range c.Nodes {
+		switch k := c.Class[i]; {
+		case k == Pq && matchPR != nil && matchPR(v):
 			p.R++
-			p.Q = append(p.Q, v)
-		} else if matchQ(v) {
-			if matchPR == nil {
-				p.R++
-			}
-			p.Q = append(p.Q, v)
-		}
-	}
-	for _, v := range c.Pqbar {
-		if matchQ(v) {
+		case !matchQ(v):
+			continue
+		case k == Pq && matchPR == nil:
+			p.R++
+		case k == Pqbar:
 			p.Qqb++
-			p.Q = append(p.Q, v)
 		}
-	}
-	for _, v := range c.Other {
-		if matchQ(v) {
-			p.Q = append(p.Q, v)
-		}
+		p.Q = append(p.Q, v)
 	}
 	return p
 }
@@ -262,8 +277,8 @@ func processFragment(f *partition.Fragment, rules []*core.Rule, needQ, needPR []
 			// rule without building matchers, charging the same per-
 			// candidate check ops EvalCenters would have (Pq members run
 			// both the PR and the Q check).
-			c := st.centers
-			st.ops += int64(2*len(c.Pq) + len(c.Pqbar) + len(c.Other))
+			npq, _ := st.centers.Count()
+			st.ops += int64(npq + len(st.centers.Nodes))
 			continue
 		}
 		// One pooled matcher per pattern, reused across every candidate of
@@ -313,8 +328,9 @@ func assemble(rules []*core.Rule, states []*fragState, opts Options) *Result {
 	workerOps := make([]int64, len(states))
 	parts := make([]Partial, len(rules))
 	for w, st := range states {
-		suppQ1 += len(st.centers.Pq)
-		suppQbar += len(st.centers.Pqbar)
+		npq, npqbar := st.centers.Count()
+		suppQ1 += npq
+		suppQbar += npqbar
 		workerOps[w] = st.ops
 		for ri, p := range st.parts {
 			parts[ri].Q = append(parts[ri].Q, p.Q...)

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"gpar/internal/core"
+	"gpar/internal/eip"
 	"gpar/internal/graph"
 	"gpar/internal/pattern"
 )
@@ -182,36 +183,21 @@ func (e *localEngine) parallel(m *miner, fn func(w *worker)) error {
 	return nil
 }
 
-// classify computes Pq, q̄ and their supports over the worker's owned
-// centers (round 0 — they never change for the run). The q-edge scan walks
-// the frozen graph's CSR label range for the predicate's edge label instead
-// of the full out-adjacency.
+// classify files the worker's owned centers by LCWA class (round 0 — they
+// never change for the run) into its node-indexed class buffer, and counts
+// its shares of supp(q) and supp(q̄).
 func (w *worker) classify(pred core.Predicate) {
 	n := w.frag.G.NumNodes()
-	if len(w.pq) == n { // pooled worker: reuse the classification buffers
-		clear(w.pq)
-		clear(w.pqbar)
+	if len(w.class) == n { // pooled worker: reuse the class buffer
+		clear(w.class)
 	} else {
-		w.pq = make([]bool, n)
-		w.pqbar = make([]bool, n)
+		w.class = make([]eip.Class, n)
 	}
-	for _, c := range w.frag.Centers {
-		qEdges := w.frag.G.OutRangeL(c, pred.EdgeLabel)
-		hasMatch := false
-		for _, e := range qEdges {
-			if w.frag.G.Label(e.To) == pred.YLabel {
-				hasMatch = true
-				break
-			}
-		}
-		if hasMatch {
-			w.pq[c] = true
-			w.npq++
-		} else if len(qEdges) > 0 {
-			w.pqbar[c] = true
-			w.npqbar++
-		}
+	cs := eip.ClassifyCenters(w.frag.G, w.frag.Centers, pred)
+	for i, c := range cs.Nodes {
+		w.class[c] = cs.Class[i]
 	}
+	w.npq, w.npqbar = cs.Count()
 }
 
 // seedFrontier installs the round-1 frontier: every owned center matches

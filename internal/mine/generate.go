@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"gpar/internal/core"
+	"gpar/internal/eip"
 	"gpar/internal/graph"
 	"gpar/internal/match"
 	"gpar/internal/pattern"
@@ -66,7 +67,7 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 				continue
 			}
 			w.distBuf = pr.DistancesInto(w.distBuf, pr.X)
-			if rad := radiusFrom(w.distBuf); rad < 0 || rad > lp.d {
+			if rad := pattern.Radius(w.distBuf); rad < 0 || rad > lp.d {
 				continue
 			}
 
@@ -82,10 +83,10 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 			for _, c := range acc.centers {
 				gv := w.frag.Global(c)
 				w.ar.q.push(gv)
-				if w.pqbar[c] {
+				switch w.class[c] {
+				case eip.Pqbar:
 					w.ar.qqb.push(gv)
-				}
-				if w.pq[c] {
+				case eip.Pq:
 					w.ops++
 					if prm == nil || prm.HasMatchAt(c) {
 						w.ar.r.push(gv)
@@ -102,21 +103,6 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 		}
 	}
 	w.msgs = out
-}
-
-// radiusFrom reduces a DistancesInto result to the pattern radius, with the
-// RadiusAt convention: -1 when some node is unreachable.
-func radiusFrom(dist []int) int {
-	r := 0
-	for _, d := range dist {
-		if d < 0 {
-			return -1
-		}
-		if d > r {
-			r = d
-		}
-	}
-	return r
 }
 
 // discoverExtensions enumerates, for each owned center still matching the

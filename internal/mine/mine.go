@@ -30,6 +30,7 @@ import (
 
 	"gpar/internal/core"
 	"gpar/internal/diversify"
+	"gpar/internal/eip"
 	"gpar/internal/graph"
 	"gpar/internal/partition"
 	"gpar/internal/pattern"
@@ -209,10 +210,9 @@ type worker struct {
 	// d-neighbourhood fragment with its own local IDs.
 	frag *partition.Fragment
 
-	pq     []bool // pq[local] : center is in Pq(x,Fi)
-	pqbar  []bool // pqbar[local] : center is in the q̄ set
-	npq    int    // |Pq(x,Fi)|
-	npqbar int    // local q̄ count
+	class  []eip.Class // class[local] : an owned center's LCWA class
+	npq    int         // |Pq(x,Fi)|
+	npqbar int         // local q̄ count
 	// centersFor caches, per rule, the owned centers (local IDs, sorted)
 	// whose Q still matches — the mining frontier.
 	centersFor map[ruleID][]graph.NodeID

@@ -234,8 +234,11 @@ func (p *Pattern) Connected() bool {
 // RadiusAt returns r(Q, x): the longest undirected distance from x to any
 // node (Section 2.1, notation (1)). It returns -1 if some node is
 // unreachable from x.
-func (p *Pattern) RadiusAt(x int) int {
-	dist := p.DistancesFrom(x)
+func (p *Pattern) RadiusAt(x int) int { return Radius(p.DistancesFrom(x)) }
+
+// Radius reduces a DistancesFrom or DistancesInto result to the longest
+// distance in it, or -1 if some node is unreachable.
+func Radius(dist []int) int {
 	r := 0
 	for _, d := range dist {
 		if d < 0 {

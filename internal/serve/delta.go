@@ -370,8 +370,6 @@ func (r *repair) apply(sr *ServedRule, ev *RuleEval) (*RuleEval, bool) {
 	}
 	before := r.old.confirm(sr, r.classify(r.old.G, set), nil)
 	after := r.next.confirm(sr, r.classify(r.next.G, set), nil)
-	slices.Sort(before.Q)
-	slices.Sort(after.Q)
 	out := *ev
 	if !slices.Equal(before.Q, after.Q) {
 		gone := func(v graph.NodeID) bool { _, ok := slices.BinarySearch(before.Q, v); return ok }
@@ -387,7 +385,8 @@ func (r *repair) apply(sr *ServedRule, ev *RuleEval) (*RuleEval, bool) {
 	return &out, true
 }
 
-// classify files the members of set that are centres of g by LCWA class.
+// classify classifies the members of set that are centres of g, keeping
+// set's ascending order, so confirm's matches come out sorted.
 func (r *repair) classify(g *graph.Graph, set []graph.NodeID) eip.Centers {
 	cs := slices.DeleteFunc(slices.Clone(set), func(v graph.NodeID) bool { return !r.centre(g, v) })
 	return eip.ClassifyCenters(g, cs, r.old.Pred)

@@ -527,7 +527,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	d := &resp.Delta
 	if snap := s.snap.Load(); snap != nil {
 		resp.Graph.Nodes, resp.Graph.Edges = snap.G.NumNodes(), snap.G.NumEdges()
-		resp.Pred, resp.Rules, resp.Fragments = snap.PredDisplay, len(snap.Rules), len(snap.chunks)
+		resp.Pred, resp.Rules, resp.Fragments = snap.PredDisplay, len(snap.Rules), snap.workers
 		d.Overlaid, d.OverlayOps = snap.G.Overlaid(), snap.G.OverlayOps()
 	}
 	d.Batches, d.Ops, d.Rejected = s.nDeltaBatches.Load(), s.nDeltaOps.Load(), s.nDeltaRejects.Load()

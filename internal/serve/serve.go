@@ -8,10 +8,10 @@
 //
 //   - Snapshot: an immutable unit of serving state — the graph (frozen, or
 //     frozen with a delta overlay), the rule set with precomputed keys and
-//     renderings, and the predicate's candidates classified under the LCWA
-//     in Config.Workers chunks. One constructor builds every generation and
-//     one EvalRule answers from it: plain matchers over the one shared
-//     graph. Snapshots are swapped atomically (LoadSnapshot / SwapRules /
+//     renderings, and the predicate's candidates, each classified under
+//     the LCWA. One constructor builds every generation and one EvalRule
+//     answers from it: plain matchers over the one shared graph.
+//     Snapshots are swapped atomically (LoadSnapshot / SwapRules /
 //     ApplyDelta / Compact), so in-flight queries keep the state they
 //     started with.
 //   - memo: a bounded LRU with single-flight builds, keyed by generation
@@ -22,9 +22,9 @@
 //     publish step installs every generation: match sets cross a delta
 //     batch repaired at the centres it can affect, mine results by reach.
 //   - Pool: a bounded worker pool shared by all requests; per-rule
-//     evaluation fans out over the snapshot's chunks through it, so
-//     total matching concurrency is bounded no matter how many clients
-//     connect.
+//     evaluation fans out through it over Config.Workers ranges of the
+//     candidates, so total matching concurrency is bounded no matter how
+//     many clients connect.
 //   - mine.Gate: the mining half of the CPU budget — all mine jobs
 //     together run at most ceil(GOMAXPROCS / 2) worker goroutines, each job
 //     mines with one worker per gate slot, and the Pool defaults to the
@@ -56,7 +56,7 @@ import (
 
 // Config tunes a Server. The zero value is usable; defaults fill in.
 type Config struct {
-	// Workers is the number of candidate chunks per snapshot: the width of
+	// Workers is the number of candidate chunks per evaluation: the width of
 	// one rule evaluation's fan-out over the Pool. Default 4.
 	Workers int
 	// PoolSize bounds concurrent chunk-evaluation tasks across all

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"slices"
 
 	"gpar/internal/core"
 	"gpar/internal/eip"
@@ -37,10 +36,12 @@ type Snapshot struct {
 	Rules       []*ServedRule
 	byKey       map[string]*ServedRule
 
-	// chunks are the XLabel candidates in Config.Workers contiguous runs,
-	// each classified once under the LCWA: the unit of EvalRule's fan-out.
-	// Every chunk reads the one shared graph.
-	chunks []eip.Centers
+	// centres are the XLabel candidates, classified once under the LCWA;
+	// Nodes aliases the graph's label index. EvalRule fans out over workers
+	// contiguous index ranges of it, and every range reads the one shared
+	// graph.
+	centres eip.Centers
+	workers int
 	// SuppQ1 and SuppQbar are supp(q,G) and supp(q̄,G): the LCWA
 	// classification of candidates, shared by every rule of the predicate.
 	SuppQ1   int
@@ -113,7 +114,7 @@ func DeriveDeltaSnapshot(prev *Snapshot, g *graph.Graph, cfg Config) *Snapshot {
 // and the prepared rule set (a previous snapshot, or BuildSnapshot's
 // half-filled one), g is the graph to serve — frozen, with or without a
 // delta overlay. The only per-graph work is the LCWA classification of the
-// candidates, in cfg.Workers chunks.
+// candidates.
 func newSnapshot(from *Snapshot, g *graph.Graph, cfg Config) *Snapshot {
 	snap := &Snapshot{
 		G:           g,
@@ -121,16 +122,10 @@ func newSnapshot(from *Snapshot, g *graph.Graph, cfg Config) *Snapshot {
 		PredDisplay: from.PredDisplay,
 		Rules:       from.Rules,
 		byKey:       from.byKey,
+		centres:     eip.ClassifyCenters(g, g.NodesWithLabel(from.Pred.XLabel), from.Pred),
+		workers:     cfg.defaults().Workers,
 	}
-	cands := g.NodesWithLabel(snap.Pred.XLabel)
-	n := cfg.defaults().Workers
-	snap.chunks = make([]eip.Centers, 0, n)
-	for i := 0; i < n; i++ {
-		c := eip.ClassifyCenters(g, cands[i*len(cands)/n:(i+1)*len(cands)/n], snap.Pred)
-		snap.SuppQ1 += len(c.Pq)
-		snap.SuppQbar += len(c.Pqbar)
-		snap.chunks = append(snap.chunks, c)
-	}
+	snap.SuppQ1, snap.SuppQbar = snap.centres.Count()
 	return snap
 }
 
@@ -143,26 +138,28 @@ func (s *Snapshot) RuleByKey(key string) (*ServedRule, bool) {
 // EvalRule computes the rule's match set and statistics in two pool rounds:
 // one task runs match.NewFilter, whose per-node sets hold every match of Q
 // and so of PR ⊇ Q; then one confirm task per chunk, restricted to the
-// filter's sets. The chunk tasks read the sets concurrently; the filter is
-// released after every task has returned.
+// filter's sets. The chunks are contiguous index ranges of the ascending
+// centres, so their matches concatenate in order. The chunk tasks read the
+// sets concurrently; the filter is released after every task has returned.
 func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
 	var f *match.Filter
 	pool.runOne(func() { f = match.NewFilter(sr.Rule.Q, s.G) })
 	defer f.Release()
-	parts := make([]eip.Partial, len(s.chunks))
-	tasks := make([]func(), len(s.chunks))
-	for i, c := range s.chunks {
-		tasks[i] = func() { parts[i] = s.confirm(sr, c, f) }
+	n, cs := s.workers, s.centres
+	parts := make([]eip.Partial, n)
+	tasks := make([]func(), n)
+	for i := range tasks {
+		lo, hi := i*len(cs.Nodes)/n, (i+1)*len(cs.Nodes)/n
+		tasks[i] = func() { parts[i] = s.confirm(sr, eip.Centers{Nodes: cs.Nodes[lo:hi], Class: cs.Class[lo:hi]}, f) }
 	}
 	pool.Do(tasks...)
 
-	ev := &RuleEval{Key: sr.Key, Centres: len(s.G.NodesWithLabel(s.Pred.XLabel)), Survivors: f.Kept()}
+	ev := &RuleEval{Key: sr.Key, Centres: len(cs.Nodes), Survivors: f.Kept()}
 	for _, p := range parts {
 		ev.Matches = append(ev.Matches, p.Q...)
 		ev.Stats.SuppR += p.R
 		ev.Stats.SuppQqb += p.Qqb
 	}
-	slices.Sort(ev.Matches)
 	ev.Stats.SuppQ = len(ev.Matches)
 	ev.Stats.SuppQ1 = s.SuppQ1
 	ev.Stats.SuppQbar = s.SuppQbar

@@ -127,50 +127,6 @@ func fillCumulative(sk Sketch) {
 	}
 }
 
-// patternAdj builds the undirected adjacency of an expanded pattern.
-func patternAdj(pe *pattern.Pattern) [][]int {
-	adj := make([][]int, pe.NumNodes())
-	for _, e := range pe.Edges() {
-		adj[e.From] = append(adj[e.From], e.To)
-		if e.From != e.To {
-			adj[e.To] = append(adj[e.To], e.From)
-		}
-	}
-	return adj
-}
-
-// ofExpanded computes the k-hop sketch of node u of an already-expanded
-// pattern with prebuilt adjacency.
-func ofExpanded(pe *pattern.Pattern, adj [][]int, u, k int) Sketch {
-	sk := make(Sketch, k)
-	n := pe.NumNodes()
-	visited := make([]bool, n)
-	visited[u] = true
-	frontier := []int{u}
-	for hop := 0; hop < k && len(frontier) > 0; hop++ {
-		dist := make(map[graph.Label]int)
-		if hop > 0 {
-			for l, c := range sk[hop-1] {
-				dist[l] = c
-			}
-		}
-		var next []int
-		for _, w := range frontier {
-			for _, t := range adj[w] {
-				if !visited[t] {
-					visited[t] = true
-					next = append(next, t)
-					dist[pe.Label(t)]++
-				}
-			}
-		}
-		sk[hop] = dist
-		frontier = next
-	}
-	fillCumulative(sk)
-	return sk
-}
-
 // Index lazily computes and caches data-node sketches for one graph. It is
 // safe for concurrent use.
 type Index struct {
@@ -207,10 +163,18 @@ func (ix *Index) PatternSketches(p *pattern.Pattern) []Sketch {
 		return sks
 	}
 	pe := p.Expand()
-	adj := patternAdj(pe)
 	sks = make([]Sketch, pe.NumNodes())
 	for u := range sks {
-		sks[u] = ofExpanded(pe, adj, u, ix.k)
+		dist := pe.DistancesFrom(u)
+		sks[u] = make(Sketch, ix.k)
+		for i := range sks[u] {
+			sks[u][i] = make(map[graph.Label]int)
+			for w, d := range dist {
+				if d > 0 && d <= i+1 {
+					sks[u][i][pe.Label(w)]++
+				}
+			}
+		}
 	}
 	ix.pmu.Lock()
 	ix.pcache[p] = sks
