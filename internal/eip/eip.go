@@ -123,21 +123,28 @@ type Centers struct {
 	Class []Class
 }
 
-// ClassifyCenters classifies centers, in input order, with respect to pred
-// from each center's pred-labelled edge range alone. Nodes aliases centers.
-// It is the one LCWA read outside core's oracle: the batch algorithms here,
-// gpard's snapshot constructor (internal/serve) and mining's round 0
-// (internal/mine) all call it.
+// Classify returns v's LCWA class with respect to pred, from v's
+// pred-labelled edge range alone. It is the one LCWA read outside core's
+// oracle: ClassifyCenters and gpard's delta patch of its snapshot's classes
+// (internal/serve) both call it.
+func Classify(g *graph.Graph, v graph.NodeID, pred core.Predicate) Class {
+	qEdges := g.OutRangeL(v, pred.EdgeLabel)
+	switch {
+	case slices.ContainsFunc(qEdges, func(e graph.Edge) bool { return g.Label(e.To) == pred.YLabel }):
+		return Pq
+	case len(qEdges) > 0:
+		return Pqbar
+	}
+	return Other
+}
+
+// ClassifyCenters classifies centers, in input order, with respect to pred.
+// Nodes aliases centers. The batch algorithms here, gpard's full snapshot
+// builds (internal/serve) and mining's round 0 (internal/mine) all call it.
 func ClassifyCenters(g *graph.Graph, centers []graph.NodeID, pred core.Predicate) Centers {
 	c := Centers{Nodes: centers, Class: make([]Class, len(centers))}
 	for i, v := range centers {
-		qEdges := g.OutRangeL(v, pred.EdgeLabel)
-		switch {
-		case slices.ContainsFunc(qEdges, func(e graph.Edge) bool { return g.Label(e.To) == pred.YLabel }):
-			c.Class[i] = Pq
-		case len(qEdges) > 0:
-			c.Class[i] = Pqbar
-		}
+		c.Class[i] = Classify(g, v, pred)
 	}
 	return c
 }

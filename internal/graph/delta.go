@@ -1,9 +1,11 @@
 // Delta overlays: applying a batch of mutations to a frozen graph without
 // re-freezing it. ApplyDelta returns a new *Graph that shares the base
-// graph's CSR arenas and symbol table, carries fresh merged adjacency only
-// for the touched nodes, and routes the CSR-backed read paths (OutRangeL,
-// InRangeL, NodesWithLabel) around the stale index entries via a small
-// overlay. Untouched nodes keep the frozen fast path bit for bit;
+// graph's CSR arenas, adjacency headers and symbol table, carries fresh
+// merged adjacency only for the nodes touched since the freeze, and routes
+// every read path (Out, In, Degree, HasEdge, OutRangeL, InRangeL,
+// NodesWithLabel) around the stale entries via a small overlay, so a batch
+// costs what it touches plus the overlay, not |V| headers. Untouched nodes
+// keep the frozen fast path bit for bit;
 // the base graph is never mutated, so readers of the old generation are
 // undisturbed — the serving layer installs the derived graph as a new
 // snapshot generation. CompactCopy folds an overlay back into a fresh
@@ -13,6 +15,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 )
 
@@ -73,12 +76,19 @@ func (e *DeltaError) Error() string {
 }
 
 // overlay is the per-derived-graph bookkeeping that routes reads around the
-// shared (now partially stale) CSR index. All fields are immutable after
-// ApplyDelta returns, so a derived graph is as read-shareable as a frozen
-// one.
+// shared (now partially stale) CSR index and the base graph's adjacency
+// headers. All fields are immutable after ApplyDelta returns, so a derived
+// graph is as read-shareable as a frozen one.
 type overlay struct {
-	csrN    int    // node count the shared csr was built for
-	touched []bool // len csrN; true ⇒ adjacency or label differs from csr
+	// bypass has one entry per node: true when v's csr entries and shared
+	// headers are stale (touched since the freeze) or absent (newer than
+	// it), so reads take v's adjacency from out and in instead.
+	bypass []bool
+
+	// out and in hold the adjacency of every bypassed node, one entry per
+	// node in each map (nil when it has no edges that way). Every other
+	// node reads the base graph's headers, which a derived graph shares.
+	out, in map[NodeID][]Edge
 
 	// nodesByLabel overrides the csr candidate index for every node label
 	// whose membership changed since the last real freeze: the full, sorted
@@ -88,12 +98,6 @@ type overlay struct {
 
 	ops          int      // cumulative op count since the last real freeze
 	batchTouched []NodeID // nodes touched by the most recent batch, ascending
-}
-
-// bypass reports whether node v's CSR index entries are stale (or absent,
-// for nodes newer than the freeze).
-func (ov *overlay) bypass(v NodeID) bool {
-	return int(v) >= ov.csrN || ov.touched[v]
 }
 
 // labelRun returns the contiguous run of edges labeled l within a
@@ -135,14 +139,14 @@ func cmpEdge(a, b Edge) int {
 
 // ApplyDelta applies a batch of mutations to a frozen graph and returns the
 // result as a new graph; g itself is never modified. The derived graph
-// shares g's CSR arenas (touched nodes get fresh merged adjacency) and is
-// immediately frozen-for-reading: every concurrent read path that is safe
-// on a frozen graph is safe on it. Application is atomic — the first
-// invalid op aborts the whole batch with a *DeltaError and no derived
-// graph. Deltas stack: applying a batch to an already-overlaid graph
-// accumulates into one overlay over the original freeze. Freeze is a no-op
-// on a derived graph; folding the overlay back into a real freeze is an
-// explicit CompactCopy.
+// shares g's CSR arenas and adjacency headers (touched nodes get fresh
+// merged adjacency in the overlay) and is immediately frozen-for-reading:
+// every concurrent read path that is safe on a frozen graph is safe on it.
+// Application is atomic — the first invalid op aborts the whole batch with a
+// *DeltaError and no derived graph. Deltas stack: applying a batch to an
+// already-overlaid graph accumulates into one overlay over the original
+// freeze. Freeze is a no-op on a derived graph; folding the overlay back
+// into a real freeze is an explicit CompactCopy.
 func (g *Graph) ApplyDelta(ops []DeltaOp) (*Graph, error) {
 	g.Freeze()
 	baseN := g.NumNodes()
@@ -156,15 +160,15 @@ func (g *Graph) ApplyDelta(ops []DeltaOp) (*Graph, error) {
 	numE := g.numE
 
 	// stage returns the working adjacency of v as a mutable copy: staged if
-	// an earlier op already touched it, cloned from the base otherwise. Both
-	// are (Label, To)-sorted, the invariant every op maintains.
-	stage := func(m map[NodeID][]Edge, base [][]Edge, v NodeID) []Edge {
+	// an earlier op already touched it, cloned from g otherwise. Both are
+	// (Label, To)-sorted, the invariant every op maintains.
+	stage := func(m map[NodeID][]Edge, read func(NodeID) []Edge, v NodeID) []Edge {
 		if a, ok := m[v]; ok {
 			return a
 		}
 		var a []Edge
 		if int(v) < baseN {
-			a = slices.Clone(base[v])
+			a = slices.Clone(read(v))
 		}
 		m[v] = a
 		return a
@@ -195,13 +199,13 @@ func (g *Graph) ApplyDelta(ops []DeltaOp) (*Graph, error) {
 				return fail(i, op, "edge label not interned")
 			}
 			e := Edge{To: op.To, Label: op.Label}
-			out := stage(stagedOut, g.out, op.From)
+			out := stage(stagedOut, g.Out, op.From)
 			if pos, dup := slices.BinarySearchFunc(out, e, cmpEdge); dup {
 				return fail(i, op, "edge already exists")
 			} else {
 				stagedOut[op.From] = slices.Insert(out, pos, e)
 			}
-			in := stage(stagedIn, g.in, op.To)
+			in := stage(stagedIn, g.In, op.To)
 			re := Edge{To: op.From, Label: op.Label}
 			pos, _ := slices.BinarySearchFunc(in, re, cmpEdge)
 			stagedIn[op.To] = slices.Insert(in, pos, re)
@@ -217,13 +221,13 @@ func (g *Graph) ApplyDelta(ops []DeltaOp) (*Graph, error) {
 				return fail(i, op, "unknown to node")
 			}
 			e := Edge{To: op.To, Label: op.Label}
-			out := stage(stagedOut, g.out, op.From)
+			out := stage(stagedOut, g.Out, op.From)
 			pos, ok := slices.BinarySearchFunc(out, e, cmpEdge)
 			if !ok {
 				return fail(i, op, "no such edge")
 			}
 			stagedOut[op.From] = slices.Delete(out, pos, pos+1)
-			in := stage(stagedIn, g.in, op.To)
+			in := stage(stagedIn, g.In, op.To)
 			re := Edge{To: op.From, Label: op.Label}
 			rpos, rok := slices.BinarySearchFunc(in, re, cmpEdge)
 			if !rok {
@@ -252,69 +256,68 @@ func (g *Graph) ApplyDelta(ops []DeltaOp) (*Graph, error) {
 		}
 	}
 
-	// Materialize the derived graph: cloned slice headers (O(V)), staged
-	// merged adjacency for touched nodes, everything else aliased into the
-	// base arenas.
-	n := len(labels)
-	out := make([][]Edge, n)
-	in := make([][]Edge, n)
-	copy(out, g.out)
-	copy(in, g.in)
-	for v, adj := range stagedOut {
-		out[v] = slices.Clip(adj)
+	// Build the cumulative overlay over the original freeze: g's, cloned
+	// (O(overlay), which compaction bounds), plus this batch's touched nodes.
+	// A touched node's adjacency moves into the overlay even when only its
+	// label changed: bypassed nodes read nothing from the shared headers.
+	prev := g.ov
+	if prev == nil {
+		prev = &overlay{}
 	}
-	for v, adj := range stagedIn {
-		in[v] = slices.Clip(adj)
+	ov := &overlay{
+		bypass:       make([]bool, len(labels)),
+		out:          make(map[NodeID][]Edge, len(prev.out)+len(touched)),
+		in:           make(map[NodeID][]Edge, len(prev.in)+len(touched)),
+		nodesByLabel: make(map[Label][]NodeID, len(prev.nodesByLabel)+len(affected)),
+		ops:          prev.ops + len(ops),
+		batchTouched: make([]NodeID, 0, len(touched)),
 	}
+	copy(ov.bypass, prev.bypass)
+	maps.Copy(ov.out, prev.out)
+	maps.Copy(ov.in, prev.in)
+	maps.Copy(ov.nodesByLabel, prev.nodesByLabel)
+	for v := range touched {
+		ov.bypass[v] = true
+		ov.out[v] = slices.Clip(stage(stagedOut, g.Out, v))
+		ov.in[v] = slices.Clip(stage(stagedIn, g.In, v))
+		ov.batchTouched = append(ov.batchTouched, v)
+	}
+	bt := ov.batchTouched
+	slices.Sort(bt)
+
+	// Each affected label's list is g's with the batch's touched nodes
+	// placed by their final labels: one merge of two ascending lists.
+	for l := range affected {
+		was := g.NodesWithLabel(l)
+		nodes := make([]NodeID, 0, len(was)+len(bt))
+		i := 0
+		for _, v := range was {
+			for ; i < len(bt) && bt[i] < v; i++ {
+				if labels[bt[i]] == l {
+					nodes = append(nodes, bt[i])
+				}
+			}
+			if i == len(bt) || bt[i] != v {
+				nodes = append(nodes, v)
+			}
+		}
+		for ; i < len(bt); i++ {
+			if labels[bt[i]] == l {
+				nodes = append(nodes, bt[i])
+			}
+		}
+		ov.nodesByLabel[l] = nodes
+	}
+
 	d := &Graph{
 		syms:   g.syms,
 		labels: labels,
-		out:    out,
-		in:     in,
+		out:    g.out,
+		in:     g.in,
 		numE:   numE,
+		csr:    g.csr,
+		ov:     ov,
 	}
-
-	// Build the cumulative overlay over the original freeze.
-	csrN := baseN
-	var prevTouched []bool
-	var prevByLabel map[Label][]NodeID
-	prevOps := 0
-	if g.ov != nil {
-		csrN = g.ov.csrN
-		prevTouched = g.ov.touched
-		prevByLabel = g.ov.nodesByLabel
-		prevOps = g.ov.ops
-	}
-	ov := &overlay{csrN: csrN, ops: prevOps + len(ops)}
-	ov.touched = make([]bool, csrN)
-	copy(ov.touched, prevTouched)
-	ov.batchTouched = make([]NodeID, 0, len(touched))
-	for v := range touched {
-		if int(v) < csrN {
-			ov.touched[v] = true
-		}
-		ov.batchTouched = append(ov.batchTouched, v)
-	}
-	slices.Sort(ov.batchTouched)
-
-	ov.nodesByLabel = make(map[Label][]NodeID, len(prevByLabel)+len(affected))
-	for l, nodes := range prevByLabel {
-		ov.nodesByLabel[l] = nodes
-	}
-	if len(affected) > 0 {
-		for l := range affected {
-			ov.nodesByLabel[l] = nil
-		}
-		// One scan refills every affected label's candidate list, already
-		// sorted because node IDs ascend.
-		for v, l := range labels {
-			if _, ok := affected[l]; ok {
-				ov.nodesByLabel[l] = append(ov.nodesByLabel[l], NodeID(v))
-			}
-		}
-	}
-	d.csr = g.csr
-	d.ov = ov
 	d.frozen.Store(true)
 	return d, nil
 }
@@ -325,15 +328,19 @@ func (g *Graph) ApplyDelta(ops []DeltaOp) (*Graph, error) {
 // of the original do; the copy simply has no overlay left to consult. It
 // also works on plain graphs, where it is a frozen deep copy.
 func (g *Graph) CompactCopy() *Graph {
+	n := g.NumNodes()
 	c := &Graph{
 		syms:   g.syms,
 		labels: slices.Clone(g.labels),
-		out:    slices.Clone(g.out),
-		in:     slices.Clone(g.in),
+		out:    make([][]Edge, n),
+		in:     make([][]Edge, n),
 		numE:   g.numE,
 	}
-	// Freeze builds fresh arenas from the (cloned) adjacency headers and
-	// re-points them; the original's arenas are only read.
+	for v := range n {
+		c.out[v], c.in[v] = g.Out(NodeID(v)), g.In(NodeID(v))
+	}
+	// Freeze builds fresh arenas from these adjacency headers and re-points
+	// them; the original's arenas are only read.
 	c.Freeze()
 	return c
 }
@@ -381,7 +388,7 @@ func (g *Graph) LabelWithinDistance(v NodeID, l Label, max int) int {
 	for depth := 1; depth <= max && len(s.frontier) > 0; depth++ {
 		s.next = s.next[:0]
 		for _, u := range s.frontier {
-			for _, e := range g.out[u] {
+			for _, e := range g.Out(u) {
 				if s.stamp[e.To] != s.epoch {
 					s.stamp[e.To] = s.epoch
 					if g.labels[e.To] == l {
@@ -390,7 +397,7 @@ func (g *Graph) LabelWithinDistance(v NodeID, l Label, max int) int {
 					s.next = append(s.next, e.To)
 				}
 			}
-			for _, e := range g.in[u] {
+			for _, e := range g.In(u) {
 				if s.stamp[e.To] != s.epoch {
 					s.stamp[e.To] = s.epoch
 					if g.labels[e.To] == l {

@@ -35,8 +35,8 @@ type Edge struct {
 type Graph struct {
 	syms   *Symbols
 	labels []Label  // labels[v] is the node label of v
-	out    [][]Edge // out[v] lists edges v -> w; frozen: views into csr.outE
-	in     [][]Edge // in[v] lists edges w -> v as {To: w}; frozen: views into csr.inE
+	out    [][]Edge // out[v] lists edges v -> w; frozen: views into csr.outE; overlaid: the base's, read through Out
+	in     [][]Edge // in[v] lists edges w -> v as {To: w}; frozen: views into csr.inE; overlaid: the base's, read through In
 	numE   int
 
 	// frozen publishes csr: buildCSR happens-before frozen.Store(true), so
@@ -45,9 +45,9 @@ type Graph struct {
 	csr    *csrIndex
 
 	// ov, when non-nil on a frozen graph, marks this graph as a delta
-	// overlay over csr (see delta.go): csr is shared with the base graph
-	// and stale for the overlay's touched nodes, which the CSR-backed read
-	// paths route around. Immutable once set, like csr.
+	// overlay over csr (see delta.go): csr and the out/in headers are shared
+	// with the base graph and stale for the overlay's bypassed nodes, which
+	// every read path routes around. Immutable once set, like csr.
 	ov *overlay
 }
 
@@ -163,7 +163,7 @@ func (g *Graph) freeze() {
 // search on from's (Label, To)-sorted adjacency.
 func (g *Graph) HasEdge(from, to NodeID, l Label) bool {
 	g.Freeze()
-	return searchEdge(g.out[from], to, l)
+	return searchEdge(g.Out(from), to, l)
 }
 
 // OutRangeL returns v's outgoing edges labeled l: a label-contiguous
@@ -171,8 +171,8 @@ func (g *Graph) HasEdge(from, to NodeID, l Label) bool {
 // labels with no allocation. The caller must not mutate the result.
 func (g *Graph) OutRangeL(v NodeID, l Label) []Edge {
 	g.Freeze()
-	if ov := g.ov; ov != nil && ov.bypass(v) {
-		return labelRun(g.out[v], l)
+	if ov := g.ov; ov != nil && ov.bypass[v] {
+		return labelRun(ov.out[v], l)
 	}
 	c := g.csr
 	return rangeL(c.outE, c.outLab, c.outLabOff, c.outLabStart, v, l)
@@ -182,8 +182,8 @@ func (g *Graph) OutRangeL(v NodeID, l Label) []Edge {
 // source node of an edge To -> v labeled l.
 func (g *Graph) InRangeL(v NodeID, l Label) []Edge {
 	g.Freeze()
-	if ov := g.ov; ov != nil && ov.bypass(v) {
-		return labelRun(g.in[v], l)
+	if ov := g.ov; ov != nil && ov.bypass[v] {
+		return labelRun(ov.in[v], l)
 	}
 	c := g.csr
 	return rangeL(c.inE, c.inLab, c.inLabOff, c.inLabStart, v, l)
@@ -196,13 +196,28 @@ func (g *Graph) Label(v NodeID) Label { return g.labels[v] }
 func (g *Graph) LabelName(v NodeID) string { return g.syms.Name(g.labels[v]) }
 
 // Out returns the outgoing adjacency of v. The caller must not mutate it.
-func (g *Graph) Out(v NodeID) []Edge { return g.out[v] }
+func (g *Graph) Out(v NodeID) []Edge {
+	if ov := g.ov; ov != nil && ov.bypass[v] {
+		return ov.out[v]
+	}
+	return g.out[v]
+}
 
 // In returns the incoming adjacency of v ({To: source}). Read-only.
-func (g *Graph) In(v NodeID) []Edge { return g.in[v] }
+func (g *Graph) In(v NodeID) []Edge {
+	if ov := g.ov; ov != nil && ov.bypass[v] {
+		return ov.in[v]
+	}
+	return g.in[v]
+}
 
 // Degree reports the total (in+out) degree of v.
-func (g *Graph) Degree(v NodeID) int { return len(g.out[v]) + len(g.in[v]) }
+func (g *Graph) Degree(v NodeID) int {
+	if ov := g.ov; ov != nil && ov.bypass[v] {
+		return len(ov.out[v]) + len(ov.in[v])
+	}
+	return len(g.out[v]) + len(g.in[v])
+}
 
 // NodesWithLabel returns all nodes labeled l, in ID order: a subslice of
 // the precomputed candidate index. The caller must not mutate the result.
@@ -267,14 +282,14 @@ func (g *Graph) AppendNeighborhood(dst []NodeID, v NodeID, r int) []NodeID {
 	for depth := 0; depth < r && len(s.frontier) > 0; depth++ {
 		s.next = s.next[:0]
 		for _, u := range s.frontier {
-			for _, e := range g.out[u] {
+			for _, e := range g.Out(u) {
 				if s.stamp[e.To] != s.epoch {
 					s.stamp[e.To] = s.epoch
 					s.next = append(s.next, e.To)
 					order = append(order, e.To)
 				}
 			}
-			for _, e := range g.in[u] {
+			for _, e := range g.In(u) {
 				if s.stamp[e.To] != s.epoch {
 					s.stamp[e.To] = s.epoch
 					s.next = append(s.next, e.To)
@@ -312,7 +327,7 @@ func (g *Graph) InducedSubgraph(nodes []NodeID) (sub *Graph, toLocal map[NodeID]
 	inDeg := make([]int32, n)
 	numE := 0
 	for _, v := range toGlobal {
-		for _, e := range g.out[v] {
+		for _, e := range g.Out(v) {
 			if lw, ok := toLocal[e.To]; ok {
 				inDeg[lw]++
 				numE++
@@ -329,7 +344,7 @@ func (g *Graph) InducedSubgraph(nodes []NodeID) (sub *Graph, toLocal map[NodeID]
 	for _, v := range toGlobal {
 		lv := toLocal[v]
 		start := len(outArena)
-		for _, e := range g.out[v] {
+		for _, e := range g.Out(v) {
 			if lw, ok := toLocal[e.To]; ok {
 				outArena = append(outArena, Edge{To: lw, Label: e.Label})
 				sub.in[lw] = append(sub.in[lw], Edge{To: lv, Label: e.Label})
@@ -346,11 +361,11 @@ func (g *Graph) InducedSubgraph(nodes []NodeID) (sub *Graph, toLocal map[NodeID]
 func (g *Graph) Clone() *Graph {
 	c := New(g.syms)
 	c.labels = append([]Label(nil), g.labels...)
-	c.out = make([][]Edge, len(g.out))
-	c.in = make([][]Edge, len(g.in))
-	for v := range g.out {
-		c.out[v] = append([]Edge(nil), g.out[v]...)
-		c.in[v] = append([]Edge(nil), g.in[v]...)
+	c.out = make([][]Edge, len(g.labels))
+	c.in = make([][]Edge, len(g.labels))
+	for v := range c.out {
+		c.out[v] = append([]Edge(nil), g.Out(NodeID(v))...)
+		c.in[v] = append([]Edge(nil), g.In(NodeID(v))...)
 	}
 	c.numE = g.numE
 	return c

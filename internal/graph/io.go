@@ -35,7 +35,7 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	for v := 0; v < g.NumNodes(); v++ {
-		for _, e := range g.out[v] {
+		for _, e := range g.Out(NodeID(v)) {
 			if err := count(fmt.Fprintf(bw, "e %d %d %s\n", v, e.To, strconv.Quote(g.syms.Name(e.Label)))); err != nil {
 				return n, err
 			}

@@ -197,8 +197,8 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 		bound = max(bound, k.reach())
 	}
 	impact := deltaImpact(snap.G, g2, touched, snap.Pred.XLabel, bound)
-	next := DeriveDeltaSnapshot(snap, g2, s.cfg)
-	rep := newRepair(snap, next, ops, touched)
+	rep := newRepair(snap, g2, ops, touched)
+	next := rep.derive(g2, s.cfg)
 	c, err := s.publish(next, impact, rep, &req)
 	if err != nil {
 		return nil, fmt.Errorf("serve: delta not logged: %w", err)
@@ -257,12 +257,10 @@ type reachKey struct {
 	d int
 }
 
-// newRepair collects what the batch ops changed between old and next.
-func newRepair(old, next *Snapshot, ops []graph.DeltaOp, touched []graph.NodeID) *repair {
-	g0, g1, q := old.G, next.G, old.Pred.EdgeLabel
-	r := &repair{old: old, next: next, near: map[reachKey][]graph.NodeID{},
-		same: old.SuppQ1 == next.SuppQ1 && old.SuppQbar == next.SuppQbar &&
-			len(g0.NodesWithLabel(old.Pred.XLabel)) == len(g1.NodesWithLabel(old.Pred.XLabel))}
+// newRepair collects what the batch ops changed between old.G and g1.
+func newRepair(old *Snapshot, g1 *graph.Graph, ops []graph.DeltaOp, touched []graph.NodeID) *repair {
+	g0, q := old.G, old.Pred.EdgeLabel
+	r := &repair{old: old, near: map[reachKey][]graph.NodeID{}}
 	has := func(g *graph.Graph, op graph.DeltaOp) bool {
 		n := graph.NodeID(g.NumNodes())
 		return op.From < n && op.To < n && g.HasEdge(op.From, op.To, op.Label)
@@ -294,6 +292,15 @@ func newRepair(old, next *Snapshot, ops []graph.DeltaOp, touched []graph.NodeID)
 		}
 	}
 	return r
+}
+
+// derive is the batch's snapshot of g1, its classes patched at r.lcwa only,
+// and the repair's next.
+func (r *repair) derive(g1 *graph.Graph, cfg Config) *Snapshot {
+	r.next = r.old.patch(g1, r.lcwa, cfg)
+	r.same = r.old.SuppQ1 == r.next.SuppQ1 && r.old.SuppQbar == r.next.SuppQbar &&
+		len(r.old.centres.Nodes) == len(r.next.centres.Nodes)
+	return r.next
 }
 
 // affected returns sr's affected centres, ascending, or false when the batch
@@ -408,13 +415,16 @@ func (s *Server) Compact() (uint64, bool, error) {
 
 // compactLocked copies snap's graph, overlay and all, into a freshly frozen
 // one and publishes it, checkpointed. The logical graph is unchanged, so
-// publish carries every match-set evaluation and mine result across. The
+// the new snapshot keeps snap's classes, aliased to the copy's label index,
+// and publish carries every match-set evaluation and mine result across. The
 // caller holds swapMu and snap is the served snapshot, so nothing can land
 // between the copy and its publish. A failed publish counts as an abort
 // and leaves the overlay served: the next batch that finds it at the
 // threshold tries again.
 func (s *Server) compactLocked(snap *Snapshot) (uint64, bool, error) {
-	next := DeriveDeltaSnapshot(snap, snap.G.CompactCopy(), s.cfg)
+	g := snap.G.CompactCopy()
+	cs := eip.Centers{Nodes: g.NodesWithLabel(snap.Pred.XLabel), Class: snap.centres.Class}
+	next := newSnapshot(snap, g, cs, snap.SuppQ1, snap.SuppQbar, s.cfg)
 	if _, err := s.publish(next, -1, nil, nil); err != nil {
 		s.nCompactAborts.Add(1)
 		return s.gen.Load(), false, err

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"fmt"
 	"testing"
 
 	"gpar/internal/core"
+	"gpar/internal/gen"
 	"gpar/internal/graph"
 )
 
@@ -74,7 +76,10 @@ func BenchmarkIdentifyWithOverlay(b *testing.B) {
 // evaluation to maintain; warm reads every rule before each batch (cache
 // hits once the first is evaluated), so each batch also re-checks the
 // centres the edge can affect. The gap is what the repair adds to the
-// ack. Recorded in BENCH_match.json by `make bench`.
+// ack. The cold/users=N rows are the same ack, with a follow edge between
+// two users and an empty rule set, on Pokec graphs of 1 500, 15 000 and
+// 60 000 users (1 546, 15 046 and 60 046 nodes): a batch should cost what
+// it touches, not |V|. Recorded in BENCH_match.json by `make bench`.
 func BenchmarkDeltaRepair(b *testing.B) {
 	snap, served, _ := benchSnapshot(b)
 	g, xl := snap.G, snap.Pred.XLabel
@@ -121,6 +126,42 @@ func BenchmarkDeltaRepair(b *testing.B) {
 				if _, err := s.ApplyDelta(batches[i%2]); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+	for _, users := range []int{1500, 15000, 60000} {
+		var s *Server
+		var batches [2]DeltaRequest
+		n := 0 // batches applied, across the calls that size b.N
+		b.Run(fmt.Sprintf("cold/users=%d", users), func(b *testing.B) {
+			if s == nil {
+				syms := graph.NewSymbols()
+				g := gen.Pokec(syms, gen.DefaultPokec(users, 1))
+				pred := gen.PokecPredicates(syms)[0]
+				s = New(Config{Workers: 4})
+				if err := s.LoadSnapshot(g, pred, nil); err != nil {
+					b.Fatal(err)
+				}
+				users := g.NodesWithLabel(pred.XLabel)
+				u, v := users[0], users[1]
+				for _, w := range users[1:] {
+					if !g.HasEdge(u, w, syms.Lookup("follow")) {
+						v = w
+						break
+					}
+				}
+				batches = [2]DeltaRequest{
+					{Ops: []DeltaOpSpec{{Op: "addEdge", From: int32(u), To: int32(v), Label: "follow"}}},
+					{Ops: []DeltaOpSpec{{Op: "delEdge", From: int32(u), To: int32(v), Label: "follow"}}},
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := s.ApplyDelta(batches[n%2]); err != nil {
+					b.Fatal(err)
+				}
+				n++
 			}
 		})
 	}

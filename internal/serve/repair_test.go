@@ -28,13 +28,20 @@ func hangingRule(syms *graph.Symbols, pred core.Predicate, l, other string, out 
 	return &core.Rule{Q: q, Pred: pred}
 }
 
-// checkResident compares every match-set entry resident for the served
-// generation — carried, repaired or built — with EvalRule on a fresh
+// checkResident compares the served snapshot's classified centres and
+// supports, patched batch by batch, and every match-set entry resident for
+// its generation — carried, repaired or built — with those of a fresh
 // snapshot of the compacted graph, field by field.
 func checkResident(t *testing.T, s *Server) {
 	t.Helper()
 	snap := s.Snapshot()
 	fresh := DeriveDeltaSnapshot(snap, snap.G.CompactCopy(), s.cfg)
+	if !slices.Equal(snap.centres.Nodes, fresh.centres.Nodes) || !slices.Equal(snap.centres.Class, fresh.centres.Class) ||
+		snap.SuppQ1 != fresh.SuppQ1 || snap.SuppQbar != fresh.SuppQbar {
+		t.Fatalf("generation %d: served centres %v %v supp %d/%d, classified %v %v supp %d/%d", snap.Gen,
+			snap.centres.Nodes, snap.centres.Class, snap.SuppQ1, snap.SuppQbar,
+			fresh.centres.Nodes, fresh.centres.Class, fresh.SuppQ1, fresh.SuppQbar)
+	}
 	for _, sr := range snap.Rules {
 		ev, ok := s.cache.Get(evalKey{snap.Gen, sr.Key})
 		if !ok {
@@ -58,6 +65,7 @@ const (
 	repairQEdge              // toggle q from a user to a hub
 	repairAddUser            // add a user following another
 	repairGenre              // toggle genre from a hub to genre:pop
+	repairSwap               // swap the labels of a user and a hub
 	repairOps
 )
 
@@ -68,14 +76,17 @@ const (
 // batches. Each batch reads a length byte, then a
 // kind byte and two node bytes per op; the batches toggle follow edges at
 // users and at hubs, relabel hubs to and from the y label, toggle q edges
-// and genre edges, and add users. After each batch every entry that
-// crossed, as it was or repaired, must equal EvalRule on the compacted
-// graph; then every rule is evaluated again for the next batch.
+// and genre edges, add users, and swap a user's label with a hub's (a user
+// leaves the x label and a hub joins it, or back). After each batch the
+// served classes and supports, and every entry that crossed, as it was or
+// repaired, must equal a fresh classification and EvalRule on the
+// compacted graph; then every rule is evaluated again for the next batch.
 func FuzzDeltaRepair(f *testing.F) {
 	f.Add([]byte{2, repairFollowUsers, 3, 9, repairQEdge, 4, 1})
 	f.Add([]byte{1, repairGenre, 0, 0, 1, repairGenre, 0, 0, 2, repairRelabelHub, 0, 0, repairAddUser, 7, 7})
 	f.Add([]byte{3, repairFollowHub, 2, 5, repairRelabelHub, 1, 5, repairFollowUsers, 11, 12, 1, repairRelabelHub, 1, 5})
 	f.Add([]byte{4, repairQEdge, 8, 0, repairQEdge, 9, 0, repairAddUser, 1, 2, repairFollowUsers, 60, 3})
+	f.Add([]byte{1, repairQEdge, 5, 1, repairSwap, 5, 1, 0, repairSwap, 5, 1, 1, repairSwap, 2, 3, repairQEdge, 9, 3})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		syms := graph.NewSymbols()
 		g := gen.Pokec(syms, gen.DefaultPokec(60, 1))
@@ -169,6 +180,11 @@ func FuzzDeltaRepair(f *testing.F) {
 						src = hub
 					}
 					toggle(src, pop, "genre")
+				case repairSwap:
+					lu, lh := label(user), label(hub)
+					labels[user], labels[hub] = lh, lu
+					ops = append(ops, DeltaOpSpec{Op: "setLabel", Node: int32(user), Label: syms.Name(lh)},
+						DeltaOpSpec{Op: "setLabel", Node: int32(hub), Label: syms.Name(lu)})
 				}
 			}
 			if len(ops) == 0 {

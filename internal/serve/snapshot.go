@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"gpar/internal/core"
 	"gpar/internal/eip"
@@ -36,8 +37,8 @@ type Snapshot struct {
 	Rules       []*ServedRule
 	byKey       map[string]*ServedRule
 
-	// centres are the XLabel candidates, classified once under the LCWA;
-	// Nodes aliases the graph's label index. EvalRule fans out over workers
+	// centres are the XLabel candidates, classified under the LCWA (patched
+	// per delta batch); Nodes aliases the graph's label index. EvalRule fans out over workers
 	// contiguous index ranges of it, and every range reads the one shared
 	// graph.
 	centres eip.Centers
@@ -100,33 +101,76 @@ func BuildSnapshot(g *graph.Graph, pred core.Predicate, rules []*core.Rule, cfg 
 		snap.Rules = append(snap.Rules, sr)
 		snap.byKey[sr.Key] = sr
 	}
-	return newSnapshot(snap, g, cfg), nil
+	return DeriveDeltaSnapshot(snap, g, cfg), nil
 }
 
 // DeriveDeltaSnapshot prepares serving state for g, a graph derived from
 // prev.G (a delta overlay, or its compaction) under prev's predicate and
-// rule set, which are inherited as they are.
+// rule set, which are inherited as they are. It classifies every candidate
+// afresh, because g may be any number of batches past prev.G; gpard's own
+// delta path patches the classes of the one batch it applies (patch), and
+// BuildSnapshot finishes through here.
 func DeriveDeltaSnapshot(prev *Snapshot, g *graph.Graph, cfg Config) *Snapshot {
-	return newSnapshot(prev, g, cfg)
+	cs := eip.ClassifyCenters(g, g.NodesWithLabel(prev.Pred.XLabel), prev.Pred)
+	pq, pqbar := cs.Count()
+	return newSnapshot(prev, g, cs, pq, pqbar, cfg)
+}
+
+// patch is the snapshot of g, s.G with one batch applied, in which only
+// the centres in lcwa — the nodes whose LCWA class the batch can change,
+// every relabelled or added node among them — are classified again. When
+// the x-label list is the same slice the classes are s's, patched;
+// otherwise a merge walk of the two ascending lists carries s's classes,
+// and the new members, all in lcwa, start as Other. The supports move by
+// the difference.
+func (s *Snapshot) patch(g *graph.Graph, lcwa []graph.NodeID, cfg Config) *Snapshot {
+	pred, old := s.Pred, s.centres
+	cs := eip.Centers{Nodes: g.NodesWithLabel(pred.XLabel)}
+	supp := [3]int{eip.Pq: s.SuppQ1, eip.Pqbar: s.SuppQbar} // supp[eip.Other] is unused
+	if len(cs.Nodes) == len(old.Nodes) && (len(cs.Nodes) == 0 || &cs.Nodes[0] == &old.Nodes[0]) {
+		cs.Class = slices.Clone(old.Class)
+	} else {
+		cs.Class = make([]eip.Class, len(cs.Nodes))
+		j := 0
+		for i, v := range old.Nodes {
+			for j < len(cs.Nodes) && cs.Nodes[j] < v {
+				j++
+			}
+			if j < len(cs.Nodes) && cs.Nodes[j] == v {
+				cs.Class[j] = old.Class[i]
+			} else {
+				supp[old.Class[i]]--
+			}
+		}
+	}
+	for _, v := range lcwa {
+		if j, ok := slices.BinarySearch(cs.Nodes, v); ok {
+			supp[cs.Class[j]]--
+			cs.Class[j] = eip.Classify(g, v, pred)
+			supp[cs.Class[j]]++
+		}
+	}
+	return newSnapshot(s, g, cs, supp[eip.Pq], supp[eip.Pqbar], cfg)
 }
 
 // newSnapshot is the one snapshot constructor: from carries the predicate
 // and the prepared rule set (a previous snapshot, or BuildSnapshot's
 // half-filled one), g is the graph to serve — frozen, with or without a
-// delta overlay. The only per-graph work is the LCWA classification of the
-// candidates.
-func newSnapshot(from *Snapshot, g *graph.Graph, cfg Config) *Snapshot {
-	snap := &Snapshot{
+// delta overlay — and centres its XLabel candidates, classified, with
+// supp(q,G) = suppQ1 and supp(q̄,G) = suppQbar. It computes nothing per
+// graph; its callers classify.
+func newSnapshot(from *Snapshot, g *graph.Graph, centres eip.Centers, suppQ1, suppQbar int, cfg Config) *Snapshot {
+	return &Snapshot{
 		G:           g,
 		Pred:        from.Pred,
 		PredDisplay: from.PredDisplay,
 		Rules:       from.Rules,
 		byKey:       from.byKey,
-		centres:     eip.ClassifyCenters(g, g.NodesWithLabel(from.Pred.XLabel), from.Pred),
+		centres:     centres,
 		workers:     cfg.defaults().Workers,
+		SuppQ1:      suppQ1,
+		SuppQbar:    suppQbar,
 	}
-	snap.SuppQ1, snap.SuppQbar = snap.centres.Count()
-	return snap
 }
 
 // RuleByKey resolves a rule key to its served rule.
