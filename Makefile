@@ -34,7 +34,8 @@ race:
 # (op sequences over identify, deltas, swaps, mines, compaction and crashes,
 # checked against core.Eval), the delta repair of cached evaluations
 # against a fresh one, delta op application in graph, the graph file
-# reader gpard -graph boots from, the fragment decoder and the wire payload
+# reader gpard -graph boots from, the rule reader PUT /v1/rules and -rules
+# parse, the fragment decoder and the wire payload
 # decoders a fleet worker runs, the durability decoders (snapshot file
 # format, WAL replay), mining's extension discovery against its per-edge
 # reference, the canonical pattern code against pairwise isomorphism, and
@@ -44,6 +45,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzApplyDelta' -fuzztime 20s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz 'FuzzRead' -fuzztime 20s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz 'FuzzReadRules' -fuzztime 20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz 'FuzzFragmentDecode' -fuzztime 20s ./internal/partition/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 20s ./internal/mine/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzServeModel' -fuzztime 20s ./internal/serve/
@@ -167,7 +169,7 @@ inline-check:
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count. The test Go count beside it is
 # informational: it has no budget.
-LOC_BUDGET := 16352
+LOC_BUDGET := 16328
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \

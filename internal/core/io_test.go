@@ -46,19 +46,24 @@ func TestRuleIORoundTrip(t *testing.T) {
 	}
 }
 
+// readRulesErrorInputs are rule texts ReadRules must refuse.
+var readRulesErrorInputs = []string{
+	"end",                           // end without rule
+	"rule\nrule\n",                  // nested
+	"rule\npred \"a\" \"b\"\nend",   // bad pred arity
+	"rule\nnode 5 \"a\" 1 -\nend",   // non-dense node id
+	"rule\nnode 0 \"a\" 1 q\nend",   // bad role
+	"rule\nedge 0 1 \"e\"\nend",     // edge before nodes
+	"rule\npred \"a\" \"b\" \"c\"",  // unterminated
+	"bogus",                         // unknown record
+	"rule\nnode 0 \"a\" one -\nend", // bad mult
+}
+
+// hugeMult is a rule whose antecedent would expand to two billion nodes.
+const hugeMult = "rule\npred \"cust\" \"visit\" \"rest\"\nnode 0 \"cust\" 1 x\nnode 1 \"cust\" 2000000000 -\nedge 0 1 \"friend\"\nend\n"
+
 func TestReadRulesErrors(t *testing.T) {
-	cases := []string{
-		"end",                           // end without rule
-		"rule\nrule\n",                  // nested
-		"rule\npred \"a\" \"b\"\nend",   // bad pred arity
-		"rule\nnode 5 \"a\" 1 -\nend",   // non-dense node id
-		"rule\nnode 0 \"a\" 1 q\nend",   // bad role
-		"rule\nedge 0 1 \"e\"\nend",     // edge before nodes
-		"rule\npred \"a\" \"b\" \"c\"",  // unterminated
-		"bogus",                         // unknown record
-		"rule\nnode 0 \"a\" one -\nend", // bad mult
-	}
-	for _, c := range cases {
+	for _, c := range readRulesErrorInputs {
 		if _, err := ReadRules(strings.NewReader(c), nil); err == nil {
 			t.Errorf("ReadRules(%q) succeeded, want error", c)
 		}
@@ -76,6 +81,9 @@ func TestReadRulesValidates(t *testing.T) {
 	bad := "rule\npred \"cust\" \"visit\" \"rest\"\nnode 0 \"city\" 1 x\nnode 1 \"rest\" 1 -\nedge 0 1 \"e\"\nend\n"
 	if _, err := ReadRules(strings.NewReader(bad), nil); err == nil {
 		t.Error("mismatched x label accepted")
+	}
+	if _, err := ReadRules(strings.NewReader(hugeMult), nil); err == nil {
+		t.Error("an antecedent expanding to two billion nodes accepted")
 	}
 }
 
@@ -101,4 +109,46 @@ func TestRuleKeyStability(t *testing.T) {
 	if c := gen.R5(graph.NewSymbols()); c.Key() == a.Key() {
 		t.Errorf("distinct rules share key %s", a.Key())
 	}
+}
+
+// FuzzReadRules pins the rule reader's contract on arbitrary input: it
+// never panics, every rule it accepts validates, and an accepted set
+// re-serialises to a fixed point — writing it, reading that back and
+// writing again yields the same text.
+func FuzzReadRules(f *testing.F) {
+	for _, s := range readRulesErrorInputs {
+		f.Add([]byte(s))
+	}
+	f.Add([]byte(hugeMult))
+	syms := graph.NewSymbols()
+	var seed bytes.Buffer
+	if err := WriteRules(&seed, []*Rule{gen.R1(syms), gen.R4(syms), gen.R5(syms)}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rules, err := ReadRules(bytes.NewReader(data), nil)
+		if err != nil {
+			return
+		}
+		for i, r := range rules {
+			if err := r.Validate(); err != nil {
+				t.Fatalf("accepted rule %d does not validate: %v", i, err)
+			}
+		}
+		var first, second bytes.Buffer
+		if err := WriteRules(&first, rules); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadRules(bytes.NewReader(first.Bytes()), nil)
+		if err != nil {
+			t.Fatalf("re-serialisation of an accepted rule set does not read: %v\n%s", err, first.Bytes())
+		}
+		if err := WriteRules(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("not a fixed point:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -109,8 +109,15 @@ func (r *Rule) Nontrivial() bool {
 	return r.PR().Connected()
 }
 
+// maxExpandedNodes bounds |Vp| after multiplicity expansion: Q.Expand
+// builds C(u) copies of a node with a quadratic edge dedup, so a rule file
+// could otherwise ask one match for billions of nodes. Rules the paper and
+// the miner produce expand to a handful.
+const maxExpandedNodes = 32
+
 // Validate checks structural well-formedness and returns a descriptive
-// error for malformed rules (missing x, label mismatches).
+// error for malformed rules (missing x, label mismatches, an antecedent
+// that expands past maxExpandedNodes).
 func (r *Rule) Validate() error {
 	if r.Q == nil {
 		return fmt.Errorf("core: rule has nil antecedent")
@@ -123,6 +130,17 @@ func (r *Rule) Validate() error {
 	}
 	if r.Q.Y != pattern.NoNode && r.Q.Label(r.Q.Y) != r.Pred.YLabel {
 		return fmt.Errorf("core: y label %d does not match predicate y label %d", r.Q.Label(r.Q.Y), r.Pred.YLabel)
+	}
+	n := 0
+	for u := range r.Q.NumNodes() {
+		k := r.Q.Mult(u)
+		if u == r.Q.X || u == r.Q.Y {
+			k = 1 // designated nodes are never expanded
+		}
+		if k > maxExpandedNodes-n {
+			return fmt.Errorf("core: antecedent expands to more than %d nodes", maxExpandedNodes)
+		}
+		n += k
 	}
 	return nil
 }

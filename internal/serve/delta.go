@@ -2,9 +2,10 @@
 // mutation batch to the served graph as a new snapshot generation without
 // re-freezing (graph.ApplyDelta builds an overlay over the shared CSR), and
 // the batch that brings the overlay to a threshold folds it back into a
-// real freeze before it answers (compactLocked). A cached rule evaluation
-// crosses a batch repaired at the centres the batch can affect (repair); a
-// finished mine result crosses by publish's reach rule, fed by deltaImpact.
+// real freeze before it answers (compactLocked). The batch's repair is the
+// one description of what changed: a cached rule evaluation crosses it
+// repaired at the centres the batch can affect, a finished mine result iff
+// no change lies within its reach (repair.reaches).
 
 package serve
 
@@ -120,32 +121,6 @@ func mapDeltaOps(syms *graph.Symbols, req DeltaRequest) ([]graph.DeltaOp, error)
 	return ops, nil
 }
 
-// deltaImpact returns the smallest distance from any touched node to an
-// XLabel node, looking in both the old and the new graph (a deletion's
-// effect is visible only in the old one, an addition's only in the new), or
-// bound+1 when every touched node is farther than bound: a lower bound on
-// the distance, exact up to bound. publish carries a mine result across
-// the batch iff the impact exceeds its reach, so bound must cover the
-// farthest resident mine reach.
-func deltaImpact(old, new *graph.Graph, touched []graph.NodeID, xl graph.Label, bound int) int {
-	impact := bound + 1
-	for _, t := range touched {
-		d := new.LabelWithinDistance(t, xl, bound)
-		if int(t) < old.NumNodes() {
-			if od := old.LabelWithinDistance(t, xl, bound); od != -1 && (d == -1 || od < d) {
-				d = od
-			}
-		}
-		if d != -1 && d < impact {
-			impact = d
-		}
-		if impact == 0 {
-			break
-		}
-	}
-	return impact
-}
-
 // ApplyDelta applies a mutation batch to the served graph and installs the
 // result as a new snapshot generation. The whole operation runs under the
 // swap lock (interning, graph derivation, cache repair, install); identify
@@ -190,16 +165,9 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 		return nil, err
 	}
 
-	// Mined results cross by reach, probed up to the farthest resident one.
 	touched := g2.DeltaTouched()
-	bound := 0
-	for _, k := range s.mined.Keys() {
-		bound = max(bound, k.reach())
-	}
-	impact := deltaImpact(snap.G, g2, touched, snap.Pred.XLabel, bound)
-	rep := newRepair(snap, g2, ops, touched)
-	next := rep.derive(g2, s.cfg)
-	c, err := s.publish(next, impact, rep, &req)
+	rep := newRepair(snap, g2, ops, touched, s.cfg)
+	c, err := s.publish(rep.next, rep, &req)
 	if err != nil {
 		return nil, fmt.Errorf("serve: delta not logged: %w", err)
 	}
@@ -211,7 +179,7 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 	s.nCentresRepaired.Add(int64(rep.centres))
 
 	return &DeltaResponse{
-		Generation:       next.Gen,
+		Generation:       rep.next.Gen,
 		Ops:              len(ops),
 		Nodes:            g2.NumNodes(),
 		Edges:            g2.NumEdges(),
@@ -224,14 +192,18 @@ func (s *Server) applyDeltaLocked(req DeltaRequest) (*DeltaResponse, error) {
 	}, nil
 }
 
-// repair is one delta batch's maintenance of the match-set memo. A match of
-// P (Q or PR) at c lies within dist_P(x, u) of c for each pattern node u
-// (Section 2.2), and a match gained (in the new graph) or lost (in the old)
-// uses a changed edge or node label. So P(c) can change only at x nodes
-// within dist_P(x, a) of s, or dist_P(x, b) of t, of a changed edge s -ℓ->
-// t that can play a P-edge a -ℓ-> b, or within dist_P(x, u) of a changed
-// node that can play u, in the graph that has the edge or label; centres
-// whose LCWA class can change join them. apply re-checks only those.
+// repair is what one generation change did to the logical graph, and so
+// what crosses publish: nil for another graph, unchanged for a change that
+// keeps it, newRepair's for a delta batch. A match of P (Q or PR) at c lies
+// within dist_P(x, u) of c for each pattern node u (Section 2.2), and a
+// match gained (in the new graph) or lost (in the old) uses a changed edge
+// or node label. So P(c) can change only at x nodes within dist_P(x, a) of
+// s, or dist_P(x, b) of t, of a changed edge s -ℓ-> t that can play a
+// P-edge a -ℓ-> b, or within dist_P(x, u) of a changed node that can play
+// u, in the graph that has the edge or label; centres whose LCWA class can
+// change join them. apply re-checks only those. Likewise a DMine probe lies
+// within its reach of a candidate, so reaches decides which finished mine
+// results cross.
 type repair struct {
 	old, next *Snapshot
 	edges     []change       // edges in one of the two graphs only
@@ -239,6 +211,7 @@ type repair struct {
 	lcwa      []graph.NodeID // nodes whose LCWA class can change
 	same      bool           // supp(q,G), supp(q̄,G) and the centre count unchanged
 	near      map[reachKey][]graph.NodeID
+	reach     map[[2]int]bool // reaches, per (x label, distance)
 
 	repaired, centres int // entries patched, and the centres they re-checked
 }
@@ -257,10 +230,19 @@ type reachKey struct {
 	d int
 }
 
-// newRepair collects what the batch ops changed between old.G and g1.
-func newRepair(old *Snapshot, g1 *graph.Graph, ops []graph.DeltaOp, touched []graph.NodeID) *repair {
+// unchanged is the repair of a generation change that keeps snap's logical
+// graph — a rules-only swap, an install, a compaction: no centre is
+// affected and no change is in reach, so every evaluation of a rule the
+// new snapshot serves and every finished mine result crosses as it is.
+func unchanged(snap *Snapshot) *repair {
+	return &repair{old: snap, next: snap, same: true, reach: map[[2]int]bool{}}
+}
+
+// newRepair collects what the batch ops changed between old.G and g1, and
+// builds next, the batch's snapshot of g1 with its classes patched at lcwa.
+func newRepair(old *Snapshot, g1 *graph.Graph, ops []graph.DeltaOp, touched []graph.NodeID, cfg Config) *repair {
 	g0, q := old.G, old.Pred.EdgeLabel
-	r := &repair{old: old, near: map[reachKey][]graph.NodeID{}}
+	r := &repair{old: old, near: map[reachKey][]graph.NodeID{}, reach: map[[2]int]bool{}}
 	has := func(g *graph.Graph, op graph.DeltaOp) bool {
 		n := graph.NodeID(g.NumNodes())
 		return op.From < n && op.To < n && g.HasEdge(op.From, op.To, op.Label)
@@ -291,16 +273,10 @@ func newRepair(old *Snapshot, g1 *graph.Graph, ops []graph.DeltaOp, touched []gr
 			}
 		}
 	}
+	r.next = old.patch(g1, r.lcwa, cfg)
+	r.same = old.SuppQ1 == r.next.SuppQ1 && old.SuppQbar == r.next.SuppQbar &&
+		len(old.centres.Nodes) == len(r.next.centres.Nodes)
 	return r
-}
-
-// derive is the batch's snapshot of g1, its classes patched at r.lcwa only,
-// and the repair's next.
-func (r *repair) derive(g1 *graph.Graph, cfg Config) *Snapshot {
-	r.next = r.old.patch(g1, r.lcwa, cfg)
-	r.same = r.old.SuppQ1 == r.next.SuppQ1 && r.old.SuppQbar == r.next.SuppQbar &&
-		len(r.old.centres.Nodes) == len(r.next.centres.Nodes)
-	return r.next
 }
 
 // affected returns sr's affected centres, ascending, or false when the batch
@@ -339,6 +315,20 @@ func (r *repair) affected(sr *ServedRule) ([]graph.NodeID, bool) {
 	set = slices.DeleteFunc(set, func(v graph.NodeID) bool { return !r.centre(r.old.G, v) && !r.centre(r.next.G, v) })
 	slices.Sort(set)
 	return slices.Compact(set), true
+}
+
+// reaches reports whether a changed edge (either end) or label lies within d
+// undirected hops of a node labelled xl, in the graph that has it: a DMine
+// run for x label xl whose probes reach d (minedKey.reach) can see the
+// change.
+func (r *repair) reaches(xl graph.Label, d int) bool {
+	k := [2]int{int(xl), d}
+	if _, ok := r.reach[k]; !ok {
+		near := func(g *graph.Graph, v graph.NodeID) bool { return g.LabelWithinDistance(v, xl, d) >= 0 }
+		r.reach[k] = slices.ContainsFunc(r.edges, func(c change) bool { return near(c.g, c.s) || near(c.g, c.t) }) ||
+			slices.ContainsFunc(r.nodes, func(c change) bool { return near(c.g, c.s) })
+	}
+	return r.reach[k]
 }
 
 // within returns the x nodes of g within d undirected hops of v (none for
@@ -415,17 +405,15 @@ func (s *Server) Compact() (uint64, bool, error) {
 
 // compactLocked copies snap's graph, overlay and all, into a freshly frozen
 // one and publishes it, checkpointed. The logical graph is unchanged, so
-// the new snapshot keeps snap's classes, aliased to the copy's label index,
-// and publish carries every match-set evaluation and mine result across. The
-// caller holds swapMu and snap is the served snapshot, so nothing can land
-// between the copy and its publish. A failed publish counts as an abort
-// and leaves the overlay served: the next batch that finds it at the
-// threshold tries again.
+// the new snapshot carries snap's classes and supports, and publish carries
+// every match-set evaluation and mine result across. The caller holds
+// swapMu and snap is the served snapshot, so nothing can land between the
+// copy and its publish. A failed publish counts as an abort and leaves the
+// overlay served: the next batch that finds it at the threshold tries
+// again.
 func (s *Server) compactLocked(snap *Snapshot) (uint64, bool, error) {
-	g := snap.G.CompactCopy()
-	cs := eip.Centers{Nodes: g.NodesWithLabel(snap.Pred.XLabel), Class: snap.centres.Class}
-	next := newSnapshot(snap, g, cs, snap.SuppQ1, snap.SuppQbar, s.cfg)
-	if _, err := s.publish(next, -1, nil, nil); err != nil {
+	next := snap.patch(snap.G.CompactCopy(), nil, s.cfg)
+	if _, err := s.publish(next, unchanged(next), nil); err != nil {
 		s.nCompactAborts.Add(1)
 		return s.gen.Load(), false, err
 	}

@@ -322,15 +322,71 @@ func TestDeltaWarmMineCarry(t *testing.T) {
 		t.Errorf("warm mine hits %d, want 1", st.Delta.WarmMineHits)
 	}
 
-	// A mutation touching a candidate (cust 7 gains a visit edge) lands at
-	// impact 0: the carried result is dropped and the next job re-mines.
+	// Batches that touch a candidate but change nothing — an edge added and
+	// deleted again, a node set to its own label — leave no net change in
+	// reach: the result is carried and the next job warm-starts.
+	for i, ops := range []string{
+		`{"ops":[{"op":"addEdge","from":7,"to":9,"label":"visit"},{"op":"delEdge","from":7,"to":9,"label":"visit"}]}`,
+		`{"ops":[{"op":"setLabel","node":7,"label":"cust"}]}`,
+	} {
+		code, dr = deltaJSON(t, ts.URL, ops)
+		if code != http.StatusAccepted || dr.WarmMineCarried != 1 {
+			t.Fatalf("net-zero delta %d: %d %+v", i, code, dr)
+		}
+		if j := start(); j.Status != JobDone || !j.WarmStarted || j.ServedGeneration != uint64(3+i) {
+			t.Fatalf("job after net-zero delta %d: %+v", i, j)
+		}
+	}
+
+	// A mutation touching a candidate (cust 7 gains a visit edge) is within
+	// reach: the carried result is dropped and the next job re-mines.
 	code, dr = deltaJSON(t, ts.URL, `{"ops":[{"op":"addEdge","from":7,"to":9,"label":"visit"}]}`)
 	if code != http.StatusAccepted || dr.WarmMineCarried != 0 {
 		t.Fatalf("near delta: %d %+v", code, dr)
 	}
 	j3 := start()
-	if j3.Status != JobDone || j3.WarmStarted || j3.ServedGeneration != 3 {
+	if j3.Status != JobDone || j3.WarmStarted || j3.ServedGeneration != 5 {
 		t.Fatalf("post-invalidation job: %+v", j3)
+	}
+}
+
+// TestDeltaMineReachPerPredicate: a mine result's reach is measured from
+// its own predicate's x label, not the served one's. A batch among island
+// nodes, beyond every cust's reach, drops the result of a job that mines
+// islands and carries the cust job's.
+func TestDeltaMineReachPerPredicate(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{Workers: 2})
+	code, dr := deltaJSON(t, ts.URL, `{"ops":[
+		{"op":"addNode","label":"island"},
+		{"op":"addNode","label":"island"},
+		{"op":"addEdge","from":11,"to":12,"label":"bridge"}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("island delta: %d %+v", code, dr)
+	}
+	cust := MineParams{XLabel: "cust", EdgeLabel: "visit", YLabel: "restaurant", K: 2, Sigma: 1, D: 2, MaxEdges: 1, Cap: 10}
+	island := MineParams{XLabel: "island", EdgeLabel: "bridge", YLabel: "island", K: 2, Sigma: 1, D: 2, MaxEdges: 1, Cap: 10}
+	run := func(p MineParams) Job {
+		t.Helper()
+		job, err := s.StartMine(p)
+		if err != nil {
+			t.Fatalf("StartMine: %v", err)
+		}
+		return waitJob(t, s, job.ID)
+	}
+	for _, p := range []MineParams{cust, island} {
+		if j := run(p); j.Status != JobDone || j.WarmStarted {
+			t.Fatalf("first %s job: %+v", p.XLabel, j)
+		}
+	}
+	code, dr = deltaJSON(t, ts.URL, `{"ops":[{"op":"addEdge","from":12,"to":11,"label":"bridge"}]}`)
+	if code != http.StatusAccepted || dr.WarmMineCarried != 1 {
+		t.Fatalf("island-only delta: %d %+v, want the cust result alone carried", code, dr)
+	}
+	if j := run(cust); j.Status != JobDone || !j.WarmStarted {
+		t.Errorf("cust job after the island delta: %+v, want warm-started", j)
+	}
+	if j := run(island); j.Status != JobDone || j.WarmStarted {
+		t.Errorf("island job after the island delta: %+v, want re-mined", j)
 	}
 }
 

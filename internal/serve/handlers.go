@@ -102,7 +102,6 @@ type StatsResponse struct {
 	// Fragments is the number of candidate chunks one rule evaluation fans
 	// out over (Config.Workers).
 	Fragments int `json:"fragments"`
-	PoolSize  int `json:"poolSize"`
 	// CPUBudget is the GOMAXPROCS split: identify traffic runs on at most
 	// PoolSize chunk evaluators while all mine jobs together run at most
 	// MineProcs worker goroutines, and each job mines with MineProcs workers.
@@ -161,14 +160,12 @@ type StatsResponse struct {
 	// evaluating vs queued, and how many were shed (429) because the queue
 	// was full or the wait exceeded its budget. Absent when MaxQueue < 0.
 	Admission *AdmissionStats `json:"admission,omitempty"`
-	// Saturation is the live occupancy of the two CPU pools plus the
-	// admission queue depth — the signals to watch before shedding starts.
+	// Saturation is the live occupancy of the two CPU pools, out of
+	// CPUBudget's PoolSize and MineProcs — with Admission's Queued, the
+	// signals to watch before shedding starts.
 	Saturation struct {
-		PoolInUse     int   `json:"poolInUse"`
-		PoolSize      int   `json:"poolSize"`
-		QueueDepth    int64 `json:"queueDepth"`
-		MineGateInUse int   `json:"mineGateInUse"`
-		MineGateSize  int   `json:"mineGateSize"`
+		PoolInUse     int `json:"poolInUse"`
+		MineGateInUse int `json:"mineGateInUse"`
 	} `json:"saturation"`
 	// Lifecycle counts terminal-path events: client-side aborts, explicit
 	// DELETE cancels, request deadlines, and recovered panics.
@@ -535,7 +532,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	d.RulesRepaired, d.CentresRepaired = s.nRuleRepaired.Load(), s.nCentresRepaired.Load()
 	d.WarmMineHits, d.Compactions, d.CompactAborts = s.nWarmMineHits.Load(), s.nCompactions.Load(), s.nCompactAborts.Load()
 	d.CompactThreshold = s.cfg.CompactThreshold
-	resp.PoolSize = s.pool.Size()
 	c := &resp.CPUBudget
 	c.Procs, c.MineProcs, c.PoolSize = runtime.GOMAXPROCS(0), s.mineGate.Size(), s.pool.Size()
 	resp.Cache, resp.Batch = s.cacheStats()
@@ -558,11 +554,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			ShedTimeout:  s.nShedTimeout.Load(),
 			QueueTimeout: s.cfg.QueueTimeout.String(),
 		}
-		resp.Saturation.QueueDepth = s.admit.depth()
 	}
-	sat := &resp.Saturation
-	sat.PoolInUse, sat.PoolSize = s.pool.InUse(), s.pool.Size()
-	sat.MineGateInUse, sat.MineGateSize = s.mineGate.InUse(), s.mineGate.Size()
+	resp.Saturation.PoolInUse, resp.Saturation.MineGateInUse = s.pool.InUse(), s.mineGate.InUse()
 	l := &resp.Lifecycle
 	l.CancelRequests, l.Deadlines, l.ClientGone = s.nCancelReq.Load(), s.nDeadline.Load(), s.nClientGone.Load()
 	l.Panics, l.JobPanics = s.nPanics.Load(), s.nJobPanics.Load()

@@ -211,17 +211,6 @@ func (m *memo[K, V]) Retarget(next func(K, V) (K, V, bool)) (kept, dropped int) 
 	return kept, dropped
 }
 
-// Keys returns the resident keys, finished or in flight.
-func (m *memo[K, V]) Keys() []K {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([]K, 0, len(m.byKey))
-	for k := range m.byKey {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
 // Remove drops key's entry if present (counted as an eviction) and reports
 // whether one existed.
 func (m *memo[K, V]) Remove(key K) bool {

@@ -105,12 +105,16 @@ func TestMineJobWidthIsGateSize(t *testing.T) {
 	if done := waitJob(t, s, job.ID); done.Status != JobDone {
 		t.Fatalf("job failed: %s", done.Error)
 	}
-	keys := s.mined.Keys()
-	if len(keys) != 1 {
-		t.Fatalf("%d mined results after one job, want 1", len(keys))
+	// A walk that keeps every entry lists the resident results.
+	var results []*mine.Result
+	s.mined.Retarget(func(k minedKey, res *mine.Result) (minedKey, *mine.Result, bool) {
+		results = append(results, res)
+		return k, res, true
+	})
+	if len(results) != 1 {
+		t.Fatalf("%d mined results after one job, want 1", len(results))
 	}
-	res, _ := s.mined.Get(keys[0])
-	if n := len(res.WorkerOps); n != s.mineGate.Size() {
+	if n := len(results[0].WorkerOps); n != s.mineGate.Size() {
 		t.Fatalf("the job mined with %d workers, want the gate's %d", n, s.mineGate.Size())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gpar/internal/core"
+	"gpar/internal/eip"
 	"gpar/internal/gen"
 	"gpar/internal/graph"
 	"gpar/internal/pattern"
@@ -30,12 +31,17 @@ func hangingRule(syms *graph.Symbols, pred core.Predicate, l, other string, out 
 
 // checkResident compares the served snapshot's classified centres and
 // supports, patched batch by batch, and every match-set entry resident for
-// its generation — carried, repaired or built — with those of a fresh
-// snapshot of the compacted graph, field by field.
+// its generation — carried, repaired or built — with a witness of its own:
+// eip.ClassifyCenters and Count on the compacted graph, which share none of
+// the constructor's support arithmetic, and EvalRule over them.
 func checkResident(t *testing.T, s *Server) {
 	t.Helper()
 	snap := s.Snapshot()
-	fresh := DeriveDeltaSnapshot(snap, snap.G.CompactCopy(), s.cfg)
+	g := snap.G.CompactCopy()
+	cs := eip.ClassifyCenters(g, g.NodesWithLabel(snap.Pred.XLabel), snap.Pred)
+	pq, pqbar := cs.Count()
+	fresh := &Snapshot{G: g, Pred: snap.Pred, Rules: snap.Rules, byKey: snap.byKey,
+		centres: cs, workers: snap.workers, SuppQ1: pq, SuppQbar: pqbar}
 	if !slices.Equal(snap.centres.Nodes, fresh.centres.Nodes) || !slices.Equal(snap.centres.Class, fresh.centres.Class) ||
 		snap.SuppQ1 != fresh.SuppQ1 || snap.SuppQbar != fresh.SuppQbar {
 		t.Fatalf("generation %d: served centres %v %v supp %d/%d, classified %v %v supp %d/%d", snap.Gen,
@@ -196,4 +202,51 @@ func FuzzDeltaRepair(f *testing.F) {
 			checkResident(t, s)
 		}
 	})
+}
+
+// TestRepairReaches pins the mine-result half of a repair: a batch reaches
+// distance d from an x label iff a net change — either end of a changed
+// edge, or a changed label — lies within d hops of a node with that label,
+// in the graph that has the change. On the fixture plus a chain bar -> 11
+// -> 12 (cust 5 visits the bar, so 12 is three hops from a cust) and an
+// isolated 13, each batch reaches exactly the distances from its first.
+func TestRepairReaches(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{Workers: 2})
+	if _, err := s.ApplyDelta(DeltaRequest{Ops: []DeltaOpSpec{
+		{Op: "addNode", Label: "island"}, {Op: "addNode", Label: "island"}, {Op: "addNode", Label: "island"},
+		{Op: "addEdge", From: 10, To: 11, Label: "bridge"}, {Op: "addEdge", From: 11, To: 12, Label: "bridge"},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	cust, island := snap.Pred.XLabel, snap.G.Symbols().Lookup("island")
+	into := DeltaOpSpec{Op: "addEdge", From: 13, To: 12, Label: "bridge"}
+	for _, c := range []struct {
+		name  string
+		ops   []DeltaOpSpec
+		xl    graph.Label
+		first int // the least distance reached; -1: none
+	}{
+		{"an edge whose target is three hops out", []DeltaOpSpec{into}, cust, 3},
+		{"the same edge, from the islands", []DeltaOpSpec{into}, island, 0},
+		{"an edge deleted two hops out", []DeltaOpSpec{{Op: "delEdge", From: 11, To: 12, Label: "bridge"}}, cust, 2},
+		{"a relabel three hops out", []DeltaOpSpec{{Op: "setLabel", Node: 12, Label: "isle"}}, cust, 3},
+		{"an edge added and deleted", []DeltaOpSpec{into, {Op: "delEdge", From: 13, To: 12, Label: "bridge"}}, cust, -1},
+		{"a node set to its own label", []DeltaOpSpec{{Op: "setLabel", Node: 12, Label: "island"}}, island, -1},
+	} {
+		ops, err := mapDeltaOps(snap.G.Symbols(), DeltaRequest{Ops: c.ops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2, err := snap.G.ApplyDelta(ops)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		rep := newRepair(snap, g2, ops, g2.DeltaTouched(), s.cfg)
+		for d := 0; d <= 4; d++ {
+			if got, want := rep.reaches(c.xl, d), c.first >= 0 && d >= c.first; got != want {
+				t.Errorf("%s: reaches(%d) = %v, want %v", c.name, d, got, want)
+			}
+		}
+	}
 }

@@ -231,12 +231,12 @@ func (s *Server) loadLocked(g *graph.Graph, pred core.Predicate, rules []*core.R
 		return 0, err
 	}
 	// The served graph object is the same logical graph, so a rules-only
-	// swap or an install reaches nothing; a new graph reaches everything.
-	impact := 0
+	// swap or an install changes nothing; another graph shares nothing.
+	var rep *repair
 	if prev := s.snap.Load(); prev != nil && prev.G == g {
-		impact = -1
+		rep = unchanged(snap)
 	}
-	if _, err := s.publish(snap, impact, nil, nil); err != nil {
+	if _, err := s.publish(snap, rep, nil); err != nil {
 		return 0, err
 	}
 	return snap.Gen, nil
@@ -249,13 +249,13 @@ type carried struct{ rules, dropped, mined int }
 // publish is the one step that installs a generation. It assigns next.Gen,
 // makes it durable — a WAL record for a delta batch (req non-nil), a
 // checkpoint otherwise — and rolls the generation back if that fails. Then
-// it decides what crosses to it. impact is how near the change comes to an
-// x-labelled node (-1: the logical graph is unchanged). A finished mine
-// result crosses iff impact is -1 or exceeds minedKey.reach, a mine context
-// never. A match-set evaluation crosses only if next still serves its rule:
-// as it is when impact is -1, as rep repairs it for a delta batch, and
-// never otherwise. Caller holds swapMu.
-func (s *Server) publish(next *Snapshot, impact int, rep *repair, req *DeltaRequest) (carried, error) {
+// it decides what crosses to it by rep, what changed since the served
+// generation: nil (another graph) lets nothing cross, unchanged(next) lets
+// everything cross, a batch's repair judges each entry. A match-set
+// evaluation crosses only if next still serves its rule, as rep.apply
+// repairs it; a finished mine result iff no change of rep lies within its
+// reach; a mine context never. Caller holds swapMu.
+func (s *Server) publish(next *Snapshot, rep *repair, req *DeltaRequest) (carried, error) {
 	next.Gen = s.gen.Add(1)
 	if err := s.persistGen(next, req); err != nil {
 		s.gen.Store(next.Gen - 1)
@@ -265,14 +265,13 @@ func (s *Server) publish(next *Snapshot, impact int, rep *repair, req *DeltaRequ
 	prev := next.Gen - 1 // the served generation: swapMu orders publishes
 	c.rules, c.dropped = s.cache.Retarget(func(k evalKey, ev *RuleEval) (evalKey, *RuleEval, bool) {
 		sr, ok := next.byKey[k.rule]
-		ok = ok && k.gen == prev && (impact == -1 || rep != nil)
-		if ok && rep != nil {
+		if ok = ok && k.gen == prev && rep != nil; ok {
 			ev, ok = rep.apply(sr, ev)
 		}
 		return evalKey{next.Gen, k.rule}, ev, ok
 	})
 	c.mined, _ = s.mined.Retarget(func(k minedKey, res *mine.Result) (minedKey, *mine.Result, bool) {
-		ok := k.gen == prev && (impact == -1 || impact > k.reach())
+		ok := k.gen == prev && rep != nil && !rep.reaches(k.pred.XLabel, k.reach())
 		k.gen = next.Gen
 		return k, res, ok
 	})

@@ -283,6 +283,36 @@ func TestOversizedBodiesAnswer413(t *testing.T) {
 	}
 }
 
+// TestPutRulesBoundsMultiplicity: a rule whose antecedent would expand to
+// two billion nodes is refused with 400 before any identify can expand it,
+// and the generation and the served Σ stay as they were.
+func TestPutRulesBoundsMultiplicity(t *testing.T) {
+	s, ts, rules := newTestServer(t, Config{Workers: 2})
+	body := `rule
+pred "cust" "visit" "restaurant"
+node 0 "cust" 1 x
+node 1 "cust" 2000000000 -
+edge 0 1 "friend"
+end
+`
+	if code := doJSON(t, "PUT", ts.URL+"/v1/rules", []byte(body), nil); code != http.StatusBadRequest {
+		t.Fatalf("PUT of a huge multiplicity: %d, want 400", code)
+	}
+	if gen := s.Generation(); gen != 1 {
+		t.Errorf("generation %d after a refused rule set, want 1", gen)
+	}
+	var rl RulesResponse
+	doJSON(t, "GET", ts.URL+"/v1/rules", nil, &rl)
+	if len(rl.Rules) != len(rules) {
+		t.Fatalf("served Σ has %d rules after a refused rule set, want %d", len(rl.Rules), len(rules))
+	}
+	for i, ri := range rl.Rules {
+		if ri.Key != rules[i].Key() {
+			t.Errorf("rule %d key %q after a refused rule set, want %q", i, ri.Key, rules[i].Key())
+		}
+	}
+}
+
 func TestIdentifyCoalescesConcurrentDuplicates(t *testing.T) {
 	// Admission is off (MaxQueue < 0) so every client reaches the memo
 	// while the leader is held up.

@@ -101,28 +101,27 @@ func BuildSnapshot(g *graph.Graph, pred core.Predicate, rules []*core.Rule, cfg 
 		snap.Rules = append(snap.Rules, sr)
 		snap.byKey[sr.Key] = sr
 	}
-	return DeriveDeltaSnapshot(snap, g, cfg), nil
+	return snap.patch(g, g.NodesWithLabel(pred.XLabel), cfg), nil
 }
 
 // DeriveDeltaSnapshot prepares serving state for g, a graph derived from
 // prev.G (a delta overlay, or its compaction) under prev's predicate and
 // rule set, which are inherited as they are. It classifies every candidate
-// afresh, because g may be any number of batches past prev.G; gpard's own
-// delta path patches the classes of the one batch it applies (patch), and
-// BuildSnapshot finishes through here.
+// afresh, because g may be any number of batches past prev.G.
 func DeriveDeltaSnapshot(prev *Snapshot, g *graph.Graph, cfg Config) *Snapshot {
-	cs := eip.ClassifyCenters(g, g.NodesWithLabel(prev.Pred.XLabel), prev.Pred)
-	pq, pqbar := cs.Count()
-	return newSnapshot(prev, g, cs, pq, pqbar, cfg)
+	return prev.patch(g, g.NodesWithLabel(prev.Pred.XLabel), cfg)
 }
 
-// patch is the snapshot of g, s.G with one batch applied, in which only
-// the centres in lcwa — the nodes whose LCWA class the batch can change,
-// every relabelled or added node among them — are classified again. When
-// the x-label list is the same slice the classes are s's, patched;
-// otherwise a merge walk of the two ascending lists carries s's classes,
-// and the new members, all in lcwa, start as Other. The supports move by
-// the difference.
+// patch is the one snapshot constructor: the snapshot of g — frozen, with
+// or without a delta overlay — under s's predicate and prepared rule set
+// (a previous snapshot, or BuildSnapshot's half-filled one), in which only
+// the centres in lcwa are classified again. lcwa must hold every node
+// whose LCWA class can differ from s's: each candidate for a build, the
+// nodes a batch can reclassify (every relabelled or added node among
+// them), none for a compaction. When the x-label list is the same slice
+// the classes are s's, patched; otherwise a merge walk of the two
+// ascending lists carries s's classes, and the new members, all in lcwa,
+// start as Other. The supports move by the difference.
 func (s *Snapshot) patch(g *graph.Graph, lcwa []graph.NodeID, cfg Config) *Snapshot {
 	pred, old := s.Pred, s.centres
 	cs := eip.Centers{Nodes: g.NodesWithLabel(pred.XLabel)}
@@ -150,26 +149,16 @@ func (s *Snapshot) patch(g *graph.Graph, lcwa []graph.NodeID, cfg Config) *Snaps
 			supp[cs.Class[j]]++
 		}
 	}
-	return newSnapshot(s, g, cs, supp[eip.Pq], supp[eip.Pqbar], cfg)
-}
-
-// newSnapshot is the one snapshot constructor: from carries the predicate
-// and the prepared rule set (a previous snapshot, or BuildSnapshot's
-// half-filled one), g is the graph to serve — frozen, with or without a
-// delta overlay — and centres its XLabel candidates, classified, with
-// supp(q,G) = suppQ1 and supp(q̄,G) = suppQbar. It computes nothing per
-// graph; its callers classify.
-func newSnapshot(from *Snapshot, g *graph.Graph, centres eip.Centers, suppQ1, suppQbar int, cfg Config) *Snapshot {
 	return &Snapshot{
 		G:           g,
-		Pred:        from.Pred,
-		PredDisplay: from.PredDisplay,
-		Rules:       from.Rules,
-		byKey:       from.byKey,
-		centres:     centres,
+		Pred:        pred,
+		PredDisplay: s.PredDisplay,
+		Rules:       s.Rules,
+		byKey:       s.byKey,
+		centres:     cs,
 		workers:     cfg.defaults().Workers,
-		SuppQ1:      suppQ1,
-		SuppQbar:    suppQbar,
+		SuppQ1:      supp[eip.Pq],
+		SuppQbar:    supp[eip.Pqbar],
 	}
 }
 
