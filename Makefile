@@ -84,11 +84,14 @@ bench-mine:
 	@rm -f bench.out
 
 # Short-mode variants for CI: one quick pass so regressions show up in PR
-# logs without a stable-machine timing claim.
+# logs without a stable-machine timing claim. bench-short also prices
+# graph.Walk through its two callers that do nothing else per node.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkAnchoredMatch|BenchmarkIdentify|BenchmarkDeltaRepair' \
 	    -benchmem -benchtime=50x ./internal/match/ ./internal/serve/ > bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkEvalRuleShapes' -benchmem -benchtime=10x . >> bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkNeighborhood$$|BenchmarkSketchOf$$' -benchmem -benchtime=10000x \
+	    ./internal/graph/ ./internal/sketch/ >> bench.out
 	$(GO) run ./cmd/benchjson < bench.out
 	@rm -f bench.out
 
@@ -169,7 +172,7 @@ inline-check:
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count. The test Go count beside it is
 # informational: it has no budget.
-LOC_BUDGET := 16328
+LOC_BUDGET := 16274
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \

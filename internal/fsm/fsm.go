@@ -27,10 +27,11 @@ type Options struct {
 type Frequent struct {
 	P       *pattern.Pattern
 	Support int
+	code    string // P's canonical code: the dedup key and the last tie-break
 }
 
 // Mine returns the frequent patterns rooted at nodes labeled rootLabel,
-// ordered by descending support then ascending size.
+// ordered by descending support, then ascending size, then canonical code.
 func Mine(g *graph.Graph, rootLabel graph.Label, opts Options) []Frequent {
 	if opts.MaxEdges <= 0 {
 		opts.MaxEdges = 3
@@ -76,7 +77,7 @@ func Mine(g *graph.Graph, rootLabel graph.Label, opts Options) []Frequent {
 					continue
 				}
 				seen[code] = true
-				out = append(out, Frequent{P: child, Support: len(supp)})
+				out = append(out, Frequent{P: child, Support: len(supp), code: code})
 				next = append(next, cand{p: child, support: supp})
 			}
 		}
@@ -89,7 +90,7 @@ func Mine(g *graph.Graph, rootLabel graph.Label, opts Options) []Frequent {
 		if out[i].P.Size() != out[j].P.Size() {
 			return out[i].P.Size() < out[j].P.Size()
 		}
-		return out[i].P.Signature() < out[j].P.Signature()
+		return out[i].code < out[j].code
 	})
 	if opts.MaxPatterns > 0 && len(out) > opts.MaxPatterns {
 		out = out[:opts.MaxPatterns]

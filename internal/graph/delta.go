@@ -371,43 +371,18 @@ func (g *Graph) DeltaTouched() []NodeID {
 }
 
 // LabelWithinDistance returns the smallest undirected distance (0..max)
-// from v to any node labeled l, or -1 if no such node lies within max hops.
-// The serving layer uses it to decide whether a touched node can influence
-// any rule anchored at label-l centers.
+// from v to any node labeled l, or -1 if no such node lies within max hops:
+// a walk that stops at the first node with the label. The serving layer
+// uses it to decide whether a touched node can influence any rule anchored
+// at label-l centers.
 func (g *Graph) LabelWithinDistance(v NodeID, l Label, max int) int {
-	if g.labels[v] == l {
-		return 0
-	}
-	if max <= 0 {
-		return -1
-	}
-	s := acquireBFS(g.NumNodes())
-	defer bfsPool.Put(s)
-	s.stamp[v] = s.epoch
-	s.frontier = append(s.frontier, v)
-	for depth := 1; depth <= max && len(s.frontier) > 0; depth++ {
-		s.next = s.next[:0]
-		for _, u := range s.frontier {
-			for _, e := range g.Out(u) {
-				if s.stamp[e.To] != s.epoch {
-					s.stamp[e.To] = s.epoch
-					if g.labels[e.To] == l {
-						return depth
-					}
-					s.next = append(s.next, e.To)
-				}
-			}
-			for _, e := range g.In(u) {
-				if s.stamp[e.To] != s.epoch {
-					s.stamp[e.To] = s.epoch
-					if g.labels[e.To] == l {
-						return depth
-					}
-					s.next = append(s.next, e.To)
-				}
-			}
+	at := -1
+	g.Walk(v, max, func(w NodeID, depth int) bool {
+		if g.labels[w] != l {
+			return true
 		}
-		s.frontier, s.next = s.next, s.frontier
-	}
-	return -1
+		at = depth
+		return false
+	})
+	return at
 }

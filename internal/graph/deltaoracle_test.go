@@ -7,6 +7,7 @@ package graph_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -183,9 +184,25 @@ func compareGraphs(t *testing.T, tag string, got, want *graph.Graph) {
 			}
 		}
 	}
-	// The BFS-backed paths on a sample of nodes.
+	// The walk-backed paths on a sample of nodes: Walk's (node, depth) set,
+	// Nr(v) and label distances. Adjacency order may differ between the
+	// overlay and the rebuild, so the walks compare as sets.
+	walk := func(g *graph.Graph, v graph.NodeID, r int) map[graph.NodeID]int {
+		at := map[graph.NodeID]int{}
+		g.Walk(v, r, func(w graph.NodeID, depth int) bool {
+			if _, dup := at[w]; dup {
+				t.Fatalf("%s: Walk(%d,%d) visits %d twice", tag, v, r, w)
+			}
+			at[w] = depth
+			return true
+		})
+		return at
+	}
 	for v := graph.NodeID(0); int(v) < want.NumNodes(); v += 7 {
 		for r := 1; r <= 3; r++ {
+			if gw, ww := walk(got, v, r), walk(want, v, r); !maps.Equal(gw, ww) {
+				t.Fatalf("%s: Walk(%d,%d) %v != %v", tag, v, r, gw, ww)
+			}
 			gn, wn := got.AppendNeighborhood(nil, v, r), want.AppendNeighborhood(nil, v, r)
 			slices.Sort(gn)
 			slices.Sort(wn)

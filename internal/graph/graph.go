@@ -236,10 +236,9 @@ func (g *Graph) NodesWithLabel(l Label) []NodeID {
 }
 
 // bfsScratch is pooled epoch-stamped BFS state: bumping the epoch clears
-// the visited set in O(1), so undirected BFS over the graph allocates
-// nothing in steady state. Partitioning calls AppendNeighborhood once per
-// candidate per DMine run, which made map-based visited sets a top-three
-// cost of the whole mining loop.
+// the visited set in O(1), so a walk allocates nothing in steady state.
+// Partitioning walks once per candidate per DMine run, which made map-based
+// visited sets a top-three cost of the whole mining loop.
 type bfsScratch struct {
 	stamp          []uint32
 	epoch          uint32
@@ -265,41 +264,55 @@ func acquireBFS(n int) *bfsScratch {
 	return s
 }
 
-// AppendNeighborhood appends to dst the set Nr(v) of all nodes within
-// undirected radius r of v, including v itself, in BFS order (Section 2.1,
-// notation (3)). Callers that compute one neighborhood per candidate (the
-// partitioner does this for every candidate on every mine-context build)
-// recycle one buffer through dst.
-func (g *Graph) AppendNeighborhood(dst []NodeID, v NodeID, r int) []NodeID {
+// Walk is the one traversal of the undirected neighbourhood Nr(v) (Section
+// 2.1, notation (3)): it calls visit for v at depth 0 and then for every
+// other node within undirected radius r exactly once, in BFS order (out-
+// then in-adjacency per frontier node) with its hop distance. It stops as
+// soon as visit returns false and reports whether it ran to the end; for
+// r < 0 it visits nothing. d-neighbourhood fragments, k-hop sketches and
+// the label distances of delta repair are all walks.
+func (g *Graph) Walk(v NodeID, r int, visit func(w NodeID, depth int) bool) bool {
 	if r < 0 {
-		return dst
+		return true
+	}
+	if !visit(v, 0) {
+		return false
+	}
+	if r == 0 {
+		return true
 	}
 	s := acquireBFS(g.NumNodes())
 	defer bfsPool.Put(s)
 	s.stamp[v] = s.epoch
 	s.frontier = append(s.frontier, v)
-	order := append(dst, v)
-	for depth := 0; depth < r && len(s.frontier) > 0; depth++ {
+	for depth := 1; depth <= r && len(s.frontier) > 0; depth++ {
 		s.next = s.next[:0]
 		for _, u := range s.frontier {
-			for _, e := range g.Out(u) {
-				if s.stamp[e.To] != s.epoch {
+			for _, adj := range [2][]Edge{g.Out(u), g.In(u)} {
+				for _, e := range adj {
+					if s.stamp[e.To] == s.epoch {
+						continue
+					}
 					s.stamp[e.To] = s.epoch
+					if !visit(e.To, depth) {
+						return false
+					}
 					s.next = append(s.next, e.To)
-					order = append(order, e.To)
-				}
-			}
-			for _, e := range g.In(u) {
-				if s.stamp[e.To] != s.epoch {
-					s.stamp[e.To] = s.epoch
-					s.next = append(s.next, e.To)
-					order = append(order, e.To)
 				}
 			}
 		}
 		s.frontier, s.next = s.next, s.frontier
 	}
-	return order
+	return true
+}
+
+// AppendNeighborhood appends Nr(v), v included, to dst in Walk's order.
+// Callers that compute one neighborhood per candidate (the partitioner does
+// this for every candidate on every mine-context build) recycle one buffer
+// through dst.
+func (g *Graph) AppendNeighborhood(dst []NodeID, v NodeID, r int) []NodeID {
+	g.Walk(v, r, func(w NodeID, _ int) bool { dst = append(dst, w); return true })
+	return dst
 }
 
 // InducedSubgraph returns the subgraph induced by nodes (Section 2.1): the

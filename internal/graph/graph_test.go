@@ -116,6 +116,79 @@ func TestNeighborhood(t *testing.T) {
 	}
 }
 
+// step is one visit of a walk.
+type step struct {
+	w     NodeID
+	depth int
+}
+
+// walk collects g.Walk(v, r) up to and including the visit of stop (none:
+// -1), and whether the walk ran to the end.
+func walk(g *Graph, v NodeID, r int, stop NodeID) ([]step, bool) {
+	var got []step
+	done := g.Walk(v, r, func(w NodeID, depth int) bool {
+		got = append(got, step{w, depth})
+		return w != stop
+	})
+	return got, done
+}
+
+func TestWalk(t *testing.T) {
+	// 3 -> 0 -> 1 -> 4 <- 5, 0 -> 2, 6 isolated; one edge label, edges
+	// added in ascending target order, so Out and In list ascending IDs.
+	g := New(nil)
+	for range 7 {
+		g.AddNode("v")
+	}
+	for _, e := range [][2]NodeID{{0, 1}, {0, 2}, {1, 4}, {3, 0}, {5, 4}} {
+		g.AddEdge(e[0], e[1], "e")
+	}
+	g.Freeze()
+	cases := []struct {
+		v    NodeID
+		r    int
+		stop NodeID
+		want []step
+		done bool
+	}{
+		{0, -1, -1, nil, true},
+		{0, 0, -1, []step{{0, 0}}, true},
+		// Out before In at each frontier node, levels in order.
+		{0, 2, -1, []step{{0, 0}, {1, 1}, {2, 1}, {3, 1}, {4, 2}}, true},
+		{0, 9, -1, []step{{0, 0}, {1, 1}, {2, 1}, {3, 1}, {4, 2}, {5, 3}}, true},
+		{4, 2, -1, []step{{4, 0}, {1, 1}, {5, 1}, {0, 2}}, true},
+		{6, 3, -1, []step{{6, 0}}, true},
+		// An early stop visits nothing more and reports false.
+		{0, 2, 2, []step{{0, 0}, {1, 1}, {2, 1}}, false},
+		{0, 2, 0, []step{{0, 0}}, false},
+	}
+	for _, tc := range cases {
+		got, done := walk(g, tc.v, tc.r, tc.stop)
+		if !reflect.DeepEqual(got, tc.want) || done != tc.done {
+			t.Errorf("Walk(%d, %d) stop %d = %v, %v; want %v, %v", tc.v, tc.r, tc.stop, got, done, tc.want, tc.done)
+		}
+	}
+	// Over an overlay: a new edge 6 -> 5 and the deleted 0 -> 2.
+	e := g.Symbols().Lookup("e")
+	d, err := g.ApplyDelta([]DeltaOp{{Kind: DeltaAddEdge, From: 6, To: 5, Label: e}, {Kind: DeltaDelEdge, From: 0, To: 2, Label: e}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		v    NodeID
+		r    int
+		want []step
+	}{
+		{6, 2, []step{{6, 0}, {5, 1}, {4, 2}}},
+		{0, 1, []step{{0, 0}, {1, 1}, {3, 1}}},
+		{2, 5, []step{{2, 0}}},
+	} {
+		if got, _ := walk(d, tc.v, tc.r, -1); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("overlay Walk(%d, %d) = %v, want %v", tc.v, tc.r, got, tc.want)
+		}
+	}
+}
+
 func TestInducedSubgraph(t *testing.T) {
 	g := New(nil)
 	a := g.AddNode("a")

@@ -1,6 +1,10 @@
 package mine
 
-import "gpar/internal/graph"
+import (
+	"slices"
+
+	"gpar/internal/graph"
+)
 
 // This file holds the per-worker round arenas of the mining loop. A BSP
 // round produces thousands of short-lived []graph.NodeID center sets — the
@@ -77,7 +81,9 @@ func (a *nodeArena) take(mark int) []graph.NodeID {
 // takeSortedDedup sorts the set started at mark, removes duplicates in
 // place, rewinds the store to the deduplicated length and returns the set.
 func (a *nodeArena) takeSortedDedup(mark int) []graph.NodeID {
-	region := sortDedup(a.buf[mark:])
+	region := a.buf[mark:]
+	slices.Sort(region)
+	region = slices.Compact(region)
 	a.buf = a.buf[:mark+len(region)]
 	return a.take(mark)
 }

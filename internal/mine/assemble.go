@@ -336,18 +336,3 @@ func (m *miner) entriesOf(deltaE []*Mined) []diversify.Entry {
 	m.deltaEntries = out
 	return out
 }
-
-// sortDedup sorts s ascending and removes duplicates in place.
-func sortDedup(s []graph.NodeID) []graph.NodeID {
-	if len(s) < 2 {
-		return s
-	}
-	slices.Sort(s)
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}

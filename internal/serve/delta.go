@@ -338,7 +338,13 @@ func (r *repair) within(g *graph.Graph, v graph.NodeID, d int) []graph.NodeID {
 	if near, ok := r.near[k]; ok {
 		return near
 	}
-	near := slices.DeleteFunc(g.AppendNeighborhood(nil, v, d), func(w graph.NodeID) bool { return !r.centre(g, w) })
+	var near []graph.NodeID
+	g.Walk(v, d, func(w graph.NodeID, _ int) bool {
+		if r.centre(g, w) {
+			near = append(near, w)
+		}
+		return true
+	})
 	r.near[k] = near
 	return near
 }

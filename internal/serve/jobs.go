@@ -229,6 +229,9 @@ func (j *Jobs) Counts() map[JobStatus]int {
 // concurrent Intern (PUT /v1/rules), and the closed-check + jobWG.Add must
 // serialize with Shutdown so no job registers after the drain begins.
 func (s *Server) StartMine(p MineParams) (Job, error) {
+	if err := p.validate(); err != nil {
+		return Job{}, err
+	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	if s.closed.Load() {
@@ -387,6 +390,25 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 		}
 		j.cancel = nil
 	})
+}
+
+// validate rejects parameters outside their ranges before a job exists:
+// a λ outside [0, 1] turns the objective's confidence weight (1-λ)/N
+// negative, and no count or duration may be negative (0 selects the
+// default).
+func (p MineParams) validate() error {
+	if !(p.Lambda >= 0 && p.Lambda <= 1) {
+		return fmt.Errorf("serve: lambda %v outside [0, 1]", p.Lambda)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"k", p.K}, {"sigma", p.Sigma}, {"d", p.D}, {"maxEdges", p.MaxEdges}, {"cap", p.Cap}, {"timeoutMs", p.TimeoutMs}} {
+		if f.v < 0 {
+			return fmt.Errorf("serve: %s %d is negative", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // lookupPred resolves the mine predicate's label names without interning.

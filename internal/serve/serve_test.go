@@ -423,17 +423,23 @@ func TestMineJobAndInstall(t *testing.T) {
 		t.Fatal("no rules after installing a mine job")
 	}
 
-	// Unknown labels are rejected up front, without starting a job.
-	jobs := len(s.jobs.List())
+	// Unknown labels and parameters outside their ranges are rejected up
+	// front, without starting a job.
+	var before, after []Job
+	doJSON(t, "GET", ts.URL+"/v1/jobs", nil, &before)
+	pred := `"xLabel":"cust","edgeLabel":"visit","yLabel":"restaurant"`
 	for _, bad := range []string{
-		`{"xLabel":"cust","edgeLabel":"visit","yLabel":"starship"}`,
+		`"xLabel":"cust","edgeLabel":"visit","yLabel":"starship"`,
+		pred + `,"lambda":1.5`, pred + `,"lambda":-0.1`, pred + `,"k":-1`,
+		pred + `,"sigma":-1`, pred + `,"d":-1`, pred + `,"maxEdges":-1`,
+		pred + `,"cap":-1`, pred + `,"timeoutMs":-1`,
 	} {
-		if code := doJSON(t, "POST", ts.URL+"/v1/mine", []byte(bad), nil); code != 400 {
-			t.Errorf("mine %s: %d, want 400", bad, code)
+		if code := doJSON(t, "POST", ts.URL+"/v1/mine", []byte("{"+bad+"}"), nil); code != 400 {
+			t.Errorf("mine {%s}: %d, want 400", bad, code)
 		}
 	}
-	if n := len(s.jobs.List()); n != jobs {
-		t.Errorf("%d mine jobs registered by refused requests", n-jobs)
+	if doJSON(t, "GET", ts.URL+"/v1/jobs", nil, &after); len(after) != len(before) {
+		t.Errorf("%d mine jobs registered by refused requests", len(after)-len(before))
 	}
 }
 

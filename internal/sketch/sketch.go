@@ -43,88 +43,26 @@ func Score(data, need Sketch) (score int, feasible bool) {
 	return score, true
 }
 
-// bfsScratch is the reusable state of one sketch BFS: an epoch-stamped
-// visited array (no clearing between runs; bumping the epoch invalidates
-// all stamps at once) and the two frontier buffers. On a frozen graph the
-// BFS walks CSR arena views, so together with the scratch a cached-index
-// miss allocates only the sketch maps it returns.
-type bfsScratch struct {
-	visited        []uint32
-	epoch          uint32
-	frontier, next []graph.NodeID
-}
-
-var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
-
-// reset sizes the scratch for a graph of n nodes and opens a new epoch.
-func (sc *bfsScratch) reset(n int) {
-	if cap(sc.visited) < n {
-		sc.visited = make([]uint32, n)
-		sc.epoch = 0
-	}
-	sc.visited = sc.visited[:n]
-	sc.epoch++
-	if sc.epoch == 0 { // wraparound: stale stamps could collide, clear once
-		for i := range sc.visited {
-			sc.visited[i] = 0
-		}
-		sc.epoch = 1
-	}
-}
-
-// Of computes the k-hop sketch of node v in g.
+// Of computes the k-hop sketch of node v in g: one walk of radius k counts
+// each node's label at its own depth, and a pass over the levels makes the
+// counts cumulative.
 func Of(g *graph.Graph, v graph.NodeID, k int) Sketch {
 	sk := make(Sketch, k)
-	sc := bfsPool.Get().(*bfsScratch)
-	sc.reset(g.NumNodes())
-	sc.visited[v] = sc.epoch
-	frontier := append(sc.frontier[:0], v)
-	next := sc.next[:0]
-	for hop := 0; hop < k && len(frontier) > 0; hop++ {
-		dist := make(map[graph.Label]int)
-		if hop > 0 {
-			for l, c := range sk[hop-1] {
-				dist[l] = c
-			}
-		}
-		next = next[:0]
-		for _, u := range frontier {
-			for _, e := range g.Out(u) {
-				if sc.visited[e.To] != sc.epoch {
-					sc.visited[e.To] = sc.epoch
-					next = append(next, e.To)
-					dist[g.Label(e.To)]++
-				}
-			}
-			for _, e := range g.In(u) {
-				if sc.visited[e.To] != sc.epoch {
-					sc.visited[e.To] = sc.epoch
-					next = append(next, e.To)
-					dist[g.Label(e.To)]++
-				}
-			}
-		}
-		sk[hop] = dist
-		frontier, next = next, frontier
-	}
-	sc.frontier, sc.next = frontier[:0], next[:0]
-	bfsPool.Put(sc)
-	fillCumulative(sk)
-	return sk
-}
-
-// fillCumulative copies the last materialized level into any levels the BFS
-// never reached (frontier exhausted early).
-func fillCumulative(sk Sketch) {
 	for i := range sk {
-		if sk[i] == nil {
-			if i == 0 {
-				sk[i] = map[graph.Label]int{}
-			} else {
-				sk[i] = sk[i-1]
-			}
+		sk[i] = make(map[graph.Label]int)
+	}
+	g.Walk(v, k, func(w graph.NodeID, depth int) bool {
+		if depth > 0 {
+			sk[depth-1][g.Label(w)]++
+		}
+		return true
+	})
+	for i := 1; i < k; i++ {
+		for l, c := range sk[i-1] {
+			sk[i][l] += c
 		}
 	}
+	return sk
 }
 
 // Index lazily computes and caches data-node sketches for one graph. It is

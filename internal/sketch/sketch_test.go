@@ -1,7 +1,9 @@
 package sketch
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -160,6 +162,50 @@ func TestQuickCumulative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOfMatchesBFS: Of(g, v, k)[i] counts, per label, exactly the nodes at
+// undirected distance 1..i+1 from v, against a plain map-based BFS. Sparse
+// graphs with isolated nodes cover walks that run out before depth k.
+func TestOfMatchesBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 40; trial++ {
+		g := graph.New(nil)
+		n := 5 + rng.Intn(20)
+		for i := 0; i < n; i++ {
+			g.AddNode([]string{"a", "b", "c"}[rng.Intn(3)])
+		}
+		for i := rng.Intn(2 * n); i > 0; i-- {
+			g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), "e")
+		}
+		v := graph.NodeID(rng.Intn(n))
+		dist := map[graph.NodeID]int{v: 0}
+		for queue := []graph.NodeID{v}; len(queue) > 0; queue = queue[1:] {
+			u := queue[0]
+			for _, e := range slices.Concat(g.Out(u), g.In(u)) {
+				if _, ok := dist[e.To]; !ok {
+					dist[e.To] = dist[u] + 1
+					queue = append(queue, e.To)
+				}
+			}
+		}
+		k := 1 + rng.Intn(4)
+		sk := Of(g, v, k)
+		if len(sk) != k {
+			t.Fatalf("trial %d: %d levels, want %d", trial, len(sk), k)
+		}
+		for i := range sk {
+			want := map[graph.Label]int{}
+			for w, d := range dist {
+				if d >= 1 && d <= i+1 {
+					want[g.Label(w)]++
+				}
+			}
+			if !maps.Equal(sk[i], want) {
+				t.Fatalf("trial %d: Of(%d, %d)[%d] = %v, want %v", trial, v, k, i, sk[i], want)
+			}
+		}
 	}
 }
 
