@@ -146,6 +146,35 @@ func TestCancelThenRerunParityLocal(t *testing.T) {
 	}
 }
 
+// TestCancelThenRerunParitySharedContext: a run canceled at any superstep
+// leaves only whole discoveries in its context's memo, so the runs that
+// follow on that context — another predicate, then the canceled one again —
+// equal runs on a fresh context in the whole Result.
+func TestCancelThenRerunParitySharedContext(t *testing.T) {
+	g, preds, base := contextFixture(t)
+	for _, n := range []int{1, 3} {
+		o := base
+		o.N = n
+		want := make([]string, 2)
+		for i := range want {
+			want[i] = whole(must(DMineCtx(NewContext(g, preds[i].XLabel, o), preds[i], o)))
+		}
+		for _, allow := range []int{0, 1, 3, 5, 7} {
+			ctx := NewContext(g, preds[0].XLabel, o)
+			co := o
+			co.Ctx = newPollCtx(allow)
+			if _, err := DMineCtx(ctx, preds[0], co); err == nil {
+				t.Fatalf("n=%d allow=%d: run was not canceled; lower the allow", n, allow)
+			}
+			for _, i := range []int{1, 0} {
+				if got := whole(must(DMineCtx(ctx, preds[i], o))); got != want[i] {
+					t.Fatalf("n=%d allow=%d: predicate %d after the cancel differs from a fresh context", n, allow, i)
+				}
+			}
+		}
+	}
+}
+
 // TestCancelThenRerunParityDistributed extends the parity pin across the
 // wire codec: cancel a distributed run at a counted superstep boundary,
 // then rerun clean over fresh loopback workers — byte-identical to the

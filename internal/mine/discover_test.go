@@ -1,6 +1,7 @@
 package mine
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -200,12 +201,14 @@ func withheldGraph() *graph.Graph {
 }
 
 // TestDiscoverExtensionsMatchesPerEdgeReference: reading each data node's
-// neighbour classes once per parent is only an optimization. For every
-// parent pattern grown levelwise from the seed (three levels, so closing
-// edges and AsY twins occur), the extensions discoverExtensions reports and
-// their supporting centers equal the per-edge reference's, with the centers
-// split over 1 and 3 workers whose scratch and accumulators are recycled
-// from parent to parent.
+// neighbour classes once per parent, deriving AsY twins after a
+// predicate-free discovery, and serving a repeat from the memo are only
+// optimizations. For every parent pattern grown levelwise from the seed
+// (three levels, so closing edges and AsY twins occur), the extensions
+// discover reports and their supporting centers equal the per-edge
+// reference's, with the centers split over 1 and 3 workers whose scratch and
+// accumulators are recycled from parent to parent — each split twice, the
+// second time answered by the memo the workers share.
 func TestDiscoverExtensionsMatchesPerEdgeReference(t *testing.T) {
 	inter := interleavedGraph()
 	inter.Freeze()
@@ -231,9 +234,10 @@ func checkDiscovery(t *testing.T, c discoveryCase) {
 	g := c.g
 	g.Freeze()
 	lp := localParams{pred: c.pred, d: 2, embedCap: c.embedCap, syms: g.Symbols()}
+	memo := &discMemo{limit: math.MaxInt64, entries: map[uint64]*discEntry{}}
 	workers := make([]*worker, 3)
 	for i := range workers {
-		workers[i] = &worker{frag: partition.Whole(g, nil)}
+		workers[i] = &worker{frag: partition.Whole(g, nil), disc: memo, slot: i}
 	}
 	type parent struct {
 		q       *pattern.Pattern
@@ -263,30 +267,38 @@ func checkDiscovery(t *testing.T, c discoveryCase) {
 				sawAsY = sawAsY || ext.AsY
 			}
 			for _, n := range []int{1, 3} {
-				got := make(map[pattern.Extension][]graph.NodeID)
-				var gotCapped int64
-				for i, w := range workers[:n] {
-					chunk := p.centers[i*len(p.centers)/n : (i+1)*len(p.centers)/n]
-					gotCapped -= w.capped
-					accs := w.discoverExtensions(lp, p.q, chunk, match.Options{})
-					gotCapped += w.capped
-					for j, acc := range accs {
-						if j > 0 && accs[j-1].ext.Compare(acc.ext) >= 0 {
-							t.Fatalf("depth %d N=%d: accumulators out of Extension.Compare order", depth, n)
+				// The second pass is served by the memo: same parent, same
+				// frontier at every worker index.
+				for pass := range 2 {
+					hits := memo.hits
+					got := make(map[pattern.Extension][]graph.NodeID)
+					var gotCapped int64
+					for i, w := range workers[:n] {
+						chunk := p.centers[i*len(p.centers)/n : (i+1)*len(p.centers)/n]
+						gotCapped -= w.capped
+						exts := w.discover(lp, p.q, chunk)
+						gotCapped += w.capped
+						for j, f := range exts {
+							if j > 0 && exts[j-1].ext.Compare(f.ext) >= 0 {
+								t.Fatalf("depth %d N=%d pass %d: extensions out of Extension.Compare order", depth, n, pass)
+							}
+							// Chunks ascend, so per-worker lists concatenate sorted.
+							got[f.ext] = append(got[f.ext], f.centers...)
 						}
-						// Chunks ascend, so per-worker lists concatenate sorted.
-						got[acc.ext] = append(got[acc.ext], acc.centers...)
 					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("depth %d N=%d on\n%s: %d extensions, reference has %d", depth, n, p.q, len(got), len(want))
-				}
-				if gotCapped != hitCap {
-					t.Fatalf("depth %d N=%d on\n%s: %d enumerations counted as capped, reference %d", depth, n, p.q, gotCapped, hitCap)
-				}
-				for ext, cs := range want {
-					if !slices.Equal(got[ext], cs) {
-						t.Fatalf("depth %d N=%d on\n%s: %+v supported by %v, reference %v", depth, n, p.q, ext, got[ext], cs)
+					if pass == 1 && memo.hits != hits+int64(n) {
+						t.Fatalf("depth %d N=%d: %d of %d repeated discoveries served by the memo", depth, n, memo.hits-hits, n)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("depth %d N=%d pass %d on\n%s: %d extensions, reference has %d", depth, n, pass, p.q, len(got), len(want))
+					}
+					if gotCapped != hitCap {
+						t.Fatalf("depth %d N=%d pass %d on\n%s: %d enumerations counted as capped, reference %d", depth, n, pass, p.q, gotCapped, hitCap)
+					}
+					for ext, cs := range want {
+						if !slices.Equal(got[ext], cs) {
+							t.Fatalf("depth %d N=%d pass %d on\n%s: %+v supported by %v, reference %v", depth, n, pass, p.q, ext, got[ext], cs)
+						}
 					}
 				}
 			}
@@ -322,7 +334,8 @@ func checkDiscovery(t *testing.T, c discoveryCase) {
 // count (at most 24), one byte per node its label (a, p or q), and every
 // following byte triple an edge (from, to, label e or f) — self-loops and
 // parallel edges of different labels included. Parents grow two levels from
-// the seed, under EmbedCap 64 and 3.
+// the seed, under EmbedCap 64 and 3, and every discovery runs twice on one
+// memo: the second run, served by it, must equal the reference too.
 func FuzzDiscoverExtensions(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 1, 1, 0, 2, 0, 1, 2, 1, 2, 3, 0, 0, 0})
 	// withheldGraph, with h as q.

@@ -7,7 +7,6 @@ import (
 	"gpar/internal/core"
 	"gpar/internal/gen"
 	"gpar/internal/graph"
-	"gpar/internal/match"
 	"gpar/internal/partition"
 	"gpar/internal/pattern"
 )
@@ -57,6 +56,9 @@ func BenchmarkDMineNo(b *testing.B) {
 // the arena-backed message lifecycle of the mining loop — over a prebuilt
 // context: every worker extends the seed frontier, verifies local supports
 // on recycled scratch and emits its messages into recycled round arenas.
+// After the first superstep the context's memo serves the seed's
+// discovery, so this times verification and messages, not discovery
+// (BenchmarkDiscoverExtensions).
 // Near-zero allocs/op is the acceptance criterion of the arena rewrite
 // (the residue is the superstep's goroutine fan-out).
 func BenchmarkLocalMineRound(b *testing.B) {
@@ -129,11 +131,11 @@ func benchDiscover(b *testing.B, g *graph.Graph, pred core.Predicate, opts Optio
 	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts.Defaults())
 	lp := m.localParams()
 	w := &worker{frag: partition.Whole(g, g.NodesWithLabel(pred.XLabel))}
-	w.discoverExtensions(lp, q, centers, match.Options{})
+	w.discoverExtensions(lp, q, centers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if accs := w.discoverExtensions(lp, q, centers, match.Options{}); len(accs) == 0 {
+		if accs := w.discoverExtensions(lp, q, centers); len(accs) == 0 {
 			b.Fatal("no extensions discovered")
 		}
 	}

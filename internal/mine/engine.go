@@ -83,6 +83,7 @@ func (e *localEngine) attach(m *miner) ([]int, []int, error) {
 	e.workers = make([]*worker, m.ctx.n)
 	for i := range e.workers {
 		e.workers[i] = acquireWorker(m.ctx.fragment(i))
+		e.workers[i].disc, e.workers[i].slot = m.ctx.memo(), i
 	}
 	pred := m.pred
 	err := e.parallel(m, func(w *worker) {

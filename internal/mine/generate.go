@@ -43,7 +43,6 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 		w.qScratch = pattern.New(lp.syms)
 		w.prScratch = pattern.New(lp.syms)
 	}
-	opts := match.Options{}
 	for _, parent := range frontier {
 		centers := w.centersFor[parent.id]
 		if len(centers) == 0 {
@@ -52,11 +51,10 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 		// Keep the frontier sorted ascending once, so every accumulator's
 		// center list is built already sorted.
 		slices.Sort(centers)
-		accs := w.discoverExtensions(lp, parent.q, centers, opts)
-		for _, acc := range accs {
+		for _, f := range w.discover(lp, parent.q, centers) {
 			// Materialize the candidate into recycled scratch; the scratch
 			// is dead once the matcher below releases.
-			q := parent.q.ApplyInto(w.qScratch, acc.ext)
+			q := parent.q.ApplyInto(w.qScratch, f.ext)
 			if q == nil {
 				continue
 			}
@@ -71,16 +69,16 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 				continue
 			}
 
-			msg := message{parent: parent.id, ext: acc.ext}
+			msg := message{parent: parent.id, ext: f.ext}
 			mq, mr, mqb := w.ar.q.mark(), w.ar.r.mark(), w.ar.qqb.mark()
 			// One pooled matcher per child rule, reused across all centers;
 			// none for a y-free child, whose PR matches at every Pq center
-			// Q does (every center of acc does).
+			// Q does (every center of f does).
 			var prm *match.Matcher
 			if !child.YFree() {
-				prm = match.NewMatcher(pr, w.frag.G, opts)
+				prm = match.NewMatcher(pr, w.frag.G, match.Options{})
 			}
-			for _, c := range acc.centers {
+			for _, c := range f.centers {
 				gv := w.frag.Global(c)
 				w.ar.q.push(gv)
 				switch w.class[c] {
@@ -105,6 +103,32 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 	w.msgs = out
 }
 
+// discover returns discoverExtensions' list, read-only, from the memo if it
+// has it, plus the AsY twin of each new-node extension with y's label when
+// q has no y: same centers, and sorted right after it.
+func (w *worker) discover(lp localParams, q *pattern.Pattern, centers []graph.NodeID) []extAcc {
+	h := w.discKey(q, lp.embedCap, centers)
+	var exts []*extAcc
+	if e := w.disc.lookup(w.key, h); e != nil {
+		exts, w.ops, w.capped = e.exts, w.ops+e.ops, w.capped+e.capped
+	} else {
+		ops, capped := w.ops, w.capped
+		exts = w.discoverExtensions(lp, q, centers)
+		w.disc.store(w.key, h, exts, w.ops-ops, w.capped-capped)
+	}
+	clear(w.exts) // hold no views past this call's list
+	out := w.exts[:0]
+	for _, f := range exts {
+		out = append(out, *f)
+		if q.Y == pattern.NoNode && f.ext.Close == pattern.NoNode && f.ext.NewLabel == lp.pred.YLabel {
+			out = append(out, *f)
+			out[len(out)-1].ext.AsY = true
+		}
+	}
+	w.exts = out
+	return out
+}
+
 // discoverExtensions enumerates, for each owned center still matching the
 // parent antecedent, the single-edge extensions realized by actual data
 // edges around its embeddings ("expand Q by including a new edge", Section
@@ -122,16 +146,14 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 //
 // The returned accumulators are sorted by Extension.Compare and owned by
 // the worker: they are recycled on the next call.
-func (w *worker) discoverExtensions(lp localParams, q *pattern.Pattern, centers []graph.NodeID, opts match.Options) []*extAcc {
+func (w *worker) discoverExtensions(lp localParams, q *pattern.Pattern, centers []graph.NodeID) []*extAcc {
 	w.distXBuf = q.DistancesInto(w.distXBuf, q.X)
 	distX := w.distXBuf
 	w.resetAccs()
 	g := w.frag.G
 	w.resetSummaries(g.NumNodes())
-	opts.MaxMatches = lp.embedCap
-	opts.Canonical = true
 	// One pooled matcher per parent, reused across all centers.
-	qm := match.NewMatcher(q, g, opts)
+	qm := match.NewMatcher(q, g, match.Options{MaxMatches: lp.embedCap, Canonical: true})
 	for _, vx := range centers {
 		w.ops++
 		seen := qm.EnumerateAnchored(vx, func(asgn []graph.NodeID) bool {
@@ -139,8 +161,8 @@ func (w *worker) discoverExtensions(lp localParams, q *pattern.Pattern, centers 
 				// The new node would sit at distance distX[u]+1 from x;
 				// enforce the antecedent radius bound r(Q, x) <= d.
 				canGrow := distX[u] >= 0 && distX[u]+1 <= lp.d
-				w.extendAt(lp, q, vx, asgn, u, true, canGrow)
-				w.extendAt(lp, q, vx, asgn, u, false, canGrow)
+				w.extendAt(q, vx, asgn, u, true, canGrow)
+				w.extendAt(q, vx, asgn, u, false, canGrow)
 			}
 			return true
 		})
@@ -244,9 +266,9 @@ func (w *worker) summarize(s *nbrSummary, v graph.NodeID, adj []graph.Edge) {
 //     members. A class whose every member is embedded yields nothing.
 //   - Per-center memo: once (u, dv, direction) has added every one of its
 //     classes for vx, later embeddings of vx skip the new-node part. Those
-//     addExt calls would be no-ops: each extension's lastVx already holds
+//     add calls would be no-ops: each extension's lastVx already holds
 //     vx, because a center's embeddings are enumerated consecutively.
-func (w *worker) extendAt(lp localParams, q *pattern.Pattern, vx graph.NodeID, asgn []graph.NodeID, u int, outgoing, canGrow bool) {
+func (w *worker) extendAt(q *pattern.Pattern, vx graph.NodeID, asgn []graph.NodeID, u int, outgoing, canGrow bool) {
 	g, dv := w.frag.G, asgn[u]
 	s, adj := &w.nbr[2*int(dv)], g.In(dv)
 	if outgoing {
@@ -274,7 +296,7 @@ func (w *worker) extendAt(lp localParams, q *pattern.Pattern, vx graph.NodeID, a
 				embedded++
 			} else if g.HasEdge(asgn[from], asgn[to], c.edge) {
 				embedded++
-				w.addExt(vx, pattern.Extension{Src: u, Outgoing: outgoing, EdgeLabel: c.edge, Close: u2})
+				w.accFor(pattern.Extension{Src: u, Outgoing: outgoing, EdgeLabel: c.edge, Close: u2}).add(vx)
 			}
 		}
 		if !grow {
@@ -289,19 +311,10 @@ func (w *worker) extendAt(lp localParams, q *pattern.Pattern, vx graph.NodeID, a
 			c.acc = w.accFor(ext)
 		}
 		c.acc.add(vx)
-		if q.Y == pattern.NoNode && c.node == lp.pred.YLabel {
-			ext.AsY = true
-			w.addExt(vx, ext)
-		}
 	}
 	if grow && complete {
 		s.doneVx, s.doneU = vx, int32(u)
 	}
-}
-
-// addExt counts center vx as supporting ext, once.
-func (w *worker) addExt(vx graph.NodeID, ext pattern.Extension) {
-	w.accFor(ext).add(vx)
 }
 
 // accFor returns ext's accumulator, registering a fresh one on first sight.

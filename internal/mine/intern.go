@@ -1,6 +1,7 @@
 package mine
 
 import (
+	"cmp"
 	"fmt"
 
 	"gpar/internal/pattern"
@@ -40,13 +41,7 @@ type groupKey struct {
 // extension's total order. The sharded assembly sorts the merged groups
 // with it, which is what keeps results independent of the shard count.
 func (k groupKey) compare(o groupKey) int {
-	if k.parent != o.parent {
-		if k.parent < o.parent {
-			return -1
-		}
-		return 1
-	}
-	return k.ext.Compare(o.ext)
+	return cmp.Or(cmp.Compare(k.parent, o.parent), k.ext.Compare(o.ext))
 }
 
 // hash maps the key to an assembly shard. Any deterministic function works

@@ -184,6 +184,7 @@ type SuperstepStat struct {
 func DMine(g *graph.Graph, pred core.Predicate, opts Options) *Result {
 	opts = opts.Defaults()
 	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts)
+	m.ctx.disc.Store(new(discMemo)) // one run extends no parent twice
 	return m.run()
 }
 
@@ -194,6 +195,7 @@ func DMine(g *graph.Graph, pred core.Predicate, opts Options) *Result {
 func DMineNo(g *graph.Graph, pred core.Predicate, opts Options) *Result {
 	opts = opts.Defaults()
 	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts)
+	m.ctx.disc.Store(new(discMemo))
 	m.baseline = true
 	return m.run()
 }
@@ -244,6 +246,11 @@ type worker struct {
 	accs     map[uint64]*extAcc // keyed by packed extension code
 	accList  []*extAcc          // discovery order; re-sorted deterministically
 	accPool  []*extAcc          // recycled accumulators
+	// discover's memo (a zero one on a remote worker), index and scratch.
+	disc *discMemo
+	slot int
+	key  []graph.NodeID
+	exts []extAcc
 	// extOverflow interns the (pathological) extensions whose fields do not
 	// fit the packed code: huge label spaces or patterns beyond 127 nodes.
 	extOverflow map[pattern.Extension]uint64
@@ -515,6 +522,7 @@ func acquireWorker(frag *partition.Fragment) *worker {
 // remote, starts here.
 func (w *worker) bind(frag *partition.Fragment) {
 	w.frag = frag
+	w.disc, w.slot = new(discMemo), 0
 	w.centerSet = nil // rebuilt lazily by ownsCenter
 	clear(w.extOverflow)
 	w.npq, w.npqbar = 0, 0

@@ -1,6 +1,10 @@
 package pattern
 
-import "gpar/internal/graph"
+import (
+	"cmp"
+
+	"gpar/internal/graph"
+)
 
 // Extension describes one way to grow a pattern by a single new edge, the
 // unit of levelwise expansion in algorithm DMine (Section 4.2): "it expands
@@ -27,7 +31,7 @@ type Extension struct {
 // the deterministic processing the miner needs.
 func (e Extension) Compare(f Extension) int {
 	if e.Src != f.Src {
-		return cmpInt(e.Src, f.Src)
+		return cmp.Compare(e.Src, f.Src)
 	}
 	if e.Outgoing != f.Outgoing {
 		if !e.Outgoing {
@@ -36,13 +40,13 @@ func (e Extension) Compare(f Extension) int {
 		return 1
 	}
 	if e.EdgeLabel != f.EdgeLabel {
-		return cmpInt(int(e.EdgeLabel), int(f.EdgeLabel))
+		return cmp.Compare(e.EdgeLabel, f.EdgeLabel)
 	}
 	if e.NewLabel != f.NewLabel {
-		return cmpInt(int(e.NewLabel), int(f.NewLabel))
+		return cmp.Compare(e.NewLabel, f.NewLabel)
 	}
 	if e.Close != f.Close {
-		return cmpInt(e.Close, f.Close)
+		return cmp.Compare(e.Close, f.Close)
 	}
 	if e.AsY != f.AsY {
 		if !e.AsY {
@@ -51,17 +55,6 @@ func (e Extension) Compare(f Extension) int {
 		return 1
 	}
 	return 0
-}
-
-func cmpInt(a, b int) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // Apply returns a copy of p grown by the extension. It returns nil when the

@@ -112,9 +112,8 @@ type StatsResponse struct {
 	} `json:"cpuBudget"`
 	Cache CacheStats `json:"cache"`
 	// MineCache counts mine-context reuse: hits are mine jobs that found
-	// their (generation, xLabel, d) context already resident. A hit saves
-	// about 180 ns; the block stays because the benchmark reads its ratio.
-	MineCache CacheStats `json:"mineCache"`
+	// their (generation, xLabel, d) context, discoveries and all, resident.
+	MineCache MineCacheStats `json:"mineCache"`
 	// MineCapped sums the jobs' capped counts: embedding enumerations that
 	// reached EmbedCap in every mine run completed since start.
 	MineCapped int64      `json:"mineCapped"`

@@ -311,7 +311,7 @@ func (s *Server) runMine(id string, jobCtx context.Context, cancel context.Cance
 		})
 		ctxHit = how != memoBuilt
 		if s.gen.Load() != key.Gen {
-			// A publish raced the build. Its Purge may have run before this
+			// A publish raced the build. Its walk may have run before this
 			// key was inserted, and no future job keys this generation, so
 			// the entry would only pin the retired snapshot's graph. This run
 			// still mines on the context it got — the snapshot it was

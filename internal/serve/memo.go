@@ -13,7 +13,7 @@ import (
 // finished values; Retarget is the publish step's walk, which moves each
 // entry to the next generation's key (a finished value possibly replaced)
 // or drops it. An entry enters the LRU when its build starts, so eviction,
-// Retarget, Remove and Purge treat a build in flight like a finished value:
+// Retarget and Remove treat a build in flight like a finished value:
 // they move or drop the memo's reference, and whoever holds the entry still
 // gets its value.
 type memo[K comparable, V any] struct {
@@ -53,6 +53,14 @@ type CacheStats struct {
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
 	Purges    int64 `json:"purges"`
+}
+
+// MineCacheStats is mineCache on /stats, with its contexts' discovery memos.
+type MineCacheStats struct {
+	CacheStats
+	Parents       int64 `json:"parents"`
+	CentreIDs     int64 `json:"centreIds"`
+	DiscoveryHits int64 `json:"discoveryHits"`
 }
 
 // BatchStats is the match-set memo's single-flight view for /stats:
@@ -223,13 +231,6 @@ func (m *memo[K, V]) Remove(key K) bool {
 		m.evictions++
 	}
 	return ok
-}
-
-// Purge drops every entry — a walk that keeps nothing — and returns how
-// many were dropped.
-func (m *memo[K, V]) Purge() int {
-	_, n := m.Retarget(func(k K, v V) (K, V, bool) { return k, v, false })
-	return n
 }
 
 // Stats returns the counters: st.Hits counts finished entries found;

@@ -203,12 +203,18 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// purge drops every entry: a Retarget walk that keeps nothing.
+func purge[K comparable, V any](m *memo[K, V]) int {
+	_, n := m.Retarget(func(k K, v V) (K, V, bool) { return k, v, false })
+	return n
+}
+
 func TestCachePurge(t *testing.T) {
 	m := newMemo[string, int](8)
 	for i := 0; i < 5; i++ {
 		put(m, fmt.Sprintf("k%d", i))
 	}
-	if n := m.Purge(); n != 5 {
+	if n := purge(m); n != 5 {
 		t.Fatalf("purged %d, want 5", n)
 	}
 	if resident(m, "k0") {
@@ -217,7 +223,7 @@ func TestCachePurge(t *testing.T) {
 	if st, _ := m.Stats(); st.Entries != 0 || st.Purges != 1 {
 		t.Errorf("stats %+v after purge", st)
 	}
-	if n := m.Purge(); n != 0 {
+	if n := purge(m); n != 0 {
 		t.Errorf("second purge dropped %d", n)
 	}
 	if st, _ := m.Stats(); st.Purges != 1 {
@@ -380,7 +386,7 @@ func TestMineContextCacheUnit(t *testing.T) {
 		t.Fatal("removed key still reported a hit")
 	}
 	m.Remove(MineCtxKey{Gen: 99})
-	if n := m.Purge(); n != 2 {
+	if n := purge(m); n != 2 {
 		t.Fatalf("Purge dropped %d entries, want 2", n)
 	}
 	if st, _ := m.Stats(); st.Entries != 0 || st.Purges != 1 {

@@ -7,11 +7,8 @@ import (
 )
 
 // MineCtxKey identifies one reusable mining layout in the mine-context
-// memo: the generation (every publish purges the memo), the candidate
-// x-label and the radius d; the worker count is the server's gate size. In
-// process a context is the snapshot's own candidate index and three
-// numbers, so reuse saves about 180 ns; the memo stays because the
-// benchmark reads its hit ratio.
+// memo: the generation, the candidate x-label and the radius d; the worker
+// count is the server's gate size.
 type MineCtxKey struct {
 	Gen    uint64
 	XLabel graph.Label

@@ -28,7 +28,7 @@ func mineFixtureParams() MineParams {
 // differs only in k hits the context cache, an identical one at the same
 // generation is answered from the first job's result (no supersteps, no
 // context), a job with a differing d misses, and a rules-only hot-swap
-// drops every context but keeps the mined result.
+// keeps every context and the mined result.
 func TestMineJobContextReuse(t *testing.T) {
 	s, _, rules := newTestServer(t, Config{Workers: 2})
 
@@ -71,27 +71,88 @@ func TestMineJobContextReuse(t *testing.T) {
 		t.Error("job with differing d reused a context")
 	}
 
-	// A snapshot hot-swap purges the context cache and bumps the
-	// generation, so new parameters build afresh; the graph is the same, so
-	// the original parameters are still answered from their result.
-	entriesBefore := s.mineCacheStats().Entries
-	if entriesBefore == 0 {
+	// A snapshot hot-swap bumps the generation but keeps the graph, so
+	// every context moves to the new generation and new parameters find
+	// theirs; the original parameters are still answered from their result.
+	before := s.mineCacheStats()
+	if before.Entries == 0 {
 		t.Fatal("no cached contexts before swap")
 	}
 	if _, err := s.SwapRules(rules); err != nil {
 		t.Fatalf("SwapRules: %v", err)
 	}
 	st := s.mineCacheStats()
-	if st.Entries != 0 || st.Purges == 0 {
-		t.Fatalf("swap did not purge the mine-context cache: %+v", st)
+	if st.Entries != before.Entries || st.Purges != before.Purges {
+		t.Fatalf("swap dropped mine contexts: %+v, before %+v", st, before)
 	}
 	pk.K++
-	if job := run(pk); job.ContextCached {
-		t.Error("post-swap job reused a stale context")
+	if job := run(pk); !job.ContextCached {
+		t.Error("post-swap job did not find its context")
 	}
 	if job := run(p); !job.WarmStarted || !reflect.DeepEqual(first.RuleKeys, job.RuleKeys) {
 		t.Errorf("post-swap repeat: warmStarted %v, rules %v; want the carried %v", job.WarmStarted, job.RuleKeys, first.RuleKeys)
 	}
+}
+
+// TestMineContextCrossesPublish: a publish that keeps the graph's content
+// keeps the mine contexts, discovery memos and all. After a job installs
+// its rules, a job for another predicate with the same x label finds the
+// context and the first job's discoveries; a delta batch drops the
+// contexts, and a compaction rebinds them to the compacted graph. Every
+// job mines what DMine mines on the served graph.
+func TestMineContextCrossesPublish(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{Workers: 2})
+	check := func(p MineParams, cached bool) {
+		t.Helper()
+		hits := s.mineCacheStats().DiscoveryHits
+		job, err := s.StartMine(p)
+		if err != nil {
+			t.Fatalf("StartMine: %v", err)
+		}
+		if job = waitJob(t, s, job.ID); job.Status != JobDone {
+			t.Fatalf("job failed: %s", job.Error)
+		}
+		snap := s.Snapshot()
+		pred, err := lookupPred(snap.G.Symbols(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, mm := range mine.DMine(snap.G, pred, mine.Options{K: p.K, Sigma: p.Sigma, D: p.D,
+			MaxEdges: p.MaxEdges, MaxCandidatesPerRound: p.Cap, N: 1}).TopK {
+			want = append(want, mm.Rule.Key())
+		}
+		if job.WarmStarted || job.ContextCached != cached || !slices.Equal(job.RuleKeys, want) {
+			t.Fatalf("%s: warmStarted %v, contextCached %v (want %v), mined %v; DMine mines %v",
+				p.YLabel, job.WarmStarted, job.ContextCached, cached, job.RuleKeys, want)
+		}
+		if got := s.mineCacheStats().DiscoveryHits; cached != (got > hits) {
+			t.Fatalf("%s: discovery hits %d -> %d with contextCached %v", p.YLabel, hits, got, cached)
+		}
+	}
+	p := mineFixtureParams()
+	p.MaxEdges, p.Install = 2, true
+	check(p, false)
+	if s.Generation() != 2 {
+		t.Fatalf("generation %d after the install, want 2", s.Generation())
+	}
+	bar := p
+	bar.YLabel, bar.Install = "bar", false
+	check(bar, true)
+
+	if _, err := s.ApplyDelta(DeltaRequest{Ops: []DeltaOpSpec{{Op: "addEdge", From: 0, To: 3, Label: "friend"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.mineCacheStats(); st.Entries != 0 || st.Parents != 0 {
+		t.Fatalf("a delta batch kept mine contexts: %+v", st)
+	}
+	p.Install = false
+	check(p, false)
+	if _, did, err := s.Compact(); err != nil || !did {
+		t.Fatalf("Compact: %v, %v", did, err)
+	}
+	bar.K++
+	check(bar, true)
 }
 
 // TestMineJobWidthIsGateSize: a job mines with one worker per mine-gate
@@ -195,6 +256,10 @@ func TestStatsExposesMineCache(t *testing.T) {
 	}
 	if st.MineCache.Hits != 1 || st.MineCache.Misses != 1 || st.MineCache.Entries != 1 {
 		t.Fatalf("stats.mineCache = %+v, want hits=1 misses=1 entries=1", st.MineCache)
+	}
+	// The second job found the first's discoveries in the context.
+	if mc := st.MineCache; mc.Parents == 0 || mc.CentreIDs == 0 || mc.DiscoveryHits == 0 {
+		t.Fatalf("stats.mineCache = %+v, want stored parents, centre IDs and discovery hits", mc)
 	}
 	if st.MineCache.Capacity != 4 {
 		t.Fatalf("default mine-cache capacity = %d, want 4", st.MineCache.Capacity)

@@ -129,29 +129,44 @@ func BenchmarkMineJobGplus(b *testing.B) {
 // on mine-jobs (gplusMineInput): the predicates in turn, σ stepping up from
 // 4 once per pass over them, in a cycle of four so an iteration's work does
 // not drift with b.N, on workers drawn from the mine package's pool.
+//
+//   - shared: every job on one resident context per x label, as gpard keeps
+//     them, so once the warm-up pass has stored them each parent's
+//     discovery is served by the context's memo.
+//   - fresh: a new context per job, so every discovery runs and is stored:
+//     the discovery kernel and the cost of a cold job's store.
+//
 // Recorded in BENCH_mine.json by `make bench`.
 func BenchmarkMineJobSteady(b *testing.B) {
 	g, preds, opts := gplusMineInput(b)
-	cache := newMemo[MineCtxKey, *mine.Context](4)
-	job := func(i int) {
-		pred := preds[i%len(preds)]
-		o := opts
-		o.Sigma = 4 + (i/len(preds))%4
-		ctx, _, _ := cache.GetOrBuild(MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: o.D}, func() (*mine.Context, error) {
-			return mine.NewContext(g, pred.XLabel, o), nil
+	for _, shared := range []bool{true, false} {
+		name := map[bool]string{true: "shared", false: "fresh"}[shared]
+		b.Run(name, func(b *testing.B) {
+			cache := newMemo[MineCtxKey, *mine.Context](4)
+			job := func(i int) {
+				pred := preds[i%len(preds)]
+				o := opts
+				o.Sigma = 4 + (i/len(preds))%4
+				ctx := mine.NewContext(g, pred.XLabel, o)
+				if shared {
+					ctx, _, _ = cache.GetOrBuild(MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: o.D}, func() (*mine.Context, error) {
+						return ctx, nil
+					})
+				}
+				res, err := mine.DMineCtx(ctx, pred, o)
+				if err != nil || len(res.TopK) == 0 {
+					b.Fatalf("job %d: no rules mined (err=%v)", i, err)
+				}
+			}
+			// One pass warms the pooled workers: arenas grown.
+			for i := range preds {
+				job(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				job(len(preds) + i)
+			}
 		})
-		res, err := mine.DMineCtx(ctx, pred, o)
-		if err != nil || len(res.TopK) == 0 {
-			b.Fatalf("job %d: no rules mined (err=%v)", i, err)
-		}
-	}
-	// One pass warms the pooled workers: arenas grown.
-	for i := range preds {
-		job(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		job(len(preds) + i)
 	}
 }

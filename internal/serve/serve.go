@@ -254,7 +254,8 @@ type carried struct{ rules, dropped, mined int }
 // everything cross, a batch's repair judges each entry. A match-set
 // evaluation crosses only if next still serves its rule, as rep.apply
 // repairs it; a finished mine result iff no change of rep lies within its
-// reach; a mine context never. Caller holds swapMu.
+// reach; a mine context, rebound to next.G, only under unchanged(next).
+// Caller holds swapMu.
 func (s *Server) publish(next *Snapshot, rep *repair, req *DeltaRequest) (carried, error) {
 	next.Gen = s.gen.Add(1)
 	if err := s.persistGen(next, req); err != nil {
@@ -275,7 +276,12 @@ func (s *Server) publish(next *Snapshot, rep *repair, req *DeltaRequest) (carrie
 		k.gen = next.Gen
 		return k, res, ok
 	})
-	s.mineCtx.Purge()
+	s.mineCtx.Retarget(func(k MineCtxKey, mc *mine.Context) (MineCtxKey, *mine.Context, bool) {
+		if rep == nil || rep.old != rep.next || k.Gen != prev || mc == nil {
+			return k, nil, false
+		}
+		return MineCtxKey{next.Gen, k.XLabel, k.D}, mc.Rebind(next.G), true
+	})
 	s.snap.Store(next)
 	s.nSwap.Add(1)
 	return c, nil
@@ -380,8 +386,16 @@ func (s *Server) cacheStats() (CacheStats, BatchStats) {
 
 // mineCacheStats reads the mine-context memo as /stats reports it: a job
 // that waited on another's build did not build, so it hit.
-func (s *Server) mineCacheStats() CacheStats {
-	st, joined := s.mineCtx.Stats()
-	st.Hits += joined
+func (s *Server) mineCacheStats() MineCacheStats {
+	cs, joined := s.mineCtx.Stats()
+	cs.Hits += joined
+	st := MineCacheStats{CacheStats: cs}
+	s.mineCtx.Retarget(func(k MineCtxKey, mc *mine.Context) (MineCtxKey, *mine.Context, bool) {
+		if mc != nil {
+			parents, ids, hits := mc.DiscoveryStats()
+			st.Parents, st.CentreIDs, st.DiscoveryHits = st.Parents+parents, st.CentreIDs+ids, st.DiscoveryHits+hits
+		}
+		return k, mc, true
+	})
 	return st
 }
