@@ -1,12 +1,15 @@
 package graph
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // csrIndex is the frozen flat representation of a graph: one contiguous
 // edge arena per direction with per-node offsets (classic CSR), a per-node
 // distinct-edge-label index giving the contiguous arena range of every
 // (node, direction, edge label) triple, and a flat node-label candidate
-// index. It is built once by Freeze and is immutable afterwards, so any
+// index. FromCSR alone builds one, and it is immutable afterwards, so any
 // number of matchers can read it concurrently without coordination.
 //
 // Within one node's arena range, edges are sorted by (Label, To). That makes
@@ -33,58 +36,110 @@ type csrIndex struct {
 	labelOff     []int32
 }
 
-// buildCSR flattens the mutable adjacency into a csrIndex.
-func buildCSR(g *Graph) *csrIndex {
-	c := &csrIndex{}
-	c.outE, c.outOff, c.outLab, c.outLabOff, c.outLabStart = buildDirection(g.out, g.numE)
-	c.inE, c.inOff, c.inLab, c.inLabOff, c.inLabStart = buildDirection(g.in, g.numE)
-
-	// Node-label candidate index.
-	maxL := Label(0)
-	for _, l := range g.labels {
-		if l > maxL {
-			maxL = l
+// FromCSR builds a frozen graph over syms from node labels and an out-arena
+// in frozen order: node v's edges are out[outOff[v]:outOff[v+1]], strictly
+// ascending by (Label, To). It takes ownership of all three slices. It is
+// the one constructor of a frozen graph — Freeze, CompactCopy,
+// InducedSubgraph and the snapshot and fragment decoders all end here — and
+// it rejects, before building anything, a node or edge label outside syms,
+// a target outside the graph, offsets that do not climb from 0 to len(out),
+// and a run out of order, which includes a duplicate edge.
+func FromCSR(syms *Symbols, labels []Label, outOff []int32, out []Edge) (*Graph, error) {
+	n, maxL := len(labels), Label(syms.Len())
+	if len(outOff) != n+1 || outOff[0] != 0 || int(outOff[n]) != len(out) {
+		return nil, fmt.Errorf("graph: %d offsets for %d nodes do not span %d edges", len(outOff), n, len(out))
+	}
+	// One validating pass that indexes the out-arena's labels and counts,
+	// at key+1, edges by target and nodes by label. The label indexes start
+	// at one label per node.
+	c := &csrIndex{outE: out, outOff: outOff, outLabOff: make([]int32, n+1), inLabOff: make([]int32, n+1),
+		outLab: make([]Label, 0, n+1), outLabStart: make([]int32, 0, n+1), inLab: make([]Label, 0, n+1), inLabStart: make([]int32, 0, n+1)}
+	inOff := make([]int32, n+1)
+	labelOff := make([]int32, maxL+2)
+	for v, l := range labels {
+		if l <= NoLabel || l > maxL {
+			return nil, fmt.Errorf("graph: node %d label %d outside symbol table of %d", v, l, maxL)
+		}
+		labelOff[l+1]++
+		lo, hi := outOff[v], outOff[v+1]
+		if hi < lo || int(hi) > len(out) {
+			return nil, fmt.Errorf("graph: node %d edge offsets [%d, %d) run backwards or past %d edges", v, lo, hi, len(out))
+		}
+		c.outLabOff[v] = int32(len(c.outLab))
+		// Unsigned compares reject negatives too, and once both are in
+		// range (Label, To) orders as one 64-bit key.
+		prev := Edge{Label: NoLabel} // below every label the first case lets through
+		for i, e := range out[lo:hi] {
+			switch {
+			case uint32(e.Label)-1 >= uint32(maxL):
+				return nil, fmt.Errorf("graph: edge label %d outside symbol table of %d", e.Label, maxL)
+			case uint32(e.To) >= uint32(n):
+				return nil, fmt.Errorf("graph: edge target %d out of range (graph has %d nodes)", e.To, n)
+			case uint64(e.Label)<<32|uint64(e.To) <= uint64(prev.Label)<<32|uint64(prev.To):
+				return nil, fmt.Errorf("graph: node %d edges not strictly ascending at (%d, %d)", v, e.Label, e.To)
+			case e.Label != prev.Label:
+				c.outLab = append(c.outLab, e.Label)
+				c.outLabStart = append(c.outLabStart, lo+int32(i))
+			}
+			inOff[e.To+1]++
+			prev = e
 		}
 	}
-	c.labelOff = make([]int32, int(maxL)+2)
-	for _, l := range g.labels {
-		c.labelOff[int(l)+1]++
-	}
-	for i := 1; i < len(c.labelOff); i++ {
-		c.labelOff[i] += c.labelOff[i-1]
-	}
-	c.nodesByLabel = make([]NodeID, len(g.labels))
-	cur := make([]int32, int(maxL)+1)
-	copy(cur, c.labelOff[:int(maxL)+1])
-	for v, l := range g.labels {
-		c.nodesByLabel[cur[l]] = NodeID(v)
-		cur[l]++
-	}
-	return c
-}
+	prefixSum(inOff)
+	prefixSum(labelOff)
 
-// buildDirection builds one direction's arena, offsets and label index.
-func buildDirection(adj [][]Edge, numE int) (arena []Edge, off []int32, lab []Label, labOff, labStart []int32) {
-	n := len(adj)
-	off = make([]int32, n+1)
-	arena = make([]Edge, 0, numE)
-	labOff = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		labOff[v] = int32(len(lab))
-		start := len(arena)
-		arena = append(arena, adj[v]...)
-		slices.SortFunc(arena[start:], cmpEdge)
-		off[v+1] = int32(len(arena))
-		for i := start; i < len(arena); i++ {
-			if i == start || arena[i].Label != arena[i-1].Label {
-				lab = append(lab, arena[i].Label)
-				labStart = append(labStart, int32(i))
+	// The in-arena by counting: each edge goes to its target's run in source
+	// order, so a run is already in (Label, source) order unless its labels
+	// fall somewhere, and only such a run needs a sort.
+	in := make([]Edge, len(out))
+	next := slices.Clone(inOff)
+	for v := range n {
+		for _, e := range out[outOff[v]:outOff[v+1]] {
+			in[next[e.To]] = Edge{To: NodeID(v), Label: e.Label}
+			next[e.To]++
+		}
+	}
+	for v := range n {
+		run := in[inOff[v]:inOff[v+1]]
+		for i := 1; i < len(run); i++ {
+			if run[i].Label < run[i-1].Label {
+				slices.SortFunc(run, cmpEdge)
+				break
+			}
+		}
+		c.inLabOff[v] = int32(len(c.inLab))
+		for i, e := range run {
+			if i == 0 || e.Label != run[i-1].Label {
+				c.inLab = append(c.inLab, e.Label)
+				c.inLabStart = append(c.inLabStart, inOff[v]+int32(i))
 			}
 		}
 	}
-	labOff[n] = int32(len(lab))
-	labStart = append(labStart, int32(len(arena))) // sentinel
-	return
+	c.outLabOff[n], c.inLabOff[n] = int32(len(c.outLab)), int32(len(c.inLab))
+	c.outLabStart = append(c.outLabStart, int32(len(out))) // sentinels
+	c.inLabStart = append(c.inLabStart, int32(len(in)))
+
+	nodes := make([]NodeID, n)
+	next = slices.Clone(labelOff)
+	for v, l := range labels {
+		nodes[next[l]] = NodeID(v)
+		next[l]++
+	}
+	c.inE, c.inOff, c.nodesByLabel, c.labelOff = in, inOff, nodes, labelOff
+	g := &Graph{syms: syms, labels: labels, out: make([][]Edge, n), in: make([][]Edge, n), numE: len(out), csr: c}
+	for v := range n {
+		g.out[v] = out[outOff[v]:outOff[v+1]]
+		g.in[v] = in[inOff[v]:inOff[v+1]]
+	}
+	g.frozen.Store(true)
+	return g, nil
+}
+
+// prefixSum turns counts kept at key+1 into the start of every key's run.
+func prefixSum(s []int32) {
+	for i := 1; i < len(s); i++ {
+		s[i] += s[i-1]
+	}
 }
 
 // rangeL returns the contiguous arena run of node v's edges labeled l in

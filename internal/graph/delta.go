@@ -328,21 +328,8 @@ func (g *Graph) ApplyDelta(ops []DeltaOp) (*Graph, error) {
 // of the original do; the copy simply has no overlay left to consult. It
 // also works on plain graphs, where it is a frozen deep copy.
 func (g *Graph) CompactCopy() *Graph {
-	n := g.NumNodes()
-	c := &Graph{
-		syms:   g.syms,
-		labels: slices.Clone(g.labels),
-		out:    make([][]Edge, n),
-		in:     make([][]Edge, n),
-		numE:   g.numE,
-	}
-	for v := range n {
-		c.out[v], c.in[v] = g.Out(NodeID(v)), g.In(NodeID(v))
-	}
-	// Freeze builds fresh arenas from these adjacency headers and re-points
-	// them; the original's arenas are only read.
-	c.Freeze()
-	return c
+	g.Freeze()
+	return g.frozenCopy(slices.Clone(g.labels))
 }
 
 // Overlaid reports whether the graph is a frozen graph with a live delta

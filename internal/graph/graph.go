@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -20,13 +21,15 @@ type Edge struct {
 // Multiple edges between the same pair of nodes are allowed as long as their
 // labels differ; AddEdge deduplicates exact (from, to, label) triples.
 //
-// Lifecycle: a graph is built (AddNode*/AddEdge*; Label, Out, In, Degree,
-// WriteTo and Clone read it meanwhile, in insertion order), frozen once —
-// by Freeze or by the first indexed read (HasEdge, OutRangeL, InRangeL,
-// NodesWithLabel), which sorts every adjacency list by (Label, To) — and
-// from then on only derived from: ApplyDelta and CompactCopy return new
-// graphs, Clone returns an unfrozen copy to build on. Adding to a frozen
-// graph panics.
+// Lifecycle: a graph is either built edge by edge (AddNode*/AddEdge*;
+// Label, Out, In, Degree, WriteTo and Clone read it meanwhile, in insertion
+// order) and frozen once — by Freeze or by the first indexed read (HasEdge,
+// OutRangeL, InRangeL, NodesWithLabel), which sorts every adjacency list by
+// (Label, To) and hands it to FromCSR — or comes frozen from FromCSR
+// directly, as decoded snapshots, fragments, induced subgraphs and
+// compacted copies do. From then on it is only derived from: ApplyDelta
+// and CompactCopy return new graphs, Clone returns an unfrozen copy to
+// build on. Adding to a frozen graph panics.
 //
 // Concurrency contract: building is single-goroutine, and so is the freeze
 // itself. Freeze the graph before sharing it: after Freeze returns, every
@@ -39,8 +42,8 @@ type Graph struct {
 	in     [][]Edge // in[v] lists edges w -> v as {To: w}; frozen: views into csr.inE; overlaid: the base's, read through In
 	numE   int
 
-	// frozen publishes csr: buildCSR happens-before frozen.Store(true), so
-	// any goroutine observing true may read csr without locks.
+	// frozen publishes csr: building it happens-before frozen.Store(true),
+	// so any goroutine observing true may read csr without locks.
 	frozen atomic.Bool
 	csr    *csrIndex
 
@@ -146,17 +149,40 @@ func (g *Graph) Freeze() {
 }
 
 // freeze is Freeze past its check, apart so that the check inlines into
-// every indexed read.
+// every indexed read. It takes the adjacency of FromCSR's graph, so every
+// reader of Out/In iterates cache-contiguous memory.
 func (g *Graph) freeze() {
-	c := buildCSR(g)
-	// Re-point adjacency at the arenas so every reader of Out/In iterates
-	// cache-contiguous memory.
-	for v := range g.out {
-		g.out[v] = c.outE[c.outOff[v]:c.outOff[v+1]]
-		g.in[v] = c.inE[c.inOff[v]:c.inOff[v+1]]
-	}
-	g.csr = c
+	f := g.frozenCopy(g.labels)
+	g.out, g.in, g.csr = f.out, f.in, f.csr
 	g.frozen.Store(true)
+}
+
+// frozenCopy lays g's out-adjacency end to end, each node's run sorted into
+// (Label, To) order unless g is frozen and so sorted already, and builds
+// the frozen graph of it with the given node labels.
+func (g *Graph) frozenCopy(labels []Label) *Graph {
+	outOff := make([]int32, len(g.labels)+1)
+	out := make([]Edge, 0, g.numE)
+	sorted := g.frozen.Load()
+	for v := range g.labels {
+		out = append(out, g.Out(NodeID(v))...)
+		if !sorted {
+			slices.SortFunc(out[outOff[v]:], cmpEdge)
+		}
+		outOff[v+1] = int32(len(out))
+	}
+	return mustFromCSR(g.syms, labels, outOff, out)
+}
+
+// mustFromCSR is FromCSR over adjacency this package built: AddNodeL and
+// AddEdgeL take interned labels and deduplicate, and frozen runs are
+// sorted, so an error here is a caller's bug.
+func mustFromCSR(syms *Symbols, labels []Label, outOff []int32, out []Edge) *Graph {
+	g, err := FromCSR(syms, labels, outOff, out)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // HasEdge reports whether edge from -> to with label l exists, by binary
@@ -237,8 +263,8 @@ func (g *Graph) NodesWithLabel(l Label) []NodeID {
 
 // bfsScratch is pooled epoch-stamped BFS state: bumping the epoch clears
 // the visited set in O(1), so a walk allocates nothing in steady state.
-// Partitioning walks once per candidate per DMine run, which made map-based
-// visited sets a top-three cost of the whole mining loop.
+// Delta repair, sketches and fragment partitioning walk once per touched
+// node or candidate.
 type bfsScratch struct {
 	stamp          []uint32
 	epoch          uint32
@@ -307,66 +333,42 @@ func (g *Graph) Walk(v NodeID, r int, visit func(w NodeID, depth int) bool) bool
 }
 
 // AppendNeighborhood appends Nr(v), v included, to dst in Walk's order.
-// Callers that compute one neighborhood per candidate (the partitioner does
-// this for every candidate on every mine-context build) recycle one buffer
-// through dst.
+// Callers that compute one neighborhood per candidate (the partitioner of
+// distributed mining does) recycle one buffer through dst.
 func (g *Graph) AppendNeighborhood(dst []NodeID, v NodeID, r int) []NodeID {
 	g.Walk(v, r, func(w NodeID, _ int) bool { dst = append(dst, w); return true })
 	return dst
 }
 
 // InducedSubgraph returns the subgraph induced by nodes (Section 2.1): the
-// nodes plus every edge of g whose endpoints are both in nodes. It also
-// returns toLocal mapping original IDs to IDs in the new graph, and toGlobal
-// for the reverse direction. The new graph shares g's symbol table.
+// nodes plus every edge of g whose endpoints are both in nodes, frozen. It
+// also returns toLocal mapping original IDs to IDs in the new graph, and
+// toGlobal for the reverse direction. The new graph shares g's symbol table.
 func (g *Graph) InducedSubgraph(nodes []NodeID) (sub *Graph, toLocal map[NodeID]NodeID, toGlobal []NodeID) {
-	sub = New(g.syms)
 	toLocal = make(map[NodeID]NodeID, len(nodes))
 	toGlobal = make([]NodeID, 0, len(nodes))
+	labels := make([]Label, 0, len(nodes))
 	for _, v := range nodes {
 		if _, dup := toLocal[v]; dup {
 			continue
 		}
-		lv := sub.AddNodeL(g.labels[v])
-		toLocal[v] = lv
+		toLocal[v] = NodeID(len(toGlobal))
 		toGlobal = append(toGlobal, v)
+		labels = append(labels, g.labels[v])
 	}
-	// Bulk-build the adjacency: count the induced degrees, carve both
-	// directions out of two arenas, and fill. The source graph holds no
-	// duplicate (from, to, label) triples, so neither does the subgraph —
-	// no AddEdgeL dedup scans, no per-edge slice regrowth. DMine
-	// partitions the graph on every run, so this is a mining hot path.
-	n := len(toGlobal)
-	inDeg := make([]int32, n)
-	numE := 0
-	for _, v := range toGlobal {
+	// Local IDs need not keep the global order, so each run is re-sorted.
+	outOff := make([]int32, len(toGlobal)+1)
+	var out []Edge
+	for lv, v := range toGlobal {
 		for _, e := range g.Out(v) {
 			if lw, ok := toLocal[e.To]; ok {
-				inDeg[lw]++
-				numE++
+				out = append(out, Edge{To: lw, Label: e.Label})
 			}
 		}
+		slices.SortFunc(out[outOff[lv]:], cmpEdge)
+		outOff[lv+1] = int32(len(out))
 	}
-	outArena := make([]Edge, 0, numE)
-	inArena := make([]Edge, numE)
-	off := int32(0)
-	for lv := 0; lv < n; lv++ {
-		sub.in[lv] = inArena[off : off : off+inDeg[lv]]
-		off += inDeg[lv]
-	}
-	for _, v := range toGlobal {
-		lv := toLocal[v]
-		start := len(outArena)
-		for _, e := range g.Out(v) {
-			if lw, ok := toLocal[e.To]; ok {
-				outArena = append(outArena, Edge{To: lw, Label: e.Label})
-				sub.in[lw] = append(sub.in[lw], Edge{To: lv, Label: e.Label})
-			}
-		}
-		sub.out[lv] = outArena[start:len(outArena):len(outArena)]
-	}
-	sub.numE = numE
-	return sub, toLocal, toGlobal
+	return mustFromCSR(g.syms, labels, outOff, out), toLocal, toGlobal
 }
 
 // Clone returns an unfrozen deep copy sharing the symbol table: a new build

@@ -103,30 +103,19 @@ func DecodeFragment(data []byte, syms *graph.Symbols) (*Fragment, []byte, error)
 	if n > len(d.buf) { // every node takes at least a label byte; bounds the allocations below
 		return nil, nil, codecErrorf("fragment claims %d nodes in %d bytes", n, len(d.buf))
 	}
-	g := graph.New(syms)
+	labels := make([]graph.Label, n)
 	for v := 0; v < n && d.err == nil; v++ {
-		g.AddNodeL(d.label("node label", syms))
+		labels[v] = graph.Label(d.intf("node label"))
 	}
-	degs := make([]int, n)
+	// A degree wrapping int32 makes the offsets run backwards, which
+	// FromCSR rejects.
+	outOff := make([]int32, n+1)
 	for v := 0; v < n && d.err == nil; v++ {
-		degs[v] = d.intf("out-degree")
+		outOff[v+1] = outOff[v] + int32(d.intf("out-degree"))
 	}
-	for v := 0; v < n && d.err == nil; v++ {
-		prev := graph.Edge{To: -1}
-		for k := 0; k < degs[v] && d.err == nil; k++ {
-			e := graph.Edge{Label: d.label("edge label", syms), To: graph.NodeID(d.intf("edge target"))}
-			if d.err != nil {
-				break
-			}
-			if int(e.To) >= n {
-				return nil, nil, codecErrorf("edge target %d out of range (fragment has %d nodes)", e.To, n)
-			}
-			if e.Label < prev.Label || e.Label == prev.Label && e.To <= prev.To {
-				return nil, nil, codecErrorf("node %d edges not strictly ascending at (%d, %d)", v, e.Label, e.To)
-			}
-			g.AddEdgeL(graph.NodeID(v), e.To, e.Label)
-			prev = e
-		}
+	var out []graph.Edge
+	for len(out) < int(outOff[n]) && d.err == nil {
+		out = append(out, graph.Edge{Label: graph.Label(d.intf("edge label")), To: graph.NodeID(d.intf("edge target"))})
 	}
 	nc := d.intf("numCenters")
 	if d.err == nil && nc > n {
@@ -151,7 +140,11 @@ func DecodeFragment(data []byte, syms *graph.Symbols) (*Fragment, []byte, error)
 	if d.err != nil {
 		return nil, nil, d.err
 	}
-	g.Freeze()
+	// FromCSR checks labels against syms, targets, and the strict order.
+	g, err := graph.FromCSR(syms, labels, outOff, out)
+	if err != nil {
+		return nil, nil, codecErrorf("%v", err)
+	}
 	f := &Fragment{G: g, Centers: centers, ToGlobal: toGlobal}
 	var m map[graph.NodeID]graph.NodeID
 	if len(toGlobal)*16 < numGlobal { // mirror setToLocal's dense/sparse split
@@ -192,14 +185,4 @@ func (d *fragDecoder) intf(what string) int {
 	}
 	d.buf = d.buf[k:]
 	return int(v)
-}
-
-// label decodes one label ID, recording a sticky error for NoLabel or an ID
-// outside syms.
-func (d *fragDecoder) label(what string, syms *graph.Symbols) graph.Label {
-	l := d.intf(what)
-	if d.err == nil && (l == 0 || l > syms.Len()) {
-		d.err = codecErrorf("%s %d outside symbol table of %d", what, l, syms.Len())
-	}
-	return graph.Label(l)
 }

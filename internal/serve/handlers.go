@@ -455,7 +455,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if s.ready(w) == nil {
 		return
 	}
-	var p MineParams
+	p := MineParams{Lambda: 0.5} // gparmine's default; an explicit 0 stays 0
 	if !decodeBody(w, r, maxQueryBody, &p) {
 		return
 	}

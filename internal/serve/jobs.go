@@ -30,7 +30,7 @@ type MineParams struct {
 	K         int     `json:"k,omitempty"`
 	Sigma     int     `json:"sigma,omitempty"`
 	D         int     `json:"d,omitempty"`
-	Lambda    float64 `json:"lambda,omitempty"`
+	Lambda    float64 `json:"lambda"`
 	MaxEdges  int     `json:"maxEdges,omitempty"`
 	Cap       int     `json:"cap,omitempty"`
 	// Install swaps the mined top-k in as the served rule set on success,

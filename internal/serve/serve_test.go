@@ -443,6 +443,32 @@ func TestMineJobAndInstall(t *testing.T) {
 	}
 }
 
+// An omitted lambda mines at gparmine's default of 0.5, and a Go client's
+// explicit 0 survives its marshal and the server's decode.
+func TestMineLambdaDefault(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{Workers: 2})
+	zero, err := json.Marshal(MineParams{XLabel: "cust", EdgeLabel: "visit", YLabel: "restaurant", MaxEdges: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		body []byte
+		want float64
+	}{
+		{[]byte(`{"xLabel":"cust","edgeLabel":"visit","yLabel":"restaurant","maxEdges":1}`), 0.5},
+		{zero, 0},
+	} {
+		var job Job
+		if code := doJSON(t, "POST", ts.URL+"/v1/mine", tc.body, &job); code != http.StatusAccepted {
+			t.Fatalf("mine %s: %d", tc.body, code)
+		}
+		if job.Params.Lambda != tc.want {
+			t.Errorf("mine %s: lambda %v, want %v", tc.body, job.Params.Lambda, tc.want)
+		}
+		waitJobUntil(t, s, job.ID, 10*time.Second, func(j Job) bool { return terminal(j.Status) })
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{Workers: 2})
 

@@ -26,7 +26,9 @@
 //	RULE  the rule set Σ in the core.WriteRules text format
 //
 // The GRPH section is fixed-width and 64-byte aligned so the arenas can
-// later be mmapped in place; today Decode materializes a fresh graph.
+// later be mmapped in place; today Decode parses the labels, degrees and
+// out-arena into slices and hands them to graph.FromCSR, which validates
+// them and derives the in-arena and label indexes in one build.
 // The encoding is canonical: edges are written in the frozen (Label, To)
 // adjacency order — which delta overlays also maintain — so encoding a
 // graph, decoding it, and encoding again is byte-identical, including
@@ -115,64 +117,47 @@ type Data struct {
 // Encode renders d into the canonical snapshot file bytes.
 func Encode(d *Data) []byte {
 	d.Graph.Freeze()
-	syms := d.Graph.Symbols()
-
-	sections := []struct {
-		typ     string
-		payload []byte
-	}{
-		{secSymbols, encodeSymbols(syms)},
+	return seal(d.Generation, []section{
+		{secSymbols, encodeSymbols(d.Graph.Symbols())},
 		{secGraph, encodeGraph(d.Graph)},
 		{secPred, encodePred(d.Pred)},
 		{secRules, encodeRules(d.Rules)},
-	}
+	})
+}
 
-	var buf bytes.Buffer
-	buf.WriteString(magic)
+// section is one typed payload of a snapshot file.
+type section struct {
+	typ     string
+	payload []byte
+}
+
+// seal wraps the sections in the envelope: the header, a table entry per
+// section with its offset, length and SHA-256, the payloads each 64-byte
+// aligned, and the CRC trailer.
+func seal(generation uint64, sections []section) []byte {
 	le := binary.LittleEndian
-	var u32 [4]byte
-	var u64 [8]byte
-	le.PutUint32(u32[:], version)
-	buf.Write(u32[:])
-	le.PutUint64(u64[:], d.Generation)
-	buf.Write(u64[:])
-	le.PutUint32(u32[:], uint32(len(sections)))
-	buf.Write(u32[:])
-	buf.Write(make([]byte, headerLen-buf.Len())) // reserved
-
-	// Lay the sections out after the table, each 64-byte aligned.
+	buf := le.AppendUint32([]byte(magic), version)
+	buf = le.AppendUint64(buf, generation)
+	buf = le.AppendUint32(buf, uint32(len(sections)))
+	buf = append(buf, make([]byte, headerLen-len(buf))...) // reserved
 	off := uint64(headerLen + len(sections)*tableEntry)
-	type placed struct {
-		off, n uint64
-		sum    [32]byte
-	}
-	placements := make([]placed, len(sections))
-	for i, s := range sections {
+	for _, s := range sections {
 		off = (off + align - 1) / align * align
-		placements[i] = placed{off: off, n: uint64(len(s.payload)), sum: sha256.Sum256(s.payload)}
-		off += uint64(len(s.payload))
-	}
-	for i, s := range sections {
-		p := placements[i]
 		var ent [tableEntry]byte
 		copy(ent[:4], s.typ)
-		le.PutUint64(ent[8:], p.off)
-		le.PutUint64(ent[16:], p.n)
-		copy(ent[24:56], p.sum[:])
-		buf.Write(ent[:])
+		le.PutUint64(ent[8:], off)
+		le.PutUint64(ent[16:], uint64(len(s.payload)))
+		sum := sha256.Sum256(s.payload)
+		copy(ent[24:56], sum[:])
+		buf = append(buf, ent[:]...)
+		off += uint64(len(s.payload))
 	}
-	for i, s := range sections {
-		if pad := int(placements[i].off) - buf.Len(); pad > 0 {
-			buf.Write(make([]byte, pad))
-		}
-		buf.Write(s.payload)
+	for _, s := range sections {
+		buf = append(buf, make([]byte, (align-len(buf)%align)%align)...)
+		buf = append(buf, s.payload...)
 	}
-	crc := crc32.ChecksumIEEE(buf.Bytes())
-	le.PutUint32(u32[:], crc)
-	buf.Write(u32[:])
-	le.PutUint32(u32[:], ^crc)
-	buf.Write(u32[:])
-	return buf.Bytes()
+	crc := crc32.ChecksumIEEE(buf)
+	return le.AppendUint32(le.AppendUint32(buf, crc), ^crc)
 }
 
 // Decode parses snapshot file bytes, verifying the envelope CRC and every
@@ -329,45 +314,23 @@ func decodeGraph(b []byte, syms *graph.Symbols) (*graph.Graph, error) {
 	if len(b) != want {
 		return nil, formatErrf(secGraph, "section is %d bytes, want %d for %d nodes / %d edges", len(b), want, n, numE)
 	}
-	labels := b[8 : 8+4*n]
-	degs := b[8+4*n : 8+8*n]
-	edges := b[8+8*n:]
-	g := graph.New(syms)
-	maxLabel := uint32(syms.Len())
-	for v := 0; v < n; v++ {
-		l := le.Uint32(labels[4*v:])
-		if l == 0 || l > maxLabel {
-			return nil, formatErrf(secGraph, "node %d label %d outside symbol table of %d", v, l, maxLabel)
-		}
-		g.AddNodeL(graph.Label(l))
+	// Parse only: FromCSR checks labels, targets, order and that the
+	// degrees sum to numE. A degree wrapping int32 makes the offsets run
+	// backwards, which it rejects too.
+	labels := make([]graph.Label, n)
+	outOff := make([]int32, n+1)
+	for v := range n {
+		labels[v] = graph.Label(le.Uint32(b[8+4*v:]))
+		outOff[v+1] = outOff[v] + int32(le.Uint32(b[8+4*n+4*v:]))
 	}
-	total := 0
-	ei := 0
-	for v := 0; v < n; v++ {
-		deg := int(le.Uint32(degs[4*v:]))
-		total += deg
-		if total > numE {
-			return nil, formatErrf(secGraph, "degrees sum past edge count %d", numE)
-		}
-		for k := 0; k < deg; k++ {
-			l := le.Uint32(edges[8*ei:])
-			to := le.Uint32(edges[8*ei+4:])
-			ei++
-			if l == 0 || l > maxLabel {
-				return nil, formatErrf(secGraph, "edge label %d outside symbol table of %d", l, maxLabel)
-			}
-			if int(to) >= n {
-				return nil, formatErrf(secGraph, "edge target %d out of range (graph has %d nodes)", to, n)
-			}
-			if !g.AddEdgeL(graph.NodeID(v), graph.NodeID(to), graph.Label(l)) {
-				return nil, formatErrf(secGraph, "duplicate edge %d->%d label %d", v, to, l)
-			}
-		}
+	out, edges := make([]graph.Edge, numE), b[8+8*n:]
+	for i := range out {
+		out[i] = graph.Edge{Label: graph.Label(le.Uint32(edges[8*i:])), To: graph.NodeID(le.Uint32(edges[8*i+4:]))}
 	}
-	if total != numE {
-		return nil, formatErrf(secGraph, "degrees sum to %d, header says %d edges", total, numE)
+	g, err := graph.FromCSR(syms, labels, outOff, out)
+	if err != nil {
+		return nil, formatErrf(secGraph, "%v", err)
 	}
-	g.Freeze()
 	return g, nil
 }
 

@@ -2,10 +2,13 @@ package snapfile
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gpar/internal/core"
@@ -248,6 +251,109 @@ func FuzzSnapshotDecode(f *testing.F) {
 	})
 }
 
+// FuzzGraphSection reaches decodeGraph, which FuzzSnapshotDecode cannot:
+// every byte it mutates fails the whole-file CRC. It seals fuzzed node
+// labels, out-degrees (one byte each, 0 past the end of degs) and
+// (label, to) edge byte pairs as the GRPH payload of a valid envelope.
+// Decode must fail with a *FormatError exactly when the arrays are not a
+// graph — a label outside the table, a target past the nodes, a node's
+// edges out of strict (Label, To) order, degrees not summing to the edge
+// count — and otherwise return what AddEdgeL builds from them, its
+// adjacency sorted into frozen order here: Freeze itself ends in the
+// constructor Decode uses, so it would be no independent reference.
+func FuzzGraphSection(f *testing.F) {
+	fx := fixture(f)
+	syms := fx.Graph.Symbols() // cust 1, restaurant 2, bar 3, friend 4, visit 5
+	for _, seed := range [][3][]byte{
+		{{1, 1, 2}, {2, 2}, {4, 1, 5, 2, 4, 0, 4, 2}}, // a graph
+		{{1, 1, 2}, {2, 1}, {4, 1, 5, 2, 4, 0}},       // another graph
+		{{1, 1, 2}, {2, 1}, {4, 1, 4, 1, 4, 0}},       // duplicate edge
+		{{1, 1, 2}, {2, 1}, {5, 2, 4, 1, 4, 0}},       // descending run
+		{{1, 0, 2}, {2, 1}, {4, 1, 5, 2, 4, 0}},       // label 0
+		{{1, 1, 6}, {2, 1}, {4, 1, 6, 2, 4, 0}},       // labels past the table
+		{{1, 1, 2}, {2, 1}, {4, 1, 5, 3, 4, 0}},       // target past the nodes
+		{{1, 1, 2}, {2, 2}, {4, 1, 5, 2, 4, 0}},       // degrees sum past the edges
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	inTable := func(l byte) bool { return l != 0 && int(l) <= syms.Len() }
+	f.Fuzz(func(t *testing.T, nodes, degs, edges []byte) {
+		n, numE := len(nodes), len(edges)/2
+		deg := func(v int) int {
+			if v < len(degs) {
+				return int(degs[v])
+			}
+			return 0
+		}
+		le := binary.LittleEndian
+		payload := le.AppendUint32(le.AppendUint32(nil, uint32(n)), uint32(numE))
+		for _, l := range nodes {
+			payload = le.AppendUint32(payload, uint32(l))
+		}
+		for v := range n {
+			payload = le.AppendUint32(payload, uint32(deg(v)))
+		}
+		for i := range numE {
+			payload = le.AppendUint32(le.AppendUint32(payload, uint32(edges[2*i])), uint32(edges[2*i+1]))
+		}
+		d, err := Decode(seal(1, []section{{secSymbols, encodeSymbols(syms)}, {secGraph, payload},
+			{secPred, encodePred(fx.Pred)}, {secRules, encodeRules(nil)}}))
+
+		// What the arrays mean, checked and built edge by edge.
+		want := graph.New(syms)
+		valid := true
+		for _, l := range nodes {
+			valid = valid && inTable(l)
+			want.AddNodeL(graph.Label(l))
+		}
+		i := 0
+		for v := range n {
+			for k := 0; k < deg(v) && valid; k, i = k+1, i+1 {
+				if valid = i < numE && inTable(edges[2*i]) && int(edges[2*i+1]) < n; !valid {
+					break
+				}
+				l, to := edges[2*i], edges[2*i+1]
+				valid = k == 0 || l > edges[2*i-2] || l == edges[2*i-2] && to > edges[2*i-1]
+				want.AddEdgeL(graph.NodeID(v), graph.NodeID(to), graph.Label(l))
+			}
+		}
+		if valid = valid && i == numE; !valid {
+			var fe *FormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("malformed arrays decoded: %v", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("a graph's arrays failed to decode: %v", err)
+		}
+		got := d.Graph
+		if got.NumNodes() != n || got.NumEdges() != numE {
+			t.Fatalf("decoded %v from %d nodes and %d edges", got, n, numE)
+		}
+		for l := graph.NoLabel; int(l) <= syms.Len()+1; l++ {
+			var nodesL []graph.NodeID
+			for v := range n {
+				if want.Label(graph.NodeID(v)) == l {
+					nodesL = append(nodesL, graph.NodeID(v))
+				}
+			}
+			if !slices.Equal(got.NodesWithLabel(l), nodesL) {
+				t.Fatalf("NodesWithLabel(%d) = %v, want %v", l, got.NodesWithLabel(l), nodesL)
+			}
+		}
+		byLabelTo := func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.Label, b.Label), cmp.Compare(a.To, b.To)) }
+		for v := graph.NodeID(0); int(v) < n; v++ {
+			out := slices.SortedFunc(slices.Values(want.Out(v)), byLabelTo)
+			in := slices.SortedFunc(slices.Values(want.In(v)), byLabelTo)
+			if got.Label(v) != want.Label(v) || !slices.Equal(got.Out(v), out) || !slices.Equal(got.In(v), in) {
+				t.Fatalf("node %d: label %d, out %v, in %v; want %d, %v, %v",
+					v, got.Label(v), got.Out(v), got.In(v), want.Label(v), out, in)
+			}
+		}
+	})
+}
+
 // BenchmarkSnapshotLoad measures the restart-critical path: decoding a
 // Pokec-scale snapshot file back into a frozen graph + rules.
 func BenchmarkSnapshotLoad(b *testing.B) {
@@ -263,6 +369,53 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(enc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// overlayGraph is a frozen Pokec-15 000 graph under a 200-op delta overlay:
+// the shape compaction folds, and, cloned, the shape a rebuild freezes.
+func overlayGraph(b *testing.B) *graph.Graph {
+	syms := graph.NewSymbols()
+	g := gen.Pokec(syms, gen.DefaultPokec(15000, 1))
+	g.Freeze()
+	user, follow := syms.Lookup("user"), syms.Lookup("follow")
+	var ops []graph.DeltaOp
+	for i := range 100 {
+		v := graph.NodeID(g.NumNodes() + i)
+		ops = append(ops, graph.DeltaOp{Kind: graph.DeltaAddNode, Label: user},
+			graph.DeltaOp{Kind: graph.DeltaAddEdge, From: v, To: graph.NodeID(i * 97), Label: follow})
+	}
+	over, err := g.ApplyDelta(ops)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return over
+}
+
+// BenchmarkFreeze measures freezing a graph built edge by edge: an
+// unfrozen clone of the overlay graph per iteration, cloned off the clock.
+func BenchmarkFreeze(b *testing.B) {
+	g := overlayGraph(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := g.Clone()
+		b.StartTimer()
+		c.Freeze()
+	}
+}
+
+// BenchmarkCompactCopy measures folding the overlay into a fresh freeze,
+// the work a delta batch that crosses the compaction threshold pays.
+func BenchmarkCompactCopy(b *testing.B) {
+	g := overlayGraph(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := g.CompactCopy(); c.NumEdges() != g.NumEdges() {
+			b.Fatalf("compacted %d edges, want %d", c.NumEdges(), g.NumEdges())
 		}
 	}
 }
