@@ -40,7 +40,7 @@ race:
 # format, WAL replay), mining's extension discovery against its per-edge
 # reference, the canonical pattern code against pairwise isomorphism, and
 # a matcher restricted to the identify filter's sets against a plain one,
-# and the snapshot GRPH decoder against an edge-by-edge build.
+# and the frozen-graph byte decoder against an edge-by-edge build.
 # Go allows one target per -fuzz invocation, so each runs separately; seed
 # corpora also run on every plain `make test`.
 fuzz-smoke:
@@ -52,7 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzServeModel' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzDeltaRepair' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 20s ./internal/snapfile/
-	$(GO) test -run '^$$' -fuzz 'FuzzGraphSection' -fuzztime 20s ./internal/snapfile/
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCSR' -fuzztime 20s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 20s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzDiscoverExtensions' -fuzztime 20s ./internal/mine/
 	$(GO) test -run '^$$' -fuzz 'FuzzPatternCode' -fuzztime 20s ./internal/pattern/
@@ -69,7 +69,7 @@ fuzz-smoke:
 bench: bench-match bench-mine
 
 bench-match:
-	$(GO) test -run '^$$' -bench 'BenchmarkAnchoredMatch|BenchmarkMatchSet$$|BenchmarkIdentify|BenchmarkDeltaApply|BenchmarkDeltaRepair|BenchmarkWALAppend|BenchmarkSnapshotLoad|BenchmarkFreeze|BenchmarkCompactCopy' \
+	$(GO) test -run '^$$' -bench 'BenchmarkAnchoredMatch|BenchmarkMatchSet$$|BenchmarkIdentify|BenchmarkDeltaApply|BenchmarkDeltaRepair|BenchmarkWALAppend|BenchmarkSnapshotLoad|BenchmarkSnapshotWrite|BenchmarkFreeze|BenchmarkCompactCopy' \
 	    -benchmem -benchtime=1s ./internal/match/ ./internal/serve/ ./internal/snapfile/ > bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkEvalRuleShapes' -benchmem -benchtime=1s . >> bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_match.json < bench.out
@@ -181,7 +181,7 @@ inline-check:
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count. The test Go count beside it is
 # informational: it has no budget.
-LOC_BUDGET := 16384
+LOC_BUDGET := 16199
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \

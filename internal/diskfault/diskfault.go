@@ -1,5 +1,5 @@
 // Package diskfault abstracts the file operations the persistence layer
-// performs (append, write-at, fsync, atomic rename, directory listing) behind
+// performs (sequential write, fsync, atomic rename, directory listing) behind
 // an injectable FS interface, and provides two implementations: the real
 // operating-system filesystem, and an in-memory filesystem with
 // crash-consistency semantics and scripted fault injection.
@@ -31,18 +31,14 @@ import (
 	"sort"
 )
 
-// File is the per-file surface the persistence layer uses. WriteAt exists
-// for future in-place formats; the snapshot and WAL writers only append.
+// File is the per-file surface the persistence layer uses: the snapshot
+// and WAL writers write sequentially, and readers read whole files.
 type File interface {
 	io.Reader
 	io.Writer
-	io.ReaderAt
-	io.WriterAt
 	io.Closer
 	// Sync makes all bytes written so far durable: they survive a crash.
 	Sync() error
-	// Size reports the file's current length in bytes.
-	Size() (int64, error)
 }
 
 // FS is the filesystem surface the persistence layer uses.
@@ -67,22 +63,12 @@ func OS() FS { return osFS{} }
 
 type osFS struct{}
 
-type osFile struct{ *os.File }
-
-func (f osFile) Size() (int64, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	f, err := os.OpenFile(name, flag, perm)
 	if err != nil {
-		return nil, err
+		return nil, err // not a nil *os.File in a non-nil File
 	}
-	return osFile{f}, nil
+	return f, nil
 }
 
 func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
@@ -118,6 +104,9 @@ func (osFS) SyncDir(dir string) error {
 
 // ReadFile reads the whole file at name through fs.
 func ReadFile(fsys FS, name string) ([]byte, error) {
+	if _, ok := fsys.(osFS); ok {
+		return os.ReadFile(name) // sized by a stat, not grown by doubling
+	}
 	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err

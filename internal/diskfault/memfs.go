@@ -27,7 +27,7 @@ type Op int
 
 // The interceptable operations.
 const (
-	OpWrite Op = iota + 1 // File.Write / File.WriteAt
+	OpWrite Op = iota + 1 // File.Write
 	OpSync                // File.Sync
 	OpRename
 	OpRemove
@@ -346,39 +346,10 @@ func (h *memHandle) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if h.fs.crashed {
-		return 0, ErrCrashed
-	}
-	if off >= int64(len(h.f.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, h.f.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
+// Write applies p at the handle's position, with fault interception.
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	n, err := h.writeAtLocked(p, h.pos)
-	h.pos += int64(n)
-	return n, err
-}
-
-func (h *memHandle) WriteAt(p []byte, off int64) (int, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	return h.writeAtLocked(p, off)
-}
-
-// writeAtLocked performs the write with fault interception. Caller holds
-// fs.mu.
-func (h *memHandle) writeAtLocked(p []byte, off int64) (int, error) {
 	if h.fs.crashed {
 		return 0, ErrCrashed
 	}
@@ -393,13 +364,14 @@ func (h *memHandle) writeAtLocked(p []byte, off int64) (int, error) {
 			n = f.ShortWrite
 		}
 	}
-	end := off + int64(n)
+	end := h.pos + int64(n)
 	if end > int64(len(h.f.data)) {
 		grown := make([]byte, end)
 		copy(grown, h.f.data)
 		h.f.data = grown
 	}
-	copy(h.f.data[off:end], p[:n])
+	copy(h.f.data[h.pos:end], p[:n])
+	h.pos = end
 	if fault == nil {
 		return n, nil
 	}
@@ -439,12 +411,3 @@ func (h *memHandle) Sync() error {
 }
 
 func (h *memHandle) Close() error { return nil }
-
-func (h *memHandle) Size() (int64, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if h.fs.crashed {
-		return 0, ErrCrashed
-	}
-	return int64(len(h.f.data)), nil
-}

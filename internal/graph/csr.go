@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -133,6 +134,66 @@ func FromCSR(syms *Symbols, labels []Label, outOff []int32, out []Edge) (*Graph,
 	}
 	g.frozen.Store(true)
 	return g, nil
+}
+
+// AppendCSR appends g's canonical bytes to dst and returns the extended
+// slice: node count and edge count, the node labels, the out-degrees, then
+// (label, to) per edge in frozen (Label, To) order, every integer a
+// little-endian u32. It freezes g first and reads through Out, so a delta
+// overlay and its compaction encode byte-identically. Label IDs index the
+// graph's symbol table, which travels separately.
+func (g *Graph) AppendCSR(dst []byte) []byte {
+	g.Freeze()
+	n, le := len(g.labels), binary.LittleEndian
+	dst = slices.Grow(dst, 8+8*n+8*g.numE)
+	dst = le.AppendUint32(le.AppendUint32(dst, uint32(n)), uint32(g.numE))
+	for _, l := range g.labels {
+		dst = le.AppendUint32(dst, uint32(l))
+	}
+	for v := range n {
+		dst = le.AppendUint32(dst, uint32(len(g.Out(NodeID(v)))))
+	}
+	for v := range n {
+		for _, e := range g.Out(NodeID(v)) {
+			dst = le.AppendUint32(le.AppendUint32(dst, uint32(e.Label)), uint32(e.To))
+		}
+	}
+	return dst
+}
+
+// DecodeCSR parses one AppendCSR encoding from the front of b into a frozen
+// graph over syms and returns the bytes after it. Only canonical bytes
+// decode: FromCSR rejects a label outside syms, a target outside the graph,
+// degrees that do not sum to the edge count and a run out of strict order.
+func DecodeCSR(b []byte, syms *Symbols) (*Graph, []byte, error) {
+	le := binary.LittleEndian
+	if len(b) < 8 {
+		return nil, nil, fmt.Errorf("graph: CSR header truncated at %d bytes", len(b))
+	}
+	// Both counts are below 2^32, so the size cannot overflow, and checking
+	// it before allocating bounds the slices by the input.
+	n, numE := uint64(le.Uint32(b)), uint64(le.Uint32(b[4:]))
+	size := 8 + 8*n + 8*numE
+	if uint64(len(b)) < size {
+		return nil, nil, fmt.Errorf("graph: CSR of %d nodes and %d edges needs %d bytes, has %d", n, numE, size, len(b))
+	}
+	// A degree wrapping int32 makes the offsets run backwards, which
+	// FromCSR rejects.
+	labels := make([]Label, n)
+	outOff := make([]int32, n+1)
+	for v := range labels {
+		labels[v] = Label(le.Uint32(b[8+4*v:]))
+		outOff[v+1] = outOff[v] + int32(le.Uint32(b[8+4*int(n)+4*v:]))
+	}
+	out, edges := make([]Edge, numE), b[8+8*n:]
+	for i := range out {
+		out[i] = Edge{Label: Label(le.Uint32(edges[8*i:])), To: NodeID(le.Uint32(edges[8*i+4:]))}
+	}
+	g, err := FromCSR(syms, labels, outOff, out)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, b[size:], nil
 }
 
 // prefixSum turns counts kept at key+1 into the start of every key's run.

@@ -1,6 +1,8 @@
 package graph_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -143,4 +145,106 @@ func TestFromCSRRejects(t *testing.T) {
 			t.Errorf("%s: built %v, want an error", tc.name, g)
 		}
 	}
+}
+
+// FuzzDecodeCSR encodes fuzzed node labels, out-degrees (one byte each, 0
+// past the end of degs) and (label, to) edge byte pairs in AppendCSR's
+// layout, followed by a tail. DecodeCSR must fail exactly when the arrays
+// are not a graph — a label outside the table, a target past the nodes, a
+// node's edges out of strict (Label, To) order, degrees not summing to the
+// edge count — and otherwise return the tail and what AddEdgeL builds from
+// the arrays, its in-adjacency sorted into frozen order here: Freeze itself
+// ends in the constructor DecodeCSR uses, so it would be no independent
+// reference. A decoded graph re-encodes to the bytes it came from.
+func FuzzDecodeCSR(f *testing.F) {
+	syms := graph.NewSymbols()
+	for _, name := range []string{"cust", "restaurant", "bar", "friend", "visit"} {
+		syms.Intern(name) // labels 1 to 5
+	}
+	for _, seed := range [][3][]byte{
+		{{1, 1, 2}, {2, 2}, {4, 1, 5, 2, 4, 0, 4, 2}}, // a graph
+		{{1, 1, 2}, {2, 1}, {4, 1, 5, 2, 4, 0}},       // another graph
+		{{1, 1, 2}, {2, 1}, {4, 1, 4, 1, 4, 0}},       // duplicate edge
+		{{1, 1, 2}, {2, 1}, {5, 2, 4, 1, 4, 0}},       // descending run
+		{{1, 0, 2}, {2, 1}, {4, 1, 5, 2, 4, 0}},       // label 0
+		{{1, 1, 6}, {2, 1}, {4, 1, 6, 2, 4, 0}},       // labels past the table
+		{{1, 1, 2}, {2, 1}, {4, 1, 5, 3, 4, 0}},       // target past the nodes
+		{{1, 1, 2}, {2, 2}, {4, 1, 5, 2, 4, 0}},       // degrees sum past the edges
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	inTable := func(l byte) bool { return l != 0 && int(l) <= syms.Len() }
+	tail := []byte("tail")
+	f.Fuzz(func(t *testing.T, nodes, degs, edges []byte) {
+		n, numE := len(nodes), len(edges)/2
+		deg := func(v int) int {
+			if v < len(degs) {
+				return int(degs[v])
+			}
+			return 0
+		}
+		le := binary.LittleEndian
+		enc := le.AppendUint32(le.AppendUint32(nil, uint32(n)), uint32(numE))
+		for _, l := range nodes {
+			enc = le.AppendUint32(enc, uint32(l))
+		}
+		for v := range n {
+			enc = le.AppendUint32(enc, uint32(deg(v)))
+		}
+		for i := range numE {
+			enc = le.AppendUint32(le.AppendUint32(enc, uint32(edges[2*i])), uint32(edges[2*i+1]))
+		}
+		got, rest, err := graph.DecodeCSR(append(enc, tail...), syms)
+
+		// What the arrays mean, checked and built edge by edge.
+		want := graph.New(syms)
+		valid := true
+		for _, l := range nodes {
+			valid = valid && inTable(l)
+			want.AddNodeL(graph.Label(l))
+		}
+		i := 0
+		for v := range n {
+			for k := 0; k < deg(v) && valid; k, i = k+1, i+1 {
+				if valid = i < numE && inTable(edges[2*i]) && int(edges[2*i+1]) < n; !valid {
+					break
+				}
+				l, to := edges[2*i], edges[2*i+1]
+				valid = k == 0 || l > edges[2*i-2] || l == edges[2*i-2] && to > edges[2*i-1]
+				want.AddEdgeL(graph.NodeID(v), graph.NodeID(to), graph.Label(l))
+			}
+		}
+		if valid = valid && i == numE; !valid {
+			if err == nil {
+				t.Fatalf("malformed arrays decoded to %v", got)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("a graph's arrays failed to decode: %v", err)
+		}
+		if !bytes.Equal(rest, tail) {
+			t.Fatalf("rest %q, want %q", rest, tail)
+		}
+		// The re-encoding pins labels and Out: the arrays are in frozen order.
+		if re := got.AppendCSR(nil); !bytes.Equal(re, enc) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", re, enc)
+		}
+		for l := graph.NoLabel; int(l) <= syms.Len()+1; l++ {
+			var nodesL []graph.NodeID
+			for v := range n {
+				if want.Label(graph.NodeID(v)) == l {
+					nodesL = append(nodesL, graph.NodeID(v))
+				}
+			}
+			if !slices.Equal(got.NodesWithLabel(l), nodesL) {
+				t.Fatalf("NodesWithLabel(%d) = %v, want %v", l, got.NodesWithLabel(l), nodesL)
+			}
+		}
+		for v := graph.NodeID(0); int(v) < n; v++ {
+			if in := slices.SortedFunc(slices.Values(want.In(v)), byLabelTo); !slices.Equal(got.In(v), in) {
+				t.Fatalf("node %d: in %v, want %v", v, got.In(v), in)
+			}
+		}
+	})
 }

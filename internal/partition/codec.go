@@ -3,34 +3,34 @@ package partition
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"gpar/internal/graph"
 )
 
 // This file is the fragment wire format: a deterministic binary encoding of
 // a Fragment, so a distributed DMine coordinator can ship each worker its
-// share of the graph. The format is versioned and self-delimiting
-// (length-prefixed lists), and the encoding is canonical: edges are written
-// in the frozen CSR (Label, To) order, so encode(decode(b)) == b and two
-// fragments with equal frozen graphs encode to equal bytes. Node labels
-// travel as raw label IDs; the symbol table itself is shipped separately
-// (once per job, not per fragment) and decoded fragments bind to it.
+// share of the graph. The format is versioned and self-delimiting, and the
+// encoding is canonical: the graph travels in graph.AppendCSR's encoding,
+// whose edges are in frozen (Label, To) order, so encode(decode(b)) == b
+// and two fragments with equal frozen graphs encode to equal bytes. Node
+// labels travel as raw label IDs; the symbol table itself is shipped
+// separately (once per job, not per fragment) and decoded fragments bind
+// to it.
 //
-// Layout (uv = unsigned varint):
+// Layout (u32 = little-endian uint32):
 //
 //	magic   "GPFR"                      4 bytes
-//	version 0x01                        1 byte
-//	numGlobal  uv                       original graph's node count
-//	numNodes   uv                       fragment node count
-//	labels     numNodes × uv            node labels, local-ID order
-//	degrees    numNodes × uv            out-degree per node
-//	edges      Σdegrees × (uv, uv)      (label, to) per edge, CSR order
-//	numCenters uv
-//	centers    numCenters × uv          owned centers, local IDs
-//	toGlobal   numNodes × uv            local → original node IDs
+//	version 0x02                        1 byte
+//	numGlobal  u32                      original graph's node count
+//	graph      graph.AppendCSR          node and edge counts, labels,
+//	                                    out-degrees, (label, to) edges
+//	numCenters u32
+//	centers    numCenters × u32         owned centers, local IDs
+//	toGlobal   numNodes × u32           local → original node IDs
 const (
 	fragMagic   = "GPFR"
-	fragVersion = 1
+	fragVersion = 2
 )
 
 // codecError is the typed error every fragment decode failure returns.
@@ -43,107 +43,77 @@ func codecErrorf(format string, args ...any) error {
 }
 
 // AppendBinary appends the fragment's canonical binary encoding to dst and
-// returns the extended slice. It freezes the fragment graph if the caller
-// has not already (the CSR edge order is the canonical one; every fragment
-// a Context hands out is frozen anyway).
+// returns the extended slice. Encoding freezes the fragment graph if the
+// caller has not already (every fragment a Context hands out is frozen).
 func (f *Fragment) AppendBinary(dst []byte) []byte {
-	f.G.Freeze()
+	le := binary.LittleEndian
 	dst = append(dst, fragMagic...)
 	dst = append(dst, fragVersion)
-	dst = binary.AppendUvarint(dst, uint64(f.numGlobal))
-	n := f.G.NumNodes()
-	dst = binary.AppendUvarint(dst, uint64(n))
-	for v := 0; v < n; v++ {
-		dst = binary.AppendUvarint(dst, uint64(f.G.Label(graph.NodeID(v))))
-	}
-	for v := 0; v < n; v++ {
-		dst = binary.AppendUvarint(dst, uint64(len(f.G.Out(graph.NodeID(v)))))
-	}
-	for v := 0; v < n; v++ {
-		for _, e := range f.G.Out(graph.NodeID(v)) {
-			dst = binary.AppendUvarint(dst, uint64(e.Label))
-			dst = binary.AppendUvarint(dst, uint64(e.To))
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(f.Centers)))
+	dst = le.AppendUint32(dst, uint32(f.numGlobal))
+	dst = f.G.AppendCSR(dst)
+	dst = le.AppendUint32(dst, uint32(len(f.Centers)))
 	for _, c := range f.Centers {
-		dst = binary.AppendUvarint(dst, uint64(c))
+		dst = le.AppendUint32(dst, uint32(c))
 	}
-	for v := 0; v < n; v++ {
-		dst = binary.AppendUvarint(dst, uint64(f.Global(graph.NodeID(v))))
+	for v := range f.G.NumNodes() {
+		dst = le.AppendUint32(dst, uint32(f.Global(graph.NodeID(v))))
 	}
 	return dst
 }
 
 // DecodeFragment decodes one fragment from data, binding its graph to syms
 // (the job's symbol table; labels in the encoding are IDs into it). Only
-// the canonical encoding decodes: minimal varints, labels inside syms, and
-// each node's edges strictly ascending in frozen CSR (label, to) order, so
-// re-encoding the frozen fragment reproduces data byte for byte. The
+// the canonical encoding decodes: labels inside syms, each node's edges
+// strictly ascending in frozen (Label, To) order, centers and global IDs
+// in range, so re-encoding the fragment reproduces data byte for byte. The
 // remainder of data after the fragment is returned.
 func DecodeFragment(data []byte, syms *graph.Symbols) (*Fragment, []byte, error) {
-	d := fragDecoder{buf: data}
-	if len(d.buf) < len(fragMagic)+1 || string(d.buf[:len(fragMagic)]) != fragMagic {
+	const head = len(fragMagic) + 1 + 4
+	if len(data) < len(fragMagic)+1 || string(data[:len(fragMagic)]) != fragMagic {
 		return nil, nil, codecErrorf("fragment encoding lacks %q magic", fragMagic)
 	}
-	d.buf = d.buf[len(fragMagic):]
-	if v := d.buf[0]; v != fragVersion {
+	if v := data[len(fragMagic)]; v != fragVersion {
 		return nil, nil, codecErrorf("fragment encoding version %d, want %d", v, fragVersion)
 	}
-	d.buf = d.buf[1:]
-
-	numGlobal := d.intf("numGlobal")
-	n := d.intf("numNodes")
-	if d.err != nil {
-		return nil, nil, d.err
+	if len(data) < head {
+		return nil, nil, codecErrorf("fragment header truncated at %d bytes", len(data))
 	}
+	le := binary.LittleEndian
+	numGlobal := int(le.Uint32(data[len(fragMagic)+1:]))
+	if numGlobal > math.MaxInt32 { // node IDs are int32
+		return nil, nil, codecErrorf("original graph of %d nodes overflows int32", numGlobal)
+	}
+	g, b, err := graph.DecodeCSR(data[head:], syms)
+	if err != nil {
+		return nil, nil, codecErrorf("%v", err)
+	}
+	n := g.NumNodes()
 	if n > numGlobal {
 		return nil, nil, codecErrorf("fragment has %d nodes but the original graph only %d", n, numGlobal)
 	}
-	if n > len(d.buf) { // every node takes at least a label byte; bounds the allocations below
-		return nil, nil, codecErrorf("fragment claims %d nodes in %d bytes", n, len(d.buf))
+	if len(b) < 4 {
+		return nil, nil, codecErrorf("fragment truncated before its center count")
 	}
-	labels := make([]graph.Label, n)
-	for v := 0; v < n && d.err == nil; v++ {
-		labels[v] = graph.Label(d.intf("node label"))
+	nc := int(le.Uint32(b))
+	if b = b[4:]; nc > n || len(b) < 4*(nc+n) {
+		return nil, nil, codecErrorf("fragment claims %d centers and %d global IDs in %d bytes", nc, n, len(b))
 	}
-	// A degree wrapping int32 makes the offsets run backwards, which
-	// FromCSR rejects.
-	outOff := make([]int32, n+1)
-	for v := 0; v < n && d.err == nil; v++ {
-		outOff[v+1] = outOff[v] + int32(d.intf("out-degree"))
-	}
-	var out []graph.Edge
-	for len(out) < int(outOff[n]) && d.err == nil {
-		out = append(out, graph.Edge{Label: graph.Label(d.intf("edge label")), To: graph.NodeID(d.intf("edge target"))})
-	}
-	nc := d.intf("numCenters")
-	if d.err == nil && nc > n {
-		return nil, nil, codecErrorf("fragment claims %d centers over %d nodes", nc, n)
-	}
-	centers := make([]graph.NodeID, 0, nc)
-	for i := 0; i < nc && d.err == nil; i++ {
-		c := d.intf("center")
-		if c >= n {
+	centers := make([]graph.NodeID, nc)
+	for i := range centers {
+		if c := le.Uint32(b[4*i:]); c < uint32(n) {
+			centers[i] = graph.NodeID(c)
+		} else {
 			return nil, nil, codecErrorf("center %d out of range (fragment has %d nodes)", c, n)
 		}
-		centers = append(centers, graph.NodeID(c))
 	}
-	toGlobal := make([]graph.NodeID, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		gv := d.intf("toGlobal entry")
-		if gv >= numGlobal {
+	b = b[4*nc:]
+	toGlobal := make([]graph.NodeID, n)
+	for i := range toGlobal {
+		if gv := le.Uint32(b[4*i:]); gv < uint32(numGlobal) {
+			toGlobal[i] = graph.NodeID(gv)
+		} else {
 			return nil, nil, codecErrorf("global node %d out of range (graph has %d nodes)", gv, numGlobal)
 		}
-		toGlobal = append(toGlobal, graph.NodeID(gv))
-	}
-	if d.err != nil {
-		return nil, nil, d.err
-	}
-	// FromCSR checks labels against syms, targets, and the strict order.
-	g, err := graph.FromCSR(syms, labels, outOff, out)
-	if err != nil {
-		return nil, nil, codecErrorf("%v", err)
 	}
 	f := &Fragment{G: g, Centers: centers, ToGlobal: toGlobal}
 	var m map[graph.NodeID]graph.NodeID
@@ -154,35 +124,5 @@ func DecodeFragment(data []byte, syms *graph.Symbols) (*Fragment, []byte, error)
 		}
 	}
 	f.setToLocal(numGlobal, toGlobal, m)
-	return f, d.buf, nil
-}
-
-// fragDecoder reads uvarints with sticky error handling, so the decode
-// above reads linearly without per-field error plumbing.
-type fragDecoder struct {
-	buf []byte
-	err error
-}
-
-// intf decodes one minimal uvarint as a non-negative int, recording a
-// descriptive sticky error on truncation, padding or overflow.
-func (d *fragDecoder) intf(what string) int {
-	if d.err != nil {
-		return 0
-	}
-	v, k := binary.Uvarint(d.buf)
-	if k <= 0 {
-		d.err = codecErrorf("truncated fragment encoding reading %s", what)
-		return 0
-	}
-	if k > 1 && d.buf[k-1] == 0 {
-		d.err = codecErrorf("non-minimal varint reading %s", what)
-		return 0
-	}
-	if v > uint64(int32(^uint32(0)>>1)) { // node IDs and labels are int32
-		d.err = codecErrorf("%s %d overflows int32", what, v)
-		return 0
-	}
-	d.buf = d.buf[k:]
-	return int(v)
+	return f, b[4*n:], nil
 }

@@ -27,51 +27,29 @@ func codecFixture(t testing.TB, users int, n int) (*graph.Graph, []*Fragment) {
 }
 
 // sameFragment asserts structural equality of two fragments: graph shape,
-// centers, both ID mappings, and the canonical re-encoding.
+// centers and both ID mappings.
 func sameFragment(t *testing.T, want, got *Fragment) {
 	t.Helper()
 	if got.G.NumNodes() != want.G.NumNodes() || got.G.NumEdges() != want.G.NumEdges() {
 		t.Fatalf("decoded graph %d nodes/%d edges, want %d/%d",
 			got.G.NumNodes(), got.G.NumEdges(), want.G.NumNodes(), want.G.NumEdges())
 	}
-	for v := 0; v < want.G.NumNodes(); v++ {
-		lv := graph.NodeID(v)
-		if got.G.Label(lv) != want.G.Label(lv) {
-			t.Fatalf("node %d label %d, want %d", v, got.G.Label(lv), want.G.Label(lv))
-		}
-		wantOut, gotOut := want.G.Out(lv), got.G.Out(lv)
-		if len(wantOut) != len(gotOut) {
-			t.Fatalf("node %d out-degree %d, want %d", v, len(gotOut), len(wantOut))
-		}
-		for i := range wantOut {
-			if wantOut[i] != gotOut[i] {
-				t.Fatalf("node %d edge %d = %+v, want %+v", v, i, gotOut[i], wantOut[i])
-			}
+	for v := graph.NodeID(0); int(v) < want.G.NumNodes(); v++ {
+		if got.G.Label(v) != want.G.Label(v) || !slices.Equal(got.G.Out(v), want.G.Out(v)) || got.Global(v) != want.Global(v) {
+			t.Fatalf("node %d: label %d, out %v, global %d; want %d, %v, %d",
+				v, got.G.Label(v), got.G.Out(v), got.Global(v), want.G.Label(v), want.G.Out(v), want.Global(v))
 		}
 	}
-	if len(got.Centers) != len(want.Centers) {
-		t.Fatalf("centers %d, want %d", len(got.Centers), len(want.Centers))
-	}
-	for i := range want.Centers {
-		if got.Centers[i] != want.Centers[i] {
-			t.Fatalf("center %d = %d, want %d", i, got.Centers[i], want.Centers[i])
-		}
-	}
-	for i := range want.ToGlobal {
-		if got.ToGlobal[i] != want.ToGlobal[i] {
-			t.Fatalf("toGlobal %d = %d, want %d", i, got.ToGlobal[i], want.ToGlobal[i])
-		}
+	if !slices.Equal(got.Centers, want.Centers) {
+		t.Fatalf("centers %v, want %v", got.Centers, want.Centers)
 	}
 	for lv, gv := range want.ToGlobal {
-		back, ok := got.Local(gv)
-		if !ok || back != graph.NodeID(lv) {
+		if back, ok := got.Local(gv); !ok || back != graph.NodeID(lv) {
 			t.Fatalf("Local(%d) = (%d, %v), want (%d, true)", gv, back, ok, lv)
 		}
 	}
-	if _, ok := got.Local(graph.NodeID(got.numGlobal - 1)); ok != func() bool {
-		_, w := want.Local(graph.NodeID(want.numGlobal - 1))
-		return w
-	}() {
+	_, gotOK := got.Local(graph.NodeID(got.numGlobal - 1))
+	if _, wantOK := want.Local(graph.NodeID(want.numGlobal - 1)); gotOK != wantOK {
 		t.Fatal("Local() disagrees on an absent node")
 	}
 }
@@ -119,9 +97,9 @@ func TestFragmentCodecStream(t *testing.T) {
 	}
 }
 
-// TestFragmentCodecGolden pins the first bytes of a fixed fragment's
-// encoding, so any format change — field order, varint width, a new field —
-// fails loudly and forces a version bump instead of silent drift.
+// TestFragmentCodecGolden pins a fixed fragment's encoding, so any format
+// change — field order, integer width, a new field — fails loudly and
+// forces a version bump instead of silent drift.
 func TestFragmentCodecGolden(t *testing.T) {
 	syms := graph.NewSymbols()
 	g := graph.New(syms)
@@ -135,7 +113,10 @@ func TestFragmentCodecGolden(t *testing.T) {
 	f := Whole(g, []graph.NodeID{a, b})
 	enc := f.AppendBinary(nil)
 
-	const golden = "47504652010303010102020100030104020300020001000102"
+	const golden = "475046520203000000" + // magic, version 2, numGlobal 3
+		"030000000300000001000000010000000200000002000000010000000000000003000000" + // 3 nodes, 3 edges, labels, degrees
+		"010000000400000002000000030000000000000002000000000000000100000000000000" + // edges; 2 centers 0, 1
+		"0100000002000000" // toGlobal 0, 1, 2
 	if got := hex.EncodeToString(enc); got != golden {
 		t.Fatalf("fragment encoding drifted:\n got %s\nwant %s", got, golden)
 	}
@@ -146,22 +127,45 @@ func TestFragmentCodecGolden(t *testing.T) {
 	sameFragment(t, f, dec)
 }
 
+// goldenShaped lays out a fragment shaped like the golden one — three
+// nodes of degrees 2, 1 and 0, centers 0 and 1, toGlobal 0, 1, 2 — with the
+// given node labels and (label, to) edges, for the canonical-form checks.
+func goldenShaped(labels [3]uint32, edges [6]uint32) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32([]byte("GPFR\x02"), 3)
+	for _, v := range slices.Concat([]uint32{3, 3}, labels[:], []uint32{2, 1, 0}, edges[:], []uint32{2, 0, 1, 0, 1, 2}) {
+		b = le.AppendUint32(b, v)
+	}
+	return b
+}
+
 func TestFragmentCodecErrors(t *testing.T) {
 	_, frags := codecFixture(t, 100, 2)
 	enc := frags[0].AppendBinary(nil)
 	syms := frags[0].G.Symbols()
+	le := binary.LittleEndian
+	past := uint32(syms.Len() + 1)
 
 	cases := []struct {
 		name string
 		data []byte
 	}{
 		{"empty", nil},
-		{"bad magic", []byte("NOPE\x01\x00")},
+		{"bad magic", []byte("NOPE\x02\x00")},
 		{"bad version", append([]byte("GPFR"), 99)},
 		{"truncated header", enc[:6]},
-		{"node count beyond the input", binary.AppendUvarint(binary.AppendUvarint([]byte("GPFR\x01"), 1<<40), 1<<40)},
+		{"node count beyond the input", le.AppendUint32(le.AppendUint32([]byte("GPFR\x02\xff\xff\xff\x7f"), 1<<30), 1<<30)},
+		{"original graph past int32", le.AppendUint32([]byte("GPFR\x02"), 1<<31)},
 		{"truncated mid-stream", enc[:len(enc)/2]},
 		{"truncated tail", enc[:len(enc)-1]},
+		// Non-canonical graphs: FromCSR's checks are the fragment's too.
+		{"duplicate edge", goldenShaped([3]uint32{1, 1, 2}, [6]uint32{3, 1, 3, 1, 3, 0})},
+		{"descending run", goldenShaped([3]uint32{1, 1, 2}, [6]uint32{4, 2, 3, 1, 3, 0})},
+		{"node label past the table", goldenShaped([3]uint32{1, 1, past}, [6]uint32{3, 1, 4, 2, 3, 0})},
+		{"NoLabel edge", goldenShaped([3]uint32{1, 1, 2}, [6]uint32{0, 1, 4, 2, 3, 0})},
+	}
+	if _, _, err := DecodeFragment(goldenShaped([3]uint32{1, 1, 2}, [6]uint32{3, 1, 4, 2, 3, 0}), syms); err != nil {
+		t.Fatalf("the canonical shape itself fails: %v", err)
 	}
 	for _, tc := range cases {
 		if _, _, err := DecodeFragment(tc.data, syms); err == nil {
@@ -184,18 +188,11 @@ func FuzzFragmentDecode(f *testing.F) {
 	for _, fr := range frags {
 		f.Add(fr.AppendBinary(nil))
 	}
-	f.Add([]byte("GPFR\x01"))
-	// The golden layout: 3 of 3 nodes, then labels, degrees and (label, to)
-	// edges, then centers 0, 1 and toGlobal 0, 1, 2.
-	head, tail := []byte("GPFR\x01\x03\x03"), []byte{2, 0, 1, 0, 1, 2}
-	past := binary.AppendUvarint(nil, uint64(syms.Len()+1))
-	for _, body := range [][]byte{
-		{1, 1, 2, 3, 1, 0, 3, 1, 3, 1, 4, 2, 3, 0},    // edge 0→1 twice
-		append(past, 1, 2, 2, 1, 0, 3, 1, 4, 2, 3, 0), // node label past the table
-		{1, 1, 2, 2, 1, 0, 0, 1, 4, 2, 3, 0},          // edge label NoLabel
-	} {
-		f.Add(slices.Concat(head, body, tail))
-	}
+	f.Add([]byte("GPFR\x02"))
+	past := uint32(syms.Len() + 1)
+	f.Add(goldenShaped([3]uint32{1, 1, 2}, [6]uint32{3, 1, 3, 1, 3, 0}))    // edge 0→1 twice
+	f.Add(goldenShaped([3]uint32{1, 1, past}, [6]uint32{3, 1, 4, 2, 3, 0})) // node label past the table
+	f.Add(goldenShaped([3]uint32{1, 1, 2}, [6]uint32{0, 1, 4, 2, 3, 0}))    // edge label NoLabel
 	inTable := func(l graph.Label) bool { return l != graph.NoLabel && int(l) <= syms.Len() }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, rest, err := DecodeFragment(data, syms)

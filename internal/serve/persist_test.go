@@ -9,6 +9,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -219,35 +221,64 @@ func TestRecoverFallsBackAcrossSnapshots(t *testing.T) {
 }
 
 // A directory whose snapshots are all unreadable is a typed error — the
-// server refuses to silently start fresh over data it cannot read.
+// server refuses to silently start fresh over data it cannot read. Bit rot
+// and a snapshot of an older format version are refused alike, and the
+// file is quarantined, not deleted.
 func TestRecoverRefusesAllCorrupt(t *testing.T) {
-	m := diskfault.NewMemFS()
-	s := newPersistedServer(t, m, "data", PersistOptions{})
-	applyN(t, s, 1)
-	for _, n := range dirNames(t, m, "data") {
-		if strings.HasSuffix(n, ".gpsnap") {
-			if !m.CorruptDurable(filepath.Join("data", n), 50) {
-				t.Fatalf("corrupt %s failed", n)
+	for _, tc := range []struct {
+		name   string
+		damage func(m *diskfault.MemFS, path string) bool
+	}{
+		{"bit rot", func(m *diskfault.MemFS, path string) bool { return m.CorruptDurable(path, 50) }},
+		{"version 1", func(m *diskfault.MemFS, path string) bool {
+			data, err := diskfault.ReadFile(m, path)
+			if err != nil {
+				return false
 			}
-		}
-	}
-	m.Crash()
-	m.Reboot()
+			binary.LittleEndian.PutUint32(data[4:], 1) // the header's version
+			f, err := m.OpenFile(path, os.O_WRONLY|os.O_TRUNC, 0)
+			if err != nil {
+				return false
+			}
+			_, err = f.Write(data)
+			return err == nil && f.Sync() == nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := diskfault.NewMemFS()
+			s := newPersistedServer(t, m, "data", PersistOptions{})
+			applyN(t, s, 1)
+			var snaps []string
+			for _, n := range dirNames(t, m, "data") {
+				if strings.HasSuffix(n, ".gpsnap") {
+					snaps = append(snaps, n)
+					if !tc.damage(m, filepath.Join("data", n)) {
+						t.Fatalf("damage %s failed", n)
+					}
+				}
+			}
+			m.Crash()
+			m.Reboot()
 
-	s2 := New(Config{Workers: 2})
-	if err := s2.EnablePersistence(PersistOptions{Dir: "data", FS: m}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := s2.Recover()
-	var re *RecoveryError
-	if !errors.As(err, &re) {
-		t.Fatalf("Recover: %v, want *RecoveryError", err)
-	}
-	if len(re.Quarantined) != 1 {
-		t.Fatalf("quarantined: %v", re.Quarantined)
-	}
-	if s2.Snapshot() != nil {
-		t.Fatal("a snapshot was served despite failed recovery")
+			s2 := New(Config{Workers: 2})
+			if err := s2.EnablePersistence(PersistOptions{Dir: "data", FS: m}); err != nil {
+				t.Fatal(err)
+			}
+			_, err := s2.Recover()
+			var re *RecoveryError
+			if !errors.As(err, &re) {
+				t.Fatalf("Recover: %v, want *RecoveryError", err)
+			}
+			if len(snaps) != 1 || len(re.Quarantined) != 1 {
+				t.Fatalf("snapshots %v, quarantined: %v", snaps, re.Quarantined)
+			}
+			if names := dirNames(t, m, "data"); !slices.Contains(names, snaps[0]+".corrupt") {
+				t.Fatalf("%s not kept as %s.corrupt: %v", snaps[0], snaps[0], names)
+			}
+			if s2.Snapshot() != nil {
+				t.Fatal("a snapshot was served despite failed recovery")
+			}
+		})
 	}
 }
 

@@ -1,34 +1,23 @@
 // Package snapfile is the on-disk snapshot format for a gpard serving
 // state: one versioned file holding the symbol table, the frozen graph's
-// CSR arenas, the predicate and the mined rule set Σ, each in its own
-// checksummed section. It is gpard's checkpoint: a daemon restarts by
-// reading one file instead of re-ingesting and re-freezing.
+// CSR arenas, the predicate and the mined rule set Σ under one checksum.
+// It is gpard's checkpoint: a daemon restarts by reading one file instead
+// of re-ingesting and re-freezing.
 //
 // Layout (all integers little-endian):
 //
-//	header   32 bytes  magic "GPSN", version u32, generation u64,
-//	                   section count u32, reserved
-//	table    n × 64    per section: type [4]byte, reserved u32,
-//	                   offset u64, length u64, SHA-256 [32]byte, pad
-//	sections           each starting at a 64-byte-aligned offset,
-//	                   zero-padded between
+//	header   16 bytes  magic "GPSN", version u32, generation u64
+//	SYMB               symbol table: count u32, then per name len u32 +
+//	                   bytes, in label order — re-interning in order
+//	                   reproduces identical IDs
+//	GRPH               the graph in graph.AppendCSR's encoding: node and
+//	                   edge counts, labels, out-degrees, (label, to) edges
+//	                   in frozen (Label, To) order
+//	PRED     12 bytes  xLabel, edgeLabel, yLabel as u32 label IDs
+//	RULE               length u32, then Σ in the core.WriteRules text format
 //	trailer  8 bytes   CRC-32 (IEEE) of everything before it, stored
 //	                   as u32 crc, u32 ^crc
 //
-// Sections (in file order):
-//
-//	SYMB  symbol table: count u32, then per name len u32 + bytes, in
-//	      label order — re-interning in order reproduces identical IDs
-//	GRPH  graph arenas: numNodes u32, numEdges u32, labels n×u32,
-//	      out-degrees n×u32, edges numE×(label u32, to u32) in the
-//	      frozen CSR (Label, To) order
-//	PRED  predicate: xLabel, edgeLabel, yLabel as u32 label IDs
-//	RULE  the rule set Σ in the core.WriteRules text format
-//
-// The GRPH section is fixed-width and 64-byte aligned so the arenas can
-// later be mmapped in place; today Decode parses the labels, degrees and
-// out-arena into slices and hands them to graph.FromCSR, which validates
-// them and derives the in-arena and label indexes in one build.
 // The encoding is canonical: edges are written in the frozen (Label, To)
 // adjacency order — which delta overlays also maintain — so encoding a
 // graph, decoding it, and encoding again is byte-identical, including
@@ -37,15 +26,13 @@
 // Write lands the file crash-safely: temp file in the same directory,
 // content fsync, atomic rename, directory fsync — through the
 // diskfault.FS abstraction so the fault-injection harness can script
-// every failure mode in between. Read verifies magic, version, the
-// whole-file CRC, and every section digest before decoding, and returns
-// *FormatError for any violation, so callers can quarantine rather than
-// serve a partial state.
+// every failure mode in between. Read verifies magic, version and the
+// whole-file CRC before decoding, and returns *FormatError for any
+// violation, so callers can quarantine rather than serve a partial state.
 package snapfile
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -60,21 +47,17 @@ import (
 
 const (
 	magic      = "GPSN"
-	version    = 1
-	headerLen  = 32
-	tableEntry = 64
-	align      = 64
+	version    = 2
+	headerLen  = 16
 	trailerLen = 8
 
+	// Section names for FormatError; the file holds the sections in this
+	// order without tags.
 	secSymbols = "SYMB"
 	secGraph   = "GRPH"
 	secPred    = "PRED"
 	secRules   = "RULE"
 )
-
-// maxSections bounds the section table a reader will accept; the format
-// defines 4, and a few spare keep the door open for additive versions.
-const maxSections = 16
 
 // FormatError describes why a snapshot file was rejected. Every decode
 // failure is one of these, so recovery can distinguish corruption (to
@@ -116,53 +99,19 @@ type Data struct {
 
 // Encode renders d into the canonical snapshot file bytes.
 func Encode(d *Data) []byte {
-	d.Graph.Freeze()
-	return seal(d.Generation, []section{
-		{secSymbols, encodeSymbols(d.Graph.Symbols())},
-		{secGraph, encodeGraph(d.Graph)},
-		{secPred, encodePred(d.Pred)},
-		{secRules, encodeRules(d.Rules)},
-	})
-}
-
-// section is one typed payload of a snapshot file.
-type section struct {
-	typ     string
-	payload []byte
-}
-
-// seal wraps the sections in the envelope: the header, a table entry per
-// section with its offset, length and SHA-256, the payloads each 64-byte
-// aligned, and the CRC trailer.
-func seal(generation uint64, sections []section) []byte {
 	le := binary.LittleEndian
-	buf := le.AppendUint32([]byte(magic), version)
-	buf = le.AppendUint64(buf, generation)
-	buf = le.AppendUint32(buf, uint32(len(sections)))
-	buf = append(buf, make([]byte, headerLen-len(buf))...) // reserved
-	off := uint64(headerLen + len(sections)*tableEntry)
-	for _, s := range sections {
-		off = (off + align - 1) / align * align
-		var ent [tableEntry]byte
-		copy(ent[:4], s.typ)
-		le.PutUint64(ent[8:], off)
-		le.PutUint64(ent[16:], uint64(len(s.payload)))
-		sum := sha256.Sum256(s.payload)
-		copy(ent[24:56], sum[:])
-		buf = append(buf, ent[:]...)
-		off += uint64(len(s.payload))
-	}
-	for _, s := range sections {
-		buf = append(buf, make([]byte, (align-len(buf)%align)%align)...)
-		buf = append(buf, s.payload...)
-	}
+	buf := le.AppendUint64(le.AppendUint32([]byte(magic), version), d.Generation)
+	buf = appendSymbols(buf, d.Graph.Symbols())
+	buf = d.Graph.AppendCSR(buf)
+	buf = appendPred(buf, d.Pred)
+	buf = appendRules(buf, d.Rules)
 	crc := crc32.ChecksumIEEE(buf)
 	return le.AppendUint32(le.AppendUint32(buf, crc), ^crc)
 }
 
-// Decode parses snapshot file bytes, verifying the envelope CRC and every
-// section digest before touching any payload. The returned graph is frozen
-// and owns a fresh symbol table; rules and predicate are bound to it.
+// Decode parses snapshot file bytes, verifying the envelope CRC before
+// touching any section. The returned graph is frozen and owns a fresh
+// symbol table; rules and predicate are bound to it.
 func Decode(data []byte) (*Data, error) {
 	if len(data) < headerLen+trailerLen {
 		return nil, formatErrf("", "file truncated: %d bytes", len(data))
@@ -184,168 +133,74 @@ func Decode(data []byte) (*Data, error) {
 		return nil, formatErrf("", "file CRC mismatch: computed %08x, stored %08x", got, crc)
 	}
 
-	gen := le.Uint64(data[8:])
-	nsect := int(le.Uint32(data[16:]))
-	if nsect > maxSections {
-		return nil, formatErrf("", "section count %d exceeds limit %d", nsect, maxSections)
-	}
-	if headerLen+nsect*tableEntry > len(body) {
-		return nil, formatErrf("", "section table truncated")
-	}
-	payloads := make(map[string][]byte, nsect)
-	for i := 0; i < nsect; i++ {
-		ent := data[headerLen+i*tableEntry:]
-		typ := string(bytes.TrimRight(ent[:4], "\x00"))
-		off := le.Uint64(ent[8:])
-		n := le.Uint64(ent[16:])
-		if off > uint64(len(body)) || n > uint64(len(body))-off {
-			return nil, formatErrf(typ, "section [%d, +%d) outside file of %d bytes", off, n, len(body))
-		}
-		payload := body[off : off+n]
-		var want [32]byte
-		copy(want[:], ent[24:56])
-		if sum := sha256.Sum256(payload); sum != want {
-			return nil, formatErrf(typ, "section digest mismatch")
-		}
-		payloads[typ] = payload
-	}
-	for _, typ := range []string{secSymbols, secGraph, secPred, secRules} {
-		if _, ok := payloads[typ]; !ok {
-			return nil, formatErrf(typ, "section missing")
-		}
-	}
-
-	syms, err := decodeSymbols(payloads[secSymbols])
+	syms, b, err := decodeSymbols(body[headerLen:])
 	if err != nil {
 		return nil, err
 	}
-	g, err := decodeGraph(payloads[secGraph], syms)
+	g, b, err := graph.DecodeCSR(b, syms)
+	if err != nil {
+		return nil, formatErrf(secGraph, "%v", err)
+	}
+	pred, b, err := decodePred(b, syms)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := decodePred(payloads[secPred], syms)
+	rules, b, err := decodeRules(b, syms)
 	if err != nil {
 		return nil, err
 	}
-	rules, err := decodeRules(payloads[secRules], syms)
-	if err != nil {
-		return nil, err
+	if len(b) != 0 {
+		return nil, formatErrf("", "%d trailing bytes", len(b))
 	}
-	return &Data{Generation: gen, Graph: g, Pred: pred, Rules: rules}, nil
+	return &Data{Generation: le.Uint64(data[8:]), Graph: g, Pred: pred, Rules: rules}, nil
 }
 
-func encodeSymbols(syms *graph.Symbols) []byte {
-	names := syms.Names()
-	var buf bytes.Buffer
-	var u32 [4]byte
+func appendSymbols(buf []byte, syms *graph.Symbols) []byte {
 	le := binary.LittleEndian
-	le.PutUint32(u32[:], uint32(len(names)))
-	buf.Write(u32[:])
+	names := syms.Names()
+	buf = le.AppendUint32(buf, uint32(len(names)))
 	for _, n := range names {
-		le.PutUint32(u32[:], uint32(len(n)))
-		buf.Write(u32[:])
-		buf.WriteString(n)
+		buf = append(le.AppendUint32(buf, uint32(len(n))), n...)
 	}
-	return buf.Bytes()
+	return buf
 }
 
-func decodeSymbols(b []byte) (*graph.Symbols, error) {
+func decodeSymbols(b []byte) (*graph.Symbols, []byte, error) {
 	le := binary.LittleEndian
 	if len(b) < 4 {
-		return nil, formatErrf(secSymbols, "truncated count")
+		return nil, nil, formatErrf(secSymbols, "truncated count")
 	}
 	count := int(le.Uint32(b))
 	b = b[4:]
 	syms := graph.NewSymbols()
 	for i := 0; i < count; i++ {
 		if len(b) < 4 {
-			return nil, formatErrf(secSymbols, "truncated name %d length", i)
+			return nil, nil, formatErrf(secSymbols, "truncated name %d length", i)
 		}
 		n := int(le.Uint32(b))
 		b = b[4:]
 		if n > len(b) {
-			return nil, formatErrf(secSymbols, "name %d of %d bytes overruns section", i, n)
+			return nil, nil, formatErrf(secSymbols, "name %d of %d bytes overruns the file", i, n)
 		}
 		// Interning in stored order reassigns the identical label IDs.
 		if got, want := syms.Intern(string(b[:n])), graph.Label(i+1); got != want {
-			return nil, formatErrf(secSymbols, "duplicate name %q", b[:n])
+			return nil, nil, formatErrf(secSymbols, "duplicate name %q", b[:n])
 		}
 		b = b[n:]
 	}
-	if len(b) != 0 {
-		return nil, formatErrf(secSymbols, "%d trailing bytes", len(b))
-	}
-	return syms, nil
+	return syms, b, nil
 }
 
-func encodeGraph(g *graph.Graph) []byte {
-	n := g.NumNodes()
-	numE := g.NumEdges()
-	out := make([]byte, 0, 8+4*n*2+8*numE)
+func appendPred(buf []byte, p core.Predicate) []byte {
 	le := binary.LittleEndian
-	out = le.AppendUint32(out, uint32(n))
-	out = le.AppendUint32(out, uint32(numE))
-	for v := 0; v < n; v++ {
-		out = le.AppendUint32(out, uint32(g.Label(graph.NodeID(v))))
-	}
-	for v := 0; v < n; v++ {
-		out = le.AppendUint32(out, uint32(len(g.Out(graph.NodeID(v)))))
-	}
-	for v := 0; v < n; v++ {
-		for _, e := range g.Out(graph.NodeID(v)) {
-			out = le.AppendUint32(out, uint32(e.Label))
-			out = le.AppendUint32(out, uint32(e.To))
-		}
-	}
-	return out
+	buf = le.AppendUint32(buf, uint32(p.XLabel))
+	buf = le.AppendUint32(buf, uint32(p.EdgeLabel))
+	return le.AppendUint32(buf, uint32(p.YLabel))
 }
 
-func decodeGraph(b []byte, syms *graph.Symbols) (*graph.Graph, error) {
-	le := binary.LittleEndian
-	if len(b) < 8 {
-		return nil, formatErrf(secGraph, "truncated header")
-	}
-	n := int(le.Uint32(b))
-	numE := int(le.Uint32(b[4:]))
-	if n < 0 || numE < 0 {
-		return nil, formatErrf(secGraph, "negative counts")
-	}
-	want := 8 + 4*2*n + 8*numE
-	if len(b) != want {
-		return nil, formatErrf(secGraph, "section is %d bytes, want %d for %d nodes / %d edges", len(b), want, n, numE)
-	}
-	// Parse only: FromCSR checks labels, targets, order and that the
-	// degrees sum to numE. A degree wrapping int32 makes the offsets run
-	// backwards, which it rejects too.
-	labels := make([]graph.Label, n)
-	outOff := make([]int32, n+1)
-	for v := range n {
-		labels[v] = graph.Label(le.Uint32(b[8+4*v:]))
-		outOff[v+1] = outOff[v] + int32(le.Uint32(b[8+4*n+4*v:]))
-	}
-	out, edges := make([]graph.Edge, numE), b[8+8*n:]
-	for i := range out {
-		out[i] = graph.Edge{Label: graph.Label(le.Uint32(edges[8*i:])), To: graph.NodeID(le.Uint32(edges[8*i+4:]))}
-	}
-	g, err := graph.FromCSR(syms, labels, outOff, out)
-	if err != nil {
-		return nil, formatErrf(secGraph, "%v", err)
-	}
-	return g, nil
-}
-
-func encodePred(p core.Predicate) []byte {
-	le := binary.LittleEndian
-	out := make([]byte, 0, 12)
-	out = le.AppendUint32(out, uint32(p.XLabel))
-	out = le.AppendUint32(out, uint32(p.EdgeLabel))
-	out = le.AppendUint32(out, uint32(p.YLabel))
-	return out
-}
-
-func decodePred(b []byte, syms *graph.Symbols) (core.Predicate, error) {
-	if len(b) != 12 {
-		return core.Predicate{}, formatErrf(secPred, "section is %d bytes, want 12", len(b))
+func decodePred(b []byte, syms *graph.Symbols) (core.Predicate, []byte, error) {
+	if len(b) < 12 {
+		return core.Predicate{}, nil, formatErrf(secPred, "%d bytes left, want 12", len(b))
 	}
 	le := binary.LittleEndian
 	var p core.Predicate
@@ -353,26 +208,33 @@ func decodePred(b []byte, syms *graph.Symbols) (core.Predicate, error) {
 	for i, dst := range labels {
 		l := le.Uint32(b[4*i:])
 		if l == 0 || l > uint32(syms.Len()) {
-			return core.Predicate{}, formatErrf(secPred, "label %d outside symbol table of %d", l, syms.Len())
+			return core.Predicate{}, nil, formatErrf(secPred, "label %d outside symbol table of %d", l, syms.Len())
 		}
 		*dst = graph.Label(l)
 	}
-	return p, nil
+	return p, b[12:], nil
 }
 
-func encodeRules(rules []*core.Rule) []byte {
-	var buf bytes.Buffer
+func appendRules(buf []byte, rules []*core.Rule) []byte {
+	var text bytes.Buffer
 	// strings in a bytes.Buffer never fail; WriteRules only returns writer errors.
-	_ = core.WriteRules(&buf, rules)
-	return buf.Bytes()
+	_ = core.WriteRules(&text, rules)
+	return append(binary.LittleEndian.AppendUint32(buf, uint32(text.Len())), text.Bytes()...)
 }
 
-func decodeRules(b []byte, syms *graph.Symbols) ([]*core.Rule, error) {
-	rules, err := core.ReadRules(bytes.NewReader(b), syms)
-	if err != nil {
-		return nil, formatErrf(secRules, "%v", err)
+func decodeRules(b []byte, syms *graph.Symbols) ([]*core.Rule, []byte, error) {
+	if len(b) < 4 {
+		return nil, nil, formatErrf(secRules, "truncated length")
 	}
-	return rules, nil
+	n := uint64(binary.LittleEndian.Uint32(b))
+	if b = b[4:]; n > uint64(len(b)) {
+		return nil, nil, formatErrf(secRules, "%d bytes of rules overrun the %d left", n, len(b))
+	}
+	rules, err := core.ReadRules(bytes.NewReader(b[:n]), syms)
+	if err != nil {
+		return nil, nil, formatErrf(secRules, "%v", err)
+	}
+	return rules, b[n:], nil
 }
 
 // Write encodes d and lands it at path crash-safely through fsys: the

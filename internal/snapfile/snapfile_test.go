@@ -2,13 +2,13 @@ package snapfile
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"flag"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
+	"strings"
 	"testing"
 
 	"gpar/internal/core"
@@ -161,7 +161,8 @@ func TestTruncationSweep(t *testing.T) {
 	}
 }
 
-// Every single-bit flip is caught by the envelope CRC or a section digest.
+// Every single-bit flip is caught by the magic, the version or the CRC
+// trailer.
 func TestBitFlipSweep(t *testing.T) {
 	enc := Encode(fixture(t))
 	for off := 0; off < len(enc); off++ {
@@ -169,6 +170,45 @@ func TestBitFlipSweep(t *testing.T) {
 		mut[off] ^= 1
 		if _, err := Decode(mut); err == nil {
 			t.Fatalf("bit flip at offset %d decoded successfully", off)
+		}
+	}
+}
+
+// Malformed files are each a *FormatError naming what failed, and the
+// section when one failed to parse. The damaged bodies are re-sealed with
+// a valid CRC, so the section parsers, not the checksum, must catch them.
+func TestDecodeRejects(t *testing.T) {
+	enc := Encode(fixture(t))
+	body := enc[:len(enc)-trailerLen]
+	le := binary.LittleEndian
+	reseal := func(b []byte) []byte {
+		crc := crc32.ChecksumIEEE(b)
+		return le.AppendUint32(le.AppendUint32(b, crc), ^crc)
+	}
+	edit := func(off int, v uint32) []byte {
+		b := bytes.Clone(body)
+		le.PutUint32(b[off:], v)
+		return reseal(b)
+	}
+	// The fixture's symbol table: cust, restaurant, bar, friend, visit.
+	grph := headerLen + 4 + 5*4 + len("custrestaurantbarfriendvisit")
+	rule := grph + len(fixture(t).Graph.AppendCSR(nil)) + 12
+	for _, tc := range []struct {
+		name, section, want string
+		data                []byte
+	}{
+		{"version 1 header", "", "unsupported version 1 (want 2)", edit(4, 1)},
+		{"symbol count past the file", secSymbols, "name", edit(headerLen, 1000)},
+		{"node count past the file", secGraph, "needs", edit(grph, 1<<20)},
+		{"node 0's edges descending", secGraph, "not strictly ascending", edit(grph+8+8*8+8, 3)}, // (friend, 1), (bar, 6)
+		{"predicate label 0", secPred, "outside symbol table", edit(rule-12, 0)},
+		{"rules length past the file", secRules, "overrun", edit(rule, 1<<20)},
+		{"trailing bytes", "", "1 trailing bytes", reseal(append(bytes.Clone(body), 0))},
+	} {
+		_, err := Decode(tc.data)
+		var fe *FormatError
+		if !errors.As(err, &fe) || fe.Section != tc.section || !strings.Contains(fe.Msg, tc.want) {
+			t.Errorf("%s: error %v, want a *FormatError in section %q saying %q", tc.name, err, tc.section, tc.want)
 		}
 	}
 }
@@ -251,118 +291,20 @@ func FuzzSnapshotDecode(f *testing.F) {
 	})
 }
 
-// FuzzGraphSection reaches decodeGraph, which FuzzSnapshotDecode cannot:
-// every byte it mutates fails the whole-file CRC. It seals fuzzed node
-// labels, out-degrees (one byte each, 0 past the end of degs) and
-// (label, to) edge byte pairs as the GRPH payload of a valid envelope.
-// Decode must fail with a *FormatError exactly when the arrays are not a
-// graph — a label outside the table, a target past the nodes, a node's
-// edges out of strict (Label, To) order, degrees not summing to the edge
-// count — and otherwise return what AddEdgeL builds from them, its
-// adjacency sorted into frozen order here: Freeze itself ends in the
-// constructor Decode uses, so it would be no independent reference.
-func FuzzGraphSection(f *testing.F) {
-	fx := fixture(f)
-	syms := fx.Graph.Symbols() // cust 1, restaurant 2, bar 3, friend 4, visit 5
-	for _, seed := range [][3][]byte{
-		{{1, 1, 2}, {2, 2}, {4, 1, 5, 2, 4, 0, 4, 2}}, // a graph
-		{{1, 1, 2}, {2, 1}, {4, 1, 5, 2, 4, 0}},       // another graph
-		{{1, 1, 2}, {2, 1}, {4, 1, 4, 1, 4, 0}},       // duplicate edge
-		{{1, 1, 2}, {2, 1}, {5, 2, 4, 1, 4, 0}},       // descending run
-		{{1, 0, 2}, {2, 1}, {4, 1, 5, 2, 4, 0}},       // label 0
-		{{1, 1, 6}, {2, 1}, {4, 1, 6, 2, 4, 0}},       // labels past the table
-		{{1, 1, 2}, {2, 1}, {4, 1, 5, 3, 4, 0}},       // target past the nodes
-		{{1, 1, 2}, {2, 2}, {4, 1, 5, 2, 4, 0}},       // degrees sum past the edges
-	} {
-		f.Add(seed[0], seed[1], seed[2])
-	}
-	inTable := func(l byte) bool { return l != 0 && int(l) <= syms.Len() }
-	f.Fuzz(func(t *testing.T, nodes, degs, edges []byte) {
-		n, numE := len(nodes), len(edges)/2
-		deg := func(v int) int {
-			if v < len(degs) {
-				return int(degs[v])
-			}
-			return 0
-		}
-		le := binary.LittleEndian
-		payload := le.AppendUint32(le.AppendUint32(nil, uint32(n)), uint32(numE))
-		for _, l := range nodes {
-			payload = le.AppendUint32(payload, uint32(l))
-		}
-		for v := range n {
-			payload = le.AppendUint32(payload, uint32(deg(v)))
-		}
-		for i := range numE {
-			payload = le.AppendUint32(le.AppendUint32(payload, uint32(edges[2*i])), uint32(edges[2*i+1]))
-		}
-		d, err := Decode(seal(1, []section{{secSymbols, encodeSymbols(syms)}, {secGraph, payload},
-			{secPred, encodePred(fx.Pred)}, {secRules, encodeRules(nil)}}))
-
-		// What the arrays mean, checked and built edge by edge.
-		want := graph.New(syms)
-		valid := true
-		for _, l := range nodes {
-			valid = valid && inTable(l)
-			want.AddNodeL(graph.Label(l))
-		}
-		i := 0
-		for v := range n {
-			for k := 0; k < deg(v) && valid; k, i = k+1, i+1 {
-				if valid = i < numE && inTable(edges[2*i]) && int(edges[2*i+1]) < n; !valid {
-					break
-				}
-				l, to := edges[2*i], edges[2*i+1]
-				valid = k == 0 || l > edges[2*i-2] || l == edges[2*i-2] && to > edges[2*i-1]
-				want.AddEdgeL(graph.NodeID(v), graph.NodeID(to), graph.Label(l))
-			}
-		}
-		if valid = valid && i == numE; !valid {
-			var fe *FormatError
-			if !errors.As(err, &fe) {
-				t.Fatalf("malformed arrays decoded: %v", err)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("a graph's arrays failed to decode: %v", err)
-		}
-		got := d.Graph
-		if got.NumNodes() != n || got.NumEdges() != numE {
-			t.Fatalf("decoded %v from %d nodes and %d edges", got, n, numE)
-		}
-		for l := graph.NoLabel; int(l) <= syms.Len()+1; l++ {
-			var nodesL []graph.NodeID
-			for v := range n {
-				if want.Label(graph.NodeID(v)) == l {
-					nodesL = append(nodesL, graph.NodeID(v))
-				}
-			}
-			if !slices.Equal(got.NodesWithLabel(l), nodesL) {
-				t.Fatalf("NodesWithLabel(%d) = %v, want %v", l, got.NodesWithLabel(l), nodesL)
-			}
-		}
-		byLabelTo := func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.Label, b.Label), cmp.Compare(a.To, b.To)) }
-		for v := graph.NodeID(0); int(v) < n; v++ {
-			out := slices.SortedFunc(slices.Values(want.Out(v)), byLabelTo)
-			in := slices.SortedFunc(slices.Values(want.In(v)), byLabelTo)
-			if got.Label(v) != want.Label(v) || !slices.Equal(got.Out(v), out) || !slices.Equal(got.In(v), in) {
-				t.Fatalf("node %d: label %d, out %v, in %v; want %d, %v, %v",
-					v, got.Label(v), got.Out(v), got.In(v), want.Label(v), out, in)
-			}
-		}
-	})
-}
-
-// BenchmarkSnapshotLoad measures the restart-critical path: decoding a
-// Pokec-scale snapshot file back into a frozen graph + rules.
-func BenchmarkSnapshotLoad(b *testing.B) {
+// snapshotFixture is a Pokec-2 000 serving state with eight rules.
+func snapshotFixture() *Data {
 	syms := graph.NewSymbols()
 	g := gen.Pokec(syms, gen.DefaultPokec(2000, 1))
 	pred := gen.PokecPredicates(syms)[0]
 	rules := gen.Rules(g, pred, gen.RuleGenParams{Count: 8, VP: 3, EP: 3, Seed: 1})
 	g.Freeze()
-	enc := Encode(&Data{Generation: 1, Graph: g, Pred: pred, Rules: rules})
+	return &Data{Generation: 1, Graph: g, Pred: pred, Rules: rules}
+}
+
+// BenchmarkSnapshotLoad measures the restart-critical path: decoding a
+// Pokec-scale snapshot file back into a frozen graph + rules.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	enc := Encode(snapshotFixture())
 	b.SetBytes(int64(len(enc)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -370,6 +312,17 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		if _, err := Decode(enc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSnapshotWrite measures encoding the same state, the part of a
+// checkpoint before its fsync.
+func BenchmarkSnapshotWrite(b *testing.B) {
+	d := snapshotFixture()
+	b.SetBytes(int64(len(Encode(d))))
+	b.ReportAllocs()
+	for b.Loop() {
+		Encode(d)
 	}
 }
 
