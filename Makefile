@@ -40,7 +40,8 @@ race:
 # format, WAL replay), mining's extension discovery against its per-edge
 # reference, the canonical pattern code against pairwise isomorphism, and
 # a matcher restricted to the identify filter's sets against a plain one,
-# and the frozen-graph byte decoder against an edge-by-edge build.
+# the frozen-graph byte decoder against an edge-by-edge build, and the
+# identify answer's encoder against encoding/json.
 # Go allows one target per -fuzz invocation, so each runs separately; seed
 # corpora also run on every plain `make test`.
 fuzz-smoke:
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDiscoverExtensions' -fuzztime 20s ./internal/mine/
 	$(GO) test -run '^$$' -fuzz 'FuzzPatternCode' -fuzztime 20s ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz 'FuzzFilter' -fuzztime 20s ./internal/match/
+	$(GO) test -run '^$$' -fuzz 'FuzzIdentifyEncoding' -fuzztime 20s ./internal/serve/
 
 # Run the hot-path benchmarks with -benchmem and record them, stamped with
 # the machine fingerprint and commit, in BENCH_match.json (matcher, serving,
@@ -181,7 +183,7 @@ inline-check:
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count. The test Go count beside it is
 # informational: it has no budget.
-LOC_BUDGET := 16199
+LOC_BUDGET := 16283
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \

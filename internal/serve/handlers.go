@@ -26,16 +26,7 @@ type jsonFloat float64
 
 // MarshalJSON implements json.Marshaler.
 func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	}
-	return json.Marshal(v)
+	return appendFloat(nil, float64(f)), nil
 }
 
 // IdentifyRequest is the body of POST /v1/identify. Rules selects by key
@@ -305,7 +296,7 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	resp := IdentifyResponse{Generation: snap.Gen, Eta: eta}
+	resp := IdentifyResponse{Generation: snap.Gen, Eta: eta, Rules: make([]IdentifyRule, 0, len(selected))}
 	// Evaluate the selected rules concurrently; the shared Pool still
 	// bounds total matching work, this just overlaps the per-rule chains.
 	type outcome struct {
@@ -371,7 +362,100 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 	resp.Identified = unionSorted(applied)
 	resp.Count = len(resp.Identified)
 	resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, resp)
+	bp := answerBufs.Get().(*[]byte)
+	*bp = appendIdentify((*bp)[:0], &resp)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(*bp)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*bp) // fails only when the client is gone: no one to tell
+	answerBufs.Put(bp)
+}
+
+// answerBufs holds the buffers identify answers are encoded in; a Write
+// does not keep its argument, so a buffer returns once its answer is out.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendIdentify appends resp as json.NewEncoder(w).Encode(resp) writes
+// it, byte for byte: compact, fields in declaration order, coalesced and
+// nodes omitted when false or empty, a nil slice as null, and a closing
+// newline. Unlike encoding/json, it writes a non-finite eta or elapsedMs as
+// appendFloat does, but neither ever is one: η comes from a JSON number and
+// elapsedMs from a clock.
+func appendIdentify(b []byte, resp *IdentifyResponse) []byte {
+	b = strconv.AppendUint(append(b, `{"generation":`...), resp.Generation, 10)
+	b = appendFloat(append(b, `,"eta":`...), resp.Eta)
+	b = appendIDs(append(b, `,"identified":`...), resp.Identified)
+	b = strconv.AppendInt(append(b, `,"count":`...), int64(resp.Count), 10)
+	if b = append(b, `,"rules":`...); resp.Rules == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range resp.Rules {
+			r := &resp.Rules[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(append(b, `{"index":`...), int64(r.Index), 10)
+			// A key is core.Rule.Key, 24 hex digits: nothing to escape.
+			b = append(append(append(b, `,"key":"`...), r.Key...), '"')
+			b = appendFloat(append(b, `,"conf":`...), float64(r.Conf))
+			b = strconv.AppendInt(append(b, `,"suppR":`...), int64(r.SuppR), 10)
+			b = strconv.AppendInt(append(b, `,"suppQ":`...), int64(r.SuppQ), 10)
+			b = strconv.AppendInt(append(b, `,"matches":`...), int64(r.Matches), 10)
+			b = strconv.AppendBool(append(b, `,"applied":`...), r.Applied)
+			b = strconv.AppendBool(append(b, `,"cached":`...), r.Cached)
+			if r.Coalesced {
+				b = append(b, `,"coalesced":true`...)
+			}
+			if len(r.Nodes) > 0 {
+				b = appendIDs(append(b, `,"nodes":`...), r.Nodes)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = appendFloat(append(b, `,"elapsedMs":`...), resp.ElapsedMs)
+	return append(b, "}\n"...)
+}
+
+// appendIDs appends ids as a JSON array, or null when ids is nil.
+func appendIDs(b []byte, ids []graph.NodeID) []byte {
+	if ids == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, v := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
+}
+
+// appendFloat appends f as encoding/json writes a float64 — the shortest
+// decimal that reads back as f, in exponent form below 1e-6 or from 1e21
+// up, with e-07 written e-7 — and NaN, +Inf and -Inf, which encoding/json
+// refuses, as the strings "NaN", "+Inf" and "-Inf".
+func appendFloat(b []byte, f float64) []byte {
+	switch {
+	case math.IsNaN(f):
+		return append(b, `"NaN"`...)
+	case math.IsInf(f, 1):
+		return append(b, `"+Inf"`...)
+	case math.IsInf(f, -1):
+		return append(b, `"-Inf"`...)
+	}
+	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		return strconv.AppendFloat(b, f, 'f', -1, 64)
+	}
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // shedResponse maps an admission failure to its HTTP verdict: queue-full

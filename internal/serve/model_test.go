@@ -208,7 +208,7 @@ func sigmaOf(res *mine.Result) string {
 // The op alphabet. Argument bytes follow the opcode; reads past the end
 // of the input yield zero.
 const (
-	opIdentify   = iota // eta and key-subset byte
+	opIdentify   = iota // eta and key-subset byte; its bit 7 leaves out the match sets
 	opDelta             // randBatch seed byte
 	opRawDelta          // length byte, then that many body bytes
 	opPutRules          // pool-subset byte
@@ -328,12 +328,12 @@ func newModel(t *testing.T, in []byte) *model {
 	return md
 }
 
-// identify checks POST /v1/identify, every match included, against
-// core.Eval per selected rule: mask picks served rules by key (none picked
-// means the whole Σ), eta 0 means the server default of 1.
-func (md *model) identify(mask byte, eta float64) {
+// identify checks POST /v1/identify against core.Eval per selected rule:
+// mask picks served rules by key (none picked means the whole Σ), eta 0
+// means the server default of 1, and nodes asks for every rule's matches.
+func (md *model) identify(mask byte, eta float64, nodes bool) {
 	md.t.Helper()
-	req := IdentifyRequest{Eta: eta, IncludeMatches: true}
+	req := IdentifyRequest{Eta: eta, IncludeMatches: nodes}
 	var sel, all []int
 	for i, r := range md.rules {
 		if all = append(all, i); mask>>i&1 != 0 {
@@ -359,10 +359,14 @@ func (md *model) identify(mask byte, eta float64) {
 	for _, i := range sel {
 		res := md.cur().eval(md.rules[i])
 		conf := res.Stats.Conf()
+		matches := slices.Sorted(slices.Values(res.QSet))
 		ir := IdentifyRule{Index: i, Key: md.rules[i].Key(), Conf: jsonFloat(conf), SuppR: res.Stats.SuppR,
-			SuppQ: res.Stats.SuppQ, Matches: len(res.QSet), Applied: conf >= want.Eta, Nodes: slices.Sorted(slices.Values(res.QSet))}
+			SuppQ: res.Stats.SuppQ, Matches: len(res.QSet), Applied: conf >= want.Eta}
+		if nodes {
+			ir.Nodes = matches
+		}
 		if ir.Applied {
-			ids = append(ids, ir.Nodes...)
+			ids = append(ids, matches...)
 		}
 		want.Rules = append(want.Rules, ir)
 	}
@@ -385,7 +389,7 @@ func (md *model) check() {
 	if !slices.Equal(got, want) {
 		md.t.Fatalf("stats (generation, nodes, edges, rules, checkpoint, overlay ops) %v, model %v", got, want)
 	}
-	md.identify(0, 0)
+	md.identify(0, 0, true)
 }
 
 // delta posts a batch. An accepted batch that brings the overlay to the
@@ -624,6 +628,8 @@ func FuzzServeModel(f *testing.F) {
 		// The hanging rule served, cached and then reached by the relabel of
 		// the one Disco node, far as that is from most users.
 		prog(0x00, opPutRules, 0b10001, opRawDelta, noDisco, opRawDelta, disco, opIdentify, 2),
+		// Answers without match sets: one rule, then Σ at each η, across a delta.
+		prog(0x00, opIdentify, 0x83, opIdentify, 0x80, opDelta, 36, opIdentify, 0x81, opIdentify, 0x82),
 	} {
 		f.Add(in)
 	}
@@ -642,7 +648,8 @@ func runModel(t *testing.T, in []byte) {
 		switch md.next() % numOps {
 		case opIdentify:
 			b := md.next()
-			md.identify(b/3, []float64{0, 0.5, 2}[b%3])
+			a := b & 0x7f
+			md.identify(a/3, []float64{0, 0.5, 2}[a%3], b < 0x80)
 		case opDelta:
 			batch := md.cur().clone().randBatch(rand.New(rand.NewSource(int64(md.next()))), md.nodeNames, md.edgeNames)
 			body, _ := json.Marshal(DeltaRequest{Ops: batch})
