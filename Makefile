@@ -35,8 +35,8 @@ race:
 # checked against core.Eval), the delta repair of cached evaluations
 # against a fresh one, delta op application in graph, the graph file
 # reader gpard -graph boots from, the rule reader PUT /v1/rules and -rules
-# parse, the fragment decoder and the wire payload
-# decoders a fleet worker runs, the durability decoders (snapshot file
+# parse, the fragment decoder and the JSON wire-frame decoder
+# a fleet worker runs, the durability decoders (snapshot file
 # format, WAL replay), mining's extension discovery against its per-edge
 # reference, the canonical pattern code against pairwise isomorphism, and
 # a matcher restricted to the identify filter's sets against a plain one,
@@ -183,7 +183,7 @@ inline-check:
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count. The test Go count beside it is
 # informational: it has no budget.
-LOC_BUDGET := 16283
+LOC_BUDGET := 16035
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \

@@ -2,8 +2,8 @@
 // of "Association Rules with Graph Patterns" (PVLDB 2015): the Jaccard
 // difference diff(R1,R2) over match sets, the bi-criteria objective F(Lk),
 // the pairwise objective F'(R,R'), the greedy max-sum dispersion selection
-// with approximation ratio 2, an exact brute-force oracle for tests, and the
-// incremental top-k pair queue of procedure incDiv.
+// with approximation ratio 2, and the incremental top-k pair queue of
+// procedure incDiv.
 package diversify
 
 import (
@@ -168,40 +168,4 @@ func contribution(entries []Entry, picked []int, i int, p Params) float64 {
 		}
 	}
 	return c
-}
-
-// BruteForce returns the exact F-maximizing subset of size ≤ k. It is
-// exponential and intended as a test oracle on small inputs.
-func BruteForce(entries []Entry, p Params) []Entry {
-	n := len(entries)
-	if p.K <= 0 || n == 0 {
-		return nil
-	}
-	k := p.K
-	if k > n {
-		k = n
-	}
-	var best []Entry
-	bestF := math.Inf(-1)
-	idx := make([]int, k)
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if depth == k {
-			sel := make([]Entry, k)
-			for i, ix := range idx {
-				sel[i] = entries[ix]
-			}
-			if f := F(sel, p); f > bestF {
-				bestF = f
-				best = sel
-			}
-			return
-		}
-		for i := start; i < n; i++ {
-			idx[depth] = i
-			rec(i+1, depth+1)
-		}
-	}
-	rec(0, 0)
-	return best
 }

@@ -3,6 +3,7 @@ package diversify
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -128,12 +129,53 @@ func TestGreedyApproximation(t *testing.T) {
 		}
 		p := Params{K: 4, Lambda: 0.5, N: 2}
 		g := F(Greedy(es, p), p)
-		opt := F(BruteForce(es, p), p)
+		opt := F(bestSubset(es, p), p)
 		return g >= opt/2-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// bestSubset is the exact F-maximizing choice of min(k, |es|) entries, by
+// brute force over a precomputed diff matrix: a subset's F grows with it,
+// one matrix row per added entry.
+func bestSubset(es []Entry, p Params) []Entry {
+	n, k := len(es), min(p.K, len(es))
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, i)
+		for j := range d[i] {
+			d[i][j] = diff(&es[i], &es[j])
+		}
+	}
+	confW, divW := p.norm()
+	var idx, best []int
+	bestF := math.Inf(-1)
+	var grow func(start int, f float64)
+	grow = func(start int, f float64) {
+		if len(idx) == k {
+			if f > bestF {
+				bestF, best = f, slices.Clone(idx)
+			}
+			return
+		}
+		for i := start; i < n; i++ {
+			g := f + confW*es[i].Conf
+			for _, j := range idx {
+				g += divW * d[i][j]
+			}
+			idx = append(idx, i)
+			grow(i+1, g)
+			idx = idx[:len(idx)-1]
+		}
+	}
+	grow(0, 0)
+	out := make([]Entry, len(best))
+	for i, ix := range best {
+		out[i] = es[ix]
+	}
+	return out
 }
 
 func TestQueueFillAndReplace(t *testing.T) {

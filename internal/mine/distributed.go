@@ -177,7 +177,10 @@ func (e *remoteEngine) attach(m *miner) ([]int, []int, error) {
 	e.shards = make([]asmScratch, len(e.conns))
 	e.workOps = make([]int64, len(e.conns))
 	e.workCapped = make([]int64, len(e.conns))
-	syms := m.ctx.g.Symbols().Names()
+	var syms [][]byte
+	for _, name := range m.ctx.g.Symbols().Names() {
+		syms = append(syms, []byte(name))
+	}
 	npq := make([]int, len(e.conns))
 	npqbar := make([]int, len(e.conns))
 	err := e.fanOutCtx(m.opts.Ctx, func(i int, c WorkerConn) error {
@@ -305,13 +308,16 @@ type WorkerRuntime struct {
 
 // NewWorkerRuntime builds the job state from a setup frame, decoding the
 // fragment it carries against its symbol table, and returns the ack the
-// coordinator is waiting for (the round-0 classification counts). A
-// fragment that fails to decode, or is followed by trailing bytes, is an
-// error and starts no job.
+// coordinator is waiting for (the round-0 classification counts). A symbol
+// table that repeats a name — every later label would shift against the
+// coordinator's — is a *wire.FrameError; a fragment that fails to decode,
+// or is followed by trailing bytes, is an error too, and none starts a job.
 func NewWorkerRuntime(s *wire.JobSetup) (*WorkerRuntime, *wire.SetupAck, error) {
 	syms := graph.NewSymbols()
-	for _, name := range s.Symbols {
-		syms.Intern(name)
+	for i, name := range s.Symbols {
+		if syms.Intern(string(name)) != graph.Label(i+1) {
+			return nil, nil, &wire.FrameError{Msg: fmt.Sprintf("job setup: duplicate name %q in the symbol table", name)}
+		}
 	}
 	frag, rest, err := partition.DecodeFragment(s.Fragment, syms)
 	if err != nil {

@@ -1,6 +1,7 @@
 package mine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -18,8 +19,17 @@ type loopbackConn struct {
 	rt *WorkerRuntime
 }
 
+// viaWire is v after a trip through its frame payload.
+func viaWire[T any, P wire.Payload[T]](v *T) (*T, error) {
+	var frame bytes.Buffer
+	if err := wire.Send(&frame, 0, v); err != nil {
+		return nil, err
+	}
+	return wire.Decode[T, P](frame.Bytes()[5:])
+}
+
 func (c *loopbackConn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
-	dec, err := wire.DecodeJobSetup(s.Append(nil))
+	dec, err := viaWire(s)
 	if err != nil {
 		return nil, err
 	}
@@ -28,11 +38,11 @@ func (c *loopbackConn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
 		return nil, err
 	}
 	c.rt = rt
-	return wire.DecodeSetupAck(ack.Append(nil))
+	return viaWire(ack)
 }
 
 func (c *loopbackConn) Mine(rd *wire.Round) (*wire.Messages, error) {
-	dec, err := wire.DecodeRound(rd.Append(nil))
+	dec, err := viaWire(rd)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +52,7 @@ func (c *loopbackConn) Mine(rd *wire.Round) (*wire.Messages, error) {
 	}
 	// Encoding before returning is the contract: the reply aliases
 	// runtime-owned storage the next Round overwrites.
-	return wire.DecodeMessages(ms.Append(nil))
+	return viaWire(ms)
 }
 
 func (c *loopbackConn) Finish() error {

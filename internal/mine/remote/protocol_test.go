@@ -9,6 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"gpar/internal/gen"
+	"gpar/internal/graph"
+	"gpar/internal/mine"
 	"gpar/internal/mine/wire"
 )
 
@@ -116,6 +119,56 @@ func TestServeVersionMismatch(t *testing.T) {
 	}
 }
 
+// workerConn is a raw coordinator connection to a fresh one-worker fleet,
+// past the handshake.
+func workerConn(t *testing.T) (net.Conn, *Service) {
+	t.Helper()
+	addrs, svs := chaosFleet(t, 1, ServerOptions{}, noFaults)
+	c, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.Handshake(c, true); err != nil {
+		t.Fatal(err)
+	}
+	return c, svs[0]
+}
+
+// names is a symbol table as a setup frame carries it.
+func names(g *graph.Graph) [][]byte {
+	var out [][]byte
+	for _, name := range g.Symbols().Names() {
+		out = append(out, []byte(name))
+	}
+	return out
+}
+
+// expectRefused reads the worker's answer to a frame it must refuse: an
+// Error frame that mentions want, then a closed connection. A worker that
+// panicked instead would take the test binary down with it.
+func expectRefused(t *testing.T, c net.Conn, want string) {
+	t.Helper()
+	typ, payload, _, err := wire.ReadFrame(c, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != wire.TypeError {
+		t.Fatalf("reply frame type %d, want an Error frame", typ)
+	}
+	ef, err := wire.Decode[wire.ErrorFrame](payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ef.Msg, want) {
+		t.Fatalf("error frame says %q, want it to mention %q", ef.Msg, want)
+	}
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("after the error frame: %v, want the connection closed", err)
+	}
+}
+
 // TestSetupBadFragmentRefused: the worker decodes the fragment a setup frame
 // carries. A body that does not decode, or one followed by trailing bytes,
 // is answered with an Error frame, closes the connection and starts no job.
@@ -132,41 +185,101 @@ func TestSetupBadFragmentRefused(t *testing.T) {
 		{"trailing bytes", append(append([]byte(nil), frag...), 0), "1 trailing bytes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			addrs, svs := chaosFleet(t, 1, ServerOptions{}, noFaults)
-			c, err := net.Dial("tcp", addrs[0])
-			if err != nil {
+			c, sv := workerConn(t)
+			if err := wire.Send(c, wire.TypeJobSetup, &wire.JobSetup{Symbols: names(g), Fragment: tc.fragment}); err != nil {
 				t.Fatal(err)
 			}
-			defer c.Close()
-			c.SetDeadline(time.Now().Add(5 * time.Second))
-			if err := wire.Handshake(c, true); err != nil {
-				t.Fatal(err)
-			}
-			setup := wire.JobSetup{Symbols: g.Symbols().Names(), Fragment: tc.fragment}
-			if err := wire.WriteFrame(c, wire.TypeJobSetup, setup.Append(nil)); err != nil {
-				t.Fatal(err)
-			}
-			typ, payload, _, err := wire.ReadFrame(c, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if typ != wire.TypeError {
-				t.Fatalf("reply frame type %d, want an Error frame", typ)
-			}
-			ef, err := wire.DecodeError(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(ef.Msg, tc.want) {
-				t.Fatalf("error frame says %q, want it to mention %q", ef.Msg, tc.want)
-			}
-			if _, err := c.Read(make([]byte, 1)); err != io.EOF {
-				t.Fatalf("after the error frame: %v, want the connection closed", err)
-			}
-			if jobs := svs[0].Stats().Jobs; jobs != 0 {
+			expectRefused(t, c, tc.want)
+			if jobs := sv.Stats().Jobs; jobs != 0 {
 				t.Fatalf("worker started %d jobs", jobs)
 			}
 		})
+	}
+}
+
+// TestSetupDuplicateSymbolRefused: a symbol table that repeats a name would
+// shift every later label against the coordinator's, so the worker refuses
+// it as a *wire.FrameError — here with the repeat at the end, where the
+// fragment still decodes and only the check stands between the setup and a
+// job.
+func TestSetupDuplicateSymbolRefused(t *testing.T) {
+	mctx, pred, o := chaosJob(150, 3, 1)
+	g, _ := pokecFixture(150, 3)
+	syms := names(g)
+	setup := &wire.JobSetup{
+		D: o.D, EmbedCap: o.EmbedCap,
+		XLabel: pred.XLabel, EdgeLabel: pred.EdgeLabel, YLabel: pred.YLabel,
+		Symbols: append(syms, syms[0]), Fragment: mctx.WireFragment(0),
+	}
+	var fe *wire.FrameError
+	if _, _, err := mine.NewWorkerRuntime(setup); !errors.As(err, &fe) {
+		t.Fatalf("NewWorkerRuntime: error %T (%v), want a *wire.FrameError", err, err)
+	}
+	c, sv := workerConn(t)
+	if err := wire.Send(c, wire.TypeJobSetup, setup); err != nil {
+		t.Fatal(err)
+	}
+	expectRefused(t, c, "duplicate name")
+	if jobs := sv.Stats().Jobs; jobs != 0 {
+		t.Fatalf("worker started %d jobs", jobs)
+	}
+}
+
+// TestHostileRoundRefused: a worker with a job running answers a Round
+// frame it cannot use with an Error frame and closes the connection — a
+// typed error, never a panic. The negative centre would otherwise index the
+// worker's centre table.
+func TestHostileRoundRefused(t *testing.T) {
+	mctx, pred, o := chaosJob(150, 3, 1)
+	g, _ := pokecFixture(150, 3)
+	for _, tc := range []struct{ name, payload, want string }{
+		{"negative centre", `{"Round":1,"Frontier":[{"ID":0},{"ID":1,"Parent":0,"QCenters":[3,-1]}]}`, "node ID -1 is negative"},
+		{"unknown field", `{"Round":1,"Frontier":[],"Rounds":2}`, `unknown field "Rounds"`},
+		{"trailing data", `{"Round":1,"Frontier":[]} {}`, "data after the JSON value"},
+		{"wrong type", `{"Round":"1","Frontier":[]}`, "cannot unmarshal string"},
+		{"inapplicable extension", `{"Round":1,"Frontier":[{"ID":0},{"ID":1,"Parent":0,"Ext":{"Src":5,"Close":-1}}]}`, "extension inapplicable"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := workerConn(t)
+			setup := &wire.JobSetup{
+				D: o.D, EmbedCap: o.EmbedCap,
+				XLabel: pred.XLabel, EdgeLabel: pred.EdgeLabel, YLabel: pred.YLabel,
+				Symbols: names(g), Fragment: mctx.WireFragment(0),
+			}
+			if err := wire.Send(c, wire.TypeJobSetup, setup); err != nil {
+				t.Fatal(err)
+			}
+			if typ, _, _, err := wire.ReadFrame(c, nil, 0); err != nil || typ != wire.TypeSetupAck {
+				t.Fatalf("setup answered with frame type %d, %v", typ, err)
+			}
+			if err := wire.WriteFrame(c, wire.TypeRound, []byte(tc.payload)); err != nil {
+				t.Fatal(err)
+			}
+			expectRefused(t, c, tc.want)
+		})
+	}
+}
+
+// TestInvalidUTF8LabelsCrossWire: label names travel byte for byte. The
+// first two names differ only in bytes that are not UTF-8, which a JSON
+// string would turn into the same U+FFFD; the worker would then intern one
+// label where the coordinator has two. Over TCP the run still equals
+// DMineCtx.
+func TestInvalidUTF8LabelsCrossWire(t *testing.T) {
+	syms := graph.NewSymbols()
+	syms.Intern("tag\xff")
+	syms.Intern("tag\xfe")
+	g := gen.Pokec(syms, gen.DefaultPokec(150, 3))
+	pred := gen.PokecPredicates(syms)[0]
+	o := mine.Options{K: 4, Sigma: 2, D: 2, Lambda: 0.5, N: 2, MaxEdges: 2, EmbedCap: 1 << 20}.Defaults()
+	ctx := mine.NewContext(g, pred.XLabel, o)
+	want := fingerprint(mustMine(mine.DMineCtx(ctx, pred, o)))
+	res, err := dialAndMine(ctx, pred, o, startWorkers(t, o.N, ServerOptions{}), DialOptions{StepTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(res); got != want {
+		t.Fatalf("distributed run differs from DMineCtx:\n got %s\nwant %s", got, want)
 	}
 }
 

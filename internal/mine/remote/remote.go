@@ -70,7 +70,6 @@ type Conn struct {
 	c    net.Conn
 	opts DialOptions
 	buf  []byte // frame read buffer, reused
-	enc  []byte // payload encode buffer, reused
 	err  error  // sticky failure; written only by the driving goroutine
 
 	// cancelMu guards the cancellation handshake between the driving
@@ -136,15 +135,15 @@ func (c *Conn) endExchange() {
 	c.cancelMu.Unlock()
 }
 
-// send writes one frame under a fresh step deadline.
-func (c *Conn) send(typ byte, payload []byte) error {
+// send writes one frame carrying v under a fresh step deadline.
+func (c *Conn) send(typ byte, v any) error {
 	if c.err != nil {
 		return c.err
 	}
 	if err := c.armDeadline(); err != nil {
 		return c.fail(err)
 	}
-	if err := wire.WriteFrame(c.c, typ, payload); err != nil {
+	if err := wire.Send(c.c, typ, v); err != nil {
 		return c.fail(err)
 	}
 	return nil
@@ -167,7 +166,7 @@ func (c *Conn) recv() (byte, []byte, error) {
 		return 0, nil, c.fail(err)
 	}
 	if typ == wire.TypeError {
-		ef, derr := wire.DecodeError(reply)
+		ef, derr := wire.Decode[wire.ErrorFrame](reply)
 		if derr != nil {
 			return 0, nil, c.fail(derr)
 		}
@@ -178,8 +177,8 @@ func (c *Conn) recv() (byte, []byte, error) {
 
 // roundTrip sends one frame and reads the reply, which must have the given
 // type.
-func (c *Conn) roundTrip(reqType byte, payload []byte, wantType byte) ([]byte, error) {
-	if err := c.send(reqType, payload); err != nil {
+func (c *Conn) roundTrip(reqType byte, req any, wantType byte) ([]byte, error) {
+	if err := c.send(reqType, req); err != nil {
 		return nil, err
 	}
 	typ, reply, err := c.recv()
@@ -195,12 +194,11 @@ func (c *Conn) roundTrip(reqType byte, payload []byte, wantType byte) ([]byte, e
 // Setup implements mine.WorkerConn: the setup frame carries the worker's
 // fragment, and the worker answers with its round-0 counts.
 func (c *Conn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
-	c.enc = s.Append(c.enc[:0])
-	reply, err := c.roundTrip(wire.TypeJobSetup, c.enc, wire.TypeSetupAck)
+	reply, err := c.roundTrip(wire.TypeJobSetup, s, wire.TypeSetupAck)
 	if err != nil {
 		return nil, err
 	}
-	ack, err := wire.DecodeSetupAck(reply)
+	ack, err := wire.Decode[wire.SetupAck](reply)
 	if err != nil {
 		return nil, c.fail(err)
 	}
@@ -209,15 +207,13 @@ func (c *Conn) Setup(s *wire.JobSetup) (*wire.SetupAck, error) {
 
 // Mine implements mine.WorkerConn.
 func (c *Conn) Mine(rd *wire.Round) (*wire.Messages, error) {
-	c.enc = rd.Append(c.enc[:0])
-	reply, err := c.roundTrip(wire.TypeRound, c.enc, wire.TypeMessages)
+	reply, err := c.roundTrip(wire.TypeRound, rd, wire.TypeMessages)
 	if err != nil {
 		return nil, err
 	}
-	ms, err := wire.DecodeMessages(reply)
+	ms, err := wire.Decode[wire.Messages](reply)
 	if err != nil {
-		c.err = err
-		return nil, err
+		return nil, c.fail(err)
 	}
 	return ms, nil
 }

@@ -105,11 +105,10 @@ func (sv *Service) serveConn(conn net.Conn) {
 	}
 
 	fail := func(err error) {
-		ef := wire.ErrorFrame{Msg: err.Error()}
-		_ = wire.WriteFrame(conn, wire.TypeError, ef.Append(nil))
+		_ = wire.Send(conn, wire.TypeError, &wire.ErrorFrame{Msg: err.Error()})
 	}
 
-	var buf, enc []byte
+	var buf []byte
 	for {
 		typ, payload, newBuf, err := wire.ReadFrame(conn, buf, wire.DefaultMaxFrame)
 		if err != nil {
@@ -122,7 +121,7 @@ func (sv *Service) serveConn(conn net.Conn) {
 				fail(protocolErr("job setup while a job is active"))
 				return
 			}
-			setup, err := wire.DecodeJobSetup(payload)
+			setup, err := wire.Decode[wire.JobSetup](payload)
 			if err != nil {
 				fail(err)
 				return
@@ -134,8 +133,7 @@ func (sv *Service) serveConn(conn net.Conn) {
 			}
 			rt = newRT
 			sv.jobs.Add(1)
-			enc = ack.Append(enc[:0])
-			if wire.WriteFrame(conn, wire.TypeSetupAck, enc) != nil {
+			if wire.Send(conn, wire.TypeSetupAck, ack) != nil {
 				return
 			}
 		case wire.TypeRound:
@@ -143,7 +141,7 @@ func (sv *Service) serveConn(conn net.Conn) {
 				fail(protocolErr("round frame outside a job"))
 				return
 			}
-			rd, err := wire.DecodeRound(payload)
+			rd, err := wire.Decode[wire.Round](payload)
 			if err != nil {
 				fail(err)
 				return
@@ -155,8 +153,7 @@ func (sv *Service) serveConn(conn net.Conn) {
 			}
 			// Encode before the next frame read: the reply aliases
 			// runtime-owned storage the next Round overwrites.
-			enc = ms.Append(enc[:0])
-			if wire.WriteFrame(conn, wire.TypeMessages, enc) != nil {
+			if wire.Send(conn, wire.TypeMessages, ms) != nil {
 				return
 			}
 		case wire.TypeFinish:
@@ -164,7 +161,7 @@ func (sv *Service) serveConn(conn net.Conn) {
 				rt.Close()
 				rt = nil
 			}
-			if wire.WriteFrame(conn, wire.TypeFinish, nil) != nil {
+			if wire.Send(conn, wire.TypeFinish, nil) != nil {
 				return
 			}
 		case wire.TypeCancel:

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
-
 	"gpar/internal/graph"
 	"gpar/internal/pattern"
 )
@@ -19,49 +17,20 @@ type JobSetup struct {
 
 	XLabel, EdgeLabel, YLabel graph.Label
 
-	Symbols []string
+	// Symbols are the label names as bytes: a JSON string would turn a
+	// name's invalid UTF-8 into U+FFFD, and the worker would intern
+	// another name than the coordinator's.
+	Symbols [][]byte
 	// Fragment is the partition.Fragment.AppendBinary encoding, decoded by
 	// the worker once per job.
 	Fragment []byte
 }
 
-// Append encodes the setup into dst.
-func (s *JobSetup) Append(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, s.JobID)
-	dst = binary.AppendUvarint(dst, uint64(s.Worker))
-	dst = binary.AppendUvarint(dst, uint64(s.D))
-	dst = binary.AppendUvarint(dst, uint64(s.EmbedCap))
-	dst = binary.AppendVarint(dst, int64(s.XLabel))
-	dst = binary.AppendVarint(dst, int64(s.EdgeLabel))
-	dst = binary.AppendVarint(dst, int64(s.YLabel))
-	dst = binary.AppendUvarint(dst, uint64(len(s.Symbols)))
-	for _, name := range s.Symbols {
-		dst = appendString(dst, name)
+func (s *JobSetup) check() error {
+	if s.Worker < 0 || s.D < 0 || s.EmbedCap < 0 {
+		return errorf("job setup: negative worker %d, d %d or embedCap %d", s.Worker, s.D, s.EmbedCap)
 	}
-	return appendBytesField(dst, s.Fragment)
-}
-
-// DecodeJobSetup decodes a TypeJobSetup payload.
-func DecodeJobSetup(p []byte) (*JobSetup, error) {
-	r := reader{buf: p}
-	s := &JobSetup{
-		JobID:     r.uvarint("jobID"),
-		Worker:    r.intf("worker index"),
-		D:         r.intf("d"),
-		EmbedCap:  r.intf("embedCap"),
-		XLabel:    graph.Label(r.varint("xLabel")),
-		EdgeLabel: graph.Label(r.varint("edgeLabel")),
-		YLabel:    graph.Label(r.varint("yLabel")),
-	}
-	nsym := r.intf("symbol count")
-	for i := 0; i < nsym && r.err == nil; i++ {
-		s.Symbols = append(s.Symbols, r.string("symbol"))
-	}
-	s.Fragment = r.bytesCopy("fragment")
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return nil
 }
 
 // SetupAck is the worker → coordinator reply to JobSetup: the round-0
@@ -72,26 +41,11 @@ type SetupAck struct {
 	NPq, NPqbar int
 }
 
-// Append encodes the ack into dst.
-func (a *SetupAck) Append(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, a.JobID)
-	dst = binary.AppendUvarint(dst, uint64(a.NPq))
-	dst = binary.AppendUvarint(dst, uint64(a.NPqbar))
-	return dst
-}
-
-// DecodeSetupAck decodes a TypeSetupAck payload.
-func DecodeSetupAck(p []byte) (*SetupAck, error) {
-	r := reader{buf: p}
-	a := &SetupAck{
-		JobID:  r.uvarint("jobID"),
-		NPq:    r.intf("npq"),
-		NPqbar: r.intf("npqbar"),
+func (a *SetupAck) check() error {
+	if a.NPq < 0 || a.NPqbar < 0 {
+		return errorf("setup ack: negative count %d or %d", a.NPq, a.NPqbar)
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return nil
 }
 
 // FrontierEntry ships one frontier rule structurally: its run-wide id, the
@@ -116,38 +70,16 @@ type Round struct {
 	Frontier []FrontierEntry
 }
 
-// Append encodes the round into dst.
-func (rd *Round) Append(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(rd.Round))
-	dst = binary.AppendUvarint(dst, uint64(len(rd.Frontier)))
+func (rd *Round) check() error {
+	if rd.Round < 0 {
+		return errorf("round %d is negative", rd.Round)
+	}
 	for i := range rd.Frontier {
-		fe := &rd.Frontier[i]
-		dst = binary.AppendUvarint(dst, uint64(fe.ID))
-		dst = binary.AppendUvarint(dst, uint64(fe.Parent))
-		dst = appendExtension(dst, fe.Ext)
-		dst = appendLane(dst, fe.QCenters)
-	}
-	return dst
-}
-
-// DecodeRound decodes a TypeRound payload.
-func DecodeRound(p []byte) (*Round, error) {
-	r := reader{buf: p}
-	rd := &Round{Round: r.intf("round")}
-	n := r.intf("frontier size")
-	for i := 0; i < n && r.err == nil; i++ {
-		fe := FrontierEntry{
-			ID:     uint32(r.intf("rule id")),
-			Parent: uint32(r.intf("parent id")),
-			Ext:    readExtension(&r),
+		if err := checkLanes(rd.Frontier[i].QCenters); err != nil {
+			return err
 		}
-		fe.QCenters = readLane(&r, "qCenters")
-		rd.Frontier = append(rd.Frontier, fe)
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return rd, nil
+	return nil
 }
 
 // Msg is one candidate message of Fig. 4 as it crosses the wire: the
@@ -173,46 +105,17 @@ type Messages struct {
 	Msgs   []Msg
 }
 
-// Append encodes the messages into dst.
-func (ms *Messages) Append(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(ms.Round))
-	dst = binary.AppendVarint(dst, ms.Ops)
-	dst = binary.AppendVarint(dst, ms.Capped)
-	dst = binary.AppendUvarint(dst, uint64(len(ms.Msgs)))
+func (ms *Messages) check() error {
+	if ms.Round < 0 || ms.Ops < 0 || ms.Capped < 0 {
+		return errorf("messages: negative round %d, ops %d or capped %d", ms.Round, ms.Ops, ms.Capped)
+	}
 	for i := range ms.Msgs {
 		m := &ms.Msgs[i]
-		dst = binary.AppendUvarint(dst, uint64(m.Parent))
-		dst = appendExtension(dst, m.Ext)
-		dst = appendLane(dst, m.QCenters)
-		dst = appendLane(dst, m.RSet)
-		dst = appendLane(dst, m.QqbCenters)
-	}
-	return dst
-}
-
-// DecodeMessages decodes a TypeMessages payload.
-func DecodeMessages(p []byte) (*Messages, error) {
-	r := reader{buf: p}
-	ms := &Messages{
-		Round:  r.intf("round"),
-		Ops:    r.varint("ops"),
-		Capped: r.varint("capped"),
-	}
-	n := r.intf("message count")
-	for i := 0; i < n && r.err == nil; i++ {
-		m := Msg{
-			Parent: uint32(r.intf("parent id")),
-			Ext:    readExtension(&r),
+		if err := checkLanes(m.QCenters, m.RSet, m.QqbCenters); err != nil {
+			return err
 		}
-		m.QCenters = readLane(&r, "qCenters")
-		m.RSet = readLane(&r, "rSet")
-		m.QqbCenters = readLane(&r, "qqbCenters")
-		ms.Msgs = append(ms.Msgs, m)
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return ms, nil
+	return nil
 }
 
 // ErrorFrame is a typed failure in either direction; the job it belongs to
@@ -221,84 +124,17 @@ type ErrorFrame struct {
 	Msg string
 }
 
-// Append encodes the error into dst.
-func (e *ErrorFrame) Append(dst []byte) []byte {
-	return appendString(dst, e.Msg)
-}
+func (e *ErrorFrame) check() error { return nil }
 
-// DecodeError decodes a TypeError payload.
-func DecodeError(p []byte) (*ErrorFrame, error) {
-	r := reader{buf: p}
-	e := &ErrorFrame{Msg: r.string("error message")}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// appendExtension encodes a pattern extension. Src and Close are node
-// ordinals within the pattern (Close may be the NoNode sentinel -1, hence
-// signed); labels are encoded signed for uniformity with Close, at a cost
-// of one bit that varints absorb.
-func appendExtension(dst []byte, e pattern.Extension) []byte {
-	dst = binary.AppendVarint(dst, int64(e.Src))
-	var flags byte
-	if e.Outgoing {
-		flags |= 1
-	}
-	if e.AsY {
-		flags |= 2
-	}
-	dst = append(dst, flags)
-	dst = binary.AppendVarint(dst, int64(e.EdgeLabel))
-	dst = binary.AppendVarint(dst, int64(e.NewLabel))
-	dst = binary.AppendVarint(dst, int64(e.Close))
-	return dst
-}
-
-func readExtension(r *reader) pattern.Extension {
-	var e pattern.Extension
-	e.Src = int(r.varint("ext src"))
-	if r.err == nil {
-		if len(r.buf) == 0 {
-			r.fail("truncated payload reading ext flags")
-		} else {
-			flags := r.buf[0]
-			r.buf = r.buf[1:]
-			if flags > 3 {
-				r.fail("ext flags byte is %d, want 0-3", flags)
+// checkLanes refuses a negative node ID, which a worker would otherwise
+// use as an index.
+func checkLanes(lanes ...[]graph.NodeID) error {
+	for _, lane := range lanes {
+		for _, v := range lane {
+			if v < 0 {
+				return errorf("node ID %d is negative", v)
 			}
-			e.Outgoing = flags&1 != 0
-			e.AsY = flags&2 != 0
 		}
 	}
-	e.EdgeLabel = graph.Label(r.varint("ext edge label"))
-	e.NewLabel = graph.Label(r.varint("ext new label"))
-	e.Close = int(r.varint("ext close"))
-	return e
-}
-
-// appendLane encodes one center lane: count, then node IDs as uvarints.
-func appendLane(dst []byte, lane []graph.NodeID) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(lane)))
-	for _, v := range lane {
-		dst = binary.AppendUvarint(dst, uint64(v))
-	}
-	return dst
-}
-
-func readLane(r *reader, what string) []graph.NodeID {
-	n := r.intf(what)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > len(r.buf) { // every ID takes at least one byte; bounds the allocation below
-		r.fail("%s claims %d IDs in %d bytes", what, n, len(r.buf))
-		return nil
-	}
-	lane := make([]graph.NodeID, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		lane = append(lane, graph.NodeID(r.intf(what)))
-	}
-	return lane
+	return nil
 }

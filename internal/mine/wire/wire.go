@@ -1,5 +1,5 @@
-// Package wire is the binary protocol of distributed DMine: length-prefixed
-// frames, in the one protocol version both ends must speak, carrying the BSP
+// Package wire is the protocol of distributed DMine: length-prefixed frames,
+// in the one protocol version both ends must speak, carrying the BSP
 // superstep traffic between the mining coordinator and its remote workers —
 // job setup (symbols, options and the worker's fragment, inline), per-round
 // frontier hand-offs, the workers' <R, conf> message streams, and job
@@ -9,13 +9,16 @@
 // (parent ruleID, extension) pair plus three flat center lanes of global
 // node IDs, exactly the shape the in-process engine passes between its
 // phases, so the coordinator's deterministic assembly reduce consumes
-// remote and local messages identically. Integers are unsigned varints
-// (signed varints where a sentinel -1 is legal); frames are [u32 length]
-// [u8 type][payload] with a configurable length guard on the read side.
+// remote and local messages identically. A frame is [u32 length][u8 type]
+// [payload] with a configurable length guard on the read side; a payload is
+// one encoding/json value (Send), decoded strictly by Decode, and a
+// fragment rides in it as the bytes partition.Fragment.AppendBinary makes.
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -29,7 +32,7 @@ const (
 	// Magic opens the handshake: "GPWK" followed by the version byte.
 	Magic = "GPWK"
 	// Version is the protocol version this package speaks.
-	Version = 6
+	Version = 7
 )
 
 // Frame types.
@@ -66,7 +69,7 @@ const DefaultMaxFrame = 1 << 28 // 256 MiB
 
 // FrameError is the typed error for every protocol-level failure: bad
 // magic, version mismatch, oversized or truncated frames, and malformed
-// payloads.
+// payloads — including a value out of its range, such as a negative node ID.
 type FrameError struct{ Msg string }
 
 func (e *FrameError) Error() string { return "wire: " + e.Msg }
@@ -151,98 +154,42 @@ func ReadFrame(r io.Reader, buf []byte, maxFrame int) (typ byte, payload, newBuf
 	return typ, payload, buf, nil
 }
 
-// ---------------------------------------------------------------------------
-// Varint primitives shared by the payload codecs.
-
-// reader decodes varints with a sticky error, so payload decoders read
-// linearly and check once at the end.
-type reader struct {
-	buf []byte
-	err error
+// Send writes v as one frame of type typ, its JSON encoding the payload; a
+// nil v sends the empty payload of a Finish or Cancel frame.
+func Send(w io.Writer, typ byte, v any) error {
+	var payload []byte
+	if v != nil {
+		var err error
+		if payload, err = json.Marshal(v); err != nil {
+			return errorf("encoding %T: %v", v, err)
+		}
+	}
+	return WriteFrame(w, typ, payload)
 }
 
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = errorf(format, args...)
-	}
+// Payload is the pointer type of a frame's payload: JobSetup, SetupAck,
+// Round, Messages or ErrorFrame.
+type Payload[T any] interface {
+	*T
+	check() error // the range checks JSON's types do not make
 }
 
-func (r *reader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
+// Decode parses a frame payload into a new T: exactly one JSON value, with
+// no field T lacks and nothing but white space after it, whose numbers are
+// in range. Every failure is a *FrameError. The result shares nothing
+// with p.
+func Decode[T any, P Payload[T]](p []byte) (*T, error) {
+	v := new(T)
+	dec := json.NewDecoder(bytes.NewReader(p))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return nil, errorf("%T payload: %v", v, err)
 	}
-	v, k := binary.Uvarint(r.buf)
-	if k <= 0 {
-		r.fail("truncated payload reading %s", what)
-		return 0
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errorf("%T payload: data after the JSON value", v)
 	}
-	r.buf = r.buf[k:]
-	return v
-}
-
-func (r *reader) varint(what string) int64 {
-	if r.err != nil {
-		return 0
+	if err := P(v).check(); err != nil {
+		return nil, err
 	}
-	v, k := binary.Varint(r.buf)
-	if k <= 0 {
-		r.fail("truncated payload reading %s", what)
-		return 0
-	}
-	r.buf = r.buf[k:]
-	return v
-}
-
-// intf decodes a uvarint that must fit a non-negative int32-sized int
-// (node IDs, labels, counts).
-func (r *reader) intf(what string) int {
-	v := r.uvarint(what)
-	if r.err == nil && v > uint64(int32(^uint32(0)>>1)) {
-		r.fail("%s %d overflows int32", what, v)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *reader) bytes(what string) []byte {
-	n := r.intf(what)
-	if r.err != nil {
-		return nil
-	}
-	if n > len(r.buf) {
-		r.fail("truncated payload reading %s (%d of %d bytes)", what, len(r.buf), n)
-		return nil
-	}
-	out := r.buf[:n]
-	r.buf = r.buf[n:]
-	return out
-}
-
-func (r *reader) string(what string) string { return string(r.bytes(what)) }
-
-// bytesCopy is bytes detached from the frame buffer, which the next read
-// overwrites; an empty field decodes as nil.
-func (r *reader) bytesCopy(what string) []byte {
-	return append([]byte(nil), r.bytes(what)...)
-}
-
-// done asserts the payload was fully consumed.
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.buf) != 0 {
-		return errorf("%d trailing bytes after payload", len(r.buf))
-	}
-	return nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendBytesField(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
+	return v, nil
 }

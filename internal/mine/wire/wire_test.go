@@ -2,8 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -40,7 +38,7 @@ func TestHandshake(t *testing.T) {
 		t.Fatalf("answerer: %v", err)
 	}
 
-	const golden = "GPWK\x06"
+	const golden = "GPWK\x07"
 	for _, dialer := range []bool{true, false} {
 		var sent bytes.Buffer
 		if err := Handshake(&rw{strings.NewReader(golden), &sent}, dialer); err != nil {
@@ -168,13 +166,21 @@ func lanes() [][]graph.NodeID {
 	}
 }
 
-// roundTrip encodes with enc, decodes the bytes with dec, and asserts deep
-// equality. Empty non-nil slices normalize to nil on decode, so the caller
-// passes want with that normalization applied.
-func roundTrip[T any](t *testing.T, enc func([]byte) []byte, dec func([]byte) (*T, error), want *T) {
+// encode is v's payload as Send frames it.
+func encode(t testing.TB, v any) []byte {
 	t.Helper()
-	b := enc(nil)
-	got, err := dec(b)
+	var frame bytes.Buffer
+	if err := Send(&frame, 0, v); err != nil {
+		t.Fatal(err)
+	}
+	return frame.Bytes()[5:]
+}
+
+// roundTrip encodes want, decodes the bytes, and asserts deep equality.
+func roundTrip[T any, P Payload[T]](t *testing.T, want *T) {
+	t.Helper()
+	b := encode(t, want)
+	got, err := Decode[T, P](b)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -183,19 +189,20 @@ func roundTrip[T any](t *testing.T, enc func([]byte) []byte, dec func([]byte) (*
 	}
 	// Every prefix truncation must fail cleanly with a *FrameError.
 	for i := 0; i < len(b); i++ {
-		if _, err := dec(b[:i]); err == nil {
+		if _, err := Decode[T, P](b[:i]); err == nil {
 			t.Fatalf("decode of %d/%d-byte truncation succeeded", i, len(b))
 		} else if _, ok := err.(*FrameError); !ok {
 			t.Fatalf("truncation error type %T, want *FrameError", err)
 		}
 	}
-	// Trailing garbage must be rejected too.
-	if _, err := dec(append(b, 0)); err == nil {
-		t.Fatal("decode with trailing byte succeeded")
+	// So must data after the value.
+	if _, err := Decode[T, P](append(b, '0')); err == nil {
+		t.Fatal("decode with trailing data succeeded")
 	}
 }
 
-// fullSetup populates every JobSetup field.
+// fullSetup populates every JobSetup field. One symbol is not UTF-8: it
+// must come back byte for byte.
 func fullSetup() *JobSetup {
 	return &JobSetup{
 		JobID:     1<<60 + 17,
@@ -205,43 +212,40 @@ func fullSetup() *JobSetup {
 		XLabel:    4,
 		EdgeLabel: 0,
 		YLabel:    graph.NoLabel,
-		Symbols:   []string{"person", "", "likes", "page"},
+		Symbols:   [][]byte{[]byte("person"), {}, []byte("likes"), []byte("pa\xffge")},
 		Fragment:  []byte("GPFRfragmentbytes"),
 	}
 }
 
 func TestJobSetupRoundTrip(t *testing.T) {
-	s := fullSetup()
-	roundTrip(t, s.Append, DecodeJobSetup, s)
+	roundTrip(t, fullSetup())
 
-	// Minimal setup: no symbols, an empty fragment.
-	roundTrip(t, (&JobSetup{}).Append, DecodeJobSetup, &JobSetup{})
+	// Minimal setup: no symbols, no fragment.
+	roundTrip(t, &JobSetup{})
 }
 
 // TestJobSetupGoldenFrame pins the bytes of one fully-populated JobSetup
 // frame, so a layout change that forgets to bump Version fails here. The
-// bytes are the version-5 golden frame minus its 33-byte fragment-hash field
-// (and the length that counted it).
+// bytes are what version 7 writes: the frame header, then the JSON payload
+// with the symbols and the fragment in base64.
 func TestJobSetupGoldenFrame(t *testing.T) {
 	var frame bytes.Buffer
-	if err := WriteFrame(&frame, TypeJobSetup, fullSetup().Append(nil)); err != nil {
+	if err := Send(&frame, TypeJobSetup, fullSetup()); err != nil {
 		t.Fatal(err)
 	}
-	const golden = "0000003601" + // length, TypeJobSetup
-		"918080808080808010030240" + // jobID, worker, d, embedCap
-		"080000" + // xLabel, edgeLabel, yLabel (zigzag)
-		"0406706572736f6e00056c696b65730470616765" + // symbols
-		"1147504652667261676d656e746279746573" // fragment
-	if got := hex.EncodeToString(frame.Bytes()); got != golden {
-		t.Fatalf("JobSetup frame bytes changed (bump Version with the layout):\n got %s\nwant %s", got, golden)
+	const golden = "\x00\x00\x00\xb7\x01" + // length, TypeJobSetup
+		`{"JobID":1152921504606846993,"Worker":3,"D":2,"EmbedCap":64,` +
+		`"XLabel":4,"EdgeLabel":0,"YLabel":0,` +
+		`"Symbols":["cGVyc29u","","bGlrZXM=","cGH/Z2U="],` +
+		`"Fragment":"R1BGUmZyYWdtZW50Ynl0ZXM="}`
+	if got := frame.String(); got != golden {
+		t.Fatalf("JobSetup frame bytes changed (bump Version with the layout):\n got %q\nwant %q", got, golden)
 	}
 }
 
 func TestSetupAckRoundTrip(t *testing.T) {
-	a := &SetupAck{JobID: 9, NPq: 12345, NPqbar: 0}
-	roundTrip(t, a.Append, DecodeSetupAck, a)
-	zero := &SetupAck{}
-	roundTrip(t, zero.Append, DecodeSetupAck, zero)
+	roundTrip(t, &SetupAck{JobID: 9, NPq: 12345, NPqbar: 0})
+	roundTrip(t, &SetupAck{})
 }
 
 func TestRoundRoundTrip(t *testing.T) {
@@ -255,16 +259,14 @@ func TestRoundRoundTrip(t *testing.T) {
 		}
 		rd.Frontier = append(rd.Frontier, fe)
 	}
-	roundTrip(t, rd.Append, DecodeRound, rd)
-
-	empty := &Round{Round: 1}
-	roundTrip(t, empty.Append, DecodeRound, empty)
+	roundTrip(t, rd)
+	roundTrip(t, &Round{Round: 1})
 }
 
 func TestMessagesRoundTrip(t *testing.T) {
 	exts := extensions()
 	ls := lanes()
-	ms := &Messages{Round: 2, Ops: -5, Capped: 3}
+	ms := &Messages{Round: 2, Ops: 5, Capped: 3}
 	for i, e := range exts {
 		m := Msg{Parent: uint32(i * 7), Ext: e}
 		pick := func(k int) []graph.NodeID {
@@ -276,21 +278,17 @@ func TestMessagesRoundTrip(t *testing.T) {
 		m.QCenters, m.RSet, m.QqbCenters = pick(0), pick(1), pick(2)
 		ms.Msgs = append(ms.Msgs, m)
 	}
-	roundTrip(t, ms.Append, DecodeMessages, ms)
+	roundTrip(t, ms)
 
-	// The all-lanes-empty message exercises the zero-length lane encoding.
-	empty := &Messages{Round: 1, Ops: 1 << 40, Capped: 1 << 33, Msgs: []Msg{{Parent: 0}}}
-	roundTrip(t, empty.Append, DecodeMessages, empty)
-
-	none := &Messages{Round: 3}
-	roundTrip(t, none.Append, DecodeMessages, none)
+	// The all-lanes-empty message exercises the empty lanes.
+	roundTrip(t, &Messages{Round: 1, Ops: 1 << 40, Capped: 1 << 33, Msgs: []Msg{{Parent: 0}}})
+	roundTrip(t, &Messages{Round: 3})
 }
 
 // TestMessagesGoldenFrame pins the bytes of one Messages frame, the reply
-// that carries every superstep's payload. The bytes are what version 4 wrote
-// for these two messages (recorded at 65d882b, the first with a one-center
-// usupp lane and flag set, the second with both empty) minus exactly those
-// two fields per message and the five bytes of length that counted them.
+// that carries every superstep's payload: the version-7 JSON of the two
+// messages version 6 pinned, the first with every lane set, the second with
+// two lanes empty.
 func TestMessagesGoldenFrame(t *testing.T) {
 	ms := &Messages{Round: 2, Ops: 1234, Capped: 5, Msgs: []Msg{
 		{Parent: 0, Ext: pattern.Extension{Src: 0, Outgoing: true, EdgeLabel: 3, NewLabel: 7, Close: pattern.NoNode},
@@ -299,95 +297,132 @@ func TestMessagesGoldenFrame(t *testing.T) {
 			QCenters: []graph.NodeID{70000}},
 	}}
 	var frame bytes.Buffer
-	if err := WriteFrame(&frame, TypeMessages, ms.Append(nil)); err != nil {
+	if err := Send(&frame, TypeMessages, ms); err != nil {
 		t.Fatal(err)
 	}
-	const golden = "0000002304" + // length, TypeMessages
-		"02a4130a02" + // round, ops, capped (zigzag), message count
-		"00" + "0001060e01" + // parent, extension
-		"030102ac02" + "0201ac02" + "0102" + // qCenters, rSet, qqbCenters
-		"09" + "0402020802" + // parent, extension
-		"01f0a204" + "00" + "00" // qCenters, rSet, qqbCenters
-	if got := hex.EncodeToString(frame.Bytes()); got != golden {
-		t.Fatalf("Messages frame bytes changed (bump Version with the layout):\n got %s\nwant %s", got, golden)
+	const golden = "\x00\x00\x01\x4e\x04" + // length, TypeMessages
+		`{"Round":2,"Ops":1234,"Capped":5,"Msgs":[` +
+		`{"Parent":0,"Ext":{"Src":0,"Outgoing":true,"EdgeLabel":3,"NewLabel":7,"Close":-1,"AsY":false},` +
+		`"QCenters":[1,2,300],"RSet":[1,300],"QqbCenters":[2]},` +
+		`{"Parent":9,"Ext":{"Src":2,"Outgoing":false,"EdgeLabel":1,"NewLabel":4,"Close":1,"AsY":true},` +
+		`"QCenters":[70000],"RSet":null,"QqbCenters":null}]}`
+	if got := frame.String(); got != golden {
+		t.Fatalf("Messages frame bytes changed (bump Version with the layout):\n got %q\nwant %q", got, golden)
 	}
 }
 
 func TestErrorFrameRoundTrip(t *testing.T) {
-	e := &ErrorFrame{Msg: "worker 2: fragment decode failed"}
-	roundTrip(t, e.Append, DecodeError, e)
-	empty := &ErrorFrame{}
-	roundTrip(t, empty.Append, DecodeError, empty)
+	roundTrip(t, &ErrorFrame{Msg: "worker 2: fragment decode failed"})
+	roundTrip(t, &ErrorFrame{})
 }
 
-// hugeLane is a payload prefix up to a lane count: one entry whose first
-// lane claims n IDs and then ends. The count is read straight off the wire.
-func hugeLane(prefix []byte, n int) []byte {
-	p := append([]byte(nil), prefix...)
-	p = appendExtension(p, pattern.Extension{Close: pattern.NoNode})
-	return binary.AppendUvarint(p, uint64(n))
+// decodeErr is Decode's error on p.
+func decodeErr[T any, P Payload[T]](p string) error {
+	_, err := Decode[T, P]([]byte(p))
+	return err
 }
 
-// TestDecodeLaneCountBoundsAllocation: a lane count larger than the bytes
-// left in the payload is a *FrameError before anything is allocated for it.
-// Each payload is a dozen bytes; a lane sized by its count instead would
-// take 64 MiB here, and 8 GiB at the int32 maximum.
-func TestDecodeLaneCountBoundsAllocation(t *testing.T) {
-	const claim = 1 << 24
+// TestDecodeRefusesNegatives: JSON carries signs the varint codec could
+// not, so a negative index, count, round or node ID is a *FrameError.
+func TestDecodeRefusesNegatives(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		dec  func([]byte) error
-		p    []byte
+		dec func(string) error
+		p   string
 	}{
-		// round 1, one frontier entry with id 1 and parent 0.
-		{"Round qCenters", func(b []byte) error { _, err := DecodeRound(b); return err },
-			hugeLane([]byte{1, 1, 1, 0}, claim)},
-		// round 1, ops 0, capped 0, one message with parent 0.
-		{"Messages qCenters", func(b []byte) error { _, err := DecodeMessages(b); return err },
-			hugeLane([]byte{1, 0, 0, 1, 0}, claim)},
+		{decodeErr[JobSetup], `{"Worker":-1}`},
+		{decodeErr[JobSetup], `{"D":-2}`},
+		{decodeErr[JobSetup], `{"EmbedCap":-3}`},
+		{decodeErr[SetupAck], `{"NPqbar":-1}`},
+		{decodeErr[Round], `{"Round":-1}`},
+		{decodeErr[Messages], `{"Ops":-5}`},
+		{decodeErr[Messages], `{"Msgs":[{"RSet":[1,-2]}]}`},
+		{decodeErr[Messages], `{"Msgs":[{"QqbCenters":[-7]}]}`},
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := tc.dec(tc.p)
-		runtime.ReadMemStats(&after)
 		var fe *FrameError
-		if !errors.As(err, &fe) {
-			t.Errorf("%s (%d bytes): error %T (%v), want *FrameError", tc.name, len(tc.p), err, err)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-			t.Errorf("%s (%d bytes): decoding allocated %d bytes, want under 1 MiB", tc.name, len(tc.p), grew)
+		if err := tc.dec(tc.p); !errors.As(err, &fe) {
+			t.Errorf("%s: error %T (%v), want *FrameError", tc.p, err, err)
 		}
 	}
 }
 
-// FuzzDecode throws arbitrary bytes at every payload decoder. A decoder
-// never panics and fails only with a *FrameError, and whatever it accepts
-// re-encodes to bytes that decode to the same value.
+// bigLane is a Round or Messages payload whose first entry's first lane
+// holds n IDs and ends in last.
+func bigLane(msgs bool, n int, last string) []byte {
+	var b bytes.Buffer
+	if msgs {
+		b.WriteString(`{"Round":1,"Ops":0,"Capped":0,"Msgs":[{"Parent":0,"QCenters":[`)
+	} else {
+		b.WriteString(`{"Round":1,"Frontier":[{"ID":1,"Parent":0,"QCenters":[`)
+	}
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%d,", i)
+	}
+	b.WriteString(last)
+	return b.Bytes()
+}
+
+// TestDecodeLaneCountBoundsAllocation: a lane cut off before its end, or
+// holding an ID past int32 or below 0, is a *FrameError, and decoding it
+// allocates in proportion to the payload (about 6× here, the decoder's copy
+// of the input plus the lane's growth), never to a count read from it —
+// JSON carries none.
+func TestDecodeLaneCountBoundsAllocation(t *testing.T) {
+	const ids = 1 << 16
+	for _, msgs := range []bool{false, true} {
+		dec := func(b []byte) error { _, err := Decode[Round](b); return err }
+		if msgs {
+			dec = func(b []byte) error { _, err := Decode[Messages](b); return err }
+		}
+		for _, end := range []string{"7", "2147483648]}]}", "-1]}]}"} {
+			p := bigLane(msgs, ids, end)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := dec(p)
+			runtime.ReadMemStats(&after)
+			var fe *FrameError
+			if !errors.As(err, &fe) {
+				t.Errorf("messages=%v, lane ending %q: error %T (%v), want *FrameError", msgs, end, err, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(p)) {
+				t.Errorf("messages=%v, lane ending %q: decoding %d bytes allocated %d", msgs, end, len(p), grew)
+			}
+		}
+	}
+}
+
+// FuzzDecode throws arbitrary bytes at every frame type's decoder. A
+// decoder never panics and fails only with a *FrameError, and whatever it
+// accepts re-encodes to a payload that decodes to the same value and
+// encodes to the same bytes again.
 func FuzzDecode(f *testing.F) {
-	for _, seed := range [][]byte{
+	for _, seed := range []any{
 		nil,
-		fullSetup().Append(nil),
-		(&SetupAck{JobID: 9, NPq: 12, NPqbar: 3}).Append(nil),
-		(&Round{Round: 1, Frontier: []FrontierEntry{{ID: 1, Ext: extensions()[2], QCenters: []graph.NodeID{4}}}}).Append(nil),
-		(&Messages{Round: 2, Ops: 7, Msgs: []Msg{{Parent: 1, Ext: extensions()[1], QCenters: []graph.NodeID{3, 9}}}}).Append(nil),
-		(&ErrorFrame{Msg: "boom"}).Append(nil),
-		hugeLane([]byte{1, 1, 1, 0}, 1<<29),
+		fullSetup(),
+		&SetupAck{JobID: 9, NPq: 12, NPqbar: 3},
+		&Round{Round: 1, Frontier: []FrontierEntry{{ID: 1, Ext: extensions()[2], QCenters: []graph.NodeID{4}}}},
+		&Messages{Round: 2, Ops: 7, Msgs: []Msg{{Parent: 1, Ext: extensions()[1], QCenters: []graph.NodeID{3, 9}}}},
+		&ErrorFrame{Msg: "boom"},
+		bigLane(false, 3, "2147483648]}]}"),
 	} {
-		f.Add(seed)
+		if p, ok := seed.([]byte); ok {
+			f.Add(p)
+		} else {
+			f.Add(encode(f, seed))
+		}
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
-		checkDecode(t, p, DecodeJobSetup)
-		checkDecode(t, p, DecodeSetupAck)
-		checkDecode(t, p, DecodeRound)
-		checkDecode(t, p, DecodeMessages)
-		checkDecode(t, p, DecodeError)
+		checkDecode[JobSetup](t, p)
+		checkDecode[SetupAck](t, p)
+		checkDecode[Round](t, p)
+		checkDecode[Messages](t, p)
+		checkDecode[ErrorFrame](t, p)
 	})
 }
 
-// checkDecode is FuzzDecode's contract for one decoder.
-func checkDecode[T interface{ Append([]byte) []byte }](t *testing.T, p []byte, dec func([]byte) (T, error)) {
+// checkDecode is FuzzDecode's contract for one frame type.
+func checkDecode[T any, P Payload[T]](t *testing.T, p []byte) {
 	t.Helper()
-	v, err := dec(p)
+	v, err := Decode[T, P](p)
 	if err != nil {
 		var fe *FrameError
 		if !errors.As(err, &fe) {
@@ -395,11 +430,15 @@ func checkDecode[T interface{ Append([]byte) []byte }](t *testing.T, p []byte, d
 		}
 		return
 	}
-	again, err := dec(v.Append(nil))
+	b := encode(t, v)
+	again, err := Decode[T, P](b)
 	if err != nil {
 		t.Fatalf("re-encoded %T fails to decode: %v", v, err)
 	}
 	if !reflect.DeepEqual(again, v) {
 		t.Fatalf("decode(encode(decode(p))) != decode(p):\n got %+v\nwant %+v", again, v)
+	}
+	if b2 := encode(t, again); !bytes.Equal(b2, b) {
+		t.Fatalf("encoding is not stable:\n got %s\nwant %s", b2, b)
 	}
 }

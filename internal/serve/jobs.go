@@ -84,8 +84,11 @@ type Job struct {
 	// Generation is the snapshot generation after install (0 otherwise).
 	Generation uint64 `json:"generation,omitempty"`
 	// ContextCached reports whether the job reused a cached mine context.
-	// A context is the graph, the x-label's node list and (d, n), so a hit
-	// saves about 180 ns; results are byte-identical either way.
+	// A context is the graph, the x-label's node list, (d, n) and the memo
+	// of every extension its jobs have discovered, so a hit skips that
+	// discovery for parents earlier jobs reached (mine-jobs cpu_ms_per_req
+	// went 1.61 → 0.60 when the memo moved onto the context); results are
+	// byte-identical either way.
 	ContextCached bool `json:"contextCached,omitempty"`
 	// ServedGeneration is the snapshot generation the job was admitted
 	// against — the graph it mined.
