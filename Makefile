@@ -43,22 +43,25 @@ race:
 # the frozen-graph byte decoder against an edge-by-edge build, and the
 # identify answer's encoder against encoding/json.
 # Go allows one target per -fuzz invocation, so each runs separately; seed
-# corpora also run on every plain `make test`.
+# corpora also run on every plain `make test`. -fuzzminimizetime caps the
+# minimisation of each new interesting input at 2 s (Go's default is 60 s,
+# which can eat a whole 20 s run at 0 execs/s); a failing input is still
+# saved under testdata/fuzz, just less minimised.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz 'FuzzApplyDelta' -fuzztime 20s ./internal/graph/
-	$(GO) test -run '^$$' -fuzz 'FuzzRead' -fuzztime 20s ./internal/graph/
-	$(GO) test -run '^$$' -fuzz 'FuzzReadRules' -fuzztime 20s ./internal/core/
-	$(GO) test -run '^$$' -fuzz 'FuzzFragmentDecode' -fuzztime 20s ./internal/partition/
-	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 20s ./internal/mine/wire/
-	$(GO) test -run '^$$' -fuzz 'FuzzServeModel' -fuzztime 20s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz 'FuzzDeltaRepair' -fuzztime 20s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 20s ./internal/snapfile/
-	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCSR' -fuzztime 20s ./internal/graph/
-	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 20s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz 'FuzzDiscoverExtensions' -fuzztime 20s ./internal/mine/
-	$(GO) test -run '^$$' -fuzz 'FuzzPatternCode' -fuzztime 20s ./internal/pattern/
-	$(GO) test -run '^$$' -fuzz 'FuzzFilter' -fuzztime 20s ./internal/match/
-	$(GO) test -run '^$$' -fuzz 'FuzzIdentifyEncoding' -fuzztime 20s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzApplyDelta' -fuzztime 20s -fuzzminimizetime 2s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz 'FuzzRead' -fuzztime 20s -fuzzminimizetime 2s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz 'FuzzReadRules' -fuzztime 20s -fuzzminimizetime 2s ./internal/core/
+	$(GO) test -run '^$$' -fuzz 'FuzzFragmentDecode' -fuzztime 20s -fuzzminimizetime 2s ./internal/partition/
+	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 20s -fuzzminimizetime 2s ./internal/mine/wire/
+	$(GO) test -run '^$$' -fuzz 'FuzzServeModel' -fuzztime 20s -fuzzminimizetime 2s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzDeltaRepair' -fuzztime 20s -fuzzminimizetime 2s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 20s -fuzzminimizetime 2s ./internal/snapfile/
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCSR' -fuzztime 20s -fuzzminimizetime 2s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 20s -fuzzminimizetime 2s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzDiscoverExtensions' -fuzztime 20s -fuzzminimizetime 2s ./internal/mine/
+	$(GO) test -run '^$$' -fuzz 'FuzzPatternCode' -fuzztime 20s -fuzzminimizetime 2s ./internal/pattern/
+	$(GO) test -run '^$$' -fuzz 'FuzzFilter' -fuzztime 20s -fuzzminimizetime 2s ./internal/match/
+	$(GO) test -run '^$$' -fuzz 'FuzzIdentifyEncoding' -fuzztime 20s -fuzzminimizetime 2s ./internal/serve/
 
 # Run the hot-path benchmarks with -benchmem and record them, stamped with
 # the machine fingerprint and commit, in BENCH_match.json (matcher, serving,
@@ -183,7 +186,7 @@ inline-check:
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count. The test Go count beside it is
 # informational: it has no budget.
-LOC_BUDGET := 16035
+LOC_BUDGET := 16109
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \

@@ -377,15 +377,13 @@ func (r *repair) apply(sr *ServedRule, ev *RuleEval) (*RuleEval, bool) {
 	if !slices.Equal(before.Q, after.Q) {
 		gone := func(v graph.NodeID) bool { _, ok := slices.BinarySearch(before.Q, v); return ok }
 		out.Matches = unionSorted([][]graph.NodeID{slices.DeleteFunc(slices.Clone(ev.Matches), gone), after.Q})
+		out.encoded = nil // the old bytes print the old matches
 	}
 	out.Stats.SuppR += after.R - before.R
 	out.Stats.SuppQqb += after.Qqb - before.Qqb
-	out.Stats.SuppQ, out.Stats.SuppQ1, out.Stats.SuppQbar = len(out.Matches), r.next.SuppQ1, r.next.SuppQbar
-	out.Conf = out.Stats.Conf()
-	out.Centres = len(r.next.G.NodesWithLabel(r.old.Pred.XLabel))
 	r.repaired++
 	r.centres += len(set)
-	return &out, true
+	return r.next.settle(&out), true
 }
 
 // classify classifies the members of set that are centres of g, keeping

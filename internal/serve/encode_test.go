@@ -47,8 +47,10 @@ func (z *identifyInput) ids() []graph.NodeID {
 }
 
 // identifyOf builds a response from raw bits: the generation, η and
-// elapsedMs as given, then the identified list, a count, and the rules
-// (first byte 0: nil, else up to seven) with conf from raw float bits.
+// elapsedMs as given, then the identified list, a count, the rules (first
+// byte 0: nil, else up to seven) with conf from raw float bits, and a last
+// byte whose bits 0 and 1 pre-encode the identified and the nodes arrays
+// with encodeIDs, as the server splices a resident set's encoding.
 func identifyOf(gen, eta, elapsed uint64, in []byte) *IdentifyResponse {
 	z := &identifyInput{in}
 	resp := &IdentifyResponse{Generation: gen, Eta: math.Float64frombits(eta), ElapsedMs: math.Float64frombits(elapsed)}
@@ -67,6 +69,15 @@ func identifyOf(gen, eta, elapsed uint64, in []byte) *IdentifyResponse {
 		r.Applied, r.Cached, r.Coalesced = flags&1 != 0, flags&2 != 0, flags&4 != 0
 		r.Nodes = z.ids()
 	}
+	pre := z.u8()
+	if pre&1 != 0 {
+		resp.identifiedJSON = encodeIDs(resp.Identified)
+	}
+	for i := range resp.Rules {
+		if pre&2 != 0 {
+			resp.Rules[i].nodesJSON = encodeIDs(resp.Rules[i].Nodes)
+		}
+	}
 	return resp
 }
 
@@ -81,9 +92,10 @@ var floatBits = []uint64{
 }
 
 // FuzzIdentifyEncoding checks appendIdentify against encoding/json: for
-// every response, the bytes json.NewEncoder(w).Encode writes. encoding/json
-// refuses a non-finite η or elapsedMs, which the server never has; there
-// appendIdentify must still write valid JSON.
+// every response, spliced arrays or not, the bytes
+// json.NewEncoder(w).Encode writes. encoding/json refuses a non-finite η
+// or elapsedMs, which the server never has; there appendIdentify must
+// still write valid JSON.
 func FuzzIdentifyEncoding(f *testing.F) {
 	rule := func(conf uint64, flags byte, nodes ...byte) []byte {
 		b := binary.LittleEndian.AppendUint64(nil, 7)
@@ -104,6 +116,9 @@ func FuzzIdentifyEncoding(f *testing.F) {
 		in := append(append(list(byte(i%3), 17, 67), count...), 3)
 		in = append(in, rule(bits, byte(i), list(byte(i*37%256), uint32(i)<<28, 0x9e3779b9)...)...)
 		in = append(in, rule(bits, byte(i+3))...)
+		f.Add(uint64(i)<<60, bits, floatBits[(i+5)%len(floatBits)], in)
+		// The same answer, its last rule with nodes, and the arrays spliced.
+		in = append(append(in, list(byte(i*11%256), 1<<20, 3)...), byte(i%3+1))
 		f.Add(uint64(i)<<60, bits, floatBits[(i+5)%len(floatBits)], in)
 	}
 	f.Add(uint64(math.MaxUint64), math.Float64bits(1.2), math.Float64bits(0.004), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1})

@@ -11,6 +11,7 @@ import (
 	"math/bits"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -52,6 +53,8 @@ type IdentifyRule struct {
 	Cached    bool           `json:"cached"`
 	Coalesced bool           `json:"coalesced,omitempty"`
 	Nodes     []graph.NodeID `json:"nodes,omitempty"`
+
+	nodesJSON []byte // Nodes as encodeIDs writes them, or nil
 }
 
 // IdentifyResponse is Σ(x,G,η) for the selected rules.
@@ -62,6 +65,8 @@ type IdentifyResponse struct {
 	Count      int            `json:"count"`
 	Rules      []IdentifyRule `json:"rules"`
 	ElapsedMs  float64        `json:"elapsedMs"`
+
+	identifiedJSON []byte // Identified as encodeIDs writes them, or nil
 }
 
 // RuleInfo is one entry of GET /v1/rules.
@@ -333,7 +338,7 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "deadline exceeded during evaluation: %v", err)
 		return
 	}
-	var applied [][]graph.NodeID
+	var applied []*RuleEval
 	for i, sr := range selected {
 		o := outcomes[i]
 		if o.err != nil {
@@ -352,14 +357,14 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 			Coalesced: o.coalesced,
 		}
 		if req.IncludeMatches {
-			ir.Nodes = o.ev.Matches
+			ir.Nodes, ir.nodesJSON = o.ev.Matches, o.ev.encoded()
 		}
 		if ir.Applied {
-			applied = append(applied, o.ev.Matches)
+			applied = append(applied, o.ev)
 		}
 		resp.Rules = append(resp.Rules, ir)
 	}
-	resp.Identified = unionSorted(applied)
+	resp.Identified, resp.identifiedJSON = s.identified(applied)
 	resp.Count = len(resp.Identified)
 	resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
 	bp := answerBufs.Get().(*[]byte)
@@ -370,6 +375,41 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(*bp) // fails only when the client is gone: no one to tell
 	answerBufs.Put(bp)
+}
+
+// unionSlot is the last union of two or more applied evaluations: evs in
+// selection order, their union and its JSON array.
+type unionSlot struct {
+	evs []*RuleEval
+	ids []graph.NodeID
+	enc []byte
+}
+
+// identified returns Σ(x,G,η) over the applied evaluations and its JSON
+// array (nil when there is nothing to splice). One evaluation answers its
+// own matches and encoding. More reuse the server's union slot when they
+// are the slot's evaluations, pointer for pointer, and replace it
+// otherwise. An evaluation never changes and the slot pins the ones it
+// names, so equal pointers mean an equal union: the key needs no
+// generation or η, and a batch that carries every entry keeps the hit.
+func (s *Server) identified(applied []*RuleEval) ([]graph.NodeID, []byte) {
+	switch len(applied) {
+	case 0:
+		return []graph.NodeID{}, nil
+	case 1:
+		return applied[0].Matches, applied[0].encoded()
+	}
+	if u := s.union.Load(); u != nil && slices.Equal(u.evs, applied) {
+		return u.ids, u.enc
+	}
+	lists := make([][]graph.NodeID, len(applied))
+	for i, ev := range applied {
+		lists[i] = ev.Matches
+	}
+	u := &unionSlot{evs: applied, ids: unionSorted(lists)}
+	u.enc = encodeIDs(u.ids)
+	s.union.Store(u)
+	return u.ids, u.enc
 }
 
 // answerBufs holds the buffers identify answers are encoded in; a Write
@@ -385,7 +425,7 @@ var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
 func appendIdentify(b []byte, resp *IdentifyResponse) []byte {
 	b = strconv.AppendUint(append(b, `{"generation":`...), resp.Generation, 10)
 	b = appendFloat(append(b, `,"eta":`...), resp.Eta)
-	b = appendIDs(append(b, `,"identified":`...), resp.Identified)
+	b = spliceIDs(append(b, `,"identified":`...), resp.Identified, resp.identifiedJSON)
 	b = strconv.AppendInt(append(b, `,"count":`...), int64(resp.Count), 10)
 	if b = append(b, `,"rules":`...); resp.Rules == nil {
 		b = append(b, "null"...)
@@ -409,7 +449,7 @@ func appendIdentify(b []byte, resp *IdentifyResponse) []byte {
 				b = append(b, `,"coalesced":true`...)
 			}
 			if len(r.Nodes) > 0 {
-				b = appendIDs(append(b, `,"nodes":`...), r.Nodes)
+				b = spliceIDs(append(b, `,"nodes":`...), r.Nodes, r.nodesJSON)
 			}
 			b = append(b, '}')
 		}
@@ -417,6 +457,24 @@ func appendIdentify(b []byte, resp *IdentifyResponse) []byte {
 	}
 	b = appendFloat(append(b, `,"elapsedMs":`...), resp.ElapsedMs)
 	return append(b, "}\n"...)
+}
+
+// spliceIDs appends ids's encoding enc, or, when enc is nil, encodes them.
+func spliceIDs(b []byte, ids []graph.NodeID, enc []byte) []byte {
+	if enc != nil {
+		return append(b, enc...)
+	}
+	return appendIDs(b, ids)
+}
+
+// encodeIDs returns ids as appendIDs writes them, in one slice sized from
+// the last, for sorted non-negative IDs the largest.
+func encodeIDs(ids []graph.NodeID) []byte {
+	n := len("null")
+	if len(ids) > 0 {
+		n = 2 + len(ids)*(1+len(strconv.Itoa(int(ids[len(ids)-1]))))
+	}
+	return appendIDs(make([]byte, 0, n), ids)
 }
 
 // appendIDs appends ids as a JSON array, or null when ids is nil.

@@ -136,6 +136,7 @@ type Server struct {
 	swapMu sync.Mutex // serializes snapshot swaps and symbol interning
 	snap   atomic.Pointer[Snapshot]
 	gen    atomic.Uint64
+	union  atomic.Pointer[unionSlot] // the last union of applied evaluations
 
 	// persist is the durability layer — snapshot checkpoints plus the delta
 	// WAL (persist.go) — or nil when persistence is disabled. Installed

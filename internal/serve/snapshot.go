@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"gpar/internal/core"
 	"gpar/internal/eip"
@@ -50,12 +51,17 @@ type Snapshot struct {
 }
 
 // RuleEval is one rule's graph-wide evaluation: the match-set cache value.
+// It is immutable once the memo holds it.
 type RuleEval struct {
 	Key                string
 	Stats              core.Stats
 	Conf               float64
-	Matches            []graph.NodeID // Q(x,G), sorted global IDs: the potential customers
+	Matches            []graph.NodeID // Q(x,G), sorted global IDs, never nil: the potential customers
 	Centres, Survivors int            // candidates, and those the filter kept
+
+	// encoded returns Matches as a JSON array, encoded on its first call:
+	// the identify answer splices it, so a resident set is printed once.
+	encoded func() []byte
 }
 
 // BuildSnapshot prepares serving state for g, pred and rules. Rules must
@@ -187,16 +193,27 @@ func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
 	}
 	pool.Do(tasks...)
 
-	ev := &RuleEval{Key: sr.Key, Centres: len(cs.Nodes), Survivors: f.Kept()}
+	ev := &RuleEval{Key: sr.Key, Matches: []graph.NodeID{}, Survivors: f.Kept()} // [] when empty, as a union is
 	for _, p := range parts {
 		ev.Matches = append(ev.Matches, p.Q...)
 		ev.Stats.SuppR += p.R
 		ev.Stats.SuppQqb += p.Qqb
 	}
-	ev.Stats.SuppQ = len(ev.Matches)
-	ev.Stats.SuppQ1 = s.SuppQ1
-	ev.Stats.SuppQbar = s.SuppQbar
+	return s.settle(ev)
+}
+
+// settle completes ev on s from its matches and its supp(R,G) and
+// supp(Qq̄,G) counts: supp(Q,G), the snapshot-wide supports, conf and the
+// centre count, and, unless ev carries one already, a lazy encoding of its
+// matches. An entry whose matches change must come with encoded nil.
+func (s *Snapshot) settle(ev *RuleEval) *RuleEval {
+	ev.Stats.SuppQ, ev.Stats.SuppQ1, ev.Stats.SuppQbar = len(ev.Matches), s.SuppQ1, s.SuppQbar
 	ev.Conf = ev.Stats.Conf()
+	ev.Centres = len(s.centres.Nodes)
+	if ev.encoded == nil {
+		ids := ev.Matches
+		ev.encoded = sync.OnceValue(func() []byte { return encodeIDs(ids) })
+	}
 	return ev
 }
 
