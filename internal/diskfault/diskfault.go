@@ -11,11 +11,11 @@
 // byte-count prefix of the unsynced tail, which is how torn writes at
 // precise offsets are produced. Scripted faults can also short-circuit a
 // write after N bytes, fail an fsync, silently ignore an fsync (the
-// lying-disk case), or flip a bit in already-durable data. This is the
-// disk-side sibling of internal/netfault: the crash-recovery differential
-// oracle in internal/serve drives randomized delta sequences into a server
-// persisting through a MemFS, kills it at every injection point, recovers,
-// and requires byte-identical serving state or a typed quarantine.
+// lying-disk case), or flip a bit in already-durable data. The
+// crash-recovery differential oracle in internal/serve drives randomized
+// delta sequences into a server persisting through a MemFS, kills it at
+// every injection point, recovers, and requires byte-identical serving
+// state or a typed quarantine.
 //
 // Renames and removes are modeled as immediately durable (no directory-
 // entry loss window); the interesting torn states all live in file data,

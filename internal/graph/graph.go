@@ -333,8 +333,8 @@ func (g *Graph) Walk(v NodeID, r int, visit func(w NodeID, depth int) bool) bool
 }
 
 // AppendNeighborhood appends Nr(v), v included, to dst in Walk's order.
-// Callers that compute one neighborhood per candidate (the partitioner of
-// distributed mining does) recycle one buffer through dst.
+// Callers that compute one neighborhood per candidate (the partitioner
+// does) recycle one buffer through dst.
 func (g *Graph) AppendNeighborhood(dst []NodeID, v NodeID, r int) []NodeID {
 	g.Walk(v, r, func(w NodeID, _ int) bool { dst = append(dst, w); return true })
 	return dst

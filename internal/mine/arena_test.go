@@ -35,8 +35,8 @@ func arenaFixture(t testing.TB) (*graph.Graph, []Options) {
 }
 
 // TestMain turns the arena poison on for every test of the package, so each
-// suite that mines — the golden matrix, the determinism, cancel, shared and
-// loopback-fleet differentials, under `make race` too — doubles as a lifetime
+// suite that mines — the golden matrix, the determinism, cancel and
+// shared-context differentials, under `make race` too — doubles as a lifetime
 // check: a view read after its lane's reset holds NodeID(-1). Benchmark runs
 // (-bench) leave it off, so BENCH_mine.json times the production path.
 func TestMain(m *testing.M) {
@@ -67,8 +67,6 @@ var arenasOffGoldens = map[string]string{
 	// contextFixture predicate 0: fresh runs and reruns after a cancel at
 	// every poll budget, N ∈ {1,2,3,8}.
 	"cancel": "407b8b80e7ad97e856b84a97",
-	// Pokec 200/9, N = 3: DMineCtx and DMineDistributed over loopbackConns.
-	"loopback": "fb1b05bf88c62880c1f4d0cb",
 }
 
 // TestDMineArenasOnOffIdentity pins the recycled lanes against the
@@ -156,11 +154,10 @@ func TestArenaPoisonOverwritesReclaimedRegion(t *testing.T) {
 }
 
 // TestEmbedCapDeterministicAcrossWorkerCounts pins the EmbedCap-
-// independence contract: embeddings are enumerated in a canonical global-ID
-// order (match.Options.Canonical over partition's sorted fragment node
-// order), so even a cap of 1 embedding per center — which aggressively
-// truncates discovery — must see the same embeddings, and produce the same
-// result, on every fragment layout.
+// independence contract: embeddings are enumerated in a canonical node-ID
+// order (match.Options.Canonical), so even a cap of 1 embedding per center —
+// which aggressively truncates discovery — must see the same embeddings, and
+// produce the same result and the same Capped count, at every worker count.
 func TestEmbedCapDeterministicAcrossWorkerCounts(t *testing.T) {
 	syms := graph.NewSymbols()
 	g := gen.Pokec(syms, gen.DefaultPokec(300, 5))
@@ -183,13 +180,22 @@ func TestEmbedCapDeterministicAcrossWorkerCounts(t *testing.T) {
 			capRes.Generated, full.Generated)
 	}
 
+	// fingerprint omits Capped: a sum of per-center work, it must agree
+	// across layouts on its own, and be non-zero where the cap bites.
+	if capRes.Capped == 0 {
+		t.Fatal("EmbedCap=1 truncated discovery, yet Result.Capped is 0")
+	}
 	want := fingerprint(capRes)
-	for _, n := range []int{2, 8} {
+	for _, n := range []int{2, 3, 8} {
 		o := base
 		o.N = n
-		if got := fingerprint(DMine(g, pred, o)); got != want {
+		res := DMine(g, pred, o)
+		if got := fingerprint(res); got != want {
 			t.Fatalf("EmbedCap=1, N=%d differs from N=1:\n--- N=1 ---\n%s--- N=%d ---\n%s",
 				n, want, n, got)
+		}
+		if res.Capped != capRes.Capped {
+			t.Fatalf("EmbedCap=1, N=%d: Capped %d, N=1 has %d", n, res.Capped, capRes.Capped)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // group accumulates the cross-worker evidence of one candidate rule. The
-// sets are sorted deduplicated global node IDs carved from the owning
+// sets are sorted deduplicated node IDs carved from the owning
 // shard's arena; rule points at the shard's pooled materialization. A group
 // lives exactly one assemble call — anything that survives into Σ is cloned
 // out in step 3.
@@ -104,8 +104,6 @@ func (m *miner) assemble(frontier []*Mined, msgs []message) []*Mined {
 			Set:      set,
 			id:       id,
 			bits:     diversify.MakeBits(set),
-			parent:   gr.key.parent,
-			ext:      gr.key.ext,
 			qCenters: slices.Clone(gr.q),
 		}
 		deltaE = append(deltaE, mined)
@@ -132,8 +130,8 @@ func (m *miner) assemble(frontier []*Mined, msgs []message) []*Mined {
 // mergeShards is assemble's parallel phase: messages are sharded by group
 // key hash, each shard merges its messages by (parent, extension) — the
 // same rule produced at different workers, so the sets union directly —
-// materializes one rule per group (the workers only ship (parent, ext)
-// plus center sets; scratch patterns never cross the wire), and codes its
+// materializes one rule per group (the workers only emit (parent, ext)
+// plus center sets; their scratch patterns stay theirs), and codes its
 // groups' patterns. The concatenated result is sorted
 // by group key, which erases both the shard assignment and the shard count
 // from everything downstream.
@@ -175,13 +173,13 @@ func (m *miner) mergeShards(frontier []*Mined, msgs []message) []*group {
 				gate.acquire()
 				defer gate.release()
 			}
-			m.eng.shard(s).merge(m, msgs, shardMsgs[s])
+			m.workers[s].asm.merge(m, msgs, shardMsgs[s])
 		}(s)
 	}
 	wg.Wait()
 	all := m.allGroups[:0]
 	for s := 0; s < nsh; s++ {
-		all = append(all, m.eng.shard(s).order...)
+		all = append(all, m.workers[s].asm.order...)
 	}
 	slices.SortFunc(all, func(a, b *group) int { return a.key.compare(b.key) })
 	m.allGroups = all
@@ -313,9 +311,8 @@ func (m *miner) lookup(gr *group, uniq []*group) (rep *group, inSigma bool) {
 
 // diversifyAndDistribute is lines 8-11 of Fig. 4: update the top-k
 // structure, then hand each worker the center frontier of the rules to
-// extend next round — all of ∆E — through the engine (carved from the
-// worker's frontier lane, whose previous round's views localMine has already
-// consumed).
+// extend next round, all of ∆E, carved from the worker's frontier lane
+// (whose previous round's views localMine has already consumed).
 func (m *miner) diversifyAndDistribute(deltaE []*Mined) error {
 	if !m.baseline {
 		m.queue.Update(m.entriesOf(deltaE), m.allEntries())
@@ -323,7 +320,7 @@ func (m *miner) diversifyAndDistribute(deltaE []*Mined) error {
 		// DMineNo recomputes the diversification from scratch every round.
 		_ = diversify.Greedy(m.allEntries(), m.params)
 	}
-	return m.eng.distribute(m, deltaE)
+	return m.distribute(deltaE)
 }
 
 // entriesOf lists ∆E as diversifier entries, in the miner's recycled buffer

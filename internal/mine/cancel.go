@@ -2,18 +2,17 @@ package mine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 )
 
-// This file is the cancellation layer of the mining engine. A DMine run is
+// This file is the cancellation layer of the mining loop. A DMine run is
 // a BSP computation: supersteps are the natural abort points, because
 // between them the coordinator holds no partially-reduced state — Σ, the
 // diversification queue and every arena are consistent at a superstep
 // boundary. Cancellation therefore polls Options.Ctx once per superstep
-// (and workers check it per round inside the engines), abandons the run
-// without installing anything, and lets the deferred engine close return
-// every worker and arena to its pool. A canceled-then-rerun job is
+// (and each worker checks it before its share of one), abandons the run
+// without installing anything, and lets the deferred release return every
+// worker and arena to its pool. A canceled-then-rerun job is
 // byte-identical to a clean run — pinned by the parity tests — because
 // nothing a canceled run touched survives in a result-bearing structure.
 
@@ -46,25 +45,6 @@ func (m *miner) canceled(step int) error {
 		return &CanceledError{Superstep: step, Err: err}
 	}
 	return nil
-}
-
-// wrapCanceled maps an engine error observed under a done context to the
-// typed *CanceledError. A cancel mid-superstep surfaces indirectly — a
-// remote worker whose connection was deliberately unwedged reports a
-// *WorkerError, a local engine reports the context error — and in either
-// case the caller asked for the abort, so the cancellation is the truth and
-// the transport casualty is incidental.
-func (m *miner) wrapCanceled(err error, step int) error {
-	var ce *CanceledError
-	if errors.As(err, &ce) {
-		return err
-	}
-	if m.opts.Ctx != nil {
-		if cerr := m.opts.Ctx.Err(); cerr != nil {
-			return &CanceledError{Superstep: step, Err: cerr}
-		}
-	}
-	return err
 }
 
 // acquireCtx is acquire with cancellation: it returns the context's error

@@ -7,9 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"gpar/internal/gen"
-	"gpar/internal/graph"
 )
 
 // must unwraps a (value, error) pair, panicking on error — panic rather
@@ -172,57 +169,6 @@ func TestCancelThenRerunParitySharedContext(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCancelThenRerunParityDistributed extends the parity pin across the
-// wire codec: cancel a distributed run at a counted superstep boundary,
-// then rerun clean over fresh loopback workers — byte-identical to the
-// local result for every worker count.
-func TestCancelThenRerunParityDistributed(t *testing.T) {
-	syms := graph.NewSymbols()
-	g := gen.Pokec(syms, gen.DefaultPokec(200, 9))
-	pred := gen.PokecPredicates(syms)[0]
-	base := Options{
-		K: 6, Sigma: 2, D: 2, Lambda: 0.5,
-		MaxEdges: 2, EmbedCap: 1 << 20,
-	}
-	for _, n := range []int{1, 2, 3, 8} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			o := base
-			o.N = n
-			o = o.Defaults()
-			ctx := NewContext(g, pred.XLabel, o)
-			want := fingerprint(must(DMineCtx(ctx, pred, o)))
-			completed := false
-			for _, allow := range []int{0, 1, 2, 3, 5, 9} {
-				co := o
-				co.Ctx = newPollCtx(allow)
-				res, err := DMineDistributed(ctx, pred, co, loopbackConns(n))
-				if err == nil {
-					if got := fingerprint(res); got != want {
-						t.Fatalf("allow=%d: uncanceled distributed run differs from local", allow)
-					}
-					completed = true
-					continue
-				}
-				var ce *CanceledError
-				if !errors.As(err, &ce) {
-					t.Fatalf("allow=%d: error %T (%v), want *CanceledError", allow, err, err)
-				}
-				if res != nil {
-					t.Fatalf("allow=%d: canceled run returned a result", allow)
-				}
-				got := fingerprint(must(DMineDistributed(ctx, pred, o, loopbackConns(n))))
-				if got != want {
-					t.Fatalf("allow=%d: distributed rerun after cancel at superstep %d differs:\n%s\nvs\n%s",
-						allow, ce.Superstep, want, got)
-				}
-			}
-			if !completed {
-				t.Fatal("no poll budget outlasted the run; raise the largest allow")
-			}
-		})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"gpar/internal/core"
 	"gpar/internal/graph"
-	"gpar/internal/partition"
 	"gpar/internal/pattern"
 )
 
@@ -18,11 +17,8 @@ import (
 
 // Context is the predicate-independent layout of a DMine run: the graph,
 // the candidate centers of one x-label, and the worker count that cuts them
-// into chunks. In-process workers all mine the one graph, each owning a
-// contiguous chunk of the ID-sorted candidate list, so building a Context
-// costs O(1). The d-neighbourhood fragments of Section 4.2 exist only for
-// remote workers, which have no graph: they are partitioned and encoded on a
-// fleet job's first use.
+// into chunks. Workers all mine the one graph, each owning a contiguous
+// chunk of the ID-sorted candidate list, so building a Context costs O(1).
 //
 // A Context is safe to share between any number of concurrent runs — the
 // serving subsystem caches Contexts per snapshot generation and hands one to
@@ -31,29 +27,10 @@ import (
 type Context struct {
 	g      *graph.Graph
 	xLabel graph.Label
-	d, n   int // wire-fragment radius, worker count
+	d, n   int // radius bound, worker count
 	// cands is g's own label index entry: ID-sorted, and never written.
 	cands []graph.NodeID
 	disc  atomic.Pointer[discMemo] // built on first use, shared by Rebind
-
-	wireOnce sync.Once
-	// wireFrags holds each d-neighbourhood fragment's encoding; the fragment
-	// graphs themselves are dropped once encoded.
-	wireFrags [][]byte
-}
-
-// WireFragment returns fragment i's canonical binary encoding, as a remote
-// worker receives it. The partition runs once per context, on the first
-// call, so repeat and retried distributed jobs skip it and the re-encode.
-func (c *Context) WireFragment(i int) []byte {
-	c.wireOnce.Do(func() {
-		frags := partition.Partition(c.g, c.cands, c.n, c.d)
-		c.wireFrags = make([][]byte, len(frags))
-		for j, f := range frags {
-			c.wireFrags[j] = f.AppendBinary(nil)
-		}
-	})
-	return c.wireFrags[i]
 }
 
 // NewContext fixes the mining layout for x-label candidates on g with opts'
@@ -89,16 +66,15 @@ func (c *Context) memo() *discMemo {
 	return c.disc.Load()
 }
 
-// fragment returns in-process worker i's view of the data: the whole graph,
-// owning the i-th of n equal-count chunks of the candidate list.
-func (c *Context) fragment(i int) *partition.Fragment {
-	lo, hi := i*len(c.cands)/c.n, (i+1)*len(c.cands)/c.n
-	return partition.Whole(c.g, c.cands[lo:hi])
+// chunk returns the centers worker i owns: the i-th of n equal-count chunks
+// of the candidate list.
+func (c *Context) chunk(i int) []graph.NodeID {
+	return c.cands[i*len(c.cands)/c.n : (i+1)*len(c.cands)/c.n]
 }
 
 // check verifies that the context matches the run parameters; a mismatched
-// context would silently mine with the wrong worker count or ship fragments
-// of the wrong radius, so this is a hard programming error.
+// context would silently mine with the wrong worker count or radius bound,
+// so this is a hard programming error.
 func (c *Context) check(pred core.Predicate, opts Options) error {
 	if pred.XLabel != c.xLabel {
 		return fmt.Errorf("mine: context built for x-label %d, predicate has %d", c.xLabel, pred.XLabel)
@@ -143,9 +119,9 @@ type discEntry struct {
 }
 
 // discKey writes w's key for q and frontier to w.key, and returns its hash.
-func (w *worker) discKey(q *pattern.Pattern, embedCap int, frontier []graph.NodeID) uint64 {
+func (w *worker) discKey(q *pattern.Pattern, frontier []graph.NodeID) uint64 {
 	id := func(v int) graph.NodeID { return graph.NodeID(v) }
-	dst := append(w.key[:0], id(w.slot), id(embedCap), id(q.NumNodes()), id(q.NumEdges()), id(q.X), id(q.Y))
+	dst := append(w.key[:0], id(w.slot), id(w.embedCap), id(q.NumNodes()), id(q.NumEdges()), id(q.X), id(q.Y))
 	for u := range q.NumNodes() {
 		dst = append(dst, id(int(q.Label(u))), id(q.Mult(u)))
 	}

@@ -9,7 +9,6 @@ import (
 	"gpar/internal/core"
 	"gpar/internal/gen"
 	"gpar/internal/graph"
-	"gpar/internal/partition"
 	"gpar/internal/pattern"
 )
 
@@ -100,7 +99,7 @@ func TestDMineCtxRejectsMismatchedContext(t *testing.T) {
 // TestNewContextIsConstantWork: a context is the graph's own candidate index
 // plus three numbers. Nothing proportional to the graph — no partition, no
 // fragment copy, no translation table — may be reachable from building one,
-// which is all a non-fleet job does before it mines.
+// which is all a job does before it mines.
 func TestNewContextIsConstantWork(t *testing.T) {
 	syms := graph.NewSymbols()
 	g := gen.Gplus(syms, gen.DefaultGplus(5000, 1))
@@ -109,51 +108,6 @@ func TestNewContextIsConstantWork(t *testing.T) {
 	g.Freeze()
 	if allocs := testing.AllocsPerRun(10, func() { NewContext(g, pred.XLabel, opts) }); allocs > 1 {
 		t.Fatalf("NewContext allocates %v times on a 5000-user graph, want the Context alone", allocs)
-	}
-}
-
-// TestWireFragmentBuiltOncePerContext: the fleet path partitions and
-// encodes on first use and every later caller, concurrent ones included,
-// gets the same bytes. Together the decoded fragments own every candidate
-// once.
-func TestWireFragmentBuiltOncePerContext(t *testing.T) {
-	g, preds, opts := contextFixture(t)
-	ctx := NewContext(g, preds[0].XLabel, opts)
-
-	const callers = 8
-	datas := make([][][]byte, callers)
-	var wg sync.WaitGroup
-	for c := range datas {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < opts.N; i++ {
-				datas[c] = append(datas[c], ctx.WireFragment(i))
-			}
-		}()
-	}
-	wg.Wait()
-
-	var owned []graph.NodeID
-	for i := 0; i < opts.N; i++ {
-		data := ctx.WireFragment(i)
-		for c := range datas {
-			if &datas[c][i][0] != &data[0] {
-				t.Fatalf("fragment %d: caller %d got its own encoding", i, c)
-			}
-		}
-		frag, _, err := partition.DecodeFragment(data, g.Symbols())
-		if err != nil {
-			t.Fatalf("fragment %d: %v", i, err)
-		}
-		for _, c := range frag.Centers {
-			owned = append(owned, frag.Global(c))
-		}
-	}
-	slices.Sort(owned)
-	if !slices.Equal(owned, g.NodesWithLabel(preds[0].XLabel)) {
-		t.Errorf("wire fragments own %d centers, not the %d candidates once each",
-			len(owned), len(g.NodesWithLabel(preds[0].XLabel)))
 	}
 }
 
@@ -210,15 +164,14 @@ func TestDiscoveryMemoKeysFrontier(t *testing.T) {
 	g, preds, opts := contextFixture(t)
 	pred := preds[0]
 	ctx := NewContext(g, pred.XLabel, opts)
-	lp := localParams{pred: pred, d: opts.D, embedCap: 64, syms: g.Symbols()}
 	q := pattern.New(g.Symbols())
 	q.X = q.AddNodeL(pred.XLabel)
 	cands := g.NodesWithLabel(pred.XLabel)
-	shared := &worker{frag: partition.Whole(g, nil), disc: ctx.memo()}
-	fresh := &worker{frag: partition.Whole(g, nil), disc: &discMemo{}}
+	shared := &worker{g: g, pred: pred, d: opts.D, embedCap: 64, disc: ctx.memo()}
+	fresh := &worker{g: g, pred: pred, d: opts.D, embedCap: 64, disc: &discMemo{}}
 	for _, frontier := range [][]graph.NodeID{cands, cands[:len(cands)/2]} {
-		got := slices.Clone(shared.discover(lp, q, frontier))
-		want := fresh.discover(lp, q, frontier)
+		got := slices.Clone(shared.discover(q, frontier))
+		want := fresh.discover(q, frontier)
 		if !slices.EqualFunc(got, want, func(a, b extAcc) bool { return a.ext == b.ext && slices.Equal(a.centers, b.centers) }) {
 			t.Fatalf("frontier of %d centres: memo serves %d extensions, discovery finds %d", len(frontier), len(got), len(want))
 		}
@@ -227,8 +180,8 @@ func TestDiscoveryMemoKeysFrontier(t *testing.T) {
 		t.Fatalf("memo stored %d parents and served %d, want 2 and 0", parents, hits)
 	}
 	// A full memo stores nothing and still answers from discovery.
-	full := &worker{frag: partition.Whole(g, nil), disc: &discMemo{}}
-	if got := full.discover(lp, q, cands); len(got) == 0 || full.disc.parents != 0 || full.disc.ids != 0 {
+	full := &worker{g: g, pred: pred, d: opts.D, embedCap: 64, disc: &discMemo{}}
+	if got := full.discover(q, cands); len(got) == 0 || full.disc.parents != 0 || full.disc.ids != 0 {
 		t.Fatalf("memo at its bound: %d extensions, %d parents stored", len(got), full.disc.parents)
 	}
 }

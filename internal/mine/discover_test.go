@@ -9,7 +9,6 @@ import (
 	"gpar/internal/core"
 	"gpar/internal/graph"
 	"gpar/internal/match"
-	"gpar/internal/partition"
 	"gpar/internal/pattern"
 )
 
@@ -18,10 +17,10 @@ import (
 // embedding is turned into its extension and recorded for the center, in
 // maps. It also reports how many centers' enumerations reached the embedding
 // cap.
-func perEdgeReference(g *graph.Graph, lp localParams, q *pattern.Pattern, centers []graph.NodeID) (ref map[pattern.Extension]map[graph.NodeID]bool, capped int64) {
+func perEdgeReference(g *graph.Graph, w *worker, q *pattern.Pattern, centers []graph.NodeID) (ref map[pattern.Extension]map[graph.NodeID]bool, capped int64) {
 	ref = make(map[pattern.Extension]map[graph.NodeID]bool)
 	distX := q.DistancesInto(nil, q.X)
-	opts := match.Options{MaxMatches: lp.embedCap, Canonical: true}
+	opts := match.Options{MaxMatches: w.embedCap, Canonical: true}
 	for _, vx := range centers {
 		add := func(ext pattern.Extension) {
 			if ref[ext] == nil {
@@ -35,7 +34,7 @@ func perEdgeReference(g *graph.Graph, lp localParams, q *pattern.Pattern, center
 				inv[dv] = u
 			}
 			for u, dv := range asgn {
-				canGrow := distX[u] >= 0 && distX[u]+1 <= lp.d
+				canGrow := distX[u] >= 0 && distX[u]+1 <= w.d
 				for _, dir := range []struct {
 					adj      []graph.Edge
 					outgoing bool
@@ -56,7 +55,7 @@ func perEdgeReference(g *graph.Graph, lp localParams, q *pattern.Pattern, center
 						}
 						l := g.Label(e.To)
 						add(pattern.Extension{Src: u, Outgoing: dir.outgoing, EdgeLabel: e.Label, NewLabel: l, Close: pattern.NoNode})
-						if q.Y == pattern.NoNode && l == lp.pred.YLabel {
+						if q.Y == pattern.NoNode && l == w.pred.YLabel {
 							add(pattern.Extension{Src: u, Outgoing: dir.outgoing, EdgeLabel: e.Label, NewLabel: l, Close: pattern.NoNode, AsY: true})
 						}
 					}
@@ -64,7 +63,7 @@ func perEdgeReference(g *graph.Graph, lp localParams, q *pattern.Pattern, center
 			}
 			return true
 		})
-		if n == lp.embedCap {
+		if n == w.embedCap {
 			capped++
 		}
 	}
@@ -75,7 +74,7 @@ func perEdgeReference(g *graph.Graph, lp localParams, q *pattern.Pattern, center
 // direction) under two embeddings such that a neighbour class of w is
 // withheld under the earlier one — every member embedded — and realized
 // under a later one: the corner the per-center memo must not skip.
-func withheldThenRealized(g *graph.Graph, lp localParams, q *pattern.Pattern, centers []graph.NodeID) bool {
+func withheldThenRealized(g *graph.Graph, w *worker, q *pattern.Pattern, centers []graph.NodeID) bool {
 	type site struct {
 		u          int
 		w          graph.NodeID
@@ -83,13 +82,13 @@ func withheldThenRealized(g *graph.Graph, lp localParams, q *pattern.Pattern, ce
 		edge, node graph.Label
 	}
 	distX := q.DistancesInto(nil, q.X)
-	opts := match.Options{MaxMatches: lp.embedCap, Canonical: true}
+	opts := match.Options{MaxMatches: w.embedCap, Canonical: true}
 	found := false
 	for _, vx := range centers {
 		withheld := make(map[site]bool)
 		match.EnumerateAnchored(q, g, vx, opts, func(asgn []graph.NodeID) bool {
 			for u, dv := range asgn {
-				if distX[u] < 0 || distX[u]+1 > lp.d {
+				if distX[u] < 0 || distX[u]+1 > w.d {
 					continue
 				}
 				for _, outgoing := range []bool{true, false} {
@@ -233,12 +232,12 @@ func TestDiscoverExtensionsMatchesPerEdgeReference(t *testing.T) {
 func checkDiscovery(t *testing.T, c discoveryCase) {
 	g := c.g
 	g.Freeze()
-	lp := localParams{pred: c.pred, d: 2, embedCap: c.embedCap, syms: g.Symbols()}
 	memo := &discMemo{limit: math.MaxInt64, entries: map[uint64]*discEntry{}}
 	workers := make([]*worker, 3)
 	for i := range workers {
-		workers[i] = &worker{frag: partition.Whole(g, nil), disc: memo, slot: i}
+		workers[i] = &worker{g: g, pred: c.pred, d: 2, embedCap: c.embedCap, disc: memo, slot: i}
 	}
+	params := workers[0] // the reference reads only its pred, d and embedCap
 	type parent struct {
 		q       *pattern.Pattern
 		centers []graph.NodeID
@@ -251,9 +250,9 @@ func checkDiscovery(t *testing.T, c discoveryCase) {
 	for depth := 0; depth < 3; depth++ {
 		var next []parent
 		for _, p := range level {
-			ref, hitCap := perEdgeReference(g, lp, p.q, p.centers)
+			ref, hitCap := perEdgeReference(g, params, p.q, p.centers)
 			capped += hitCap
-			sawWithheld = sawWithheld || c.wantWithheld && withheldThenRealized(g, lp, p.q, p.centers)
+			sawWithheld = sawWithheld || c.wantWithheld && withheldThenRealized(g, params, p.q, p.centers)
 			want := make(map[pattern.Extension][]graph.NodeID, len(ref))
 			var exts []pattern.Extension
 			for ext, cs := range ref {
@@ -276,7 +275,7 @@ func checkDiscovery(t *testing.T, c discoveryCase) {
 					for i, w := range workers[:n] {
 						chunk := p.centers[i*len(p.centers)/n : (i+1)*len(p.centers)/n]
 						gotCapped -= w.capped
-						exts := w.discover(lp, p.q, chunk)
+						exts := w.discover(p.q, chunk)
 						gotCapped += w.capped
 						for j, f := range exts {
 							if j > 0 && exts[j-1].ext.Compare(f.ext) >= 0 {

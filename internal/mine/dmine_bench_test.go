@@ -7,7 +7,6 @@ import (
 	"gpar/internal/core"
 	"gpar/internal/gen"
 	"gpar/internal/graph"
-	"gpar/internal/partition"
 	"gpar/internal/pattern"
 )
 
@@ -76,7 +75,7 @@ func BenchmarkLocalMineRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if msgs, err := m.eng.generate(m, frontier); err != nil || len(msgs) == 0 {
+		if msgs, err := m.generate(frontier); err != nil || len(msgs) == 0 {
 			b.Fatalf("no messages generated (err=%v)", err)
 		}
 	}
@@ -128,14 +127,13 @@ func BenchmarkDiscoverExtensions(b *testing.B) {
 // benchDiscover times discoverExtensions of parent q over centers on one
 // warmed-up worker owning the whole graph.
 func benchDiscover(b *testing.B, g *graph.Graph, pred core.Predicate, opts Options, q *pattern.Pattern, centers []graph.NodeID) {
-	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts.Defaults())
-	lp := m.localParams()
-	w := &worker{frag: partition.Whole(g, g.NodesWithLabel(pred.XLabel))}
-	w.discoverExtensions(lp, q, centers)
+	opts = opts.Defaults()
+	w := &worker{g: g, pred: pred, d: opts.D, embedCap: opts.EmbedCap}
+	w.discoverExtensions(q, centers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if accs := w.discoverExtensions(lp, q, centers); len(accs) == 0 {
+		if accs := w.discoverExtensions(q, centers); len(accs) == 0 {
 			b.Fatal("no extensions discovered")
 		}
 	}

@@ -16,15 +16,15 @@ import (
 // one message per candidate extension.
 //
 // No coordinator-side sort is needed: each worker emits in deterministic
-// (frontier, extension) order, the engines concatenate by worker id, and
-// the sharded assembly re-establishes a global deterministic group order in
+// (frontier, extension) order, generate concatenates by worker id, and
+// the sharded assembly re-establishes one deterministic group order in
 // its reduce.
 
 // extAcc accumulates one candidate extension's local evidence at a worker.
 // Accumulators are pooled on the worker and recycled every parent.
 type extAcc struct {
 	ext     pattern.Extension
-	centers []graph.NodeID // local owned centers supporting the extended Q
+	centers []graph.NodeID // owned centers supporting the extended Q
 	// lastVx deduplicates center appends: a center's embeddings are
 	// enumerated consecutively, so "already counted vx" is just "the last
 	// center appended is vx" — no per-accumulator seen map.
@@ -32,16 +32,17 @@ type extAcc struct {
 }
 
 // localMine extends every frontier rule at this worker and verifies local
-// support, leaving the round's messages in w.msgs (global node IDs, views
-// into the worker's message lanes). Candidate rules are materialized into
-// per-worker scratch patterns — only the coordinator materializes one
-// heap rule per distinct candidate, at assembly.
-func (w *worker) localMine(lp localParams, frontier []localRule) {
+// support, leaving the round's messages in w.msgs (views into the worker's
+// message lanes). Candidate rules are materialized into per-worker scratch
+// patterns — only the coordinator materializes one heap rule per distinct
+// candidate, at assembly. The frontier is the coordinator's, read-only: a
+// worker reads each rule's id and antecedent.
+func (w *worker) localMine(frontier []*Mined) {
 	out := w.msgs[:0]
 	w.ar.resetMessages()
 	if w.qScratch == nil {
-		w.qScratch = pattern.New(lp.syms)
-		w.prScratch = pattern.New(lp.syms)
+		w.qScratch = pattern.New(w.g.Symbols())
+		w.prScratch = pattern.New(w.g.Symbols())
 	}
 	for _, parent := range frontier {
 		centers := w.centersFor[parent.id]
@@ -51,21 +52,22 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 		// Keep the frontier sorted ascending once, so every accumulator's
 		// center list is built already sorted.
 		slices.Sort(centers)
-		for _, f := range w.discover(lp, parent.q, centers) {
+		pq := parent.Rule.Q
+		for _, f := range w.discover(pq, centers) {
 			// Materialize the candidate into recycled scratch; the scratch
 			// is dead once the matcher below releases.
-			q := parent.q.ApplyInto(w.qScratch, f.ext)
+			q := pq.ApplyInto(w.qScratch, f.ext)
 			if q == nil {
 				continue
 			}
-			child := core.Rule{Q: q, Pred: lp.pred}
+			child := core.Rule{Q: q, Pred: w.pred}
 			pr := child.PRInto(w.prScratch)
 			// Admissibility: q(x,y) ∉ Q and the radius bound r(PR, x) ≤ d.
-			if q.Y != pattern.NoNode && q.HasEdge(q.X, q.Y, lp.pred.EdgeLabel) {
+			if q.Y != pattern.NoNode && q.HasEdge(q.X, q.Y, w.pred.EdgeLabel) {
 				continue
 			}
 			w.distBuf = pr.DistancesInto(w.distBuf, pr.X)
-			if rad := pattern.Radius(w.distBuf); rad < 0 || rad > lp.d {
+			if rad := pattern.Radius(w.distBuf); rad < 0 || rad > w.d {
 				continue
 			}
 
@@ -76,18 +78,17 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 			// Q does (every center of f does).
 			var prm *match.Matcher
 			if !child.YFree() {
-				prm = match.NewMatcher(pr, w.frag.G, match.Options{})
+				prm = match.NewMatcher(pr, w.g, match.Options{})
 			}
 			for _, c := range f.centers {
-				gv := w.frag.Global(c)
-				w.ar.q.push(gv)
+				w.ar.q.push(c)
 				switch w.class[c] {
 				case eip.Pqbar:
-					w.ar.qqb.push(gv)
+					w.ar.qqb.push(c)
 				case eip.Pq:
 					w.ops++
 					if prm == nil || prm.HasMatchAt(c) {
-						w.ar.r.push(gv)
+						w.ar.r.push(c)
 					}
 				}
 			}
@@ -106,21 +107,21 @@ func (w *worker) localMine(lp localParams, frontier []localRule) {
 // discover returns discoverExtensions' list, read-only, from the memo if it
 // has it, plus the AsY twin of each new-node extension with y's label when
 // q has no y: same centers, and sorted right after it.
-func (w *worker) discover(lp localParams, q *pattern.Pattern, centers []graph.NodeID) []extAcc {
-	h := w.discKey(q, lp.embedCap, centers)
+func (w *worker) discover(q *pattern.Pattern, centers []graph.NodeID) []extAcc {
+	h := w.discKey(q, centers)
 	var exts []*extAcc
 	if e := w.disc.lookup(w.key, h); e != nil {
 		exts, w.ops, w.capped = e.exts, w.ops+e.ops, w.capped+e.capped
 	} else {
 		ops, capped := w.ops, w.capped
-		exts = w.discoverExtensions(lp, q, centers)
+		exts = w.discoverExtensions(q, centers)
 		w.disc.store(w.key, h, exts, w.ops-ops, w.capped-capped)
 	}
 	clear(w.exts) // hold no views past this call's list
 	out := w.exts[:0]
 	for _, f := range exts {
 		out = append(out, *f)
-		if q.Y == pattern.NoNode && f.ext.Close == pattern.NoNode && f.ext.NewLabel == lp.pred.YLabel {
+		if q.Y == pattern.NoNode && f.ext.Close == pattern.NoNode && f.ext.NewLabel == w.pred.YLabel {
 			out = append(out, *f)
 			out[len(out)-1].ext.AsY = true
 		}
@@ -135,9 +136,8 @@ func (w *worker) discover(lp localParams, q *pattern.Pattern, centers []graph.No
 // 4.2). Injectivity and the radius bound are respected; the supporting
 // centers of each extension are collected exactly (up to EmbedCap embeddings
 // per center; w.capped counts the centers that reached it). Embeddings are
-// enumerated canonically (match.Options.Canonical; local IDs ascend with
-// global IDs on the shared graph and on a wire fragment alike), so EmbedCap
-// truncation sees the same embeddings whichever worker owns the center.
+// enumerated canonically (match.Options.Canonical), so EmbedCap truncation
+// sees the same embeddings whichever worker owns the center.
 //
 // The adjacency of an embedded data node is read once per parent, not once
 // per embedding: the first embedding that touches a (data node, direction)
@@ -146,28 +146,27 @@ func (w *worker) discover(lp localParams, q *pattern.Pattern, centers []graph.No
 //
 // The returned accumulators are sorted by Extension.Compare and owned by
 // the worker: they are recycled on the next call.
-func (w *worker) discoverExtensions(lp localParams, q *pattern.Pattern, centers []graph.NodeID) []*extAcc {
+func (w *worker) discoverExtensions(q *pattern.Pattern, centers []graph.NodeID) []*extAcc {
 	w.distXBuf = q.DistancesInto(w.distXBuf, q.X)
 	distX := w.distXBuf
 	w.resetAccs()
-	g := w.frag.G
-	w.resetSummaries(g.NumNodes())
+	w.resetSummaries(w.g.NumNodes())
 	// One pooled matcher per parent, reused across all centers.
-	qm := match.NewMatcher(q, g, match.Options{MaxMatches: lp.embedCap, Canonical: true})
+	qm := match.NewMatcher(q, w.g, match.Options{MaxMatches: w.embedCap, Canonical: true})
 	for _, vx := range centers {
 		w.ops++
 		seen := qm.EnumerateAnchored(vx, func(asgn []graph.NodeID) bool {
 			for u := range asgn {
 				// The new node would sit at distance distX[u]+1 from x;
 				// enforce the antecedent radius bound r(Q, x) <= d.
-				canGrow := distX[u] >= 0 && distX[u]+1 <= lp.d
+				canGrow := distX[u] >= 0 && distX[u]+1 <= w.d
 				w.extendAt(q, vx, asgn, u, true, canGrow)
 				w.extendAt(q, vx, asgn, u, false, canGrow)
 			}
 			return true
 		})
 		w.ops += int64(seen)
-		if seen == lp.embedCap {
+		if seen == w.embedCap {
 			w.capped++
 		}
 	}
@@ -223,7 +222,7 @@ func (w *worker) resetSummaries(n int) {
 // current range has opened (labAt[l] is label l's latest class; an index
 // below seg is stale).
 func (w *worker) summarize(s *nbrSummary, v graph.NodeID, adj []graph.Edge) {
-	g, cls, labAt := w.frag.G, w.classes, w.labAt
+	g, cls, labAt := w.g, w.classes, w.labAt
 	s.epoch, s.lo, s.doneVx, s.self = w.nbrEpoch, int32(len(cls)), -1, false
 	seg, k, edge := len(cls), -1, graph.NoLabel
 	for _, e := range adj {
@@ -269,7 +268,7 @@ func (w *worker) summarize(s *nbrSummary, v graph.NodeID, adj []graph.Edge) {
 //     add calls would be no-ops: each extension's lastVx already holds
 //     vx, because a center's embeddings are enumerated consecutively.
 func (w *worker) extendAt(q *pattern.Pattern, vx graph.NodeID, asgn []graph.NodeID, u int, outgoing, canGrow bool) {
-	g, dv := w.frag.G, asgn[u]
+	g, dv := w.g, asgn[u]
 	s, adj := &w.nbr[2*int(dv)], g.In(dv)
 	if outgoing {
 		s, adj = &w.nbr[2*int(dv)+1], g.Out(dv)

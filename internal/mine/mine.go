@@ -8,9 +8,9 @@
 //
 // Workers are goroutines over the one shared graph, each owning a contiguous
 // chunk of the candidate centers; each round they exchange <R, conf>
-// messages with the coordinator as in Fig. 4 of the paper. The
-// d-neighbourhood fragments of Section 4.2 are what a worker in another
-// process mines instead (distributed.go): it has no graph.
+// messages with the coordinator as in Fig. 4 of the paper. The paper's
+// workers are machines holding d-neighbourhood fragments (Section 4.2);
+// here they share one process and one graph, so no fragment is built.
 //
 // One interpretation choice: the paper grows patterns "by including at
 // least one new edge that is at hop r from vx" over d rounds, yet its own
@@ -32,7 +32,6 @@ import (
 	"gpar/internal/diversify"
 	"gpar/internal/eip"
 	"gpar/internal/graph"
-	"gpar/internal/partition"
 	"gpar/internal/pattern"
 )
 
@@ -47,23 +46,22 @@ type Options struct {
 	N      int     // number of workers; coordinator is extra
 
 	// Ctx, when non-nil, makes the run cancellable: the coordinator polls it
-	// at every BSP superstep boundary (and the engines check it per worker
-	// round), abandoning the run with a *CanceledError once the context is
-	// done. Nothing partial is ever returned or installed, and every arena,
-	// worker and pool entry is released cleanly — a canceled-then-rerun job
-	// is byte-identical to a clean run (pinned by the parity tests). A nil
-	// Ctx means the run cannot be canceled; the error-free entry points
-	// (DMine, DMineNo) require it to be nil.
+	// at every BSP superstep boundary (and each worker checks it before its
+	// share of a superstep), abandoning the run with a *CanceledError once
+	// the context is done. Nothing partial is ever returned or installed,
+	// and every arena, worker and pool entry is released cleanly — a
+	// canceled-then-rerun job is byte-identical to a clean run (pinned by
+	// the parity tests). A nil Ctx means the run cannot be canceled; the
+	// error-free entry points (DMine, DMineNo) require it to be nil.
 	Ctx context.Context
 
 	MaxEdges int // antecedent edge budget; also the number of BSP rounds
 	EmbedCap int // cap on embeddings enumerated per center when discovering
 	// extensions (0 = 64); a safety valve on dense neighborhoods. A
-	// center's embeddings are enumerated in a canonical global-ID order
-	// (match.Options.Canonical; a wire fragment's node order is globally
-	// sorted), so even when the cap bites, which embeddings are seen — and
-	// therefore the mining result — is identical for every worker count,
-	// in-process or remote.
+	// center's embeddings are enumerated in a canonical node-ID order
+	// (match.Options.Canonical), so even when the cap bites, which
+	// embeddings are seen — and therefore the mining result — is identical
+	// for every worker count.
 
 	// Gate, when non-nil, bounds how many of the N worker goroutines (and
 	// assembly shards) execute simultaneously. Runs sharing one Gate — e.g.
@@ -108,25 +106,17 @@ type Mined struct {
 	Rule  *core.Rule
 	Stats core.Stats
 	Conf  float64
-	// Set is PR(x,G): the distinct matches of x, as global node IDs,
-	// sorted. It feeds diff() and is the rule's "social group".
+	// Set is PR(x,G): the distinct matches of x, as node IDs, sorted. It
+	// feeds diff() and is the rule's "social group".
 	Set []graph.NodeID
 	// id identifies the rule across rounds within this run.
 	id ruleID
 	// bits is Set in popcount form, built once and shared with every
 	// diversify.Entry the rule appears in.
 	bits diversify.Bits
-	// qCenters is Q(x,G) over the mining frontier (global IDs, sorted); it
-	// seeds the workers' next-round center lists.
+	// qCenters is Q(x,G) over the mining frontier (sorted); it seeds the
+	// workers' next-round center lists.
 	qCenters []graph.NodeID
-	// parent and ext record the growth step that produced the rule: the
-	// parent's id and the extension applied to it. The distributed engine
-	// ships frontier rules structurally as (id, parent, ext, qCenters) and
-	// remote workers rebuild Q as parentQ.Apply(ext) — Apply is
-	// deterministic, so the rebuilt pattern is byte-identical to the
-	// coordinator's materialization.
-	parent ruleID
-	ext    pattern.Extension
 }
 
 // Key returns the rule's stable identity within one run, in the printable
@@ -161,11 +151,10 @@ type Result struct {
 	Supersteps []SuperstepStat
 }
 
-// SuperstepStat is one BSP round as the coordinator saw it, for the local
-// and the remote engine alike: the frontier it extended, the messages the
-// generate superstep returned (for a fleet, that span includes the wire),
-// the rules assembly registered in Σ, and the time each of the three phases
-// of runE took.
+// SuperstepStat is one BSP round as the coordinator saw it: the frontier it
+// extended, the messages the generate superstep returned, the rules
+// assembly registered in Σ, and the time each of the three phases of runE
+// took.
 type SuperstepStat struct {
 	Round       int     `json:"round"`
 	Frontier    int     `json:"frontier"`
@@ -180,7 +169,7 @@ type SuperstepStat struct {
 // of the paper with incDiv and canonical-code grouping. DMineCtx on a
 // prebuilt Context returns byte-identical results. Options.Ctx must be nil
 // here: this entry point has no error return, so cancellable runs go through
-// DMineCtx/DMineDistributed.
+// DMineCtx.
 func DMine(g *graph.Graph, pred core.Predicate, opts Options) *Result {
 	opts = opts.Defaults()
 	m := newMiner(NewContext(g, pred.XLabel, opts), pred, opts)
@@ -206,22 +195,24 @@ func DMineNo(g *graph.Graph, pred core.Predicate, opts Options) *Result {
 // worker holds its view of the data plus its per-round caches and scratch.
 // All scratch is owned by the worker goroutine; nothing here is shared.
 type worker struct {
-	// frag is the graph the worker mines and the centers it owns. In process
-	// it is the identity fragment (partition.Whole) over the shared graph
-	// and a chunk of the candidate list; on a remote worker it is a decoded
-	// d-neighbourhood fragment with its own local IDs.
-	frag *partition.Fragment
+	// g is the run's shared graph, read-only; centers is the worker's chunk
+	// of the candidate list, a view into g's label index.
+	g       *graph.Graph
+	centers []graph.NodeID
+	// The run's parameters localMine reads: the predicate, the radius bound
+	// d and EmbedCap.
+	pred        core.Predicate
+	d, embedCap int
 
-	class  []eip.Class // class[local] : an owned center's LCWA class
-	npq    int         // |Pq(x,Fi)|
-	npqbar int         // local q̄ count
-	// centersFor caches, per rule, the owned centers (local IDs, sorted)
-	// whose Q still matches — the mining frontier.
+	class  []eip.Class // class[v] : an owned center's LCWA class
+	npq    int         // the worker's share of |Pq(x,G)|
+	npqbar int         // its share of the q̄ count
+	// centersFor caches, per rule, the owned centers (sorted) whose Q still
+	// matches — the mining frontier.
 	centersFor map[ruleID][]graph.NodeID
 
-	ops       int64  // match operations (work accounting)
-	capped    int64  // (parent, center) enumerations that reached EmbedCap
-	centerSet []bool // centerSet[local] : node is an owned candidate center
+	ops    int64 // match operations (work accounting)
+	capped int64 // (parent, center) enumerations that reached EmbedCap
 
 	// Round arenas and recycled scratch (see arena.go). msgs is the
 	// worker's reusable message slice; qScratch/prScratch are the candidate
@@ -236,7 +227,7 @@ type worker struct {
 	distXBuf  []int
 
 	// Extension-discovery scratch (discoverExtensions): epoch-stamped
-	// neighbour-class summaries, two slots per local data node — bumping
+	// neighbour-class summaries, two slots per data node — bumping
 	// the epoch once per parent invalidates them all in O(1) — plus a
 	// pooled extension-accumulator set reused across parents and rounds.
 	nbr      []nbrSummary // nbr[2v] in-adjacency of v, nbr[2v+1] out-adjacency
@@ -246,7 +237,7 @@ type worker struct {
 	accs     map[uint64]*extAcc // keyed by packed extension code
 	accList  []*extAcc          // discovery order; re-sorted deterministically
 	accPool  []*extAcc          // recycled accumulators
-	// discover's memo (a zero one on a remote worker), index and scratch.
+	// discover's memo, index and scratch.
 	disc *discMemo
 	slot int
 	key  []graph.NodeID
@@ -284,16 +275,12 @@ func (w *worker) extCode(e pattern.Extension) uint64 {
 	return id
 }
 
-// ownsCenter reports whether the local node is one of this worker's owned
-// candidate centers.
+// ownsCenter reports whether candidate v is one of this worker's centers.
+// The chunks are contiguous runs of the ID-sorted candidate list, so a range
+// test decides it.
 func (w *worker) ownsCenter(v graph.NodeID) bool {
-	if w.centerSet == nil {
-		w.centerSet = make([]bool, w.frag.G.NumNodes())
-		for _, c := range w.frag.Centers {
-			w.centerSet[c] = true
-		}
-	}
-	return w.centerSet[v]
+	n := len(w.centers)
+	return n > 0 && w.centers[0] <= v && v <= w.centers[n-1]
 }
 
 // message is the <R, conf, flag> triple of Fig. 4 in the form DMine's
@@ -301,17 +288,17 @@ func (w *worker) ownsCenter(v graph.NodeID) bool {
 // supports, PR(x,G) and the extension frontier. The flag is implicit: a
 // worker emits a message only for a candidate some owned center matches, so
 // every assembled rule can be extended and the frontier is all of ∆E. The
-// candidate itself travels structurally as (parent, ext) — workers verify it
-// on recycled scratch patterns and the assembly materializes one rule per
+// candidate itself is named structurally as (parent, ext) — workers verify
+// it on recycled scratch patterns and the assembly materializes one rule per
 // distinct candidate — and the center sets are views into the emitting
 // worker's round arena, dead once the round's assembly completes.
 type message struct {
 	parent ruleID
 	ext    pattern.Extension
 
-	qCenters   []graph.NodeID // global IDs: owned centers matching the new Q
-	rSet       []graph.NodeID // global IDs: owned centers matching PR
-	qqbCenters []graph.NodeID // global IDs: Q-matching centers in the q̄ set
+	qCenters   []graph.NodeID // owned centers matching the new Q
+	rSet       []graph.NodeID // owned centers matching PR
+	qqbCenters []graph.NodeID // Q-matching centers in the q̄ set
 }
 
 // miner is the coordinator.
@@ -319,10 +306,10 @@ type miner struct {
 	ctx  *Context
 	pred core.Predicate
 	opts Options
-	// eng places the workers: goroutines over the shared graph
-	// (localEngine) or remote worker services (remoteEngine). The
-	// coordinator's reduce below is identical either way.
-	eng engine
+	// workers are the run's N workers, bound by attach; msgBuf is the
+	// recycled concatenation of their messages (generate).
+	workers []*worker
+	msgBuf  []message
 
 	suppQ1  int // supp(q,G)
 	suppQbr int // supp(q̄,G)
@@ -364,7 +351,6 @@ func newMiner(ctx *Context, pred core.Predicate, opts Options) *miner {
 		ctx:        ctx,
 		pred:       pred,
 		opts:       opts,
-		eng:        &localEngine{},
 		sigma:      make([]*Mined, 1), // slot 0: seed
 		sigmaCodes: make(map[string]ruleID),
 		reps:       make(map[string]*group),
@@ -379,36 +365,34 @@ func (m *miner) newRuleID() ruleID {
 	return m.lastID
 }
 
-// run drives runE for runs that cannot fail: the local engine with a nil
+// run drives runE for runs that cannot fail: those with a nil
 // Options.Ctx. The non-cancellable entry points (DMine, DMineNo) route
 // here and must not be handed a Ctx — a cancellation would surface as a
 // panic, because they have no error to return it through.
 func (m *miner) run() *Result {
 	res, err := m.runE()
 	if err != nil {
-		// Only the remote engine and a set Options.Ctx produce errors, and
-		// their entry points call runE directly; an error here is a
-		// programming bug.
+		// Only a set Options.Ctx produces errors, and DMineCtx calls runE
+		// directly; an error here is a programming bug.
 		panic(err)
 	}
 	return res
 }
 
-// runE is the coordinator loop of Fig. 4, engine-agnostic: prepare (round
-// 0), then per round one generate superstep, the deterministic assemble
-// reduce, and the diversify/filter/distribute step. Errors are remote
-// worker failures or a done Options.Ctx (a *CanceledError stamped with the
-// superstep reached); the deferred close releases workers on every exit
-// path, so a failed or canceled run never leaks (and never installs a
-// partial Σ — the Result is simply not returned).
+// runE is the coordinator loop of Fig. 4: prepare (round 0), then per round
+// one generate superstep, the deterministic assemble reduce, and the
+// diversify/filter/distribute step. The one error is a done Options.Ctx (a
+// *CanceledError stamped with the superstep reached); the deferred release
+// returns the workers on every exit path, so a canceled run never leaks
+// (and never installs a partial Σ — the Result is simply not returned).
 func (m *miner) runE() (*Result, error) {
-	defer m.eng.close(m)
+	defer m.release()
 	if err := m.canceled(0); err != nil {
 		return nil, err
 	}
 	frontier, err := m.prepare()
 	if err != nil {
-		return nil, m.wrapCanceled(err, 0)
+		return nil, &CanceledError{Superstep: 0, Err: err}
 	}
 	if frontier == nil {
 		// Trivial case 1: q(x,y) specifies no user in G.
@@ -428,15 +412,15 @@ func (m *miner) runE() (*Result, error) {
 		}
 		m.res.Rounds = r
 		st := SuperstepStat{Round: r, Frontier: len(frontier)}
-		msgs, err := m.eng.generate(m, frontier)
+		msgs, err := m.generate(frontier)
 		if err != nil {
-			return nil, m.wrapCanceled(err, r)
+			return nil, &CanceledError{Superstep: r, Err: err}
 		}
 		st.Messages, st.GenerateMs = len(msgs), lap()
 		frontier = m.assemble(frontier, msgs)
 		st.Kept, st.AssembleMs = len(frontier), lap()
 		if err := m.diversifyAndDistribute(frontier); err != nil {
-			return nil, m.wrapCanceled(err, r)
+			return nil, &CanceledError{Superstep: r, Err: err}
 		}
 		st.DiversifyMs = lap()
 		m.res.Supersteps = append(m.res.Supersteps, st)
@@ -452,13 +436,8 @@ func (m *miner) runE() (*Result, error) {
 // graph. Factored out of run so the round benchmark can measure a single
 // steady-state generate superstep.
 func (m *miner) prepare() ([]*Mined, error) {
-	npq, npqbar, err := m.eng.attach(m)
-	if err != nil {
+	if err := m.attach(); err != nil {
 		return nil, err
-	}
-	for i := range npq {
-		m.suppQ1 += npq[i]
-		m.suppQbr += npqbar[i]
 	}
 	if m.suppQ1 == 0 {
 		return nil, nil
@@ -501,9 +480,8 @@ var workerPool struct {
 	idle []*worker
 }
 
-// acquireWorker binds pooled worker scratch to one worker's view of this
-// run's data.
-func acquireWorker(frag *partition.Fragment) *worker {
+// acquireWorker binds pooled worker scratch to worker i of m's run.
+func acquireWorker(m *miner, i int) *worker {
 	var w *worker
 	workerPool.mu.Lock()
 	if n := len(workerPool.idle); n > 0 {
@@ -513,17 +491,16 @@ func acquireWorker(frag *partition.Fragment) *worker {
 	if w == nil {
 		w = new(worker)
 	}
-	w.bind(frag)
+	w.bind(m, i)
 	return w
 }
 
-// bind points the worker at its view of a run's data and clears everything
-// whose content depends on the run or its graph; every run, in process or
-// remote, starts here.
-func (w *worker) bind(frag *partition.Fragment) {
-	w.frag = frag
-	w.disc, w.slot = new(discMemo), 0
-	w.centerSet = nil // rebuilt lazily by ownsCenter
+// bind points the worker at its chunk of m's run and clears everything
+// whose content depends on the run or its graph; every run starts here.
+func (w *worker) bind(m *miner, i int) {
+	w.g, w.centers = m.ctx.g, m.ctx.chunk(i)
+	w.pred, w.d, w.embedCap = m.pred, m.opts.D, m.opts.EmbedCap
+	w.disc, w.slot = m.ctx.memo(), i
 	clear(w.extOverflow)
 	w.npq, w.npqbar = 0, 0
 	w.ops, w.capped = 0, 0
@@ -543,7 +520,7 @@ func releaseWorkers(ws ...*worker) {
 	workerPool.mu.Lock()
 	defer workerPool.mu.Unlock()
 	for _, w := range ws {
-		w.frag = nil
+		w.g, w.centers, w.disc = nil, nil, nil
 		if len(workerPool.idle) < keep {
 			workerPool.idle = append(workerPool.idle, w)
 		}
@@ -572,7 +549,7 @@ func (m *miner) finish() {
 		}
 	}
 	slices.SortFunc(m.res.All, byConfThenID)
-	m.res.WorkerOps, m.res.Capped = m.eng.work()
+	m.res.WorkerOps, m.res.Capped = m.work()
 	for _, op := range m.res.WorkerOps {
 		if op > m.res.MaxWorkerOp {
 			m.res.MaxWorkerOp = op

@@ -51,7 +51,7 @@ func BenchmarkMineJobCold(b *testing.B) {
 // BenchmarkMineJobWarm is the repeated-job steady state: the context is
 // already resident. An in-process context is the graph's own candidate
 // index, so the gap to BenchmarkMineJobCold is what the context LRU itself
-// is worth to a non-fleet job.
+// is worth to a job.
 func BenchmarkMineJobWarm(b *testing.B) {
 	g, pred, opts := mineJobBenchInput(b)
 	key := MineCtxKey{Gen: 1, XLabel: pred.XLabel, D: opts.D}
