@@ -1,4 +1,6 @@
-// Package wire is the protocol of distributed DMine: length-prefixed frames,
+// Package wire was the protocol of the retired distributed DMine. No
+// package imports it; it stays, with its tests, until the next deletion
+// step (ROADMAP) removes it. It defines length-prefixed frames,
 // in the one protocol version both ends must speak, carrying the BSP
 // superstep traffic between the mining coordinator and its remote workers —
 // job setup (symbols, options and the worker's fragment, inline), per-round

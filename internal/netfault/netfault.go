@@ -1,5 +1,7 @@
 // Package netfault injects deterministic, scripted faults into net
-// connections for resilience testing: refused or delayed accepts, per-frame
+// connections for resilience testing. Its one user, the retired distributed
+// DMine's chaos suite, is gone; no package imports it, and it stays, with
+// its tests, until the next deletion step (ROADMAP) removes it. Faults: refused or delayed accepts, per-frame
 // write delays and stalls, disconnects, mid-frame truncation and byte
 // corruption. The wrapper understands the wire package's length-prefixed
 // [u32 len][u8 type][payload] framing, so faults land on exact frame

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the fragment wire format: a deterministic binary encoding of
-// a Fragment, so a distributed DMine coordinator can ship each worker its
-// share of the graph. The format is versioned and self-delimiting, and the
+// a Fragment, made so the retired distributed DMine coordinator could ship
+// each worker its share of the graph. Nothing encodes a fragment any more. The format is versioned and self-delimiting, and the
 // encoding is canonical: the graph travels in graph.AppendCSR's encoding,
 // whose edges are in frozen (Label, To) order, so encode(decode(b)) == b
 // and two fragments with equal frozen graphs encode to equal bytes. Node

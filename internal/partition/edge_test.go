@@ -7,9 +7,13 @@ import (
 	"gpar/internal/graph"
 )
 
-// The degenerate corners of this package: n = 1 partitions and empty or
-// tiny candidate lists.
+// The serving subsystem (internal/serve) builds fragments once per
+// snapshot and reuses them across requests, which leans on the degenerate
+// corners of this package: n = 1 partitions and empty candidate lists.
 
+// TestWholeVsPartitionN1 checks that a one-fragment partition is
+// observationally equivalent to Whole for anchored matching: same owned
+// centers and the full d-neighborhood of every center present.
 // minNodeLabel returns the smallest node label present in g.
 func minNodeLabel(g *graph.Graph) graph.Label {
 	l := g.Label(0)
@@ -19,9 +23,6 @@ func minNodeLabel(g *graph.Graph) graph.Label {
 	return l
 }
 
-// TestWholeVsPartitionN1 checks that a one-fragment partition is
-// observationally equivalent to the whole graph for anchored matching: it
-// owns every candidate and holds the full d-neighborhood of each.
 func TestWholeVsPartitionN1(t *testing.T) {
 	syms := graph.NewSymbols()
 	g := gen.Synthetic(syms, 200, 500, 3)
@@ -32,14 +33,15 @@ func TestWholeVsPartitionN1(t *testing.T) {
 	}
 	const d = 2
 
+	whole := Whole(g, cands)
 	frags := Partition(g, cands, 1, d)
 	if len(frags) != 1 {
 		t.Fatalf("n=1 partition produced %d fragments", len(frags))
 	}
 	f := frags[0]
 
-	if len(f.Centers) != len(cands) {
-		t.Fatalf("centers: %d, the graph has %d candidates", len(f.Centers), len(cands))
+	if len(f.Centers) != len(whole.Centers) {
+		t.Fatalf("centers: %d, whole has %d", len(f.Centers), len(whole.Centers))
 	}
 	got := make(map[graph.NodeID]bool, len(f.Centers))
 	for _, c := range f.Centers {
@@ -51,10 +53,10 @@ func TestWholeVsPartitionN1(t *testing.T) {
 		}
 	}
 	// Every center's d-neighborhood is preserved node-for-node.
-	for i, vx := range cands {
-		lv := f.Centers[i]
-		if f.Global(lv) != vx {
-			t.Fatalf("center %d is node %d, want candidate %d", i, f.Global(lv), vx)
+	for _, vx := range cands {
+		lv, ok := f.Local(vx)
+		if !ok {
+			t.Fatalf("candidate %d missing from fragment", vx)
 		}
 		want := g.AppendNeighborhood(nil, vx, d)
 		gotHood := f.G.AppendNeighborhood(nil, lv, d)
@@ -62,10 +64,16 @@ func TestWholeVsPartitionN1(t *testing.T) {
 			t.Errorf("candidate %d: neighborhood %d nodes, want %d", vx, len(gotHood), len(want))
 		}
 	}
+	// Whole keeps the original IDs; its Local must be the identity.
+	for _, c := range whole.Centers {
+		if lv, ok := whole.Local(c); !ok || lv != c {
+			t.Errorf("Whole.Local(%d) = (%d,%v), want identity", c, lv, ok)
+		}
+	}
 }
 
 // TestPartitionEmptyCandidates: no candidates still yields n well-formed,
-// empty fragments.
+// empty fragments (the serve-then-mine startup path).
 func TestPartitionEmptyCandidates(t *testing.T) {
 	syms := graph.NewSymbols()
 	g := gen.Synthetic(syms, 50, 100, 1)
@@ -77,9 +85,23 @@ func TestPartitionEmptyCandidates(t *testing.T) {
 		if len(f.Centers) != 0 || f.G.NumNodes() != 0 || f.Size() != 0 {
 			t.Errorf("fragment %d not empty: centers=%d size=%d", i, len(f.Centers), f.Size())
 		}
-		if len(f.ToGlobal) != 0 {
-			t.Errorf("fragment %d maps %d nodes", i, len(f.ToGlobal))
+		if _, ok := f.Local(0); ok {
+			t.Errorf("fragment %d resolves a node it does not contain", i)
 		}
+	}
+}
+
+// TestWholeEmptyCandidates: Whole with no candidates owns nothing but
+// still wraps the full graph.
+func TestWholeEmptyCandidates(t *testing.T) {
+	syms := graph.NewSymbols()
+	g := gen.Synthetic(syms, 30, 60, 2)
+	f := Whole(g, nil)
+	if len(f.Centers) != 0 {
+		t.Errorf("centers %d, want 0", len(f.Centers))
+	}
+	if f.Size() != g.Size() {
+		t.Errorf("size %d, want %d", f.Size(), g.Size())
 	}
 }
 

@@ -13,6 +13,9 @@
 //
 // eip.Match, Matchc and DisVF2 reproduce the paper's figures on these
 // fragments. DMine does not partition: its workers share the one graph.
+// Whole, Local and the fragment codec (codec.go) served the retired
+// distributed DMine; nothing outside this package's tests calls them, and
+// they go in the next deletion step (ROADMAP).
 package partition
 
 import (
@@ -29,12 +32,67 @@ type Fragment struct {
 	G *graph.Graph
 	// Centers lists the owned candidate nodes as local IDs in G.
 	Centers []graph.NodeID
-	// ToGlobal maps local node IDs back to the original graph; it ascends.
+	// ToGlobal maps local node IDs back to the original graph. It is nil on
+	// the identity fragment Whole returns, whose local IDs are the global
+	// ones.
 	ToGlobal []graph.NodeID
+
+	// The inverse of ToGlobal. The miner translates every frontier center
+	// every round, so fragments covering a meaningful share of the graph
+	// (the common DMine shape: d-neighborhood closures overlap heavily)
+	// use a dense array over the original ID space (-1 = absent); tiny
+	// fragments of huge graphs fall back to a map, so the inverse a worker
+	// builds is bounded by the fragment it was sent, not by the node count
+	// the encoding claims.
+	toLocalDense []graph.NodeID
+	toLocalMap   map[graph.NodeID]graph.NodeID
+	// numGlobal is the original graph's node count — the domain of Local()
+	// and the dense/sparse decision above. Recorded so a fragment decoded
+	// from the wire rebuilds the same inverse and re-encodes identically.
+	numGlobal int
 }
 
 // Global translates a local node ID to the original graph's ID.
-func (f *Fragment) Global(v graph.NodeID) graph.NodeID { return f.ToGlobal[v] }
+func (f *Fragment) Global(v graph.NodeID) graph.NodeID {
+	if f.ToGlobal == nil {
+		return v
+	}
+	return f.ToGlobal[v]
+}
+
+// Local translates an original-graph ID to this fragment's local ID. The
+// second result is false when the node is not present in the fragment.
+func (f *Fragment) Local(v graph.NodeID) (graph.NodeID, bool) {
+	if f.ToGlobal == nil {
+		return v, int(v) < f.G.NumNodes()
+	}
+	if f.toLocalDense != nil {
+		if int(v) >= len(f.toLocalDense) || f.toLocalDense[v] < 0 {
+			return 0, false
+		}
+		return f.toLocalDense[v], true
+	}
+	lv, ok := f.toLocalMap[v]
+	return lv, ok
+}
+
+// setToLocal installs the inverse mapping, choosing dense form when the
+// fragment holds at least 1/16 of the original graph's nodes.
+func (f *Fragment) setToLocal(n int, toGlobal []graph.NodeID, m map[graph.NodeID]graph.NodeID) {
+	f.numGlobal = n
+	if len(toGlobal)*16 < n {
+		f.toLocalMap = m
+		return
+	}
+	inv := make([]graph.NodeID, n)
+	for i := range inv {
+		inv[i] = -1
+	}
+	for lv, gv := range toGlobal {
+		inv[gv] = graph.NodeID(lv)
+	}
+	f.toLocalDense = inv
+}
 
 // Size reports |F| = |V| + |E| of the fragment graph.
 func (f *Fragment) Size() int { return f.G.Size() }
@@ -47,7 +105,8 @@ func (f *Fragment) Size() int { return f.G.Size() }
 // Fragment node order is canonical: local IDs ascend in global-ID order,
 // so any iteration that is sorted locally (frozen CSR ranges, the label
 // candidate index) is also sorted globally. Match enumeration order over a
-// fragment is then a pure function of the global graph.
+// fragment is then a pure function of the global graph — the property
+// mine.Options.EmbedCap needs for layout-independent truncation.
 func Partition(g *graph.Graph, cands []graph.NodeID, n, d int) []*Fragment {
 	if n < 1 {
 		panic(fmt.Sprintf("partition: n = %d", n))
@@ -92,10 +151,20 @@ func Partition(g *graph.Graph, cands []graph.NodeID, n, d int) []*Fragment {
 		slices.Sort(b.order)
 		sub, toLocal, toGlobal := g.InducedSubgraph(b.order)
 		f := &Fragment{G: sub, ToGlobal: toGlobal}
+		f.setToLocal(g.NumNodes(), toGlobal, toLocal)
 		for _, vx := range b.cands {
 			f.Centers = append(f.Centers, toLocal[vx])
 		}
 		frags[i] = f
 	}
 	return frags
+}
+
+// Whole wraps g itself as the identity fragment owning the given candidates:
+// no copy of the graph, local IDs are global IDs, and no translation table in
+// either direction, so it costs O(1) whatever the graph's size. Centers
+// aliases cands, which the fragment's users only read. In-process DMine
+// gives each worker one of these over its chunk of the candidate list.
+func Whole(g *graph.Graph, cands []graph.NodeID) *Fragment {
+	return &Fragment{G: g, Centers: cands, numGlobal: g.NumNodes()}
 }

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,10 +11,23 @@ import (
 	"gpar/internal/pattern"
 )
 
-// contains reports whether original-graph node v is in the fragment.
-func contains(fr *Fragment, v graph.NodeID) bool {
-	_, ok := slices.BinarySearch(fr.ToGlobal, v)
-	return ok
+func TestWhole(t *testing.T) {
+	syms := graph.NewSymbols()
+	f := gen.G1(syms)
+	cands := f.G.NodesWithLabel(syms.Lookup(gen.LCust))
+	w := Whole(f.G, cands)
+	if w.G != f.G {
+		t.Error("Whole should wrap the original graph")
+	}
+	if len(w.Centers) != 6 {
+		t.Errorf("Centers = %d want 6", len(w.Centers))
+	}
+	if w.Global(w.Centers[0]) != cands[0] {
+		t.Error("Whole mapping broken")
+	}
+	if lv, ok := w.Local(cands[1]); !ok || lv != cands[1] {
+		t.Error("Whole Local should be identity")
+	}
 }
 
 func TestPartitionCoversNeighborhoods(t *testing.T) {
@@ -47,7 +59,7 @@ func TestPartitionCoversNeighborhoods(t *testing.T) {
 		for _, c := range fr.Centers {
 			gv := fr.Global(c)
 			for _, u := range f.G.AppendNeighborhood(nil, gv, d) {
-				if !contains(fr, u) {
+				if _, ok := fr.Local(u); !ok {
 					t.Errorf("node %d of Gd(%d) missing from fragment", u, gv)
 				}
 			}
@@ -124,7 +136,7 @@ func TestQuickPartitionInvariants(t *testing.T) {
 					return false
 				}
 				for _, u := range g.AppendNeighborhood(nil, gv, d) {
-					if !contains(fr, u) {
+					if _, ok := fr.Local(u); !ok {
 						return false
 					}
 				}
@@ -146,7 +158,7 @@ func TestQuickPartitionInvariants(t *testing.T) {
 }
 
 // TestPartitionSpreadsCentersOnDenseGraphs pins the balance the package doc
-// promises on the corpus graphs: a few dense 2-hop
+// promises on the graphs distributed DMine ships: a few dense 2-hop
 // neighbourhoods cover the whole graph, so a load measured in distinct nodes
 // ties at |V| and would give fragment 0 every later center.
 func TestPartitionSpreadsCentersOnDenseGraphs(t *testing.T) {
