@@ -128,12 +128,11 @@ func identifyCorpus(tb testing.TB, users int) []corpusCase {
 	return cases
 }
 
-// unnarrowed names the corpus rules whose x the identify filter must leave
-// alone on the frozen 150-user graphs: no child of x is selective, so the pass does no
-// work and the matcher tries every centre. Pokec's |Vp| 4 rule is an
-// all-user path; the hub's follower-with-item shape reaches x through a
-// user set as large as x's own. Every other rule must be narrowed.
-var unnarrowed = map[string]bool{"pokec/vp4-ep5": true, "hub/user>x,user>item": true}
+// inexact names the corpus shapes whose pattern is not exact for the
+// identify filter (match.Filter.Exact), so that EvalRule confirms their
+// survivors: shared-item's two users are not adjacent, and a |Vp| 4 /
+// |Ep| 5 pattern is no tree. Every other shape is exact on every graph.
+var inexact = map[string]bool{"shared-item": true, "vp4-ep5": true}
 
 // TestEvalRuleCorpus checks Snapshot.EvalRule against the sequential
 // reference (core.Eval with the plain matcher over the whole graph) for
@@ -141,8 +140,11 @@ var unnarrowed = map[string]bool{"pokec/vp4-ep5": true, "hub/user>x,user>item": 
 // frozen, overlaid by a delta batch, and compacted — all built by the one
 // snapshot constructor, each at 1, 3 and 7 chunks: EvalRule concatenates
 // the chunks' matches without sorting, so a chunk out of order fails the
-// comparison. It also pins which rules the filter narrows, and that the
-// kernel counts its centres and survivors. CI runs it under -race as well.
+// comparison. It also pins which rules the filter finds exact, and that the
+// kernel counts its centres and survivors, the matches alone for an exact
+// rule. The delta batch adds a user with a follow self-loop, which the
+// filter must not take as the follow edge between two users. CI runs it under
+// -race as well.
 func TestEvalRuleCorpus(t *testing.T) {
 	pool := serve.NewPool(2)
 	for _, c := range identifyCorpus(t, 150) {
@@ -152,7 +154,8 @@ func TestEvalRuleCorpus(t *testing.T) {
 				rules[i] = r.rule
 			}
 			// A batch that reaches the candidates: a new user who follows
-			// and is followed, gains the consequent, and an old follow gone.
+			// and is followed, gains the consequent, an old follow gone, and
+			// a second new user who holds the item and follows only itself.
 			users := c.g.NodesWithLabel(c.pred.XLabel)
 			var gone graph.Edge
 			for _, e := range c.g.Out(users[0]) {
@@ -168,6 +171,10 @@ func TestEvalRuleCorpus(t *testing.T) {
 				{Kind: graph.DeltaAddEdge, From: users[2], To: fresh, Label: follow},
 				{Kind: graph.DeltaAddEdge, From: fresh, To: c.g.NodesWithLabel(c.pred.YLabel)[0], Label: c.pred.EdgeLabel},
 				{Kind: graph.DeltaDelEdge, From: users[0], To: gone.To, Label: gone.Label},
+				{Kind: graph.DeltaAddNode, Label: c.pred.XLabel},
+				{Kind: graph.DeltaAddEdge, From: fresh + 1, To: fresh + 1, Label: follow},
+				{Kind: graph.DeltaAddEdge, From: fresh + 1, To: c.g.NodesWithLabel(c.g.Symbols().Intern(c.item))[0],
+					Label: c.g.Symbols().Intern(c.itemEdge)},
 			})
 			if err != nil {
 				t.Fatalf("ApplyDelta: %v", err)
@@ -203,13 +210,13 @@ func TestEvalRuleCorpus(t *testing.T) {
 							t.Errorf("%s/%s: rule matches nowhere; the case checks nothing", st.name, c.rules[i].shape)
 						}
 						f := match.NewFilter(sr.Rule.Q, st.snap.G)
-						if name := c.name + "/" + c.rules[i].shape; st.snap == frozen && f.Narrowed() == unnarrowed[name] {
-							t.Errorf("%s/%s: filter narrowed x = %v, want %v", st.name, name, f.Narrowed(), !unnarrowed[name])
+						if shape := c.rules[i].shape; f.Exact() == inexact[shape] {
+							t.Errorf("%s/%s: filter exact = %v, want %v", st.name, shape, f.Exact(), !inexact[shape])
 						}
 						if centres := len(st.snap.G.NodesWithLabel(c.pred.XLabel)); got.Centres != centres || got.Survivors != f.Kept() ||
-							got.Survivors < len(got.Matches) {
-							t.Errorf("%s/%s: %d centres, %d survivors, %d matches; want %d centres, %d survivors, no fewer than the matches",
-								st.name, c.rules[i].shape, got.Centres, got.Survivors, len(got.Matches), centres, f.Kept())
+							got.Survivors < len(got.Matches) || f.Exact() && got.Survivors != len(got.Matches) {
+							t.Errorf("%s/%s: %d centres, %d survivors, %d matches (exact %v); want %d centres, %d survivors, no fewer than the matches and, if exact, as many",
+								st.name, c.rules[i].shape, got.Centres, got.Survivors, len(got.Matches), f.Exact(), centres, f.Kept())
 						}
 						f.Release()
 					}

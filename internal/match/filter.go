@@ -13,9 +13,12 @@ import (
 // semi-join pass over a BFS spanning tree of the expanded pattern, rooted at
 // x, narrows each pattern node u to a bitset S(u) that holds h(u) for every
 // match h. Each node with a child smaller than its own label list pushes
-// from the smallest such child and pulls the others. A matcher bound to the
-// filter by Restrict draws every narrowed node from its set and confirms
-// what the tree cannot see (DESIGN.md, "One identify kernel").
+// from the smallest such child and pulls the others. No edge between two
+// same-label nodes is witnessed by a self-loop, which no match uses. A
+// matcher bound to the filter by Restrict draws every narrowed node from
+// its set and confirms what the tree cannot see (DESIGN.md, "One identify
+// kernel"). When the pattern is Exact the pass is a full reducer, pulling
+// from every child, and S(x) is the answer.
 type Filter struct {
 	g *graph.Graph
 	p *pattern.Pattern // expanded
@@ -29,6 +32,7 @@ type Filter struct {
 	down        []bool
 	sets        [][]uint64
 	keep        []uint64
+	exact       bool
 }
 
 var filterPool = sync.Pool{New: func() any { return new(Filter) }}
@@ -39,6 +43,7 @@ func NewFilter(p *pattern.Pattern, g *graph.Graph) *Filter {
 	f := filterPool.Get().(*Filter)
 	f.g, f.p = g, p.Expand()
 	f.buildTree()
+	f.exact = f.isExact()
 	f.narrow()
 	return f
 }
@@ -68,6 +73,39 @@ func (f *Filter) Narrowed() bool { return len(f.keep) > 0 }
 
 // Kept returns how many x-labelled nodes Keep admits.
 func (f *Filter) Kept() int { return f.size(f.p.X) }
+
+// Exact reports whether Keep is HasMatchAt at every x-labelled node, so
+// that no confirm is needed. It holds when the expansion is a tree and
+// every two same-label nodes are adjacent: the pass then finds the
+// homomorphisms that witness no same-label edge by a self-loop, and each
+// of those is injective, since nodes with different labels never share an
+// image and adjacent ones with the same label would need a self-loop.
+func (f *Filter) Exact() bool { return f.exact }
+
+// isExact decides Exact from the pattern alone. buildTree reaches every
+// node of a connected pattern, and a connected one with |V|-1 edges is a
+// tree, with no self-loop and no parallel edge; each same-label edge of it
+// then joins a different same-label pair.
+func (f *Filter) isExact() bool {
+	n := f.p.NumNodes()
+	if len(f.order) != n || f.p.NumEdges() != n-1 {
+		return false
+	}
+	pairs := 0 // same-label pairs not yet seen joined
+	for u := range n {
+		for v := u + 1; v < n; v++ {
+			if f.p.Label(u) == f.p.Label(v) {
+				pairs++
+			}
+		}
+	}
+	for _, e := range f.p.Edges() {
+		if f.p.Label(e.From) == f.p.Label(e.To) {
+			pairs--
+		}
+	}
+	return pairs == 0
+}
 
 func (f *Filter) buildTree() {
 	n := f.p.NumNodes()
@@ -103,26 +141,32 @@ func (f *Filter) narrow() {
 				src, srcSize = c, sz
 			}
 		}
-		if src < 0 {
+		if src < 0 && (!f.exact || len(kids) == 0) {
 			continue
 		}
 		set, lu := grow(f.sets[u], (f.g.NumNodes()+63)/64), f.p.Label(u)
 		clear(set)
-		f.members(src, func(w graph.NodeID) {
-			for _, e := range f.adj(w, src, false) {
-				if f.g.Label(e.To) == lu {
-					set[e.To>>6] |= 1 << (e.To & 63)
-				}
+		if src < 0 { // exact, with no selective child: start from u's label list
+			for _, v := range f.g.NodesWithLabel(lu) {
+				set[v>>6] |= 1 << (v & 63)
 			}
-		})
+		} else {
+			f.members(src, func(w graph.NodeID) {
+				for _, e := range f.adj(w, src, false) {
+					if e.To != w && f.g.Label(e.To) == lu {
+						set[e.To>>6] |= 1 << (e.To & 63)
+					}
+				}
+			})
+		}
 		f.sets[u] = set
 		for _, c := range kids {
-			if c == src || f.size(c) >= lim {
+			if c == src || !f.exact && f.size(c) >= lim {
 				continue
 			}
 			f.members(u, func(v graph.NodeID) {
 				for _, e := range f.adj(v, c, true) {
-					if f.has(c, e.To) {
+					if e.To != v && f.has(c, e.To) {
 						return
 					}
 				}

@@ -108,9 +108,10 @@ func filterCase(data []byte) (*graph.Graph, *pattern.Pattern, *pattern.Pattern) 
 
 // checkFilter asserts the filter's contract on one case: Keep holds
 // wherever the pattern matches, an un-narrowed filter keeps every node,
-// Kept counts the x-labelled nodes Keep admits, and a matcher restricted to
+// Kept counts the x-labelled nodes Keep admits, a matcher restricted to
 // the filter's sets answers HasMatchAt as a plain one does at every node,
-// for p and for its PR-style copy pr.
+// for p and for its PR-style copy pr, and an exact filter's Keep is p's
+// HasMatchAt at every x-labelled node.
 func checkFilter(t *testing.T, g *graph.Graph, p, pr *pattern.Pattern) {
 	t.Helper()
 	f := NewFilter(p, g)
@@ -128,6 +129,9 @@ func checkFilter(t *testing.T, g *graph.Graph, p, pr *pattern.Pattern) {
 			}
 			if !f.Narrowed() && !f.Keep(v) {
 				t.Fatalf("un-narrowed filter drops %d", v)
+			}
+			if q == p && f.Exact() && g.Label(v) == p.Label(p.X) && f.Keep(v) != want {
+				t.Fatalf("exact filter for %v keeps %d = %v, but HasMatchAt = %v", p, v, f.Keep(v), want)
 			}
 		}
 		restricted.Release()
@@ -147,11 +151,14 @@ func checkFilter(t *testing.T, g *graph.Graph, p, pr *pattern.Pattern) {
 // FuzzFilter holds the semi-join filter to soundness for every pattern
 // node: on small labelled graphs, frozen or overlaid, a matcher restricted
 // to its sets finds exactly the anchors a plain one does, for the pattern
-// and for its PR-style copy. The seeds run under plain go test; each kills
-// one broken pass (a push walking the wrong direction, a pull demanding
-// every edge, a push reading only the first edge of each range) or one
-// broken restriction (an empty set admitting nothing, sets indexed by tree
-// position instead of pattern node, PR's y reading a Q set).
+// and for its PR-style copy; and, when the filter is exact, to Keep being
+// the answer. The seeds run under plain go test; each kills one broken
+// pass (a push walking the wrong direction, a pull demanding every edge, a
+// push reading only the first edge of each range, a pass that takes a
+// self-loop as the edge between two same-label nodes), one broken
+// restriction (an empty set admitting nothing, sets indexed by tree
+// position instead of pattern node, PR's y reading a Q set) or one broken
+// exactness test (one that ignores same-label nodes that are not adjacent).
 func FuzzFilter(f *testing.F) {
 	// x -f-> c: the push must walk c's in-range, not its out-range.
 	f.Add([]byte("70001000110210020710710710710"))
@@ -170,6 +177,13 @@ func FuzzFilter(f *testing.F) {
 	// The same plus x -e-> a node 5: PR's y maps only to 5, outside S(x)
 	// and S(2).
 	f.Add([]byte("5408001120021020210020240050"))
+	// x -e-> a over one a node with an e self-loop: the loop is no edge
+	// between two a nodes, so the exact filter keeps nothing.
+	f.Add([]byte("0307000010000"))
+	// x -e-> b <-e- a, the shared-item shape, over a single a -e-> b: the
+	// two a nodes are not adjacent, so the pattern is not exact, and the
+	// full reduction keeps an x that no injective match reaches.
+	f.Add([]byte("140801010010210010"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, p, pr := filterCase(data)
 		checkFilter(t, g, p, pr)

@@ -15,9 +15,9 @@
 //     optimization of algorithm Match.
 //
 // Filter answers set-at-a-time what HasMatchAt answers per anchor, as a
-// sound superset for every pattern node: gpard's identify kernel restricts
-// its matchers to the filter's sets, so the confirm starts only at x's
-// survivors and descends only into nodes the sets admit.
+// sound superset for every pattern node and exactly at x for an Exact
+// pattern: gpard's identify kernel then takes S(x) as the answer, and
+// otherwise confirms only x's survivors, inside the filter's sets.
 //
 // The engine runs on the frozen CSR representation of the data graph
 // (graph.Freeze): candidate generation iterates label-contiguous arena

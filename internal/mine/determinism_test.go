@@ -30,9 +30,21 @@ func fingerprint(res *Result) string {
 	return b.String()
 }
 
+// sumOps is the match operations of all workers together. Each is counted
+// per owned centre, so the sum does not depend on how the centres are
+// placed: a worker that also mined another's centres would raise it.
+func sumOps(res *Result) int64 {
+	var n int64
+	for _, op := range res.WorkerOps {
+		n += op
+	}
+	return n
+}
+
 // TestDMineDeterministicAcrossWorkerCounts is the safety net for the
 // sharded-assembly refactor: on fixed seeds, DMine must return byte-
-// identical results — keys, stats, sets, rounds — for any worker count.
+// identical results — keys, stats, sets, rounds — for any worker count,
+// and its workers must do the same match operations in all.
 // EmbedCap is raised beyond every center's embedding count so this test
 // isolates the assembly path; TestEmbedCapDeterministicAcrossWorkerCounts
 // covers the truncating case.
@@ -56,17 +68,22 @@ func TestDMineDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 
 			var base string
+			var baseOps int64
 			for _, n := range []int{1, 2, 3, 8} {
 				o := opts
 				o.N = n
-				got := fingerprint(DMine(g, pred, o))
+				res := DMine(g, pred, o)
+				got, ops := fingerprint(res), sumOps(res)
 				if n == 1 {
-					base = got
+					base, baseOps = got, ops
 					continue
 				}
 				if got != base {
 					t.Fatalf("N=%d result differs from N=1:\n--- N=1 ---\n%s--- N=%d ---\n%s",
 						n, base, n, got)
+				}
+				if ops != baseOps {
+					t.Fatalf("N=%d: workers did %d match operations in all, N=1 did %d", n, ops, baseOps)
 				}
 			}
 			// DMineNo must be equally deterministic across worker counts.

@@ -359,8 +359,10 @@ func (r *repair) centre(g *graph.Graph, v graph.NodeID) bool {
 // crosses as it is. Otherwise the affected centres' shares of a finished
 // entry — confirmed on the old snapshot — are replaced by their shares
 // confirmed on the new one. A build in flight, a rule without locality, and
-// a set over the entry's Survivors (a re-evaluation would confirm fewer
-// centres) are dropped.
+// a set over the entry's Survivors are dropped: a re-evaluation would
+// confirm fewer centres. An exact rule's re-evaluation (match.Filter.Exact)
+// confirms none, only the filter pass runs; its Survivors are its matches,
+// and the test bounds the set by those.
 func (r *repair) apply(sr *ServedRule, ev *RuleEval) (*RuleEval, bool) {
 	set, local := r.affected(sr)
 	switch {

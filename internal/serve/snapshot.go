@@ -177,14 +177,19 @@ func (s *Snapshot) RuleByKey(key string) (*ServedRule, bool) {
 // EvalRule computes the rule's match set and statistics in two pool rounds:
 // one task runs match.NewFilter, whose per-node sets hold every match of Q
 // and so of PR ⊇ Q; then one confirm task per chunk, restricted to the
-// filter's sets. The chunks are contiguous index ranges of the ascending
-// centres, so their matches concatenate in order. The chunk tasks read the
-// sets concurrently; the filter is released after every task has returned.
+// filter's sets. When the filter is exact and the rule y-free, S(x) is the
+// answer and there is one chunk. The chunks are contiguous index ranges of
+// the ascending centres, so their matches concatenate in order. The chunk
+// tasks read the sets concurrently; the filter is released after every
+// task has returned.
 func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
 	var f *match.Filter
 	pool.runOne(func() { f = match.NewFilter(sr.Rule.Q, s.G) })
 	defer f.Release()
 	n, cs := s.workers, s.centres
+	if f.Exact() && sr.Rule.YFree() {
+		n = 1 // the confirm binds no matcher: one walk against Keep, on this goroutine
+	}
 	parts := make([]eip.Partial, n)
 	tasks := make([]func(), n)
 	for i := range tasks {
@@ -222,11 +227,10 @@ func (s *Snapshot) settle(ev *RuleEval) *RuleEval {
 // for Q and, unless the rule is y-free (core.Rule.YFree: PR ⇔ Q at a Pq
 // centre), PR, restricted to f's sets when f is not nil, run by
 // eip.EvalCenters — early-terminating HasMatchAt, PR first, and the PR ⇒ Q
-// containment reuse of Example 10. HasMatchAt rejects x outside S(x) too,
-// but Keep inlines here and saves a call per rejected centre.
+// containment reuse of Example 10. An exact f is Q's test on its own, and
+// no Q matcher is bound. HasMatchAt rejects x outside S(x) too, but Keep
+// inlines here and saves a call per rejected centre.
 func (s *Snapshot) confirm(sr *ServedRule, cs eip.Centers, f *match.Filter) eip.Partial {
-	qm := match.NewMatcher(sr.Rule.Q, s.G, match.Options{})
-	defer qm.Release()
 	var matchPR func(graph.NodeID) bool
 	if !sr.Rule.YFree() {
 		prm := match.NewMatcher(sr.pr, s.G, match.Options{})
@@ -236,6 +240,11 @@ func (s *Snapshot) confirm(sr *ServedRule, cs eip.Centers, f *match.Filter) eip.
 		}
 		matchPR = func(v graph.NodeID) bool { return (f == nil || f.Keep(v)) && prm.HasMatchAt(v) }
 	}
+	if f != nil && f.Exact() {
+		return eip.EvalCenters(matchPR, f.Keep, cs)
+	}
+	qm := match.NewMatcher(sr.Rule.Q, s.G, match.Options{})
+	defer qm.Release()
 	if f != nil {
 		f.Restrict(qm)
 	}
