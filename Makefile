@@ -46,9 +46,14 @@ race:
 # run under a thousand. Two seconds per input left FuzzServeModel 37
 # executions in 20 s; 10 executions let it run about 800 (one run per
 # target, fresh fuzz cache, 2 vCPUs; CHANGES.md has every count). A failing
-# input is still saved under testdata/fuzz, just less minimised.
+# input is still saved under testdata/fuzz, just less minimised. The target
+# starts with `go clean -fuzzcache`: each run re-executes every cached input
+# as its baseline before it fuzzes, and a warm cache of a few hundred
+# FuzzServeModel inputs took its whole 20 s to replay. The committed seeds
+# under testdata/fuzz are not part of the cache and stay.
 FUZZ := $(GO) test -run '^$$' -fuzztime 20s
 fuzz-smoke:
+	$(GO) clean -fuzzcache
 	$(FUZZ) -fuzz 'FuzzApplyDelta' -fuzzminimizetime 100x ./internal/graph/
 	$(FUZZ) -fuzz 'FuzzRead' -fuzzminimizetime 100x ./internal/graph/
 	$(FUZZ) -fuzz 'FuzzReadRules' -fuzzminimizetime 100x ./internal/core/
@@ -185,7 +190,7 @@ inline-check:
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count. The test Go count beside it is
 # informational: it has no budget.
-LOC_BUDGET := 15175
+LOC_BUDGET := 15245
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"gpar/internal/core"
+	"gpar/internal/eip"
 	"gpar/internal/gen"
 	"gpar/internal/graph"
 	"gpar/internal/match"
@@ -140,11 +141,15 @@ var inexact = map[string]bool{"shared-item": true, "vp4-ep5": true}
 // frozen, overlaid by a delta batch, and compacted — all built by the one
 // snapshot constructor, each at 1, 3 and 7 chunks: EvalRule concatenates
 // the chunks' matches without sorting, so a chunk out of order fails the
-// comparison. It also pins which rules the filter finds exact, and that the
+// comparison. It also pins which rules the filter finds exact, that the
 // kernel counts its centres and survivors, the matches alone for an exact
-// rule. The delta batch adds a user with a follow self-loop, which the
-// filter must not take as the follow edge between two users. CI runs it under
-// -race as well.
+// rule, and that an exact rule's walk of S(x) against the snapshot's class
+// bitsets gives what the per-centre loop it replaced (eip.EvalCenters with
+// Keep as the Q test) gives on freshly classified centres. The delta
+// batch adds a user with a follow self-loop, which the filter must not
+// take as the follow edge between two users, relabels a Pq user out of the
+// x label and another node into it, and grows the graph past a 64-node
+// word of the bitsets. CI runs it under -race as well.
 func TestEvalRuleCorpus(t *testing.T) {
 	pool := serve.NewPool(2)
 	for _, c := range identifyCorpus(t, 150) {
@@ -156,6 +161,10 @@ func TestEvalRuleCorpus(t *testing.T) {
 			// A batch that reaches the candidates: a new user who follows
 			// and is followed, gains the consequent, an old follow gone, and
 			// a second new user who holds the item and follows only itself.
+			// It relabels a Pq user out of the x label and a node no rule
+			// names into it, with the consequent, and pads the graph with new
+			// users until its node count crosses a 64-node word boundary,
+			// the last of them a Pq user in the new word who follows.
 			users := c.g.NodesWithLabel(c.pred.XLabel)
 			var gone graph.Edge
 			for _, e := range c.g.Out(users[0]) {
@@ -163,19 +172,49 @@ func TestEvalRuleCorpus(t *testing.T) {
 					gone = e
 				}
 			}
+			y := c.g.NodesWithLabel(c.pred.YLabel)[0]
+			i := slices.IndexFunc(users[3:], func(v graph.NodeID) bool {
+				return eip.Classify(c.g, v, c.pred) == eip.Pq
+			})
+			if i < 0 {
+				t.Fatal("no Pq user to relabel")
+			}
+			leaver := users[3+i]
+			used := map[graph.Label]bool{c.pred.YLabel: true}
+			for _, r := range rules {
+				for u := range r.Q.NumNodes() {
+					used[r.Q.Label(u)] = true
+				}
+			}
+			joiner := graph.NodeID(0)
+			for used[c.g.Label(joiner)] {
+				joiner++
+			}
 			fresh := graph.NodeID(c.g.NumNodes())
 			follow := c.g.Symbols().Intern("follow")
-			overlaid, err := c.g.ApplyDelta([]graph.DeltaOp{
+			ops := []graph.DeltaOp{
 				{Kind: graph.DeltaAddNode, Label: c.pred.XLabel},
 				{Kind: graph.DeltaAddEdge, From: fresh, To: users[1], Label: follow},
 				{Kind: graph.DeltaAddEdge, From: users[2], To: fresh, Label: follow},
-				{Kind: graph.DeltaAddEdge, From: fresh, To: c.g.NodesWithLabel(c.pred.YLabel)[0], Label: c.pred.EdgeLabel},
+				{Kind: graph.DeltaAddEdge, From: fresh, To: y, Label: c.pred.EdgeLabel},
 				{Kind: graph.DeltaDelEdge, From: users[0], To: gone.To, Label: gone.Label},
 				{Kind: graph.DeltaAddNode, Label: c.pred.XLabel},
 				{Kind: graph.DeltaAddEdge, From: fresh + 1, To: fresh + 1, Label: follow},
 				{Kind: graph.DeltaAddEdge, From: fresh + 1, To: c.g.NodesWithLabel(c.g.Symbols().Intern(c.item))[0],
 					Label: c.g.Symbols().Intern(c.itemEdge)},
-			})
+				{Kind: graph.DeltaSetLabel, Node: leaver, Label: c.g.Label(joiner)},
+				{Kind: graph.DeltaSetLabel, Node: joiner, Label: c.pred.XLabel},
+				{Kind: graph.DeltaAddEdge, From: joiner, To: y, Label: c.pred.EdgeLabel},
+			}
+			last := fresh + 1
+			for int(last) < (c.g.NumNodes()+63)/64*64 {
+				last++
+				ops = append(ops, graph.DeltaOp{Kind: graph.DeltaAddNode, Label: c.pred.XLabel})
+			}
+			ops = append(ops,
+				graph.DeltaOp{Kind: graph.DeltaAddEdge, From: last, To: users[1], Label: follow},
+				graph.DeltaOp{Kind: graph.DeltaAddEdge, From: last, To: y, Label: c.pred.EdgeLabel})
+			overlaid, err := c.g.ApplyDelta(ops)
 			if err != nil {
 				t.Fatalf("ApplyDelta: %v", err)
 			}
@@ -217,6 +256,20 @@ func TestEvalRuleCorpus(t *testing.T) {
 							got.Survivors < len(got.Matches) || f.Exact() && got.Survivors != len(got.Matches) {
 							t.Errorf("%s/%s: %d centres, %d survivors, %d matches (exact %v); want %d centres, %d survivors, no fewer than the matches and, if exact, as many",
 								st.name, c.rules[i].shape, got.Centres, got.Survivors, len(got.Matches), f.Exact(), centres, f.Kept())
+						}
+						if f.Exact() {
+							var matchPR func(graph.NodeID) bool
+							prm := match.NewMatcher(sr.Rule.PR(), st.snap.G, match.Options{})
+							if !sr.Rule.YFree() {
+								matchPR = prm.HasMatchAt
+							}
+							cs := eip.ClassifyCenters(st.snap.G, st.snap.G.NodesWithLabel(c.pred.XLabel), c.pred)
+							loop := eip.EvalCenters(matchPR, f.Keep, cs)
+							prm.Release()
+							if !slices.Equal(got.Matches, loop.Q) || got.Stats.SuppR != loop.R || got.Stats.SuppQqb != loop.Qqb {
+								t.Errorf("%s/%s: the walk = %d matches, supp(R) %d, supp(Qq̄) %d; the centre loop = %d, %d, %d",
+									st.name, c.rules[i].shape, len(got.Matches), got.Stats.SuppR, got.Stats.SuppQqb, len(loop.Q), loop.R, loop.Qqb)
+							}
 						}
 						f.Release()
 					}

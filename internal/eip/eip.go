@@ -20,6 +20,7 @@ package eip
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -116,11 +117,27 @@ const (
 	Pqbar
 )
 
-// Centers is a list of candidate centers, each with its LCWA class:
-// Class[i] is the class of Nodes[i].
+// Centers is a list of candidate centers with their LCWA classes, filed
+// in two node-indexed bitsets: Pq and Pqbar hold a center's bit when it is
+// of that class, and a center in neither is Other. The bitsets hold the
+// bits of Nodes' members and of no other node, except in a view of a
+// sub-range of Nodes, which shares its whole list's bitsets.
 type Centers struct {
-	Nodes []graph.NodeID
-	Class []Class
+	Nodes     []graph.NodeID
+	Pq, Pqbar []uint64
+}
+
+// Class returns v's class: Pq is 1 and Pqbar 2, one bit per bitset.
+func (c Centers) Class(v graph.NodeID) Class {
+	w, i := v>>6, v&63
+	return Class(c.Pq[w]>>i&1 | c.Pqbar[w]>>i&1<<1)
+}
+
+// Set files v under class k, which may be Other.
+func (c Centers) Set(v graph.NodeID, k Class) {
+	w, i := v>>6, v&63
+	c.Pq[w] = c.Pq[w]&^(1<<i) | uint64(k&1)<<i
+	c.Pqbar[w] = c.Pqbar[w]&^(1<<i) | uint64(k>>1)<<i
 }
 
 // Classify returns v's LCWA class with respect to pred, from v's
@@ -138,27 +155,24 @@ func Classify(g *graph.Graph, v graph.NodeID, pred core.Predicate) Class {
 	return Other
 }
 
-// ClassifyCenters classifies centers, in input order, with respect to pred.
-// Nodes aliases centers. The batch algorithms here, gpard's full snapshot
-// builds (internal/serve) and mining's round 0 (internal/mine) all call it.
+// ClassifyCenters classifies centers with respect to pred, in bitsets of
+// (g.NumNodes()+63)/64 words. Nodes aliases centers. The batch algorithms
+// here and mining's round 0 (internal/mine) call it.
 func ClassifyCenters(g *graph.Graph, centers []graph.NodeID, pred core.Predicate) Centers {
-	c := Centers{Nodes: centers, Class: make([]Class, len(centers))}
-	for i, v := range centers {
-		c.Class[i] = Classify(g, v, pred)
+	n := (g.NumNodes() + 63) / 64
+	c := Centers{Nodes: centers, Pq: make([]uint64, n), Pqbar: make([]uint64, n)}
+	for _, v := range centers {
+		c.Set(v, Classify(g, v, pred))
 	}
 	return c
 }
 
 // Count returns the number of Pq and of q̄ centers: their shares of
-// supp(q,G) and supp(q̄,G).
+// supp(q,G) and supp(q̄,G). A view counts its whole list's.
 func (c Centers) Count() (pq, pqbar int) {
-	for _, k := range c.Class {
-		switch k {
-		case Pq:
-			pq++
-		case Pqbar:
-			pqbar++
-		}
+	for i := range c.Pq {
+		pq += bits.OnesCount64(c.Pq[i])
+		pqbar += bits.OnesCount64(c.Pqbar[i])
 	}
 	return pq, pqbar
 }
@@ -183,15 +197,15 @@ type Partial struct {
 // both call it.
 func EvalCenters(matchPR, matchQ func(graph.NodeID) bool, c Centers) Partial {
 	var p Partial
-	for i, v := range c.Nodes {
-		switch k := c.Class[i]; {
-		case k == Pq && matchPR != nil && matchPR(v):
+	for _, v := range c.Nodes {
+		switch { // a class is read only where it decides, not per rejected center
+		case matchPR != nil && c.Class(v) == Pq && matchPR(v):
 			p.R++
 		case !matchQ(v):
 			continue
-		case k == Pq && matchPR == nil:
+		case matchPR == nil && c.Class(v) == Pq:
 			p.R++
-		case k == Pqbar:
+		case c.Class(v) == Pqbar:
 			p.Qqb++
 		}
 		p.Q = append(p.Q, v)

@@ -69,7 +69,13 @@ func (f *Filter) Keep(v graph.NodeID) bool { return inSet(f.keep, v) }
 func inSet(s []uint64, v graph.NodeID) bool { return len(s) == 0 || s[v>>6]&(1<<(v&63)) != 0 }
 
 // Narrowed reports whether the pass narrowed x; if not, Keep always holds.
+// An exact pass always narrows x.
 func (f *Filter) Narrowed() bool { return len(f.keep) > 0 }
+
+// XSet returns S(x) as node-indexed words, (NumNodes+63)/64 of them, or
+// nothing when x is un-narrowed. A narrowed S(x) holds x-labelled nodes
+// only. The words are the filter's: read them before Release.
+func (f *Filter) XSet() []uint64 { return f.keep }
 
 // Kept returns how many x-labelled nodes Keep admits.
 func (f *Filter) Kept() int { return f.size(f.p.X) }
@@ -141,12 +147,12 @@ func (f *Filter) narrow() {
 				src, srcSize = c, sz
 			}
 		}
-		if src < 0 && (!f.exact || len(kids) == 0) {
+		if src < 0 && (!f.exact || len(kids) == 0 && u != f.p.X) {
 			continue
 		}
 		set, lu := grow(f.sets[u], (f.g.NumNodes()+63)/64), f.p.Label(u)
 		clear(set)
-		if src < 0 { // exact, with no selective child: start from u's label list
+		if src < 0 { // exact, with no selective child (or x alone): start from u's label list
 			for _, v := range f.g.NodesWithLabel(lu) {
 				set[v>>6] |= 1 << (v & 63)
 			}

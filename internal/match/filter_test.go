@@ -1,6 +1,8 @@
 package match_test
 
 import (
+	"math/bits"
+	"slices"
 	"testing"
 
 	"gpar/internal/graph"
@@ -110,8 +112,9 @@ func filterCase(data []byte) (*graph.Graph, *pattern.Pattern, *pattern.Pattern) 
 // wherever the pattern matches, an un-narrowed filter keeps every node,
 // Kept counts the x-labelled nodes Keep admits, a matcher restricted to
 // the filter's sets answers HasMatchAt as a plain one does at every node,
-// for p and for its PR-style copy pr, and an exact filter's Keep is p's
-// HasMatchAt at every x-labelled node.
+// for p and for its PR-style copy pr, an exact filter's Keep is p's
+// HasMatchAt at every x-labelled node, and a narrowed S(x) holds
+// x-labelled nodes only (gpard's exact walk takes its bits as matches).
 func checkFilter(t *testing.T, g *graph.Graph, p, pr *pattern.Pattern) {
 	t.Helper()
 	f := NewFilter(p, g)
@@ -137,8 +140,16 @@ func checkFilter(t *testing.T, g *graph.Graph, p, pr *pattern.Pattern) {
 		restricted.Release()
 		plain.Release()
 	}
+	xs := g.NodesWithLabel(p.Label(p.X))
+	for i, w := range f.XSet() {
+		for ; w != 0; w &= w - 1 {
+			if v := graph.NodeID(i*64 + bits.TrailingZeros64(w)); !slices.Contains(xs, v) {
+				t.Fatalf("S(x) of %v holds %d, which is not x-labelled", p, v)
+			}
+		}
+	}
 	kept := 0
-	for _, v := range g.NodesWithLabel(p.Label(p.X)) {
+	for _, v := range xs {
 		if f.Keep(v) {
 			kept++
 		}
@@ -151,12 +162,13 @@ func checkFilter(t *testing.T, g *graph.Graph, p, pr *pattern.Pattern) {
 // FuzzFilter holds the semi-join filter to soundness for every pattern
 // node: on small labelled graphs, frozen or overlaid, a matcher restricted
 // to its sets finds exactly the anchors a plain one does, for the pattern
-// and for its PR-style copy; and, when the filter is exact, to Keep being
-// the answer. The seeds run under plain go test; each kills one broken
-// pass (a push walking the wrong direction, a pull demanding every edge, a
-// push reading only the first edge of each range, a pass that takes a
-// self-loop as the edge between two same-label nodes), one broken
-// restriction (an empty set admitting nothing, sets indexed by tree
+// and for its PR-style copy; when the filter is exact, to Keep being the
+// answer; and to S(x) holding x-labelled nodes only. The seeds run under
+// plain go test; each kills one broken pass (a push walking the wrong
+// direction, a pull demanding every edge, a push reading only the first
+// edge of each range, a push that marks endpoints of any label, a pass
+// that takes a self-loop as the edge between two same-label nodes), one
+// broken restriction (an empty set admitting nothing, sets indexed by tree
 // position instead of pattern node, PR's y reading a Q set) or one broken
 // exactness test (one that ignores same-label nodes that are not adjacent).
 func FuzzFilter(f *testing.F) {
@@ -184,6 +196,11 @@ func FuzzFilter(f *testing.F) {
 	// two a nodes are not adjacent, so the pattern is not exact, and the
 	// full reduction keeps an x that no injective match reaches.
 	f.Add([]byte("140801010010210010"))
+	// x -e-> b over a, a, b and c, with a -e-> b and c -e-> b: the push
+	// from the lone b must mark a sources only, so S(x) never holds c. On a
+	// delta overlay too, where c's edge is the batch's.
+	f.Add([]byte("3307001201010020320"))
+	f.Add([]byte("3397001201010020320"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, p, pr := filterCase(data)
 		checkFilter(t, g, p, pr)

@@ -128,8 +128,8 @@ func (w *worker) classify() {
 		w.class = make([]eip.Class, n)
 	}
 	cs := eip.ClassifyCenters(w.g, w.centers, w.pred)
-	for i, c := range cs.Nodes {
-		w.class[c] = cs.Class[i]
+	for _, c := range cs.Nodes {
+		w.class[c] = cs.Class(c)
 	}
 	w.npq, w.npqbar = cs.Count()
 }

@@ -373,8 +373,8 @@ func (r *repair) apply(sr *ServedRule, ev *RuleEval) (*RuleEval, bool) {
 	case ev == nil || len(set) > ev.Survivors:
 		return nil, false
 	}
-	before := r.old.confirm(sr, r.classify(r.old.G, set), nil)
-	after := r.next.confirm(sr, r.classify(r.next.G, set), nil)
+	before := r.old.confirm(sr, r.classed(r.old, set), nil)
+	after := r.next.confirm(sr, r.classed(r.next, set), nil)
 	out := *ev
 	if !slices.Equal(before.Q, after.Q) {
 		gone := func(v graph.NodeID) bool { _, ok := slices.BinarySearch(before.Q, v); return ok }
@@ -388,11 +388,13 @@ func (r *repair) apply(sr *ServedRule, ev *RuleEval) (*RuleEval, bool) {
 	return r.next.settle(&out), true
 }
 
-// classify classifies the members of set that are centres of g, keeping
-// set's ascending order, so confirm's matches come out sorted.
-func (r *repair) classify(g *graph.Graph, set []graph.NodeID) eip.Centers {
-	cs := slices.DeleteFunc(slices.Clone(set), func(v graph.NodeID) bool { return !r.centre(g, v) })
-	return eip.ClassifyCenters(g, cs, r.old.Pred)
+// classed is the members of set that are centres of snap's graph, in
+// set's ascending order, so confirm's matches come out sorted, with their
+// classes in snap's bitsets.
+func (r *repair) classed(snap *Snapshot, set []graph.NodeID) eip.Centers {
+	cs := snap.centres
+	cs.Nodes = slices.DeleteFunc(slices.Clone(set), func(v graph.NodeID) bool { return !r.centre(snap.G, v) })
+	return cs
 }
 
 // Compact folds the served graph's delta overlay into a freshly frozen

@@ -302,31 +302,46 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	resp := IdentifyResponse{Generation: snap.Gen, Eta: eta, Rules: make([]IdentifyRule, 0, len(selected))}
-	// Evaluate the selected rules concurrently; the shared Pool still
-	// bounds total matching work, this just overlaps the per-rule chains.
+	// Memo hits are read here; the misses evaluate concurrently, the last
+	// on this goroutine, as Pool.Do runs its last task. The shared Pool
+	// still bounds total matching work; this just overlaps the per-rule
+	// chains.
 	type outcome struct {
 		ev                *RuleEval
 		cached, coalesced bool
 		err               error
 	}
 	outcomes := make([]outcome, len(selected))
-	var wg sync.WaitGroup
+	var misses []int
 	for i, sr := range selected {
+		o := &outcomes[i]
+		if o.ev, o.cached = s.cache.Get(evalKey{snap.Gen, sr.Key}); !o.cached {
+			misses = append(misses, i)
+		}
+	}
+	evaluate := func(i int) {
+		o := &outcomes[i]
+		// A miss may run outside recoverPanics: a panicking evaluation
+		// becomes the rule's error, or it would end the process.
+		defer func() {
+			if rec := recover(); rec != nil {
+				s.nPanics.Add(1)
+				o.err = fmt.Errorf("evaluation panicked: %v", rec)
+			}
+		}()
+		o.ev, o.cached, o.coalesced, o.err = s.identifyOne(snap, selected[i])
+	}
+	var wg sync.WaitGroup
+	for k, i := range misses {
+		if k == len(misses)-1 {
+			evaluate(i)
+			break
+		}
 		wg.Add(1)
-		go func(i int, sr *ServedRule) {
+		go func() {
 			defer wg.Done()
-			o := &outcomes[i]
-			// This goroutine is outside recoverPanics: a panicking
-			// evaluation becomes the rule's error, or it would end the
-			// process.
-			defer func() {
-				if rec := recover(); rec != nil {
-					s.nPanics.Add(1)
-					o.err = fmt.Errorf("evaluation panicked: %v", rec)
-				}
-			}()
-			o.ev, o.cached, o.coalesced, o.err = s.identifyOne(snap, sr)
-		}(i, sr)
+			evaluate(i)
+		}()
 	}
 	wg.Wait()
 	// Evaluations run to completion once started — partial results must

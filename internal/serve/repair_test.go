@@ -33,20 +33,29 @@ func hangingRule(syms *graph.Symbols, pred core.Predicate, l, other string, out 
 // supports, patched batch by batch, and every match-set entry resident for
 // its generation — carried, repaired or built — with a witness of its own:
 // eip.ClassifyCenters and Count on the compacted graph, which share none of
-// the constructor's support arithmetic, and EvalRule over them.
+// the constructor's class patching, and EvalRule on a snapshot of that
+// graph built afresh by the constructor, whose classes must agree too.
 func checkResident(t *testing.T, s *Server) {
 	t.Helper()
 	snap := s.Snapshot()
 	g := snap.G.CompactCopy()
 	cs := eip.ClassifyCenters(g, g.NodesWithLabel(snap.Pred.XLabel), snap.Pred)
 	pq, pqbar := cs.Count()
-	fresh := &Snapshot{G: g, Pred: snap.Pred, Rules: snap.Rules, byKey: snap.byKey,
-		centres: cs, workers: snap.workers, SuppQ1: pq, SuppQbar: pqbar}
-	if !slices.Equal(snap.centres.Nodes, fresh.centres.Nodes) || !slices.Equal(snap.centres.Class, fresh.centres.Class) ||
-		snap.SuppQ1 != fresh.SuppQ1 || snap.SuppQbar != fresh.SuppQbar {
-		t.Fatalf("generation %d: served centres %v %v supp %d/%d, classified %v %v supp %d/%d", snap.Gen,
-			snap.centres.Nodes, snap.centres.Class, snap.SuppQ1, snap.SuppQbar,
-			fresh.centres.Nodes, fresh.centres.Class, fresh.SuppQ1, fresh.SuppQbar)
+	rules := make([]*core.Rule, len(snap.Rules))
+	for i, sr := range snap.Rules {
+		rules[i] = sr.Rule
+	}
+	fresh, err := BuildSnapshot(g, snap.Pred, rules, Config{Workers: snap.workers})
+	if err != nil {
+		t.Fatalf("generation %d: BuildSnapshot: %v", snap.Gen, err)
+	}
+	for _, got := range []*Snapshot{snap, fresh} {
+		if !slices.Equal(got.centres.Nodes, cs.Nodes) || !slices.Equal(got.centres.Pq, cs.Pq) ||
+			!slices.Equal(got.centres.Pqbar, cs.Pqbar) || got.SuppQ1 != pq || got.SuppQbar != pqbar {
+			t.Fatalf("generation %d: centres %v Pq %x Pqbar %x supp %d/%d, classified %v %x %x supp %d/%d", snap.Gen,
+				got.centres.Nodes, got.centres.Pq, got.centres.Pqbar, got.SuppQ1, got.SuppQbar,
+				cs.Nodes, cs.Pq, cs.Pqbar, pq, pqbar)
+		}
 	}
 	for _, sr := range snap.Rules {
 		ev, ok := s.cache.Get(evalKey{snap.Gen, sr.Key})

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -38,10 +39,11 @@ type Snapshot struct {
 	Rules       []*ServedRule
 	byKey       map[string]*ServedRule
 
-	// centres are the XLabel candidates, classified under the LCWA (patched
-	// per delta batch); Nodes aliases the graph's label index. EvalRule fans out over workers
-	// contiguous index ranges of it, and every range reads the one shared
-	// graph.
+	// centres are the XLabel candidates, classified under the LCWA in
+	// node-indexed bitsets (patched per delta batch); Nodes aliases the
+	// graph's label index. EvalRule walks an exact rule's S(x) against the
+	// bitsets, and fans any other rule out over workers contiguous index
+	// ranges of Nodes; every range reads the one shared graph.
 	centres eip.Centers
 	workers int
 	// SuppQ1 and SuppQbar are supp(q,G) and supp(q̄,G): the LCWA
@@ -124,38 +126,34 @@ func DeriveDeltaSnapshot(prev *Snapshot, g *graph.Graph, cfg Config) *Snapshot {
 // the centres in lcwa are classified again. lcwa must hold every node
 // whose LCWA class can differ from s's: each candidate for a build, the
 // nodes a batch can reclassify (every relabelled or added node among
-// them), none for a compaction. When the x-label list is the same slice
-// the classes are s's, patched; otherwise a merge walk of the two
-// ascending lists carries s's classes, and the new members, all in lcwa,
-// start as Other. The supports move by the difference.
+// them), none for a compaction. The class bitsets are s's words, grown to
+// g's node count; when the x-label list is another slice, a merge walk of
+// the two ascending lists clears the bits of the centres that left it, and
+// the new members, all in lcwa, start as Other. The supports are the
+// bitsets' counts.
 func (s *Snapshot) patch(g *graph.Graph, lcwa []graph.NodeID, cfg Config) *Snapshot {
 	pred, old := s.Pred, s.centres
-	cs := eip.Centers{Nodes: g.NodesWithLabel(pred.XLabel)}
-	supp := [3]int{eip.Pq: s.SuppQ1, eip.Pqbar: s.SuppQbar} // supp[eip.Other] is unused
-	if len(cs.Nodes) == len(old.Nodes) && (len(cs.Nodes) == 0 || &cs.Nodes[0] == &old.Nodes[0]) {
-		cs.Class = slices.Clone(old.Class)
-	} else {
-		cs.Class = make([]eip.Class, len(cs.Nodes))
+	n := (g.NumNodes() + 63) / 64
+	cs := eip.Centers{Nodes: g.NodesWithLabel(pred.XLabel), Pq: make([]uint64, n), Pqbar: make([]uint64, n)}
+	copy(cs.Pq, old.Pq)
+	copy(cs.Pqbar, old.Pqbar)
+	if len(cs.Nodes) != len(old.Nodes) || len(cs.Nodes) > 0 && &cs.Nodes[0] != &old.Nodes[0] {
 		j := 0
-		for i, v := range old.Nodes {
+		for _, v := range old.Nodes {
 			for j < len(cs.Nodes) && cs.Nodes[j] < v {
 				j++
 			}
-			if j < len(cs.Nodes) && cs.Nodes[j] == v {
-				cs.Class[j] = old.Class[i]
-			} else {
-				supp[old.Class[i]]--
+			if j == len(cs.Nodes) || cs.Nodes[j] != v {
+				cs.Set(v, eip.Other)
 			}
 		}
 	}
 	for _, v := range lcwa {
-		if j, ok := slices.BinarySearch(cs.Nodes, v); ok {
-			supp[cs.Class[j]]--
-			cs.Class[j] = eip.Classify(g, v, pred)
-			supp[cs.Class[j]]++
+		if _, ok := slices.BinarySearch(cs.Nodes, v); ok {
+			cs.Set(v, eip.Classify(g, v, pred))
 		}
 	}
-	return &Snapshot{
+	snap := &Snapshot{
 		G:           g,
 		Pred:        pred,
 		PredDisplay: s.PredDisplay,
@@ -163,9 +161,9 @@ func (s *Snapshot) patch(g *graph.Graph, lcwa []graph.NodeID, cfg Config) *Snaps
 		byKey:       s.byKey,
 		centres:     cs,
 		workers:     cfg.defaults().Workers,
-		SuppQ1:      supp[eip.Pq],
-		SuppQbar:    supp[eip.Pqbar],
 	}
+	snap.SuppQ1, snap.SuppQbar = cs.Count()
+	return snap
 }
 
 // RuleByKey resolves a rule key to its served rule.
@@ -174,37 +172,76 @@ func (s *Snapshot) RuleByKey(key string) (*ServedRule, bool) {
 	return sr, ok
 }
 
-// EvalRule computes the rule's match set and statistics in two pool rounds:
-// one task runs match.NewFilter, whose per-node sets hold every match of Q
-// and so of PR ⊇ Q; then one confirm task per chunk, restricted to the
-// filter's sets. When the filter is exact and the rule y-free, S(x) is the
-// answer and there is one chunk. The chunks are contiguous index ranges of
-// the ascending centres, so their matches concatenate in order. The chunk
-// tasks read the sets concurrently; the filter is released after every
-// task has returned.
+// EvalRule computes the rule's match set and statistics. One pool task
+// runs match.NewFilter, whose per-node sets hold every match of Q and so
+// of PR ⊇ Q. When the filter is exact, S(x) is the answer, and the same
+// task counts the supports from its words (walk). Otherwise a second pool
+// round runs one confirm task per chunk, restricted to the filter's sets.
+// The chunks are contiguous index ranges of the ascending centres, so
+// their matches concatenate in order. The chunk tasks read the sets
+// concurrently; the filter is released after every task has returned.
 func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
 	var f *match.Filter
-	pool.runOne(func() { f = match.NewFilter(sr.Rule.Q, s.G) })
+	var ev *RuleEval
+	pool.runOne(func() {
+		f = match.NewFilter(sr.Rule.Q, s.G)
+		if f.Exact() {
+			ev = s.walk(sr, f)
+		}
+	})
 	defer f.Release()
-	n, cs := s.workers, s.centres
-	if f.Exact() && sr.Rule.YFree() {
-		n = 1 // the confirm binds no matcher: one walk against Keep, on this goroutine
+	if ev != nil {
+		return s.settle(ev)
 	}
+	n, cs := s.workers, s.centres
 	parts := make([]eip.Partial, n)
 	tasks := make([]func(), n)
 	for i := range tasks {
-		lo, hi := i*len(cs.Nodes)/n, (i+1)*len(cs.Nodes)/n
-		tasks[i] = func() { parts[i] = s.confirm(sr, eip.Centers{Nodes: cs.Nodes[lo:hi], Class: cs.Class[lo:hi]}, f) }
+		view := cs
+		view.Nodes = cs.Nodes[i*len(cs.Nodes)/n : (i+1)*len(cs.Nodes)/n]
+		tasks[i] = func() { parts[i] = s.confirm(sr, view, f) }
 	}
 	pool.Do(tasks...)
 
-	ev := &RuleEval{Key: sr.Key, Matches: []graph.NodeID{}, Survivors: f.Kept()} // [] when empty, as a union is
+	ev = &RuleEval{Key: sr.Key, Matches: []graph.NodeID{}, Survivors: f.Kept()} // [] when empty, as a union is
 	for _, p := range parts {
 		ev.Matches = append(ev.Matches, p.Q...)
 		ev.Stats.SuppR += p.R
 		ev.Stats.SuppQqb += p.Qqb
 	}
 	return s.settle(ev)
+}
+
+// walk evaluates sr from an exact filter's S(x), which is Q(x,G), a word
+// at a time and without a per-centre call: the set bits are the matches,
+// in ascending order, and each word against the class bitsets counts
+// supp(Qq̄,G) and, for a y-free rule, supp(R,G). A rule with a y confirms
+// PR, restricted to f's sets, at its Pq matches only.
+func (s *Snapshot) walk(sr *ServedRule, f *match.Filter) *RuleEval {
+	sx := f.XSet()
+	pq, pqbar := s.centres.Pq[:len(sx)], s.centres.Pqbar[:len(sx)]
+	var prm *match.Matcher
+	if !sr.Rule.YFree() {
+		prm = match.NewMatcher(sr.pr, s.G, match.Options{})
+		defer prm.Release()
+		f.Restrict(prm)
+	}
+	ev := &RuleEval{Key: sr.Key, Matches: make([]graph.NodeID, 0, f.Kept())}
+	for i, w := range sx {
+		ev.Stats.SuppQqb += bits.OnesCount64(w & pqbar[i])
+		if prm == nil {
+			ev.Stats.SuppR += bits.OnesCount64(w & pq[i])
+		}
+		for ; w != 0; w &= w - 1 {
+			v := graph.NodeID(i*64 + bits.TrailingZeros64(w))
+			ev.Matches = append(ev.Matches, v)
+			if prm != nil && pq[i]&(1<<(v&63)) != 0 && prm.HasMatchAt(v) {
+				ev.Stats.SuppR++
+			}
+		}
+	}
+	ev.Survivors = len(ev.Matches)
+	return ev
 }
 
 // settle completes ev on s from its matches and its supp(R,G) and
@@ -222,14 +259,13 @@ func (s *Snapshot) settle(ev *RuleEval) *RuleEval {
 	return ev
 }
 
-// confirm is algorithm Match's per-candidate step for sr over cs on s.G, and
-// the only code in this package that binds a matcher: pooled plain matchers
-// for Q and, unless the rule is y-free (core.Rule.YFree: PR ⇔ Q at a Pq
-// centre), PR, restricted to f's sets when f is not nil, run by
-// eip.EvalCenters — early-terminating HasMatchAt, PR first, and the PR ⇒ Q
-// containment reuse of Example 10. An exact f is Q's test on its own, and
-// no Q matcher is bound. HasMatchAt rejects x outside S(x) too, but Keep
-// inlines here and saves a call per rejected centre.
+// confirm is algorithm Match's per-candidate step for sr over cs on s.G:
+// pooled plain matchers for Q and, unless the rule is y-free
+// (core.Rule.YFree: PR ⇔ Q at a Pq centre), PR, restricted to f's sets
+// when f is not nil, run by eip.EvalCenters — early-terminating
+// HasMatchAt, PR first, and the PR ⇒ Q containment reuse of Example 10.
+// HasMatchAt rejects x outside S(x) too, but Keep inlines here and saves a
+// call per rejected centre.
 func (s *Snapshot) confirm(sr *ServedRule, cs eip.Centers, f *match.Filter) eip.Partial {
 	var matchPR func(graph.NodeID) bool
 	if !sr.Rule.YFree() {
@@ -239,9 +275,6 @@ func (s *Snapshot) confirm(sr *ServedRule, cs eip.Centers, f *match.Filter) eip.
 			f.Restrict(prm)
 		}
 		matchPR = func(v graph.NodeID) bool { return (f == nil || f.Keep(v)) && prm.HasMatchAt(v) }
-	}
-	if f != nil && f.Exact() {
-		return eip.EvalCenters(matchPR, f.Keep, cs)
 	}
 	qm := match.NewMatcher(sr.Rule.Q, s.G, match.Options{})
 	defer qm.Release()
