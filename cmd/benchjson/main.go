@@ -1,8 +1,9 @@
 // Command benchjson turns `go test -bench -benchmem` output into the
 // BENCH_*.json artifacts tracked by `make bench`: per-benchmark ns/op,
 // B/op and allocs/op, stamped with the machine and commit that produced
-// them. Two artifacts are comparable only when their fingerprints agree on
-// everything but the commit.
+// them. Repeated rows of one name (`go test -count N`) fold into one entry
+// of each column's median and the number of runs. Two artifacts are
+// comparable only when their fingerprints agree on all but the commit.
 //
 // Usage: go test -bench ... -benchmem ./... | benchjson [-o BENCH_match.json]
 package main
@@ -16,6 +17,7 @@ import (
 	"os/exec"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -51,12 +53,40 @@ func machineFingerprint() fingerprint {
 	return fp
 }
 
-// entry is one benchmark's -benchmem triple.
+// entry is one benchmark's -benchmem triple, each the median over Runs rows.
 type entry struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	Runs        int     `json:"runs"`
+}
+
+// median returns one column's middle value over rows (the upper middle).
+func median[T int64 | float64](rows []entry, col func(entry) T) T {
+	vs := make([]T, len(rows))
+	for i, r := range rows {
+		vs[i] = col(r)
+	}
+	slices.Sort(vs)
+	return vs[len(vs)/2]
+}
+
+// fold merges the rows of each name into one entry of column medians, in
+// the order the names first appear.
+func fold(rows []entry) []entry {
+	var out []entry
+	for _, r := range rows {
+		if slices.ContainsFunc(out, func(e entry) bool { return e.Name == r.Name }) {
+			continue
+		}
+		rs := slices.DeleteFunc(slices.Clone(rows), func(e entry) bool { return e.Name != r.Name })
+		out = append(out, entry{Name: r.Name, Runs: len(rs),
+			NsPerOp:     median(rs, func(e entry) float64 { return e.NsPerOp }),
+			BytesPerOp:  median(rs, func(e entry) int64 { return e.BytesPerOp }),
+			AllocsPerOp: median(rs, func(e entry) int64 { return e.AllocsPerOp })})
+	}
+	return out
 }
 
 // report is one BENCH_*.json file.
@@ -84,16 +114,11 @@ func main() {
 		if m == nil {
 			continue
 		}
-		e := entry{Name: m[1]}
-		e.NsPerOp, _ = strconv.ParseFloat(m[2], 64)
-		if m[3] != "" {
-			b, _ := strconv.ParseFloat(m[3], 64)
-			e.BytesPerOp = int64(b)
-		}
-		if m[4] != "" {
-			e.AllocsPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		entries = append(entries, e)
+		// An absent optional column parses as 0.
+		ns, _ := strconv.ParseFloat(m[2], 64)
+		b, _ := strconv.ParseFloat(m[3], 64)
+		allocs, _ := strconv.ParseInt(m[4], 10, 64)
+		entries = append(entries, entry{Name: m[1], NsPerOp: ns, BytesPerOp: int64(b), AllocsPerOp: allocs})
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
@@ -107,7 +132,7 @@ func main() {
 	rep := report{
 		GeneratedBy: "make bench",
 		Fingerprint: machineFingerprint(),
-		Benchmarks:  entries,
+		Benchmarks:  fold(entries),
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

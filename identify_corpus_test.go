@@ -47,7 +47,8 @@ type corpusCase struct {
 // rule, the two-edge "shares an item with another user" shape over item,
 // a |Vp| 4 / |Ep| 5 pattern from gen.Rules, and two-edge shapes — one of
 // them, x>user>y, with a node carrying the predicate's y label, so PR's y
-// can collide with it and its PR check is a search (core.Rule.YFree).
+// can collide with it: where one node carries that label PR matches
+// nowhere, and where two do only PR's matcher can tell (core.Rule.PRAtPq).
 func identifyCorpus(tb testing.TB, users int) []corpusCase {
 	tb.Helper()
 	pokec := gen.Pokec(graph.NewSymbols(), gen.DefaultPokec(users, 1))
@@ -148,8 +149,10 @@ var inexact = map[string]bool{"shared-item": true, "vp4-ep5": true}
 // Keep as the Q test) gives on freshly classified centres. The delta
 // batch adds a user with a follow self-loop, which the filter must not
 // take as the follow edge between two users, relabels a Pq user out of the
-// x label and another node into it, and grows the graph past a 64-node
-// word of the bitsets. CI runs it under -race as well.
+// x label and another node into it, grows the graph past a 64-node word of
+// the bitsets, and adds a second node with the y label, so the frozen
+// state decides x>user>y's PR from Q and the other two search it. CI runs
+// it under -race as well.
 func TestEvalRuleCorpus(t *testing.T) {
 	pool := serve.NewPool(2)
 	for _, c := range identifyCorpus(t, 150) {
@@ -164,7 +167,9 @@ func TestEvalRuleCorpus(t *testing.T) {
 			// It relabels a Pq user out of the x label and a node no rule
 			// names into it, with the consequent, and pads the graph with new
 			// users until its node count crosses a 64-node word boundary,
-			// the last of them a Pq user in the new word who follows.
+			// the last of them a Pq user in the new word who follows. Last, a
+			// second y node gets a q edge from a Pq user who follows a user
+			// with the consequent, where x>user>y's PR then matches.
 			users := c.g.NodesWithLabel(c.pred.XLabel)
 			var gone graph.Edge
 			for _, e := range c.g.Out(users[0]) {
@@ -180,6 +185,17 @@ func TestEvalRuleCorpus(t *testing.T) {
 				t.Fatal("no Pq user to relabel")
 			}
 			leaver := users[3+i]
+			follow := c.g.Symbols().Intern("follow")
+			i = slices.IndexFunc(users[3:], func(v graph.NodeID) bool {
+				return v != leaver && eip.Classify(c.g, v, c.pred) == eip.Pq &&
+					slices.ContainsFunc(c.g.Out(v), func(e graph.Edge) bool {
+						return e.Label == follow && c.g.Label(e.To) == c.pred.XLabel && c.g.HasEdge(e.To, y, c.pred.EdgeLabel)
+					})
+			})
+			if i < 0 {
+				t.Fatal("no Pq user who follows one with the consequent")
+			}
+			fan := users[3+i]
 			used := map[graph.Label]bool{c.pred.YLabel: true}
 			for _, r := range rules {
 				for u := range r.Q.NumNodes() {
@@ -191,7 +207,6 @@ func TestEvalRuleCorpus(t *testing.T) {
 				joiner++
 			}
 			fresh := graph.NodeID(c.g.NumNodes())
-			follow := c.g.Symbols().Intern("follow")
 			ops := []graph.DeltaOp{
 				{Kind: graph.DeltaAddNode, Label: c.pred.XLabel},
 				{Kind: graph.DeltaAddEdge, From: fresh, To: users[1], Label: follow},
@@ -213,14 +228,21 @@ func TestEvalRuleCorpus(t *testing.T) {
 			}
 			ops = append(ops,
 				graph.DeltaOp{Kind: graph.DeltaAddEdge, From: last, To: users[1], Label: follow},
-				graph.DeltaOp{Kind: graph.DeltaAddEdge, From: last, To: y, Label: c.pred.EdgeLabel})
+				graph.DeltaOp{Kind: graph.DeltaAddEdge, From: last, To: y, Label: c.pred.EdgeLabel},
+				graph.DeltaOp{Kind: graph.DeltaAddNode, Label: c.pred.YLabel},
+				graph.DeltaOp{Kind: graph.DeltaAddEdge, From: fan, To: last + 1, Label: c.pred.EdgeLabel})
 			overlaid, err := c.g.ApplyDelta(ops)
 			if err != nil {
 				t.Fatalf("ApplyDelta: %v", err)
 			}
 			compacted := overlaid.CompactCopy()
-			if !slices.ContainsFunc(rules, func(r *core.Rule) bool { return !r.YFree() }) {
+			if !slices.ContainsFunc(rules, func(r *core.Rule) bool { same, never := r.PRAtPq(2); return !same && !never }) {
 				t.Error("every corpus rule is y-free: no EvalRule here searches PR")
+			}
+			for g, ny := range map[*graph.Graph]int{c.g: 1, overlaid: 2, compacted: 2} {
+				if got := len(g.NodesWithLabel(c.pred.YLabel)); got != ny {
+					t.Fatalf("%d nodes carry the y label, want %d", got, ny)
+				}
 			}
 			for _, workers := range []int{1, 3, 7} {
 				cfg := serve.Config{Workers: workers}
@@ -258,13 +280,9 @@ func TestEvalRuleCorpus(t *testing.T) {
 								st.name, c.rules[i].shape, got.Centres, got.Survivors, len(got.Matches), f.Exact(), centres, f.Kept())
 						}
 						if f.Exact() {
-							var matchPR func(graph.NodeID) bool
 							prm := match.NewMatcher(sr.Rule.PR(), st.snap.G, match.Options{})
-							if !sr.Rule.YFree() {
-								matchPR = prm.HasMatchAt
-							}
 							cs := eip.ClassifyCenters(st.snap.G, st.snap.G.NodesWithLabel(c.pred.XLabel), c.pred)
-							loop := eip.EvalCenters(matchPR, f.Keep, cs)
+							loop := eip.EvalCenters(prm.HasMatchAt, f.Keep, cs)
 							prm.Release()
 							if !slices.Equal(got.Matches, loop.Q) || got.Stats.SuppR != loop.R || got.Stats.SuppQqb != loop.Qqb {
 								t.Errorf("%s/%s: the walk = %d matches, supp(R) %d, supp(Qq̄) %d; the centre loop = %d, %d, %d",

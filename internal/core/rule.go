@@ -78,17 +78,21 @@ func (r *Rule) PRInto(dst *pattern.Pattern) *pattern.Pattern {
 	return p
 }
 
-// YFree reports whether Q designates no y and no node of Q, x included,
-// carries the consequent's y label. PR's fresh y then cannot collide with
-// any image of Q, so at a Pq centre PR matches exactly where Q does:
-// PR(x,G) = Q(x,G) ∩ Pq(x,G).
-func (r *Rule) YFree() bool {
+// PRAtPq decides PR at a Pq centre where Q matches, on a graph where ny
+// nodes carry the y label. same: PR matches there, as no node of Q, x
+// included, has the y label (PR's fresh y collides with no image of Q), or
+// Q names y and ny == 1 (Q's y is the one y node, which the centre's q edge
+// reaches). never: PR matches at no centre, as ny == 1 and Q has a y node
+// it does not name, which leaves PR's fresh y none. Else only a search can
+// tell.
+func (r *Rule) PRAtPq(ny int) (same, never bool) {
 	for u := range r.Q.NumNodes() {
 		if r.Q.Label(u) == r.Pred.YLabel {
-			return false
+			named := r.Q.Y != pattern.NoNode
+			return ny == 1 && named, ny == 1 && !named
 		}
 	}
-	return r.Q.Y == pattern.NoNode
+	return true, false
 }
 
 // Radius returns r(PR, x), the radius the DMP bound d constrains.

@@ -190,8 +190,8 @@ type Partial struct {
 // semi-join filter's per-node sets; the caller decides how they search).
 // Pq members try PR first, and a PR match is a Q match (Example 10's
 // containment reuse), so the Q check is skipped. A nil matchPR means the
-// converse holds too (core.Rule.YFree): a Pq member's Q match is its PR
-// match, and it is tried once. q̄ members' Q matches count for supp(Qq̄);
+// converse holds too (core.Rule.PRAtPq's same): a Pq member's Q match is
+// its PR match, tried once. q̄ members' Q matches count for supp(Qq̄);
 // every Q match is a potential customer. It is the one copy of this loop:
 // the batch algorithms here and gpard's Snapshot.confirm (internal/serve)
 // both call it.

@@ -1,32 +1,26 @@
 package mine
 
-import (
-	"slices"
-
-	"gpar/internal/graph"
-)
+import "gpar/internal/graph"
 
 // This file holds the per-worker round arenas of the mining loop. A BSP
 // round produces thousands of short-lived []graph.NodeID center sets — the
-// three lanes of every <R, conf, flag> message, the per-group union buffers
-// of the assembly shards, and the next round's per-rule center frontiers.
-// All of them share one lifecycle: born inside one phase of a round, read
-// until the matching phase of the next round starts, then dead. A nodeArena
-// exploits that: each lane is a flat recycled backing store, individual
-// sets are offset-length views carved from it, and resetting the lane at
-// its phase boundary reclaims everything at once. After the first round
-// has grown the backing stores, a steady-state round allocates nothing.
+// three lanes of every <R, conf, flag> message and the per-group union
+// buffers of the assembly shards. All of them share one lifecycle: born
+// inside one phase of a round, read until the matching phase of the next
+// round starts, then dead. A nodeArena exploits that: each lane is a flat
+// recycled backing store, individual sets are offset-length views carved
+// from it, and resetting the lane at its phase boundary reclaims all at
+// once. Once the first round has grown the stores, a round allocates nothing.
 //
 // Ownership discipline (see DESIGN.md, "Arena round lifecycle"):
 //
 //   - message lanes (q, r, qqb) are reset by localMine at the start
 //     of the generate phase; their views live in messages, which assemble
 //     consumes in the same round;
-//   - the assembly shard arena is reset by asmScratch.merge; its views live
-//     in groups, which assemble consumes before returning — any set that
-//     survives into Σ (Mined.Set, Mined.qCenters) is cloned out;
-//   - the frontier lane is reset by diversifyAndDistribute; its views live in
-//     worker.centersFor, which the next round's localMine consumes.
+//   - the assembly shard arena is reset by asmScratch.merge; its views, and
+//     the message views a group of one message keeps, live in groups, which
+//     assemble consumes before returning — any set that survives into Σ
+//     (Mined.Set, Mined.qCenters) is cloned out.
 //
 // No view ever escapes a run: everything reachable from a Result is cloned.
 
@@ -78,16 +72,6 @@ func (a *nodeArena) take(mark int) []graph.NodeID {
 	return view
 }
 
-// takeSortedDedup sorts the set started at mark, removes duplicates in
-// place, rewinds the store to the deduplicated length and returns the set.
-func (a *nodeArena) takeSortedDedup(mark int) []graph.NodeID {
-	region := a.buf[mark:]
-	slices.Sort(region)
-	region = slices.Compact(region)
-	a.buf = a.buf[:mark+len(region)]
-	return a.take(mark)
-}
-
 // unionInto merges two sorted deduplicated sets into a new set carved from
 // the arena. As an optimization it returns the non-empty input unchanged
 // when the other is empty; inputs are read-only so aliasing is safe.
@@ -119,13 +103,10 @@ func (a *nodeArena) unionInto(x, y []graph.NodeID) []graph.NodeID {
 	return a.take(mark)
 }
 
-// roundArenas is one worker's set of recycled lanes. The three message lanes
-// reset together at the start of generate; the frontier lane resets at the
-// start of diversifyAndDistribute (by which point the previous round's
-// frontier views have all been consumed by localMine).
+// roundArenas is one worker's set of recycled message lanes, reset together
+// at the start of generate.
 type roundArenas struct {
 	q, r, qqb nodeArena // message center-set lanes
-	frontier  nodeArena // next-round per-rule center lists
 }
 
 // resetMessages reclaims the three message lanes (start of a generate phase).

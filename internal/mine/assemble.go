@@ -230,14 +230,20 @@ func msgQ(msg *message) []graph.NodeID   { return msg.qCenters }
 func msgR(msg *message) []graph.NodeID   { return msg.rSet }
 func msgQqb(msg *message) []graph.NodeID { return msg.qqbCenters }
 
-// lane builds one group's sorted deduplicated union of one message field,
-// carved contiguously from the shard arena.
+// lane builds one group's union of one message field: a lone message's
+// view, or the runs concatenated in message order in the shard arena. It
+// is sorted without duplicates: a group has one message per worker at
+// most, each worker's runs ascend inside its chunk of the ID-sorted
+// candidates, and generate appends the messages in worker order.
 func (s *asmScratch) lane(msgs []message, idx []int32, get func(*message) []graph.NodeID) []graph.NodeID {
+	if len(idx) == 1 {
+		return get(&msgs[idx[0]])
+	}
 	mark := s.arena.mark()
 	for _, i := range idx {
 		s.arena.pushAll(get(&msgs[i]))
 	}
-	return s.arena.takeSortedDedup(mark)
+	return s.arena.take(mark)
 }
 
 // newGroup takes a group from the pool (or allocates one), resets it and
@@ -311,8 +317,7 @@ func (m *miner) lookup(gr *group, uniq []*group) (rep *group, inSigma bool) {
 
 // diversifyAndDistribute is lines 8-11 of Fig. 4: update the top-k
 // structure, then hand each worker the center frontier of the rules to
-// extend next round, all of ∆E, carved from the worker's frontier lane
-// (whose previous round's views localMine has already consumed).
+// extend next round, all of ∆E, as views of their qCenters.
 func (m *miner) diversifyAndDistribute(deltaE []*Mined) error {
 	if !m.baseline {
 		m.queue.Update(m.entriesOf(deltaE), m.allEntries())

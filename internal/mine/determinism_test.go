@@ -41,10 +41,27 @@ func sumOps(res *Result) int64 {
 	return n
 }
 
+// checkAscending fails t unless every Σ member's Set and qCenters are
+// strictly ascending: assembly concatenates the workers' runs unsorted,
+// and the next round reads qCenters by binary search.
+func checkAscending(t *testing.T, n int, res *Result) {
+	t.Helper()
+	for _, mm := range res.All {
+		for _, set := range [][]graph.NodeID{mm.Set, mm.qCenters} {
+			for i := 1; i < len(set); i++ {
+				if set[i-1] >= set[i] {
+					t.Fatalf("N=%d: %s holds %v, not strictly ascending at %d", n, mm.Key(), set, i)
+				}
+			}
+		}
+	}
+}
+
 // TestDMineDeterministicAcrossWorkerCounts is the safety net for the
 // sharded-assembly refactor: on fixed seeds, DMine must return byte-
 // identical results — keys, stats, sets, rounds — for any worker count,
-// and its workers must do the same match operations in all.
+// with every Σ member's Set and qCenters strictly ascending, and its
+// workers must do the same match operations in all.
 // EmbedCap is raised beyond every center's embedding count so this test
 // isolates the assembly path; TestEmbedCapDeterministicAcrossWorkerCounts
 // covers the truncating case.
@@ -73,6 +90,7 @@ func TestDMineDeterministicAcrossWorkerCounts(t *testing.T) {
 				o := opts
 				o.N = n
 				res := DMine(g, pred, o)
+				checkAscending(t, n, res)
 				got, ops := fingerprint(res), sumOps(res)
 				if n == 1 {
 					base, baseOps = got, ops

@@ -45,13 +45,12 @@ func (w *worker) localMine(frontier []*Mined) {
 		w.prScratch = pattern.New(w.g.Symbols())
 	}
 	for _, parent := range frontier {
+		// The frontier is ascending (setFrontierCenters), so every
+		// accumulator's center list is built already sorted.
 		centers := w.centersFor[parent.id]
 		if len(centers) == 0 {
 			continue
 		}
-		// Keep the frontier sorted ascending once, so every accumulator's
-		// center list is built already sorted.
-		slices.Sort(centers)
 		pq := parent.Rule.Q
 		for _, f := range w.discover(pq, centers) {
 			// Materialize the candidate into recycled scratch; the scratch
@@ -73,11 +72,11 @@ func (w *worker) localMine(frontier []*Mined) {
 
 			msg := message{parent: parent.id, ext: f.ext}
 			mq, mr, mqb := w.ar.q.mark(), w.ar.r.mark(), w.ar.qqb.mark()
-			// One pooled matcher per child rule, reused across all centers;
-			// none for a y-free child, whose PR matches at every Pq center
-			// Q does (every center of f does).
+			// Every center of f matches Q. PR's matcher, reused across them,
+			// is built only where Q cannot decide PR (core.Rule.PRAtPq).
+			same, never := child.PRAtPq(w.ny)
 			var prm *match.Matcher
-			if !child.YFree() {
+			if !same && !never {
 				prm = match.NewMatcher(pr, w.g, match.Options{})
 			}
 			for _, c := range f.centers {
@@ -87,7 +86,7 @@ func (w *worker) localMine(frontier []*Mined) {
 					w.ar.qqb.push(c)
 				case eip.Pq:
 					w.ops++
-					if prm == nil || prm.HasMatchAt(c) {
+					if same || prm != nil && prm.HasMatchAt(c) {
 						w.ar.r.push(c)
 					}
 				}

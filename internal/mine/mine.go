@@ -200,15 +200,17 @@ type worker struct {
 	g       *graph.Graph
 	centers []graph.NodeID
 	// The run's parameters localMine reads: the predicate, the radius bound
-	// d and EmbedCap.
-	pred        core.Predicate
-	d, embedCap int
+	// d, EmbedCap, and ny, how many nodes of g carry the predicate's y
+	// label (core.Rule.PRAtPq).
+	pred            core.Predicate
+	d, embedCap, ny int
 
 	class  []eip.Class // class[v] : an owned center's LCWA class
 	npq    int         // the worker's share of |Pq(x,G)|
 	npqbar int         // its share of the q̄ count
 	// centersFor caches, per rule, the owned centers (sorted) whose Q still
-	// matches — the mining frontier.
+	// matches — the mining frontier. Each list is a read-only view: of
+	// centers, or of the rule's qCenters.
 	centersFor map[ruleID][]graph.NodeID
 
 	ops    int64 // match operations (work accounting)
@@ -273,14 +275,6 @@ func (w *worker) extCode(e pattern.Extension) uint64 {
 		w.extOverflow[e] = id
 	}
 	return id
-}
-
-// ownsCenter reports whether candidate v is one of this worker's centers.
-// The chunks are contiguous runs of the ID-sorted candidate list, so a range
-// test decides it.
-func (w *worker) ownsCenter(v graph.NodeID) bool {
-	n := len(w.centers)
-	return n > 0 && w.centers[0] <= v && v <= w.centers[n-1]
 }
 
 // message is the <R, conf, flag> triple of Fig. 4 in the form DMine's
@@ -500,14 +494,14 @@ func acquireWorker(m *miner, i int) *worker {
 func (w *worker) bind(m *miner, i int) {
 	w.g, w.centers = m.ctx.g, m.ctx.chunk(i)
 	w.pred, w.d, w.embedCap = m.pred, m.opts.D, m.opts.EmbedCap
+	w.ny = len(w.g.NodesWithLabel(m.pred.YLabel))
 	w.disc, w.slot = m.ctx.memo(), i
 	clear(w.extOverflow)
 	w.npq, w.npqbar = 0, 0
 	w.ops, w.capped = 0, 0
 	if w.centersFor == nil {
-		w.centersFor = make(map[ruleID][]graph.NodeID)
+		w.centersFor = make(map[ruleID][]graph.NodeID) // release empties it
 	}
-	clear(w.centersFor)
 }
 
 // releaseWorkers returns a finished run's workers to the pool, dropping their
@@ -521,6 +515,7 @@ func releaseWorkers(ws ...*worker) {
 	defer workerPool.mu.Unlock()
 	for _, w := range ws {
 		w.g, w.centers, w.disc = nil, nil, nil
+		clear(w.centersFor) // views of the run's centers and Σ
 		if len(workerPool.idle) < keep {
 			workerPool.idle = append(workerPool.idle, w)
 		}

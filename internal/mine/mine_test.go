@@ -70,21 +70,41 @@ func TestDMineFindsRulesOnG1(t *testing.T) {
 	}
 }
 
+// secondY returns a copy of g, frozen, with one more node that carries
+// pred's y label and a q edge into it from every third x-labelled node,
+// Pq users among them: a graph on which PR's fresh y has two nodes to map
+// to, and Q's y can map to one that x does not reach by q.
+func secondY(g *graph.Graph, pred core.Predicate) *graph.Graph {
+	users := g.NodesWithLabel(pred.XLabel)
+	h := g.Clone()
+	y := h.AddNodeL(pred.YLabel)
+	for i := 0; i < len(users); i += 3 {
+		h.AddEdgeL(users[i], y, pred.EdgeLabel)
+	}
+	h.Freeze()
+	return h
+}
+
 // TestDMineSigmaAgainstEval: every rule DMine keeps — all of Σ, not only
 // the top-k — carries the supports and confidence the sequential reference
 // evaluation (core.Eval, which always searches PR) computes, for every
-// predicate of a Pokec-like and a Google+-like graph. Both the y-free
-// children, whose PR check DMine reads off their Q centers, and the rest,
-// whose PR it searches, are covered.
+// predicate of a Pokec-like and a Google+-like graph, and for the Disco
+// predicate on the Pokec graph with a second y node. Both the y-free
+// children, whose PR check DMine reads off their Q centers, and the rest
+// are covered: on the graphs with one y node DMine decides those from Q
+// too (core.Rule.PRAtPq), on the one with two it searches PR.
 func TestDMineSigmaAgainstEval(t *testing.T) {
 	syms := graph.NewSymbols()
+	pokec := gen.Pokec(syms, gen.DefaultPokec(300, 3))
+	disco := gen.PokecPredicates(syms)[0]
 	graphs := []struct {
 		name  string
 		g     *graph.Graph
 		preds []core.Predicate
 	}{
-		{"pokec", gen.Pokec(syms, gen.DefaultPokec(300, 3)), gen.PokecPredicates(syms)},
+		{"pokec", pokec, gen.PokecPredicates(syms)},
 		{"gplus", gen.Gplus(syms, gen.DefaultGplus(300, 3)), gen.GplusPredicates(syms)},
+		{"pokec-two-y", secondY(pokec, disco), []core.Predicate{disco}},
 	}
 	opts := baseOpts()
 	opts.MaxEdges = 2
@@ -93,7 +113,8 @@ func TestDMineSigmaAgainstEval(t *testing.T) {
 		for _, pred := range tc.preds {
 			for _, mm := range DMine(tc.g, pred, opts).All {
 				checked++
-				if mm.Rule.YFree() {
+				// Where two nodes carry y, only a y-free rule is decided.
+				if same, _ := mm.Rule.PRAtPq(2); same {
 					yFree++
 				}
 				ref := core.Eval(tc.g, mm.Rule, match.Options{}, false)
@@ -106,6 +127,73 @@ func TestDMineSigmaAgainstEval(t *testing.T) {
 		if yFree == 0 || yFree == checked {
 			t.Errorf("%s: %d of %d mined rules are y-free; the oracle must see both kinds", tc.name, yFree, checked)
 		}
+	}
+}
+
+// TestPRAtPqAgainstMatcher is the oracle of the PR decision: at every Pq
+// centre where Q matches, core.Rule.PRAtPq's same must be a plain PR
+// matcher's match and its never the matcher's miss. The graphs are the
+// Pokec-like and the Google+-like graph, each as generated (one node per
+// y label) and with a second y node (secondY), under every predicate; the
+// rules are gen.Rules' at |Vp| 3 / |Ep| 2 and all of Σ that DMine keeps
+// on either graph, each checked on both. All three outcomes must occur,
+// and the undecided one must hold both answers.
+func TestPRAtPqAgainstMatcher(t *testing.T) {
+	syms := graph.NewSymbols()
+	opts := baseOpts()
+	opts.MaxEdges = 2
+	var same, never, searchHit, searchMiss int
+	for _, tc := range []struct {
+		g     *graph.Graph
+		preds []core.Predicate
+	}{
+		{gen.Pokec(syms, gen.DefaultPokec(300, 3)), gen.PokecPredicates(syms)},
+		{gen.Gplus(syms, gen.DefaultGplus(300, 3)), gen.GplusPredicates(syms)},
+	} {
+		for _, pred := range tc.preds {
+			graphs := []*graph.Graph{tc.g, secondY(tc.g, pred)}
+			var rules []*core.Rule
+			for _, g := range graphs {
+				rules = append(rules, gen.Rules(g, pred, gen.RuleGenParams{Count: 20, VP: 3, EP: 2, Seed: 1})...)
+				for _, mm := range DMine(g, pred, opts).All {
+					rules = append(rules, mm.Rule)
+				}
+			}
+			for _, g := range graphs {
+				ny, pq := len(g.NodesWithLabel(pred.YLabel)), core.Pq(g, pred)
+				for _, r := range rules {
+					isSame, isNever := r.PRAtPq(ny)
+					qm := match.NewMatcher(r.Q, g, match.Options{})
+					prm := match.NewMatcher(r.PR(), g, match.Options{})
+					for _, c := range pq {
+						if !qm.HasMatchAt(c) {
+							continue
+						}
+						hit := prm.HasMatchAt(c)
+						switch {
+						case isSame:
+							same++
+						case isNever:
+							never++
+						case hit:
+							searchHit++
+						default:
+							searchMiss++
+						}
+						if isSame && !hit || isNever && hit {
+							t.Errorf("ny %d, %s at centre %d: decided same %v, never %v; PR's matcher says %v",
+								ny, r, c, isSame, isNever, hit)
+						}
+					}
+					qm.Release()
+					prm.Release()
+				}
+			}
+		}
+	}
+	if same == 0 || never == 0 || searchHit == 0 || searchMiss == 0 {
+		t.Errorf("decided same at %d centres, never at %d, searched at %d hits and %d misses; want every kind",
+			same, never, searchHit, searchMiss)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mine
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,7 +27,7 @@ func (m *miner) attach() error {
 	}
 	err := m.parallel(func(w *worker) {
 		w.classify()
-		w.seedFrontier()
+		w.centersFor[seedID] = w.centers
 	})
 	if err != nil {
 		return err
@@ -56,7 +57,7 @@ func (m *miner) generate(frontier []*Mined) ([]message, error) {
 // that own them, for the next round's localMine.
 func (m *miner) distribute(frontier []*Mined) error {
 	return m.parallel(func(w *worker) {
-		w.beginFrontier()
+		clear(w.centersFor)
 		for _, mined := range frontier {
 			w.setFrontierCenters(mined.id, mined.qCenters)
 		}
@@ -134,31 +135,13 @@ func (w *worker) classify() {
 	w.npq, w.npqbar = cs.Count()
 }
 
-// seedFrontier installs the round-1 frontier: every owned center matches
-// the seed rule's empty antecedent. The copy is the worker's to sort; the
-// owned centers are a view into the shared graph's label index.
-func (w *worker) seedFrontier() {
-	w.centersFor[seedID] = append([]graph.NodeID(nil), w.centers...)
-}
-
-// beginFrontier starts a new frontier hand-off: previous entries are
-// dropped (they would otherwise alias the recycled lane and pin the map
-// forever) and the frontier lane is reclaimed — by this point the previous
-// round's frontier views have all been consumed by localMine.
-func (w *worker) beginFrontier() {
-	clear(w.centersFor)
-	w.ar.frontier.reset()
-}
-
 // setFrontierCenters installs one frontier rule's next-round center list:
-// the subset of its Q-match centers this worker owns, carved from the
-// frontier lane.
+// the run of its ascending qCenters inside this worker's chunk (a range of
+// the ID-sorted candidates), a view two binary searches find.
 func (w *worker) setFrontierCenters(id ruleID, qCenters []graph.NodeID) {
-	mark := w.ar.frontier.mark()
-	for _, v := range qCenters {
-		if w.ownsCenter(v) {
-			w.ar.frontier.push(v)
-		}
+	if n := len(w.centers); n > 0 {
+		lo, _ := slices.BinarySearch(qCenters, w.centers[0])
+		hi, _ := slices.BinarySearch(qCenters, w.centers[n-1]+1)
+		w.centersFor[id] = qCenters[lo:hi:hi]
 	}
-	w.centersFor[id] = w.ar.frontier.take(mark)
 }

@@ -81,6 +81,7 @@ const (
 	repairAddUser            // add a user following another
 	repairGenre              // toggle genre from a hub to genre:pop
 	repairSwap               // swap the labels of a user and a hub
+	repairRelabelFar         // relabel the genre-holding Disco node away from the y label, or back
 	repairOps
 )
 
@@ -90,9 +91,12 @@ const (
 // y is farther from x in Q than in PR, every rule evaluated, then up to six
 // batches. Each batch reads a length byte, then a
 // kind byte and two node bytes per op; the batches toggle follow edges at
-// users and at hubs, relabel hubs to and from the y label, toggle q edges
-// and genre edges, add users, and swap a user's label with a hub's (a user
-// leaves the x label and a hub joins it, or back). After each batch the
+// users and at hubs, relabel hubs and the genre-holding Disco node to and
+// from the y label (the last seed takes the graph from two y nodes to one
+// and back, then carries what the snapshot of two evaluated across a
+// follow toggle), toggle q edges and genre edges, add users,
+// and swap a user's label with a hub's (a user leaves the x label and a hub
+// joins it, or back). After each batch the
 // served classes and supports, and every entry that crossed, as it was or
 // repaired, must equal a fresh classification and EvalRule on the
 // compacted graph; then every rule is evaluated again for the next batch.
@@ -102,6 +106,7 @@ func FuzzDeltaRepair(f *testing.F) {
 	f.Add([]byte{3, repairFollowHub, 2, 5, repairRelabelHub, 1, 5, repairFollowUsers, 11, 12, 1, repairRelabelHub, 1, 5})
 	f.Add([]byte{4, repairQEdge, 8, 0, repairQEdge, 9, 0, repairAddUser, 1, 2, repairFollowUsers, 60, 3})
 	f.Add([]byte{1, repairQEdge, 5, 1, repairSwap, 5, 1, 0, repairSwap, 5, 1, 1, repairSwap, 2, 3, repairQEdge, 9, 3})
+	f.Add([]byte{0, repairRelabelFar, 0, 0, 0, repairRelabelFar, 0, 0, 0, repairFollowUsers, 3, 9})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		syms := graph.NewSymbols()
 		g := gen.Pokec(syms, gen.DefaultPokec(60, 1))
@@ -195,6 +200,13 @@ func FuzzDeltaRepair(f *testing.F) {
 						src = hub
 					}
 					toggle(src, pop, "genre")
+				case repairRelabelFar:
+					to := syms.Name(pred.YLabel)
+					if label(far) == pred.YLabel {
+						to = "music:Rock"
+					}
+					labels[far] = syms.Intern(to)
+					ops = append(ops, DeltaOpSpec{Op: "setLabel", Node: int32(far), Label: to})
 				case repairSwap:
 					lu, lh := label(user), label(hub)
 					labels[user], labels[hub] = lh, lu

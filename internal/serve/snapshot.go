@@ -46,6 +46,8 @@ type Snapshot struct {
 	// ranges of Nodes; every range reads the one shared graph.
 	centres eip.Centers
 	workers int
+	// ny counts G's nodes with the predicate's y label (core.Rule.PRAtPq).
+	ny int
 	// SuppQ1 and SuppQbar are supp(q,G) and supp(q̄,G): the LCWA
 	// classification of candidates, shared by every rule of the predicate.
 	SuppQ1   int
@@ -161,6 +163,7 @@ func (s *Snapshot) patch(g *graph.Graph, lcwa []graph.NodeID, cfg Config) *Snaps
 		byKey:       s.byKey,
 		centres:     cs,
 		workers:     cfg.defaults().Workers,
+		ny:          len(g.NodesWithLabel(pred.YLabel)),
 	}
 	snap.SuppQ1, snap.SuppQbar = cs.Count()
 	return snap
@@ -215,13 +218,15 @@ func (s *Snapshot) EvalRule(sr *ServedRule, pool *Pool) *RuleEval {
 // walk evaluates sr from an exact filter's S(x), which is Q(x,G), a word
 // at a time and without a per-centre call: the set bits are the matches,
 // in ascending order, and each word against the class bitsets counts
-// supp(Qq̄,G) and, for a y-free rule, supp(R,G). A rule with a y confirms
-// PR, restricted to f's sets, at its Pq matches only.
+// supp(Qq̄,G) and, where PR matches at every Pq match (core.Rule.PRAtPq's
+// same), supp(R,G). Where PR matches at none (never), supp(R,G) is 0; any
+// other rule confirms PR, restricted to f's sets, at its Pq matches only.
 func (s *Snapshot) walk(sr *ServedRule, f *match.Filter) *RuleEval {
 	sx := f.XSet()
 	pq, pqbar := s.centres.Pq[:len(sx)], s.centres.Pqbar[:len(sx)]
+	same, never := sr.Rule.PRAtPq(s.ny)
 	var prm *match.Matcher
-	if !sr.Rule.YFree() {
+	if !same && !never {
 		prm = match.NewMatcher(sr.pr, s.G, match.Options{})
 		defer prm.Release()
 		f.Restrict(prm)
@@ -229,7 +234,7 @@ func (s *Snapshot) walk(sr *ServedRule, f *match.Filter) *RuleEval {
 	ev := &RuleEval{Key: sr.Key, Matches: make([]graph.NodeID, 0, f.Kept())}
 	for i, w := range sx {
 		ev.Stats.SuppQqb += bits.OnesCount64(w & pqbar[i])
-		if prm == nil {
+		if same {
 			ev.Stats.SuppR += bits.OnesCount64(w & pq[i])
 		}
 		for ; w != 0; w &= w - 1 {
@@ -260,15 +265,17 @@ func (s *Snapshot) settle(ev *RuleEval) *RuleEval {
 }
 
 // confirm is algorithm Match's per-candidate step for sr over cs on s.G:
-// pooled plain matchers for Q and, unless the rule is y-free
-// (core.Rule.YFree: PR ⇔ Q at a Pq centre), PR, restricted to f's sets
-// when f is not nil, run by eip.EvalCenters — early-terminating
-// HasMatchAt, PR first, and the PR ⇒ Q containment reuse of Example 10.
-// HasMatchAt rejects x outside S(x) too, but Keep inlines here and saves a
-// call per rejected centre.
+// pooled plain matchers for Q and, unless core.Rule.PRAtPq decides PR at
+// a Pq centre from Q alone, PR, restricted to f's sets when f is not nil,
+// run by eip.EvalCenters — early-terminating HasMatchAt, PR first, and the
+// PR ⇒ Q containment reuse of Example 10. HasMatchAt rejects x outside
+// S(x) too, but Keep inlines here and saves a call per rejected centre.
 func (s *Snapshot) confirm(sr *ServedRule, cs eip.Centers, f *match.Filter) eip.Partial {
 	var matchPR func(graph.NodeID) bool
-	if !sr.Rule.YFree() {
+	switch same, never := sr.Rule.PRAtPq(s.ny); {
+	case never:
+		matchPR = func(graph.NodeID) bool { return false }
+	case !same:
 		prm := match.NewMatcher(sr.pr, s.G, match.Options{})
 		defer prm.Release()
 		if f != nil {
