@@ -72,23 +72,26 @@ fuzz-smoke:
 # durability, and the identify kernel per rule shape on the three corpus
 # graphs) and BENCH_mine.json (the mining loop and mine jobs).
 # Record both in one run on one machine; numbers from different
-# fingerprints do not compare. The two-step temp-file dance (rather than a
+# fingerprints do not compare. Each row runs five times (-count 5) at a
+# fifth of the single run's -benchtime, and benchjson records the median of
+# the five, so one noisy run cannot move a row and the targets take about as
+# long as one run each did. The two-step temp-file dance (rather than a
 # pipe) makes a benchmark failure fail the target instead of being masked
 # by the parser's exit status.
 bench: bench-match bench-mine
 
 bench-match:
 	$(GO) test -run '^$$' -bench 'BenchmarkAnchoredMatch|BenchmarkMatchSet$$|BenchmarkIdentify|BenchmarkDeltaApply|BenchmarkDeltaRepair|BenchmarkWALAppend|BenchmarkSnapshotLoad|BenchmarkSnapshotWrite|BenchmarkFreeze|BenchmarkCompactCopy' \
-	    -benchmem -benchtime=1s ./internal/match/ ./internal/serve/ ./internal/snapfile/ > bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkEvalRuleShapes' -benchmem -benchtime=1s . >> bench.out
+	    -benchmem -benchtime=200ms -count 5 ./internal/match/ ./internal/serve/ ./internal/snapfile/ > bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkEvalRuleShapes' -benchmem -benchtime=200ms -count 5 . >> bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_match.json < bench.out
 	@rm -f bench.out
 
 bench-mine:
 	$(GO) test -run '^$$' -bench 'BenchmarkDMine$$|BenchmarkDMineNo$$|BenchmarkDiscoverExtensions|BenchmarkLocalMineRound|BenchmarkDiversifyUpdate' \
-	    -benchmem -benchtime=2s ./internal/mine/ ./internal/diversify/ > bench.out
+	    -benchmem -benchtime=400ms -count 5 ./internal/mine/ ./internal/diversify/ > bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkMineJob' \
-	    -benchmem -benchtime=2s ./internal/serve/ >> bench.out
+	    -benchmem -benchtime=400ms -count 5 ./internal/serve/ >> bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_mine.json < bench.out
 	@rm -f bench.out
 
@@ -190,7 +193,7 @@ inline-check:
 # the number here, in the diff, where a reviewer sees it; one that deletes
 # code lowers it to the new count. The test Go count beside it is
 # informational: it has no budget.
-LOC_BUDGET := 15245
+LOC_BUDGET := 15244
 loc-check:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \
 	t=$$(find . -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l); \

@@ -89,14 +89,14 @@ const (
 // serving gen.Rules' rules, two hanging rules (one on a genre edge held by
 // a Disco node no user is near, one on the q edges into y) and a rule whose
 // y is farther from x in Q than in PR, every rule evaluated, then up to six
-// batches. Each batch reads a length byte, then a
-// kind byte and two node bytes per op; the batches toggle follow edges at
-// users and at hubs, relabel hubs and the genre-holding Disco node to and
-// from the y label (the last seed takes the graph from two y nodes to one
-// and back, then carries what the snapshot of two evaluated across a
-// follow toggle), toggle q edges and genre edges, add users,
-// and swap a user's label with a hub's (a user leaves the x label and a hub
-// joins it, or back). After each batch the
+// batches. Each batch reads a length byte, then a kind byte and two node
+// bytes per op; the batches toggle follow edges at users and at hubs,
+// relabel hubs and the genre-holding Disco node to and from the y label,
+// toggle q edges and genre edges, add users, and swap a user's label with a
+// hub's (a user leaves the x label and a hub joins it, or back). The last
+// seed takes the graph from two y nodes to one and back, then carries what
+// the snapshot with two again evaluated across a follow toggle: a snapshot
+// that read ny a batch late decides PR from Q there. After each batch the
 // served classes and supports, and every entry that crossed, as it was or
 // repaired, must equal a fresh classification and EvalRule on the
 // compacted graph; then every rule is evaluated again for the next batch.
