@@ -28,7 +28,7 @@ import (
 // designCeiling is the size in bytes DESIGN.md may not exceed: its size
 // after the last PR that shrank it. Lower it when the file shrinks; it is
 // not meant to go up.
-const designCeiling = 52952
+const designCeiling = 52951
 
 func main() {
 	if len(os.Args) < 2 {
